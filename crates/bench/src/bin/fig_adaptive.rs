@@ -19,7 +19,7 @@
 
 use ftc_bench::{print_table, ExpOpts};
 use ftc_core::params::Params;
-use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, Substrate, Workload};
 
 const ALPHA: f64 = 0.5;
 
@@ -47,7 +47,7 @@ fn main() {
             CellSpec::new(Workload::Le { adv }, n, ALPHA, opts.seed(0xE11), trials).label(label),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
 
     let mut rows = Vec::new();
     for (cell, &(label, _)) in record.cells.iter().zip(&schedules) {

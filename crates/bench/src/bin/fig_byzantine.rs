@@ -18,7 +18,7 @@
 //! ```
 
 use ftc_bench::{print_table, ExpOpts};
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 
 const BS: [u32; 4] = [0, 1, 2, 4];
 
@@ -57,7 +57,7 @@ fn main() {
             .label("le"),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

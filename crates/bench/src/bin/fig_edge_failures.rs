@@ -17,7 +17,7 @@
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_core::params::Params;
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 
 const ALPHA: f64 = 0.5;
 const PS: [f64; 7] = [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9];
@@ -52,7 +52,7 @@ fn main() {
                 .label("agree"),
             );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

@@ -15,7 +15,7 @@
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_core::params::Params;
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 use ftc_sim::stats::fit_power_law;
 
 const ALPHA: f64 = 0.5;
@@ -58,7 +58,7 @@ fn main() {
                 .label("agree-explicit"),
             );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

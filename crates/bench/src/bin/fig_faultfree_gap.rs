@@ -16,7 +16,7 @@
 //! ```
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
-use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, Substrate, Workload};
 use ftc_sim::stats::fit_power_law;
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
                 .label("agree-ft"),
             );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

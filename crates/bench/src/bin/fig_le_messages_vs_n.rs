@@ -16,7 +16,7 @@
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_core::params::Params;
 use ftc_lab::{
-    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, LabSubstrate,
+    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Substrate,
     Workload,
 };
 use ftc_sim::stats::fit_power_law;
@@ -57,7 +57,7 @@ fn main() {
         min: 0.3,
         max: 1.05,
     });
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
 
     let mut rows = Vec::new();
     let mut xs = Vec::new();

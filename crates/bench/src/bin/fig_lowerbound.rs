@@ -18,7 +18,7 @@
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_core::params::Params;
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 use ftc_sim::stats::Summary;
 
 const ALPHA: f64 = 0.5;
@@ -93,7 +93,7 @@ fn main() {
             .label("le"),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let points = |label: &str| {
         record
             .cells

@@ -14,7 +14,7 @@
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_lab::{
-    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, LabSubstrate,
+    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Substrate,
     Workload,
 };
 use ftc_sim::stats::fit_power_law;
@@ -74,7 +74,7 @@ fn main() {
         min: 1.0,
         max: 3.5,
     });
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let les: Vec<_> = record
         .cells
         .iter()

@@ -13,7 +13,7 @@
 //! ```
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 
 const ALPHA: f64 = 0.5;
 const KS: [u32; 5] = [2, 16, 256, 4096, 65536];
@@ -42,7 +42,7 @@ fn main() {
             .label("multi"),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
 
     let mut rows = Vec::new();
     for (cell, &k) in record.cells.iter().zip(&KS) {

@@ -13,7 +13,7 @@
 //! ```
 
 use ftc_bench::{print_table, ExpOpts};
-use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, Substrate, Workload};
 
 fn main() {
     let opts = ExpOpts::parse();
@@ -79,7 +79,7 @@ fn main() {
                 .label("agree-b"),
             );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

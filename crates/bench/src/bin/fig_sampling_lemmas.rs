@@ -18,7 +18,7 @@
 //! ```
 
 use ftc_bench::{print_table, ExpOpts};
-use ftc_lab::{run_campaign, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, CampaignSpec, CellSpec, Substrate, Workload};
 
 const ALPHA: f64 = 0.5;
 
@@ -55,7 +55,7 @@ fn main() {
             .label(label),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
 
     let mut rows = Vec::new();
     for (cell, &(label, _, _)) in record.cells.iter().zip(&configs) {

@@ -16,7 +16,7 @@
 
 use ftc_bench::{print_table, ExpOpts};
 use ftc_core::params::Params;
-use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Workload};
+use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, Substrate, Workload};
 use ftc_sim::stats::wilson_interval;
 
 const ALPHA: f64 = 0.5;
@@ -82,7 +82,7 @@ fn main() {
             .label("d4"),
         );
     }
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let mut cells = record.cells.iter();
 
     let mut rows = Vec::new();

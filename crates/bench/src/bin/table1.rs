@@ -17,7 +17,7 @@
 
 use ftc_bench::{fmt_count, print_table, ExpOpts};
 use ftc_lab::{
-    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, LabSubstrate,
+    run_campaign, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Substrate,
     Workload,
 };
 
@@ -149,7 +149,7 @@ fn main() {
         min: 0.1,
         max: 0.95,
     });
-    let record = run_campaign(&spec, opts.jobs, LabSubstrate::Engine).expect("campaign");
+    let record = run_campaign(&spec, opts.jobs, Substrate::Engine).expect("campaign");
     let series = |label: &str| {
         record
             .cells

@@ -298,7 +298,7 @@ mod tests {
         // by ftc-lab (see lab's le_cell_matches_bench_measurement_semantics
         // test). This guards that a bench binary's minimal campaign still
         // runs through the lab entry point.
-        use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Workload};
+        use ftc_lab::{run_campaign, Adv, CampaignSpec, CellSpec, Substrate, Workload};
         let spec = CampaignSpec::new("bench-unit").cell(CellSpec::new(
             Workload::Le {
                 adv: Adv::Random(10),
@@ -308,7 +308,7 @@ mod tests {
             42,
             2,
         ));
-        let record = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
+        let record = run_campaign(&spec, 1, Substrate::Engine).unwrap();
         assert_eq!(record.cells.len(), 1);
         assert!(record.cells[0].msgs.mean > 0.0);
     }

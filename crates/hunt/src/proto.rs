@@ -4,17 +4,19 @@
 //! The search layer is protocol-agnostic — it manipulates schedules and
 //! scores — so this module concentrates everything that knows about
 //! [`LeNode`]/[`AgreeNode`]: constructing node factories, running a
-//! scripted schedule on the sim engine or the `ftc-net` runtimes, and
-//! condensing the result into an [`Observation`] with a replay-comparable
-//! [`Fingerprint`].
+//! scripted schedule on any [`Substrate`], and condensing the result into
+//! an [`Observation`] with a replay-comparable [`Fingerprint`].
 
 use ftc_core::prelude::*;
-use ftc_mesh::runtime::{run_over_mesh, run_over_mesh_faulty};
 use ftc_net::prelude::*;
-use ftc_sim::engine::{run, RunResult, SimConfig};
+use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::{NodeId, Round};
 use ftc_sim::json::{Json, JsonError};
 use ftc_sim::prelude::{FaultPlan, ScriptedCrash};
+
+/// Which substrate executes the schedule — defined next to the runtimes it
+/// dispatches to.
+pub use ftc_mesh::Substrate;
 
 /// Which of the paper's protocols the hunt attacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,19 +60,6 @@ impl ProtoKind {
             ProtoKind::Agree => params.agreement_message_bound(),
         }
     }
-}
-
-/// Which substrate executes the schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Substrate {
-    /// The in-process sim engine (`ftc_sim::engine::run`).
-    Engine,
-    /// The `ftc-net` in-process channel mesh with this many workers.
-    Channel(usize),
-    /// The `ftc-net` localhost TCP mesh with this many workers.
-    Tcp(usize),
-    /// The `ftc-mesh` multiplexed socket runtime with this many procs.
-    Mesh(usize),
 }
 
 /// Everything observable about one execution that replay must reproduce.
@@ -260,73 +249,21 @@ pub fn observe_wire(
     substrate: Substrate,
 ) -> Result<Observation, String> {
     let mut adversary = ScriptedCrash::new(plan.clone());
+    let opts = RunOpts {
+        wire,
+        ..RunOpts::default()
+    };
     match proto {
         ProtoKind::Le => {
             let factory = |_| LeNode::new(params.clone());
-            let r = match (substrate, wire) {
-                (Substrate::Engine, _) => run(cfg, factory, &mut adversary),
-                (Substrate::Channel(workers), None) => {
-                    run_over_channel(cfg, workers, factory, &mut adversary).run
-                }
-                (Substrate::Channel(workers), Some(w)) => {
-                    run_over_channel_faulty(cfg, workers, factory, &mut adversary, w).run
-                }
-                (Substrate::Tcp(workers), None) => {
-                    run_over_tcp(cfg, workers, factory, &mut adversary)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Tcp(workers), Some(w)) => {
-                    run_over_tcp_faulty(cfg, workers, factory, &mut adversary, w)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), None) => {
-                    run_over_mesh(cfg, procs, factory, &mut adversary)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), Some(w)) => {
-                    run_over_mesh_faulty(cfg, procs, factory, &mut adversary, w)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-            };
-            Ok(le_observation(&r))
+            let r = substrate.run(cfg, factory, &mut adversary, &opts)?;
+            Ok(le_observation(&r.run))
         }
         ProtoKind::Agree => {
             let stride = input_stride(zeros);
             let factory = |id: NodeId| AgreeNode::new(params.clone(), agree_input(stride, id));
-            let r = match (substrate, wire) {
-                (Substrate::Engine, _) => run(cfg, factory, &mut adversary),
-                (Substrate::Channel(workers), None) => {
-                    run_over_channel(cfg, workers, factory, &mut adversary).run
-                }
-                (Substrate::Channel(workers), Some(w)) => {
-                    run_over_channel_faulty(cfg, workers, factory, &mut adversary, w).run
-                }
-                (Substrate::Tcp(workers), None) => {
-                    run_over_tcp(cfg, workers, factory, &mut adversary)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Tcp(workers), Some(w)) => {
-                    run_over_tcp_faulty(cfg, workers, factory, &mut adversary, w)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), None) => {
-                    run_over_mesh(cfg, procs, factory, &mut adversary)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), Some(w)) => {
-                    run_over_mesh_faulty(cfg, procs, factory, &mut adversary, w)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-            };
-            Ok(agree_observation(&r))
+            let r = substrate.run(cfg, factory, &mut adversary, &opts)?;
+            Ok(agree_observation(&r.run))
         }
     }
 }

@@ -295,8 +295,9 @@ pub fn export(record: &CampaignRecord, path: &Path) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_campaign, LabSubstrate};
+    use crate::run::run_campaign;
     use crate::spec::{Adv, CampaignSpec, CellSpec, Workload};
+    use crate::Substrate;
 
     fn record(seed: u64) -> CampaignRecord {
         let spec = CampaignSpec::new("bench-unit").cell(CellSpec::new(
@@ -308,7 +309,7 @@ mod tests {
             seed,
             2,
         ));
-        run_campaign(&spec, 1, LabSubstrate::Engine).unwrap()
+        run_campaign(&spec, 1, Substrate::Engine).unwrap()
     }
 
     #[test]
@@ -350,7 +351,7 @@ mod tests {
                 .label("bcast"),
             );
         }
-        let mut record = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
+        let mut record = run_campaign(&spec, 1, Substrate::Engine).unwrap();
         // Pin wall clocks so the test reasons about ratios, not noise.
         for (i, cell) in record.cells.iter_mut().enumerate() {
             cell.wall_s = (i + 1) as f64;

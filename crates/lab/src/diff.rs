@@ -218,8 +218,9 @@ pub fn diff_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_campaign, LabSubstrate};
+    use crate::run::run_campaign;
     use crate::spec::{Adv, CampaignSpec, CellSpec, Workload};
+    use crate::Substrate;
 
     fn record(seed: u64, trials: u64) -> CampaignRecord {
         let spec = CampaignSpec::new("diff-unit").cell(CellSpec::new(
@@ -231,7 +232,7 @@ mod tests {
             seed,
             trials,
         ));
-        run_campaign(&spec, 1, LabSubstrate::Engine).unwrap()
+        run_campaign(&spec, 1, Substrate::Engine).unwrap()
     }
 
     #[test]
@@ -251,7 +252,7 @@ mod tests {
         // cross-seed case by comparing against a re-measured copy with a
         // hand-aligned hash (what `diff --tolerance` does for trend
         // comparisons of the same experiment re-seeded).
-        let mut b = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
+        let mut b = run_campaign(&spec, 1, Substrate::Engine).unwrap();
         b.spec_hash = a.spec_hash.clone();
         let exact = diff_records(&a, &b, &Tolerance::exact()).unwrap();
         assert!(!exact.ok());

@@ -22,6 +22,7 @@ pub mod spec;
 pub mod store;
 
 pub use diff::{diff_records, CellDiff, DiffReport, Tolerance};
-pub use run::{run_campaign, run_cell, CampaignRecord, CellResult, CheckResult, LabSubstrate};
+pub use ftc_mesh::Substrate;
+pub use run::{run_campaign, run_cell, CampaignRecord, CellResult, CheckResult};
 pub use spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 pub use store::Store;

@@ -18,8 +18,7 @@ use ftc_core::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderC
 use ftc_core::byzantine::{EquivocatingClaimant, ZeroForger};
 use ftc_core::prelude::*;
 use ftc_core::sampling::draw_committee;
-use ftc_mesh::runtime::run_over_mesh;
-use ftc_net::prelude::*;
+use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
 use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
@@ -37,49 +36,6 @@ use crate::spec::{
     fnv1a64, input_stride, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck,
     Workload,
 };
-
-/// Which execution substrate runs the trials.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LabSubstrate {
-    /// The in-process sim engine (default).
-    Engine,
-    /// The sim engine with intra-trial sharding: one trial's nodes are
-    /// split across this many worker threads per round. Results are
-    /// bit-identical to [`LabSubstrate::Engine`] by construction, so the
-    /// store label stays `"engine"` and record ids are unchanged.
-    EngineSharded(usize),
-    /// The `ftc-net` in-process channel mesh with this many workers.
-    Channel(usize),
-    /// The `ftc-net` localhost TCP mesh with this many workers.
-    Tcp(usize),
-    /// The `ftc-mesh` multiplexed socket runtime with this many procs.
-    Mesh(usize),
-}
-
-impl LabSubstrate {
-    /// Store-record label.
-    pub fn name(self) -> String {
-        match self {
-            // Sharding is invisible in results (the deterministic render
-            // is identical), so both engine variants share one label.
-            LabSubstrate::Engine | LabSubstrate::EngineSharded(_) => "engine".into(),
-            LabSubstrate::Channel(w) => format!("channel:{w}"),
-            LabSubstrate::Tcp(w) => format!("tcp:{w}"),
-            // The proc count is invisible in results (bit-identical at
-            // any procs), so the label omits it and record ids are
-            // procs-invariant — same reasoning as the engine variants.
-            LabSubstrate::Mesh(_) => "mesh".into(),
-        }
-    }
-
-    /// Worker threads sharding a single trial's nodes (1 = serial engine).
-    pub fn intra_jobs(self) -> usize {
-        match self {
-            LabSubstrate::EngineSharded(j) => j.max(1),
-            _ => 1,
-        }
-    }
-}
 
 /// What one trial yields, uniformly across workloads.
 #[derive(Clone, Debug)]
@@ -174,68 +130,10 @@ fn agree_adversary(adv: Adv, f: usize) -> Box<dyn Adversary<AgreeMsg>> {
     }
 }
 
-/// Runs the LE workload on the chosen substrate (the PR-3 bit-equivalence
-/// guarantee makes the substrate invisible in the result).
-fn run_le<A: Adversary<LeMsg> + ?Sized>(
-    cfg: &SimConfig,
-    params: &Params,
-    adv: &mut A,
-    substrate: LabSubstrate,
-) -> Result<RunResult<LeNode>, String> {
-    let factory = |_| LeNode::new(params.clone());
-    Ok(match substrate {
-        LabSubstrate::Engine | LabSubstrate::EngineSharded(_) => {
-            run_sharded(cfg, factory, adv, substrate.intra_jobs())
-        }
-        LabSubstrate::Channel(w) => run_over_channel(cfg, w, factory, adv).run,
-        LabSubstrate::Tcp(w) => {
-            run_over_tcp(cfg, w, factory, adv)
-                .map_err(|e| format!("tcp substrate: {e}"))?
-                .run
-        }
-        LabSubstrate::Mesh(p) => {
-            run_over_mesh(cfg, p, factory, adv)
-                .map_err(|e| format!("mesh substrate: {e}"))?
-                .run
-        }
-    })
-}
-
-fn run_agree<A: Adversary<AgreeMsg> + ?Sized>(
-    cfg: &SimConfig,
-    params: &Params,
-    stride: u32,
-    adv: &mut A,
-    substrate: LabSubstrate,
-) -> Result<RunResult<AgreeNode>, String> {
-    let input = |id: NodeId| !(stride != u32::MAX && id.0.is_multiple_of(stride));
-    let factory = |id: NodeId| AgreeNode::new(params.clone(), input(id));
-    Ok(match substrate {
-        LabSubstrate::Engine | LabSubstrate::EngineSharded(_) => {
-            run_sharded(cfg, factory, adv, substrate.intra_jobs())
-        }
-        LabSubstrate::Channel(w) => run_over_channel(cfg, w, factory, adv).run,
-        LabSubstrate::Tcp(w) => {
-            run_over_tcp(cfg, w, factory, adv)
-                .map_err(|e| format!("tcp substrate: {e}"))?
-                .run
-        }
-        LabSubstrate::Mesh(p) => {
-            run_over_mesh(cfg, p, factory, adv)
-                .map_err(|e| format!("mesh substrate: {e}"))?
-                .run
-        }
-    })
-}
-
 /// Runs one trial of `cell` at a fully derived `seed`. Pure in its
 /// arguments; the cluster substrates are only supported for the plain
 /// `Le`/`Agree` workloads (checked up front by [`run_campaign`]).
-pub fn run_trial(
-    cell: &CellSpec,
-    seed: u64,
-    substrate: LabSubstrate,
-) -> Result<TrialValue, String> {
+pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<TrialValue, String> {
     let n = cell.n;
     let mut cfg = SimConfig::new(n).seed(seed);
     if !cell.topology.is_complete() {
@@ -248,7 +146,10 @@ pub fn run_trial(
             let params = Params::new(n, cell.alpha).expect("valid params");
             let mut a = le_adversary(*adv, params.max_faults());
             let cfg = cfg.max_rounds(params.le_round_budget());
-            let r = run_le(&cfg, &params, &mut *a, substrate)?;
+            let factory = |_| LeNode::new(params.clone());
+            let r = substrate
+                .run(&cfg, factory, &mut *a, &RunOpts::default())?
+                .run;
             let o = LeOutcome::evaluate(&r);
             let mut extras = vec![(
                 "faulty_leader",
@@ -257,7 +158,7 @@ pub fn run_trial(
             // Socket-substrate records additionally carry the wire
             // traffic; engine/channel records keep their historical
             // shape (and therefore their ids).
-            if matches!(substrate, LabSubstrate::Mesh(_)) {
+            if matches!(substrate, Substrate::Mesh(_)) {
                 extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
             }
             value_of(&r, o.success, extras)
@@ -266,10 +167,17 @@ pub fn run_trial(
             let params = Params::new(n, cell.alpha).expect("valid params");
             let mut a = agree_adversary(*adv, params.max_faults());
             let cfg = cfg.max_rounds(params.agreement_round_budget());
-            let r = run_agree(&cfg, &params, input_stride(*zeros), &mut *a, substrate)?;
+            let stride = input_stride(*zeros);
+            let factory = |id: NodeId| {
+                let input = !(stride != u32::MAX && id.0.is_multiple_of(stride));
+                AgreeNode::new(params.clone(), input)
+            };
+            let r = substrate
+                .run(&cfg, factory, &mut *a, &RunOpts::default())?
+                .run;
             let o = AgreeOutcome::evaluate(&r);
             let mut extras = vec![];
-            if matches!(substrate, LabSubstrate::Mesh(_)) {
+            if matches!(substrate, Substrate::Mesh(_)) {
                 extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
             }
             value_of(&r, o.success, extras)
@@ -730,11 +638,7 @@ impl CellResult {
 
 /// Runs all trials of one cell and aggregates. Deterministic in
 /// `(cell, substrate)`; `jobs` only changes wall-clock.
-pub fn run_cell(
-    cell: &CellSpec,
-    jobs: usize,
-    substrate: LabSubstrate,
-) -> Result<CellResult, String> {
+pub fn run_cell(cell: &CellSpec, jobs: usize, substrate: Substrate) -> Result<CellResult, String> {
     let start = Instant::now();
     let batch = ParRunner::new(TrialPlan::new(cell.seed, cell.trials).jobs(jobs))
         .run(|_, seed| run_trial(cell, seed, substrate));
@@ -999,7 +903,7 @@ pub fn git_rev() -> String {
 pub fn run_campaign(
     spec: &CampaignSpec,
     jobs: usize,
-    substrate: LabSubstrate,
+    substrate: Substrate,
 ) -> Result<CampaignRecord, String> {
     if spec.cells.is_empty() {
         return Err(format!("campaign `{}` has no cells", spec.name));
@@ -1044,10 +948,7 @@ pub fn run_campaign(
             ));
         }
     }
-    if !matches!(
-        substrate,
-        LabSubstrate::Engine | LabSubstrate::EngineSharded(_)
-    ) {
+    if !matches!(substrate, Substrate::Engine | Substrate::EngineSharded(_)) {
         if let Some(cell) = spec
             .cells
             .iter()
@@ -1055,7 +956,7 @@ pub fn run_campaign(
         {
             return Err(format!(
                 "substrate `{}` only runs the plain le/agree workloads; cell `{}` is `{}`",
-                substrate.name(),
+                substrate.label(),
                 cell.label,
                 cell.workload.tag()
             ));
@@ -1074,7 +975,7 @@ pub fn run_campaign(
     Ok(CampaignRecord {
         spec: spec.clone(),
         spec_hash: spec.hash(),
-        substrate: substrate.name(),
+        substrate: substrate.label(),
         cells,
         checks,
         git_rev: git_rev(),
@@ -1125,8 +1026,8 @@ mod tests {
     #[test]
     fn campaign_runs_and_is_jobs_invariant() {
         let spec = smoke_spec();
-        let a = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
-        let b = run_campaign(&spec, 4, LabSubstrate::Engine).unwrap();
+        let a = run_campaign(&spec, 1, Substrate::Engine).unwrap();
+        let b = run_campaign(&spec, 4, Substrate::Engine).unwrap();
         assert_eq!(a.deterministic_render(), b.deterministic_render());
         assert_eq!(a.id(), b.id());
         assert_eq!(a.cells[0].msgs.count, 3);
@@ -1135,7 +1036,7 @@ mod tests {
 
     #[test]
     fn record_round_trips_with_and_without_diag() {
-        let record = run_campaign(&smoke_spec(), 0, LabSubstrate::Engine).unwrap();
+        let record = run_campaign(&smoke_spec(), 0, Substrate::Engine).unwrap();
         let with = CampaignRecord::from_json(&Json::parse(&record.to_json(true).render()).unwrap())
             .unwrap();
         assert_eq!(with.deterministic_render(), record.deterministic_render());
@@ -1161,7 +1062,7 @@ mod tests {
             7,
             6,
         );
-        let lab = run_cell(&cell, 1, LabSubstrate::Engine).unwrap();
+        let lab = run_cell(&cell, 1, Substrate::Engine).unwrap();
         // Reference: inline re-implementation of measure_le's closure.
         let params = Params::new(128, 0.5).unwrap();
         let f = params.max_faults();
@@ -1192,8 +1093,8 @@ mod tests {
             3,
             2,
         ));
-        let engine = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
-        let channel = run_campaign(&spec, 1, LabSubstrate::Channel(2)).unwrap();
+        let engine = run_campaign(&spec, 1, Substrate::Engine).unwrap();
+        let channel = run_campaign(&spec, 1, Substrate::Channel(2)).unwrap();
         // Substrate label differs, so compare cells, not whole renders.
         assert_eq!(
             engine.cells[0].to_json(false).render(),
@@ -1201,7 +1102,7 @@ mod tests {
         );
         // Intra-trial sharding shares the `engine` label, so the whole
         // deterministic render — record id included — must be identical.
-        let sharded = run_campaign(&spec, 1, LabSubstrate::EngineSharded(3)).unwrap();
+        let sharded = run_campaign(&spec, 1, Substrate::EngineSharded(3)).unwrap();
         assert_eq!(
             engine.deterministic_render(),
             sharded.deterministic_render()
@@ -1222,8 +1123,8 @@ mod tests {
             9,
             2,
         ));
-        let a = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
-        let b = run_campaign(&spec, 4, LabSubstrate::Engine).unwrap();
+        let a = run_campaign(&spec, 1, Substrate::Engine).unwrap();
+        let b = run_campaign(&spec, 4, Substrate::Engine).unwrap();
         assert_eq!(a.deterministic_render(), b.deterministic_render());
         assert_eq!(a.id(), b.id());
         let cell = &a.cells[0];
@@ -1236,16 +1137,16 @@ mod tests {
         let avail = cell.extra("availability").unwrap().mean;
         assert!(avail > 0.0 && avail < 1.0, "availability {avail}");
         // Engine-only, like the other harness workloads.
-        assert!(run_campaign(&spec, 1, LabSubstrate::Channel(2)).is_err());
+        assert!(run_campaign(&spec, 1, Substrate::Channel(2)).is_err());
     }
 
     #[test]
     fn substrate_rejects_non_protocol_workloads() {
         let spec = CampaignSpec::new("bad").cell(CellSpec::new(Workload::LeKutten, 16, 0.5, 3, 2));
-        assert!(run_campaign(&spec, 1, LabSubstrate::Channel(2)).is_err());
-        assert!(run_campaign(&spec, 1, LabSubstrate::Engine).is_ok());
+        assert!(run_campaign(&spec, 1, Substrate::Channel(2)).is_err());
+        assert!(run_campaign(&spec, 1, Substrate::Engine).is_ok());
         // The sharded engine is still the engine: every workload runs.
-        assert!(run_campaign(&spec, 1, LabSubstrate::EngineSharded(2)).is_ok());
+        assert!(run_campaign(&spec, 1, Substrate::EngineSharded(2)).is_ok());
     }
 
     #[test]
@@ -1259,7 +1160,7 @@ mod tests {
         ] {
             let spec = CampaignSpec::new("byz-bad")
                 .cell(CellSpec::new(workload, 16, 0.5, 3, 2).label("byz"));
-            let err = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap_err();
+            let err = run_campaign(&spec, 1, Substrate::Engine).unwrap_err();
             assert!(err.contains("byz"), "{err}");
             assert!(err.contains("b=20"), "{err}");
             assert!(err.contains("n=16"), "{err}");
@@ -1272,7 +1173,7 @@ mod tests {
             3,
             2,
         ));
-        assert!(run_campaign(&ok, 1, LabSubstrate::Engine).is_ok());
+        assert!(run_campaign(&ok, 1, Substrate::Engine).is_ok());
     }
 
     #[test]
@@ -1296,8 +1197,8 @@ mod tests {
                     .label("cpr/diam2")
                     .topology(Topology::DiameterTwo { clusters: 6 }),
             );
-        let a = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
-        let b = run_campaign(&spec, 4, LabSubstrate::Engine).unwrap();
+        let a = run_campaign(&spec, 1, Substrate::Engine).unwrap();
+        let b = run_campaign(&spec, 4, Substrate::Engine).unwrap();
         assert_eq!(a.deterministic_render(), b.deterministic_render());
         // The diam-two baseline is fault-free here: it must elect.
         assert_eq!(a.cells[1].successes, 2);
@@ -1322,7 +1223,7 @@ mod tests {
                 .label("bad")
                 .topology(Topology::RandomRegular { d: 9 }),
         );
-        let err = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap_err();
+        let err = run_campaign(&spec, 1, Substrate::Engine).unwrap_err();
         assert!(err.contains("bad"), "{err}");
         // Workloads that never touch the sim engine reject non-complete
         // topologies instead of silently ignoring them.
@@ -1340,13 +1241,13 @@ mod tests {
             )
             .topology(Topology::DiameterTwo { clusters: 4 }),
         );
-        assert!(run_campaign(&soak, 1, LabSubstrate::Engine).is_err());
+        assert!(run_campaign(&soak, 1, Substrate::Engine).is_err());
     }
 
     #[test]
     fn empty_and_zero_trial_campaigns_are_rejected() {
-        assert!(run_campaign(&CampaignSpec::new("empty"), 1, LabSubstrate::Engine).is_err());
+        assert!(run_campaign(&CampaignSpec::new("empty"), 1, Substrate::Engine).is_err());
         let zero = CampaignSpec::new("zero").cell(CellSpec::new(Workload::LeKutten, 16, 0.5, 3, 0));
-        assert!(run_campaign(&zero, 1, LabSubstrate::Engine).is_err());
+        assert!(run_campaign(&zero, 1, Substrate::Engine).is_err());
     }
 }

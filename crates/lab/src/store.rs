@@ -201,8 +201,9 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_campaign, LabSubstrate};
+    use crate::run::run_campaign;
     use crate::spec::{Adv, CampaignSpec, CellSpec, Workload};
+    use crate::Substrate;
 
     fn tmp_store(tag: &str) -> Store {
         let dir = std::env::temp_dir().join(format!("ftc-lab-store-{tag}-{}", std::process::id()));
@@ -220,7 +221,7 @@ mod tests {
             seed,
             2,
         ));
-        run_campaign(&spec, 1, LabSubstrate::Engine).unwrap()
+        run_campaign(&spec, 1, Substrate::Engine).unwrap()
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The proc-pair socket fabric: O(procs²) sockets, independent of n.
 //!
-//! The per-edge TCP transport needs `n·(n-1)/2` sockets and `n·(n-1)`
-//! reader threads — fatal past n≈32. The mesh runtime instead opens
-//! exactly **one localhost TCP connection per unordered pair of procs**
-//! (`procs·(procs-1)/2` in total, [`socket_count`]) and multiplexes every
-//! node pair whose endpoints live on those procs over it, so a 1024-node
-//! cluster on 4 procs uses 6 sockets where the per-edge mesh would need
-//! 523,776.
+//! One socket per edge needs `n·(n-1)/2` of them — fatal long before
+//! n = 1024. The mesh runtime instead opens exactly **one localhost TCP
+//! connection per unordered pair of procs** (`procs·(procs-1)/2` in
+//! total, [`socket_count`]) and multiplexes every node pair whose
+//! endpoints live on those procs over it, so a 1024-node cluster on 4
+//! procs uses 6 sockets where one per edge would need 523,776. At one
+//! node per proc (`procs = n ≤` [`MAX_MESH_PROCS`]) the two coincide: the
+//! fabric *is* the per-edge socket mesh.
 //!
-//! Setup mirrors `ftc_net::tcp`: one listener per proc, the upper
-//! triangle dialed sequentially with a 4-byte hello naming the dialing
+//! Setup: one listener per proc, the upper triangle dialed sequentially with a 4-byte hello naming the dialing
 //! proc, `TCP_NODELAY` everywhere. Streams are then handed to the
 //! nonblocking [`mio`] layer — the readiness loop owns them from there.
 

@@ -1,9 +1,11 @@
-//! # ftc-mesh — the multiplexed socket runtime
+//! # ftc-mesh — the multiplexed socket runtime, and the substrate switch
 //!
-//! The fourth execution substrate for the ftc protocol stack, built for
-//! real cluster runs at n in the hundreds and thousands where the
-//! per-edge TCP transport (one socket and two reader threads per node
-//! pair) stops being physically possible.
+//! The third execution substrate for the ftc protocol stack (after the
+//! engine and the in-process channel mesh), and the only one with real
+//! sockets: built for cluster runs at n in the hundreds and thousands,
+//! where one socket per node pair stops being physically possible, and
+//! degenerating to exactly that per-edge socket mesh at one node per
+//! process.
 //!
 //! The design is two cleanly separated layers:
 //!
@@ -12,9 +14,9 @@
 //!   inbound frames in, poll outbound frames and round transitions out.
 //!   No sockets, no threads, no clocks — unit-testable in isolation and
 //!   shared by *every* runtime. They physically live in
-//!   [`ftc_net::core`] so the channel and TCP runtimes run on the same
-//!   core (that is the point: one adjudication path, bit-identical
-//!   results); this crate re-exports them as its Layer 1.
+//!   [`ftc_net::core`] so the channel runtime runs on the same core (that
+//!   is the point: one adjudication path, bit-identical results); this
+//!   crate re-exports them as its Layer 1.
 //! - **Layer 2 — the multiplexed runtime.** [`fabric`] opens exactly one
 //!   localhost socket per unordered *process* pair — O(procs²) sockets,
 //!   independent of n — and [`runtime`] drives many node cores per
@@ -25,24 +27,32 @@
 //!   buffers (`WouldBlock` ⇒ drain reads, retry), never from unbounded
 //!   queues.
 //!
-//! [`runtime::run_over_mesh`] is bit-identical to the engine, channel,
-//! and TCP runtimes for the same `(SimConfig, seed)` — at any process
-//! count. `tests/net_equivalence.rs` pins that four ways.
+//! [`runtime::run_over_mesh`] is bit-identical to the engine and the
+//! channel runtime for the same `(SimConfig, seed)` — at any process
+//! count. `tests/net_equivalence.rs` pins that three ways.
+//!
+//! Sitting at the top of the runtime stack, this crate also owns
+//! [`Substrate`]: the one value that names an execution substrate and the
+//! one call ([`Substrate::run`]) that dispatches to the engine, the
+//! channels or the sockets.
 
 pub mod fabric;
 pub mod runtime;
+pub mod substrate;
 pub mod wire;
 
+pub use ftc_net::sync::RunOpts;
+pub use substrate::Substrate;
+
 // Layer 1 of this crate: the sans-I/O round state machines, hosted in
-// ftc-net so every runtime (channel, TCP, mesh) shares one control plane.
+// ftc-net so both runtimes (channel, mesh) share one control plane.
 pub use ftc_net::core::{Command, CoordinatorCore, NodeStatus, RoundCore, RoundPlan, Submission};
 
 /// Everything a cluster caller needs.
 pub mod prelude {
     pub use crate::fabric::{socket_count, MAX_MESH_PROCS};
-    pub use crate::runtime::{
-        run_over_mesh, run_over_mesh_at_height, run_over_mesh_faulty, run_over_mesh_with,
-    };
+    pub use crate::runtime::{run_over_mesh, run_over_mesh_with};
+    pub use crate::substrate::Substrate;
     pub use ftc_net::core::{
         Command, CoordinatorCore, NodeStatus, RoundCore, RoundPlan, Submission,
     };

@@ -37,9 +37,9 @@
 //! ## Accounting
 //!
 //! Every transmitted frame — socket or proc-local — charges exactly
-//! [`Frame::encoded_len`], the same rule the channel and TCP runtimes
-//! use, so `wire_bytes` is bit-identical across substrates and process
-//! counts. The envelope's 4-byte `dst` word is transport overhead, not
+//! [`Frame::encoded_len`], the same rule the channel runtime uses, so
+//! `wire_bytes` is bit-identical across substrates and process counts.
+//! The envelope's 4-byte `dst` word is transport overhead, not
 //! model traffic, and is excluded (see [`crate::wire`]).
 
 use std::io;
@@ -49,8 +49,7 @@ use std::time::{Duration, Instant};
 
 use ftc_net::core::{Command, CoordinatorCore, RoundCore, Submission};
 use ftc_net::fault::{ChunkedWriter, FrameDedup, WireFaultPlan};
-use ftc_net::sync::{NetMetrics, NetRunResult};
-use ftc_net::transport::RECV_TIMEOUT;
+use ftc_net::sync::{NetMetrics, NetRunResult, RunOpts};
 use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::NodeId;
@@ -62,12 +61,15 @@ use ftc_sim::round::topology_seed;
 use crate::fabric::{self, ProcLinks};
 use crate::wire::{EnvelopeDecoder, WriteBuf};
 
-/// Opens the proc-pair fabric for `cfg`. On the complete graph every
-/// pair of procs shares traffic, so this is plain [`fabric::build`]; on
-/// a sparse topology a pair gets a socket only when some model edge
-/// crosses between its procs' node slices — the mesh analogue of the TCP
-/// runtime opening one connection per topology edge.
+/// Opens the proc-pair fabric for `cfg` on `procs` procs (clamped to
+/// `1..=min(n, MAX_MESH_PROCS)`). On the complete graph every pair of
+/// procs shares traffic, so this is plain [`fabric::build`]; on a sparse
+/// topology a pair gets a socket only when some model edge crosses between
+/// its procs' node slices — at one node per proc, exactly one connection
+/// per topology edge.
 fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
+    cfg.validate().expect("invalid SimConfig");
+    let procs = procs.clamp(1, (cfg.n as usize).min(fabric::MAX_MESH_PROCS));
     if cfg.topology.is_complete() || procs <= 1 {
         return fabric::build(procs);
     }
@@ -89,14 +91,15 @@ fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
 const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// Runs `cfg` over the multiplexed socket mesh with `procs` processes and
-/// the default receive timeout ([`RECV_TIMEOUT`]).
+/// default [`RunOpts`].
 ///
 /// The result is bit-identical to [`ftc_sim::engine::run`] (and to the
-/// channel and TCP runtimes) for the same `(SimConfig, seed)` at any
-/// `procs` — asserted by `tests/net_equivalence.rs`.
+/// channel runtime) for the same `(SimConfig, seed)` at any `procs` —
+/// asserted by `tests/net_equivalence.rs`.
 ///
 /// Fails if the socket fabric cannot be built; panics on invalid
-/// configurations or mid-run transport failures, like the other runtimes.
+/// configurations or mid-run transport failures, like
+/// [`ftc_net::sync::run_over`].
 pub fn run_over_mesh<P, F, A>(
     cfg: &SimConfig,
     procs: usize,
@@ -109,95 +112,63 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    run_over_mesh_with(cfg, procs, factory, adversary, RECV_TIMEOUT)
+    let links = build_links(cfg, procs)?;
+    let opts = RunOpts::default();
+    Ok(run_over_mesh_wired(cfg, links, factory, adversary, &opts)
+        .unwrap_or_else(|err| panic!("cluster run wedged: {err}")))
 }
 
-/// Like [`run_over_mesh`], but nodes give up after `recv_timeout` when
-/// blocked on a frame (a wedged run fails fast instead of hanging).
+/// Like [`run_over_mesh`], but under explicit [`RunOpts`], and every
+/// failure is an `Err`: the fabric not coming up, or a wedged run (a proc
+/// making no progress for `recv_timeout`, an adjudication error) named by
+/// node, round and frame counts.
+///
+/// Under a [`RunOpts::wire`] plan the socket layer is perturbed on top of
+/// what the channel runtime does: coalesced writes are torn into the
+/// scheduled fragment sizes. Every v1 wire fault is delivery-preserving,
+/// so the result — including `wire_bytes` and `frames_sent` — stays
+/// bit-identical to the faultless run.
 pub fn run_over_mesh_with<P, F, A>(
     cfg: &SimConfig,
     procs: usize,
     factory: F,
     adversary: &mut A,
-    recv_timeout: Duration,
-) -> io::Result<NetRunResult<P>>
+    opts: &RunOpts,
+) -> Result<NetRunResult<P>, String>
 where
     P: Protocol,
     P::Msg: Wire,
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    run_over_mesh_at_height(cfg, procs, factory, adversary, recv_timeout, 0)
+    let links = build_links(cfg, procs).map_err(|e| format!("mesh fabric: {e}"))?;
+    run_over_mesh_wired(cfg, links, factory, adversary, opts)
 }
 
-/// Like [`run_over_mesh`], but with a scripted
-/// [`WireFaultPlan`] perturbing the socket layer: transmit bursts are
-/// reordered, duplicated, and delayed per node and round, coalesced
-/// writes are torn into scheduled fragment sizes, and receive edges
-/// dedup frames before they reach the cores. Every v1 wire fault is
-/// delivery-preserving, so the result — including `wire_bytes` and
-/// `frames_sent` — is bit-identical to the faultless run; that is the
-/// property `ftc hunt --wire-faults` attacks.
-pub fn run_over_mesh_faulty<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    wire: &WireFaultPlan,
-) -> io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_mesh_wired(cfg, procs, factory, adversary, RECV_TIMEOUT, 0, Some(wire))
-}
-
-/// [`run_over_mesh_with`] with every frame tagged as belonging to
-/// election instance `height` (the `ftc-serve` counter); each height gets
-/// a fresh fabric, and a foreign-height frame fails the run loudly.
-pub fn run_over_mesh_at_height<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-) -> io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_mesh_wired(cfg, procs, factory, adversary, recv_timeout, height, None)
-}
-
-/// The shared driver: [`run_over_mesh_at_height`] plus an optional
-/// [`WireFaultPlan`] applied at the adapter boundary (never inside the
-/// cores). `None` is the exact pre-fault code path.
-#[allow(clippy::too_many_arguments)]
+/// The shared driver over an already-built fabric (one [`ProcLinks`] per
+/// proc). The wire plan is applied at the adapter boundary (never inside
+/// the cores); `None` is the exact pre-fault code path.
 fn run_over_mesh_wired<P, F, A>(
     cfg: &SimConfig,
-    procs: usize,
+    links: Vec<ProcLinks>,
     mut factory: F,
     adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-    wire: Option<&WireFaultPlan>,
-) -> io::Result<NetRunResult<P>>
+    opts: &RunOpts,
+) -> Result<NetRunResult<P>, String>
 where
     P: Protocol,
     P::Msg: Wire,
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    cfg.validate().expect("invalid SimConfig");
     assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
     let nn = cfg.n as usize;
-    let procs = procs.clamp(1, nn.min(fabric::MAX_MESH_PROCS));
-    let links = build_links(cfg, procs)?;
+    let procs = links.len();
+    let RunOpts {
+        recv_timeout,
+        height,
+        wire,
+    } = *opts;
 
     let mut coord = CoordinatorCore::<P::Msg>::new(cfg, height, adversary);
 
@@ -296,7 +267,7 @@ where
     });
 
     if let Some(err) = failure {
-        panic!("cluster run wedged: {err}");
+        return Err(err);
     }
 
     let out = coord.finish(net.wire_bytes);
@@ -429,7 +400,7 @@ fn proc_loop<P>(
             for (k, (dst, frame)) in burst.into_iter().enumerate() {
                 if k < charged {
                     // Model accounting is per frame, local or remote —
-                    // identical to the channel/TCP rule, hence
+                    // identical to the channel rule, hence
                     // procs-invariant.
                     wire_bytes += frame.encoded_len();
                     frames_sent += 1;
@@ -794,14 +765,12 @@ mod tests {
             .fault(NodeId(3), 1, WireFaultKind::Tear { chunk: 1 })
             .fault(NodeId(4), 2, WireFaultKind::Delay { micros: 200 });
         for procs in [1, 3] {
-            let net = run_over_mesh_faulty(
-                &cfg,
-                procs,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                &wire,
-            )
-            .expect("fabric");
+            let opts = RunOpts {
+                wire: Some(&wire),
+                ..RunOpts::default()
+            };
+            let mut adv = ScriptedCrash::new(plan.clone());
+            let net = run_over_mesh_with(&cfg, procs, chatter, &mut adv, &opts).unwrap();
             assert_matches_engine(&net, &sim);
             assert_eq!(net.net.wire_bytes, clean.net.wire_bytes);
             assert_eq!(net.net.frames_sent, clean.net.frames_sent);
@@ -814,15 +783,12 @@ mod tests {
         let plan = FaultPlan::new().crash(NodeId(3), 1, DeliveryFilter::KeepFirst(2));
         let sim = run(&cfg, chatter, &mut ScriptedCrash::new(plan.clone()));
         for height in [0, 1, 7] {
-            let net = run_over_mesh_at_height(
-                &cfg,
-                3,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                RECV_TIMEOUT,
+            let opts = RunOpts {
                 height,
-            )
-            .expect("fabric");
+                ..RunOpts::default()
+            };
+            let mut adv = ScriptedCrash::new(plan.clone());
+            let net = run_over_mesh_with(&cfg, 3, chatter, &mut adv, &opts).unwrap();
             assert_matches_engine(&net, &sim);
         }
     }
@@ -875,7 +841,7 @@ mod tests {
 
     #[test]
     fn large_network_runs_on_few_sockets() {
-        // n = 512 on 4 procs: 6 sockets total where the per-edge TCP mesh
+        // n = 512 on 4 procs: 6 sockets total where one socket per edge
         // would need 130,816. The run must still replay the engine.
         let cfg = SimConfig::new(512).seed(2).max_rounds(6);
         let sim = run(&cfg, chatter, &mut NoFaults);

@@ -14,8 +14,8 @@
 //! [`Frame::encoded_len`] and *not* the envelope word: the frame is what
 //! the complete-network model pays for, the envelope is an artifact of
 //! how this runtime packs node pairs onto sockets, and excluding it keeps
-//! `wire_bytes` bit-identical across the channel, TCP, and mesh runtimes
-//! at any process count.
+//! `wire_bytes` bit-identical across the channel and mesh runtimes at any
+//! process count.
 //!
 //! Writes are coalesced: a proc stages a whole round's envelopes for one
 //! peer proc into a [`WriteBuf`] and flushes it with few large

@@ -4,12 +4,12 @@
 //! (one `Arc`, `O(n)` memory — not a per-pair matrix) lets any node push a
 //! frame to any other. Frames are moved, not serialised, but byte
 //! accounting still charges the exact [`Frame::encoded_len`] a socket
-//! transport would pay, so channel runs and TCP runs report the same
-//! `wire_bytes`.
+//! transport would pay, so channel runs and socket-mesh runs report the
+//! same `wire_bytes`.
 //!
 //! This transport is the fast, dependency-free way to exercise the full
 //! network stack (frames, round reassembly, crash teardown) in tests, and
-//! scales to thousands of nodes where TCP would drown in sockets.
+//! scales to thousands of nodes with no sockets at all.
 
 use std::io;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};

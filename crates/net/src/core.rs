@@ -8,9 +8,9 @@
 //! outbound ones, early next-round traffic is cached and replayed when that
 //! round starts, and a round finalizes on quiescence. Everything here is
 //! pure data in, pure data out — unit-testable without a single socket —
-//! and every I/O runtime (the in-process channel mesh, the per-edge TCP
-//! mesh, and the multiplexed `ftc-mesh` socket runtime) is a thin adapter
-//! over the same two machines:
+//! and every I/O runtime (the in-process channel mesh and the multiplexed
+//! `ftc-mesh` socket runtime) is a thin adapter over the same two
+//! machines:
 //!
 //! * [`RoundCore`] — one node's half of the round loop. Feed it the frames
 //!   that arrive ([`RoundCore::feed`] buffers out-of-order next-round

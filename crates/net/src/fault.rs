@@ -6,7 +6,7 @@
 //! duplicated by retransmission layers, are torn into arbitrary
 //! read-sized fragments, or are simply late. This module scripts exactly
 //! those behaviours as a seeded, deterministic [`WireFaultPlan`] that the
-//! transport *adapters* (the channel/TCP synchronizer and the `ftc-mesh`
+//! transport *adapters* (the channel synchronizer and the `ftc-mesh`
 //! runtime) apply between the sans-I/O cores and the sockets. The cores
 //! themselves are never touched — injection is an adapter concern, the
 //! same boundary that keeps all runtimes bit-identical.

@@ -6,18 +6,19 @@
 //! [`Protocol`](ftc_sim::protocol::Protocol) state machines run over a real
 //! transport, with protocol messages serialised into length-prefixed
 //! [`frame::Frame`]s, KT0 port wiring preserved on the wire, crashes
-//! enacted as mid-round connection teardown, and per-run byte accounting
-//! (`wire_bytes`) reported next to the model metrics.
+//! enacted as partial delivery plus endpoint teardown, and per-run byte
+//! accounting (`wire_bytes`) reported next to the model metrics.
 //!
-//! Two transports ship:
+//! One transport ships here, [`channel`] — an in-process `mpsc` mesh:
+//! dependency-free, fast, scales to thousands of nodes; the workhorse for
+//! equivalence tests. Real sockets are `ftc-mesh`'s job (one socket per
+//! *process* pair, so one per edge at one node per process), built on the
+//! same sans-I/O [`core`]; `ftc_mesh::Substrate::run` is the single call
+//! that runs a `(SimConfig, seed)` on the engine, the channels or the
+//! sockets.
 //!
-//! * [`channel`] — in-process `mpsc` mesh: dependency-free, fast, scales to
-//!   thousands of nodes; the workhorse for equivalence tests;
-//! * [`tcp`] — localhost TCP over `std::net`: real sockets, real bytes,
-//!   one bidirectional connection per edge.
-//!
-//! The [`sync`] module contains the round synchronizer that drives either
-//! transport. Its defining property: a network run is **bit-identical** to
+//! The [`sync`] module contains the round synchronizer that drives any
+//! [`transport::Endpoint`] mesh. Its defining property: a network run is **bit-identical** to
 //! an engine run of the same `(SimConfig, seed)` — same leaders, same
 //! decisions, same message/round counts, same crash schedule — because both
 //! drivers are built on the simulator's shared control plane
@@ -61,7 +62,6 @@ pub mod core;
 pub mod fault;
 pub mod frame;
 pub mod sync;
-pub mod tcp;
 pub mod transport;
 
 /// Convenient glob import for runtime users.
@@ -73,10 +73,7 @@ pub mod prelude {
     };
     pub use crate::frame::Frame;
     pub use crate::sync::{
-        run_over, run_over_at_height, run_over_channel, run_over_channel_at_height,
-        run_over_channel_faulty, run_over_channel_with, run_over_tcp, run_over_tcp_at_height,
-        run_over_tcp_faulty, run_over_tcp_with, NetMetrics, NetRunResult,
+        run_over, run_over_channel, run_over_channel_with, NetMetrics, NetRunResult, RunOpts,
     };
-    pub use crate::tcp::TcpEndpoint;
-    pub use crate::transport::{Endpoint, RoundAssembler, RECV_TIMEOUT};
+    pub use crate::transport::{Endpoint, RECV_TIMEOUT};
 }

@@ -33,15 +33,16 @@
 //! ([`RoundCore`] per node, [`CoordinatorCore`] for the control plane);
 //! this module is the threads-and-channels adapter that moves the cores'
 //! data over an [`Endpoint`] mesh. The multiplexed socket runtime
-//! (`ftc-mesh`) is a second adapter over the same cores.
+//! (`ftc-mesh`) is the second adapter over the same cores, and its
+//! `Substrate::run` is the one call that picks between the engine, this
+//! adapter and the sockets.
 //!
 //! ## Why this cannot deadlock
 //!
 //! Within a round, every worker transmits *all* its nodes' frames before
 //! collecting for *any* of them, transmits never block (channel sends are
-//! unbounded; TCP receivers drain sockets into unbounded intake queues from
-//! dedicated reader threads), and the coordinator's phase barriers order
-//! activation before adjudication before transmission. Every frame a node
+//! unbounded), and the coordinator's phase barriers order activation
+//! before adjudication before transmission. Every frame a node
 //! waits for has therefore already been sent, or will be sent by a worker
 //! that is still transmitting and never blocks first.
 
@@ -55,22 +56,11 @@ use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
 use ftc_sim::protocol::Protocol;
-use ftc_sim::round::topology_seed;
-use ftc_sim::topology::EdgeSet;
 
 use crate::channel::{self};
 use crate::core::{Command, CoordinatorCore, RoundCore, Submission};
 use crate::fault::{FrameDedup, WireFaultPlan};
-use crate::tcp;
 use crate::transport::{Endpoint, RECV_TIMEOUT};
-
-/// The run's edge oracle: which links the TCP mesh must open. The
-/// channel transport needs no counterpart — its sender registry is O(n)
-/// regardless of the graph (there is no per-edge resource to gate), and
-/// the coordinator only ever routes frames along topology edges.
-fn edge_set_of(cfg: &SimConfig) -> EdgeSet {
-    cfg.topology.edge_set(cfg.n, topology_seed(cfg))
-}
 
 /// Transport-level accounting of one cluster run, on top of the model
 /// metrics in [`RunResult`].
@@ -95,6 +85,39 @@ pub struct NetRunResult<P> {
     pub net: NetMetrics,
 }
 
+/// The per-run knobs every cluster runtime takes, none of which changes
+/// the model result.
+#[derive(Clone, Copy, Debug)]
+pub struct RunOpts<'a> {
+    /// How long a node waits on a frame before the run is declared wedged
+    /// (default [`RECV_TIMEOUT`]).
+    pub recv_timeout: Duration,
+    /// The election-instance counter of a long-lived service
+    /// (`ftc-serve`), tagged onto every frame. Each height gets a fresh
+    /// mesh, so the tag is provenance: a frame whose height disagrees with
+    /// the run's aborts the run instead of silently feeding one election's
+    /// traffic to another.
+    pub height: u32,
+    /// A scripted [`WireFaultPlan`] perturbing the wire between the cores
+    /// and the transport: transmit bursts are reordered, duplicated and
+    /// delayed per the plan, and receive edges dedup frames. The model
+    /// result and accounting are bit-identical to the faultless run — every
+    /// v1 wire fault is delivery-preserving (see [`crate::fault`]) — which
+    /// is exactly the property `ftc hunt --wire-faults` searches for
+    /// violations of. `None` is the exact pre-fault code path.
+    pub wire: Option<&'a WireFaultPlan>,
+}
+
+impl Default for RunOpts<'_> {
+    fn default() -> Self {
+        RunOpts {
+            recv_timeout: RECV_TIMEOUT,
+            height: 0,
+            wire: None,
+        }
+    }
+}
+
 /// What a worker hands back when all its nodes are done.
 struct WorkerReport<P> {
     wire_bytes: u64,
@@ -111,9 +134,10 @@ struct WorkerNode<P: Protocol, E> {
 }
 
 /// Runs `cfg` over an in-process channel mesh with `workers` worker
-/// threads and the default receive timeout
-/// ([`crate::transport::RECV_TIMEOUT`]). Infallible transport, any
-/// `n ≥ 2`.
+/// threads and default [`RunOpts`]. Infallible transport, any `n ≥ 2`,
+/// any topology: the sender registry is O(n) whatever the graph (there is
+/// no per-edge resource to gate), and the coordinator only ever routes
+/// frames along topology edges.
 ///
 /// See [`run_over`] for semantics and panics.
 pub fn run_over_channel<P, F, A>(
@@ -128,161 +152,27 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    run_over_channel_with(cfg, workers, factory, adversary, RECV_TIMEOUT)
+    run_over(cfg, workers, factory, adversary, channel::mesh(cfg.n))
 }
 
-/// Like [`run_over_channel`], but nodes give up after `recv_timeout` when
-/// blocked on a frame (a wedged run fails fast instead of hanging for the
-/// default 60 s).
+/// Like [`run_over_channel`], but under explicit [`RunOpts`], and a
+/// wedged run (a node's receive timing out, an adjudication error) is an
+/// `Err` naming the node, round and frame counts instead of a panic.
 pub fn run_over_channel_with<P, F, A>(
     cfg: &SimConfig,
     workers: usize,
     factory: F,
     adversary: &mut A,
-    recv_timeout: Duration,
-) -> NetRunResult<P>
+    opts: &RunOpts,
+) -> Result<NetRunResult<P>, String>
 where
     P: Protocol,
     P::Msg: Wire,
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    let endpoints = channel::mesh_with_timeout(cfg.n, recv_timeout);
-    run_over(cfg, workers, factory, adversary, endpoints)
-}
-
-/// Like [`run_over_channel_with`], but frames are tagged with `height` —
-/// the election-instance counter of a long-lived service (`ftc-serve`).
-/// Each height gets a fresh mesh, so the tag is provenance: a frame whose
-/// height disagrees with the run's aborts the run instead of silently
-/// feeding one election's traffic to another.
-pub fn run_over_channel_at_height<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-) -> NetRunResult<P>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = channel::mesh_with_timeout(cfg.n, recv_timeout);
-    run_over_at_height(cfg, workers, factory, adversary, endpoints, height)
-}
-
-/// Like [`run_over_channel`], but with a scripted [`WireFaultPlan`]
-/// perturbing the wire between the cores and the transport: transmit
-/// bursts are reordered/duplicated/delayed per the plan, and receive
-/// edges dedup frames. The model result and accounting are bit-identical
-/// to the faultless run — every v1 wire fault is delivery-preserving
-/// (see [`crate::fault`]) — which is exactly the property
-/// `ftc hunt --wire-faults` searches for violations of.
-pub fn run_over_channel_faulty<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    wire: &WireFaultPlan,
-) -> NetRunResult<P>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = channel::mesh_with_timeout(cfg.n, RECV_TIMEOUT);
-    run_over_wired(cfg, workers, factory, adversary, endpoints, 0, Some(wire))
-}
-
-/// Runs `cfg` over a localhost TCP mesh (real sockets) with `workers`
-/// worker threads and the default receive timeout
-/// ([`crate::transport::RECV_TIMEOUT`]). Limited to [`tcp::MAX_TCP_NODES`]
-/// nodes.
-///
-/// Fails if the mesh cannot be built; see [`run_over`] for run semantics.
-pub fn run_over_tcp<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-) -> std::io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_tcp_with(cfg, workers, factory, adversary, RECV_TIMEOUT)
-}
-
-/// Like [`run_over_tcp`], but nodes give up after `recv_timeout` when
-/// blocked on a frame.
-pub fn run_over_tcp_with<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-) -> std::io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = tcp::mesh_on(&edge_set_of(cfg), recv_timeout)?;
-    Ok(run_over(cfg, workers, factory, adversary, endpoints))
-}
-
-/// TCP counterpart of [`run_over_channel_faulty`].
-pub fn run_over_tcp_faulty<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    wire: &WireFaultPlan,
-) -> std::io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = tcp::mesh_on(&edge_set_of(cfg), RECV_TIMEOUT)?;
-    Ok(run_over_wired(
-        cfg,
-        workers,
-        factory,
-        adversary,
-        endpoints,
-        0,
-        Some(wire),
-    ))
-}
-
-/// TCP counterpart of [`run_over_channel_at_height`].
-pub fn run_over_tcp_at_height<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-) -> std::io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = tcp::mesh_on(&edge_set_of(cfg), recv_timeout)?;
-    Ok(run_over_at_height(
-        cfg, workers, factory, adversary, endpoints, height,
-    ))
+    let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
+    run_over_wired(cfg, workers, factory, adversary, endpoints, opts)
 }
 
 /// Runs one execution of `cfg` over `endpoints` (one per node, in id
@@ -315,44 +205,22 @@ where
     A: Adversary<P::Msg> + ?Sized,
     E: Endpoint,
 {
-    run_over_at_height(cfg, workers, factory, adversary, endpoints, 0)
+    let opts = RunOpts::default();
+    run_over_wired(cfg, workers, factory, adversary, endpoints, &opts)
+        .unwrap_or_else(|err| panic!("cluster run wedged: {err}"))
 }
 
-/// [`run_over`] with every frame tagged as belonging to election instance
-/// `height`. The tag does not change the execution — heights use fresh
-/// meshes, and the model result stays bit-identical to the engine for the
-/// same `(SimConfig, seed)` — but workers verify it on every collected
-/// frame, so cross-height contamination is an immediate run failure.
-pub fn run_over_at_height<P, F, A, E>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    endpoints: Vec<E>,
-    height: u32,
-) -> NetRunResult<P>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-    E: Endpoint,
-{
-    run_over_wired(cfg, workers, factory, adversary, endpoints, height, None)
-}
-
-/// The shared driver: [`run_over_at_height`] plus an optional
-/// [`WireFaultPlan`] applied at the adapter boundary (never inside the
-/// cores). `None` is the exact pre-fault code path.
+/// The shared driver. `opts.recv_timeout` is already baked into
+/// `endpoints`; the wire plan is applied at the adapter boundary (never
+/// inside the cores).
 fn run_over_wired<P, F, A, E>(
     cfg: &SimConfig,
     workers: usize,
     mut factory: F,
     adversary: &mut A,
     endpoints: Vec<E>,
-    height: u32,
-    wire: Option<&WireFaultPlan>,
-) -> NetRunResult<P>
+    opts: &RunOpts,
+) -> Result<NetRunResult<P>, String>
 where
     P: Protocol,
     P::Msg: Wire,
@@ -365,6 +233,7 @@ where
     let nn = cfg.n as usize;
     assert_eq!(endpoints.len(), nn, "need exactly one endpoint per node");
     let workers = workers.clamp(1, nn);
+    let (height, wire) = (opts.height, opts.wire);
 
     let mut coord = CoordinatorCore::<P::Msg>::new(cfg, height, adversary);
 
@@ -446,11 +315,11 @@ where
     });
 
     if let Some(err) = failure {
-        panic!("cluster run wedged: {err}");
+        return Err(err);
     }
 
     let out = coord.finish(net.wire_bytes);
-    NetRunResult {
+    Ok(NetRunResult {
         run: RunResult {
             metrics: out.metrics,
             states: states
@@ -463,7 +332,7 @@ where
             congest_violations: out.congest_violations,
         },
         net,
-    }
+    })
 }
 
 /// Drives one worker's share of the nodes, phase-locked to the
@@ -636,6 +505,20 @@ mod tests {
         }
     }
 
+    /// A channel run tagged as election instance `height`.
+    fn at_height(
+        cfg: &SimConfig,
+        workers: usize,
+        adversary: &mut dyn Adversary<u64>,
+        height: u32,
+    ) -> NetRunResult<Chatter> {
+        let opts = RunOpts {
+            height,
+            ..RunOpts::default()
+        };
+        run_over_channel_with(cfg, workers, chatter, adversary, &opts).unwrap()
+    }
+
     fn assert_matches_engine(
         cfg: &SimConfig,
         net: &NetRunResult<Chatter>,
@@ -658,26 +541,40 @@ mod tests {
         // test doesn't hinge on one interleaving. The load-bearing claim:
         // a node timing out must abort the whole run with the transport
         // error (via the submission channel), never deadlock the
-        // coordinator's lock-step loop.
-        for attempt in 0..5 {
-            let result = std::panic::catch_unwind(|| {
-                let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
-                let mut adv = NoFaults;
-                run_over_channel_with(&cfg, 4, chatter, &mut adv, Duration::from_nanos(1))
-            });
-            if let Err(payload) = result {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                assert!(
-                    msg.contains("cluster run wedged") && msg.contains("timed out"),
-                    "unexpected panic: {msg}"
-                );
-                return;
-            }
+        // coordinator's lock-step loop. The `RunOpts` entry point (what
+        // `Substrate::run` dispatches to) reports it as an `Err` carrying
+        // the stalled node's context; the frozen wrappers panic with it.
+        let tiny = Duration::from_nanos(1);
+        let err = (0..5).find_map(|attempt| {
+            let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
+            let opts = RunOpts {
+                recv_timeout: tiny,
+                ..RunOpts::default()
+            };
+            run_over_channel_with(&cfg, 4, chatter, &mut NoFaults, &opts).err()
+        });
+        let err = err.expect("a 1ns recv timeout never tripped in 5 runs");
+        for context in ["node n", "timed out collecting round", "frames"] {
+            assert!(err.contains(context), "no `{context}` in: {err}");
         }
-        panic!("a 1ns recv timeout never tripped in 5 runs");
+
+        let panic = (0..5).find_map(|attempt| {
+            std::panic::catch_unwind(|| {
+                let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
+                let endpoints = channel::mesh_with_timeout(cfg.n, tiny);
+                run_over(&cfg, 4, chatter, &mut NoFaults, endpoints)
+            })
+            .err()
+        });
+        let payload = panic.expect("a 1ns recv timeout never tripped in 5 runs");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("cluster run wedged") && msg.contains("timed out"),
+            "unexpected panic: {msg}"
+        );
     }
 
     #[test]
@@ -724,23 +621,11 @@ mod tests {
     }
 
     #[test]
-    fn tcp_run_replays_the_engine() {
-        let cfg = SimConfig::new(8).seed(11).max_rounds(10);
-        let plan = FaultPlan::new().crash(NodeId(1), 1, DeliveryFilter::KeepFirst(2));
-        let mut sim_adv = ScriptedCrash::new(plan.clone());
-        let sim = run(&cfg, chatter, &mut sim_adv);
-        let mut net_adv = ScriptedCrash::new(plan);
-        let net = run_over_tcp(&cfg, 4, chatter, &mut net_adv).expect("tcp mesh");
-        assert_matches_engine(&cfg, &net, &sim);
-        assert!(net.net.wire_bytes > 0);
-    }
-
-    #[test]
     fn runs_replay_the_engine_on_sparse_topologies() {
         use ftc_sim::topology::Topology;
-        // The gated runtimes must stay bit-identical to the engine off
-        // the complete graph too — over real sockets (opening only the
-        // topology's links) and over channels alike.
+        // The channel runtime must stay bit-identical to the engine off
+        // the complete graph too (the socket mesh pins the same in
+        // `ftc-mesh`, opening only the topology's links).
         for topology in [
             Topology::DiameterTwo { clusters: 3 },
             Topology::RandomRegular { d: 4 },
@@ -750,8 +635,6 @@ mod tests {
                 .max_rounds(10)
                 .topology(topology);
             let sim = run(&cfg, chatter, &mut NoFaults);
-            let tcp = run_over_tcp(&cfg, 3, chatter, &mut NoFaults).expect("tcp mesh");
-            assert_matches_engine(&cfg, &tcp, &sim);
             let chan = run_over_channel(&cfg, 4, chatter, &mut NoFaults);
             assert_matches_engine(&cfg, &chan, &sim);
         }
@@ -776,13 +659,12 @@ mod tests {
             .fault(NodeId(3), 1, WireFaultKind::Delay { micros: 200 })
             .fault(NodeId(4), 2, WireFaultKind::Tear { chunk: 3 });
         for workers in [1, 4] {
-            let net = run_over_channel_faulty(
-                &cfg,
-                workers,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                &wire,
-            );
+            let opts = RunOpts {
+                wire: Some(&wire),
+                ..RunOpts::default()
+            };
+            let mut adv = ScriptedCrash::new(plan.clone());
+            let net = run_over_channel_with(&cfg, workers, chatter, &mut adv, &opts).unwrap();
             assert_matches_engine(&cfg, &net, &sim);
             assert_eq!(net.net.wire_bytes, clean.net.wire_bytes);
             assert_eq!(net.net.frames_sent, clean.net.frames_sent);
@@ -808,14 +690,7 @@ mod tests {
         let plan = FaultPlan::new().crash(NodeId(3), 1, DeliveryFilter::KeepFirst(2));
         let sim = run(&cfg, chatter, &mut ScriptedCrash::new(plan.clone()));
         for height in [0, 1, 7, 40] {
-            let net = run_over_channel_at_height(
-                &cfg,
-                3,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                RECV_TIMEOUT,
-                height,
-            );
+            let net = at_height(&cfg, 3, &mut ScriptedCrash::new(plan.clone()), height);
             assert_matches_engine(&cfg, &net, &sim);
         }
     }
@@ -831,14 +706,7 @@ mod tests {
         let plan = FaultPlan::new().crash(NodeId(0), 1, DeliveryFilter::KeepFirst(1));
         let sim = run(&cfg, chatter, &mut ScriptedCrash::new(plan.clone()));
         for height in [2, 3, 9] {
-            let net = run_over_channel_at_height(
-                &cfg,
-                4,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                RECV_TIMEOUT,
-                height,
-            );
+            let net = at_height(&cfg, 4, &mut ScriptedCrash::new(plan.clone()), height);
             assert_matches_engine(&cfg, &net, &sim);
         }
     }
@@ -852,57 +720,14 @@ mod tests {
         let cfg = SimConfig::new(6).seed(4).max_rounds(6);
         let down = FaultPlan::new().crash(NodeId(2), 0, DeliveryFilter::DropAll);
         let sim_down = run(&cfg, chatter, &mut ScriptedCrash::new(down.clone()));
-        let net_down = run_over_channel_at_height(
-            &cfg,
-            2,
-            chatter,
-            &mut ScriptedCrash::new(down),
-            RECV_TIMEOUT,
-            5,
-        );
+        let net_down = at_height(&cfg, 2, &mut ScriptedCrash::new(down), 5);
         assert_matches_engine(&cfg, &net_down, &sim_down);
         assert_eq!(net_down.run.survivor_count(), 5);
 
         let sim_up = run(&cfg, chatter, &mut NoFaults);
-        let net_up = run_over_channel_at_height(&cfg, 2, chatter, &mut NoFaults, RECV_TIMEOUT, 6);
+        let net_up = at_height(&cfg, 2, &mut NoFaults, 6);
         assert_matches_engine(&cfg, &net_up, &sim_up);
         assert_eq!(net_up.run.survivor_count(), 6);
-    }
-
-    /// Kernel-reported thread count for this process, from
-    /// `/proc/self/status` (hence Linux-only).
-    #[cfg(target_os = "linux")]
-    fn thread_count() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .unwrap()
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .expect("Threads: line in /proc/self/status")
-            .trim()
-            .parse()
-            .unwrap()
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn tcp_reader_threads_do_not_accumulate_across_heights() {
-        // 100 heights over TCP spawn 100 · n·(n-1) = 1200 reader threads;
-        // with deterministic joins in teardown the process thread count
-        // stays flat. The slack absorbs unrelated test threads churning in
-        // parallel — it is two orders of magnitude below the leak this
-        // guards against.
-        let cfg = SimConfig::new(4).seed(1).max_rounds(6);
-        let _ = run_over_tcp_at_height(&cfg, 2, chatter, &mut NoFaults, RECV_TIMEOUT, 0).unwrap();
-        let baseline = thread_count();
-        for height in 1..=100 {
-            let _ = run_over_tcp_at_height(&cfg, 2, chatter, &mut NoFaults, RECV_TIMEOUT, height)
-                .unwrap();
-        }
-        let after = thread_count();
-        assert!(
-            after <= baseline + 32,
-            "reader threads accumulated across heights: {baseline} -> {after}"
-        );
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! The pluggable transport abstraction and the round assembler.
+//! The pluggable transport abstraction.
 //!
 //! An [`Endpoint`] is one node's attachment to a transport: it can push a
 //! [`Frame`] to any peer, pull the next frame addressed to itself, and tear
-//! itself down (the physical half of a crash). Two implementations ship:
-//! [`crate::channel`] (in-process `mpsc`, for fast deterministic tests) and
-//! [`crate::tcp`] (localhost TCP over `std::net`, real sockets).
+//! itself down (the physical half of a crash). One implementation ships,
+//! [`crate::channel`] (in-process `mpsc`); [`crate::sync::run_over`] drives
+//! any other (the benchmark wraps the channel endpoints in timing probes).
 //!
 //! Transports deliver frames reliably and FIFO per link but with no
 //! cross-link ordering, and fast nodes may run rounds ahead of slow ones —
-//! so a receiver cannot just take the next `k` frames. The
-//! [`RoundAssembler`] does the reassembly: it buffers early frames, blocks
-//! until the current round is complete, and returns the round's frames in
-//! the canonical `(src, seq)` order that reproduces the simulator's inbox
-//! order.
+//! so a receiver cannot just take the next `k` frames. Reassembly into
+//! rounds is [`crate::core::RoundCore`]'s job: it buffers next-round
+//! frames and orders each inbox by `(src, seq)`.
 
 use std::io;
 use std::time::Duration;
 
-use ftc_sim::ids::{NodeId, Round};
+use ftc_sim::ids::NodeId;
 
 use crate::frame::Frame;
 
@@ -25,8 +23,8 @@ use crate::frame::Frame;
 /// the cluster is wedged. The synchronizer's accounting guarantees every
 /// awaited frame was (or will be) sent, so in a healthy run this never
 /// fires; it exists to turn bugs and killed peers into loud errors instead
-/// of hangs. Both mesh builders accept an explicit timeout
-/// ([`crate::channel::mesh_with_timeout`], [`crate::tcp::mesh_with_timeout`])
+/// of hangs. [`crate::sync::RunOpts::recv_timeout`] overrides it per run
+/// (the channel mesh takes it through [`crate::channel::mesh_with_timeout`])
 /// and `ftc cluster --recv-timeout` exposes it on the command line.
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -55,181 +53,4 @@ pub trait Endpoint: Send {
     /// (crash semantics drop *unsent* messages via delivery filters, not
     /// in-flight bytes); everything after this call fails. Idempotent.
     fn teardown(&mut self);
-}
-
-/// Reassembles a per-link FIFO frame stream into complete synchronous
-/// rounds (one assembler per node).
-#[derive(Debug, Default)]
-pub struct RoundAssembler {
-    /// Frames that arrived for rounds we have not collected yet.
-    pending: Vec<Frame>,
-}
-
-impl RoundAssembler {
-    /// A fresh assembler with nothing buffered.
-    pub fn new() -> Self {
-        RoundAssembler::default()
-    }
-
-    /// Blocks until all `expect` frames of `round` have arrived and returns
-    /// them sorted by `(src, seq)` — the engine's delivery order.
-    ///
-    /// Frames for later rounds encountered along the way are buffered for
-    /// future calls; a frame for an earlier round is a protocol violation
-    /// and reported as [`io::ErrorKind::InvalidData`].
-    ///
-    /// A receive timeout is annotated with who was blocked and on what —
-    /// node id, round, and the `got`/`expect` frame counts — so a wedged
-    /// cluster reports exactly which node stalled where instead of a bare
-    /// "timed out".
-    pub fn collect<E: Endpoint + ?Sized>(
-        &mut self,
-        round: Round,
-        expect: usize,
-        endpoint: &mut E,
-    ) -> io::Result<Vec<Frame>> {
-        let mut got: Vec<Frame> = Vec::with_capacity(expect);
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].round == round {
-                got.push(self.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        while got.len() < expect {
-            let frame = endpoint.recv().map_err(|e| {
-                if e.kind() == io::ErrorKind::TimedOut {
-                    io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!(
-                            "node {} timed out collecting round {round}: got {} of {expect} frames ({e})",
-                            endpoint.node(),
-                            got.len(),
-                        ),
-                    )
-                } else {
-                    e
-                }
-            })?;
-            match frame.round.cmp(&round) {
-                std::cmp::Ordering::Equal => got.push(frame),
-                std::cmp::Ordering::Greater => self.pending.push(frame),
-                std::cmp::Ordering::Less => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "node {} got a frame for past round {} while collecting round {}",
-                            endpoint.node(),
-                            frame.round,
-                            round
-                        ),
-                    ));
-                }
-            }
-        }
-        got.sort_by_key(|f| (f.src.0, f.seq));
-        Ok(got)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::VecDeque;
-
-    /// An endpoint fed from a scripted queue.
-    struct Scripted {
-        node: NodeId,
-        queue: VecDeque<Frame>,
-    }
-
-    impl Endpoint for Scripted {
-        fn node(&self) -> NodeId {
-            self.node
-        }
-        fn send(&mut self, _dst: NodeId, frame: &Frame) -> io::Result<u64> {
-            Ok(frame.encoded_len())
-        }
-        fn recv(&mut self) -> io::Result<Frame> {
-            self.queue
-                .pop_front()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "script exhausted"))
-        }
-        fn teardown(&mut self) {}
-    }
-
-    fn frame(round: Round, src: u32, seq: u32) -> Frame {
-        Frame {
-            height: 0,
-            round,
-            src: NodeId(src),
-            seq,
-            payload: vec![],
-        }
-    }
-
-    #[test]
-    fn sorts_by_src_then_seq() {
-        let mut ep = Scripted {
-            node: NodeId(0),
-            queue: VecDeque::from(vec![frame(0, 2, 0), frame(0, 1, 1), frame(0, 1, 0)]),
-        };
-        let mut asm = RoundAssembler::new();
-        let got = asm.collect(0, 3, &mut ep).unwrap();
-        let order: Vec<(u32, u32)> = got.iter().map(|f| (f.src.0, f.seq)).collect();
-        assert_eq!(order, vec![(1, 0), (1, 1), (2, 0)]);
-    }
-
-    #[test]
-    fn buffers_frames_from_future_rounds() {
-        let mut ep = Scripted {
-            node: NodeId(0),
-            queue: VecDeque::from(vec![frame(1, 3, 0), frame(0, 1, 0), frame(1, 1, 0)]),
-        };
-        let mut asm = RoundAssembler::new();
-        // Round 0 completes even though a round-1 frame arrived first...
-        let r0 = asm.collect(0, 1, &mut ep).unwrap();
-        assert_eq!(r0.len(), 1);
-        assert_eq!(r0[0].src, NodeId(1));
-        // ...and the buffered round-1 frame is not lost.
-        let r1 = asm.collect(1, 2, &mut ep).unwrap();
-        assert_eq!(r1.iter().map(|f| f.src.0).collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
-    fn stale_frame_is_a_protocol_violation() {
-        let mut ep = Scripted {
-            node: NodeId(0),
-            queue: VecDeque::from(vec![frame(0, 1, 0)]),
-        };
-        let mut asm = RoundAssembler::new();
-        let err = asm.collect(5, 1, &mut ep).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn timeout_reports_node_round_and_frame_counts() {
-        let mut ep = Scripted {
-            node: NodeId(7),
-            queue: VecDeque::from(vec![frame(3, 1, 0)]),
-        };
-        let mut asm = RoundAssembler::new();
-        let err = asm.collect(3, 4, &mut ep).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        let msg = err.to_string();
-        assert!(msg.contains("node n7"), "{msg}");
-        assert!(msg.contains("round 3"), "{msg}");
-        assert!(msg.contains("got 1 of 4"), "{msg}");
-    }
-
-    #[test]
-    fn zero_expected_returns_immediately() {
-        let mut ep = Scripted {
-            node: NodeId(0),
-            queue: VecDeque::new(),
-        };
-        let got = RoundAssembler::new().collect(0, 0, &mut ep).unwrap();
-        assert!(got.is_empty());
-    }
 }

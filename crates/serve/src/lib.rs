@@ -23,8 +23,8 @@
 //! Everything — election outcomes, churn victims, arrivals, latencies —
 //! is a deterministic function of the [`service::ServeConfig`], on every
 //! substrate: the same service history replays on the in-process engine,
-//! the channel mesh, and localhost TCP (heights ride the height-tagged
-//! frames of `ftc-net`).
+//! the channel mesh, and the socket mesh — one `Substrate::run` call per
+//! height (heights ride the height-tagged frames of `ftc-net`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

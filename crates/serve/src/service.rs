@@ -6,9 +6,9 @@
 //! derived seed [`height_seed`]`(seed, h)`, so the whole multi-height
 //! history — topologies, ranks, referee samples, churn victims, load
 //! arrivals — is a deterministic function of one `(ServeConfig)` value,
-//! on every substrate: the in-process engine, the channel mesh, or
-//! localhost TCP (which replay each height bit-identically via
-//! `run_over_*_at_height`).
+//! on every substrate: the in-process engine, the channel mesh, or the
+//! socket mesh (which replay each height bit-identically under
+//! `RunOpts::height`).
 //!
 //! Between elections the service serves client load for a fixed window,
 //! then (per the [`ChurnPlan`]) crashes the sitting leader and a few
@@ -19,9 +19,8 @@
 
 use ftc_core::prelude::{LeNode, LeOutcome, Params};
 use ftc_hunt::prelude::{Artifact, Substrate};
-use ftc_mesh::runtime::run_over_mesh_at_height;
-use ftc_net::prelude::{run_over_channel_at_height, run_over_tcp_at_height, RECV_TIMEOUT};
-use ftc_sim::engine::{run, SimConfig};
+use ftc_net::prelude::RunOpts;
+use ftc_sim::engine::SimConfig;
 use ftc_sim::perm::stream_seed;
 use ftc_sim::prelude::{FaultPlan, NodeId, ScriptedCrash, ServiceMetrics};
 
@@ -225,27 +224,15 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
             .max_rounds(params.le_round_budget());
         let factory = |_| LeNode::new(params.clone());
         let mut adv = ScriptedCrash::new(plan.clone());
-        let (r, wire_bytes) = match cfg.substrate {
-            Substrate::Engine => (run(&hcfg, factory, &mut adv), 0),
-            Substrate::Channel(workers) => {
-                let nr =
-                    run_over_channel_at_height(&hcfg, workers, factory, &mut adv, RECV_TIMEOUT, h);
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
-            Substrate::Tcp(workers) => {
-                let nr = run_over_tcp_at_height(&hcfg, workers, factory, &mut adv, RECV_TIMEOUT, h)
-                    .map_err(|e| format!("serve: height {h}: tcp: {e}"))?;
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
-            Substrate::Mesh(procs) => {
-                let nr = run_over_mesh_at_height(&hcfg, procs, factory, &mut adv, RECV_TIMEOUT, h)
-                    .map_err(|e| format!("serve: height {h}: mesh: {e}"))?;
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
+        let opts = RunOpts {
+            height: h,
+            ..RunOpts::default()
         };
+        let nr = cfg
+            .substrate
+            .run(&hcfg, factory, &mut adv, &opts)
+            .map_err(|e| format!("serve: height {h}: {e}"))?;
+        let (r, wire_bytes) = (nr.run, nr.net.wire_bytes);
         let outcome = LeOutcome::evaluate(&r);
         monitor.election(h, &params, &hcfg, &plan, &outcome);
         let success = outcome.success && outcome.leader_node.is_some();
@@ -385,22 +372,23 @@ mod tests {
     }
 
     #[test]
-    fn tcp_substrate_smoke() {
+    fn per_edge_socket_substrate_smoke() {
+        // `Mesh(64)` clamps to one node per proc: one socket per edge.
         let cfg = ServeConfig::new(8, 0.5)
             .seed(3)
             .heights(3)
-            .substrate(Substrate::Tcp(2));
+            .substrate(Substrate::Mesh(64));
         let engine = run_service(&ServeConfig {
             substrate: Substrate::Engine,
             ..cfg.clone()
         })
         .unwrap();
-        let tcp = run_service(&cfg).unwrap();
+        let mesh = run_service(&cfg).unwrap();
         assert_eq!(
             engine.heights.iter().map(|h| h.leader).collect::<Vec<_>>(),
-            tcp.heights.iter().map(|h| h.leader).collect::<Vec<_>>()
+            mesh.heights.iter().map(|h| h.leader).collect::<Vec<_>>()
         );
-        assert!(tcp.heights.iter().all(|h| h.wire_bytes > 0));
+        assert!(mesh.heights.iter().all(|h| h.wire_bytes > 0));
     }
 
     #[test]

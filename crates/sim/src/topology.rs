@@ -24,7 +24,7 @@
 //! Everything downstream is neighbour-generic: port maps permute each
 //! node's *actual* neighbours ([`crate::ports::PortMap`]), the engine
 //! and [`crate::round::EdgeFates`] only ever touch real edges, and the
-//! socket runtimes only open links for edges that exist.
+//! socket runtime (`ftc-mesh`) only opens links that some edge crosses.
 
 use std::fmt;
 use std::sync::Arc;
@@ -240,7 +240,7 @@ impl Topology {
     /// pair pins the exact graph (seeded generation included), and the
     /// returned [`EdgeSet`] answers membership queries without ever
     /// expanding the closed-form variants. This is the bridge the socket
-    /// runtimes use to open links only for edges that exist.
+    /// runtime uses to open links only where an edge exists.
     pub fn edge_set(&self, n: u32, topology_seed: u64) -> EdgeSet {
         let kind = match self {
             Topology::Complete => EdgeSetKind::Complete,
@@ -296,9 +296,9 @@ impl Topology {
 /// Closed-form variants (complete, hub) answer in O(1) without expanding
 /// anything; list variants answer by binary search over the same
 /// adjacency the engine wires, so the oracle and the port maps can never
-/// disagree about which links exist. The socket runtimes
-/// (`ftc-net`'s TCP mesh, `ftc-mesh`'s proc-pair fabric) consult it to
-/// open exactly the links the topology has.
+/// disagree about which links exist. The socket runtime (`ftc-mesh`'s
+/// proc-pair fabric) consults it to open a socket only where a topology
+/// edge crosses — exactly the topology's links at one node per proc.
 #[derive(Clone, Debug)]
 pub struct EdgeSet {
     n: u32,

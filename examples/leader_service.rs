@@ -6,8 +6,8 @@
 //! such a service on `ftc-serve`: each election *height* elects a
 //! coordinator with the paper's sublinear protocol over the `ftc-net`
 //! channel transport — protocol messages travel as length-prefixed frames
-//! between node threads, crashes are enacted as mid-round connection
-//! teardown — then churn kills the coordinator (plus some bystanders) and
+//! between node threads, crashes are enacted as mid-round partial
+//! delivery — then churn kills the coordinator (plus some bystanders) and
 //! the next height re-elects among the survivors. Between elections the
 //! deterministic load generator routes requests to the current leader,
 //! and the invariant monitor checks leader uniqueness and request
@@ -16,9 +16,12 @@
 //! broadcast election would burn — and the cost is visible in real wire
 //! bytes, not just simulator counters.
 //!
-//! The in-process channel transport is used so the example scales to 1024
-//! nodes; swap `Substrate::Channel` for `Substrate::Tcp` (and shrink `N`
-//! to ≤ 64) to watch the same service run over localhost TCP sockets.
+//! Every height is one `Substrate::run` call, so the substrate is a
+//! one-word choice: swap `Substrate::Channel(WORKERS)` for
+//! `Substrate::Mesh(4)` to watch the same service run over localhost TCP
+//! sockets (one per proc pair — shrink `N` to ≤ 64 and pass
+//! `Substrate::Mesh(64)` for one socket per edge), or for
+//! `Substrate::Engine` to replay it in the simulator.
 //!
 //! ```sh
 //! cargo run --release --example leader_service

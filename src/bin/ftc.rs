@@ -5,7 +5,7 @@
 //! ftc agree   --n 4096 --alpha 0.5 --zeros 0.05 --adversary targeted [--format json]
 //! ftc sweep   --n 2048 --alpha 0.5 --caps 64,16,4,1 --trials 24 [--format csv]
 //! ftc trace   --n 512  --alpha 0.5 --seed 7          # influence-cloud report
-//! ftc cluster --n 8 --alpha 0.5 --proto le --seed 1 --transport tcp
+//! ftc cluster --n 8 --alpha 0.5 --proto le --seed 1 --transport mesh --procs 8
 //! ftc serve   --n 64 --alpha 0.75 --heights 100 --kill-every 3 [--out results/]
 //! ftc loadgen --n 16 --alpha 0.5 --heights 40 --arrivals 4 --capacity 8
 //! ftc hunt    --n 64 --alpha 0.5 --proto le --objective failure --budget 256
@@ -14,9 +14,10 @@
 //! ftc lab     gate results/store/gate-smoke-<hash>.json
 //! ```
 //!
-//! `cluster` runs the same protocols over a real transport (`ftc-net`):
-//! localhost TCP sockets or in-process channels, with crash injection as
-//! mid-round socket teardown. Simulator and cluster emit the same row
+//! `cluster` runs the same protocols over a real transport: the socket
+//! mesh (`ftc-mesh`; `--procs <n>` gives one localhost socket per edge) or
+//! in-process channels (`ftc-net`), with crash injection as mid-round
+//! partial delivery. Simulator and cluster emit the same row
 //! shapes, so `--format csv|json` output is interchangeable downstream.
 //!
 //! `serve` runs a long-lived leader service (`ftc-serve`): repeated
@@ -71,7 +72,7 @@ struct Opts {
     smoke: bool,
     /// `lab`: results-store directory.
     store: String,
-    /// `lab`: execution substrate (`engine`, `channel:W`, `tcp:W`).
+    /// `lab`/`serve`: execution substrate (`engine`, `channel:W`, `mesh:P`).
     substrate: String,
     /// `lab`: worker threads sharding one trial's nodes (engine
     /// substrate only; results are bit-identical at any value).
@@ -129,7 +130,7 @@ impl Default for Opts {
             format: Format::Human,
             jobs: 0,
             proto: "le".into(),
-            transport: "tcp".into(),
+            transport: "mesh".into(),
             workers: 4,
             procs: 4,
             recv_timeout: RECV_TIMEOUT,
@@ -277,11 +278,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--transport" => {
                 o.transport = value(i)?.clone();
-                if !matches!(o.transport.as_str(), "tcp" | "channel" | "mesh") {
-                    return Err(format!(
-                        "unknown transport {} (tcp|channel|mesh)",
-                        o.transport
-                    ));
+                // `Substrate::parse` owns the names (and says what
+                // replaced `tcp`); the width comes from --workers/--procs.
+                Substrate::parse(&o.transport)?;
+                if !matches!(o.transport.as_str(), "channel" | "mesh") {
+                    return Err(format!("unknown transport {} (channel|mesh)", o.transport));
                 }
                 i += 2;
             }
@@ -347,7 +348,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--substrate" => {
                 o.substrate = value(i)?.clone();
-                parse_substrate(&o.substrate)?;
+                Substrate::parse(&o.substrate)?;
                 i += 2;
             }
             "--intra-jobs" => {
@@ -521,7 +522,7 @@ fn cmd_le(o: &Opts) -> Result<(), String> {
         )
     });
     let mut successes = 0;
-    let results = run_trials(&cfg, o.trials, |c| {
+    let results = run_trials_jobs(&cfg, o.trials, o.jobs, |c| {
         let mut adv = le_adversary(&o.adversary, f).expect("validated");
         let r = run(c, |_| LeNode::new(params.clone()), adv.as_mut());
         let out = LeOutcome::evaluate(&r);
@@ -588,7 +589,7 @@ fn cmd_agree(o: &Opts) -> Result<(), String> {
         )
     });
     let mut successes = 0;
-    let results = run_trials(&cfg, o.trials, |c| {
+    let results = run_trials_jobs(&cfg, o.trials, o.jobs, |c| {
         let mut adv = agree_adversary(&o.adversary, f).expect("validated");
         let r = run(
             c,
@@ -721,20 +722,19 @@ fn cluster_trial(o: &Opts, seed: u64) -> Result<ClusterTrial, String> {
     let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
     let f = params.max_faults();
     // Validate size and graph before any sockets are opened (n < 2 etc.);
-    // the gated transports then only dial the topology's edges.
+    // the mesh then only dials where a topology edge crosses.
     let base = with_topology(o, SimConfig::try_new(o.n).map_err(|e| e.to_string())?)?;
+    let substrate = transport_substrate(o)?;
+    let opts = RunOpts {
+        recv_timeout: o.recv_timeout,
+        ..RunOpts::default()
+    };
     match o.proto.as_str() {
         "le" => {
             let cfg = base.seed(seed).max_rounds(params.le_round_budget());
             let mut adv = le_adversary(&o.adversary, f)?;
             let factory = |_| LeNode::new(params.clone());
-            let res = match o.transport.as_str() {
-                "tcp" => run_over_tcp_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("tcp cluster: {e}"))?,
-                "mesh" => run_over_mesh_with(&cfg, o.procs, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("mesh cluster: {e}"))?,
-                _ => run_over_channel_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout),
-            };
+            let res = substrate.run(&cfg, factory, adv.as_mut(), &opts)?;
             let out = LeOutcome::evaluate(&res.run);
             Ok(ClusterTrial {
                 success: out.success,
@@ -757,13 +757,7 @@ fn cluster_trial(o: &Opts, seed: u64) -> Result<ClusterTrial, String> {
                     !(stride != u32::MAX && id.0.is_multiple_of(stride)),
                 )
             };
-            let res = match o.transport.as_str() {
-                "tcp" => run_over_tcp_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("tcp cluster: {e}"))?,
-                "mesh" => run_over_mesh_with(&cfg, o.procs, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("mesh cluster: {e}"))?,
-                _ => run_over_channel_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout),
-            };
+            let res = substrate.run(&cfg, factory, adv.as_mut(), &opts)?;
             let out = AgreeOutcome::evaluate(&res.run);
             Ok(ClusterTrial {
                 success: out.success,
@@ -871,34 +865,15 @@ fn cmd_cluster(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn substrate_name(s: Substrate) -> &'static str {
-    match s {
-        Substrate::Engine => "engine",
-        Substrate::Channel(_) => "channel",
-        Substrate::Tcp(_) => "tcp",
-        Substrate::Mesh(_) => "mesh",
-    }
-}
-
-/// The `ftc-net` substrate selected by `--transport`/`--workers`.
-fn net_substrate(o: &Opts) -> Substrate {
-    match o.transport.as_str() {
-        "tcp" => Substrate::Tcp(o.workers),
-        "mesh" => Substrate::Mesh(o.procs),
-        _ => Substrate::Channel(o.workers),
-    }
-}
-
-/// Maps the `--substrate` flag onto the serve substrate (intra-trial
-/// sharding has no meaning for a single service, so `engine` variants
-/// collapse).
-fn serve_substrate(o: &Opts) -> Result<Substrate, String> {
-    Ok(match parse_substrate(&o.substrate)? {
-        LabSubstrate::Engine | LabSubstrate::EngineSharded(_) => Substrate::Engine,
-        LabSubstrate::Channel(w) => Substrate::Channel(w),
-        LabSubstrate::Tcp(w) => Substrate::Tcp(w),
-        LabSubstrate::Mesh(p) => Substrate::Mesh(p),
-    })
+/// The substrate `--transport` names, at the width `--workers` (channel)
+/// or `--procs` (mesh) gives it.
+fn transport_substrate(o: &Opts) -> Result<Substrate, String> {
+    let width = if o.transport == "mesh" {
+        o.procs
+    } else {
+        o.workers
+    };
+    Substrate::parse(&format!("{}:{width}", o.transport))
 }
 
 /// Builds the service spec shared by `serve` and `loadgen`.
@@ -907,7 +882,7 @@ fn serve_config(o: &Opts) -> Result<ServeConfig, String> {
         .seed(o.seed)
         .heights(o.heights)
         .window_rounds(o.window)
-        .substrate(serve_substrate(o)?)
+        .substrate(Substrate::parse(&o.substrate)?)
         .churn(ChurnPlan {
             kill_leader_every: o.kill_every,
             bystanders: o.bystanders,
@@ -1097,7 +1072,7 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
     // moves the whole hunt onto the `--transport` substrate; plain hunts
     // stay on the (much faster, observation-identical) engine.
     let substrate = if o.wire_faults {
-        net_substrate(o)
+        transport_substrate(o)?
     } else {
         Substrate::Engine
     };
@@ -1170,7 +1145,7 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
         if !check.ok() {
             return Err(format!(
                 "hunted schedule does not replay on {}: {check:?}",
-                substrate_name(substrate)
+                substrate.label()
             ));
         }
     }
@@ -1215,7 +1190,7 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
                 "  wire faults: {} entr{} on {} (engine residue: {})",
                 wire.len(),
                 if wire.len() == 1 { "y" } else { "ies" },
-                substrate_name(substrate),
+                o.transport,
                 if residue.is_empty() {
                     "none".to_string()
                 } else {
@@ -1224,10 +1199,7 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
             );
         }
         if o.wire_faults {
-            println!(
-                "  replay: engine ok, channel ok, {} ok",
-                substrate_name(substrate)
-            );
+            println!("  replay: engine ok, channel ok, {} ok", o.transport);
         } else {
             println!("  replay: engine ok, channel ok");
         }
@@ -1262,7 +1234,10 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         .ok_or("replay needs an artifact file: ftc replay <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let artifact = Artifact::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let substrates = [Substrate::Engine, net_substrate(o)];
+    let substrates = [
+        ("engine", Substrate::Engine),
+        (o.transport.as_str(), transport_substrate(o)?),
+    ];
     let mut writer = o.format.is_machine().then(|| {
         RowWriter::new(
             o.format,
@@ -1277,14 +1252,14 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         )
     });
     let mut failures = 0u32;
-    for substrate in substrates {
+    for (name, substrate) in substrates {
         let report = artifact.replay(substrate)?;
         if !report.ok() {
             failures += 1;
         }
         if let Some(w) = writer.as_mut() {
             w.emit(&[
-                Value::Str(substrate_name(substrate).into()),
+                Value::Str(name.into()),
                 Value::Bool(report.fingerprint_matches),
                 Value::Bool(report.verdict_matches),
                 Value::Bool(report.observation.fingerprint.success),
@@ -1295,7 +1270,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
             println!(
                 "replay {} on {}: fingerprint {}, verdict {} (score {}, hit {})",
                 path,
-                substrate_name(substrate),
+                name,
                 if report.fingerprint_matches {
                     "reproduced"
                 } else {
@@ -1477,42 +1452,18 @@ fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
     }
 }
 
-/// Parses `--substrate engine|channel[:W]|tcp[:W]|mesh[:P]` for `lab run`.
-fn parse_substrate(s: &str) -> Result<LabSubstrate, String> {
-    let (kind, workers) = match s.split_once(':') {
-        Some((k, w)) => (
-            k,
-            w.parse::<usize>()
-                .map_err(|e| format!("--substrate workers: {e}"))?,
-        ),
-        None => (s, 4),
-    };
-    if kind != "engine" && workers == 0 {
-        return Err("--substrate workers must be at least 1".into());
-    }
-    match kind {
-        "engine" => Ok(LabSubstrate::Engine),
-        "channel" => Ok(LabSubstrate::Channel(workers)),
-        "tcp" => Ok(LabSubstrate::Tcp(workers)),
-        "mesh" => Ok(LabSubstrate::Mesh(workers)),
-        other => Err(format!(
-            "unknown substrate {other} (engine|channel[:W]|tcp[:W]|mesh[:P])"
-        )),
-    }
-}
-
 /// The substrate the `lab` verbs run on: `--substrate`, upgraded to the
 /// sharded engine when `--intra-jobs J` asks for intra-trial parallelism.
-fn lab_substrate(o: &Opts) -> Result<LabSubstrate, String> {
-    let substrate = parse_substrate(&o.substrate)?;
+fn lab_substrate(o: &Opts) -> Result<Substrate, String> {
+    let substrate = Substrate::parse(&o.substrate)?;
     if o.intra_jobs <= 1 {
         return Ok(substrate);
     }
     match substrate {
-        LabSubstrate::Engine => Ok(LabSubstrate::EngineSharded(o.intra_jobs)),
+        Substrate::Engine => Ok(Substrate::EngineSharded(o.intra_jobs)),
         other => Err(format!(
             "--intra-jobs shards the engine substrate only (got {})",
-            other.name()
+            other.label()
         )),
     }
 }
@@ -1681,13 +1632,13 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
             // engine — the cluster substrates would otherwise record
             // wall clocks of a different machine shape entirely.
             let substrate = match lab_substrate(o)? {
-                s @ (LabSubstrate::Engine | LabSubstrate::EngineSharded(_)) => s,
-                s @ LabSubstrate::Mesh(_) if only.is_some_and(|n| n == "wire-throughput") => s,
+                s @ (Substrate::Engine | Substrate::EngineSharded(_)) => s,
+                s @ Substrate::Mesh(_) if only.is_some_and(|n| n == "wire-throughput") => s,
                 other => {
                     return Err(format!(
                         "lab baseline records engine trajectories (or mesh, for \
                          wire-throughput only); got {}",
-                        other.name()
+                        other.label()
                     ))
                 }
             };
@@ -1699,8 +1650,8 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
                 // two procs by default — the multiplexing is what is
                 // measured, not parallelism.
                 let substrate = match (name, substrate) {
-                    ("wire-throughput", s @ LabSubstrate::Mesh(_)) => s,
-                    ("wire-throughput", _) => LabSubstrate::Mesh(2),
+                    ("wire-throughput", s @ Substrate::Mesh(_)) => s,
+                    ("wire-throughput", _) => Substrate::Mesh(2),
                     (_, s) => s,
                 };
                 let spec = ftc::lab::campaigns::named(name, o.smoke).expect("registry name");
@@ -1754,13 +1705,11 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
                     )
                 })?;
             let substrate = match lab_substrate(o)? {
-                s @ (LabSubstrate::Engine
-                | LabSubstrate::EngineSharded(_)
-                | LabSubstrate::Mesh(_)) => s,
+                s @ (Substrate::Engine | Substrate::EngineSharded(_) | Substrate::Mesh(_)) => s,
                 other => {
                     return Err(format!(
                         "lab perf gates the engine and mesh substrates only (got {})",
-                        other.name()
+                        other.label()
                     ))
                 }
             };
@@ -1868,7 +1817,7 @@ fn usage() -> &'static str {
      [--adversary none|eager|random|targeted] [--topology complete|diam2:<c>|rr:<d>] \
      [--caps c1,c2,none] \
      [--format human|csv|json] [--csv] [--jobs J] [--proto le|agree] \
-     [--transport tcp|channel|mesh] [--workers W] [--procs P] [--recv-timeout SECS] \
+     [--transport channel|mesh] [--workers W] [--procs P] [--recv-timeout SECS] \
      [--objective two-leaders|disagreement|failure|max-messages|max-rounds] \
      [--strategy random|guided|anneal] [--budget B] [--probes P] [--out FILE] \
      [--wire-faults] [--expect-hit|--expect-empty]\n\
@@ -1876,13 +1825,13 @@ fn usage() -> &'static str {
      [--min-coverage F] [--expect-hit|--expect-empty] [--format human|json]\n\
      ftc hunt portfolio gate <record|file> [--jobs J] [--store DIR]\n\
      ftc serve   [--n N] [--alpha A] [--seed S] [--heights H] [--kill-every K] \
-     [--bystanders B] [--rejoin-after R] [--window W] [--substrate engine|channel:W|tcp:W|mesh:P] \
+     [--bystanders B] [--rejoin-after R] [--window W] [--substrate engine|channel:W|mesh:P] \
      [--inject-split-brain H] [--out DIR] [--format human|csv|json]\n\
      ftc loadgen [--n N] [--heights H] [--arrivals A] [--capacity C] [--window W] \
      [--kill-every K] [--format human|csv|json]\n\
-     ftc replay <artifact.json> [--transport tcp|channel|mesh] [--workers W] [--procs P]\n\
+     ftc replay <artifact.json> [--transport channel|mesh] [--workers W] [--procs P]\n\
      ftc lab run <campaign|spec.json> [--smoke] [--jobs J] [--intra-jobs J] [--store DIR] \
-     [--substrate engine|channel:W|tcp:W|mesh:P] [--format human|json]\n\
+     [--substrate engine|channel:W|mesh:P] [--format human|json]\n\
      ftc lab list [--kind lab|hunt] [--store DIR]\n\
      ftc lab show <id> [--store DIR]\n\
      ftc lab diff <baseline> <fresh> [--tolerance F]\n\
@@ -1940,7 +1889,7 @@ mod tests {
         assert_eq!(o.n, 1024);
         assert_eq!(o.adversary, "random");
         assert_eq!(o.format, Format::Human);
-        assert_eq!(o.transport, "tcp");
+        assert_eq!(o.transport, "mesh");
         assert_eq!(o.workers, 4);
     }
 
@@ -2026,7 +1975,18 @@ mod tests {
         assert_eq!(o.workers, 2);
         assert!(parse_opts(&args("--proto paxos")).is_err());
         assert!(parse_opts(&args("--transport carrier-pigeon")).is_err());
+        assert!(parse_opts(&args("--transport engine")).is_err());
         assert!(parse_opts(&args("--workers 0")).is_err());
+        // The retired per-edge runtime is refused with its replacement,
+        // on both flags that used to take it.
+        for retired in ["--transport tcp", "--substrate tcp:2"] {
+            let err = parse_opts(&args(retired)).unwrap_err();
+            assert!(err.contains("--transport mesh --procs <n>"), "{err}");
+        }
+        let o = parse_opts(&args("--transport mesh --procs 8")).unwrap();
+        assert_eq!(transport_substrate(&o), Ok(Substrate::Mesh(8)));
+        let o = parse_opts(&args("--transport channel --workers 3")).unwrap();
+        assert_eq!(transport_substrate(&o), Ok(Substrate::Channel(3)));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use ftc_hunt::prelude::*;
     pub use ftc_lab::{
         diff_records, run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, CheckAxis,
-        CheckMetric, DiffReport, ExponentCheck, LabSubstrate, Store, Tolerance, Workload,
+        CheckMetric, DiffReport, ExponentCheck, Store, Tolerance, Workload,
     };
     pub use ftc_lowerbound::prelude::*;
     pub use ftc_mesh::prelude::*;

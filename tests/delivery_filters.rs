@@ -1,7 +1,9 @@
 //! `DeliveryFilter` edge cases: the sim engine, the `ftc-net` channel
 //! runtime, and the `ftc-mesh` socket runtime must agree on *exactly
-//! which frames land* when a node crashes mid-round — including the degenerate filters (deliver nothing, filter
-//! covering every port, probabilistic partial delivery).
+//! which frames land* when a node crashes mid-round — including the
+//! degenerate filters (deliver nothing, filter covering every port,
+//! probabilistic partial delivery). The mesh runs both multiplexed
+//! (3 procs) and at one node per proc, where every edge is its own socket.
 //!
 //! The per-message ground truth is the execution trace: one event per
 //! send, flagged with whether the crash filter let it through. Equality of
@@ -20,23 +22,36 @@ fn traced_cfg(params: &Params, seed: u64) -> SimConfig {
         .record_trace(true)
 }
 
-/// Runs the LE protocol under `plan` on the engine, the channel runtime,
-/// and the multiplexed mesh runtime, returning all three results.
-fn run_all(
-    plan: &FaultPlan,
-    seed: u64,
-) -> (RunResult<LeNode>, RunResult<LeNode>, RunResult<LeNode>) {
+/// Runs the LE protocol under `plan` on every substrate, engine first:
+/// the channel runtime, the multiplexed mesh, and the mesh at one node per
+/// proc (one socket per edge).
+fn run_all(plan: &FaultPlan, seed: u64) -> Vec<RunResult<LeNode>> {
     let params = Params::new(N, 0.5).unwrap();
     let cfg = traced_cfg(&params, seed);
-    let mut adv = ScriptedCrash::new(plan.clone());
-    let engine = run(&cfg, |_| LeNode::new(params.clone()), &mut adv);
-    let mut adv = ScriptedCrash::new(plan.clone());
-    let channel = run_over_channel(&cfg, 3, |_| LeNode::new(params.clone()), &mut adv).run;
-    let mut adv = ScriptedCrash::new(plan.clone());
-    let mesh = run_over_mesh(&cfg, 3, |_| LeNode::new(params.clone()), &mut adv)
-        .expect("mesh fabric")
-        .run;
-    (engine, channel, mesh)
+    [
+        Substrate::Engine,
+        Substrate::Channel(3),
+        Substrate::Mesh(3),
+        Substrate::Mesh(N as usize),
+    ]
+    .into_iter()
+    .map(|substrate| {
+        let mut adv = ScriptedCrash::new(plan.clone());
+        let factory = |_| LeNode::new(params.clone());
+        substrate
+            .run(&cfg, factory, &mut adv, &RunOpts::default())
+            .unwrap_or_else(|e| panic!("{substrate:?}: {e}"))
+            .run
+    })
+    .collect()
+}
+
+/// Asserts every substrate in `runs` (engine first) agrees with the
+/// engine frame-for-frame.
+fn assert_all_agree(runs: &[RunResult<LeNode>]) {
+    for r in &runs[1..] {
+        assert_frames_agree(&runs[0], r);
+    }
 }
 
 /// Asserts the two substrates agree frame-for-frame: same sends, same
@@ -79,10 +94,9 @@ fn empty_filters_deliver_no_crash_round_frames() {
         DeliveryFilter::KeepToDestinations(Vec::new()),
     ] {
         let plan = FaultPlan::new().crash(NodeId(1), 0, filter.clone());
-        let (engine, channel, mesh) = run_all(&plan, SEED);
-        assert_frames_agree(&engine, &channel);
-        assert_frames_agree(&engine, &mesh);
-        for r in [&engine, &channel, &mesh] {
+        let runs = run_all(&plan, SEED);
+        assert_all_agree(&runs);
+        for r in &runs {
             let (delivered, _) = crash_round_frames(r, NodeId(1), 0);
             assert!(
                 delivered.is_empty(),
@@ -110,14 +124,13 @@ fn filter_covering_all_ports_delivers_everything_then_silence() {
     let everyone: Vec<NodeId> = (0..N).map(NodeId).collect();
     let plan = FaultPlan::new().crash(NodeId(2), 1, DeliveryFilter::KeepToDestinations(everyone));
     let all = FaultPlan::new().crash(NodeId(2), 1, DeliveryFilter::DeliverAll);
-    let (engine, channel, mesh) = run_all(&plan, SEED);
-    assert_frames_agree(&engine, &channel);
-    assert_frames_agree(&engine, &mesh);
-    let (reference, _, _) = run_all(&all, SEED);
-    for r in [&engine, &channel, &mesh] {
+    let runs = run_all(&plan, SEED);
+    assert_all_agree(&runs);
+    let reference = run_all(&all, SEED);
+    for r in &runs {
         let (delivered, dropped) = crash_round_frames(r, NodeId(2), 1);
         assert!(dropped.is_empty(), "all-ports filter dropped {dropped:?}");
-        let (want, _) = crash_round_frames(&reference, NodeId(2), 1);
+        let (want, _) = crash_round_frames(&reference[0], NodeId(2), 1);
         assert_eq!(delivered, want, "all-ports filter != DeliverAll");
     }
 }
@@ -136,16 +149,15 @@ fn partial_delivery_mid_round_is_bit_identical_across_substrates() {
                 DeliveryFilter::DeliverEachWithProbability(0.5),
             )
             .crash(NodeId(7), 1, DeliveryFilter::KeepFirst(1));
-        let (engine, channel, mesh) = run_all(&plan, seed);
-        assert_frames_agree(&engine, &channel);
-        assert_frames_agree(&engine, &mesh);
+        let runs = run_all(&plan, seed);
+        assert_all_agree(&runs);
         // KeepFirst(1) keeps at most one frame.
-        for r in [&engine, &channel, &mesh] {
+        for r in &runs {
             let (delivered, _) = crash_round_frames(r, NodeId(7), 1);
             assert!(delivered.len() <= 1, "KeepFirst(1) kept {delivered:?}");
         }
         // Every delivered frame corresponds to a send: delivered ⊆ sent.
-        let trace = engine.trace.as_ref().unwrap();
+        let trace = runs[0].trace.as_ref().unwrap();
         let sends = trace.round_events(0).filter(|e| e.src == NodeId(3)).count();
         let landed = trace
             .round_events(0)

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use ftc::lab::{run_campaign, Adv, CampaignSpec, CellSpec, LabSubstrate, Store, Workload};
+use ftc::lab::{run_campaign, Adv, CampaignSpec, CellSpec, Store, Substrate, Workload};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ftc-gate-cli-{tag}-{}", std::process::id()));
@@ -37,7 +37,7 @@ fn gate_passes_honest_baseline_and_fails_perturbed_one() {
         7,
         2,
     ));
-    let record = run_campaign(&spec, 1, LabSubstrate::Engine).unwrap();
+    let record = run_campaign(&spec, 1, Substrate::Engine).unwrap();
     let store = Store::at(&dir);
     let id = store.put(&record).unwrap();
     let honest = dir.join(format!("{id}.json"));

@@ -7,7 +7,8 @@
 //! worker threads multiplex the nodes. These tests pin that property for
 //! both of the paper's protocols under several seeds and adversaries, at
 //! 1 and 4 workers (the acceptance configuration), on the channel
-//! transport, plus TCP smoke coverage at n = 8.
+//! transport, and on the socket mesh at several process counts up to one
+//! node per process (one TCP socket per edge), plus n = 8 socket smokes.
 
 use ftc::prelude::*;
 
@@ -212,15 +213,16 @@ fn committed_counterexample_replays_identically_across_worker_counts() {
 #[test]
 fn tcp_smoke_leader_election_n8() {
     // The acceptance configuration: n = 8, alpha = 0.5 (tiny-n
-    // best-effort regime), over real sockets.
+    // best-effort regime), over real sockets — the mesh at one node per
+    // proc, i.e. one TCP connection per edge.
     let n = 8;
     let params = Params::new(n, 0.5).unwrap();
     let cfg = SimConfig::new(n)
         .seed(1)
         .max_rounds(params.le_round_budget());
     let sim = run(&cfg, |_| LeNode::new(params.clone()), &mut NoFaults);
-    let net = run_over_tcp(&cfg, 4, |_| LeNode::new(params.clone()), &mut NoFaults)
-        .expect("tcp mesh at n=8");
+    let net = run_over_mesh(&cfg, 8, |_| LeNode::new(params.clone()), &mut NoFaults)
+        .expect("one socket per edge at n=8");
     assert_eq!(le_fingerprint(&net.run), le_fingerprint(&sim));
     let out = LeOutcome::evaluate(&net.run);
     assert!(out.success, "exactly one leader over real sockets");
@@ -241,13 +243,13 @@ fn tcp_smoke_agreement_n8_with_crashes() {
         |id| AgreeNode::new(params.clone(), input(id)),
         agree_adversary("eager", f).as_mut(),
     );
-    let net = run_over_tcp(
+    let net = run_over_mesh(
         &cfg,
-        4,
+        8,
         |id| AgreeNode::new(params.clone(), input(id)),
         agree_adversary("eager", f).as_mut(),
     )
-    .expect("tcp mesh at n=8");
+    .expect("one socket per edge at n=8");
     assert_eq!(agree_fingerprint(&net.run), agree_fingerprint(&sim));
     assert!(AgreeOutcome::evaluate(&net.run).success);
 }
@@ -257,7 +259,9 @@ fn tcp_smoke_agreement_n8_with_crashes() {
 // (and therefore the channel mesh) bit-for-bit at every process count.
 // ---------------------------------------------------------------------
 
-const MESH_PROC_COUNTS: [usize; 2] = [2, 5];
+/// Few procs, a count that does not divide n, and one node per proc —
+/// where the fabric is the per-edge socket mesh.
+const MESH_PROC_COUNTS: [usize; 3] = [2, 5, N as usize];
 
 #[test]
 fn leader_election_matches_engine_on_mesh_transport() {

@@ -1,7 +1,7 @@
 //! Replay matrix: every counterexample artifact committed under
 //! `results/` must replay cleanly on every substrate — the deterministic
-//! engine, the in-process channel runtime, localhost TCP, and the
-//! multiplexed mesh runtime. This is the standing guarantee that the
+//! engine, the in-process channel runtime, and the socket mesh both
+//! multiplexed and at one node per proc (one socket per edge). This is the standing guarantee that the
 //! artifacts in the repo are live evidence, not stale JSON: a protocol
 //! or runtime change that breaks reproduction fails this test, not a
 //! human re-running hunts by hand.
@@ -64,11 +64,12 @@ fn committed_artifacts_replay_on_channel() {
 }
 
 #[test]
-fn committed_artifacts_replay_on_tcp() {
-    replay_all_on(Substrate::Tcp(2));
+fn committed_artifacts_replay_on_mesh() {
+    replay_all_on(Substrate::Mesh(2));
 }
 
 #[test]
-fn committed_artifacts_replay_on_mesh() {
-    replay_all_on(Substrate::Mesh(2));
+fn committed_artifacts_replay_on_mesh_one_node_per_proc() {
+    // Clamps to min(n, MAX_MESH_PROCS): every edge is its own socket.
+    replay_all_on(Substrate::Mesh(64));
 }
