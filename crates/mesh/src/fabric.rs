@@ -57,8 +57,9 @@ pub fn build(procs: usize) -> io::Result<Vec<ProcLinks>> {
 /// Like [`build`], but only opens a socket for the proc pairs `(u, v)`,
 /// `u < v`, where `need(u, v)` is true — the topology-aware fabric. A
 /// pair of procs with no model edge crossing between them shares no
-/// traffic, so it gets no socket; writes towards a missing link are a
-/// runtime bug and panic in the mesh loop rather than vanishing.
+/// traffic, so it gets no socket; a send towards a missing link is a
+/// runtime bug and fails the run (the socket link's `send` errors) rather
+/// than vanishing.
 pub fn build_where(
     procs: usize,
     need: impl Fn(usize, usize) -> bool,

@@ -7,25 +7,27 @@
 //! degenerating to exactly that per-edge socket mesh at one node per
 //! process.
 //!
-//! The design is two cleanly separated layers:
+//! The design is one driver over two cleanly separated layers:
 //!
 //! - **Layer 1 — the sans-I/O round core.** [`RoundCore`] (per node) and
 //!   [`CoordinatorCore`] (control plane) are pure state machines: feed
 //!   inbound frames in, poll outbound frames and round transitions out.
 //!   No sockets, no threads, no clocks — unit-testable in isolation and
 //!   shared by *every* runtime. They physically live in
-//!   [`ftc_net::core`] so the channel runtime runs on the same core (that
-//!   is the point: one adjudication path, bit-identical results); this
-//!   crate re-exports them as its Layer 1.
-//! - **Layer 2 — the multiplexed runtime.** [`fabric`] opens exactly one
+//!   [`ftc_net::core`]; this crate re-exports them as its Layer 1.
+//! - **The one round driver.** [`ftc_net::sync::run_over_links`] — one
+//!   coordinator function and one worker loop — drives those cores for the
+//!   channel runtime and for this one alike, generic over a
+//!   [`ftc_net::sync::Link`] that hides only how a frame moves. This crate
+//!   has no round loop of its own.
+//! - **Layer 2 — the socket link.** [`fabric`] opens exactly one
 //!   localhost socket per unordered *process* pair — O(procs²) sockets,
-//!   independent of n — and [`runtime`] drives many node cores per
-//!   process over it with a readiness loop: [`wire`] envelopes
-//!   (`[dst][frame]`) are coalesced per peer into large nonblocking
-//!   writes, and reads are drained into incremental decoders whenever
-//!   the poller reports data. Backpressure comes from the kernel socket
-//!   buffers (`WouldBlock` ⇒ drain reads, retry), never from unbounded
-//!   queues.
+//!   independent of n — and [`runtime`] is the `Link` over it: [`wire`]
+//!   envelopes (`[dst][frame]`) are coalesced per peer into large
+//!   nonblocking writes, and reads are drained into incremental decoders
+//!   whenever the poller reports data. Backpressure comes from the kernel
+//!   socket buffers (`WouldBlock` ⇒ drain reads, retry), never from
+//!   unbounded queues.
 //!
 //! [`runtime::run_over_mesh`] is bit-identical to the engine and the
 //! channel runtime for the same `(SimConfig, seed)` — at any process
@@ -51,7 +53,7 @@ pub use ftc_net::core::{Command, CoordinatorCore, NodeStatus, RoundCore, RoundPl
 /// Everything a cluster caller needs.
 pub mod prelude {
     pub use crate::fabric::{socket_count, MAX_MESH_PROCS};
-    pub use crate::runtime::{run_over_mesh, run_over_mesh_with};
+    pub use crate::runtime::run_over_mesh;
     pub use crate::substrate::Substrate;
     pub use ftc_net::core::{
         Command, CoordinatorCore, NodeStatus, RoundCore, RoundPlan, Submission,

@@ -1,57 +1,56 @@
-//! The multiplexed mesh runtime: drives the sans-I/O cores of
-//! [`ftc_net::core`] over the proc-pair socket fabric.
+//! The socket link: how `ftc-mesh` moves frames for the one round driver
+//! in [`ftc_net::sync`].
 //!
-//! ## Architecture
+//! ## One driver, two links
 //!
-//! `procs` threads each own a contiguous-by-residue slice of the nodes
-//! (node `u` lives on proc `u mod procs`) as [`RoundCore`] state
-//! machines. The coordinator — a [`CoordinatorCore`] on the calling
-//! thread — runs the same control plane as the engine and the other
-//! runtimes; commands travel to procs over in-process channels (the
-//! control plane never touches the sockets), and the *data plane* moves
-//! over the fabric as [`crate::wire`] envelopes:
+//! The round loop — activate, submit, apply, transmit, collect, end-round,
+//! with its wire-fault hooks, accounting, dedup and failure reports — is
+//! [`ftc_net::sync::run_over_links`], shared with the channel runtime.
+//! This module supplies only the mechanism that differs: a [`Link`] over
+//! the proc-pair socket fabric. `procs` workers ("procs") each own the
+//! nodes `u ≡ proc (mod procs)`; the coordinator's commands reach them
+//! over in-process channels (the control plane never touches the
+//! sockets), and the *data plane* moves over the fabric as
+//! [`crate::wire`] envelopes:
 //!
-//! 1. **activate** — each proc activates its alive nodes and submits;
-//! 2. **adjudicate** — the coordinator routes, filters, and answers with
-//!    one command batch per proc;
-//! 3. **transmit** — each proc stages its nodes' outbound frames:
-//!    proc-local destinations are fed straight into the destination
-//!    core's inbox (no socket, no copy), remote ones are coalesced per
-//!    peer proc and flushed with few large nonblocking writes;
-//! 4. **collect** — a mio-style readiness loop drains whichever sockets
-//!    have data, feeding decoded envelopes to the local cores, until
-//!    every write buffer is empty and every active core reports
-//!    [`RoundCore::ready`].
+//! * **send** — a proc-local destination is handed back to the loop, which
+//!   feeds it straight into the destination core (no socket, no copy); a
+//!   remote one is staged into its peer proc's [`WriteBuf`], so a round's
+//!   traffic towards a peer coalesces into few large writes;
+//! * **pump** — one flush of whatever the kernel will take, one
+//!   `POLL_SLICE` readiness wait, one drain of the readable sockets
+//!   through the per-peer [`EnvelopeDecoder`]s. The loop pumps until the
+//!   node it waits on is ready, then until nothing is staged.
 //!
 //! ## Backpressure without deadlock
 //!
 //! There are no unbounded intake queues and no reader threads. Writes
 //! are nonblocking: when the kernel's socket buffer fills (`WouldBlock`),
-//! the proc keeps draining its *own* readable sockets — freeing its
-//! peers' send paths — and retries the flush. Every proc transmits
-//! before it collects and never blocks on a write, so the round loop
-//! cannot deadlock; in-flight data per socket is bounded by the kernel
-//! buffer plus at most one round of traffic per sender (procs are never
-//! more than one round apart — the coordinator's lock-step sees to it).
+//! the pump keeps draining its *own* readable sockets — freeing its
+//! peers' send paths — and the next pump retries the flush. Every proc
+//! stages before it collects and never blocks on a write, so the round
+//! loop cannot deadlock; in-flight data per socket is bounded by the
+//! kernel buffer plus at most one round of traffic per sender (procs are
+//! never more than one round apart — the coordinator's lock-step sees to
+//! it).
 //!
-//! ## Accounting
+//! ## The watchdog
 //!
-//! Every transmitted frame — socket or proc-local — charges exactly
-//! [`Frame::encoded_len`], the same rule the channel runtime uses, so
-//! `wire_bytes` is bit-identical across substrates and process counts.
-//! The envelope's 4-byte `dst` word is transport overhead, not
-//! model traffic, and is excluded (see [`crate::wire`]).
+//! This link is the only code in `ftc-net` and `ftc-mesh` that reads a
+//! clock. A healthy run moves bytes on almost every pump; when no byte has
+//! moved in either direction for `recv_timeout`, the pump fails with
+//! `TimedOut`, naming the proc, the bytes still staged and the peer procs
+//! they are stuck on, and the loop attributes it to the node it was
+//! waiting on.
 
 use std::io;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread;
 use std::time::{Duration, Instant};
 
-use ftc_net::core::{Command, CoordinatorCore, RoundCore, Submission};
-use ftc_net::fault::{ChunkedWriter, FrameDedup, WireFaultPlan};
-use ftc_net::sync::{NetMetrics, NetRunResult, RunOpts};
+use ftc_net::fault::ChunkedWriter;
+use ftc_net::frame::Frame;
+use ftc_net::sync::{run_over_links, Link, NetRunResult, RunOpts};
 use ftc_sim::adversary::Adversary;
-use ftc_sim::engine::{RunResult, SimConfig};
+use ftc_sim::engine::SimConfig;
 use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
 use ftc_sim::protocol::Protocol;
@@ -85,8 +84,22 @@ fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
     fabric::build_where(procs, |p, q| crossed[p * procs + q])
 }
 
-/// How long one readiness wait lasts before the proc re-checks its write
-/// buffers and the timeout clock. Short enough to keep flush retries
+/// Opens the fabric for `cfg` ([`build_links`]) and wraps each proc's half
+/// in its [`SocketLink`], ready for [`run_over_links`].
+pub(crate) fn socket_links(
+    cfg: &SimConfig,
+    procs: usize,
+    recv_timeout: Duration,
+) -> io::Result<Vec<SocketLink>> {
+    build_links(cfg, procs)?
+        .into_iter()
+        .enumerate()
+        .map(|(index, links)| SocketLink::new(index, links, recv_timeout))
+        .collect()
+}
+
+/// How long one readiness wait lasts before the pump returns to re-check
+/// its write buffers and the watchdog. Short enough to keep flush retries
 /// snappy under backpressure, long enough not to spin.
 const POLL_SLICE: Duration = Duration::from_millis(1);
 
@@ -99,7 +112,8 @@ const POLL_SLICE: Duration = Duration::from_millis(1);
 ///
 /// Fails if the socket fabric cannot be built; panics on invalid
 /// configurations or mid-run transport failures, like
-/// [`ftc_net::sync::run_over`].
+/// [`ftc_net::sync::run_over`]. `Substrate::Mesh(procs).run(..)` is the
+/// same run under explicit [`RunOpts`] with every failure an `Err`.
 pub fn run_over_mesh<P, F, A>(
     cfg: &SimConfig,
     procs: usize,
@@ -112,507 +126,205 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    let links = build_links(cfg, procs)?;
     let opts = RunOpts::default();
-    Ok(run_over_mesh_wired(cfg, links, factory, adversary, &opts)
+    let links = socket_links(cfg, procs, opts.recv_timeout)?;
+    Ok(run_over_links(cfg, links, factory, adversary, &opts)
         .unwrap_or_else(|err| panic!("cluster run wedged: {err}")))
 }
 
-/// Like [`run_over_mesh`], but under explicit [`RunOpts`], and every
-/// failure is an `Err`: the fabric not coming up, or a wedged run (a proc
-/// making no progress for `recv_timeout`, an adjudication error) named by
-/// node, round and frame counts.
-///
-/// Under a [`RunOpts::wire`] plan the socket layer is perturbed on top of
-/// what the channel runtime does: coalesced writes are torn into the
-/// scheduled fragment sizes. Every v1 wire fault is delivery-preserving,
-/// so the result — including `wire_bytes` and `frames_sent` — stays
-/// bit-identical to the faultless run.
-pub fn run_over_mesh_with<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    opts: &RunOpts,
-) -> Result<NetRunResult<P>, String>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let links = build_links(cfg, procs).map_err(|e| format!("mesh fabric: {e}"))?;
-    run_over_mesh_wired(cfg, links, factory, adversary, opts)
-}
-
-/// The shared driver over an already-built fabric (one [`ProcLinks`] per
-/// proc). The wire plan is applied at the adapter boundary (never inside
-/// the cores); `None` is the exact pre-fault code path.
-fn run_over_mesh_wired<P, F, A>(
-    cfg: &SimConfig,
-    links: Vec<ProcLinks>,
-    mut factory: F,
-    adversary: &mut A,
-    opts: &RunOpts,
-) -> Result<NetRunResult<P>, String>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
-    let nn = cfg.n as usize;
-    let procs = links.len();
-    let RunOpts {
-        recv_timeout,
-        height,
-        wire,
-    } = *opts;
-
-    let mut coord = CoordinatorCore::<P::Msg>::new(cfg, height, adversary);
-
-    // Nodes in id order through the factory (same call order as every
-    // other runtime), then partitioned by residue.
-    let mut pools: Vec<Vec<RoundCore<P>>> = (0..procs).map(|_| Vec::new()).collect();
-    for i in 0..nn {
-        let id = NodeId(i as u32);
-        pools[i % procs].push(RoundCore::new(cfg, id, factory(id), height));
-    }
-    let proc_nodes: Vec<Vec<NodeId>> = pools
-        .iter()
-        .map(|pool| pool.iter().map(|c| c.id()).collect())
-        .collect();
-
-    let (submit_tx, submit_rx) = channel::<Submission<P::Msg>>();
-    let (report_tx, report_rx) = channel::<ProcReport<P>>();
-    let mut batch_txs: Vec<Sender<Vec<(NodeId, Command)>>> = Vec::with_capacity(procs);
-
-    let mut states: Vec<Option<P>> = (0..nn).map(|_| None).collect();
-    let mut net = NetMetrics::default();
-    let mut failure: Option<String> = None;
-
-    thread::scope(|scope| {
-        let mut link_iter = links.into_iter();
-        for (index, pool) in pools.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            batch_txs.push(tx);
-            let proc = Proc {
-                index,
-                procs,
-                nodes: pool,
-                links: link_iter.next().expect("one link set per proc"),
-                batches: rx,
-                recv_timeout,
-            };
-            let submit_tx = submit_tx.clone();
-            let report_tx = report_tx.clone();
-            scope.spawn(move || proc_loop(proc, submit_tx, report_tx, wire));
-        }
-        drop(submit_tx);
-        drop(report_tx);
-
-        'rounds: loop {
-            let expected = coord.alive().len();
-            let mut submissions = Vec::with_capacity(expected);
-            for _ in 0..expected {
-                let sub = submit_rx.recv().expect("a proc died mid-round");
-                if sub.failed.is_some() {
-                    failure = sub.failed;
-                    break 'rounds;
-                }
-                submissions.push(sub);
-            }
-            let plan = match coord.adjudicate(submissions, adversary) {
-                Ok(plan) => plan,
-                Err(err) => {
-                    failure = Some(err);
-                    break 'rounds;
-                }
-            };
-            let mut batches: Vec<Vec<(NodeId, Command)>> = (0..procs).map(|_| Vec::new()).collect();
-            for (u, command) in plan.commands {
-                batches[u.index() % procs].push((u, command));
-            }
-            for (p, batch) in batches.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    batch_txs[p].send(batch).expect("a proc died mid-round");
-                }
-            }
-            if plan.stop {
-                break;
-            }
-        }
-
-        if failure.is_some() {
-            // Unwedge the lock-step: stop every proc's surviving nodes so
-            // the threads drain and join (the failed proc's batch receiver
-            // may already be gone — ignore send errors).
-            for (p, tx) in batch_txs.iter().enumerate() {
-                let batch = proc_nodes[p]
-                    .iter()
-                    .map(|&u| (u, Command::stop()))
-                    .collect();
-                let _ = tx.send(batch);
-            }
-        }
-
-        while let Ok(report) = report_rx.recv() {
-            net.wire_bytes += report.wire_bytes;
-            net.frames_sent += report.frames_sent;
-            for (id, state) in report.states {
-                states[id.index()] = Some(state);
-            }
-        }
-    });
-
-    if let Some(err) = failure {
-        return Err(err);
-    }
-
-    let out = coord.finish(net.wire_bytes);
-    Ok(NetRunResult {
-        run: RunResult {
-            metrics: out.metrics,
-            states: states
-                .into_iter()
-                .map(|s| s.expect("proc returned no state for a node"))
-                .collect(),
-            crashed_at: out.crashed_at,
-            faulty: out.faulty,
-            trace: out.trace,
-            congest_violations: out.congest_violations,
-        },
-        net,
-    })
-}
-
-/// What one proc hands back when all its nodes are done.
-struct ProcReport<P> {
-    wire_bytes: u64,
-    frames_sent: u64,
-    states: Vec<(NodeId, P)>,
-}
-
-/// One proc: its nodes' state machines plus its half of the fabric.
-struct Proc<P: Protocol> {
+/// One proc's half of the fabric as a [`Link`]: its socket to every peer
+/// proc with the per-peer write buffer and decoder, the readiness poller
+/// they are registered with, and the no-progress watchdog.
+pub(crate) struct SocketLink {
     index: usize,
-    procs: usize,
-    nodes: Vec<RoundCore<P>>,
     links: ProcLinks,
-    batches: Receiver<Vec<(NodeId, Command)>>,
+    out: Vec<WriteBuf>,
+    dec: Vec<EnvelopeDecoder>,
+    poll: mio::Poll,
+    events: mio::Events,
+    read_buf: Vec<u8>,
+    /// This round's cap on every write syscall (a scheduled tear).
+    tear: Option<usize>,
     recv_timeout: Duration,
+    /// When the current run of pumps that moved no byte began.
+    idle_since: Option<Instant>,
 }
 
-impl<P> Proc<P>
-where
-    P: Protocol,
-    P::Msg: Wire,
-{
-    /// Local pool slot of a node on this proc (`id ≡ index (mod procs)`).
-    fn slot(&self, id: NodeId) -> usize {
-        debug_assert_eq!(id.index() % self.procs, self.index);
-        id.index() / self.procs
-    }
+/// `e` with the proc it happened on and what that proc was doing
+/// prepended; the kind is kept.
+fn annotate(index: usize, doing: std::fmt::Arguments, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("mesh proc {index} {doing}: {e}"))
 }
 
-/// Drives one proc until every owned node has crashed or stopped.
-fn proc_loop<P>(
-    mut proc: Proc<P>,
-    submit_tx: Sender<Submission<P::Msg>>,
-    report_tx: Sender<ProcReport<P>>,
-    wire: Option<&WireFaultPlan>,
-) where
-    P: Protocol,
-    P::Msg: Wire,
-{
-    let mut wire_bytes = 0u64;
-    let mut frames_sent = 0u64;
-    // Receive-edge dedup, one set per owned node slot, engaged only under
-    // a wire plan (the faultless path stays byte-for-byte untouched).
-    let mut dedups: Vec<FrameDedup> = if wire.is_some() {
-        proc.nodes.iter().map(|_| FrameDedup::new()).collect()
-    } else {
-        Vec::new()
-    };
-
-    // The readiness loop: every peer socket registered once, token =
-    // peer proc index.
-    let mut poll = mio::Poll::new().expect("poll");
-    for (peer, link) in proc.links.iter().enumerate() {
-        if let Some(stream) = link {
-            poll.registry()
-                .register(stream, mio::Token(peer), mio::Interest::READABLE)
-                .expect("register");
+impl SocketLink {
+    /// Registers every peer socket once, token = peer proc index.
+    fn new(index: usize, links: ProcLinks, recv_timeout: Duration) -> io::Result<Self> {
+        let procs = links.len();
+        let poll = mio::Poll::new().map_err(|e| annotate(index, format_args!("poller"), e))?;
+        for (peer, link) in links.iter().enumerate() {
+            if let Some(stream) = link {
+                poll.registry()
+                    .register(stream, mio::Token(peer), mio::Interest::READABLE)
+                    .map_err(|e| annotate(index, format_args!("register proc {peer}"), e))?;
+            }
         }
-    }
-    let mut events = mio::Events::with_capacity(proc.procs.max(4));
-    let mut out: Vec<WriteBuf> = (0..proc.procs).map(|_| WriteBuf::new()).collect();
-    let mut dec: Vec<EnvelopeDecoder> = (0..proc.procs).map(|_| EnvelopeDecoder::new()).collect();
-    let mut read_buf = vec![0u8; 64 * 1024];
-
-    // Reports a failure through the submission channel (where the
-    // coordinator blocks next round) and abandons the proc.
-    macro_rules! fail {
-        ($node:expr, $msg:expr) => {{
-            let _ = submit_tx.send(Submission::failure($node, $msg));
-            return;
-        }};
+        Ok(SocketLink {
+            index,
+            links,
+            out: (0..procs).map(|_| WriteBuf::new()).collect(),
+            dec: (0..procs).map(|_| EnvelopeDecoder::new()).collect(),
+            poll,
+            events: mio::Events::with_capacity(procs.max(4)),
+            read_buf: vec![0u8; 64 * 1024],
+            tear: None,
+            recv_timeout,
+            idle_since: None,
+        })
     }
 
-    loop {
-        // Phase 1: activate and submit.
-        let mut any_active = false;
-        for node in proc.nodes.iter_mut().filter(|n| n.is_active()) {
-            any_active = true;
-            submit_tx.send(node.activate()).expect("coordinator gone");
+    /// Writes whatever the kernel will take; `WouldBlock` is backpressure
+    /// and handled by the drain that follows. A scheduled tear caps every
+    /// write syscall, so the peer reads the round's envelopes in
+    /// worst-case fragments; the buffer is still drained in full (delivery
+    /// is preserved, only the fragmentation changes).
+    fn flush(&mut self) -> io::Result<bool> {
+        let mut progressed = false;
+        for (peer, wb) in self.out.iter_mut().enumerate() {
+            if wb.is_empty() {
+                continue;
+            }
+            let stream = self.links[peer].as_mut().expect("staged only on a link");
+            let flushed = match self.tear {
+                Some(chunk) => wb.flush_into(&mut ChunkedWriter::new(stream, chunk)),
+                None => wb.flush_into(stream),
+            };
+            progressed |= flushed
+                .map_err(|e| annotate(self.index, format_args!("write to proc {peer}"), e))?;
         }
-        if !any_active {
-            break;
-        }
+        Ok(progressed)
+    }
 
-        // Phase 2: apply the coordinator's batch; stage frames. Under a
-        // wire plan, each node's burst is perturbed between core and
-        // fabric: reorder/duplicate/delay per the schedule, with the
-        // appended duplicate suffix transmitted but *not* charged, so
-        // model accounting stays identical to a faultless wire.
-        let batch = proc.batches.recv().expect("coordinator gone");
-        let mut tear: Option<usize> = None;
-        for (id, command) in batch {
-            let slot = proc.slot(id);
-            if !proc.nodes[slot].is_active() {
-                continue; // unwedge stop for an already-finished node
-            }
-            let mut burst = proc.nodes[slot].apply(command);
-            let mut charged = burst.len();
-            if let Some(plan) = wire {
-                if let Some(round) = burst.first().map(|(_, f)| f.round) {
-                    if let Some(pause) = plan.delay(id, round) {
-                        thread::sleep(pause);
+    /// Drains the sockets the last poll reported into their decoders, and
+    /// every complete envelope into `inbound`, addressed by the slot of its
+    /// destination node on this proc (`dst ≡ index (mod procs)`).
+    fn drain(&mut self, inbound: &mut Vec<(usize, Frame)>) -> io::Result<bool> {
+        let (index, procs) = (self.index, self.links.len());
+        let mut progressed = false;
+        for event in &self.events {
+            let peer = event.token().0;
+            let stream = self.links[peer].as_mut().expect("registered link");
+            // One burst per event is enough; the next poll re-reports the
+            // socket if more is queued.
+            loop {
+                match io::Read::read(stream, &mut self.read_buf) {
+                    Ok(0) => {} // peer closed; its frames are all in
+                    Ok(k) => {
+                        self.dec[peer].extend(&self.read_buf[..k]);
+                        progressed = true;
                     }
-                    if let Some(chunk) = plan.tear_chunk(id, round) {
-                        tear = Some(tear.map_or(chunk, |t| t.min(chunk)));
-                    }
-                    let dups = plan.perturb_batch(id, round, &mut burst);
-                    charged = burst.len() - dups;
-                }
-            }
-            for (k, (dst, frame)) in burst.into_iter().enumerate() {
-                if k < charged {
-                    // Model accounting is per frame, local or remote —
-                    // identical to the channel rule, hence
-                    // procs-invariant.
-                    wire_bytes += frame.encoded_len();
-                    frames_sent += 1;
-                }
-                let peer = dst.index() % proc.procs;
-                if peer == proc.index {
-                    let dst_slot = proc.slot(dst);
-                    if let Some(dedup) = dedups.get_mut(dst_slot) {
-                        if !dedup.admit(&frame) {
-                            continue;
-                        }
-                    }
-                    if let Err(err) = proc.nodes[dst_slot].feed(frame) {
-                        fail!(dst, err);
-                    }
-                } else {
-                    out[peer].stage(dst, &frame);
-                }
-            }
-        }
-
-        // Phase 3: flush + collect under the readiness loop.
-        let mut last_progress = Instant::now();
-        loop {
-            // Flush whatever the kernel will take; WouldBlock is
-            // backpressure and handled by draining reads below.
-            let mut progressed = false;
-            for (peer, wb) in out.iter_mut().enumerate() {
-                if wb.is_empty() {
-                    continue;
-                }
-                let stream = proc.links[peer].as_mut().expect("link to peer");
-                // A scheduled tear caps every write syscall, so the peer
-                // reads the round's envelopes in worst-case fragments;
-                // the loop still drains the full buffer (delivery is
-                // preserved, only the fragmentation changes).
-                let flushed = match tear {
-                    Some(chunk) => {
-                        let mut torn = ChunkedWriter::new(stream, chunk);
-                        wb.flush_into(&mut torn)
-                    }
-                    None => wb.flush_into(stream),
-                };
-                match flushed {
-                    Ok(p) => progressed |= p,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        let node = proc
-                            .nodes
-                            .iter()
-                            .map(RoundCore::id)
-                            .next()
-                            .unwrap_or(NodeId(0));
-                        fail!(
-                            node,
-                            format!("mesh proc {} write to proc {peer}: {e}", proc.index)
-                        );
+                        return Err(annotate(index, format_args!("read from proc {peer}"), e))
                     }
                 }
-            }
-
-            let all_sent = out.iter().all(WriteBuf::is_empty);
-            let all_ready = proc
-                .nodes
-                .iter()
-                .filter(|n| n.is_active())
-                .all(RoundCore::ready);
-            if all_sent && all_ready {
                 break;
             }
-
-            // Drain readable sockets into the decoders, envelopes into
-            // the destination cores.
-            poll.poll(&mut events, Some(POLL_SLICE)).expect("poll");
-            for event in &events {
-                let peer = event.token().0;
-                let stream = proc.links[peer].as_mut().expect("link to peer");
-                loop {
-                    match io::Read::read(stream, &mut read_buf) {
-                        Ok(0) => break, // peer closed; its frames are all in
-                        Ok(k) => {
-                            dec[peer].extend(&read_buf[..k]);
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            let node = proc
-                                .nodes
-                                .iter()
-                                .map(RoundCore::id)
-                                .next()
-                                .unwrap_or(NodeId(0));
-                            fail!(
-                                node,
-                                format!("mesh proc {} read from proc {peer}: {e}", proc.index)
-                            );
-                        }
-                    }
-                    // One burst per event is enough; the next poll
-                    // re-reports the socket if more is queued.
-                    break;
+            while let Some((dst, frame)) = self.dec[peer]
+                .next()
+                .map_err(|e| annotate(index, format_args!("envelope from proc {peer}"), e))?
+            {
+                if dst.index() % procs != index {
+                    let owner = dst.index() % procs;
+                    let msg = format!(
+                        "mesh proc {index} got an envelope from proc {peer} for node {dst}, \
+                         which lives on proc {owner}"
+                    );
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
                 }
-                loop {
-                    match dec[peer].next() {
-                        Ok(Some((dst, frame))) => {
-                            if dst.index() % proc.procs != proc.index {
-                                let node = proc
-                                    .nodes
-                                    .iter()
-                                    .map(RoundCore::id)
-                                    .next()
-                                    .unwrap_or(NodeId(0));
-                                fail!(
-                                    node,
-                                    format!(
-                                        "mesh proc {} got an envelope for node {dst} owned by proc {}",
-                                        proc.index,
-                                        dst.index() % proc.procs
-                                    )
-                                );
-                            }
-                            let slot = proc.slot(dst);
-                            if let Some(dedup) = dedups.get_mut(slot) {
-                                if !dedup.admit(&frame) {
-                                    continue;
-                                }
-                            }
-                            if let Err(err) = proc.nodes[slot].feed(frame) {
-                                fail!(dst, err);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            let node = proc
-                                .nodes
-                                .iter()
-                                .map(RoundCore::id)
-                                .next()
-                                .unwrap_or(NodeId(0));
-                            fail!(
-                                node,
-                                format!("mesh proc {} envelope from proc {peer}: {e}", proc.index)
-                            );
-                        }
-                    }
-                }
-            }
-
-            if progressed {
-                last_progress = Instant::now();
-            } else if last_progress.elapsed() >= proc.recv_timeout {
-                let stalled = proc.nodes.iter().find(|n| n.is_active() && !n.ready());
-                match stalled {
-                    Some(node) => fail!(
-                        node.id(),
-                        format!(
-                            "node {} timed out collecting round {}: got {} of {} frames \
-                             (mesh proc {} waited {:?})",
-                            node.id(),
-                            node.round(),
-                            node.received(),
-                            node.expect(),
-                            proc.index,
-                            proc.recv_timeout
-                        )
-                    ),
-                    None => {
-                        let node = proc
-                            .nodes
-                            .iter()
-                            .map(RoundCore::id)
-                            .next()
-                            .unwrap_or(NodeId(0));
-                        fail!(
-                            node,
-                            format!(
-                                "mesh proc {} timed out flushing {} staged bytes after {:?}",
-                                proc.index,
-                                out.iter().map(|w| !w.is_empty() as usize).sum::<usize>(),
-                                proc.recv_timeout
-                            )
-                        )
-                    }
-                }
+                inbound.push((dst.index() / procs, frame));
             }
         }
-
-        // Phase 4: close the round on every active core.
-        for node in proc.nodes.iter_mut().filter(|n| n.is_active()) {
-            if let Err(err) = node.end_round() {
-                let id = node.id();
-                fail!(id, err);
-            }
-        }
+        Ok(progressed)
     }
 
-    let _ = report_tx.send(ProcReport {
-        wire_bytes,
-        frames_sent,
-        states: proc
-            .nodes
-            .into_iter()
-            .map(|n| (n.id(), n.into_state()))
-            .collect(),
-    });
+    /// The watchdog's verdict: nothing moved for `recv_timeout`.
+    fn stalled(&self) -> io::Error {
+        let staged: usize = self.out.iter().map(WriteBuf::pending_bytes).sum();
+        let peers: Vec<usize> = (0..self.out.len())
+            .filter(|&peer| !self.out[peer].is_empty())
+            .collect();
+        let (index, timeout) = (self.index, self.recv_timeout);
+        let msg = if staged == 0 {
+            format!("mesh proc {index} waited {timeout:?}")
+        } else {
+            format!(
+                "mesh proc {index} timed out flushing {staged} staged bytes \
+                 to procs {peers:?} after {timeout:?}"
+            )
+        };
+        io::Error::new(io::ErrorKind::TimedOut, msg)
+    }
+}
+
+impl Link for SocketLink {
+    fn send(&mut self, _slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>> {
+        let peer = dst.index() % self.links.len();
+        if peer == self.index {
+            return Ok(Some(frame));
+        }
+        if self.links[peer].is_none() {
+            // The gated fabric opened no socket here: the coordinator
+            // routed a frame along an edge the topology does not have.
+            let msg = format!(
+                "mesh proc {} has no socket to proc {peer} (frame for node {dst})",
+                self.index
+            );
+            return Err(io::Error::new(io::ErrorKind::NotConnected, msg));
+        }
+        self.out[peer].stage(dst, &frame);
+        Ok(None)
+    }
+
+    /// Sockets are shared per proc pair and outlive any one node: a crash
+    /// is fully enacted by the filtered burst (D13).
+    fn teardown(&mut self, _slot: usize) {}
+
+    fn tear(&mut self, chunk: Option<usize>) {
+        self.tear = chunk;
+    }
+
+    fn pump(
+        &mut self,
+        waiting: Option<usize>,
+        inbound: &mut Vec<(usize, Frame)>,
+    ) -> io::Result<bool> {
+        let mut progressed = self.flush()?;
+        let staged = !self.out.iter().all(WriteBuf::is_empty);
+        if waiting.is_none() && !staged {
+            // The collect phase is over; the next one starts a fresh count.
+            self.idle_since = None;
+            return Ok(false);
+        }
+        self.poll
+            .poll(&mut self.events, Some(POLL_SLICE))
+            .map_err(|e| annotate(self.index, format_args!("poll"), e))?;
+        progressed |= self.drain(inbound)?;
+        if progressed {
+            self.idle_since = None;
+        } else if self.idle_since.get_or_insert_with(Instant::now).elapsed() >= self.recv_timeout {
+            return Err(self.stalled());
+        }
+        Ok(staged)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::Substrate;
     use ftc_sim::adversary::{DeliveryFilter, EagerCrash, FaultPlan, NoFaults, ScriptedCrash};
-    use ftc_sim::engine::run;
+    use ftc_sim::engine::{run, RunResult};
     use ftc_sim::protocol::{Ctx, Incoming};
 
     struct Chatter {
@@ -770,7 +482,9 @@ mod tests {
                 ..RunOpts::default()
             };
             let mut adv = ScriptedCrash::new(plan.clone());
-            let net = run_over_mesh_with(&cfg, procs, chatter, &mut adv, &opts).unwrap();
+            let net = Substrate::Mesh(procs)
+                .run(&cfg, chatter, &mut adv, &opts)
+                .unwrap();
             assert_matches_engine(&net, &sim);
             assert_eq!(net.net.wire_bytes, clean.net.wire_bytes);
             assert_eq!(net.net.frames_sent, clean.net.frames_sent);
@@ -788,55 +502,131 @@ mod tests {
                 ..RunOpts::default()
             };
             let mut adv = ScriptedCrash::new(plan.clone());
-            let net = run_over_mesh_with(&cfg, 3, chatter, &mut adv, &opts).unwrap();
+            let net = Substrate::Mesh(3)
+                .run(&cfg, chatter, &mut adv, &opts)
+                .unwrap();
             assert_matches_engine(&net, &sim);
         }
     }
 
+    /// A link that loses the first frame sent towards `victim` — the one
+    /// thing no real link may do, so the victim starves.
+    struct Lossy<L> {
+        inner: L,
+        victim: Option<NodeId>,
+    }
+
+    impl<L: Link> Link for Lossy<L> {
+        fn send(&mut self, slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>> {
+            if self.victim == Some(dst) {
+                self.victim = None;
+                return Ok(None);
+            }
+            self.inner.send(slot, dst, frame)
+        }
+
+        fn teardown(&mut self, slot: usize) {
+            self.inner.teardown(slot);
+        }
+
+        fn tear(&mut self, chunk: Option<usize>) {
+            self.inner.tear(chunk);
+        }
+
+        fn pump(
+            &mut self,
+            waiting: Option<usize>,
+            inbound: &mut Vec<(usize, Frame)>,
+        ) -> io::Result<bool> {
+            self.inner.pump(waiting, inbound)
+        }
+    }
+
     #[test]
-    fn recv_timeout_reports_the_stalled_node_instead_of_deadlocking() {
-        // The watchdog is no-progress-based, so a healthy run never trips
-        // it; starve one proc loop directly: promise its node a frame
-        // (expect = 1) that no peer ever sends.
-        let cfg = SimConfig::new(2).seed(1).max_rounds(4);
-        let links = fabric::build(2).expect("fabric");
-        let mut link_iter = links.into_iter();
-        let my_links = link_iter.next().unwrap();
-        let _peer_links = link_iter.next().unwrap(); // held open: no EOF
-        let proc = Proc {
-            index: 0,
-            procs: 2,
-            nodes: vec![RoundCore::new(&cfg, NodeId(0), chatter(NodeId(0)), 0)],
-            links: my_links,
-            batches: {
-                let (tx, rx) = channel();
-                tx.send(vec![(
-                    NodeId(0),
-                    Command {
-                        frames: Vec::new(),
-                        expect: 1,
-                        crashed: false,
-                        stop: false,
-                    },
-                )])
-                .unwrap();
-                std::mem::forget(tx);
-                rx
-            },
-            recv_timeout: Duration::from_millis(50),
+    fn a_starved_node_wedges_the_run_with_the_same_report_on_both_links() {
+        // Neither timeout trips on a healthy run (per-recv on endpoints,
+        // no-progress on sockets), so starve a node for real: two nodes,
+        // one per worker, and node 0's round-0 frame to node 1 is lost.
+        // Node 1 was promised one frame and gets none; whichever link
+        // carries the run, the one loop must abort it — not deadlock the
+        // coordinator — naming the node, the round and how far it got.
+        fn starve<L: Link>(links: Vec<L>) -> String {
+            let cfg = SimConfig::new(2).seed(1).max_rounds(4);
+            let mut victim = Some(NodeId(1));
+            let lossy = links.into_iter().map(|inner| Lossy {
+                inner,
+                victim: victim.take(),
+            });
+            run_over_links(
+                &cfg,
+                lossy.collect(),
+                chatter,
+                &mut NoFaults,
+                &RunOpts::default(),
+            )
+            .err()
+            .expect("a starved node must wedge the run")
+        }
+        let cfg = SimConfig::new(2);
+        let timeout = Duration::from_millis(50);
+        let endpoints = ftc_net::channel::mesh_with_timeout(cfg.n, timeout);
+        let table = [
+            (
+                "endpoint",
+                starve(endpoints.into_iter().map(|e| vec![e]).collect()),
+            ),
+            (
+                "socket",
+                starve(socket_links(&cfg, 2, timeout).expect("fabric")),
+            ),
+        ];
+        for (link, err) in table {
+            assert!(
+                err.starts_with("node n1 timed out collecting round 0: got 0 of 1 frames ("),
+                "{link} link: {err}"
+            );
+            assert!(err.contains("waited 50ms"), "{link} link: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flush_stall_reports_the_staged_bytes_and_the_procs_they_are_stuck_on() {
+        // Stage 16 MiB — far more than a localhost socket buffers —
+        // towards a peer proc that is held open but never reads. With
+        // nothing to collect, the link can only flush; once the kernel
+        // stops taking bytes the watchdog must say how many are left and
+        // where they were going.
+        let cfg = SimConfig::new(2);
+        let mut links = socket_links(&cfg, 2, Duration::from_millis(50)).expect("fabric");
+        let _silent_peer = links.pop().unwrap();
+        let mut link = links.pop().unwrap();
+        let mut total = 0;
+        for seq in 0..256 {
+            let frame = Frame {
+                height: 0,
+                round: 0,
+                src: NodeId(0),
+                seq,
+                payload: vec![0xAB; 64 * 1024],
+            };
+            total += crate::wire::ENVELOPE_PREFIX + frame.encoded_len() as usize;
+            assert!(link.send(0, NodeId(1), frame).unwrap().is_none());
+        }
+        let mut inbound = Vec::new();
+        let err = loop {
+            match link.pump(None, &mut inbound) {
+                Ok(true) => continue,
+                Ok(false) => panic!("flushed {total} bytes into a socket nobody reads"),
+                Err(e) => break e,
+            }
         };
-        let (submit_tx, submit_rx) = channel();
-        let (report_tx, _report_rx) = channel();
-        let handle = thread::spawn(move || proc_loop(proc, submit_tx, report_tx, None));
-        let activation = submit_rx.recv().expect("activation submission");
-        assert!(activation.failed.is_none());
-        let failure = submit_rx.recv().expect("watchdog submission");
-        let msg = failure.failed.expect("the starved proc must fail");
-        assert!(
-            msg.contains("node n0 timed out collecting round 0: got 0 of 1 frames"),
-            "unexpected diagnostic: {msg}"
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let left = link.out[1].pending_bytes();
+        assert!(0 < left && left < total, "{left} of {total} bytes left");
+        assert_eq!(
+            err.to_string(),
+            format!("mesh proc 0 timed out flushing {left} staged bytes to procs [1] after 50ms")
         );
-        handle.join().unwrap();
     }
 
     #[test]

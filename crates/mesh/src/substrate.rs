@@ -6,14 +6,15 @@
 //! `ftc-serve`, `ftc-lab`, `ftc-chaos`, the `ftc` CLI — goes through it,
 //! so a hook that must see every run threads through one call site.
 
-use ftc_net::sync::{run_over_channel_with, NetMetrics, NetRunResult, RunOpts};
+use ftc_net::channel;
+use ftc_net::sync::{run_over_links, NetMetrics, NetRunResult, RunOpts};
 use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{run_sharded, SimConfig};
 use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
 use ftc_sim::protocol::Protocol;
 
-use crate::runtime::run_over_mesh_with;
+use crate::runtime::socket_links;
 
 /// Worker / proc count a bare `channel` or `mesh` label parses to.
 const DEFAULT_WIDTH: usize = 4;
@@ -112,10 +113,23 @@ impl Substrate {
                 run: run_sharded(cfg, factory, adversary, self.intra_jobs()),
                 net: NetMetrics::default(),
             }),
+            // Both network substrates are the one driver
+            // (`run_over_links`) over their link, one per worker, node `u`
+            // on worker `u mod workers`; `recv_timeout` is the link's.
             Substrate::Channel(workers) => {
-                run_over_channel_with(cfg, workers, factory, adversary, opts)
+                let workers = workers.clamp(1, cfg.n as usize);
+                let mut links: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+                let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
+                for (u, endpoint) in endpoints.into_iter().enumerate() {
+                    links[u % workers].push(endpoint);
+                }
+                run_over_links(cfg, links, factory, adversary, opts)
             }
-            Substrate::Mesh(procs) => run_over_mesh_with(cfg, procs, factory, adversary, opts),
+            Substrate::Mesh(procs) => {
+                let links = socket_links(cfg, procs, opts.recv_timeout)
+                    .map_err(|e| format!("mesh fabric: {e}"))?;
+                run_over_links(cfg, links, factory, adversary, opts)
+            }
         }
     }
 }

@@ -123,6 +123,11 @@ impl WriteBuf {
         self.pos >= self.buf.len()
     }
 
+    /// Bytes staged but not yet accepted by the socket.
+    pub(crate) fn pending_bytes(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Writes as much staged data as the socket accepts right now.
     ///
     /// Returns whether any bytes moved. `WouldBlock` is backpressure, not

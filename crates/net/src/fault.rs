@@ -6,10 +6,11 @@
 //! duplicated by retransmission layers, are torn into arbitrary
 //! read-sized fragments, or are simply late. This module scripts exactly
 //! those behaviours as a seeded, deterministic [`WireFaultPlan`] that the
-//! transport *adapters* (the channel synchronizer and the `ftc-mesh`
-//! runtime) apply between the sans-I/O cores and the sockets. The cores
-//! themselves are never touched — injection is an adapter concern, the
-//! same boundary that keeps all runtimes bit-identical.
+//! one round driver ([`crate::sync`]) applies between the sans-I/O cores
+//! and whichever link carries the run (tears are enacted by the socket
+//! link's writes). The cores themselves are never touched — injection is
+//! a driver concern, the same boundary that keeps all runtimes
+//! bit-identical.
 //!
 //! Every fault kind in this v1 plan is **delivery-preserving**: each
 //! original frame still reaches its destination exactly once, in time for

@@ -9,16 +9,25 @@
 //! enacted as partial delivery plus endpoint teardown, and per-run byte
 //! accounting (`wire_bytes`) reported next to the model metrics.
 //!
-//! One transport ships here, [`channel`] — an in-process `mpsc` mesh:
-//! dependency-free, fast, scales to thousands of nodes; the workhorse for
-//! equivalence tests. Real sockets are `ftc-mesh`'s job (one socket per
-//! *process* pair, so one per edge at one node per process), built on the
-//! same sans-I/O [`core`]; `ftc_mesh::Substrate::run` is the single call
-//! that runs a `(SimConfig, seed)` on the engine, the channels or the
-//! sockets.
+//! **One driver, two links.** The [`sync`] module holds the only round
+//! driver in the workspace — one coordinator function
+//! ([`sync::run_over_links`]) and one worker loop, generic over a small
+//! [`sync::Link`] trait that hides only how a frame moves. Everything a
+//! round *decides* lives in the sans-I/O [`core`]; everything about
+//! *driving* a round (phase order, wire-fault hooks, byte accounting,
+//! dedup, failure reports) lives in that one loop. Two links exist:
 //!
-//! The [`sync`] module contains the round synchronizer that drives any
-//! [`transport::Endpoint`] mesh. Its defining property: a network run is **bit-identical** to
+//! * the per-node [`transport::Endpoint`]s a worker owns — here the
+//!   [`channel`] transport, an in-process `mpsc` mesh: dependency-free,
+//!   fast, scales to thousands of nodes; the workhorse for equivalence
+//!   tests;
+//! * `ftc-mesh`'s socket link (one socket per *process* pair, so one per
+//!   edge at one node per process).
+//!
+//! `ftc_mesh::Substrate::run` is the single call that runs a
+//! `(SimConfig, seed)` on the engine, the channels or the sockets.
+//!
+//! The driver's defining property: a network run is **bit-identical** to
 //! an engine run of the same `(SimConfig, seed)` — same leaders, same
 //! decisions, same message/round counts, same crash schedule — because both
 //! drivers are built on the simulator's shared control plane
@@ -73,7 +82,7 @@ pub mod prelude {
     };
     pub use crate::frame::Frame;
     pub use crate::sync::{
-        run_over, run_over_channel, run_over_channel_with, NetMetrics, NetRunResult, RunOpts,
+        run_over, run_over_channel, run_over_links, Link, NetMetrics, NetRunResult, RunOpts,
     };
     pub use crate::transport::{Endpoint, RECV_TIMEOUT};
 }

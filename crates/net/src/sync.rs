@@ -1,50 +1,52 @@
-//! The round synchronizer: drives [`Protocol`] state machines over a real
-//! transport, reproducing the in-process engine bit for bit.
+//! The round driver: one coordinator and one worker loop that run the
+//! sans-I/O cores of [`crate::core`] over any [`Link`], reproducing the
+//! in-process engine bit for bit.
 //!
-//! ## Architecture
+//! ## One driver, two links
 //!
-//! The model's *data plane* (protocol messages between nodes) moves over
-//! the transport as [`Frame`]s. The *control plane* — the adversary, its
-//! delivery filters, liveness, and all accounting — is inherently global
-//! (the model's adversary sees the whole round's traffic before choosing
-//! crashes), so it runs in one coordinator built on the same
-//! [`ControlCore`] the simulator uses. Per round:
+//! The model's *data plane* (protocol messages between nodes) moves as
+//! [`Frame`]s. The *control plane* — the adversary, its delivery filters,
+//! liveness, and all accounting — is inherently global (the model's
+//! adversary sees the whole round's traffic before choosing crashes), so
+//! it runs in one [`CoordinatorCore`] on the calling thread, built on the
+//! same `ControlCore` the simulator uses. Node `u` lives on worker
+//! `u mod workers` as a [`RoundCore`]; each worker is a thread running the
+//! one loop in this module. Per round:
 //!
-//! 1. **activate** — every alive node runs its protocol against the inbox
-//!    assembled from last round's frames and submits its queued sends to
-//!    the coordinator;
+//! 1. **activate** — every worker runs its alive nodes against the inboxes
+//!    assembled from last round's frames and submits their queued sends;
 //! 2. **adjudicate** — the coordinator routes the sends through the KT0
-//!    port permutations, consults the adversary, applies crash filters and
-//!    closes the round's books ([`ControlCore::finish_round`]);
-//! 3. **transmit** — each node physically sends its surviving messages as
-//!    frames; a node crashed this round sends its filter-surviving frames
-//!    and then tears its endpoint down (mid-round socket teardown — the
-//!    wire form of crash-with-partial-delivery);
-//! 4. **collect** — each surviving node blocks until the frames the
-//!    coordinator told it to expect have arrived, reassembling them into
-//!    next round's inbox in canonical `(src, seq)` order.
+//!    port permutations, consults the adversary, applies crash filters,
+//!    closes the round's books and answers with one command batch per
+//!    worker;
+//! 3. **transmit** — each worker hands its nodes' surviving frames to its
+//!    link; a node crashed this round sends its filter-surviving frames
+//!    and is then torn down (the wire form of crash-with-partial-delivery);
+//! 4. **collect** — each worker pumps its link until every owned node has
+//!    the frames the coordinator told it to expect, then closes the round
+//!    on every core (next round's inbox, in canonical `(src, seq)` order).
 //!
-//! Nodes are multiplexed onto a worker pool. Because every decision is
-//! centralized and submissions are keyed by node id, results are
-//! independent of the worker count — `workers = 1` and `workers = 4`
-//! produce identical executions (asserted by `tests/net_equivalence.rs`).
-//!
-//! All round *logic* lives in the sans-I/O [`crate::core`] module
-//! ([`RoundCore`] per node, [`CoordinatorCore`] for the control plane);
-//! this module is the threads-and-channels adapter that moves the cores'
-//! data over an [`Endpoint`] mesh. The multiplexed socket runtime
-//! (`ftc-mesh`) is the second adapter over the same cores, and its
-//! `Substrate::run` is the one call that picks between the engine, this
-//! adapter and the sockets.
+//! Everything about a round that is not "how a frame moves" is written
+//! here once: the phase order, the [`WireFaultPlan`] hooks, the
+//! [`Frame::encoded_len`] accounting, receive-edge dedup and the failure
+//! reports. How a frame moves is the [`Link`]: the per-node [`Endpoint`]s
+//! a worker owns (in-process channels, or whatever a caller of
+//! [`run_over`] wraps around them), or `ftc-mesh`'s socket link (one
+//! socket per worker pair, readiness loop, no-progress watchdog). Because
+//! every decision is centralized and submissions are keyed by node id,
+//! results are independent of the worker count and of the link
+//! (`tests/net_equivalence.rs`).
 //!
 //! ## Why this cannot deadlock
 //!
-//! Within a round, every worker transmits *all* its nodes' frames before
-//! collecting for *any* of them, transmits never block (channel sends are
-//! unbounded), and the coordinator's phase barriers order activation
-//! before adjudication before transmission. Every frame a node
-//! waits for has therefore already been sent, or will be sent by a worker
-//! that is still transmitting and never blocks first.
+//! Within a round, every worker transmits for *all* its nodes before it
+//! collects for *any* of them, [`Link::send`] never blocks (channel sends
+//! are unbounded; the socket link only stages), and the coordinator's
+//! phase barriers order activation before adjudication before
+//! transmission. Every frame a node waits for has therefore already been
+//! handed to a link, or will be by a worker that is still transmitting and
+//! never blocks first; [`Link::pump`] keeps staged output moving while it
+//! waits.
 
 use std::io;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -57,9 +59,10 @@ use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
 use ftc_sim::protocol::Protocol;
 
-use crate::channel::{self};
+use crate::channel;
 use crate::core::{Command, CoordinatorCore, RoundCore, Submission};
 use crate::fault::{FrameDedup, WireFaultPlan};
+use crate::frame::Frame;
 use crate::transport::{Endpoint, RECV_TIMEOUT};
 
 /// Transport-level accounting of one cluster run, on top of the model
@@ -90,7 +93,10 @@ pub struct NetRunResult<P> {
 #[derive(Clone, Copy, Debug)]
 pub struct RunOpts<'a> {
     /// How long a node waits on a frame before the run is declared wedged
-    /// (default [`RECV_TIMEOUT`]).
+    /// (default [`RECV_TIMEOUT`]). Timeouts belong to the link — a
+    /// per-`recv` timeout on endpoints, a no-progress watchdog on sockets —
+    /// so whoever builds the links bakes this in; the driver never reads a
+    /// clock.
     pub recv_timeout: Duration,
     /// The election-instance counter of a long-lived service
     /// (`ftc-serve`), tagged onto every frame. Each height gets a fresh
@@ -99,11 +105,12 @@ pub struct RunOpts<'a> {
     /// traffic to another.
     pub height: u32,
     /// A scripted [`WireFaultPlan`] perturbing the wire between the cores
-    /// and the transport: transmit bursts are reordered, duplicated and
-    /// delayed per the plan, and receive edges dedup frames. The model
-    /// result and accounting are bit-identical to the faultless run — every
-    /// v1 wire fault is delivery-preserving (see [`crate::fault`]) — which
-    /// is exactly the property `ftc hunt --wire-faults` searches for
+    /// and the link: transmit bursts are reordered, duplicated and delayed
+    /// per the plan, coalesced socket writes are torn into the scheduled
+    /// fragment sizes, and receive edges dedup frames. The model result and
+    /// accounting are bit-identical to the faultless run — every v1 wire
+    /// fault is delivery-preserving (see [`crate::fault`]) — which is
+    /// exactly the property `ftc hunt --wire-faults` searches for
     /// violations of. `None` is the exact pre-fault code path.
     pub wire: Option<&'a WireFaultPlan>,
 }
@@ -118,19 +125,64 @@ impl Default for RunOpts<'_> {
     }
 }
 
-/// What a worker hands back when all its nodes are done.
-struct WorkerReport<P> {
-    wire_bytes: u64,
-    frames_sent: u64,
-    states: Vec<(NodeId, P)>,
+/// How one worker's frames move — the only thing the two runtimes do not
+/// share. A link serves the nodes its worker owns, addressed by *slot*
+/// (position in the worker's pool: node `u` on worker `u mod workers` sits
+/// in slot `u div workers`).
+pub trait Link: Send {
+    /// Puts one frame of slot `slot`'s burst on the wire towards `dst`, or
+    /// hands it back for direct feed because `dst` is local to this worker
+    /// and the link has no wire for it. Must not block (see the module
+    /// docs on deadlock freedom).
+    fn send(&mut self, slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>>;
+
+    /// The node in `slot` crashed and has transmitted its last burst.
+    fn teardown(&mut self, slot: usize);
+
+    /// This round's tear chunk: the largest write the wire accepts until
+    /// the next call (`None` = untorn).
+    fn tear(&mut self, chunk: Option<usize>);
+
+    /// Delivers more inbound frames into `inbound` (each with the slot of
+    /// the owned node it is addressed to) while flushing what is staged,
+    /// and reports whether staged output remains. `waiting` is the slot the
+    /// worker is blocked on, `None` when it only needs the staged output
+    /// gone. Fails with [`io::ErrorKind::TimedOut`] when the link's own
+    /// timeout says the run is wedged.
+    fn pump(
+        &mut self,
+        waiting: Option<usize>,
+        inbound: &mut Vec<(usize, Frame)>,
+    ) -> io::Result<bool>;
 }
 
-/// One node as owned by a worker thread: the sans-I/O state machine plus
-/// this runtime's I/O attachments (an endpoint and a command channel).
-struct WorkerNode<P: Protocol, E> {
-    core: RoundCore<P>,
-    endpoint: E,
-    commands: Receiver<Command>,
+/// The endpoint link: the per-node [`Endpoint`]s a worker owns, in slot
+/// order. Every frame goes through `send`/`recv` on the owning node's
+/// endpoint — local destinations included — so a caller's wrapped
+/// endpoints see every frame; nothing is ever staged.
+impl<E: Endpoint> Link for Vec<E> {
+    fn send(&mut self, slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>> {
+        self[slot].send(dst, &frame)?;
+        Ok(None)
+    }
+
+    fn teardown(&mut self, slot: usize) {
+        self[slot].teardown();
+    }
+
+    /// Endpoints send whole frames: a tear is absorbed trivially.
+    fn tear(&mut self, _chunk: Option<usize>) {}
+
+    fn pump(
+        &mut self,
+        waiting: Option<usize>,
+        inbound: &mut Vec<(usize, Frame)>,
+    ) -> io::Result<bool> {
+        if let Some(slot) = waiting {
+            inbound.push((slot, self[slot].recv()?));
+        }
+        Ok(false)
+    }
 }
 
 /// Runs `cfg` over an in-process channel mesh with `workers` worker
@@ -155,26 +207,6 @@ where
     run_over(cfg, workers, factory, adversary, channel::mesh(cfg.n))
 }
 
-/// Like [`run_over_channel`], but under explicit [`RunOpts`], and a
-/// wedged run (a node's receive timing out, an adjudication error) is an
-/// `Err` naming the node, round and frame counts instead of a panic.
-pub fn run_over_channel_with<P, F, A>(
-    cfg: &SimConfig,
-    workers: usize,
-    factory: F,
-    adversary: &mut A,
-    opts: &RunOpts,
-) -> Result<NetRunResult<P>, String>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
-    run_over_wired(cfg, workers, factory, adversary, endpoints, opts)
-}
-
 /// Runs one execution of `cfg` over `endpoints` (one per node, in id
 /// order), multiplexing nodes onto `workers` threads.
 ///
@@ -190,7 +222,8 @@ where
 /// `max_rounds == 0`, endpoint count mismatch), if the adversary violates
 /// the model, or if the transport fails mid-run (a torn socket outside the
 /// crash schedule is a bug, not a model event — the model's faults are
-/// *injected*, never spontaneous).
+/// *injected*, never spontaneous). [`run_over_links`] reports the last as
+/// an `Err` instead.
 pub fn run_over<P, F, A, E>(
     cfg: &SimConfig,
     workers: usize,
@@ -205,20 +238,51 @@ where
     A: Adversary<P::Msg> + ?Sized,
     E: Endpoint,
 {
-    let opts = RunOpts::default();
-    run_over_wired(cfg, workers, factory, adversary, endpoints, &opts)
+    cfg.validate().expect("invalid SimConfig");
+    let nn = cfg.n as usize;
+    assert_eq!(endpoints.len(), nn, "need exactly one endpoint per node");
+    let links = deal(endpoints, workers.clamp(1, nn));
+    run_over_links(cfg, links, factory, adversary, &RunOpts::default())
         .unwrap_or_else(|err| panic!("cluster run wedged: {err}"))
 }
 
-/// The shared driver. `opts.recv_timeout` is already baked into
-/// `endpoints`; the wire plan is applied at the adapter boundary (never
-/// inside the cores).
-fn run_over_wired<P, F, A, E>(
+/// Deals `items` (one per node, in id order) onto `workers` pools by
+/// residue: node `u` goes to pool `u mod workers`, slot `u div workers`.
+fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
+    let mut pools: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (u, item) in items.into_iter().enumerate() {
+        pools[u % workers].push(item);
+    }
+    pools
+}
+
+/// One worker's verdicts for a round: a [`Command`] per owned node that
+/// was alive at the round's start.
+type Batch = Vec<(NodeId, Command)>;
+
+/// Why a worker abandoned the run, and the node to attribute it to.
+type Failure = (NodeId, String);
+
+/// The one round driver: runs one execution of `cfg` over `links`, one
+/// [`Link`] per worker (between 1 and `n` of them).
+///
+/// Nodes are created in id order through `factory` and node `u` is placed
+/// on worker `u mod links.len()`, so link `w` must serve exactly the nodes
+/// `≡ w`, in increasing id order. [`CoordinatorCore`] runs on the calling
+/// thread, each worker on its own scoped thread. `opts.height` and
+/// `opts.wire` apply here; `opts.recv_timeout` is already baked into
+/// `links` (see [`RunOpts::recv_timeout`]).
+///
+/// A wedged run — a link timing out or failing, a misrouted or stale
+/// frame, an adjudication error — is an `Err` naming the node, round and
+/// frame counts; the surviving workers are stopped and joined first.
+/// Invalid configurations and adversaries that violate the model panic,
+/// as in [`ftc_sim::engine::run`].
+pub fn run_over_links<P, F, A, L>(
     cfg: &SimConfig,
-    workers: usize,
+    links: Vec<L>,
     mut factory: F,
     adversary: &mut A,
-    endpoints: Vec<E>,
     opts: &RunOpts,
 ) -> Result<NetRunResult<P>, String>
 where
@@ -226,92 +290,95 @@ where
     P::Msg: Wire,
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
-    E: Endpoint,
+    L: Link,
 {
-    cfg.validate().expect("invalid SimConfig");
-    assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
-    let nn = cfg.n as usize;
-    assert_eq!(endpoints.len(), nn, "need exactly one endpoint per node");
-    let workers = workers.clamp(1, nn);
     let (height, wire) = (opts.height, opts.wire);
-
     let mut coord = CoordinatorCore::<P::Msg>::new(cfg, height, adversary);
-
-    let (submit_tx, submit_rx) = channel::<Submission<P::Msg>>();
-    let (report_tx, report_rx) = channel::<WorkerReport<P>>();
-    let mut command_txs: Vec<Sender<Command>> = Vec::with_capacity(nn);
-    let mut pools: Vec<Vec<WorkerNode<P, E>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, endpoint) in endpoints.into_iter().enumerate() {
-        let id = NodeId(i as u32);
-        let (tx, rx) = channel();
-        command_txs.push(tx);
-        pools[i % workers].push(WorkerNode {
-            core: RoundCore::new(cfg, id, factory(id), height),
-            endpoint,
-            commands: rx,
-        });
-    }
+    let nn = cfg.n as usize;
+    let workers = links.len();
+    assert!(
+        (1..=nn).contains(&workers),
+        "need between 1 and n = {nn} links, got {workers}"
+    );
+    let cores = (0..cfg.n).map(|u| RoundCore::new(cfg, NodeId(u), factory(NodeId(u)), height));
+    let pools = deal(cores, workers);
 
     let mut states: Vec<Option<P>> = (0..nn).map(|_| None).collect();
     let mut net = NetMetrics::default();
-    let mut failure: Option<String> = None;
 
-    thread::scope(|scope| {
-        for pool in pools {
+    // Every channel end the workers block on lives inside the scope, so a
+    // coordinator that unwinds (the adversary violating the model) drops
+    // them and the workers exit instead of deadlocking the join.
+    let failure = thread::scope(|scope| {
+        let (submit_tx, submit_rx) = channel::<Submission<P::Msg>>();
+        let mut batch_txs: Vec<Sender<Batch>> = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for (index, (nodes, link)) in pools.into_iter().zip(links).enumerate() {
+            let (batch_tx, batches) = channel();
+            batch_txs.push(batch_tx);
+            let worker = Worker::new(index, workers, nodes, link, wire);
             let submit_tx = submit_tx.clone();
-            let report_tx = report_tx.clone();
-            scope.spawn(move || worker_loop(pool, submit_tx, report_tx, wire));
+            handles.push(scope.spawn(move || worker.run(&batches, &submit_tx)));
         }
         drop(submit_tx);
-        drop(report_tx);
 
-        'rounds: loop {
+        let failure = 'rounds: loop {
             // --- activate: collect one submission per alive node. ---
             let expected = coord.alive().len();
             let mut submissions = Vec::with_capacity(expected);
             for _ in 0..expected {
-                let sub = submit_rx.recv().expect("a worker died mid-round");
-                if sub.failed.is_some() {
-                    failure = sub.failed;
-                    break 'rounds;
+                match submit_rx.recv() {
+                    Ok(sub) if sub.failed.is_some() => break 'rounds sub.failed,
+                    Ok(sub) => submissions.push(sub),
+                    Err(_) => break 'rounds Some("every worker died mid-round".into()),
                 }
-                submissions.push(sub);
             }
 
-            // --- adjudicate and fan the verdicts out. ---
+            // --- adjudicate and fan the verdicts out, a batch per worker. ---
             let plan = match coord.adjudicate(submissions, adversary) {
                 Ok(plan) => plan,
-                Err(err) => {
-                    failure = Some(err);
-                    break 'rounds;
-                }
+                Err(err) => break Some(err),
             };
+            let mut batches: Vec<Batch> = (0..workers).map(|_| Vec::new()).collect();
             for (u, command) in plan.commands {
-                command_txs[u.index()]
-                    .send(command)
-                    .expect("a worker died mid-round");
+                batches[u.index() % workers].push((u, command));
+            }
+            for (w, batch) in batches.into_iter().enumerate() {
+                if !batch.is_empty() && batch_txs[w].send(batch).is_err() {
+                    break 'rounds Some(format!("worker {w} died mid-round"));
+                }
             }
             if plan.stop {
-                break;
+                break None;
             }
-        }
+        };
 
         if failure.is_some() {
             // Unwedge the lock-step: stop every surviving node so the
-            // workers drain and join (the failed worker's command
-            // receiver is already gone — ignore send errors).
-            for tx in &command_txs {
-                let _ = tx.send(Command::stop());
+            // workers drain and join (the failed worker's batch receiver
+            // is already gone — ignore send errors).
+            for (w, tx) in batch_txs.iter().enumerate() {
+                let stops = (w..nn).step_by(workers);
+                let _ = tx.send(stops.map(|u| (NodeId(u as u32), Command::stop())).collect());
             }
         }
 
-        while let Ok(report) = report_rx.recv() {
-            net.wire_bytes += report.wire_bytes;
-            net.frames_sent += report.frames_sent;
-            for (id, state) in report.states {
-                states[id.index()] = Some(state);
+        for handle in handles {
+            match handle.join() {
+                Ok(Some((metrics, nodes))) => {
+                    net.wire_bytes += metrics.wire_bytes;
+                    net.frames_sent += metrics.frames_sent;
+                    for node in nodes {
+                        let slot = node.id().index();
+                        states[slot] = Some(node.into_state());
+                    }
+                }
+                // Abandoned: its failure submission already said why.
+                Ok(None) => {}
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
+        failure
     });
 
     if let Some(err) = failure {
@@ -335,136 +402,213 @@ where
     })
 }
 
-/// Drives one worker's share of the nodes, phase-locked to the
-/// coordinator, until every owned node has crashed or stopped. All round
-/// logic lives in each node's [`RoundCore`]; this loop only moves data
-/// between the cores and their I/O attachments.
-fn worker_loop<P, E>(
-    mut nodes: Vec<WorkerNode<P, E>>,
-    submit_tx: Sender<Submission<P::Msg>>,
-    report_tx: Sender<WorkerReport<P>>,
-    wire: Option<&WireFaultPlan>,
-) where
+/// One worker: its nodes' state machines, its link, and the per-run state
+/// of the wire-fault hooks. All round logic lives in each node's
+/// [`RoundCore`]; the worker only moves data between the cores, the
+/// coordinator and the link.
+struct Worker<'a, P: Protocol, L> {
+    index: usize,
+    workers: usize,
+    nodes: Vec<RoundCore<P>>,
+    link: L,
+    wire: Option<&'a WireFaultPlan>,
+    /// Receive-edge dedup, one set per slot, engaged only under a wire
+    /// plan (the faultless path must stay byte-for-byte untouched).
+    dedups: Vec<FrameDedup>,
+    /// Scratch for [`Link::pump`], reused across pumps.
+    inbound: Vec<(usize, Frame)>,
+    net: NetMetrics,
+}
+
+impl<'a, P, L> Worker<'a, P, L>
+where
     P: Protocol,
     P::Msg: Wire,
-    E: Endpoint,
+    L: Link,
 {
-    let mut wire_bytes = 0u64;
-    let mut frames_sent = 0u64;
-    // Receive-edge dedup, one set per owned node, engaged only under a
-    // wire plan (the faultless path must stay byte-for-byte untouched).
-    let mut dedups: Vec<FrameDedup> = if wire.is_some() {
-        nodes.iter().map(|_| FrameDedup::new()).collect()
-    } else {
-        Vec::new()
-    };
-    loop {
-        // Phase 1: activate and submit.
-        let mut any_active = false;
-        for node in nodes.iter_mut().filter(|n| n.core.is_active()) {
-            any_active = true;
-            submit_tx
-                .send(node.core.activate())
-                .expect("coordinator gone");
+    fn new(
+        index: usize,
+        workers: usize,
+        nodes: Vec<RoundCore<P>>,
+        link: L,
+        wire: Option<&'a WireFaultPlan>,
+    ) -> Self {
+        let dedups = match wire {
+            Some(_) => nodes.iter().map(|_| FrameDedup::new()).collect(),
+            None => Vec::new(),
+        };
+        Worker {
+            index,
+            workers,
+            nodes,
+            link,
+            wire,
+            dedups,
+            inbound: Vec::new(),
+            net: NetMetrics::default(),
         }
-        if !any_active {
-            break;
-        }
+    }
 
-        // Phase 2: transmit for *all* owned nodes before collecting for
-        // *any* (the deadlock-freedom invariant — see module docs).
-        for node in nodes.iter_mut().filter(|n| n.core.is_active()) {
-            let command = node.commands.recv().expect("coordinator gone");
+    /// Drives the owned nodes, phase-locked to the coordinator, until every
+    /// one has crashed or stopped, and hands them back with the worker's
+    /// wire accounting. On a failure the worker reports it through the
+    /// submission channel (where the coordinator blocks next round — dying
+    /// silently would deadlock the lock-step loop) and returns `None`. A
+    /// coordinator that is already gone has recorded why it left; the
+    /// report then goes nowhere and the exit is quiet.
+    fn run(
+        mut self,
+        batches: &Receiver<Batch>,
+        submit_tx: &Sender<Submission<P::Msg>>,
+    ) -> Option<(NetMetrics, Vec<RoundCore<P>>)> {
+        match self.rounds(batches, submit_tx) {
+            Ok(()) => Some((self.net, self.nodes)),
+            Err((node, err)) => {
+                let _ = submit_tx.send(Submission::failure(node, err));
+                None
+            }
+        }
+    }
+
+    fn rounds(
+        &mut self,
+        batches: &Receiver<Batch>,
+        submit_tx: &Sender<Submission<P::Msg>>,
+    ) -> Result<(), Failure> {
+        let gone = |node: NodeId| (node, "coordinator gone".to_string());
+        loop {
+            // Phase 1: activate and submit.
+            let mut any_active = false;
+            for node in self.nodes.iter_mut().filter(|n| n.is_active()) {
+                any_active = true;
+                let id = node.id();
+                submit_tx.send(node.activate()).map_err(|_| gone(id))?;
+            }
+            if !any_active {
+                return Ok(());
+            }
+
+            // Phase 2: transmit for *all* owned nodes before collecting for
+            // *any* (the deadlock-freedom invariant — see module docs).
+            let batch = batches.recv().map_err(|_| gone(self.nodes[0].id()))?;
+            self.transmit(batch)?;
+
+            // Phase 3: collect, in slot order. Frames for any owned node
+            // may arrive while the cursor waits on one.
+            for slot in 0..self.nodes.len() {
+                while self.nodes[slot].is_active() && !self.nodes[slot].ready() {
+                    self.pump(Some(slot))?;
+                }
+            }
+            while self.pump(None)? {}
+
+            // Phase 4: close the round on every active core.
+            for node in self.nodes.iter_mut().filter(|n| n.is_active()) {
+                node.end_round().map_err(|err| (node.id(), err))?;
+            }
+        }
+    }
+
+    /// Applies the coordinator's batch and hands every burst to the link.
+    /// Under a wire plan each burst is perturbed between core and link:
+    /// delayed, reordered and duplicated per the schedule, with the
+    /// appended duplicate suffix transmitted but *not* charged, so model
+    /// accounting stays identical to a faultless wire.
+    fn transmit(&mut self, batch: Batch) -> Result<(), Failure> {
+        let mut tear: Option<usize> = None;
+        for (id, command) in batch {
+            debug_assert_eq!(id.index() % self.workers, self.index);
+            let slot = id.index() / self.workers;
+            if !self.nodes[slot].is_active() {
+                continue; // unwedge stop for an already-finished node
+            }
             let crashed = command.crashed;
-            let mut burst = node.core.apply(command);
-            // Wire faults perturb the burst between core and endpoint:
-            // duplicates (the appended suffix) go on the wire uncharged,
-            // so model accounting stays identical to a faultless run.
-            // Tear is absorbed trivially here — this transport sends
-            // whole frames.
+            let mut burst = self.nodes[slot].apply(command);
             let mut charged = burst.len();
-            if let Some(plan) = wire {
+            if let Some(plan) = self.wire {
                 if let Some(round) = burst.first().map(|(_, f)| f.round) {
-                    let id = node.core.id();
                     if let Some(pause) = plan.delay(id, round) {
                         thread::sleep(pause);
+                    }
+                    if let Some(chunk) = plan.tear_chunk(id, round) {
+                        tear = Some(tear.map_or(chunk, |t| t.min(chunk)));
                     }
                     let dups = plan.perturb_batch(id, round, &mut burst);
                     charged = burst.len() - dups;
                 }
             }
             for (k, (dst, frame)) in burst.into_iter().enumerate() {
-                let sent = node
-                    .endpoint
-                    .send(dst, &frame)
-                    .expect("transport send failed");
                 if k < charged {
-                    wire_bytes += sent;
-                    frames_sent += 1;
+                    // Model accounting is per frame, wired or handed back,
+                    // hence identical on every link at any worker count.
+                    self.net.wire_bytes += frame.encoded_len();
+                    self.net.frames_sent += 1;
+                }
+                let sent = self.link.send(slot, dst, frame);
+                if let Some(local) = sent.map_err(|e| (id, e.to_string()))? {
+                    self.feed(dst.index() / self.workers, local)?;
                 }
             }
             if crashed {
-                // Mid-round socket teardown — the wire form of
+                // Mid-round teardown — the wire form of
                 // crash-with-partial-delivery.
-                node.endpoint.teardown();
+                self.link.teardown(slot);
             }
         }
-
-        // Phase 3: collect next round's inboxes. Failures surface through
-        // the submission channel (where the coordinator blocks next
-        // round) — dying silently here would deadlock the lock-step loop.
-        for (slot, node) in nodes.iter_mut().enumerate() {
-            if !node.core.is_active() {
-                continue;
-            }
-            while !node.core.ready() {
-                let frame = match node.endpoint.recv() {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        let msg = if e.kind() == io::ErrorKind::TimedOut {
-                            format!(
-                                "node {} timed out collecting round {}: got {} of {} frames ({e})",
-                                node.core.id(),
-                                node.core.round(),
-                                node.core.received(),
-                                node.core.expect(),
-                            )
-                        } else {
-                            e.to_string()
-                        };
-                        let _ = submit_tx.send(Submission::failure(node.core.id(), msg));
-                        return;
-                    }
-                };
-                // Under a wire plan, a duplicate (possibly straggling
-                // from an earlier round) is dropped before the core sees
-                // it — it would otherwise falsely complete the round or
-                // trip the past-round check.
-                if let Some(dedup) = dedups.get_mut(slot) {
-                    if !dedup.admit(&frame) {
-                        continue;
-                    }
-                }
-                if let Err(err) = node.core.feed(frame) {
-                    let _ = submit_tx.send(Submission::failure(node.core.id(), err));
-                    return;
-                }
-            }
-            if let Err(err) = node.core.end_round() {
-                let _ = submit_tx.send(Submission::failure(node.core.id(), err));
-                return;
-            }
-        }
+        self.link.tear(tear);
+        Ok(())
     }
 
-    let _ = report_tx.send(WorkerReport {
-        wire_bytes,
-        frames_sent,
-        states: nodes
-            .into_iter()
-            .map(|n| (n.core.id(), n.core.into_state()))
-            .collect(),
-    });
+    /// One [`Link::pump`], with whatever arrived fed to the cores. A link
+    /// error is attributed to the node the worker is stalled on, if any.
+    fn pump(&mut self, waiting: Option<usize>) -> Result<bool, Failure> {
+        let staged = match self.link.pump(waiting, &mut self.inbound) {
+            Ok(staged) => staged,
+            Err(e) => {
+                let node = &self.nodes[waiting.unwrap_or(0)];
+                let msg = if waiting.is_some() && e.kind() == io::ErrorKind::TimedOut {
+                    format!(
+                        "node {} timed out collecting round {}: got {} of {} frames ({e})",
+                        node.id(),
+                        node.round(),
+                        node.received(),
+                        node.expect(),
+                    )
+                } else {
+                    e.to_string()
+                };
+                return Err((node.id(), msg));
+            }
+        };
+        let mut inbound = std::mem::take(&mut self.inbound);
+        for (slot, frame) in inbound.drain(..) {
+            self.feed(slot, frame)?;
+        }
+        self.inbound = inbound;
+        Ok(staged)
+    }
+
+    /// Feeds one inbound frame to the owned node in `slot`. Under a wire
+    /// plan, a duplicate (possibly straggling from an earlier round) is
+    /// dropped before the core sees it — it would otherwise falsely
+    /// complete the round or trip the past-round check.
+    fn feed(&mut self, slot: usize, frame: Frame) -> Result<(), Failure> {
+        let Some(node) = self.nodes.get_mut(slot) else {
+            let msg = format!(
+                "worker {} got a frame from node {} for slot {slot}, but owns {} nodes",
+                self.index,
+                frame.src,
+                self.nodes.len()
+            );
+            return Err((self.nodes[0].id(), msg));
+        };
+        if let Some(dedup) = self.dedups.get_mut(slot) {
+            if !dedup.admit(&frame) {
+                return Ok(());
+            }
+        }
+        node.feed(frame).map_err(|err| (node.id(), err))
+    }
 }
 
 #[cfg(test)]
@@ -505,6 +649,18 @@ mod tests {
         }
     }
 
+    /// A channel run through the driver under explicit `opts` — what
+    /// `Substrate::run` does for `Channel(workers)`.
+    fn channel_run(
+        cfg: &SimConfig,
+        workers: usize,
+        adversary: &mut dyn Adversary<u64>,
+        opts: &RunOpts,
+    ) -> Result<NetRunResult<Chatter>, String> {
+        let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
+        run_over_links(cfg, deal(endpoints, workers), chatter, adversary, opts)
+    }
+
     /// A channel run tagged as election instance `height`.
     fn at_height(
         cfg: &SimConfig,
@@ -516,7 +672,7 @@ mod tests {
             height,
             ..RunOpts::default()
         };
-        run_over_channel_with(cfg, workers, chatter, adversary, &opts).unwrap()
+        channel_run(cfg, workers, adversary, &opts).unwrap()
     }
 
     fn assert_matches_engine(
@@ -541,23 +697,10 @@ mod tests {
         // test doesn't hinge on one interleaving. The load-bearing claim:
         // a node timing out must abort the whole run with the transport
         // error (via the submission channel), never deadlock the
-        // coordinator's lock-step loop. The `RunOpts` entry point (what
-        // `Substrate::run` dispatches to) reports it as an `Err` carrying
-        // the stalled node's context; the frozen wrappers panic with it.
+        // coordinator's lock-step loop. The frozen wrappers panic with it;
+        // the `Err` the driver returns underneath is pinned, on both
+        // links, by `ftc-mesh`'s starved-node test.
         let tiny = Duration::from_nanos(1);
-        let err = (0..5).find_map(|attempt| {
-            let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
-            let opts = RunOpts {
-                recv_timeout: tiny,
-                ..RunOpts::default()
-            };
-            run_over_channel_with(&cfg, 4, chatter, &mut NoFaults, &opts).err()
-        });
-        let err = err.expect("a 1ns recv timeout never tripped in 5 runs");
-        for context in ["node n", "timed out collecting round", "frames"] {
-            assert!(err.contains(context), "no `{context}` in: {err}");
-        }
-
         let panic = (0..5).find_map(|attempt| {
             std::panic::catch_unwind(|| {
                 let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
@@ -572,7 +715,7 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(
-            msg.contains("cluster run wedged") && msg.contains("timed out"),
+            msg.contains("cluster run wedged") && msg.contains("timed out collecting round"),
             "unexpected panic: {msg}"
         );
     }
@@ -664,7 +807,7 @@ mod tests {
                 ..RunOpts::default()
             };
             let mut adv = ScriptedCrash::new(plan.clone());
-            let net = run_over_channel_with(&cfg, workers, chatter, &mut adv, &opts).unwrap();
+            let net = channel_run(&cfg, workers, &mut adv, &opts).unwrap();
             assert_matches_engine(&cfg, &net, &sim);
             assert_eq!(net.net.wire_bytes, clean.net.wire_bytes);
             assert_eq!(net.net.frames_sent, clean.net.frames_sent);
@@ -728,6 +871,254 @@ mod tests {
         let net_up = at_height(&cfg, 2, &mut NoFaults, 6);
         assert_matches_engine(&cfg, &net_up, &sim_up);
         assert_eq!(net_up.run.survivor_count(), 6);
+    }
+
+    /// What a [`Scripted`] link saw, in call order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Sent(usize, NodeId, u32),
+        Teardown(usize),
+    }
+
+    /// An in-memory [`Link`] that plays back a script: no sockets, no
+    /// threads, no clock. Frames towards `local` nodes are handed back,
+    /// the rest are logged as sent; each `pump` the worker blocks on pops
+    /// the next scripted arrival batch (or error).
+    #[derive(Default)]
+    struct Scripted {
+        local: Vec<NodeId>,
+        pumps: std::collections::VecDeque<io::Result<Vec<(usize, Frame)>>>,
+        seen: Vec<Seen>,
+    }
+
+    impl Link for &mut Scripted {
+        fn send(&mut self, slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>> {
+            if self.local.contains(&dst) {
+                return Ok(Some(frame));
+            }
+            self.seen.push(Seen::Sent(slot, dst, frame.seq));
+            Ok(None)
+        }
+
+        fn teardown(&mut self, slot: usize) {
+            self.seen.push(Seen::Teardown(slot));
+        }
+
+        fn tear(&mut self, _chunk: Option<usize>) {}
+
+        fn pump(
+            &mut self,
+            waiting: Option<usize>,
+            inbound: &mut Vec<(usize, Frame)>,
+        ) -> io::Result<bool> {
+            if waiting.is_some() {
+                let next = self.pumps.pop_front().expect("pumped past the script");
+                inbound.extend(next?);
+            }
+            Ok(false)
+        }
+    }
+
+    fn frame(round: u32, src: u32, seq: u32, msg: u64) -> Frame {
+        let mut payload = Vec::new();
+        msg.encode(&mut payload);
+        Frame {
+            height: 0,
+            round,
+            src: NodeId(src),
+            seq,
+            payload,
+        }
+    }
+
+    fn verdict(frames: Vec<(NodeId, Frame)>, expect: usize) -> Command {
+        Command {
+            frames,
+            expect,
+            crashed: false,
+            stop: false,
+        }
+    }
+
+    /// Runs worker 0 of 2 on an `n = 4` network (it owns nodes 0 and 2)
+    /// over `link`, the coordinator stubbed by the pre-filled `batches`.
+    /// Returns what the worker handed back — `(frames_sent, wire_bytes,
+    /// heard-by-node-0, heard-by-node-2)` — and the failure it submitted.
+    fn drive(
+        link: &mut Scripted,
+        wire: Option<&WireFaultPlan>,
+        batches: Vec<Batch>,
+    ) -> (Option<(u64, u64, u64, u64)>, Option<String>) {
+        let cfg = SimConfig::new(4).seed(1).max_rounds(8);
+        let nodes = [0, 2]
+            .map(|u| RoundCore::new(&cfg, NodeId(u), chatter(NodeId(u)), 0))
+            .into();
+        let (batch_tx, batch_rx) = channel();
+        for batch in batches {
+            batch_tx.send(batch).unwrap();
+        }
+        drop(batch_tx);
+        let (submit_tx, submit_rx) = channel();
+        let done = Worker::new(0, 2, nodes, link, wire).run(&batch_rx, &submit_tx);
+        drop(submit_tx);
+        let done = done.map(|(net, nodes)| {
+            let heard: Vec<u64> = nodes.into_iter().map(|n| n.into_state().heard).collect();
+            (net.frames_sent, net.wire_bytes, heard[0], heard[1])
+        });
+        (done, submit_rx.into_iter().find_map(|sub| sub.failed))
+    }
+
+    fn stop_both() -> Batch {
+        vec![(NodeId(0), Command::stop()), (NodeId(2), Command::stop())]
+    }
+
+    #[test]
+    fn worker_buffers_next_round_frames_that_arrive_early() {
+        // Node 0 is promised one frame in each of rounds 0 and 1. A fast
+        // peer's round-1 frame arrives first, in the same pump as the
+        // round-0 one: it must wait in the core until round 1 opens and
+        // then complete that round without another pump (the script has
+        // none left — a second blocking pump would panic).
+        let mut link = Scripted::default();
+        link.pumps
+            .push_back(Ok(vec![(0, frame(1, 1, 0, 40)), (0, frame(0, 1, 0, 1))]));
+        let idle = |expect| {
+            vec![
+                (NodeId(0), verdict(vec![], expect)),
+                (NodeId(2), verdict(vec![], 0)),
+            ]
+        };
+        let (done, failed) = drive(&mut link, None, vec![idle(1), idle(1), stop_both()]);
+        assert_eq!(failed, None);
+        assert_eq!(done, Some((0, 0, (1 + 1) + (40 + 1), 0)));
+    }
+
+    #[test]
+    fn worker_feeds_a_local_hand_back_without_touching_the_wire() {
+        // Node 0 sends to node 2 (same worker) and to node 1 (remote). The
+        // link hands the local frame back; the worker feeds it straight to
+        // node 2, which is then ready with no pump at all. Both frames are
+        // charged — accounting is per frame, wired or not.
+        let mut link = Scripted {
+            local: vec![NodeId(0), NodeId(2)],
+            ..Scripted::default()
+        };
+        let (to_2, to_1) = (frame(0, 0, 0, 9), frame(0, 0, 1, 9));
+        let bytes = to_2.encoded_len() + to_1.encoded_len();
+        let burst = vec![(NodeId(2), to_2), (NodeId(1), to_1)];
+        let round0 = vec![
+            (NodeId(0), verdict(burst, 0)),
+            (NodeId(2), verdict(vec![], 1)),
+        ];
+        let (done, failed) = drive(&mut link, None, vec![round0, stop_both()]);
+        assert_eq!(failed, None);
+        assert_eq!(done, Some((2, bytes, 0, 9 + 1)));
+        assert_eq!(link.seen, [Seen::Sent(0, NodeId(1), 1)]);
+    }
+
+    #[test]
+    fn worker_drops_a_duplicate_only_under_a_wire_plan() {
+        // The same frame arrives twice. Without a wire plan there is no
+        // dedup state and the core admits both (the faultless path is
+        // untouched); under a plan — even an empty one — the receive edge
+        // drops the second before the core can count it.
+        let empty_plan = WireFaultPlan::new(0);
+        for (wire, heard) in [(None, 2 * (5 + 1)), (Some(&empty_plan), 5 + 1)] {
+            let mut link = Scripted::default();
+            let twice = [(); 2].map(|_| (1, frame(0, 3, 0, 5)));
+            link.pumps.push_back(Ok(twice.into()));
+            let round0 = vec![
+                (NodeId(0), verdict(vec![], 0)),
+                (NodeId(2), verdict(vec![], 1)),
+            ];
+            let (done, failed) = drive(&mut link, wire, vec![round0, stop_both()]);
+            assert_eq!(failed, None);
+            assert_eq!(done, Some((0, 0, 0, heard)));
+        }
+    }
+
+    #[test]
+    fn worker_transmits_a_crashed_nodes_filtered_burst_then_tears_it_down() {
+        // Node 2 (slot 1) crashes in round 0 with two filter-surviving
+        // frames: both go out, charged, and only then is the slot torn
+        // down. Node 0 carries on to the stop.
+        let mut link = Scripted::default();
+        let burst = vec![
+            (NodeId(1), frame(0, 2, 0, 0)),
+            (NodeId(3), frame(0, 2, 1, 0)),
+        ];
+        let crash = Command {
+            crashed: true,
+            ..verdict(burst, 0)
+        };
+        let round0 = vec![(NodeId(0), verdict(vec![], 0)), (NodeId(2), crash)];
+        let (done, failed) = drive(&mut link, None, vec![round0, stop_both()]);
+        assert_eq!(failed, None);
+        assert_eq!(done.map(|d| d.0), Some(2));
+        let sent = |seq| Seen::Sent(1, NodeId(1 + 2 * seq), seq);
+        assert_eq!(link.seen, [sent(0), sent(1), Seen::Teardown(1)]);
+    }
+
+    #[test]
+    fn worker_reports_a_pump_error_with_node_round_and_frame_counts() {
+        // Node 2 is promised two frames, gets one, and then the link times
+        // out: the worker abandons the run with a failure submission that
+        // says who was stalled, in which round, and how far it got.
+        let mut link = Scripted::default();
+        link.pumps.push_back(Ok(vec![(1, frame(0, 1, 0, 0))]));
+        link.pumps.push_back(Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "scripted stall",
+        )));
+        let round0 = vec![
+            (NodeId(0), verdict(vec![], 0)),
+            (NodeId(2), verdict(vec![], 2)),
+        ];
+        let (done, failed) = drive(&mut link, None, vec![round0]);
+        assert_eq!(done, None);
+        assert_eq!(
+            failed.as_deref(),
+            Some("node n2 timed out collecting round 0: got 1 of 2 frames (scripted stall)")
+        );
+    }
+
+    #[test]
+    fn worker_exits_quietly_when_the_coordinator_is_gone_or_a_frame_is_misrouted() {
+        // No batch and a dropped sender: the coordinator left. No panic —
+        // the worker hands nothing back.
+        let (done, failed) = drive(&mut Scripted::default(), None, vec![]);
+        assert_eq!(done, None);
+        assert_eq!(failed.as_deref(), Some("coordinator gone"));
+
+        // A frame for a slot this worker does not have fails the run,
+        // naming the worker and the sender, instead of indexing out of
+        // the pool.
+        let mut link = Scripted::default();
+        link.pumps.push_back(Ok(vec![(5, frame(0, 1, 0, 0))]));
+        let round0 = vec![
+            (NodeId(0), verdict(vec![], 1)),
+            (NodeId(2), verdict(vec![], 0)),
+        ];
+        let (done, failed) = drive(&mut link, None, vec![round0]);
+        assert_eq!(done, None);
+        assert_eq!(
+            failed.as_deref(),
+            Some("worker 0 got a frame from node n1 for slot 5, but owns 2 nodes")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary crashed n0 twice")]
+    fn a_coordinator_panic_propagates_instead_of_deadlocking_the_workers() {
+        // The adversary breaks the model in round 0, so adjudication
+        // panics while every worker waits for its batch. The workers must
+        // notice the coordinator is gone and exit, or the scope's join —
+        // and this test — would hang instead of panicking.
+        let twice = FaultPlan::new()
+            .crash(NodeId(0), 0, DeliveryFilter::DropAll)
+            .crash(NodeId(0), 0, DeliveryFilter::DropAll);
+        let cfg = SimConfig::new(6).seed(1).max_rounds(4);
+        let _ = run_over_channel(&cfg, 3, chatter, &mut ScriptedCrash::new(twice));
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! The pluggable transport abstraction.
+//! The per-node transport abstraction behind the endpoint link.
 //!
 //! An [`Endpoint`] is one node's attachment to a transport: it can push a
 //! [`Frame`] to any peer, pull the next frame addressed to itself, and tear
-//! itself down (the physical half of a crash). One implementation ships,
-//! [`crate::channel`] (in-process `mpsc`); [`crate::sync::run_over`] drives
-//! any other (the benchmark wraps the channel endpoints in timing probes).
+//! itself down (the physical half of a crash). The one round driver
+//! ([`crate::sync::run_over_links`]) never sees an endpoint directly: the
+//! endpoints a worker owns *are* one of its two links
+//! (`impl Link for Vec<E: Endpoint>` — every frame through `send`, a pump
+//! is one `recv`), the other being `ftc-mesh`'s socket link. The trait
+//! stays per node, and frozen, because callers wrap it:
+//! [`crate::sync::run_over`] drives caller-supplied endpoints, and the
+//! benchmark's timing and capture probes are `Endpoint`s around the one
+//! implementation that ships, [`crate::channel`] (in-process `mpsc`).
 //!
 //! Transports deliver frames reliably and FIFO per link but with no
 //! cross-link ordering, and fast nodes may run rounds ahead of slow ones —
@@ -20,7 +26,7 @@ use ftc_sim::ids::NodeId;
 use crate::frame::Frame;
 
 /// Default for how long an endpoint waits for a frame before concluding
-/// the cluster is wedged. The synchronizer's accounting guarantees every
+/// the cluster is wedged. The driver's accounting guarantees every
 /// awaited frame was (or will be) sent, so in a healthy run this never
 /// fires; it exists to turn bugs and killed peers into loud errors instead
 /// of hangs. [`crate::sync::RunOpts::recv_timeout`] overrides it per run
@@ -35,7 +41,7 @@ pub trait Endpoint: Send {
 
     /// Sends `frame` to `dst`, returning the bytes put on the wire.
     ///
-    /// Must not block indefinitely: the synchronizer's phase discipline
+    /// Must not block indefinitely: the driver's phase discipline
     /// (every node transmits before any node collects) relies on sends
     /// completing while receivers are not yet draining.
     fn send(&mut self, dst: NodeId, frame: &Frame) -> io::Result<u64>;
