@@ -1,8 +1,8 @@
 //! Portfolio execution: fan each cell onto the hunt pipeline and
 //! condense the portfolio into a stored record.
 //!
-//! Each cell is exactly one `run_hunt` + `shrink` + artifact mint — the
-//! same pipeline a single `ftc hunt` runs — with a coverage observer
+//! Each cell is exactly one `run_hunt` + [`Artifact::mint`] — the same
+//! pipeline a single `ftc hunt` runs — with a coverage observer
 //! riding on [`run_hunt_observed`] so every explored schedule is
 //! projected onto the bucket grid whether or not it hit anything. The
 //! hunt is deterministic in `(spec, seed, budget)` and invariant under
@@ -13,9 +13,7 @@
 use std::time::Instant;
 
 use ftc_core::prelude::Params;
-use ftc_hunt::prelude::{
-    run_hunt_observed, shrink, Artifact, HuntSpec, Substrate, ARTIFACT_VERSION,
-};
+use ftc_hunt::prelude::{run_hunt_observed, Artifact, HuntSpec, Substrate};
 use ftc_sim::engine::SimConfig;
 
 use crate::coverage::Coverage;
@@ -59,30 +57,7 @@ pub fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult,
     let report = run_hunt_observed(&spec, |c| {
         coverage.record_plan(&c.plan, cell.n, round_budget);
     })?;
-    let champ = &report.champion;
-    let reduced = shrink(
-        &spec,
-        &report.bounds,
-        champ.probe_seed,
-        champ.score,
-        &champ.plan,
-    );
-    let mut art_cfg = spec.cfg.clone();
-    art_cfg.seed = champ.probe_seed;
-    let artifact = Artifact {
-        version: ARTIFACT_VERSION,
-        proto: cell.proto,
-        objective: cell.objective,
-        alpha: cell.alpha,
-        zeros: cell.zeros,
-        height: None,
-        config: art_cfg,
-        schedule: reduced.plan.clone(),
-        wire: champ.wire.clone(),
-        score: cell.objective.score(&reduced.observation),
-        hit: cell.objective.hit(&reduced.observation, &report.bounds),
-        fingerprint: reduced.observation.fingerprint.clone(),
-    };
+    let (artifact, reduced) = Artifact::mint(&spec, &report);
     Ok(HuntCellResult {
         cell: cell.clone(),
         evaluated: report.evaluated,

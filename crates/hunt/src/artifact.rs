@@ -17,6 +17,8 @@ use ftc_sim::prelude::FaultPlan;
 
 use crate::objective::{Bounds, Objective};
 use crate::proto::{observe_wire, Fingerprint, Observation, ProtoKind, Substrate};
+use crate::search::{HuntReport, HuntSpec};
+use crate::shrink::{shrink, ShrinkReport};
 
 /// Current artifact schema version.
 pub const ARTIFACT_VERSION: u64 = 1;
@@ -81,6 +83,38 @@ impl ReplayReport {
 }
 
 impl Artifact {
+    /// Mints the artifact a finished hunt stands behind: ddmin-shrinks the
+    /// champion at its probe seed and records what the reduced schedule
+    /// observes there — the pipeline `ftc hunt` and every portfolio cell
+    /// share. The [`ShrinkReport`] rides along for reporting.
+    pub fn mint(spec: &HuntSpec, report: &HuntReport) -> (Artifact, ShrinkReport) {
+        let champ = &report.champion;
+        let reduced = shrink(
+            spec,
+            &report.bounds,
+            champ.probe_seed,
+            champ.score,
+            &champ.plan,
+        );
+        let mut config = spec.cfg.clone();
+        config.seed = champ.probe_seed;
+        let artifact = Artifact {
+            version: ARTIFACT_VERSION,
+            proto: spec.proto,
+            objective: spec.objective,
+            alpha: spec.params.alpha(),
+            zeros: spec.zeros,
+            height: None,
+            config,
+            schedule: reduced.plan.clone(),
+            wire: champ.wire.clone(),
+            score: spec.objective.score(&reduced.observation),
+            hit: spec.objective.hit(&reduced.observation, &report.bounds),
+            fingerprint: reduced.observation.fingerprint.clone(),
+        };
+        (artifact, reduced)
+    }
+
     /// The protocol parameters the artifact's runs use.
     pub fn params(&self) -> Result<Params, String> {
         Params::new(self.config.n, self.alpha).map_err(|e| format!("bad artifact params: {e}"))

@@ -12,8 +12,9 @@
 //!
 //! The pipeline, one module per stage:
 //!
-//! * [`proto`] — runs either protocol on any substrate and condenses the
-//!   result into a replay-comparable [`Fingerprint`];
+//! * [`proto`] — the one protocol bridge: runs either protocol under a
+//!   named or scripted schedule on any substrate and condenses the result
+//!   into a replay-comparable [`Fingerprint`];
 //! * [`objective`] — scores observations (two leaders, disagreement,
 //!   failure, message/round cost) and decides what counts as a hit;
 //! * [`mutate`] — proposes schedules: uniform, influence-cloud-guided
@@ -23,7 +24,8 @@
 //!   `--jobs`;
 //! * [`shrink`] — ddmin over crash entries, then filter and round
 //!   simplification, all against the exact counterexample seed;
-//! * [`artifact`] — the JSON bundle `ftc replay` re-checks.
+//! * [`artifact`] — the JSON bundle `ftc replay` re-checks, minted from a
+//!   finished hunt by [`Artifact::mint`](crate::artifact::Artifact::mint).
 //!
 //! [`FaultPlan`]: ftc_sim::prelude::FaultPlan
 //! [`ParRunner`]: ftc_sim::runner::ParRunner
@@ -47,9 +49,12 @@ pub mod prelude {
         guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
     };
     pub use crate::objective::{Bounds, Objective};
-    pub use crate::proto::{observe, observe_wire, Fingerprint, Observation, ProtoKind, Substrate};
+    pub use crate::proto::{
+        agree_input, observe, observe_wire, Adv, Fingerprint, Observation, ProtoKind, ProtoRun,
+        Schedule, Substrate,
+    };
     pub use crate::search::{
         run_hunt, run_hunt_observed, Candidate, HuntReport, HuntSpec, Strategy,
     };
-    pub use crate::shrink::{shrink, ShrinkReport};
+    pub use crate::shrink::ShrinkReport;
 }

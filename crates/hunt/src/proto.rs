@@ -1,18 +1,23 @@
 //! Protocol bridging: one observation type for both of the paper's
 //! protocols, on any execution substrate.
 //!
-//! The search layer is protocol-agnostic — it manipulates schedules and
-//! scores — so this module concentrates everything that knows about
-//! [`LeNode`]/[`AgreeNode`]: constructing node factories, running a
-//! scripted schedule on any [`Substrate`], and condensing the result into
-//! an [`Observation`] with a replay-comparable [`Fingerprint`].
+//! Everything above `ftc-core` is protocol-agnostic — the search layer
+//! manipulates schedules and scores, the CLI and the lab name a protocol
+//! and an adversary — so this module holds the only code that knows about
+//! [`LeNode`]/[`AgreeNode`]: [`ProtoKind::run`] builds the node factory,
+//! turns a [`Schedule`] into an adversary, runs it on any [`Substrate`]
+//! and condenses the result into a [`ProtoRun`] whose [`Observation`]
+//! carries a replay-comparable [`Fingerprint`].
 
 use ftc_core::prelude::*;
 use ftc_net::prelude::*;
-use ftc_sim::engine::{RunResult, SimConfig};
+use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
+use ftc_sim::engine::SimConfig;
 use ftc_sim::ids::{NodeId, Round};
 use ftc_sim::json::{Json, JsonError};
+use ftc_sim::metrics::Metrics;
 use ftc_sim::prelude::{FaultPlan, ScriptedCrash};
+use ftc_sim::trace::Trace;
 
 /// Which substrate executes the schedule — defined next to the runtimes it
 /// dispatches to.
@@ -58,6 +63,131 @@ impl ProtoKind {
         match self {
             ProtoKind::Le => params.le_message_bound(),
             ProtoKind::Agree => params.agreement_message_bound(),
+        }
+    }
+
+    /// Runs this protocol once under `schedule` on `substrate` and judges
+    /// the outcome. Deterministic in `(params, cfg, zeros, schedule)`: the
+    /// substrate and `opts` never change the observation (the
+    /// bit-equivalence contract `ftc replay` re-asserts for every
+    /// artifact). `zeros` is the agreement input density (ignored for
+    /// LE); `cfg.max_rounds` should be [`ProtoKind::round_budget`].
+    pub fn run(
+        self,
+        params: &Params,
+        cfg: &SimConfig,
+        zeros: f64,
+        schedule: Schedule<'_>,
+        substrate: Substrate,
+        opts: &RunOpts<'_>,
+    ) -> Result<ProtoRun, String> {
+        let f = params.max_faults();
+        match self {
+            ProtoKind::Le => {
+                let mut adversary = schedule.adversary(
+                    f,
+                    Box::new(MinRankCrasher::new(f)),
+                    Ok(Box::new(AdaptiveCandidateKiller::new(f))),
+                )?;
+                let factory = |_| LeNode::new(params.clone());
+                let r = substrate.run(cfg, factory, &mut *adversary, opts)?;
+                let out = LeOutcome::evaluate(&r.run);
+                let outcome = out.agreed_leader.map(|rank| rank.0);
+                let distinct = out.elected_alive.len();
+                Ok(ProtoRun::new(
+                    out.success,
+                    outcome,
+                    distinct,
+                    out.leader_is_faulty,
+                    r,
+                ))
+            }
+            ProtoKind::Agree => {
+                let mut adversary = schedule.adversary(
+                    f,
+                    Box::new(ZeroHolderCrasher::new(f)),
+                    Err("the adaptive killer targets leader election only".into()),
+                )?;
+                let factory = |id| AgreeNode::new(params.clone(), agree_input(zeros, id));
+                let r = substrate.run(cfg, factory, &mut *adversary, opts)?;
+                let out = AgreeOutcome::evaluate(&r.run);
+                let outcome = out.agreed_value.map(u64::from);
+                Ok(ProtoRun::new(
+                    out.success,
+                    outcome,
+                    out.decisions.len(),
+                    false,
+                    r,
+                ))
+            }
+        }
+    }
+}
+
+/// Which crash schedule a run faces, by name. `AdaptiveKiller` is the
+/// model-boundary adversary of E11 (leader election only).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Adv {
+    /// No crashes.
+    None,
+    /// All faulty nodes crash at round 0 before sending.
+    Eager,
+    /// Random crash rounds within the given horizon.
+    Random(u32),
+    /// The paper's worst case: assassinate the current minimum proposer
+    /// (LE) / the current zero-forwarder (agreement).
+    Targeted,
+    /// Adaptive candidate killer (breaks the static-adversary model;
+    /// leader election only).
+    AdaptiveKiller,
+}
+
+impl Adv {
+    /// Resolves an `--adversary` name for `proto`. `random` spreads the
+    /// crashes over the horizon the CLI has always used: 60 rounds for
+    /// leader election, 20 for agreement.
+    pub fn named(name: &str, proto: ProtoKind) -> Result<Adv, String> {
+        match name {
+            "none" => Ok(Adv::None),
+            "eager" => Ok(Adv::Eager),
+            "random" => Ok(Adv::Random(match proto {
+                ProtoKind::Le => 60,
+                ProtoKind::Agree => 20,
+            })),
+            "targeted" => Ok(Adv::Targeted),
+            other => Err(format!(
+                "unknown adversary {other} (none|eager|random|targeted)"
+            )),
+        }
+    }
+}
+
+/// The crash schedule of one [`ProtoKind::run`].
+#[derive(Clone, Copy, Debug)]
+pub enum Schedule<'a> {
+    /// A named adversary spending the protocol's full fault budget.
+    Named(Adv),
+    /// A scripted plan: hunt candidates, shrink probes, artifact replays.
+    Scripted(&'a FaultPlan),
+}
+
+impl Schedule<'_> {
+    /// The adversary this schedule names, for message type `M` and fault
+    /// budget `f`. The schedules that never read traffic are the same for
+    /// every protocol; the two that do are the caller's.
+    fn adversary<M>(
+        self,
+        f: usize,
+        targeted: Box<dyn Adversary<M>>,
+        adaptive: Result<Box<dyn Adversary<M>>, String>,
+    ) -> Result<Box<dyn Adversary<M>>, String> {
+        match self {
+            Schedule::Scripted(plan) => Ok(Box::new(ScriptedCrash::new(plan.clone()))),
+            Schedule::Named(Adv::None) => Ok(Box::new(NoFaults)),
+            Schedule::Named(Adv::Eager) => Ok(Box::new(EagerCrash::new(f))),
+            Schedule::Named(Adv::Random(horizon)) => Ok(Box::new(RandomCrash::new(f, horizon))),
+            Schedule::Named(Adv::Targeted) => Ok(targeted),
+            Schedule::Named(Adv::AdaptiveKiller) => adaptive,
         }
     }
 }
@@ -157,11 +287,60 @@ pub struct Observation {
     pub distinct: u32,
 }
 
-/// The agreement input assignment used by the CLI: every `stride`-th node
-/// holds 0, the rest hold 1, with `stride` derived from the `zeros`
-/// fraction. Kept as a function of `zeros` so artifacts can record one
-/// number instead of `n` bits.
-pub fn input_stride(zeros: f64) -> u32 {
+/// Everything one [`ProtoKind::run`] yields, free of node types.
+#[derive(Debug)]
+pub struct ProtoRun {
+    /// The judged outcome and its replay-comparable summary.
+    pub observation: Observation,
+    /// LE: the elected node is in the adversary's faulty set (it may
+    /// still be alive). Always `false` for agreement.
+    pub leader_is_faulty: bool,
+    /// The run's full model-level accounting.
+    pub metrics: Metrics,
+    /// Transport-level accounting (zero on the engine).
+    pub net: NetMetrics,
+    /// The message trace, when `cfg.record_trace` asked for one.
+    pub trace: Option<Trace>,
+}
+
+impl ProtoRun {
+    fn new<P>(
+        success: bool,
+        outcome: Option<u64>,
+        distinct: usize,
+        leader_is_faulty: bool,
+        r: NetRunResult<P>,
+    ) -> Self {
+        let m = r.run.metrics;
+        ProtoRun {
+            observation: Observation {
+                fingerprint: Fingerprint {
+                    success,
+                    outcome,
+                    msgs_sent: m.msgs_sent,
+                    msgs_delivered: m.msgs_delivered,
+                    bits_sent: m.bits_sent,
+                    rounds: m.rounds,
+                    crashed: m
+                        .crashes
+                        .iter()
+                        .map(|&(node, round)| (node.0, round))
+                        .collect(),
+                },
+                distinct: distinct as u32,
+            },
+            leader_is_faulty,
+            metrics: m,
+            net: r.net,
+            trace: r.run.trace,
+        }
+    }
+}
+
+/// The 0-input stride for a `zeros` fraction: every `stride`-th node
+/// holds 0, the rest hold 1. Kept as a function of `zeros` so specs and
+/// artifacts record one number instead of `n` bits.
+fn input_stride(zeros: f64) -> u32 {
     if zeros <= 0.0 {
         u32::MAX
     } else {
@@ -169,50 +348,11 @@ pub fn input_stride(zeros: f64) -> u32 {
     }
 }
 
-fn agree_input(stride: u32, id: NodeId) -> bool {
+/// Node `id`'s agreement input under the `zeros` convention the CLI, the
+/// hunt and the lab share: every `round(1/zeros)`-th node holds 0.
+pub fn agree_input(zeros: f64, id: NodeId) -> bool {
+    let stride = input_stride(zeros);
     !(stride != u32::MAX && id.0.is_multiple_of(stride))
-}
-
-fn le_observation(r: &RunResult<LeNode>) -> Observation {
-    let out = LeOutcome::evaluate(r);
-    Observation {
-        fingerprint: Fingerprint {
-            success: out.success,
-            outcome: out.agreed_leader.map(|rank| rank.0),
-            msgs_sent: r.metrics.msgs_sent,
-            msgs_delivered: r.metrics.msgs_delivered,
-            bits_sent: r.metrics.bits_sent,
-            rounds: r.metrics.rounds,
-            crashed: r
-                .metrics
-                .crashes
-                .iter()
-                .map(|&(node, round)| (node.0, round))
-                .collect(),
-        },
-        distinct: out.elected_alive.len() as u32,
-    }
-}
-
-fn agree_observation(r: &RunResult<AgreeNode>) -> Observation {
-    let out = AgreeOutcome::evaluate(r);
-    Observation {
-        fingerprint: Fingerprint {
-            success: out.success,
-            outcome: out.agreed_value.map(u64::from),
-            msgs_sent: r.metrics.msgs_sent,
-            msgs_delivered: r.metrics.msgs_delivered,
-            bits_sent: r.metrics.bits_sent,
-            rounds: r.metrics.rounds,
-            crashed: r
-                .metrics
-                .crashes
-                .iter()
-                .map(|&(node, round)| (node.0, round))
-                .collect(),
-        },
-        distinct: out.decisions.len() as u32,
-    }
 }
 
 /// Runs `plan` against `proto` on the chosen substrate and condenses the
@@ -248,24 +388,19 @@ pub fn observe_wire(
     wire: Option<&WireFaultPlan>,
     substrate: Substrate,
 ) -> Result<Observation, String> {
-    let mut adversary = ScriptedCrash::new(plan.clone());
     let opts = RunOpts {
         wire,
         ..RunOpts::default()
     };
-    match proto {
-        ProtoKind::Le => {
-            let factory = |_| LeNode::new(params.clone());
-            let r = substrate.run(cfg, factory, &mut adversary, &opts)?;
-            Ok(le_observation(&r.run))
-        }
-        ProtoKind::Agree => {
-            let stride = input_stride(zeros);
-            let factory = |id: NodeId| AgreeNode::new(params.clone(), agree_input(stride, id));
-            let r = substrate.run(cfg, factory, &mut adversary, &opts)?;
-            Ok(agree_observation(&r.run))
-        }
-    }
+    let run = proto.run(
+        params,
+        cfg,
+        zeros,
+        Schedule::Scripted(plan),
+        substrate,
+        &opts,
+    )?;
+    Ok(run.observation)
 }
 
 #[cfg(test)]
@@ -284,7 +419,86 @@ mod tests {
     fn input_stride_matches_cli_convention() {
         assert_eq!(input_stride(0.0), u32::MAX);
         assert_eq!(input_stride(0.05), 20);
+        assert_eq!(input_stride(1.0 / 7.0), 7);
         assert_eq!(input_stride(1.0), 1);
+        assert!(!agree_input(0.05, NodeId(40)) && agree_input(0.05, NodeId(41)));
+        assert!(
+            agree_input(0.0, NodeId(0)),
+            "zeros = 0 is the all-ones input"
+        );
+    }
+
+    /// The bridge against the code it replaced: the CLI's hand-built
+    /// adversary tables (`random` = 60 rounds for LE, 20 for agreement),
+    /// the stride input rule, a direct engine run and the protocol's own
+    /// outcome evaluation.
+    #[test]
+    fn bridge_matches_hand_built_engine_runs() {
+        let params = Params::new(64, 0.75).unwrap();
+        let f = params.max_faults();
+        let bridged = |proto: ProtoKind, cfg: &SimConfig, adv: Adv| {
+            let schedule = Schedule::Named(adv);
+            proto.run(
+                &params,
+                cfg,
+                0.05,
+                schedule,
+                Substrate::Engine,
+                &RunOpts::default(),
+            )
+        };
+        let same =
+            |run: &ProtoRun, success: bool, outcome: Option<u64>, m: &Metrics, what: &str| {
+                let fp = &run.observation.fingerprint;
+                assert_eq!((fp.success, fp.outcome), (success, outcome), "{what}");
+                assert_eq!(run.metrics.msgs_sent, m.msgs_sent, "{what}");
+                assert_eq!(run.metrics.bits_sent, m.bits_sent, "{what}");
+                assert_eq!(run.metrics.rounds, m.rounds, "{what}");
+                assert_eq!(run.metrics.crashes, m.crashes, "{what}");
+            };
+        for name in ["none", "eager", "random", "targeted"] {
+            for seed in [1u64, 2, 3] {
+                let what = format!("{name}, seed {seed}");
+                let cfg = SimConfig::new(64)
+                    .seed(seed)
+                    .max_rounds(params.le_round_budget());
+                let mut adv: Box<dyn Adversary<LeMsg>> = match name {
+                    "none" => Box::new(NoFaults),
+                    "eager" => Box::new(EagerCrash::new(f)),
+                    "random" => Box::new(RandomCrash::new(f, 60)),
+                    _ => Box::new(MinRankCrasher::new(f)),
+                };
+                let r = ftc_sim::engine::run(&cfg, |_| LeNode::new(params.clone()), &mut *adv);
+                let out = LeOutcome::evaluate(&r);
+                let named = Adv::named(name, ProtoKind::Le).unwrap();
+                let run = bridged(ProtoKind::Le, &cfg, named).unwrap();
+                let leader = out.agreed_leader.map(|rank| rank.0);
+                same(&run, out.success, leader, &r.metrics, &what);
+                assert_eq!(run.leader_is_faulty, out.leader_is_faulty, "{what}");
+
+                let cfg = cfg.max_rounds(params.agreement_round_budget());
+                let mut adv: Box<dyn Adversary<AgreeMsg>> = match name {
+                    "none" => Box::new(NoFaults),
+                    "eager" => Box::new(EagerCrash::new(f)),
+                    "random" => Box::new(RandomCrash::new(f, 20)),
+                    _ => Box::new(ZeroHolderCrasher::new(f)),
+                };
+                let factory = |id: NodeId| AgreeNode::new(params.clone(), !id.0.is_multiple_of(20));
+                let r = ftc_sim::engine::run(&cfg, factory, &mut *adv);
+                let out = AgreeOutcome::evaluate(&r);
+                let named = Adv::named(name, ProtoKind::Agree).unwrap();
+                let run = bridged(ProtoKind::Agree, &cfg, named).unwrap();
+                let value = out.agreed_value.map(u64::from);
+                same(&run, out.success, value, &r.metrics, &what);
+            }
+        }
+        assert!(Adv::named("martian", ProtoKind::Le).is_err());
+        // The adaptive killer reads LE traffic; aimed at agreement it is
+        // an error, not a panic.
+        let cfg = SimConfig::new(64).max_rounds(params.agreement_round_budget());
+        let err = bridged(ProtoKind::Agree, &cfg, Adv::AdaptiveKiller).unwrap_err();
+        assert!(err.contains("leader election only"), "{err}");
+        assert!(bridged(ProtoKind::Le, &cfg, Adv::AdaptiveKiller).is_ok());
     }
 
     #[test]

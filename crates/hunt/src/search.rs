@@ -17,18 +17,18 @@
 use ftc_lowerbound::prelude::crash_targets;
 use ftc_sim::engine::SimConfig;
 use ftc_sim::perm::stream_seed;
-use ftc_sim::prelude::{FaultPlan, ScriptedCrash};
+use ftc_sim::prelude::FaultPlan;
 use ftc_sim::runner::{ParRunner, TrialPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ftc_net::prelude::WireFaultPlan;
+use ftc_net::prelude::{RunOpts, WireFaultPlan};
 
 use crate::mutate::{
     guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
 };
 use crate::objective::{Bounds, Objective};
-use crate::proto::{observe_wire, Observation, ProtoKind, Substrate};
+use crate::proto::{observe_wire, Observation, ProtoKind, Schedule, Substrate};
 
 /// Candidates evaluated per generation (the parallelism grain; fixed so
 /// the generation boundaries — and with them the annealing decisions —
@@ -210,40 +210,26 @@ pub fn evaluate(
 
 /// Mines influence-cloud crash targets from a crash-free reference run of
 /// the hunted protocol, for the guided strategy. Deterministic in `spec`.
-fn mine_targets(spec: &HuntSpec, space: &PlanSpace) -> Vec<ftc_lowerbound::prelude::CrashTarget> {
+fn mine_targets(
+    spec: &HuntSpec,
+    space: &PlanSpace,
+) -> Result<Vec<ftc_lowerbound::prelude::CrashTarget>, String> {
     let mut cfg = spec.cfg.clone();
     cfg.seed = stream_seed(spec.seed, SALT_GUIDE);
     cfg.record_trace = true;
-    let mut benign = ScriptedCrash::new(FaultPlan::new());
-    let trace = match spec.proto {
-        ProtoKind::Le => {
-            let params = spec.params.clone();
-            ftc_sim::engine::run(
-                &cfg,
-                |_| ftc_core::prelude::LeNode::new(params.clone()),
-                &mut benign,
-            )
-            .trace
-        }
-        ProtoKind::Agree => {
-            let params = spec.params.clone();
-            let stride = crate::proto::input_stride(spec.zeros);
-            ftc_sim::engine::run(
-                &cfg,
-                |id: ftc_sim::ids::NodeId| {
-                    ftc_core::prelude::AgreeNode::new(
-                        params.clone(),
-                        !(stride != u32::MAX && id.0.is_multiple_of(stride)),
-                    )
-                },
-                &mut benign,
-            )
-            .trace
-        }
-    };
-    trace
+    let benign = FaultPlan::new();
+    let run = spec.proto.run(
+        &spec.params,
+        &cfg,
+        spec.zeros,
+        Schedule::Scripted(&benign),
+        Substrate::Engine,
+        &RunOpts::default(),
+    )?;
+    Ok(run
+        .trace
         .map(|t| crash_targets(&t, (space.max_faults * 4).max(8)))
-        .unwrap_or_default()
+        .unwrap_or_default())
 }
 
 fn better(challenger: &Candidate, incumbent: &Candidate) -> bool {
@@ -283,7 +269,7 @@ pub fn run_hunt_observed(
         spec.proto.round_budget(&spec.params),
     );
     if spec.strategy == Strategy::Guided {
-        let targets = mine_targets(spec, &space);
+        let targets = mine_targets(spec, &space)?;
         space = space.with_targets(targets);
     }
 

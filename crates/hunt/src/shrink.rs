@@ -149,7 +149,7 @@ fn minimise_rounds(ctx: &mut Ctx<'_>, mut plan: FaultPlan) -> FaultPlan {
 
 /// Shrinks `plan`, preserving the objective's verdict at `probe_seed`
 /// with original score `score`. Deterministic in its arguments.
-pub fn shrink(
+pub(crate) fn shrink(
     spec: &HuntSpec,
     bounds: &Bounds,
     probe_seed: u64,

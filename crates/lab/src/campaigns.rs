@@ -504,6 +504,10 @@ mod tests {
                 let spec = named(name, smoke).unwrap();
                 assert_eq!(spec.name, name);
                 assert!(!spec.cells.is_empty());
+                for cell in &spec.cells {
+                    crate::run::check_adversary(&cell.workload)
+                        .unwrap_or_else(|e| panic!("{name}/{}: {e}", cell.label));
+                }
             }
         }
         assert!(named("nope", true).is_none());

@@ -14,17 +14,17 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use ftc_baselines::prelude::*;
-use ftc_core::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderCrasher};
+use ftc_core::adversaries::MinRankCrasher;
 use ftc_core::byzantine::{EquivocatingClaimant, ZeroForger};
 use ftc_core::prelude::*;
 use ftc_core::sampling::draw_committee;
+use ftc_hunt::proto::{agree_input, ProtoKind, Schedule};
 use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
 use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
-use ftc_sim::ids::NodeId;
 use ftc_sim::json::{Json, JsonError};
-use ftc_sim::metrics::LogHistogram;
+use ftc_sim::metrics::{LogHistogram, Metrics};
 use ftc_sim::perm::stream_seed;
 use ftc_sim::runner::{ParRunner, TrialPlan};
 use ftc_sim::stats::{fit_power_law, Summary};
@@ -33,8 +33,7 @@ use rand::prelude::*;
 use rand::rngs::SmallRng;
 
 use crate::spec::{
-    fnv1a64, input_stride, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck,
-    Workload,
+    fnv1a64, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload,
 };
 
 /// What one trial yields, uniformly across workloads.
@@ -56,12 +55,16 @@ pub struct TrialValue {
 }
 
 fn value_of<T>(r: &RunResult<T>, success: bool, extras: Vec<(&'static str, f64)>) -> TrialValue {
+    metrics_value(&r.metrics, success, extras)
+}
+
+fn metrics_value(m: &Metrics, success: bool, extras: Vec<(&'static str, f64)>) -> TrialValue {
     TrialValue {
         success,
-        msgs: r.metrics.msgs_sent,
-        bits: r.metrics.bits_sent,
-        rounds: r.metrics.rounds,
-        crashes: r.metrics.crash_count() as u64,
+        msgs: m.msgs_sent,
+        bits: m.bits_sent,
+        rounds: m.rounds,
+        crashes: m.crash_count() as u64,
         extras,
     }
 }
@@ -99,35 +102,65 @@ impl ftc_sim::protocol::Protocol for BenchChatter {
 /// Schedule-only adversaries (crash plans that never inspect protocol
 /// traffic) — usable with any message type. The engine bench and the
 /// topology baselines run these.
-fn schedule_adversary<M>(adv: Adv, f: usize) -> Box<dyn Adversary<M>> {
+fn schedule_adversary<M>(adv: Adv, f: usize) -> Result<Box<dyn Adversary<M>>, String> {
     match adv {
-        Adv::None => Box::new(NoFaults),
-        Adv::Eager => Box::new(EagerCrash::new(f)),
-        Adv::Random(h) => Box::new(RandomCrash::new(f, h)),
+        Adv::None => Ok(Box::new(NoFaults)),
+        Adv::Eager => Ok(Box::new(EagerCrash::new(f))),
+        Adv::Random(h) => Ok(Box::new(RandomCrash::new(f, h))),
         Adv::Targeted | Adv::AdaptiveKiller => {
-            panic!("this workload runs schedule-only adversaries (none|eager|random)")
+            Err("this workload runs schedule-only adversaries (none|eager|random)".into())
         }
     }
 }
 
-fn le_adversary(adv: Adv, f: usize) -> Box<dyn Adversary<LeMsg>> {
-    match adv {
-        Adv::None => Box::new(NoFaults),
-        Adv::Eager => Box::new(EagerCrash::new(f)),
-        Adv::Random(h) => Box::new(RandomCrash::new(f, h)),
-        Adv::Targeted => Box::new(MinRankCrasher::new(f)),
-        Adv::AdaptiveKiller => Box::new(AdaptiveCandidateKiller::new(f)),
+/// Rejects the workload/adversary pairings no trial can run.
+pub(crate) fn check_adversary(workload: &Workload) -> Result<(), String> {
+    match *workload {
+        Workload::LeDiamTwo { adv } | Workload::EngineBench { adv, .. } => {
+            schedule_adversary::<u64>(adv, 0).map(drop)
+        }
+        Workload::Agree {
+            adv: Adv::AdaptiveKiller,
+            ..
+        } => Err("the adaptive killer targets leader election only".into()),
+        _ => Ok(()),
     }
 }
 
-fn agree_adversary(adv: Adv, f: usize) -> Box<dyn Adversary<AgreeMsg>> {
-    match adv {
-        Adv::None => Box::new(NoFaults),
-        Adv::Eager => Box::new(EagerCrash::new(f)),
-        Adv::Random(h) => Box::new(RandomCrash::new(f, h)),
-        Adv::Targeted => Box::new(ZeroHolderCrasher::new(f)),
-        Adv::AdaptiveKiller => panic!("the adaptive killer targets leader election only"),
+/// One trial of a paper protocol under a named adversary, through the
+/// protocol bridge — the only workloads the cluster substrates run.
+fn bridged_trial(
+    proto: ProtoKind,
+    zeros: f64,
+    adv: Adv,
+    cell: &CellSpec,
+    cfg: SimConfig,
+    substrate: Substrate,
+) -> Result<TrialValue, String> {
+    let params = Params::new(cell.n, cell.alpha).expect("valid params");
+    let cfg = cfg.max_rounds(proto.round_budget(&params));
+    let schedule = Schedule::Named(adv);
+    let r = proto.run(
+        &params,
+        &cfg,
+        zeros,
+        schedule,
+        substrate,
+        &RunOpts::default(),
+    )?;
+    let success = r.observation.fingerprint.success;
+    let mut extras = vec![];
+    if proto == ProtoKind::Le {
+        let faulty_leader = success && r.leader_is_faulty;
+        extras.push(("faulty_leader", f64::from(u8::from(faulty_leader))));
     }
+    // Socket-substrate records additionally carry the wire traffic;
+    // engine/channel records keep their historical shape (and therefore
+    // their ids).
+    if matches!(substrate, Substrate::Mesh(_)) {
+        extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
+    }
+    Ok(metrics_value(&r.metrics, success, extras))
 }
 
 /// Runs one trial of `cell` at a fully derived `seed`. Pure in its
@@ -142,45 +175,9 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
     let cfg = cfg;
     let ij = substrate.intra_jobs();
     Ok(match &cell.workload {
-        Workload::Le { adv } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
-            let mut a = le_adversary(*adv, params.max_faults());
-            let cfg = cfg.max_rounds(params.le_round_budget());
-            let factory = |_| LeNode::new(params.clone());
-            let r = substrate
-                .run(&cfg, factory, &mut *a, &RunOpts::default())?
-                .run;
-            let o = LeOutcome::evaluate(&r);
-            let mut extras = vec![(
-                "faulty_leader",
-                f64::from(u8::from(o.success && o.leader_is_faulty)),
-            )];
-            // Socket-substrate records additionally carry the wire
-            // traffic; engine/channel records keep their historical
-            // shape (and therefore their ids).
-            if matches!(substrate, Substrate::Mesh(_)) {
-                extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
-            }
-            value_of(&r, o.success, extras)
-        }
+        Workload::Le { adv } => bridged_trial(ProtoKind::Le, 0.0, *adv, cell, cfg, substrate)?,
         Workload::Agree { zeros, adv } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
-            let mut a = agree_adversary(*adv, params.max_faults());
-            let cfg = cfg.max_rounds(params.agreement_round_budget());
-            let stride = input_stride(*zeros);
-            let factory = |id: NodeId| {
-                let input = !(stride != u32::MAX && id.0.is_multiple_of(stride));
-                AgreeNode::new(params.clone(), input)
-            };
-            let r = substrate
-                .run(&cfg, factory, &mut *a, &RunOpts::default())?
-                .run;
-            let o = AgreeOutcome::evaluate(&r);
-            let mut extras = vec![];
-            if matches!(substrate, Substrate::Mesh(_)) {
-                extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
-            }
-            value_of(&r, o.success, extras)
+            bridged_trial(ProtoKind::Agree, *zeros, *adv, cell, cfg, substrate)?
         }
         Workload::LeIter { factor, per_round } => {
             let params = Params::new(n, cell.alpha)
@@ -303,17 +300,11 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
         Workload::AgreeExplicit { zeros } => {
             let params = Params::new(n, cell.alpha).expect("valid params");
             let f = params.max_faults();
-            let stride = input_stride(*zeros);
             let cfg = cfg.max_rounds(ExplicitAgreeNode::round_budget(&params));
             let mut adv = RandomCrash::new(f, 20);
             let r = run_sharded(
                 &cfg,
-                |id| {
-                    ExplicitAgreeNode::new(
-                        params.clone(),
-                        !(stride != u32::MAX && id.0.is_multiple_of(stride)),
-                    )
-                },
+                |id| ExplicitAgreeNode::new(params.clone(), agree_input(*zeros, id)),
                 &mut adv,
                 ij,
             );
@@ -327,18 +318,15 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
         Workload::LeDiamTwo { adv } => {
             let f = ((1.0 - cell.alpha) * f64::from(n)) as usize;
             let cfg = cfg.max_rounds(diam_two_round_budget());
-            let mut a = schedule_adversary(*adv, f);
+            let mut a = schedule_adversary(*adv, f)?;
             let r = run_sharded(&cfg, |_| DiamTwoLeNode::new(), &mut *a, ij);
             value_of(&r, DiamTwoOutcome::evaluate(&r).success, vec![])
         }
         Workload::AgreeAugustine { zeros } => {
-            let stride = input_stride(*zeros);
             let cfg = cfg.max_rounds(augustine_round_budget());
             let r = run_sharded(
                 &cfg,
-                |id: NodeId| {
-                    AugustineNode::new(!(stride != u32::MAX && id.0.is_multiple_of(stride)))
-                },
+                |id| AugustineNode::new(agree_input(*zeros, id)),
                 &mut NoFaults,
                 ij,
             );
@@ -434,7 +422,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             if *p > 0.0 {
                 cfg = cfg.edge_failure_prob(*p);
             }
-            let mut a = schedule_adversary(*adv, f);
+            let mut a = schedule_adversary(*adv, f)?;
             let r = run_sharded(
                 &cfg,
                 |_| BenchChatter {
@@ -913,8 +901,8 @@ pub fn run_campaign(
     }
     for cell in &spec.cells {
         // Configuration errors must surface here, before any trial runs —
-        // a bad topology or an oversized Byzantine budget used to panic
-        // mid-trial deep inside the engine.
+        // a bad topology, an oversized Byzantine budget or an adversary
+        // the workload cannot face used to panic mid-trial on a worker.
         cell.topology
             .validate(cell.n)
             .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
@@ -924,6 +912,7 @@ pub fn run_campaign(
             _ => Ok(()),
         }
         .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
+        check_adversary(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
         if !cell.topology.is_complete()
             && matches!(
                 cell.workload,
@@ -1173,6 +1162,34 @@ mod tests {
             3,
             2,
         ));
+        assert!(run_campaign(&ok, 1, Substrate::Engine).is_ok());
+    }
+
+    #[test]
+    fn impossible_adversary_pairings_fail_fast_naming_the_cell() {
+        // Regression: these used to panic on a `ParRunner` worker
+        // mid-campaign (`ftc lab run <spec.json>` exited 101).
+        let agree = Workload::Agree {
+            zeros: 0.05,
+            adv: Adv::AdaptiveKiller,
+        };
+        let bench = Workload::EngineBench {
+            adv: Adv::Targeted,
+            p: 0.0,
+            rounds: 2,
+        };
+        let diam = Workload::LeDiamTwo { adv: Adv::Targeted };
+        for workload in [agree, bench, diam] {
+            let spec = CampaignSpec::new("pairing-bad")
+                .cell(CellSpec::new(workload, 16, 0.5, 3, 2).label("mismatched"));
+            let err = run_campaign(&spec, 1, Substrate::Engine).unwrap_err();
+            assert!(err.contains("mismatched"), "{err}");
+        }
+        // The adaptive killer is a leader-election adversary: that pairing runs.
+        let le = Workload::Le {
+            adv: Adv::AdaptiveKiller,
+        };
+        let ok = CampaignSpec::new("pairing-ok").cell(CellSpec::new(le, 16, 0.5, 3, 2));
         assert!(run_campaign(&ok, 1, Substrate::Engine).is_ok());
     }
 

@@ -12,64 +12,36 @@
 use ftc_sim::json::{Json, JsonError};
 use ftc_sim::topology::Topology;
 
-/// Which crash schedule a cell runs under. Mirrors the schedules the
-/// figure binaries always used; `AdaptiveKiller` is the model-boundary
-/// adversary of E11 (leader election only).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Adv {
-    /// No crashes.
-    None,
-    /// All faulty nodes crash at round 0 before sending.
-    Eager,
-    /// Random crash rounds within the given horizon.
-    Random(u32),
-    /// The paper's worst case: assassinate the current minimum proposer
-    /// (LE) / the current zero-forwarder (agreement).
-    Targeted,
-    /// Adaptive candidate killer (breaks the static-adversary model;
-    /// leader election only).
-    AdaptiveKiller,
+/// Which crash schedule a cell runs under — the protocol bridge's
+/// vocabulary, encoded here because the JSON form is this schema's.
+pub use ftc_hunt::proto::Adv;
+
+/// JSON encoding of an [`Adv`], tagged by `kind`.
+fn adv_to_json(adv: Adv) -> Json {
+    let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
+    match adv {
+        Adv::None => Json::Obj(vec![kind("none")]),
+        Adv::Eager => Json::Obj(vec![kind("eager")]),
+        Adv::Random(h) => Json::Obj(vec![
+            kind("random"),
+            ("horizon".into(), Json::UInt(u64::from(h))),
+        ]),
+        Adv::Targeted => Json::Obj(vec![kind("targeted")]),
+        Adv::AdaptiveKiller => Json::Obj(vec![kind("adaptive_killer")]),
+    }
 }
 
-impl Adv {
-    /// Human-readable label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Adv::None => "fault-free",
-            Adv::Eager => "eager",
-            Adv::Random(_) => "random",
-            Adv::Targeted => "targeted",
-            Adv::AdaptiveKiller => "adaptive",
-        }
-    }
-
-    /// JSON encoding, tagged by `kind`.
-    pub fn to_json(self) -> Json {
-        let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
-        match self {
-            Adv::None => Json::Obj(vec![kind("none")]),
-            Adv::Eager => Json::Obj(vec![kind("eager")]),
-            Adv::Random(h) => Json::Obj(vec![
-                kind("random"),
-                ("horizon".into(), Json::UInt(u64::from(h))),
-            ]),
-            Adv::Targeted => Json::Obj(vec![kind("targeted")]),
-            Adv::AdaptiveKiller => Json::Obj(vec![kind("adaptive_killer")]),
-        }
-    }
-
-    /// Decodes from the [`Adv::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.field("kind")?.as_str()? {
-            "none" => Ok(Adv::None),
-            "eager" => Ok(Adv::Eager),
-            "random" => Ok(Adv::Random(v.field("horizon")?.as_u64()? as u32)),
-            "targeted" => Ok(Adv::Targeted),
-            "adaptive_killer" => Ok(Adv::AdaptiveKiller),
-            other => Err(JsonError {
-                message: format!("unknown adversary kind `{other}`"),
-            }),
-        }
+/// Decodes an [`Adv`] from its [`adv_to_json`] form.
+fn adv_from_json(v: &Json) -> Result<Adv, JsonError> {
+    match v.field("kind")?.as_str()? {
+        "none" => Ok(Adv::None),
+        "eager" => Ok(Adv::Eager),
+        "random" => Ok(Adv::Random(v.field("horizon")?.as_u64()? as u32)),
+        "targeted" => Ok(Adv::Targeted),
+        "adaptive_killer" => Ok(Adv::AdaptiveKiller),
+        other => Err(JsonError {
+            message: format!("unknown adversary kind `{other}`"),
+        }),
     }
 }
 
@@ -79,7 +51,7 @@ impl Adv {
 ///
 /// Input conventions: agreement-style workloads take a `zeros` fraction
 /// and spread the 0-inputs round-robin with stride `round(1/zeros)`
-/// (`0.0` = all ones), matching the CLI/hunt convention. `AgreeEdge`
+/// (`0.0` = all ones) — the CLI/hunt convention, [`ftc_hunt::proto::agree_input`]. `AgreeEdge`
 /// inverts the pattern (E13 historically ran mostly-zero inputs).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Workload {
@@ -249,11 +221,11 @@ impl Workload {
         let mut fields = vec![("kind".to_string(), Json::Str(self.tag().into()))];
         match self {
             Workload::Le { adv } | Workload::LeDiamTwo { adv } => {
-                fields.push(("adv".into(), adv.to_json()))
+                fields.push(("adv".into(), adv_to_json(*adv)))
             }
             Workload::Agree { zeros, adv } => {
                 fields.push(("zeros".into(), Json::Num(*zeros)));
-                fields.push(("adv".into(), adv.to_json()));
+                fields.push(("adv".into(), adv_to_json(*adv)));
             }
             Workload::LeIter { factor, per_round } => {
                 fields.push(("factor".into(), Json::Num(*factor)));
@@ -287,7 +259,7 @@ impl Workload {
                 fields.push(("referee_factor".into(), Json::Num(*referee_factor)));
             }
             Workload::EngineBench { adv, p, rounds } => {
-                fields.push(("adv".into(), adv.to_json()));
+                fields.push(("adv".into(), adv_to_json(*adv)));
                 fields.push(("p".into(), Json::Num(*p)));
                 fields.push(("rounds".into(), Json::UInt(u64::from(*rounds))));
             }
@@ -314,11 +286,11 @@ impl Workload {
         };
         match v.field("kind")?.as_str()? {
             "le" => Ok(Workload::Le {
-                adv: Adv::from_json(v.field("adv")?)?,
+                adv: adv_from_json(v.field("adv")?)?,
             }),
             "agree" => Ok(Workload::Agree {
                 zeros: v.field("zeros")?.as_f64()?,
-                adv: Adv::from_json(v.field("adv")?)?,
+                adv: adv_from_json(v.field("adv")?)?,
             }),
             "le_iter" => Ok(Workload::LeIter {
                 factor: v.field("factor")?.as_f64()?,
@@ -345,7 +317,7 @@ impl Workload {
             }),
             "le_kutten" => Ok(Workload::LeKutten),
             "le_diam_two" => Ok(Workload::LeDiamTwo {
-                adv: Adv::from_json(v.field("adv")?)?,
+                adv: adv_from_json(v.field("adv")?)?,
             }),
             "agree_augustine" => Ok(Workload::AgreeAugustine {
                 zeros: v.field("zeros")?.as_f64()?,
@@ -367,7 +339,7 @@ impl Workload {
                 referee_factor: v.field("referee_factor")?.as_f64()?,
             }),
             "engine_bench" => Ok(Workload::EngineBench {
-                adv: Adv::from_json(v.field("adv")?)?,
+                adv: adv_from_json(v.field("adv")?)?,
                 p: v.field("p")?.as_f64()?,
                 rounds: v.field("rounds")?.as_u64()? as u32,
             }),
@@ -658,16 +630,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The round-robin 0-input stride for a `zeros` fraction (the CLI/hunt
-/// convention: node holds 1 unless `id % stride == 0`).
-pub fn input_stride(zeros: f64) -> u32 {
-    if zeros <= 0.0 {
-        u32::MAX
-    } else {
-        (1.0 / zeros).round().max(1.0) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,14 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn input_stride_matches_cli_convention() {
-        assert_eq!(input_stride(0.0), u32::MAX);
-        assert_eq!(input_stride(0.05), 20);
-        assert_eq!(input_stride(1.0 / 7.0), 7);
-        assert_eq!(input_stride(1.0), 1);
-    }
-
-    #[test]
     fn complete_cells_render_without_a_topology_field() {
         // Committed complete-graph spec hashes must not move: the
         // `topology` key only appears for non-complete cells.
@@ -825,6 +779,6 @@ mod tests {
     fn unknown_tags_are_rejected() {
         let bad = Json::parse(r#"{"kind":"paxos"}"#).unwrap();
         assert!(Workload::from_json(&bad).is_err());
-        assert!(Adv::from_json(&bad).is_err());
+        assert!(adv_from_json(&bad).is_err());
     }
 }

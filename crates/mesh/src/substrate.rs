@@ -56,7 +56,7 @@ impl Substrate {
             ("mesh", p) => Ok(Substrate::Mesh(p.unwrap_or(DEFAULT_WIDTH))),
             ("tcp", _) => Err(
                 "the per-edge tcp runtime is retired: use `mesh` with one node per proc \
-                 (`--transport mesh --procs <n>` / `--substrate mesh:<n>` opens one socket per edge)"
+                 (`--substrate mesh:<n>` opens one socket per edge)"
                     .into(),
             ),
             _ => Err(format!(
@@ -68,7 +68,7 @@ impl Substrate {
     /// The store-record label; [`Substrate::parse`] reads it back. Widths
     /// that are invisible in results stay out of it — sharding and the
     /// proc count never change a bit of the deterministic render — so
-    /// record ids are `--intra-jobs`- and `--procs`-invariant.
+    /// record ids are invariant in `--intra-jobs` and the mesh width.
     pub fn label(self) -> String {
         match self {
             Substrate::Engine | Substrate::EngineSharded(_) => "engine".into(),
@@ -165,7 +165,7 @@ mod tests {
         for retired in ["tcp", "tcp:4"] {
             let err = Substrate::parse(retired).unwrap_err();
             assert!(
-                err.contains("--transport mesh --procs <n>"),
+                err.contains("--substrate mesh:<n>"),
                 "no replacement named in: {err}"
             );
         }

@@ -1,0 +1,384 @@
+//! `hunt`, `replay` and `hunt portfolio`: adversary search (`ftc-hunt`,
+//! `ftc-chaos`) and the replay check of its artifacts.
+
+use ftc::prelude::*;
+
+use crate::flags::{substrate_kind, Opts};
+
+pub fn cmd_hunt(o: &Opts) -> Result<(), String> {
+    if o.positional.first().map(String::as_str) == Some("portfolio") {
+        return cmd_hunt_portfolio(o);
+    }
+    let (proto, objective) = (o.proto, o.objective);
+    let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
+    let cfg = SimConfig::try_new(o.n)
+        .map_err(|e| e.to_string())?
+        .max_rounds(proto.round_budget(&params));
+    // Wire faults only exist below a real transport, so `--wire-faults`
+    // moves the whole hunt onto the `--substrate` runtime; plain hunts
+    // stay on the (much faster, observation-identical) engine.
+    let substrate = match (o.wire_faults, o.substrate) {
+        (true, _) => o.wire_substrate(),
+        (false, None) => Substrate::Engine,
+        (false, Some(_)) => {
+            return Err("--substrate moves a hunt only with --wire-faults \
+                        (plain hunts run on the engine)"
+                .into())
+        }
+    };
+    let spec = HuntSpec {
+        proto,
+        objective,
+        params,
+        cfg,
+        zeros: o.zeros,
+        budget: o.budget,
+        probes: o.probes,
+        seed: o.seed,
+        jobs: o.jobs,
+        strategy: o.strategy,
+        substrate,
+        wire: o.wire_faults,
+    };
+    let report = run_hunt(&spec)?;
+    if let Some(w) = o.format.is_machine().then(|| {
+        RowWriter::new(
+            o.format,
+            &["generation", "best_score", "hits", "champion_score"],
+        )
+    }) {
+        let mut w = w;
+        for g in &report.generations {
+            w.emit(&[
+                Value::UInt(g.generation),
+                Value::Float(g.best_score),
+                Value::UInt(g.hits),
+                Value::Float(g.champion_score),
+            ]);
+        }
+    }
+
+    let champ = &report.champion;
+    let (artifact, reduced) = Artifact::mint(&spec, &report);
+    // Cross-check before emitting: the artifact must replay bit-for-bit on
+    // the engine and on the real channel runtime (PR-3 bit-equivalence) —
+    // plus the hunted substrate itself when wire faults are on, so the
+    // wire plan is re-applied where it was found.
+    let mut check_on = vec![Substrate::Engine, Substrate::parse("channel")?];
+    if o.wire_faults {
+        check_on.push(substrate);
+    }
+    for substrate in check_on {
+        let check = artifact.replay(substrate)?;
+        if !check.ok() {
+            return Err(format!(
+                "hunted schedule does not replay on {}: {check:?}",
+                substrate.label()
+            ));
+        }
+    }
+    if !o.format.is_machine() {
+        println!(
+            "hunt: proto={} objective={} strategy={} n={} alpha={} seed={}",
+            proto.name(),
+            objective.name(),
+            o.strategy.name(),
+            o.n,
+            o.alpha,
+            o.seed
+        );
+        println!(
+            "  evaluated {} schedules in {} generations, {} hit the objective",
+            report.evaluated,
+            report.generations.len(),
+            report.hits
+        );
+        println!(
+            "  bounds: whp message bound {:.0}, round budget {}",
+            report.bounds.message_bound, report.bounds.round_budget
+        );
+        println!(
+            "  champion: score {} ({}) at trial {}, probe seed {}",
+            champ.score,
+            if artifact.hit {
+                "counterexample"
+            } else {
+                "no counterexample"
+            },
+            champ.trial,
+            champ.probe_seed
+        );
+        println!(
+            "  shrunk: {} -> {} crash entries ({} reduction probes)",
+            reduced.entries_before, reduced.entries_after, reduced.probes
+        );
+        if let Some(wire) = &artifact.wire {
+            let (_, residue) = wire.degrade();
+            println!(
+                "  wire faults: {} entr{} on {} (engine residue: {})",
+                wire.len(),
+                if wire.len() == 1 { "y" } else { "ies" },
+                substrate_kind(substrate),
+                if residue.is_empty() {
+                    "none".to_string()
+                } else {
+                    residue.join("; ")
+                }
+            );
+        }
+        if o.wire_faults {
+            println!(
+                "  replay: engine ok, channel ok, {} ok",
+                substrate_kind(substrate)
+            );
+        } else {
+            println!("  replay: engine ok, channel ok");
+        }
+    }
+    if let Some(path) = &o.out {
+        std::fs::write(path, artifact.render()).map_err(|e| format!("{path}: {e}"))?;
+        if !o.format.is_machine() {
+            println!("  artifact written to {path}");
+        }
+    }
+    if o.expect_hit && !artifact.hit {
+        return Err(format!(
+            "--expect-hit: no counterexample found (champion score {})",
+            artifact.score
+        ));
+    }
+    if o.expect_empty && artifact.hit {
+        return Err(format!(
+            "--expect-empty: found a counterexample (objective {}, score {}, {} crash entries)",
+            artifact.objective.name(),
+            artifact.score,
+            artifact.schedule.entries().len()
+        ));
+    }
+    Ok(())
+}
+
+pub fn cmd_replay(o: &Opts) -> Result<(), String> {
+    let path = o
+        .positional
+        .first()
+        .ok_or("replay needs an artifact file: ftc replay <file>")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let artifact = Artifact::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    // The engine, plus the named substrate unless that is the engine.
+    let mut substrates = vec![Substrate::Engine, o.wire_substrate()];
+    substrates.dedup();
+    let mut writer = o.format.is_machine().then(|| {
+        RowWriter::new(
+            o.format,
+            &[
+                "substrate",
+                "fingerprint_ok",
+                "verdict_ok",
+                "success",
+                "msgs",
+                "rounds",
+            ],
+        )
+    });
+    let mut failures = 0u32;
+    for substrate in substrates {
+        let name = substrate_kind(substrate);
+        let report = artifact.replay(substrate)?;
+        if !report.ok() {
+            failures += 1;
+        }
+        if let Some(w) = writer.as_mut() {
+            w.emit(&[
+                Value::Str(name.into()),
+                Value::Bool(report.fingerprint_matches),
+                Value::Bool(report.verdict_matches),
+                Value::Bool(report.observation.fingerprint.success),
+                Value::UInt(report.observation.fingerprint.msgs_sent),
+                Value::UInt(u64::from(report.observation.fingerprint.rounds)),
+            ]);
+        } else {
+            println!(
+                "replay {} on {}: fingerprint {}, verdict {} (score {}, hit {})",
+                path,
+                name,
+                if report.fingerprint_matches {
+                    "reproduced"
+                } else {
+                    "DIVERGED"
+                },
+                if report.verdict_matches {
+                    "reproduced"
+                } else {
+                    "DIVERGED"
+                },
+                artifact.score,
+                artifact.hit
+            );
+        }
+    }
+    if failures > 0 {
+        return Err(format!("{failures} replay substrate(s) diverged"));
+    }
+    Ok(())
+}
+
+/// Resolves `hunt portfolio run`'s argument: a registry name, or a path
+/// to a JSON portfolio spec.
+fn resolve_hunt_spec(arg: &str, smoke: bool) -> Result<HuntCampaignSpec, String> {
+    if let Some(spec) = ftc::chaos::campaigns::named(arg, smoke) {
+        return Ok(spec);
+    }
+    if std::path::Path::new(arg).exists() {
+        let text = std::fs::read_to_string(arg).map_err(|e| format!("{arg}: {e}"))?;
+        let json = ftc::sim::json::Json::parse(&text).map_err(|e| format!("{arg}: {e}"))?;
+        return HuntCampaignSpec::from_json(&json).map_err(|e| format!("{arg}: {e}"));
+    }
+    Err(format!(
+        "`{arg}` is neither a known portfolio ({}) nor a spec file",
+        ftc::chaos::campaigns::names().join("|")
+    ))
+}
+
+/// A portfolio-record argument: a file path if one exists there, else a
+/// store id or unique prefix (matched against `hunt`-kind records only).
+fn load_hunt_record_arg(store: &Store, arg: &str) -> Result<HuntCampaignRecord, String> {
+    let read = |path: &std::path::Path| -> Result<HuntCampaignRecord, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        HuntCampaignRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let path = std::path::Path::new(arg);
+    if path.exists() {
+        return read(path);
+    }
+    let matches: Vec<String> = store
+        .list()
+        .map_err(|e| e.to_string())?
+        .into_iter()
+        .filter(|e| e.kind == "hunt" && e.id.starts_with(arg))
+        .map(|e| e.id)
+        .collect();
+    match matches.len() {
+        1 => read(&store.dir().join(format!("{}.json", matches[0]))),
+        0 => Err(format!(
+            "no portfolio record matching `{arg}` in {}",
+            store.dir().display()
+        )),
+        k => Err(format!(
+            "`{arg}` is ambiguous ({k} portfolio records match)"
+        )),
+    }
+}
+
+fn print_hunt_record(record: &HuntCampaignRecord, format: Format) {
+    if format == Format::Json {
+        println!("{}", record.to_json(true).render());
+        return;
+    }
+    println!(
+        "portfolio {} (spec {}, git {})",
+        record.spec.name, record.spec_hash, record.git_rev
+    );
+    println!(
+        "  {:<28} {:>9} {:>6} {:>12} {:>5} {:>7} {:>8}",
+        "cell", "evaluated", "hits", "score", "hit", "shrunk", "wall_s"
+    );
+    for c in &record.cells {
+        println!(
+            "  {:<28} {:>9} {:>6} {:>12.1} {:>5} {:>3}->{:<3} {:>8.2}",
+            c.cell.label,
+            c.evaluated,
+            c.hits,
+            c.artifact.score,
+            if c.artifact.hit { "HIT" } else { "-" },
+            c.entries_before,
+            c.entries_after,
+            c.wall_s
+        );
+    }
+    println!(
+        "  coverage: {}/{} schedule-space buckets ({:.1}%), {} crash entries explored",
+        record.coverage.covered(),
+        ftc::chaos::coverage::BUCKETS,
+        record.coverage.fraction() * 100.0,
+        record.coverage.entries()
+    );
+}
+
+/// `ftc hunt portfolio <run|gate>`: campaign-scale adversary search.
+fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
+    let verb = o
+        .positional
+        .get(1)
+        .ok_or("hunt portfolio needs a verb: ftc hunt portfolio <run|gate> ...")?;
+    let store = Store::at(&o.store);
+    match verb.as_str() {
+        "run" => {
+            let arg = o
+                .positional
+                .get(2)
+                .ok_or("hunt portfolio run needs a portfolio name or spec file")?;
+            let spec = resolve_hunt_spec(arg, o.smoke)?;
+            let record = run_hunt_campaign(&spec, o.jobs)?;
+            let id = record.id();
+            store
+                .put_rendered(&id, &record.to_json(true).render())
+                .map_err(|e| e.to_string())?;
+            print_hunt_record(&record, o.format);
+            if o.format != Format::Json {
+                println!("  stored as {id} in {}", store.dir().display());
+            }
+            if let Some(floor) = o.min_coverage {
+                if record.coverage.fraction() < floor {
+                    return Err(format!(
+                        "--min-coverage: explored {:.3} of schedule space, floor is {floor}",
+                        record.coverage.fraction()
+                    ));
+                }
+            }
+            if o.expect_hit && record.hits() == 0 {
+                return Err("--expect-hit: no cell found a counterexample".into());
+            }
+            if o.expect_empty && record.hits() > 0 {
+                let hits: Vec<&str> = record
+                    .cells
+                    .iter()
+                    .filter(|c| c.hits > 0)
+                    .map(|c| c.cell.label.as_str())
+                    .collect();
+                return Err(format!(
+                    "--expect-empty: {} cell(s) found counterexamples: {}",
+                    hits.len(),
+                    hits.join(", ")
+                ));
+            }
+            Ok(())
+        }
+        "gate" => {
+            let base = load_hunt_record_arg(
+                &store,
+                &o.positional
+                    .get(2)
+                    .cloned()
+                    .ok_or("hunt portfolio gate needs a record id or file")?,
+            )?;
+            let fresh = run_hunt_campaign(&base.spec, o.jobs)?;
+            if fresh.deterministic_render() == base.deterministic_render() {
+                println!(
+                    "ok: portfolio {} reproduced bit-for-bit ({} cells, coverage {:.1}%)",
+                    base.id(),
+                    base.cells.len(),
+                    base.coverage.fraction() * 100.0
+                );
+                Ok(())
+            } else {
+                Err(format!(
+                    "portfolio drifted from baseline {}: fresh deterministic id is {}",
+                    base.id(),
+                    fresh.id()
+                ))
+            }
+        }
+        other => Err(format!("unknown hunt portfolio verb {other} (run|gate)")),
+    }
+}
