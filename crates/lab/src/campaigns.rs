@@ -1,57 +1,139 @@
-//! Named campaign registry.
+//! The campaign table.
 //!
-//! The CLI (`ftc lab run <name>`) and CI gate resolve campaign names
-//! here. Every builder is a pure function of its arguments, so the spec
-//! hash of a named campaign is stable across machines and sessions —
-//! which is what lets a committed baseline record gate a fresh run.
+//! Every named campaign is one row of [`CAMPAIGNS`]: its name, the spec
+//! it builds at either scale, the `BENCH_*.json` trajectory `ftc lab
+//! baseline` exports it to (if any) and the figure its records render as
+//! (if any). `ftc lab run <name>`, `lab show`, `lab baseline`, `lab perf`
+//! and the CI gates all resolve names here. Every builder is a pure
+//! function of its arguments, so the spec hash of a named campaign is
+//! stable across machines and sessions — which is what lets a committed
+//! baseline record gate a fresh run.
 //!
-//! Scale convention follows the figure binaries: each campaign has a
-//! full-scale and a smoke-scale variant (`--smoke`), with the smoke
-//! variant small enough for CI on one core.
+//! Scale convention: each campaign has a full-scale and a smoke-scale
+//! variant (`--smoke`), with the smoke variant small enough for CI on
+//! one core.
 
 use ftc_sim::topology::Topology;
 
+use crate::baseline::{BENCH_AGREE, BENCH_ENGINE, BENCH_LE};
+use crate::figures;
+use crate::run::{CampaignRecord, CellResult};
 use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 
 /// Seed used by the gate campaign (committed baseline; never change it
 /// without regenerating `results/store/`).
 pub const GATE_SEED: u64 = 0x1AB;
 
+/// Turns a campaign's record into its figure text. Reads nothing but the
+/// record, and names the series it misses instead of panicking.
+pub type Renderer = fn(&CampaignRecord) -> Result<String, String>;
+
+/// One named campaign.
+pub struct Campaign {
+    /// Registry name, which is also its records' store-id prefix.
+    pub name: &'static str,
+    /// The spec at full (`false`) or smoke (`true`) scale.
+    pub spec: fn(bool) -> CampaignSpec,
+    /// The repo-root trajectory file `ftc lab baseline` appends it to.
+    pub trajectory: Option<&'static str>,
+    /// The figure its records render as.
+    pub render: Option<Renderer>,
+}
+
+impl Campaign {
+    const fn new(name: &'static str, spec: fn(bool) -> CampaignSpec) -> Self {
+        Campaign {
+            name,
+            spec,
+            trajectory: None,
+            render: None,
+        }
+    }
+
+    const fn tracked_in(self, file: &'static str) -> Self {
+        Campaign {
+            trajectory: Some(file),
+            ..self
+        }
+    }
+
+    const fn figure(self, render: Renderer) -> Self {
+        Campaign {
+            render: Some(render),
+            ..self
+        }
+    }
+}
+
+/// Every named campaign: the measurement campaigns, then Table I and the
+/// twelve figures of `EXPERIMENTS.md` (E1–E14).
+pub const CAMPAIGNS: &[Campaign] = &[
+    Campaign::new("gate-smoke", |_| gate_smoke()),
+    Campaign::new("le-scaling", le_scaling).tracked_in(BENCH_LE),
+    Campaign::new("agree-scaling", agree_scaling).tracked_in(BENCH_AGREE),
+    Campaign::new("alpha-sweep", alpha_sweep),
+    Campaign::new("engine-bench", engine_bench).tracked_in(BENCH_ENGINE),
+    Campaign::new("scale-bench", scale_bench).tracked_in(BENCH_ENGINE),
+    Campaign::new("soak", soak),
+    Campaign::new("topology-matrix", topology_matrix),
+    Campaign::new("wire-throughput", wire_throughput).tracked_in(BENCH_ENGINE),
+    Campaign::new("table1", figures::table1).figure(figures::render_table1),
+    Campaign::new("fig-le-messages-vs-n", figures::le_messages_vs_n)
+        .figure(figures::render_le_messages_vs_n),
+    Campaign::new("fig-messages-vs-alpha", figures::messages_vs_alpha)
+        .figure(figures::render_messages_vs_alpha),
+    Campaign::new("fig-rounds", figures::rounds).figure(figures::render_rounds),
+    Campaign::new("fig-success", figures::success).figure(figures::render_success),
+    Campaign::new("fig-explicit", figures::explicit).figure(figures::render_explicit),
+    Campaign::new("fig-lowerbound", figures::lowerbound).figure(figures::render_lowerbound),
+    Campaign::new("fig-faultfree-gap", figures::faultfree_gap)
+        .figure(figures::render_faultfree_gap),
+    Campaign::new("fig-sampling-lemmas", figures::sampling_lemmas)
+        .figure(figures::render_sampling_lemmas),
+    Campaign::new("fig-adaptive", figures::adaptive).figure(figures::render_adaptive),
+    Campaign::new("fig-byzantine", figures::byzantine).figure(figures::render_byzantine),
+    Campaign::new("fig-edge-failures", figures::edge_failures)
+        .figure(figures::render_edge_failures),
+    Campaign::new("fig-multivalue", figures::multivalue).figure(figures::render_multivalue),
+];
+
+fn find(name: &str) -> Option<&'static Campaign> {
+    CAMPAIGNS.iter().find(|c| c.name == name)
+}
+
 /// All registry names, for `ftc lab run --help`.
-pub fn names() -> &'static [&'static str] {
-    &[
-        "gate-smoke",
-        "le-scaling",
-        "agree-scaling",
-        "alpha-sweep",
-        "engine-bench",
-        "scale-bench",
-        "soak",
-        "topology-matrix",
-        "wire-throughput",
-    ]
+pub fn names() -> Vec<&'static str> {
+    CAMPAIGNS.iter().map(|c| c.name).collect()
 }
 
 /// Resolves a named campaign at the given scale.
 pub fn named(name: &str, smoke: bool) -> Option<CampaignSpec> {
-    match name {
-        "gate-smoke" => Some(gate_smoke()),
-        "le-scaling" => Some(le_scaling(smoke)),
-        "agree-scaling" => Some(agree_scaling(smoke)),
-        "alpha-sweep" => Some(alpha_sweep(smoke)),
-        "engine-bench" => Some(engine_bench(smoke)),
-        "scale-bench" => Some(scale_bench(smoke)),
-        "soak" => Some(soak(smoke)),
-        "topology-matrix" => Some(topology_matrix(smoke)),
-        "wire-throughput" => Some(wire_throughput(smoke)),
-        _ => None,
+    find(name).map(|c| (c.spec)(smoke))
+}
+
+/// The figure text of `record`, when its campaign is a row with a
+/// renderer (the row is found by the record's name); `None` otherwise.
+/// A record can arrive from a store file, so what every renderer relies
+/// on is checked here first.
+pub fn render(record: &CampaignRecord) -> Option<Result<String, String>> {
+    let render = find(&record.spec.name)?.render?;
+    if record.cells.is_empty() {
+        return Some(Err("the record has no cells".into()));
     }
+    let miscounted = |c: &&CellResult| c.cell.trials == 0 || c.successes > c.cell.trials;
+    if let Some(c) = record.cells.iter().find(miscounted) {
+        return Some(Err(format!(
+            "cell `{}` records {} successes in {} trials",
+            c.cell.label, c.successes, c.cell.trials
+        )));
+    }
+    Some(render(record))
 }
 
 /// The CI gate campaign: a fixed-seed smoke-scale mix of both protocols
 /// under the adversaries the figures exercise most. Always smoke-sized —
 /// the gate must run in seconds, and its baseline is committed.
-pub fn gate_smoke() -> CampaignSpec {
+fn gate_smoke() -> CampaignSpec {
     let mut spec = CampaignSpec::new("gate-smoke");
     for n in [128u32, 256] {
         spec = spec.cell(
@@ -93,7 +175,7 @@ pub fn gate_smoke() -> CampaignSpec {
     .cell(CellSpec::new(Workload::LeKutten, 128, 0.5, GATE_SEED ^ 0x300, 4).label("kutten"))
 }
 
-fn scaling_sizes(smoke: bool) -> &'static [u32] {
+pub(crate) fn scaling_sizes(smoke: bool) -> &'static [u32] {
     if smoke {
         &[256, 512, 1024]
     } else {
@@ -105,7 +187,7 @@ fn scaling_sizes(smoke: bool) -> &'static [u32] {
 /// paper's bound re-verified as fitted-exponent assertions: messages
 /// Õ(n^{1-α/2}) (≈ n^0.75 up to log factors) and O(log n) rounds (≈ n^0
 /// as a power law). Exported to `BENCH_leader_election.json`.
-pub fn le_scaling(smoke: bool) -> CampaignSpec {
+fn le_scaling(smoke: bool) -> CampaignSpec {
     let trials = if smoke { 6 } else { 8 };
     let mut spec = CampaignSpec::new("le-scaling");
     for &n in scaling_sizes(smoke) {
@@ -144,7 +226,7 @@ pub fn le_scaling(smoke: bool) -> CampaignSpec {
 
 /// Agreement scaling in `n` at α = 0.5; exported to
 /// `BENCH_agreement.json`.
-pub fn agree_scaling(smoke: bool) -> CampaignSpec {
+fn agree_scaling(smoke: bool) -> CampaignSpec {
     let trials = if smoke { 6 } else { 8 };
     let mut spec = CampaignSpec::new("agree-scaling");
     for &n in scaling_sizes(smoke) {
@@ -183,7 +265,7 @@ pub fn agree_scaling(smoke: bool) -> CampaignSpec {
 
 /// Message cost as a function of 1/α at fixed n — the other axis of the
 /// Õ(n^{1-α/2}) trade-off.
-pub fn alpha_sweep(smoke: bool) -> CampaignSpec {
+fn alpha_sweep(smoke: bool) -> CampaignSpec {
     let n = if smoke { 1024 } else { 4096 };
     let trials = if smoke { 4 } else { 6 };
     let mut spec = CampaignSpec::new("alpha-sweep");
@@ -211,9 +293,8 @@ pub fn alpha_sweep(smoke: bool) -> CampaignSpec {
 /// `BENCH_engine.json` trajectory carries the throughput history that
 /// `ftc lab perf` gates against. Trial counts shrink as `n` grows but
 /// are chosen so every cell runs for seconds of wall clock — sub-second
-/// cells are jitter-dominated and too noisy for a 20% throughput gate
-/// (the criterion benches cover the larger sizes).
-pub fn engine_bench(smoke: bool) -> CampaignSpec {
+/// cells are jitter-dominated and too noisy for a 20% throughput gate.
+fn engine_bench(smoke: bool) -> CampaignSpec {
     let sizes: &[(u32, u64)] = if smoke {
         &[(64, 8), (256, 4)]
     } else {
@@ -277,7 +358,7 @@ pub fn engine_bench(smoke: bool) -> CampaignSpec {
 /// `ftc lab perf --campaign scale-bench` gates against. The smoke scale
 /// keeps one calibration size next to the million-node cell so the
 /// median-normalised gate has a machine-speed reference.
-pub fn scale_bench(smoke: bool) -> CampaignSpec {
+fn scale_bench(smoke: bool) -> CampaignSpec {
     let sizes: &[(u32, u64)] = if smoke {
         &[(65_536, 2), (1_000_000, 1)]
     } else {
@@ -308,7 +389,7 @@ pub fn scale_bench(smoke: bool) -> CampaignSpec {
 /// election. Full scale runs n=64 at 120 heights (α=0.75, within the
 /// resilience floor `log₂²n/n ≈ 0.56`); smoke scale is a CI-sized n=16
 /// service at 30 heights.
-pub fn soak(smoke: bool) -> CampaignSpec {
+fn soak(smoke: bool) -> CampaignSpec {
     let cells: &[(u32, f64, u32, u64)] = if smoke {
         &[(16, 0.5, 30, 2)]
     } else {
@@ -344,7 +425,7 @@ pub fn soak(smoke: bool) -> CampaignSpec {
 /// the sparse graphs bound every node's fan-out by its degree, so the
 /// message growth stays near-linear in `n` instead of picking up the
 /// complete graph's referee fan-out.
-pub fn topology_matrix(smoke: bool) -> CampaignSpec {
+fn topology_matrix(smoke: bool) -> CampaignSpec {
     let sizes: &[u32] = if smoke {
         &[128, 256]
     } else {
@@ -452,7 +533,7 @@ pub fn topology_matrix(smoke: bool) -> CampaignSpec {
 /// real bytes/sec over sockets, and the committed trajectory in
 /// `BENCH_engine.json` carries the history that
 /// `ftc lab perf --campaign wire-throughput` gates against.
-pub fn wire_throughput(smoke: bool) -> CampaignSpec {
+fn wire_throughput(smoke: bool) -> CampaignSpec {
     // Agreement heights are ~20x shorter than elections, so the agree
     // cells get proportionally more trials — every cell should run for
     // around a second of wall clock, below which the 20% gate is
@@ -499,7 +580,7 @@ mod tests {
 
     #[test]
     fn every_name_resolves_at_both_scales() {
-        for &name in names() {
+        for name in names() {
             for smoke in [false, true] {
                 let spec = named(name, smoke).unwrap();
                 assert_eq!(spec.name, name);
@@ -531,7 +612,7 @@ mod tests {
 
     #[test]
     fn specs_survive_json_round_trip() {
-        for &name in names() {
+        for name in names() {
             let spec = named(name, true).unwrap();
             let back = crate::spec::CampaignSpec::from_json(
                 &ftc_sim::json::Json::parse(&spec.to_json().render()).unwrap(),

@@ -1,0 +1,1249 @@
+//! Table I and the twelve figures of `EXPERIMENTS.md`, as campaigns.
+//!
+//! Each figure is a pair: the spec it runs at full or smoke scale, and
+//! the renderer that turns one of its records into the figure's text —
+//! the human format of `ftc lab run <name>` and `ftc lab show <id>`, and
+//! what `results/*.txt` holds for the committed full-scale records. A
+//! renderer reads only the record (sizes, trials, caps and factors come
+//! from its cells), so the text is a pure function of stored data; a
+//! record that lacks a series the figure needs is an error naming it.
+//!
+//! The smoke profile keeps every `n` on the right side of the resilience
+//! floor `α ≥ log₂²n/n` (α = 0.125 needs n ≥ 1024).
+
+use ftc_core::params::Params;
+use ftc_hunt::proto::ProtoKind;
+use ftc_sim::stats::wilson_interval;
+
+use crate::campaigns::scaling_sizes;
+use crate::run::{try_fit_power_law, CampaignRecord, CellResult};
+use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
+
+/// Trials per cell at smoke scale: `full`, cut to two.
+fn trials(smoke: bool, full: u64) -> u64 {
+    if smoke {
+        full.min(2)
+    } else {
+        full
+    }
+}
+
+fn pick<T>(smoke: bool, full: T, small: T) -> T {
+    if smoke {
+        small
+    } else {
+        full
+    }
+}
+
+fn cell(label: &str, workload: Workload, n: u32, alpha: f64, seed: u64, trials: u64) -> CellSpec {
+    CellSpec::new(workload, n, alpha, seed, trials).label(label)
+}
+
+fn cap_salt(cap: Option<u32>) -> u64 {
+    cap.map_or(u64::MAX, u64::from)
+}
+
+/// One cell of a send-cap sweep: `proto` under a per-node budget of `cap`
+/// messages, labelled with the protocol's name. Each cap draws its trials
+/// from its own stream (`seed` salted by the cap), as `ftc sweep` and E8
+/// always have.
+pub fn capped_cell(
+    proto: ProtoKind,
+    cap: Option<u32>,
+    n: u32,
+    alpha: f64,
+    seed: u64,
+    trials: u64,
+) -> CellSpec {
+    let workload = match proto {
+        ProtoKind::Le => Workload::LeCapped { cap },
+        ProtoKind::Agree => Workload::AgreeCapped { cap },
+    };
+    cell(
+        proto.name(),
+        workload,
+        n,
+        alpha,
+        seed ^ cap_salt(cap),
+        trials,
+    )
+}
+
+/// The cells of `record` that `pick` keeps, or an error naming `what`
+/// the figure looked for.
+fn cells_of<'a, T>(
+    record: &'a CampaignRecord,
+    what: &str,
+    pick: impl Fn(&'a CellResult) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let picked: Vec<T> = record.cells.iter().filter_map(pick).collect();
+    if picked.is_empty() {
+        return Err(format!("{}: no {what} cells", record.spec.name));
+    }
+    Ok(picked)
+}
+
+/// The cells labelled `label`, in record order; never empty.
+fn series<'a>(record: &'a CampaignRecord, label: &str) -> Result<Vec<&'a CellResult>, String> {
+    cells_of(record, &format!("`{label}`"), |c| {
+        (c.cell.label == label).then_some(c)
+    })
+}
+
+/// The cells labelled `label`, each with the parameter `param` reads off
+/// its workload (the cap, `k`, `p`, … the series sweeps).
+fn series_by<'a, P>(
+    record: &'a CampaignRecord,
+    label: &str,
+    param: impl Fn(&Workload) -> Option<P>,
+) -> Result<Vec<(P, &'a CellResult)>, String> {
+    cells_of(record, &format!("`{label}`"), |c| {
+        let p = (c.cell.label == label).then(|| param(&c.cell.workload))?;
+        Some((p?, c))
+    })
+}
+
+fn params(cell: &CellResult) -> Result<Params, String> {
+    Params::new(cell.cell.n, cell.cell.alpha)
+        .map_err(|e| format!("cell `{}`: {e}", cell.cell.label))
+}
+
+fn fit(what: &str, xs: &[f64], ys: &[f64]) -> Result<(f64, f64), String> {
+    try_fit_power_law(xs, ys)
+        .ok_or_else(|| format!("{what}: a power-law fit needs two distinct positive points"))
+}
+
+fn ns(cells: &[&CellResult]) -> Vec<f64> {
+    cells.iter().map(|c| f64::from(c.cell.n)).collect()
+}
+
+fn ok_of(cell: &CellResult) -> String {
+    format!("{}/{}", cell.successes, cell.cell.trials)
+}
+
+/// A fixed-width table: header row, rule, right-aligned data rows.
+fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, &width)| format!("{c:>width$}"))
+            .collect();
+        padded.join("  ") + "\n"
+    };
+    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let rule = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+    let mut out = line(&header) + &"-".repeat(rule) + "\n";
+    for row in rows {
+        out += &line(row);
+    }
+    out
+}
+
+/// A count with thousands grouping.
+fn fmt_count(v: f64) -> String {
+    let v = v.round() as i64;
+    let digits = v.unsigned_abs().to_string();
+    let mut out = String::from(if v < 0 { "-" } else { "" });
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// Input density of the Table I agreement rows: zeros at every id
+/// divisible by 7.
+const SEVENTH: f64 = 1.0 / 7.0;
+
+/// E1 — Table I: every agreement protocol in the same simulator at the
+/// same `n`, each at the maximum resilience its row supports, under
+/// random crash schedules; plus a three-size scaling fit, one cell per
+/// size with its own seed salt.
+pub(crate) fn table1(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 4096u32, 1024);
+    let t = trials(smoke, 10);
+    let seed = 0xE1;
+    let ours = |label, n, alpha, seed| {
+        let workload = Workload::Agree {
+            zeros: SEVENTH,
+            adv: Adv::Random(20),
+        };
+        cell(label, workload, n, alpha, seed, t)
+    };
+    let half = u64::from(n) / 2;
+    let mut spec = CampaignSpec::new("table1")
+        .cell(cell(
+            "flood",
+            Workload::Flood {
+                faults: u64::from(n - 1) / 2,
+            },
+            n,
+            0.5,
+            seed ^ 0x1000,
+            t,
+        ))
+        .cell(cell(
+            "gk",
+            Workload::Gk { faults: half - 1 },
+            n,
+            0.5,
+            seed ^ 0x2000,
+            t,
+        ))
+        .cell(cell(
+            "gossip",
+            Workload::Gossip { faults: half },
+            n,
+            0.5,
+            seed ^ 0x3000,
+            t,
+        ))
+        .cell(ours("ours", n, 0.5, seed ^ 0x4000))
+        .cell(ours("ours", n, 0.125, seed ^ 0x4000))
+        .cell(cell(
+            "ours-explicit",
+            Workload::AgreeExplicit { zeros: SEVENTH },
+            n,
+            0.5,
+            seed ^ 0x5000,
+            t,
+        ));
+    for sn in pick(smoke, vec![2048u32, 8192, 32768], vec![1024, 2048]) {
+        let (salt, faults) = (u64::from(sn), u64::from(sn) / 4);
+        spec = spec
+            .cell(ours("fit-ours", sn, 0.5, seed ^ 0x6000 ^ salt))
+            .cell(cell(
+                "fit-gk",
+                Workload::Gk { faults },
+                sn,
+                0.5,
+                seed ^ 0x7000 ^ salt,
+                t,
+            ))
+            .cell(cell(
+                "fit-gossip",
+                Workload::Gossip { faults },
+                sn,
+                0.5,
+                seed ^ 0x8000 ^ salt,
+                t,
+            ));
+    }
+    spec.check(ExponentCheck {
+        name: "ours-msgs-sublinear".into(),
+        series: "fit-ours".into(),
+        metric: CheckMetric::Msgs,
+        axis: CheckAxis::N,
+        min: 0.1,
+        max: 0.95,
+    })
+}
+
+pub(crate) fn render_table1(record: &CampaignRecord) -> Result<String, String> {
+    let row = |paper: [&str; 5], cell: &CellResult| {
+        let mut row = paper.map(String::from).to_vec();
+        row.push(format!("{:.0}", cell.rounds.mean));
+        row.push(fmt_count(cell.msgs.mean));
+        row.push(ok_of(cell));
+        row
+    };
+    let flood = series(record, "flood")?[0];
+    let mut rows = vec![
+        row(
+            ["FloodSet (folklore)", "any f", "KT0", "O(f)", "O(n^2)"],
+            flood,
+        ),
+        row(
+            [
+                "Gilbert-Kowalski'10 style [24]",
+                "n/2 - 1",
+                "KT1",
+                "O(log n)",
+                "O(n)",
+            ],
+            series(record, "gk")?[0],
+        ),
+        row(
+            [
+                "Chlebus-Kowalski'09 style [36]",
+                "c*n (c<1)",
+                "KT0",
+                "O(log n)*",
+                "O(n log n)*",
+            ],
+            series(record, "gossip")?[0],
+        ),
+    ];
+    for cell in series(record, "ours")? {
+        let name = format!("this paper (implicit, a={})", cell.cell.alpha);
+        let bound = "O(sqrt(n) log^1.5 n/a^1.5)";
+        rows.push(row(
+            [&name, "n - log^2 n", "KT0 anon", "O(log n/a)", bound],
+            cell,
+        ));
+    }
+    let explicit = series(record, "ours-explicit")?[0];
+    let name = format!("this paper (explicit, a={})", explicit.cell.alpha);
+    rows.push(row(
+        [
+            &name,
+            "n - log^2 n",
+            "KT0 anon",
+            "O(log n/a)",
+            "O(n log n/a)",
+        ],
+        explicit,
+    ));
+    let comparison = table(
+        &[
+            "protocol",
+            "resilience",
+            "model",
+            "rounds (paper)",
+            "messages (paper)",
+            "rounds (meas.)",
+            "msgs (meas.)",
+            "success",
+        ],
+        &rows,
+    );
+
+    let fitted = series(record, "fit-ours")?;
+    let sizes = ns(&fitted);
+    let mut fit_rows = Vec::new();
+    for (name, label) in [
+        ("this paper (implicit)", "fit-ours"),
+        ("GK10-style", "fit-gk"),
+        ("CK09-style gossip", "fit-gossip"),
+    ] {
+        let cells = series(record, label)?;
+        let ys: Vec<f64> = cells.iter().map(|c| c.msgs.mean).collect();
+        let (exp, _) = fit(label, &ns(&cells), &ys)?;
+        fit_rows.push(vec![
+            name.to_string(),
+            fmt_count(ys[0]),
+            fmt_count(ys[ys.len() - 1]),
+            format!("{exp:.2}"),
+        ]);
+    }
+    let h_first = format!("msgs @ n={}", sizes[0]);
+    let h_last = format!("msgs @ n={}", sizes[sizes.len() - 1]);
+    let fits = table(
+        &["protocol", &h_first, &h_last, "fitted n-exponent"],
+        &fit_rows,
+    );
+    let (n, trials) = (flood.cell.n, flood.cell.trials);
+    let (fit_alpha, fit_trials) = (fitted[0].cell.alpha, fitted[0].cell.trials);
+    Ok(format!(
+        "Table I reproduction — agreement protocols, n = {n}, {trials} trials each\n\
+         (crash schedule: uniformly random crash rounds over the protocol's run)\n\
+         \n\
+         {comparison}\n\
+         * bounds in expectation.  Shape checks at this n: (1) FloodSet pays\n\
+         Theta(n^2) msgs and Theta(f) rounds; (2) the GK10-style row is cheapest\n\
+         in raw messages here but needs KT1, non-anonymity and f < n/2 — the\n\
+         paper's rows tolerate n - log^2 n faults in an anonymous KT0 network;\n\
+         (3) higher resilience (a = 0.125) costs more messages (the 1/a^1.5\n\
+         factor). The asymptotic message ordering is the scaling fit below:\n\
+         this paper's agreement grows sublinearly, the linear-message rows at\n\
+         ~n; extrapolating the fits puts the crossover in the millions of\n\
+         nodes at these constants.\n\
+         \n\
+         scaling fit (messages vs n, alpha = {fit_alpha}, {fit_trials} trials/point):\n\
+         \n\
+         {fits}\n\
+         shape check: this paper's fitted exponent is decisively below 1\n\
+         (sublinear; polylog factors inflate the finite-size fit above the\n\
+         asymptotic 0.5), while the linear-message baselines sit at ~1.0.\n"
+    ))
+}
+
+/// E2 — Theorem 4.1's `Õ(√n)`: leader-election messages against `n` at
+/// α = 0.5 under random crashes, fitted to a power law.
+pub(crate) fn le_messages_vs_n(smoke: bool) -> CampaignSpec {
+    let t = trials(smoke, 8);
+    let mut spec = CampaignSpec::new("fig-le-messages-vs-n");
+    for &n in scaling_sizes(smoke) {
+        let workload = Workload::Le {
+            adv: Adv::Random(60),
+        };
+        spec = spec.cell(cell("le", workload, n, 0.5, 0xE2, t));
+    }
+    spec.check(ExponentCheck {
+        name: "le-msgs-sublinear".into(),
+        series: "le".into(),
+        metric: CheckMetric::Msgs,
+        axis: CheckAxis::N,
+        min: 0.3,
+        max: 1.05,
+    })
+}
+
+pub(crate) fn render_le_messages_vs_n(record: &CampaignRecord) -> Result<String, String> {
+    let cells = series(record, "le")?;
+    let mut rows = Vec::new();
+    for cell in &cells {
+        let bound = params(cell)?.le_message_bound();
+        let n = f64::from(cell.cell.n);
+        rows.push(vec![
+            cell.cell.n.to_string(),
+            fmt_count(cell.msgs.mean),
+            fmt_count(cell.msgs.p95),
+            fmt_count(bound),
+            format!("{:.1}", cell.msgs.mean / bound),
+            fmt_count(n * n),
+            format!("{:.2}", cell.success_rate()),
+        ]);
+    }
+    let measured = table(
+        &[
+            "n",
+            "msgs mean",
+            "msgs p95",
+            "bound sqrt(n)ln^2.5/a^2.5",
+            "x bound",
+            "n^2 (flood)",
+            "success",
+        ],
+        &rows,
+    );
+    let ys: Vec<f64> = cells.iter().map(|c| c.msgs.mean).collect();
+    let (exp, coeff) = fit("le", &ns(&cells), &ys)?;
+    let (alpha, trials) = (cells[0].cell.alpha, cells[0].cell.trials);
+    Ok(format!(
+        "E2: implicit leader election, messages vs n (alpha = {alpha}, {trials} trials)\n\
+         \n\
+         {measured}\n\
+         fitted: messages = {coeff:.1} * n^{exp:.3}\n\
+         shape check: exponent should be ~0.5 (sublinear), far from 1.0 and 2.0.\n"
+    ))
+}
+
+const ALPHAS: [f64; 4] = [1.0, 0.5, 0.25, 0.125];
+
+/// E3 — the resilience dial: messages of both protocols against `1/α` at
+/// fixed `n` (Theorems 4.1/5.1 predict exponents 2.5 and 1.5).
+pub(crate) fn messages_vs_alpha(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 4096u32, 1024);
+    let t = trials(smoke, 6);
+    let mut spec = CampaignSpec::new("fig-messages-vs-alpha");
+    for alpha in ALPHAS {
+        let le = Workload::Le {
+            adv: Adv::Random(60),
+        };
+        let agree = Workload::Agree {
+            zeros: 0.05,
+            adv: Adv::Random(20),
+        };
+        spec = spec
+            .cell(cell("le", le, n, alpha, 0xE3, t))
+            .cell(cell("agree", agree, n, alpha, 0xE3, t));
+    }
+    spec.check(ExponentCheck {
+        name: "le-msgs-vs-inv-alpha".into(),
+        series: "le".into(),
+        metric: CheckMetric::Msgs,
+        axis: CheckAxis::InvAlpha,
+        min: 1.0,
+        max: 3.5,
+    })
+}
+
+pub(crate) fn render_messages_vs_alpha(record: &CampaignRecord) -> Result<String, String> {
+    let (les, ags) = (series(record, "le")?, series(record, "agree")?);
+    let mut rows = Vec::new();
+    for (le, ag) in les.iter().zip(&ags) {
+        let alpha = le.cell.alpha;
+        rows.push(vec![
+            format!("{alpha}"),
+            fmt_count((1.0 - alpha) * f64::from(le.cell.n)),
+            fmt_count(le.msgs.mean),
+            format!("{:.2}", le.success_rate()),
+            fmt_count(ag.msgs.mean),
+            format!("{:.2}", ag.success_rate()),
+        ]);
+    }
+    let measured = table(
+        &[
+            "alpha",
+            "faults",
+            "LE msgs",
+            "LE ok",
+            "agree msgs",
+            "agree ok",
+        ],
+        &rows,
+    );
+    let exponent = |label: &str, cells: &[&CellResult]| {
+        let xs: Vec<f64> = cells.iter().map(|c| 1.0 / c.cell.alpha).collect();
+        let ys: Vec<f64> = cells.iter().map(|c| c.msgs.mean).collect();
+        fit(label, &xs, &ys).map(|(exp, _)| exp)
+    };
+    let (le_exp, ag_exp) = (exponent("le", &les)?, exponent("agree", &ags)?);
+    let (n, trials) = (les[0].cell.n, les[0].cell.trials);
+    Ok(format!(
+        "E3: messages vs alpha (n = {n}, {trials} trials per point)\n\
+         (alpha below 0.125 at this n leaves the asymptotic regime: the\n\
+         referee rank-forwarding term degenerates — see DESIGN.md)\n\
+         faults f = (1-alpha)*n, random crash schedule\n\
+         \n\
+         {measured}\n\
+         fitted: LE messages ~ (1/alpha)^{le_exp:.2}   (paper: 2.5)\n\
+         fitted: agreement messages ~ (1/alpha)^{ag_exp:.2}   (paper: 1.5)\n\
+         shape check: LE exponent > agreement exponent, both > 1.\n"
+    ))
+}
+
+/// E4 — round complexity `O(log n/α)`: rounds against `n` at α = 0.5
+/// under the targeted adversary, and against α at fixed `n`.
+pub(crate) fn rounds(smoke: bool) -> CampaignSpec {
+    let nb = pick(smoke, 4096u32, 1024);
+    let t = trials(smoke, 8);
+    let agree = |adv| Workload::Agree { zeros: 0.05, adv };
+    let mut spec = CampaignSpec::new("fig-rounds");
+    for &n in scaling_sizes(smoke) {
+        let le = Workload::Le { adv: Adv::Targeted };
+        spec = spec.cell(cell("le-a", le, n, 0.5, 0xE4, t)).cell(cell(
+            "agree-a",
+            agree(Adv::Targeted),
+            n,
+            0.5,
+            0xE4,
+            t,
+        ));
+    }
+    for alpha in ALPHAS {
+        let le = Workload::Le {
+            adv: Adv::Random(60),
+        };
+        spec = spec.cell(cell("le-b", le, nb, alpha, 0x4B, t)).cell(cell(
+            "agree-b",
+            agree(Adv::Random(20)),
+            nb,
+            alpha,
+            0x4B,
+            t,
+        ));
+    }
+    spec
+}
+
+pub(crate) fn render_rounds(record: &CampaignRecord) -> Result<String, String> {
+    let min_success = |le: &CellResult, ag: &CellResult| {
+        format!("{:.2}", le.success_rate().min(ag.success_rate()))
+    };
+    let les = series(record, "le-a")?;
+    let mut rows = Vec::new();
+    for (le, ag) in les.iter().zip(series(record, "agree-a")?) {
+        rows.push(vec![
+            le.cell.n.to_string(),
+            format!("{:.1}", f64::from(le.cell.n).log2()),
+            format!("{:.0}", le.rounds.mean),
+            format!("{:.0}", le.rounds.max),
+            format!("{:.0}", ag.rounds.mean),
+            min_success(le, ag),
+        ]);
+    }
+    let by_n = table(
+        &[
+            "n",
+            "log2 n",
+            "LE rounds",
+            "LE max",
+            "agree rounds",
+            "min success",
+        ],
+        &rows,
+    );
+    let lebs = series(record, "le-b")?;
+    let mut rows = Vec::new();
+    for (le, ag) in lebs.iter().zip(series(record, "agree-b")?) {
+        rows.push(vec![
+            format!("{}", le.cell.alpha),
+            format!("{:.0}", le.rounds.mean),
+            format!("{:.0}", ag.rounds.mean),
+            min_success(le, ag),
+        ]);
+    }
+    let by_alpha = table(
+        &["alpha", "LE rounds", "agree rounds", "min success"],
+        &rows,
+    );
+    let (alpha, trials, nb) = (les[0].cell.alpha, les[0].cell.trials, lebs[0].cell.n);
+    Ok(format!(
+        "E4a: rounds vs n (alpha = {alpha}, worst-case targeted adversary, {trials} trials)\n\
+         \n\
+         {by_n}\n\
+         shape check: rounds stay in the tens while n grows 16x — nothing\n\
+         linear in n. (At these sizes the measured rounds are dominated by\n\
+         the rank-forwarding pre-processing, whose per-referee load shrinks\n\
+         like log^1.5(n)/sqrt(n); the asymptotic +O(1)-per-doubling log-term\n\
+         emerges only at much larger n. Agreement, which has no such\n\
+         pre-processing, sits at a handful of rounds throughout.)\n\
+         \n\
+         E4b: rounds vs alpha (n = {nb})\n\
+         \n\
+         {by_alpha}\n\
+         shape check: LE rounds roughly double per halving of alpha (the\n\
+         1/alpha factor, steepened by the alpha^-1.5 pre-processing term);\n\
+         agreement stays constant-ish because its zero-propagation quiesces\n\
+         long before its O(log n/alpha) budget.\n"
+    ))
+}
+
+/// E5/E6 — whp success and leader quality under every crash schedule,
+/// agreement across input densities, and the D4 ablation: starving the
+/// election of iterations under a four-kills-a-round assassin at
+/// α = 0.25, where kill chains are long.
+pub(crate) fn success(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 2048u32, 256);
+    let t = trials(smoke, 60);
+    let mut spec = CampaignSpec::new("fig-success");
+    for (label, adv) in [
+        ("fault-free", Adv::None),
+        ("eager", Adv::Eager),
+        ("random", Adv::Random(60)),
+        ("targeted", Adv::Targeted),
+    ] {
+        spec = spec.cell(cell(label, Workload::Le { adv }, n, 0.5, 0xE5, t));
+    }
+    for (label, zeros) in [
+        ("all ones", 0.0),
+        ("one zero in n", 1.0 / f64::from(n)),
+        ("5% zeros", 0.05),
+        ("half zeros", 0.5),
+        ("all zeros", 1.0),
+    ] {
+        let workload = Workload::Agree {
+            zeros,
+            adv: Adv::Targeted,
+        };
+        spec = spec.cell(cell(label, workload, n, 0.5, 0xE6, t));
+    }
+    for factor in [14.0, 1.0, 0.1, 0.02] {
+        let workload = Workload::LeIter {
+            factor,
+            per_round: 4,
+        };
+        spec = spec.cell(cell("d4", workload, n, 0.25, 0xD4, trials(smoke, 20)));
+    }
+    spec
+}
+
+pub(crate) fn render_success(record: &CampaignRecord) -> Result<String, String> {
+    let schedules = cells_of(record, "leader-election", |c| {
+        matches!(c.cell.workload, Workload::Le { .. }).then_some(c)
+    })?;
+    let mut rows = Vec::new();
+    for m in &schedules {
+        let (lo, hi) = wilson_interval(m.successes, m.cell.trials);
+        rows.push(vec![
+            m.cell.label.clone(),
+            ok_of(m),
+            format!("[{lo:.2},{hi:.2}]"),
+            format!("{:.2}", m.faulty_leader_rate()),
+        ]);
+    }
+    let e5 = table(
+        &["adversary", "success", "95% CI", "faulty-leader rate"],
+        &rows,
+    );
+    let densities = cells_of(record, "agreement", |c| {
+        matches!(c.cell.workload, Workload::Agree { .. }).then_some(c)
+    })?;
+    let mut rows = Vec::new();
+    for m in &densities {
+        rows.push(vec![
+            m.cell.label.clone(),
+            format!("{:.2}", m.success_rate()),
+            format!("{:.0}", m.msgs.mean),
+            format!("{:.0}", m.rounds.mean),
+        ]);
+    }
+    let e6 = table(&["inputs", "success", "msgs", "rounds"], &rows);
+    let budgets = series_by(record, "d4", |w| match *w {
+        Workload::LeIter { factor, per_round } => Some((factor, per_round)),
+        _ => None,
+    })?;
+    let mut rows = Vec::new();
+    for &((factor, _), m) in &budgets {
+        let iterations = params(m)?.with_iteration_factor(factor).iterations();
+        rows.push(vec![format!("{factor}"), iterations.to_string(), ok_of(m)]);
+    }
+    let d4 = table(&["iteration factor", "iterations", "success"], &rows);
+    let first = &schedules[0].cell;
+    let (n, alpha, trials) = (first.n, first.alpha, first.trials);
+    let ((_, kills), starved) = budgets[0];
+    let (e6_trials, d4_alpha) = (densities[0].cell.trials, starved.cell.alpha);
+    Ok(format!(
+        "E5: leader election success and leader quality \
+         (n = {n}, alpha = {alpha}, {trials} trials)\n\
+         \n\
+         {e5}\n\
+         shape checks: success ~1.0 under every schedule; faulty-leader rate\n\
+         at most (1-alpha) = {:.2} (paper: leader non-faulty w.p. >= alpha).\n\
+         \n\
+         E6: agreement success across input densities ({e6_trials} trials each)\n\
+         \n\
+         {e6}\n\
+         shape checks: success ~1.0 everywhere; the all-ones row sends only\n\
+         registration traffic (the protocol is silent when no candidate holds 0).\n\
+         \n\
+         D4 ablation: iteration budget vs success (alpha = {d4_alpha}, assassin x{kills})\n\
+         \n\
+         {d4}\n\
+         shape check: the paper-budget rows succeed; a budget of only a\n\
+         couple of iterations cannot absorb the assassin's kill chain and\n\
+         elections start failing.\n",
+        1.0 - alpha
+    ))
+}
+
+/// E7 — the explicit extensions' `O(n·log n/α)`: explicit LE against the
+/// implicit protocol under the same budget and seeds (the difference is
+/// the announcement broadcast), plus explicit agreement.
+pub(crate) fn explicit(smoke: bool) -> CampaignSpec {
+    let t = trials(smoke, 6);
+    let mut spec = CampaignSpec::new("fig-explicit");
+    for n in pick(smoke, vec![1024u32, 2048, 4096, 8192], vec![256, 512, 1024]) {
+        let agree = Workload::AgreeExplicit { zeros: 0.05 };
+        spec = spec
+            .cell(cell("le-explicit", Workload::LeExplicit, n, 0.5, 0xE7, t))
+            .cell(cell(
+                "le-implicit",
+                Workload::LeImplicitExplicitBudget,
+                n,
+                0.5,
+                0xE7,
+                t,
+            ))
+            .cell(cell("agree-explicit", agree, n, 0.5, 0x7E, t));
+    }
+    spec
+}
+
+pub(crate) fn render_explicit(record: &CampaignRecord) -> Result<String, String> {
+    let les = series(record, "le-explicit")?;
+    let mut rows = Vec::new();
+    let mut announce_ys = Vec::new();
+    for ((le, implicit), ag) in les
+        .iter()
+        .zip(series(record, "le-implicit")?)
+        .zip(series(record, "agree-explicit")?)
+    {
+        let params = params(le)?;
+        let announce_msgs = (le.msgs.mean - implicit.msgs.mean).max(1.0);
+        announce_ys.push(announce_msgs);
+        rows.push(vec![
+            le.cell.n.to_string(),
+            fmt_count(le.msgs.mean),
+            fmt_count(announce_msgs),
+            ok_of(le),
+            fmt_count(ag.msgs.mean),
+            ok_of(ag),
+            fmt_count(f64::from(le.cell.n) * params.ln_n() / params.alpha()),
+        ]);
+    }
+    let measured = table(
+        &[
+            "n",
+            "explicit LE total",
+            "announce only",
+            "ok",
+            "explicit agree msgs",
+            "ok",
+            "n ln n/a",
+        ],
+        &rows,
+    );
+    let le_ys: Vec<f64> = les.iter().map(|c| c.msgs.mean).collect();
+    let (total_exp, _) = fit("le-explicit", &ns(&les), &le_ys)?;
+    let (ann_exp, _) = fit("le-implicit", &ns(&les[..announce_ys.len()]), &announce_ys)?;
+    let (alpha, trials) = (les[0].cell.alpha, les[0].cell.trials);
+    Ok(format!(
+        "E7: explicit extension cost (alpha = {alpha}, {trials} trials, random crashes)\n\
+         \n\
+         {measured}\n\
+         fitted: total ~ n^{total_exp:.2}; announce phase alone ~ n^{ann_exp:.2} (paper: ~1,\n\
+         the Omega(n) broadcast floor). The total sits between the implicit\n\
+         ~sqrt(n) term (which still dominates at these n) and the linear floor.\n"
+    ))
+}
+
+/// E8 — Theorems 4.2/5.2's `Ω(√n/α^{3/2})`, observed: both protocols
+/// under a shrinking per-node send cap, inputs split 50/50 for agreement,
+/// `(1−α)n` eager crashes.
+pub(crate) fn lowerbound(smoke: bool) -> CampaignSpec {
+    const CAPS: [Option<u32>; 10] = [
+        None,
+        Some(64),
+        Some(48),
+        Some(32),
+        Some(24),
+        Some(16),
+        Some(8),
+        Some(4),
+        Some(1),
+        Some(0),
+    ];
+    let n = pick(smoke, 2048u32, 512);
+    let t = trials(smoke, 24);
+    let mut spec = CampaignSpec::new("fig-lowerbound");
+    for (proto, seed) in [(ProtoKind::Agree, 0xE8), (ProtoKind::Le, 0x8E)] {
+        for cap in CAPS {
+            spec = spec.cell(capped_cell(proto, cap, n, 0.5, seed, t));
+        }
+    }
+    spec
+}
+
+pub(crate) fn render_lowerbound(record: &CampaignRecord) -> Result<String, String> {
+    let agree = series(record, "agree")?[0];
+    let threshold = params(agree)?.lower_bound_threshold();
+    let sweep = |label: &str| {
+        let points = series_by(record, label, |w| match *w {
+            Workload::AgreeCapped { cap } | Workload::LeCapped { cap } => Some(cap),
+            _ => None,
+        })?;
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .map(|(cap, c)| {
+                vec![
+                    cap.map_or("unlimited".into(), |c| c.to_string()),
+                    fmt_count(c.msgs.mean),
+                    fmt_count(c.extra("suppressed").map_or(0.0, |s| s.mean)),
+                    format!("{:.2}", c.msgs.mean / threshold),
+                    format!("{:.2}", 1.0 - c.success_rate()),
+                ]
+            })
+            .collect();
+        Ok::<_, String>(table(
+            &[
+                "cap/node",
+                "mean msgs",
+                "suppressed",
+                "x threshold",
+                "failure rate",
+            ],
+            &rows,
+        ))
+    };
+    let (agree_sweep, le_sweep) = (sweep("agree")?, sweep("le")?);
+    let (n, alpha, trials) = (agree.cell.n, agree.cell.alpha, agree.cell.trials);
+    Ok(format!(
+        "E8: per-node send-cap sweep, n = {n}, alpha = {alpha}, \
+         threshold sqrt(n)/a^1.5 = {threshold:.0} msgs, {trials} trials\n\
+         (inputs split 50/50 for agreement; (1-alpha)n eager crashes)\n\
+         \n\
+         — agreement (Theorem 5.2) —\n\
+         {agree_sweep}\n\
+         — leader election (Theorem 4.2) —\n\
+         {le_sweep}\n\
+         shape checks: spend is monotone in the cap; failure rate ~0 while the\n\
+         spend sits far above the threshold, and climbs to a constant as the\n\
+         spend approaches/falls below it. (The paper's upper bound exceeds the\n\
+         lower bound by polylog factors, so the knee sits somewhat above 1x.)\n"
+    ))
+}
+
+/// E9 — "same as fault-free" (Corollaries 1 and 3): the fault-tolerant
+/// protocols at α = 0.5 beside the fault-free ones of Kutten et al. \[21\]
+/// and Augustine et al. \[23\]; the message ratio must stay polylog.
+pub(crate) fn faultfree_gap(smoke: bool) -> CampaignSpec {
+    let t = trials(smoke, 8);
+    let zeros = 1.0 / 16.0;
+    let mut spec = CampaignSpec::new("fig-faultfree-gap");
+    for &n in scaling_sizes(smoke) {
+        let le = Workload::Le {
+            adv: Adv::Random(60),
+        };
+        let agree = Workload::Agree {
+            zeros,
+            adv: Adv::Random(20),
+        };
+        let augustine = Workload::AgreeAugustine { zeros };
+        spec = spec
+            .cell(cell("kutten", Workload::LeKutten, n, 0.5, 0xE9, t))
+            .cell(cell("le-ft", le, n, 0.5, 0x9E, t))
+            .cell(cell("augustine", augustine, n, 0.5, 0x9B, t))
+            .cell(cell("agree-ft", agree, n, 0.5, 0xB9, t));
+    }
+    spec
+}
+
+pub(crate) fn render_faultfree_gap(record: &CampaignRecord) -> Result<String, String> {
+    // One side of the figure: the table and the fitted exponent of the
+    // fault-tolerant / fault-free message ratio.
+    let gap = |free: &str, tolerant: &str, cite: &str| {
+        let frees = series(record, free)?;
+        let mut rows = Vec::new();
+        let mut ratios = Vec::new();
+        for (ff, ft) in frees.iter().zip(series(record, tolerant)?) {
+            let ratio = ft.msgs.mean / ff.msgs.mean;
+            ratios.push(ratio);
+            rows.push(vec![
+                ff.cell.n.to_string(),
+                fmt_count(ff.msgs.mean),
+                ok_of(ff),
+                fmt_count(ft.msgs.mean),
+                format!("{:.2}", ft.success_rate()),
+                format!("{ratio:.1}"),
+            ]);
+        }
+        let (exp, _) = fit(tolerant, &ns(&frees[..ratios.len()]), &ratios)?;
+        let free_msgs = format!("fault-free msgs {cite}");
+        let measured = table(
+            &["n", &free_msgs, "ok", "fault-tolerant msgs", "ok", "ratio"],
+            &rows,
+        );
+        Ok::<_, String>((measured, exp, frees[0]))
+    };
+    let (le, le_exp, first) = gap("kutten", "le-ft", "[21]")?;
+    let (agree, agree_exp, _) = gap("augustine", "agree-ft", "[23]")?;
+    let (alpha, trials) = (first.cell.alpha, first.cell.trials);
+    Ok(format!(
+        "E9: fault-tolerant (alpha = {alpha}, random crashes) vs fault-free [21] \
+         ({trials} trials)\n\
+         \n\
+         {le}\n\
+         fitted: LE ratio ~ n^{le_exp:.3}\n\
+         shape check: the exponent is ~0 — the gap is polylog(n), not a power\n\
+         of n, which is Corollary 1's claim (same Õ(√n) class despite n/2 faults).\n\
+         \n\
+         E9b: fault-tolerant agreement (alpha = {alpha}) vs fault-free [23]\n\
+         \n\
+         {agree}\n\
+         fitted: agreement ratio ~ n^{agree_exp:.3}\n\
+         shape check: again ~0 — Corollary 3's claim for agreement.\n"
+    ))
+}
+
+/// E10 — Lemmas 1–3 measured on the sampling layer alone, with the D2/D3
+/// ablations: halving the constants must visibly erode the guarantees.
+pub(crate) fn sampling_lemmas(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 4096u32, 512);
+    let t = pick(smoke, 300, 50);
+    let mut spec = CampaignSpec::new("fig-sampling-lemmas");
+    for (label, candidate_factor, referee_factor) in [
+        ("paper (c=6, r=2)", 6.0, 2.0),
+        ("D2: half candidates", 3.0, 2.0),
+        ("D3: half referees", 6.0, 1.0),
+        ("D3: quarter referees", 6.0, 0.5),
+    ] {
+        let workload = Workload::SamplingLemmas {
+            candidate_factor,
+            referee_factor,
+        };
+        spec = spec.cell(cell(label, workload, n, 0.5, 0xE10, t));
+    }
+    spec
+}
+
+pub(crate) fn render_sampling_lemmas(record: &CampaignRecord) -> Result<String, String> {
+    let mut rows = Vec::new();
+    for cell in &record.cells {
+        let rate = |name: &str| cell.extra(name).map_or(0.0, |s| s.mean);
+        rows.push(vec![
+            cell.cell.label.clone(),
+            format!("{:.1}", rate("committee")),
+            format!("{:.3}", rate("in_band")),
+            format!("{:.3}", rate("nonfaulty")),
+            format!("{:.3}", rate("pairs")),
+        ]);
+    }
+    let measured = table(
+        &[
+            "configuration",
+            "mean |C|",
+            "Lemma 1 (band)",
+            "Lemma 2 (non-faulty)",
+            "Lemma 3 (pairs)",
+        ],
+        &rows,
+    );
+    let first = &record.cells[0].cell;
+    let (n, alpha, trials) = (first.n, first.alpha, first.trials);
+    Ok(format!(
+        "E10: Lemmas 1-3 Monte-Carlo, n = {n}, alpha = {alpha}, {trials} trials\n\
+         (faulty set: (1-alpha)n uniformly random nodes per trial)\n\
+         \n\
+         {measured}\n\
+         shape checks: the paper row scores ~1.000 on all three lemmas; the\n\
+         ablated rows degrade — most sharply Lemma 3 when the referee budget\n\
+         drops (pairwise connectivity is the sqrt(n log n / a) term).\n"
+    ))
+}
+
+/// E11 (extension) — why the *static* adversary assumption matters: the
+/// strongest static schedules against an adaptive adversary that picks
+/// its victims after seeing who became a candidate, same crash budget.
+pub(crate) fn adaptive(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 1024u32, 256);
+    let t = trials(smoke, 20);
+    let mut spec = CampaignSpec::new("fig-adaptive");
+    for (label, adv) in [
+        ("static: eager mass crash", Adv::Eager),
+        ("static: random timing", Adv::Random(60)),
+        ("static: min-rank assassin", Adv::Targeted),
+        ("ADAPTIVE: candidate killer", Adv::AdaptiveKiller),
+    ] {
+        spec = spec.cell(cell(label, Workload::Le { adv }, n, 0.5, 0xE11, t));
+    }
+    spec
+}
+
+pub(crate) fn render_adaptive(record: &CampaignRecord) -> Result<String, String> {
+    let mut rows = Vec::new();
+    for cell in &record.cells {
+        rows.push(vec![
+            cell.cell.label.clone(),
+            ok_of(cell),
+            format!("{:.0}", cell.crashes.mean),
+        ]);
+    }
+    let measured = table(
+        &["adversary", "election success", "mean crashes used"],
+        &rows,
+    );
+    let first = &record.cells[0];
+    let budget = params(first)?.max_faults();
+    let (n, trials) = (first.cell.n, first.cell.trials);
+    Ok(format!(
+        "E11: static vs adaptive adversary, n = {n}, crash budget {budget}, {trials} trials\n\
+         \n\
+         {measured}\n\
+         shape check: every static schedule succeeds whp; the adaptive killer\n\
+         destroys the Θ(log n/α)-node committee with a tiny fraction of its\n\
+         budget and the election fails — the paper's model boundary, observed.\n"
+    ))
+}
+
+/// E12 (extension) — the Byzantine gap (the paper's open question 3):
+/// `b` forged-zero senders against all-ones agreement, `b` equivocating
+/// claimants against leader election.
+pub(crate) fn byzantine(smoke: bool) -> CampaignSpec {
+    const BS: [u32; 4] = [0, 1, 2, 4];
+    let n = pick(smoke, 1024u32, 256);
+    let t = trials(smoke, 20);
+    let mut spec = CampaignSpec::new("fig-byzantine");
+    for b in BS {
+        spec = spec.cell(cell(
+            "agree",
+            Workload::AgreeByzantine { b },
+            n,
+            0.9,
+            0xB12,
+            t,
+        ));
+    }
+    for b in BS {
+        spec = spec.cell(cell("le", Workload::LeByzantine { b }, n, 0.9, 0x12B, t));
+    }
+    spec
+}
+
+pub(crate) fn render_byzantine(record: &CampaignRecord) -> Result<String, String> {
+    // A cell's success predicate is "the property held", so what each
+    // table counts is the complement.
+    let broken = |label: &str, column: &str| {
+        let cells = series_by(record, label, |w| match *w {
+            Workload::AgreeByzantine { b } | Workload::LeByzantine { b } => Some(b),
+            _ => None,
+        })?;
+        let rows: Vec<Vec<String>> = cells
+            .iter()
+            .map(|(b, c)| {
+                let trials = c.cell.trials;
+                vec![b.to_string(), format!("{}/{trials}", trials - c.successes)]
+            })
+            .collect();
+        Ok::<_, String>((table(&["byzantine nodes", column], &rows), cells[0].1))
+    };
+    let (agree, first) = broken("agree", "validity violations")?;
+    let (le, _) = broken("le", "elections destroyed")?;
+    let (n, trials) = (first.cell.n, first.cell.trials);
+    Ok(format!(
+        "E12: Byzantine corruption vs the crash-fault protocols, n = {n}, {trials} trials\n\
+         \n\
+         — agreement, all honest inputs = 1, b forged-zero senders —\n\
+         {agree}\n\
+         — leader election, b equivocating claimants —\n\
+         {le}\n\
+         shape check: b = 0 rows are clean; a single Byzantine node breaks\n\
+         both protocols almost surely. Sublinear *Byzantine* agreement in this\n\
+         model remains open (paper, Section VI, question 3) — known Byzantine\n\
+         protocols (King-Saia etc.) pay Omega-tilde(n^1.5) messages.\n"
+    ))
+}
+
+/// E13 (extension) — incomplete topologies (towards open question 2):
+/// each edge of the complete graph dead independently with probability
+/// `p`, crash faults still active on top.
+pub(crate) fn edge_failures(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 2048u32, 256);
+    let t = trials(smoke, 16);
+    let mut spec = CampaignSpec::new("fig-edge-failures");
+    for p in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9] {
+        spec = spec
+            .cell(cell("le", Workload::LeEdge { p }, n, 0.5, 0xE13, t))
+            .cell(cell("agree", Workload::AgreeEdge { p }, n, 0.5, 0x13E, t));
+    }
+    spec
+}
+
+pub(crate) fn render_edge_failures(record: &CampaignRecord) -> Result<String, String> {
+    let les = series_by(record, "le", |w| match *w {
+        Workload::LeEdge { p } => Some(p),
+        _ => None,
+    })?;
+    let mut rows = Vec::new();
+    for ((p, le), ag) in les.iter().zip(series(record, "agree")?) {
+        rows.push(vec![
+            format!("{p:.2}"),
+            ok_of(le),
+            ok_of(ag),
+            fmt_count(le.extra("lost_edges").map_or(0.0, |s| s.mean)),
+        ]);
+    }
+    let measured = table(
+        &[
+            "edge failure p",
+            "LE success",
+            "agree success",
+            "LE msgs lost/trial",
+        ],
+        &rows,
+    );
+    let first = les[0].1;
+    let f = params(first)?.max_faults();
+    let (n, alpha, trials) = (first.cell.n, first.cell.alpha, first.cell.trials);
+    Ok(format!(
+        "E13: edge failures on top of {f} crash faults, \
+         n = {n}, alpha = {alpha}, {trials} trials\n\
+         \n\
+         {measured}\n\
+         shape check: candidate pairs share ~|R|^2/n non-faulty referees and\n\
+         each relay path survives with prob (1-p)^2, so the protocols absorb\n\
+         remarkably heavy edge loss and only crumble when (1-p)^2 |R|^2/n\n\
+         drops toward zero (p >~ 0.8 here). A full general-graph treatment\n\
+         is the paper's open question 2.\n"
+    ))
+}
+
+/// E14 (extension) — multi-valued agreement over `{0..k}`: `O(log k)`
+/// bits a message and up to `log k` improvement waves.
+pub(crate) fn multivalue(smoke: bool) -> CampaignSpec {
+    let n = pick(smoke, 2048u32, 512);
+    let t = trials(smoke, 10);
+    let mut spec = CampaignSpec::new("fig-multivalue");
+    for k in [2, 16, 256, 4096, 65536] {
+        spec = spec.cell(cell("multi", Workload::MultiValue { k }, n, 0.5, 0xE14, t));
+    }
+    spec
+}
+
+pub(crate) fn render_multivalue(record: &CampaignRecord) -> Result<String, String> {
+    let cells = series_by(record, "multi", |w| match *w {
+        Workload::MultiValue { k } => Some(k),
+        _ => None,
+    })?;
+    let mut rows = Vec::new();
+    for (k, cell) in &cells {
+        rows.push(vec![
+            k.to_string(),
+            ok_of(cell),
+            fmt_count(cell.msgs.mean),
+            fmt_count(cell.bits.mean),
+            format!("{:.1}", cell.bits.mean / cell.msgs.mean),
+            format!("{:.0}", cell.rounds.mean),
+        ]);
+    }
+    let measured = table(
+        &["k", "success", "msgs", "bits", "bits/msg", "rounds"],
+        &rows,
+    );
+    let first = &cells[0].1.cell;
+    let (n, alpha, trials) = (first.n, first.alpha, first.trials);
+    Ok(format!(
+        "E14: multi-valued agreement, n = {n}, alpha = {alpha}, {trials} trials\n\
+         (inputs uniform in 0..k; (1-alpha)n random crashes)\n\
+         \n\
+         {measured}\n\
+         shape checks: success stays ~1.0 for every k; bits/msg grows like\n\
+         log2(k); messages grow mildly (improvement waves), far below any\n\
+         linear-in-k blowup. k = 2 reproduces the binary protocol's costs.\n"
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::run::run_cell;
+    use crate::Substrate;
+
+    #[test]
+    fn fmt_count_groups_thousands() {
+        assert_eq!(fmt_count(1234567.0), "1,234,567");
+        assert_eq!(fmt_count(999.0), "999");
+        assert_eq!(fmt_count(0.0), "0");
+        assert_eq!(fmt_count(-1234.0), "-1,234");
+    }
+
+    #[test]
+    fn table_right_aligns_under_a_rule() {
+        let rows = [vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]];
+        assert_eq!(
+            table(&["a", "bb"], &rows),
+            "  a  bb\n-------\n  1   2\n333   4\n"
+        );
+    }
+
+    /// What `ftc_lowerbound::capped`'s four tests checked, on the same
+    /// `n`, caps, trials and seeds, now that the sweep is lab cells.
+    #[test]
+    fn capped_cells_starve_both_protocols() {
+        let run = |proto, cap, n, seed, trials| {
+            run_cell(
+                &capped_cell(proto, cap, n, 0.5, seed, trials),
+                0,
+                Substrate::Engine,
+            )
+            .unwrap()
+        };
+        let suppressed = |c: &CellResult| c.extra("suppressed").unwrap().mean;
+        let failure = |c: &CellResult| 1.0 - c.success_rate();
+
+        // A full budget rarely fails; a starved one often does, spends
+        // less, and suppresses what it could not send.
+        let full = run(ProtoKind::Agree, None, 512, 99, 24);
+        let starved = run(ProtoKind::Agree, Some(2), 512, 99, 24);
+        assert!(failure(&full) <= 0.1, "{full:?}");
+        assert!(failure(&starved) > failure(&full) + 0.3, "{starved:?}");
+        assert!(starved.msgs.mean < full.msgs.mean);
+        assert!(suppressed(&starved) > 0.0);
+        assert_eq!(suppressed(&full), 0.0);
+
+        // Spend is monotone in the cap.
+        let spend = [Some(1), Some(8), None].map(|cap| run(ProtoKind::Agree, cap, 256, 5, 8));
+        assert!(spend[0].msgs.mean < spend[1].msgs.mean);
+        assert!(spend[1].msgs.mean < spend[2].msgs.mean);
+        assert!(spend[0].msgs.mean > 0.0);
+
+        // The election sweep reports, and a starved election fails.
+        let le = run(ProtoKind::Le, None, 256, 7, 8);
+        assert_eq!(le.cell.trials, 8);
+        assert!(failure(&le) <= 0.25, "{le:?}");
+        let starved = run(ProtoKind::Le, Some(1), 256, 13, 12);
+        assert!(failure(&starved) >= 0.5, "{starved:?}");
+    }
+}

@@ -10,13 +10,17 @@
 //! log-histograms, and wall-clock provenance — persisted in a
 //! content-addressed [`store`], compared cell-by-cell by [`diff`] with
 //! statistically justified tolerance bands, and gated in CI by
-//! [`diff::gate`] against committed baselines.
+//! [`diff::gate`] against committed baselines. The named campaigns are
+//! the rows of [`campaigns::CAMPAIGNS`]; Table I and the paper's figures
+//! are among them, each with the renderer ([`figures`]) that turns its
+//! record into the figure's text.
 //!
 //! [`Summary`]: ftc_sim::stats::Summary
 
 pub mod baseline;
 pub mod campaigns;
 pub mod diff;
+pub mod figures;
 pub mod run;
 pub mod spec;
 pub mod store;

@@ -2,8 +2,8 @@
 //! runner and condense each cell into a stored result.
 //!
 //! Every cell fans its trials over [`ParRunner`] with the exact seed
-//! derivation the figure binaries always used (`stream_seed(seed, i+1)`),
-//! so a ported figure reproduces its historical numbers bit-for-bit and
+//! derivation the figures have always used (`stream_seed(seed, i+1)`),
+//! so a figure reproduces its historical numbers bit-for-bit and
 //! results are `--jobs`-invariant by construction. Wall-clock times are
 //! recorded but live outside the record's deterministic payload — two
 //! runs of the same spec at the same seed produce byte-identical
@@ -731,6 +731,21 @@ impl CheckResult {
     }
 }
 
+/// [`fit_power_law`] for points that may come from a store file: `None`
+/// where it would panic (fewer than two distinct `x`, a non-positive
+/// coordinate).
+pub(crate) fn try_fit_power_law(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+    let distinct_xs = {
+        let mut sorted: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len()
+    };
+    let fittable =
+        xs.len() == ys.len() && distinct_xs >= 2 && xs.iter().chain(ys.iter()).all(|&v| v > 0.0);
+    fittable.then(|| fit_power_law(xs, ys))
+}
+
 fn evaluate_check(check: &ExponentCheck, cells: &[CellResult]) -> CheckResult {
     let series: Vec<&CellResult> = cells
         .iter()
@@ -750,15 +765,7 @@ fn evaluate_check(check: &ExponentCheck, cells: &[CellResult]) -> CheckResult {
             CheckMetric::Rounds => c.rounds.mean,
         })
         .collect();
-    let distinct_xs = {
-        let mut sorted: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    };
-    let fittable =
-        xs.len() >= 2 && distinct_xs >= 2 && xs.iter().chain(ys.iter()).all(|&v| v > 0.0);
-    let exponent = fittable.then(|| fit_power_law(&xs, &ys).0);
+    let exponent = try_fit_power_law(&xs, &ys).map(|(exponent, _)| exponent);
     CheckResult {
         check: check.clone(),
         exponent,

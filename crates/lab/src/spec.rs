@@ -45,9 +45,9 @@ fn adv_from_json(v: &Json) -> Result<Adv, JsonError> {
     }
 }
 
-/// What one cell measures. Every variant corresponds to one trial closure
-/// that used to live inline in a `fig_*` binary; the variant carries
-/// exactly the knobs that closure had.
+/// What one cell measures. Every variant is one trial closure of
+/// [`run_trial`](crate::run::run_trial) and carries exactly the knobs
+/// that closure has.
 ///
 /// Input conventions: agreement-style workloads take a `zeros` fraction
 /// and spread the 0-inputs round-robin with stride `round(1/zeros)`
@@ -367,8 +367,8 @@ pub struct CellSpec {
     pub n: u32,
     /// Guaranteed non-faulty fraction.
     pub alpha: f64,
-    /// Base seed; trial `i` runs at `stream_seed(seed, i + 1)`, exactly
-    /// the `ParRunner` derivation the figure binaries always used.
+    /// Base seed; trial `i` runs at `stream_seed(seed, i + 1)`, the
+    /// `ParRunner` derivation.
     pub seed: u64,
     /// Trials in this cell.
     pub trials: u64,

@@ -7,19 +7,19 @@
 //!
 //! * [`influence`] — computes the communication graph `C^r`, initiators
 //!   and influence clouds of a recorded [`ftc_sim::trace::Trace`], and
-//!   checks the disjointness event `N` the proof hinges on;
-//! * [`capped`] — starves the paper's own protocols of messages (scaling
-//!   the Lemma-3 referee budget below 1×) and measures the failure
-//!   probability climbing as the spend crosses the `√n/α^{3/2}` threshold.
+//!   checks the disjointness event `N` the proof hinges on.
+//!
+//! The other half of the evidence — the paper's own protocols starved of
+//! messages by a per-node send cap, failing as the spend crosses the
+//! `√n/α^{3/2}` threshold — is a lab campaign (`fig-lowerbound`) and
+//! `ftc sweep`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capped;
 pub mod influence;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::capped::{sweep_agreement, sweep_leader_election, SweepPoint};
     pub use crate::influence::{crash_targets, CrashTarget, InfluenceAnalysis};
 }

@@ -4,6 +4,7 @@
 use ftc::prelude::*;
 
 use crate::flags::{substrate_kind, Opts};
+use crate::lab::{load_record, resolve_spec};
 
 pub fn cmd_hunt(o: &Opts) -> Result<(), String> {
     if o.positional.first().map(String::as_str) == Some("portfolio") {
@@ -223,53 +224,6 @@ pub fn cmd_replay(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves `hunt portfolio run`'s argument: a registry name, or a path
-/// to a JSON portfolio spec.
-fn resolve_hunt_spec(arg: &str, smoke: bool) -> Result<HuntCampaignSpec, String> {
-    if let Some(spec) = ftc::chaos::campaigns::named(arg, smoke) {
-        return Ok(spec);
-    }
-    if std::path::Path::new(arg).exists() {
-        let text = std::fs::read_to_string(arg).map_err(|e| format!("{arg}: {e}"))?;
-        let json = ftc::sim::json::Json::parse(&text).map_err(|e| format!("{arg}: {e}"))?;
-        return HuntCampaignSpec::from_json(&json).map_err(|e| format!("{arg}: {e}"));
-    }
-    Err(format!(
-        "`{arg}` is neither a known portfolio ({}) nor a spec file",
-        ftc::chaos::campaigns::names().join("|")
-    ))
-}
-
-/// A portfolio-record argument: a file path if one exists there, else a
-/// store id or unique prefix (matched against `hunt`-kind records only).
-fn load_hunt_record_arg(store: &Store, arg: &str) -> Result<HuntCampaignRecord, String> {
-    let read = |path: &std::path::Path| -> Result<HuntCampaignRecord, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        HuntCampaignRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let path = std::path::Path::new(arg);
-    if path.exists() {
-        return read(path);
-    }
-    let matches: Vec<String> = store
-        .list()
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .filter(|e| e.kind == "hunt" && e.id.starts_with(arg))
-        .map(|e| e.id)
-        .collect();
-    match matches.len() {
-        1 => read(&store.dir().join(format!("{}.json", matches[0]))),
-        0 => Err(format!(
-            "no portfolio record matching `{arg}` in {}",
-            store.dir().display()
-        )),
-        k => Err(format!(
-            "`{arg}` is ambiguous ({k} portfolio records match)"
-        )),
-    }
-}
-
 fn print_hunt_record(record: &HuntCampaignRecord, format: Format) {
     if format == Format::Json {
         println!("{}", record.to_json(true).render());
@@ -318,7 +272,9 @@ fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
                 .positional
                 .get(2)
                 .ok_or("hunt portfolio run needs a portfolio name or spec file")?;
-            let spec = resolve_hunt_spec(arg, o.smoke)?;
+            let named = ftc::chaos::campaigns::named(arg, o.smoke);
+            let names = ftc::chaos::campaigns::names();
+            let spec = resolve_spec(arg, "portfolio", named, names, HuntCampaignSpec::from_json)?;
             let record = run_hunt_campaign(&spec, o.jobs)?;
             let id = record.id();
             store
@@ -355,13 +311,11 @@ fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
             Ok(())
         }
         "gate" => {
-            let base = load_hunt_record_arg(
-                &store,
-                &o.positional
-                    .get(2)
-                    .cloned()
-                    .ok_or("hunt portfolio gate needs a record id or file")?,
-            )?;
+            let arg = o
+                .positional
+                .get(2)
+                .ok_or("hunt portfolio gate needs a record id or file")?;
+            let base = load_record(&store, "hunt", arg, HuntCampaignRecord::parse)?;
             let fresh = run_hunt_campaign(&base.spec, o.jobs)?;
             if fresh.deterministic_render() == base.deterministic_render() {
                 println!(

@@ -1,7 +1,9 @@
 //! `lab`: declarative experiment campaigns and the results store
 //! (`ftc-lab`).
 
+use ftc::lab::campaigns;
 use ftc::prelude::*;
+use ftc::sim::json::{Json, JsonError};
 
 use crate::flags::Opts;
 
@@ -21,27 +23,86 @@ fn lab_substrate(o: &Opts) -> Result<Substrate, String> {
     }
 }
 
-/// Resolves `lab run`'s campaign argument: a registry name, or a path to
-/// a JSON spec file.
-fn resolve_spec(arg: &str, smoke: bool) -> Result<CampaignSpec, String> {
-    if let Some(spec) = ftc::lab::campaigns::named(arg, smoke) {
+/// Resolves a registry-name-or-spec-file argument: `named` knows the
+/// registry (`names` lists it for the error), `from_json` decodes a file.
+pub fn resolve_spec<S>(
+    arg: &str,
+    what: &str,
+    named: Option<S>,
+    names: &[&str],
+    from_json: impl FnOnce(&Json) -> Result<S, JsonError>,
+) -> Result<S, String> {
+    if let Some(spec) = named {
         return Ok(spec);
     }
     if std::path::Path::new(arg).exists() {
         let text = std::fs::read_to_string(arg).map_err(|e| format!("{arg}: {e}"))?;
-        let json = ftc::sim::json::Json::parse(&text).map_err(|e| format!("{arg}: {e}"))?;
-        return CampaignSpec::from_json(&json).map_err(|e| format!("{arg}: {e}"));
+        let json = Json::parse(&text).map_err(|e| format!("{arg}: {e}"))?;
+        return from_json(&json).map_err(|e| format!("{arg}: {e}"));
     }
     Err(format!(
-        "`{arg}` is neither a known campaign ({}) nor a spec file",
-        ftc::lab::campaigns::names().join("|")
+        "`{arg}` is neither a known {what} ({}) nor a spec file",
+        names.join("|")
     ))
 }
 
-fn print_record(record: &CampaignRecord, format: Format) {
+/// A record argument: a file path if one exists there, else the id (or
+/// unique id prefix) of a `kind` record in the store.
+pub fn load_record<R, E: std::fmt::Display>(
+    store: &Store,
+    kind: &str,
+    arg: &str,
+    parse: impl FnOnce(&str) -> Result<R, E>,
+) -> Result<R, String> {
+    let noun = match kind {
+        "hunt" => "portfolio record",
+        _ => "record",
+    };
+    let mut path = std::path::PathBuf::from(arg);
+    if !path.exists() {
+        let matches: Vec<String> = store
+            .list()
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .filter(|e| e.kind == kind && e.id.starts_with(arg))
+            .map(|e| e.id)
+            .collect();
+        path = match matches.as_slice() {
+            [id] => store.dir().join(format!("{id}.json")),
+            [] => {
+                return Err(format!(
+                    "no {noun} matching `{arg}` in {}",
+                    store.dir().display()
+                ))
+            }
+            many => {
+                return Err(format!(
+                    "`{arg}` is ambiguous ({} {noun}s match)",
+                    many.len()
+                ))
+            }
+        };
+    }
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn load_lab_record(store: &Store, arg: &str) -> Result<CampaignRecord, String> {
+    load_record(store, "lab", arg, |text| {
+        CampaignRecord::from_json(&Json::parse(text)?)
+    })
+}
+
+/// Prints `record`: as JSON, as its campaign's figure when the campaign
+/// table has a renderer for the record's name, else as the cell table.
+fn print_record(record: &CampaignRecord, format: Format) -> Result<(), String> {
     if format == Format::Json {
         println!("{}", record.to_json(true).render());
-        return;
+        return Ok(());
+    }
+    if let Some(figure) = campaigns::render(record) {
+        print!("{}", figure?);
+        return Ok(());
     }
     println!(
         "campaign {} (spec {}, substrate {}, git {})",
@@ -76,6 +137,7 @@ fn print_record(record: &CampaignRecord, format: Format) {
             if c.pass { "pass" } else { "FAIL" }
         );
     }
+    Ok(())
 }
 
 /// `ftc lab <run|list|show|diff|gate|baseline|perf>`.
@@ -93,11 +155,14 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
     };
     match verb.as_str() {
         "run" => {
-            let spec = resolve_spec(&arg(1, "a campaign name or spec file")?, o.smoke)?;
+            let arg = arg(1, "a campaign name or spec file")?;
+            let named = campaigns::named(&arg, o.smoke);
+            let names = campaigns::names();
+            let spec = resolve_spec(&arg, "campaign", named, &names, CampaignSpec::from_json)?;
             let substrate = lab_substrate(o)?;
             let record = run_campaign(&spec, o.jobs, substrate)?;
             let id = store.put(&record).map_err(|e| e.to_string())?;
-            print_record(&record, o.format);
+            print_record(&record, o.format)?;
             if o.format != Format::Json {
                 println!("  stored as {id} in {}", store.dir().display());
             }
@@ -145,17 +210,16 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             let record = store
                 .resolve(&arg(1, "a record id (or unique prefix)")?)
                 .map_err(|e| e.to_string())?;
-            print_record(&record, o.format);
-            Ok(())
+            print_record(&record, o.format)
         }
         "diff" => {
-            let base = load_record_arg(&store, &arg(1, "a baseline record")?)?;
-            let fresh = load_record_arg(&store, &arg(2, "a fresh record")?)?;
+            let base = load_lab_record(&store, &arg(1, "a baseline record")?)?;
+            let fresh = load_lab_record(&store, &arg(2, "a fresh record")?)?;
             let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
             report_diff(&base, &fresh, &tol)
         }
         "gate" => {
-            let base = load_record_arg(&store, &arg(1, "a baseline record or file")?)?;
+            let base = load_lab_record(&store, &arg(1, "a baseline record or file")?)?;
             let substrate = lab_substrate(o)?;
             let fresh = run_campaign(&base.spec, o.jobs, substrate)?;
             let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
@@ -165,18 +229,16 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             let dir = std::path::Path::new(o.out.as_deref().unwrap_or("."));
             std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
             let only = o.positional.get(1);
-            let all = [
-                ("le-scaling", ftc::lab::baseline::BENCH_LE),
-                ("agree-scaling", ftc::lab::baseline::BENCH_AGREE),
-                ("engine-bench", ftc::lab::baseline::BENCH_ENGINE),
-                ("scale-bench", ftc::lab::baseline::BENCH_ENGINE),
-                ("wire-throughput", ftc::lab::baseline::BENCH_ENGINE),
-            ];
+            let tracked: Vec<_> = campaigns::CAMPAIGNS
+                .iter()
+                .filter_map(|c| Some((c, c.trajectory?)))
+                .collect();
             if let Some(name) = only {
-                if !all.iter().any(|(n, _)| n == name) {
+                if !tracked.iter().any(|(c, _)| c.name == name) {
+                    let names: Vec<&str> = tracked.iter().map(|(c, _)| c.name).collect();
                     return Err(format!(
-                        "lab baseline: unknown campaign {name} \
-                         (le-scaling|agree-scaling|engine-bench|scale-bench|wire-throughput)"
+                        "lab baseline: unknown campaign {name} ({})",
+                        names.join("|")
                     ));
                 }
             }
@@ -195,7 +257,8 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                     ))
                 }
             };
-            for (name, file) in all {
+            for (campaign, file) in tracked {
+                let name = campaign.name;
                 if only.is_some_and(|n| n != name) {
                     continue;
                 }
@@ -207,13 +270,13 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                     ("wire-throughput", _) => Substrate::Mesh(2),
                     (_, s) => s,
                 };
-                let spec = ftc::lab::campaigns::named(name, o.smoke).expect("registry name");
+                let spec = (campaign.spec)(o.smoke);
                 let record = run_campaign(&spec, o.jobs, substrate)?;
                 let id = store.put(&record).map_err(|e| e.to_string())?;
                 let path = dir.join(file);
                 let entries =
                     ftc::lab::baseline::export(&record, &path).map_err(|e| e.to_string())?;
-                print_record(&record, o.format);
+                print_record(&record, o.format)?;
                 if o.format != Format::Json {
                     println!(
                         "  stored as {id}; {} now holds {entries} entr{}",
@@ -237,19 +300,19 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             .map_err(|e| format!("{}: {e}", path.display()))?;
             let name = entry
                 .field("name")
-                .and_then(ftc::sim::json::Json::as_str)
+                .and_then(Json::as_str)
                 .map_err(|e| format!("{}: {e}", path.display()))?
                 .to_string();
             let base_hash = entry
                 .field("spec_hash")
-                .and_then(ftc::sim::json::Json::as_str)
+                .and_then(Json::as_str)
                 .map_err(|e| format!("{}: {e}", path.display()))?
                 .to_string();
             // The committed trajectory may be at either scale; pick the
             // registry variant whose spec hash matches the entry.
             let spec = [false, true]
                 .into_iter()
-                .filter_map(|smoke| ftc::lab::campaigns::named(&name, smoke))
+                .filter_map(|smoke| campaigns::named(&name, smoke))
                 .find(|s| s.hash() == base_hash)
                 .ok_or_else(|| {
                     format!(
@@ -322,16 +385,6 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
         other => Err(format!(
             "unknown lab verb {other} (run|list|show|diff|gate|baseline|perf)"
         )),
-    }
-}
-
-/// A record argument: a file path if one exists there, else a store id.
-fn load_record_arg(store: &Store, arg: &str) -> Result<CampaignRecord, String> {
-    let path = std::path::Path::new(arg);
-    if path.exists() {
-        Store::load_path(path).map_err(|e| format!("{arg}: {e}"))
-    } else {
-        store.resolve(arg).map_err(|e| e.to_string())
     }
 }
 

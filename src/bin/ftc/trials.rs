@@ -2,6 +2,8 @@
 //! paper's protocols, every run through the one protocol bridge
 //! (`ProtoKind::run`).
 
+use ftc::lab::figures::capped_cell;
+use ftc::lab::{run_cell, CellResult};
 use ftc::prelude::*;
 
 use crate::flags::{substrate_kind, substrate_spelled, Opts};
@@ -97,8 +99,18 @@ pub fn cmd_trials(proto: ProtoKind, o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `ftc sweep`: agreement under each `--caps` budget, one lab cell a cap
+/// (the cells of E8, `fig-lowerbound`).
 pub fn cmd_sweep(o: &Opts) -> Result<(), String> {
-    let points = sweep_agreement(o.n, o.alpha, &o.caps, o.trials, o.seed, o.jobs);
+    let threshold = Params::new(o.n, o.alpha)
+        .map_err(|e| e.to_string())?
+        .lower_bound_threshold();
+    let mut points = Vec::with_capacity(o.caps.len());
+    for &cap in &o.caps {
+        let cell = capped_cell(ProtoKind::Agree, cap, o.n, o.alpha, o.seed, o.trials);
+        points.push((cap, run_cell(&cell, o.jobs, Substrate::Engine)?));
+    }
+    let failure_rate = |p: &CellResult| (p.cell.trials - p.successes) as f64 / p.cell.trials as f64;
     if o.format.is_machine() {
         let mut w = RowWriter::new(
             o.format,
@@ -113,27 +125,27 @@ pub fn cmd_sweep(o: &Opts) -> Result<(), String> {
                 "trials",
             ],
         );
-        for p in &points {
+        for (cap, p) in &points {
             w.emit(&[
-                Value::Int(p.cap.map_or(-1, i64::from)),
-                Value::Float(p.mean_messages),
-                Value::Float(p.messages.median),
-                Value::Float(p.messages.p95),
-                Value::Float(p.mean_suppressed),
-                Value::Float(p.threshold_ratio),
-                Value::Float(p.failure_rate),
-                Value::UInt(p.trials),
+                Value::Int(cap.map_or(-1, i64::from)),
+                Value::Float(p.msgs.mean),
+                Value::Float(p.msgs.median),
+                Value::Float(p.msgs.p95),
+                Value::Float(p.extra("suppressed").map_or(0.0, |s| s.mean)),
+                Value::Float(p.msgs.mean / threshold),
+                Value::Float(failure_rate(p)),
+                Value::UInt(p.cell.trials),
             ]);
         }
     } else {
         println!("send-cap sweep (agreement): n={} alpha={}", o.n, o.alpha);
-        for p in &points {
+        for (cap, p) in &points {
             println!(
                 "  cap {:>9}: {:>10.0} msgs ({:>7.2}x threshold), failure {:.2}",
-                p.cap.map_or("unlimited".into(), |c| c.to_string()),
-                p.mean_messages,
-                p.threshold_ratio,
-                p.failure_rate
+                cap.map_or("unlimited".into(), |c| c.to_string()),
+                p.msgs.mean,
+                p.msgs.mean / threshold,
+                failure_rate(p)
             );
         }
     }

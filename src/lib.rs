@@ -11,8 +11,9 @@
 //!   and agreement, plus worst-case adversaries;
 //! * [`baselines`] — the Table-I comparison protocols (FloodSet,
 //!   broadcast LE, GK10-style, CK09-style gossip, Kutten et al.);
-//! * [`lowerbound`] — influence-cloud analysis and message-budget sweeps
-//!   for the `Ω(√n/α^{3/2})` lower bounds;
+//! * [`lowerbound`] — influence-cloud analysis for the `Ω(√n/α^{3/2})`
+//!   lower bounds (the message-budget sweeps are lab cells: `ftc sweep`,
+//!   the `fig-lowerbound` campaign);
 //! * [`net`] — the real message-passing runtime: the same protocols over
 //!   in-process channels or localhost TCP sockets, bit-identical to the
 //!   simulator for any `(SimConfig, seed)`;
@@ -25,7 +26,8 @@
 //!   objectives × protocol grid as one self-describing record with a
 //!   schedule-space coverage figure, plus socket-level wire-fault search;
 //! * [`lab`] — declarative experiment campaigns: parameter grids over the
-//!   protocols, a content-addressed results store under `results/store/`,
+//!   protocols (Table I and every figure among them, with their
+//!   renderers), a content-addressed results store under `results/store/`,
 //!   cell-by-cell diffs with statistical tolerance bands, and the CI perf
 //!   gate built on them;
 //! * [`serve`] — a long-lived leader *service*: repeated election heights
