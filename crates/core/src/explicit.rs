@@ -97,19 +97,16 @@ impl Protocol for ExplicitLeNode {
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, LeMsg>, inbox: &[Incoming<LeMsg>]) {
-        // Intercept announcements; forward the rest to the implicit layer.
-        let mut rest: Vec<Incoming<LeMsg>> = Vec::with_capacity(inbox.len());
+        // Record announcements; the implicit layer ignores them.
         for inc in inbox {
             if let LeMsg::Announce { leader } = inc.msg {
                 self.known_leader = Some(match self.known_leader {
                     Some(l) => l.max(leader),
                     None => leader,
                 });
-            } else {
-                rest.push(inc.clone());
             }
         }
-        self.inner.on_round(ctx, &rest);
+        self.inner.on_round(ctx, inbox);
 
         if ctx.round() == self.announce_round && !self.announced {
             self.announced = true;
@@ -193,16 +190,13 @@ impl Protocol for ExplicitAgreeNode {
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, AgreeMsg>, inbox: &[Incoming<AgreeMsg>]) {
-        let mut rest: Vec<Incoming<AgreeMsg>> = Vec::with_capacity(inbox.len());
         for inc in inbox {
             if let AgreeMsg::Announce(v) = inc.msg {
                 // 0 beats 1, matching the implicit bias.
                 self.known_value = Some(self.known_value.map_or(v, |k| k && v));
-            } else {
-                rest.push(inc.clone());
             }
         }
-        self.inner.on_round(ctx, &rest);
+        self.inner.on_round(ctx, inbox);
 
         if ctx.round() == self.announce_round && !self.announced {
             self.announced = true;

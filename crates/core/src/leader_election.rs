@@ -16,6 +16,11 @@
 //! removed, and the next minimum takes its place — at most one rank dies
 //! per iteration, and the committee has `O(log n/α)` members (Lemma 1).
 //!
+//! A referee with `k` registered candidates owes `k(k−1)` forwards and may
+//! send each port one per round (CONGEST). It keeps them in a *send
+//! calendar* — one bucket per future round, filled as ranks are booked —
+//! so a round costs the forwards it sends, not the backlog behind them.
+//!
 //! The result: `O(log n/α)` rounds and `O(√n·log^{5/2}n/α^{5/2})` messages
 //! whp, tolerating up to `n − log²n` crash faults, in an anonymous KT0
 //! network. A crashed node is never elected (it may crash *after* the
@@ -87,12 +92,82 @@ struct RefereeState {
     candidates: Vec<Port>,
     /// First-seen arrival port of each known rank (to avoid echoing a
     /// candidate its own rank during pre-processing). Ordered map: the
-    /// forward queue is built by iterating the keys, so the container's
-    /// iteration order must be deterministic for runs to replay exactly.
+    /// forwards to a newcomer are booked by iterating the keys, so the
+    /// container's iteration order must be deterministic for runs to
+    /// replay exactly.
     rank_origin: BTreeMap<Rank, Port>,
-    /// Pending `(destination port, rank)` forwards, drained at one message
-    /// per port per round (CONGEST).
-    forward_queue: VecDeque<(Port, Rank)>,
+    /// The send calendar: bucket `i` holds, in the order they were booked,
+    /// the `(destination port, rank)` forwards to send `i` drains from
+    /// now. A port appears at most once per bucket (CONGEST: one message
+    /// per port per round) and no bucket is empty.
+    calendar: VecDeque<Vec<(Port, Rank)>>,
+    /// Forwards still owed to `candidates[i]`. One leaves per drain, so
+    /// they fill buckets `0..owed[i]` and the next one joins bucket
+    /// `owed[i]`; the longest debt is the calendar's length.
+    owed: Vec<usize>,
+}
+
+impl RefereeState {
+    /// Books `forward` for the first drain that sends its port, whose
+    /// debt is `owed`, nothing yet. A bucket opened for it holds `room`.
+    fn book(
+        calendar: &mut VecDeque<Vec<(Port, Rank)>>,
+        owed: &mut usize,
+        forward: (Port, Rank),
+        room: usize,
+    ) {
+        if *owed == calendar.len() {
+            calendar.push_back(Vec::with_capacity(room));
+        }
+        calendar[*owed].push(forward);
+        *owed += 1;
+    }
+
+    /// Handles `Register { rank }` arriving on port `from`. `room` is how
+    /// many candidates the caller expects in all: a bucket ends up with
+    /// one entry per candidate, and sized once it carries no doubling
+    /// slack into the first-round peak, where the calendars are most of a
+    /// run's heap. Only a hint — a bucket that outgrows it grows.
+    fn register(&mut self, from: Port, rank: Rank, room: usize) {
+        if !self.candidates.contains(&from) {
+            // Forward all previously known ranks to the newcomer (it is
+            // the origin of none of them)...
+            let mut owed = 0;
+            for &known in self.rank_origin.keys() {
+                Self::book(&mut self.calendar, &mut owed, (from, known), room);
+            }
+            self.candidates.push(from);
+            self.owed.push(owed);
+        }
+        // A duplicate rank (collision or rebroadcast) keeps its first
+        // origin and is not forwarded again; a new port still got the
+        // known ranks above.
+        if !self.rank_origin.contains_key(&rank) {
+            // ...and the new rank to all previously registered candidates.
+            for (&p, owed) in self.candidates.iter().zip(&mut self.owed) {
+                if p != from {
+                    Self::book(&mut self.calendar, owed, (p, rank), room);
+                }
+            }
+            self.rank_origin.insert(rank, from);
+        }
+    }
+
+    /// Takes this round's forwards, in send order: one per port in debt.
+    fn drain(&mut self) -> Vec<(Port, Rank)> {
+        debug_assert_eq!(
+            self.owed.iter().copied().max().unwrap_or(0),
+            self.calendar.len()
+        );
+        debug_assert!(self.calendar.iter().all(|bucket| !bucket.is_empty()));
+        let Some(due) = self.calendar.pop_front() else {
+            return Vec::new();
+        };
+        for owed in &mut self.owed {
+            *owed = owed.saturating_sub(1);
+        }
+        due
+    }
 }
 
 /// One node of the fault-tolerant implicit leader-election protocol.
@@ -116,6 +191,8 @@ struct RefereeState {
 #[derive(Clone, Debug)]
 pub struct LeNode {
     params: Params,
+    /// First round of the iteration phase.
+    t0: Round,
     candidate: Option<CandidateState>,
     referee: RefereeState,
 }
@@ -124,6 +201,7 @@ impl LeNode {
     /// Creates the protocol state for one node.
     pub fn new(params: Params) -> Self {
         LeNode {
+            t0: params.preprocess_rounds(),
             params,
             candidate: None,
             referee: RefereeState::default(),
@@ -170,66 +248,14 @@ impl LeNode {
         self.candidate.as_ref().map(|c| c.referees.as_slice())
     }
 
-    /// First round of the iteration phase.
-    fn t0(&self) -> Round {
-        self.params.preprocess_rounds()
-    }
-
     /// Whether `round` is a phase-A (proposal) activation.
     fn is_phase_a(&self, round: Round) -> bool {
-        round >= self.t0() && (round - self.t0()).is_multiple_of(4)
+        round >= self.t0 && (round - self.t0).is_multiple_of(4)
     }
 
     // ------------------------------------------------------------------
     // Referee role
     // ------------------------------------------------------------------
-
-    fn referee_register(&mut self, from: Port, rank: Rank) {
-        let r = &mut self.referee;
-        if r.rank_origin.contains_key(&rank) {
-            // Duplicate rank (collision or rebroadcast): remember only the
-            // first origin, still queue forwards below for a new port.
-        }
-        let is_new_port = !r.candidates.contains(&from);
-        if is_new_port {
-            // Forward all previously known ranks to the newcomer...
-            let known: Vec<Rank> = r.rank_origin.keys().copied().collect();
-            for k in known {
-                if r.rank_origin[&k] != from {
-                    r.forward_queue.push_back((from, k));
-                }
-            }
-            r.candidates.push(from);
-        }
-        if !r.rank_origin.contains_key(&rank) {
-            // ...and the new rank to all previously registered candidates.
-            for &p in &r.candidates {
-                if p != from {
-                    r.forward_queue.push_back((p, rank));
-                }
-            }
-            r.rank_origin.insert(rank, from);
-        }
-    }
-
-    fn referee_drain_forwards(&mut self, ctx: &mut Ctx<'_, LeMsg>) {
-        // One forwarded rank per destination port per round (CONGEST).
-        let r = &mut self.referee;
-        if r.forward_queue.is_empty() {
-            return;
-        }
-        let mut used: BTreeSet<Port> = BTreeSet::new();
-        let mut requeue: VecDeque<(Port, Rank)> = VecDeque::new();
-        while let Some((port, rank)) = r.forward_queue.pop_front() {
-            if used.contains(&port) {
-                requeue.push_back((port, rank));
-            } else {
-                used.insert(port);
-                ctx.send(port, LeMsg::ForwardRank { rank });
-            }
-        }
-        r.forward_queue = requeue;
-    }
 
     fn referee_echo(
         &mut self,
@@ -328,8 +354,7 @@ impl LeNode {
                 cand.support = Some(value);
                 cand.support_age = 0;
                 if cand.relayed.insert(value) {
-                    let cc = cand.clone();
-                    Self::send_proposal(&cc, ctx, value);
+                    Self::send_proposal(cand, ctx, value);
                 }
             }
         }
@@ -420,7 +445,9 @@ impl Protocol for LeNode {
         let mut echo_max: Option<(Rank, bool)> = None;
         for inc in inbox {
             match &inc.msg {
-                LeMsg::Register { rank } => self.referee_register(inc.port, *rank),
+                // Candidates register in round 0, so registrations arrive
+                // together and alone: the inbox is the referee's in-degree.
+                LeMsg::Register { rank } => self.referee.register(inc.port, *rank, inbox.len()),
                 LeMsg::ForwardRank { rank } => {
                     if let Some(cand) = self.candidate.as_mut() {
                         if *rank >= cand.floor && !cand.dead.contains(rank) {
@@ -443,7 +470,9 @@ impl Protocol for LeNode {
         }
 
         // Referee role: forward pre-processing ranks, echo proposals.
-        self.referee_drain_forwards(ctx);
+        for (port, rank) in self.referee.drain() {
+            ctx.send(port, LeMsg::ForwardRank { rank });
+        }
         self.referee_echo(ctx, &proposals);
 
         // Candidate role: process the round's maximum echo, then (on
@@ -458,12 +487,12 @@ impl Protocol for LeNode {
 
     fn is_terminated(&self) -> bool {
         let cand_done = self.candidate.as_ref().is_none_or(|c| c.settled);
-        cand_done && self.referee.forward_queue.is_empty()
+        cand_done && self.referee.calendar.is_empty()
     }
 
     fn is_inert(&self) -> bool {
         // With an empty inbox, `on_round` only acts through the referee's
-        // forward queue and the candidate's phase-A timer, and phase A is a
+        // send calendar and the candidate's phase-A timer, and phase A is a
         // no-op for a settled (or absent) candidate — exactly the
         // `is_terminated` condition. No RNG is drawn on that path, so a
         // skipped activation is indistinguishable from a run one.
@@ -742,5 +771,168 @@ mod tests {
         assert_eq!(a.metrics.msgs_lost_edges, b.metrics.msgs_lost_edges);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.bits_sent, b.metrics.bits_sent);
+    }
+
+    /// The forward plane as it was before the send calendar, verbatim: one
+    /// FIFO that every drain rescans whole, sending the first pending
+    /// entry of each port and requeueing the rest. O(backlog) a round, and
+    /// the definition of the order `RefereeState` must reproduce.
+    #[derive(Default)]
+    struct ScanModel {
+        candidates: Vec<Port>,
+        rank_origin: BTreeMap<Rank, Port>,
+        forward_queue: VecDeque<(Port, Rank)>,
+    }
+
+    impl ScanModel {
+        fn register(&mut self, from: Port, rank: Rank) {
+            let r = self;
+            let is_new_port = !r.candidates.contains(&from);
+            if is_new_port {
+                let known: Vec<Rank> = r.rank_origin.keys().copied().collect();
+                for k in known {
+                    if r.rank_origin[&k] != from {
+                        r.forward_queue.push_back((from, k));
+                    }
+                }
+                r.candidates.push(from);
+            }
+            if !r.rank_origin.contains_key(&rank) {
+                for &p in &r.candidates {
+                    if p != from {
+                        r.forward_queue.push_back((p, rank));
+                    }
+                }
+                r.rank_origin.insert(rank, from);
+            }
+        }
+
+        fn drain(&mut self) -> Vec<(Port, Rank)> {
+            let mut sent = Vec::new();
+            let mut used: BTreeSet<Port> = BTreeSet::new();
+            let mut requeue: VecDeque<(Port, Rank)> = VecDeque::new();
+            while let Some((port, rank)) = self.forward_queue.pop_front() {
+                if used.contains(&port) {
+                    requeue.push_back((port, rank));
+                } else {
+                    used.insert(port);
+                    sent.push((port, rank));
+                }
+            }
+            self.forward_queue = requeue;
+            sent
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Register(Port, Rank),
+        Drain,
+    }
+
+    /// One seeded referee history. Ports and ranks come from small pools,
+    /// so ranks collide across ports and ports register several ranks.
+    fn script(seed: u64) -> Vec<Step> {
+        use rand::prelude::*;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ports = rng.random_range(2..=12u32);
+        let ranks = rng.random_range(2..=16u64);
+        let register = |rng: &mut SmallRng, extra: u32| {
+            Step::Register(
+                Port(rng.random_range(0..ports + extra)),
+                Rank(rng.random_range(0..ranks + u64::from(extra))),
+            )
+        };
+        // Round 1: a burst of registrations in one inbox.
+        let mut steps: Vec<Step> = (0..rng.random_range(1..=12usize))
+            .map(|_| register(&mut rng, 0))
+            .collect();
+        // Drains with registrations arriving mid-backlog, some from
+        // ports and with ranks the burst never saw.
+        for _ in 0..rng.random_range(0..40usize) {
+            steps.push(if rng.random_bool(0.3) {
+                register(&mut rng, 4)
+            } else {
+                Step::Drain
+            });
+        }
+        // Run the backlog out (no port is ever owed more than every
+        // rank), keep draining the empty plane, then a late register.
+        let tail = ranks as usize + 8 + rng.random_range(1..=4usize);
+        steps.extend(std::iter::repeat_n(Step::Drain, tail));
+        steps.push(register(&mut rng, 8));
+        steps.extend(std::iter::repeat_n(Step::Drain, tail));
+        steps
+    }
+
+    #[test]
+    fn send_calendar_matches_the_rescanned_queue_send_for_send() {
+        // What the scripts exercised, so no case can silently drop out.
+        let (mut newcomers_mid_backlog, mut late_registers, mut empty_drains) = (0, 0, 0);
+        let (mut shared_ranks, mut busy_ports) = (0, 0);
+        for seed in 0..256 {
+            let (mut model, mut plane) = (ScanModel::default(), RefereeState::default());
+            let mut drained_once = false;
+            for (i, step) in script(seed).into_iter().enumerate() {
+                match step {
+                    Step::Register(port, rank) => {
+                        let backlog = !model.forward_queue.is_empty();
+                        let newcomer = !model.candidates.contains(&port);
+                        newcomers_mid_backlog += usize::from(newcomer && backlog);
+                        late_registers += usize::from(drained_once && !backlog);
+                        shared_ranks +=
+                            usize::from(model.rank_origin.get(&rank).is_some_and(|&p| p != port));
+                        busy_ports +=
+                            usize::from(!newcomer && !model.rank_origin.contains_key(&rank));
+                        model.register(port, rank);
+                        plane.register(port, rank, i % 5);
+                    }
+                    Step::Drain => {
+                        empty_drains += usize::from(model.forward_queue.is_empty());
+                        drained_once = true;
+                        assert_eq!(plane.drain(), model.drain(), "seed {seed} step {i}");
+                    }
+                }
+                assert_eq!(
+                    plane.calendar.is_empty(),
+                    model.forward_queue.is_empty(),
+                    "seed {seed} step {i}: {step:?}"
+                );
+                assert_eq!(plane.candidates, model.candidates);
+                assert_eq!(plane.rank_origin, model.rank_origin);
+            }
+            assert!(plane.calendar.is_empty(), "seed {seed}: script drains out");
+        }
+        for (what, count) in [
+            ("newcomer mid-backlog", newcomers_mid_backlog),
+            ("late register on a drained plane", late_registers),
+            ("drain of an empty plane", empty_drains),
+            ("one rank from two ports", shared_ranks),
+            ("one port, several ranks", busy_ports),
+        ] {
+            assert!(count >= 50, "only {count} × {what}");
+        }
+    }
+
+    #[test]
+    fn k_candidates_drain_in_k_minus_one_rounds() {
+        let k = 30u32;
+        let mut plane = RefereeState::default();
+        for i in 0..k {
+            plane.register(Port(i), Rank(u64::from(1000 - i)), k as usize);
+        }
+        let mut total = 0;
+        for round in 1..k {
+            let due = plane.drain();
+            assert!(!due.is_empty() && due.len() <= k as usize, "round {round}");
+            let ports: BTreeSet<Port> = due.iter().map(|&(p, _)| p).collect();
+            assert_eq!(ports.len(), due.len(), "round {round}: one send per port");
+            total += due.len();
+        }
+        assert_eq!(total, (k * (k - 1)) as usize);
+        // The backlog is gone and so is its storage: no bucket is left.
+        assert!(plane.calendar.is_empty());
+        assert!(plane.owed.iter().all(|&o| o == 0));
+        assert!(plane.drain().is_empty());
     }
 }

@@ -2,11 +2,14 @@
 //! `BENCH_agreement.json` at the repo root.
 //!
 //! Each file is an append-only trajectory of campaign runs: one entry
-//! per (spec hash, record id) pair, carrying the per-cell success rate,
+//! per (record id, git rev) pair, carrying the per-cell success rate,
 //! message/round summaries, wall clock and throughput, plus provenance
-//! (git rev, seed). Re-exporting an unchanged run is a no-op; a changed
-//! measurement (new code, new spec) appends, so the file accumulates the
-//! perf history of the protocols across the repo's life.
+//! (git rev, seed). Re-exporting from the same checkout is a no-op; a new
+//! spec, a new payload or new code appends — the record id covers only
+//! the deterministic payload, so a faster run of an unchanged campaign
+//! keeps its id and is told apart by the rev it was timed at — and the
+//! file accumulates the perf history of the protocols across the repo's
+//! life.
 
 use std::fs;
 use std::io;
@@ -175,6 +178,27 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
+/// Equality of two payload fields that reads a number by its value, not
+/// its spelling: the trajectory's older entries spell a whole float `1`,
+/// which parses as an integer, where a fresh record holds `1.0`.
+fn same_value(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Arr(x), Json::Arr(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_value(p, q))
+        }
+        (Json::Obj(x), Json::Obj(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((k, p), (l, q))| k == l && same_value(p, q))
+        }
+        (Json::Num(_), _) | (_, Json::Num(_)) => {
+            matches!((a.as_f64(), b.as_f64()), (Ok(x), Ok(y)) if x == y)
+        }
+        _ => a == b,
+    }
+}
+
 /// Gates a fresh run of a bench campaign against a committed trajectory
 /// entry. Wall clocks differ across machines, so absolute throughput is
 /// not comparable; instead the per-cell ratios fresh/baseline are
@@ -189,11 +213,6 @@ pub fn perf_gate(
     fresh: &CampaignRecord,
     tolerance: f64,
 ) -> Result<PerfReport, String> {
-    let field_str = |j: &Json, k: &str| -> Result<String, String> {
-        j.field(k)
-            .map(|v| v.render())
-            .map_err(|e| format!("baseline entry: {e}"))
-    };
     let base_hash = entry
         .field("spec_hash")
         .and_then(Json::as_str)
@@ -234,9 +253,16 @@ pub fn perf_gate(
             "msgs",
             "rounds",
         ] {
-            let (b, f) = (field_str(base, key)?, field_str(&mine, key)?);
-            if b != f {
-                mismatches.push(format!("cell {label}: {key} baseline {b} != fresh {f}"));
+            let b = base
+                .field(key)
+                .map_err(|e| format!("baseline entry: {e}"))?;
+            let f = mine.field(key).expect("cell_entry writes every key");
+            if !same_value(b, f) {
+                mismatches.push(format!(
+                    "cell {label}: {key} baseline {} != fresh {}",
+                    b.render(),
+                    f.render()
+                ));
             }
         }
         let base_tps = base
@@ -272,12 +298,16 @@ pub fn perf_gate(
 }
 
 /// Appends `record` to the trajectory at `path` (creating it if absent).
-/// Idempotent per record id: exporting the same measurement twice keeps
-/// one entry. Returns the number of entries now in the file.
+/// Idempotent per (record id, git rev): the same payload timed again at
+/// the same rev keeps one entry, while the same payload timed at another
+/// rev is a new point of the trajectory — the before/after pair of a
+/// change that moves speed and nothing else. Returns the number of
+/// entries now in the file.
 pub fn export(record: &CampaignRecord, path: &Path) -> io::Result<usize> {
     let mut entries = load_entries(path)?;
-    let id = Json::Str(record.id());
-    if !entries.iter().any(|e| e.get("id") == Some(&id)) {
+    let (id, rev) = (Json::Str(record.id()), Json::Str(record.git_rev.clone()));
+    let repeat = |e: &Json| e.get("id") == Some(&id) && e.get("git_rev") == Some(&rev);
+    if !entries.iter().any(repeat) {
         entries.push(record_entry(record));
     }
     let count = entries.len();
@@ -319,6 +349,30 @@ mod tests {
         assert_eq!(export(&record(1), &path).unwrap(), 1);
         assert_eq!(export(&record(1), &path).unwrap(), 1, "same id dedupes");
         assert_eq!(export(&record(2), &path).unwrap(), 2, "new id appends");
+        // The same payload timed at another rev is a new measurement.
+        let mut faster = record(1);
+        faster.git_rev = "a-later-rev".into();
+        faster.wall_s = 0.25;
+        assert_eq!(
+            export(&faster, &path).unwrap(),
+            3,
+            "same id, new rev appends"
+        );
+        assert_eq!(
+            export(&faster, &path).unwrap(),
+            3,
+            "same id and rev dedupes"
+        );
+        let latest = latest_entry_named(&path, "bench-unit").unwrap();
+        assert_eq!(
+            latest.field("id").unwrap().as_str().unwrap(),
+            record(1).id()
+        );
+        assert_eq!(
+            latest.field("git_rev").unwrap().as_str().unwrap(),
+            "a-later-rev"
+        );
+        assert_eq!(latest.field("wall_s").unwrap().as_f64().unwrap(), 0.25);
         let text = fs::read_to_string(&path).unwrap();
         let json = Json::parse(&text).unwrap();
         assert_eq!(
@@ -326,7 +380,7 @@ mod tests {
             "ftc-lab-bench/v1"
         );
         let entries = json.field("entries").unwrap().as_arr().unwrap();
-        assert_eq!(entries.len(), 2);
+        assert_eq!(entries.len(), 3);
         let cell = &entries[0].field("cells").unwrap().as_arr().unwrap()[0];
         assert!(cell.get("success_rate").is_some());
         assert!(cell.field("msgs").unwrap().get("median").is_some());
@@ -366,6 +420,14 @@ mod tests {
         let base = bench_record();
         export(&base, &path).unwrap();
         let entry = latest_entry(&path).unwrap();
+
+        // An entry from when whole floats were spelled `1` is the same
+        // payload as a fresh `1.0`, not drift.
+        let respelled =
+            Json::parse(&entry.render().replace(".0,", ",").replace(".0}", "}")).unwrap();
+        assert_ne!(respelled, entry);
+        let report = perf_gate(&respelled, &base, 0.2).unwrap();
+        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
 
         // A uniformly 3x slower machine shifts every ratio equally: pass.
         let mut slow = base.clone();
