@@ -17,6 +17,8 @@
 //!
 //! [`Summary`]: ftc_sim::stats::Summary
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod campaigns;
 pub mod diff;

@@ -38,6 +38,8 @@
 //! one call ([`Substrate::run`]) that dispatches to the engine, the
 //! channels or the sockets.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod runtime;
 pub mod substrate;

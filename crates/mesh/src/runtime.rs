@@ -17,17 +17,19 @@
 //!   feeds it straight into the destination core (no socket, no copy); a
 //!   remote one is staged into its peer proc's [`WriteBuf`], so a round's
 //!   traffic towards a peer coalesces into few large writes;
-//! * **pump** — one flush of whatever the kernel will take, one
-//!   `POLL_SLICE` readiness wait, one drain of the readable sockets
-//!   through the per-peer [`EnvelopeDecoder`]s. The loop pumps until the
-//!   node it waits on is ready, then until nothing is staged.
+//! * **pump** — one flush of whatever the kernel will take, one sleep in
+//!   `poll(2)` until a live peer's bytes land or a peer it has bytes
+//!   staged for takes more, one drain of the readable sockets through the
+//!   per-peer [`EnvelopeDecoder`]s. The loop pumps until the node it
+//!   waits on is ready, then until nothing is staged.
 //!
 //! ## Backpressure without deadlock
 //!
 //! There are no unbounded intake queues and no reader threads. Writes
 //! are nonblocking: when the kernel's socket buffer fills (`WouldBlock`),
-//! the pump keeps draining its *own* readable sockets — freeing its
-//! peers' send paths — and the next pump retries the flush. Every proc
+//! the pump waits for room on that socket too while it keeps draining
+//! its *own* readable sockets — freeing its peers' send paths — and the
+//! pump the kernel wakes with room retries the flush. Every proc
 //! stages before it collects and never blocks on a write, so the round
 //! loop cannot deadlock; in-flight data per socket is bounded by the
 //! kernel buffer plus at most one round of traffic per sender (procs are
@@ -37,11 +39,12 @@
 //! ## The watchdog
 //!
 //! This link is the only code in `ftc-net` and `ftc-mesh` that reads a
-//! clock. A healthy run moves bytes on almost every pump; when no byte has
-//! moved in either direction for `recv_timeout`, the pump fails with
-//! `TimedOut`, naming the proc, the bytes still staged and the peer procs
-//! they are stuck on, and the loop attributes it to the node it was
-//! waiting on.
+//! clock. A healthy run moves bytes on almost every pump; a pump with
+//! none to move sleeps until some can, or until `recv_timeout` after the
+//! last one did — no periodic wake, and a peer that closed reads EOF once
+//! and is deregistered — then fails with `TimedOut`, naming the proc, the
+//! bytes still staged and the peer procs they are stuck on, and the loop
+//! attributes it to the node it was waiting on.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -98,11 +101,6 @@ pub(crate) fn socket_links(
         .collect()
 }
 
-/// How long one readiness wait lasts before the pump returns to re-check
-/// its write buffers and the watchdog. Short enough to keep flush retries
-/// snappy under backpressure, long enough not to spin.
-const POLL_SLICE: Duration = Duration::from_millis(1);
-
 /// Runs `cfg` over the multiplexed socket mesh with `procs` processes and
 /// default [`RunOpts`].
 ///
@@ -142,12 +140,18 @@ pub(crate) struct SocketLink {
     dec: Vec<EnvelopeDecoder>,
     poll: mio::Poll,
     events: mio::Events,
+    /// What each peer's socket is registered for: readable, and writable
+    /// while staged bytes are blocked on it. `None`: no socket, or EOF.
+    interest: Vec<Option<mio::Interest>>,
     read_buf: Vec<u8>,
     /// This round's cap on every write syscall (a scheduled tear).
     tear: Option<usize>,
     recv_timeout: Duration,
     /// When the current run of pumps that moved no byte began.
     idle_since: Option<Instant>,
+    /// Readiness waits made, for the tests that count them.
+    #[cfg(test)]
+    polls: usize,
 }
 
 /// `e` with the proc it happened on and what that proc was doing
@@ -161,11 +165,13 @@ impl SocketLink {
     fn new(index: usize, links: ProcLinks, recv_timeout: Duration) -> io::Result<Self> {
         let procs = links.len();
         let poll = mio::Poll::new().map_err(|e| annotate(index, format_args!("poller"), e))?;
+        let mut interest = vec![None; procs];
         for (peer, link) in links.iter().enumerate() {
             if let Some(stream) = link {
                 poll.registry()
                     .register(stream, mio::Token(peer), mio::Interest::READABLE)
                     .map_err(|e| annotate(index, format_args!("register proc {peer}"), e))?;
+                interest[peer] = Some(mio::Interest::READABLE);
             }
         }
         Ok(SocketLink {
@@ -175,18 +181,22 @@ impl SocketLink {
             dec: (0..procs).map(|_| EnvelopeDecoder::new()).collect(),
             poll,
             events: mio::Events::with_capacity(procs.max(4)),
+            interest,
             read_buf: vec![0u8; 64 * 1024],
             tear: None,
             recv_timeout,
             idle_since: None,
+            #[cfg(test)]
+            polls: 0,
         })
     }
 
-    /// Writes whatever the kernel will take; `WouldBlock` is backpressure
-    /// and handled by the drain that follows. A scheduled tear caps every
-    /// write syscall, so the peer reads the round's envelopes in
-    /// worst-case fragments; the buffer is still drained in full (delivery
-    /// is preserved, only the fragmentation changes).
+    /// Writes whatever the kernel will take; `WouldBlock` is backpressure:
+    /// the socket is armed for writability, so the wait that follows ends
+    /// when there is room, and disarmed once its buffer is out. A scheduled
+    /// tear caps every write syscall, so the peer reads the round's
+    /// envelopes in worst-case fragments; the buffer is still drained in
+    /// full (delivery is preserved, only the fragmentation changes).
     fn flush(&mut self) -> io::Result<bool> {
         let mut progressed = false;
         for (peer, wb) in self.out.iter_mut().enumerate() {
@@ -200,24 +210,38 @@ impl SocketLink {
             };
             progressed |= flushed
                 .map_err(|e| annotate(self.index, format_args!("write to proc {peer}"), e))?;
+            let mut want = mio::Interest::READABLE;
+            if !wb.is_empty() {
+                want = want | mio::Interest::WRITABLE;
+            }
+            if self.interest[peer].is_some_and(|have| have != want) {
+                (self.poll.registry())
+                    .reregister(stream, mio::Token(peer), want)
+                    .map_err(|e| annotate(self.index, format_args!("rearm proc {peer}"), e))?;
+                self.interest[peer] = Some(want);
+            }
         }
         Ok(progressed)
     }
 
-    /// Drains the sockets the last poll reported into their decoders, and
-    /// every complete envelope into `inbound`, addressed by the slot of its
-    /// destination node on this proc (`dst ≡ index (mod procs)`).
+    /// Drains the sockets the last poll found readable into their decoders,
+    /// and every complete envelope into `inbound`, addressed by the slot of
+    /// its destination node on this proc (`dst ≡ index (mod procs)`).
     fn drain(&mut self, inbound: &mut Vec<(usize, Frame)>) -> io::Result<bool> {
         let (index, procs) = (self.index, self.links.len());
         let mut progressed = false;
-        for event in &self.events {
+        for event in self.events.iter().filter(|e| e.is_readable()) {
             let peer = event.token().0;
             let stream = self.links[peer].as_mut().expect("registered link");
             // One burst per event is enough; the next poll re-reports the
             // socket if more is queued.
             loop {
                 match io::Read::read(stream, &mut self.read_buf) {
-                    Ok(0) => {} // peer closed; its frames are all in
+                    Ok(0) => {
+                        // Peer closed, its frames are all in: stop polling it.
+                        self.poll.registry().deregister(mio::Token(peer));
+                        self.interest[peer] = None;
+                    }
                     Ok(k) => {
                         self.dec[peer].extend(&self.read_buf[..k]);
                         progressed = true;
@@ -299,20 +323,26 @@ impl Link for SocketLink {
         waiting: Option<usize>,
         inbound: &mut Vec<(usize, Frame)>,
     ) -> io::Result<bool> {
-        let mut progressed = self.flush()?;
+        if self.flush()? {
+            self.idle_since = None;
+        }
         let staged = !self.out.iter().all(WriteBuf::is_empty);
         if waiting.is_none() && !staged {
             // The collect phase is over; the next one starts a fresh count.
             self.idle_since = None;
             return Ok(false);
         }
+        // Sleep in the kernel until bytes can move or the watchdog is due.
+        let idle_since = *self.idle_since.get_or_insert_with(Instant::now);
+        let left = self.recv_timeout.saturating_sub(idle_since.elapsed());
+        #[cfg(test)]
+        (self.polls += 1);
         self.poll
-            .poll(&mut self.events, Some(POLL_SLICE))
+            .poll(&mut self.events, Some(left))
             .map_err(|e| annotate(self.index, format_args!("poll"), e))?;
-        progressed |= self.drain(inbound)?;
-        if progressed {
+        if self.drain(inbound)? {
             self.idle_since = None;
-        } else if self.idle_since.get_or_insert_with(Instant::now).elapsed() >= self.recv_timeout {
+        } else if idle_since.elapsed() >= self.recv_timeout {
             return Err(self.stalled());
         }
         Ok(staged)
@@ -627,6 +657,106 @@ mod tests {
             err.to_string(),
             format!("mesh proc 0 timed out flushing {left} staged bytes to procs [1] after 50ms")
         );
+    }
+
+    #[test]
+    fn a_finished_peer_does_not_turn_a_wait_into_a_spin() {
+        // Proc 1 has finished and closed its sockets; proc 0 still waits
+        // on proc 2, which is alive and silent. A closed socket is
+        // readable for ever, so unless its EOF deregisters it every wait
+        // returns at once and the proc spins until the watchdog fires.
+        let mut fabric = fabric::build(3).expect("fabric");
+        let _silent = fabric.pop().unwrap();
+        drop(fabric.pop().unwrap());
+        let timeout = Duration::from_millis(50);
+        let mut link = SocketLink::new(0, fabric.pop().unwrap(), timeout).unwrap();
+        let mut inbound = Vec::new();
+        let mut pumps = 0;
+        let err = loop {
+            pumps += 1;
+            if let Err(e) = link.pump(Some(0), &mut inbound) {
+                break e;
+            }
+        };
+        assert!(pumps <= 100, "{pumps} pumps in {timeout:?}");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(err.to_string(), "mesh proc 0 waited 50ms");
+        assert_eq!(link.interest, [None, None, Some(mio::Interest::READABLE)]);
+    }
+
+    #[test]
+    fn a_silent_live_peer_costs_one_sleep_and_times_out_on_time() {
+        let timeout = Duration::from_millis(200);
+        let mut links = socket_links(&SimConfig::new(2), 2, timeout).expect("fabric");
+        let _silent_peer = links.pop().unwrap();
+        let mut link = links.pop().unwrap();
+        let mut inbound = Vec::new();
+        let t0 = Instant::now();
+        let err = loop {
+            if let Err(e) = link.pump(Some(0), &mut inbound) {
+                break e;
+            }
+        };
+        let waited = t0.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(err.to_string(), "mesh proc 0 waited 200ms");
+        assert!(
+            timeout <= waited && waited <= timeout + Duration::from_millis(100),
+            "waited {waited:?}"
+        );
+        // One kernel wait up to the watchdog's deadline, not a slice a
+        // millisecond (counted, not timed).
+        assert!(link.polls <= 3, "{} polls in {waited:?}", link.polls);
+    }
+
+    #[test]
+    fn backpressure_sleeps_until_the_peer_reads_then_delivers_in_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // 8 MiB towards a peer that does not read yet: far more than the
+        // kernel takes. The pumps must neither fail nor spin while it is
+        // stuck, and once the peer drains every frame arrives, in order.
+        const FRAMES: u32 = 128;
+        let window = Duration::from_millis(30);
+        let mut links = socket_links(&SimConfig::new(2), 2, Duration::from_secs(10)).unwrap();
+        let mut peer = links.pop().unwrap();
+        let mut link = links.pop().unwrap();
+        for seq in 0..FRAMES {
+            let frame = Frame {
+                height: 0,
+                round: 0,
+                src: NodeId(0),
+                seq,
+                payload: vec![seq as u8; 64 * 1024],
+            };
+            assert!(link.send(0, NodeId(1), frame).unwrap().is_none());
+        }
+        let reading = AtomicBool::new(false);
+        let (arrived, stuck_pumps) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                std::thread::sleep(window);
+                reading.store(true, Ordering::SeqCst);
+                let mut arrived = Vec::new();
+                while arrived.len() < FRAMES as usize {
+                    peer.pump(Some(0), &mut arrived).expect("peer pump");
+                }
+                arrived
+            });
+            let mut stuck_pumps = 0;
+            while link
+                .pump(None, &mut Vec::new())
+                .expect("backpressure is not an error")
+            {
+                stuck_pumps += usize::from(!reading.load(Ordering::SeqCst));
+            }
+            (reader.join().unwrap(), stuck_pumps)
+        });
+        // At most ten pumps per 10 ms of a peer not reading.
+        assert!(stuck_pumps <= 30, "{stuck_pumps} pumps in {window:?}");
+        assert_eq!(link.interest[1], Some(mio::Interest::READABLE), "disarmed");
+        for (seq, (slot, frame)) in arrived.iter().enumerate() {
+            assert_eq!((*slot, frame.seq as usize), (0, seq));
+            assert!(frame.payload.iter().all(|&b| b == seq as u8));
+        }
     }
 
     #[test]

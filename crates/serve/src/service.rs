@@ -17,6 +17,8 @@
 //! uniqueness and request linearity throughout and mints replayable
 //! artifacts for any protocol-level violation.
 
+use std::time::{Duration, Instant};
+
 use ftc_core::prelude::{LeNode, LeOutcome, Params};
 use ftc_hunt::prelude::{Artifact, Substrate};
 use ftc_net::prelude::RunOpts;
@@ -154,6 +156,10 @@ pub struct HeightOutcome {
 pub struct ServiceReport {
     /// Per-height outcomes, in height order.
     pub heights: Vec<HeightOutcome>,
+    /// Wall-clock time of each height's election (its one `Substrate::run`
+    /// call), in height order. Beside `heights`, never inside them: an
+    /// outcome is the same on every substrate, the time it took is not.
+    pub election_wall: Vec<Duration>,
     /// Cross-height service metrics (TTNL histogram, availability, ...).
     pub metrics: ServiceMetrics,
     /// The load generator's report, when load was configured.
@@ -199,6 +205,7 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
         .clone()
         .map(|p| LoadGen::new(p, stream_seed(cfg.seed, SALT_LOAD)));
     let mut heights = Vec::with_capacity(cfg.heights as usize);
+    let mut election_wall = Vec::with_capacity(cfg.heights as usize);
     let mut seqno: u64 = 0;
     let mut since_kill = 0u32;
     let mut crashes = 0u32;
@@ -228,10 +235,12 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
             height: h,
             ..RunOpts::default()
         };
+        let started = Instant::now();
         let nr = cfg
             .substrate
             .run(&hcfg, factory, &mut adv, &opts)
             .map_err(|e| format!("serve: height {h}: {e}"))?;
+        election_wall.push(started.elapsed());
         let (r, wire_bytes) = (nr.run, nr.net.wire_bytes);
         let outcome = LeOutcome::evaluate(&r);
         monitor.election(h, &params, &hcfg, &plan, &outcome);
@@ -294,6 +303,7 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
     let (violations, artifacts) = monitor.into_findings();
     Ok(ServiceReport {
         heights,
+        election_wall,
         metrics,
         load: load.map(|lg| lg.report()),
         violations,

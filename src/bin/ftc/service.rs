@@ -97,6 +97,17 @@ pub fn cmd_serve(o: &Opts) -> Result<(), String> {
             quantile(&m.ttnl_rounds, 0.95),
             quantile(&m.ttnl_rounds, 0.99)
         );
+        // The same elections in wall-clock: what a client of the service
+        // waits after a leader kill, on this substrate, on this machine.
+        let wall = (report.heights.iter().zip(&report.election_wall))
+            .filter(|(h, _)| h.success)
+            .map(|(_, took)| took.as_secs_f64() * 1e3);
+        if let Some(ms) = Summary::try_of_iter(wall) {
+            println!(
+                "  time-to-new-leader (ms): p50 {:.2} p95 {:.2} max {:.2}",
+                ms.median, ms.p95, ms.max
+            );
+        }
         println!(
             "  availability: {:.4} ({} of {} rounds with a leader)",
             m.availability().unwrap_or(0.0),

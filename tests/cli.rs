@@ -114,6 +114,27 @@ fn serve_json_rows_match_the_parent_build() {
     );
 }
 
+/// Time-to-new-leader is reported in wall-clock under the rounds line —
+/// in the human summary only: the rows above carry nothing a clock wrote.
+#[test]
+fn serve_summary_reports_time_to_new_leader_in_milliseconds() {
+    let out = stdout("serve --n 16 --alpha 0.5 --heights 4 --seed 5 --substrate mesh:2");
+    let lines: Vec<&str> = out.lines().collect();
+    let rounds = (lines.iter())
+        .position(|l| l.starts_with("  time-to-new-leader (rounds): p50 63 "))
+        .expect(&out);
+    let ms = lines[rounds + 1]
+        .strip_prefix("  time-to-new-leader (ms): p50 ")
+        .expect(&out);
+    let figures: Vec<f64> = (ms.split(' ').step_by(2))
+        .map(|x| x.parse().expect(&out))
+        .collect();
+    let [p50, p95, max] = figures[..] else {
+        panic!("{out}")
+    };
+    assert!(0.0 < p50 && p50 <= p95 && p95 <= max, "{out}");
+}
+
 #[test]
 fn replay_json_rows_match_the_parent_build() {
     assert_eq!(
