@@ -637,7 +637,7 @@ mod tests {
                 round: 0,
                 src: NodeId(0),
                 seq,
-                payload: vec![0xAB; 64 * 1024],
+                payload: vec![0xAB; 64 * 1024].into(),
             };
             total += crate::wire::ENVELOPE_PREFIX + frame.encoded_len() as usize;
             assert!(link.send(0, NodeId(1), frame).unwrap().is_none());
@@ -726,7 +726,7 @@ mod tests {
                 round: 0,
                 src: NodeId(0),
                 seq,
-                payload: vec![seq as u8; 64 * 1024],
+                payload: vec![seq as u8; 64 * 1024].into(),
             };
             assert!(link.send(0, NodeId(1), frame).unwrap().is_none());
         }

@@ -172,7 +172,7 @@ mod tests {
             round,
             src: NodeId(src),
             seq,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 
@@ -198,6 +198,55 @@ mod tests {
         }
         assert_eq!(got, items.to_vec());
         assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn payloads_on_both_sides_of_the_inline_boundary_survive_every_burst_split() {
+        // Lengths 0..=40 straddle a frame's inline payload capacity
+        // wherever under 40 it sits; 64 KiB is far beyond it.
+        let mut items: Vec<(NodeId, Frame)> = (0..=40u32)
+            .map(|len| {
+                (
+                    NodeId(len),
+                    frame(1, 2, len, &vec![len as u8; len as usize]),
+                )
+            })
+            .collect();
+        let flushed = |items: &[(NodeId, Frame)]| {
+            let mut staged = WriteBuf::new();
+            for (dst, f) in items {
+                staged.stage(*dst, f);
+            }
+            let mut stream = Vec::new();
+            staged.flush_into(&mut stream).unwrap();
+            stream
+        };
+        let decoded = |bursts: &mut dyn Iterator<Item = &[u8]>| {
+            let mut dec = EnvelopeDecoder::new();
+            let mut got = Vec::new();
+            for burst in bursts {
+                dec.extend(burst);
+                while let Some(pair) = dec.next().unwrap() {
+                    got.push(pair);
+                }
+            }
+            assert_eq!(dec.pending_bytes(), 0);
+            got
+        };
+        let stream = flushed(&items);
+        for split in 0..=stream.len() {
+            let (head, tail) = stream.split_at(split);
+            assert_eq!(
+                decoded(&mut [head, tail].into_iter()),
+                items,
+                "split {split}"
+            );
+        }
+        items.push((NodeId(7), frame(0, 1, 0, &vec![0xAB; 64 << 10])));
+        let stream = flushed(&items);
+        for burst in [1, 7, 4096, 64 << 10] {
+            assert_eq!(decoded(&mut stream.chunks(burst)), items, "burst {burst}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use ftc_sim::ports::PortMap;
 use ftc_sim::protocol::{Incoming, Protocol};
 use ftc_sim::round::{network_ports, resolve_sends, ControlCore, ControlOutput};
 
-use crate::frame::Frame;
+use crate::frame::{Frame, Payload};
 
 /// One node's round submission to the coordinator: its queued sends, still
 /// in KT0 port space (the coordinator routes them).
@@ -147,7 +147,8 @@ pub struct RoundCore<P: Protocol> {
     round: Round,
     status: NodeStatus,
     expect: usize,
-    /// Frames collected for the current round.
+    /// Frames collected for the current round. Like `inbox`, cleared —
+    /// not dropped — every round, so a steady run stops allocating.
     got: Vec<Frame>,
     /// Early frames for rounds we have not reached yet.
     pending: Vec<Frame>,
@@ -209,8 +210,7 @@ where
     /// ship to the coordinator. Only valid while active.
     pub fn activate(&mut self) -> Submission<P::Msg> {
         debug_assert_eq!(self.status, NodeStatus::Active);
-        let inbox = std::mem::take(&mut self.inbox);
-        let activation = self.harness.activate(self.round, &inbox);
+        let activation = self.harness.activate(self.round, &self.inbox);
         Submission {
             node: self.id,
             sends: activation.sends,
@@ -281,10 +281,9 @@ where
     /// were early for the round just entered.
     pub fn end_round(&mut self) -> Result<(), String> {
         debug_assert!(self.ready());
-        let mut frames = std::mem::take(&mut self.got);
-        frames.sort_by_key(|f| (f.src.0, f.seq));
+        self.got.sort_by_key(|f| (f.src.0, f.seq));
         self.inbox.clear();
-        for f in &frames {
+        for f in &self.got {
             let msg = <P::Msg as Wire>::decode(&f.payload).ok_or_else(|| {
                 format!(
                     "node {} got a malformed frame payload from node {} in round {}",
@@ -296,6 +295,7 @@ where
                 msg,
             });
         }
+        self.got.clear();
         self.round += 1;
         let round = self.round;
         let mut i = 0;
@@ -334,6 +334,8 @@ pub struct CoordinatorCore<M> {
     core: ControlCore,
     terminated: Vec<bool>,
     stopped: bool,
+    /// Every payload is encoded here and copied into its frame.
+    scratch: Vec<u8>,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -360,6 +362,7 @@ impl<M: Wire> CoordinatorCore<M> {
             core: ControlCore::new::<M, _>(cfg, adversary),
             terminated: vec![false; cfg.n as usize],
             stopped: false,
+            scratch: Vec::new(),
             _msg: std::marker::PhantomData,
         }
     }
@@ -378,6 +381,11 @@ impl<M: Wire> CoordinatorCore<M> {
     /// [`adjudicate`](CoordinatorCore::adjudicate)).
     pub fn stopped(&self) -> bool {
         self.stopped
+    }
+
+    /// How many nodes must submit this round.
+    pub fn alive_count(&self) -> usize {
+        self.core.alive_count()
     }
 
     /// The nodes that must submit this round.
@@ -431,24 +439,6 @@ impl<M: Wire> CoordinatorCore<M> {
         for e in outgoing.iter().flatten() {
             expect[e.dst.index()] += 1;
         }
-        let mut frames: Vec<Vec<(NodeId, Frame)>> = vec![Vec::new(); nn];
-        for (u, sends) in outgoing.iter().enumerate() {
-            for (seq, e) in sends.iter().enumerate() {
-                let mut payload = Vec::new();
-                e.msg.encode(&mut payload);
-                frames[u].push((
-                    e.dst,
-                    Frame {
-                        height: self.height,
-                        round,
-                        src: NodeId(u as u32),
-                        seq: seq as u32,
-                        payload,
-                    },
-                ));
-            }
-        }
-
         let stop = round + 1 == self.max_rounds
             || (verdict.delivered == 0
                 && (0..self.n)
@@ -458,20 +448,30 @@ impl<M: Wire> CoordinatorCore<M> {
         self.stopped = stop;
         self.round += 1;
 
-        let commands = alive_before
-            .into_iter()
-            .map(|u| {
-                (
-                    u,
-                    Command {
-                        frames: std::mem::take(&mut frames[u.index()]),
-                        expect: expect[u.index()],
-                        crashed: verdict.crashed.contains(&u),
-                        stop,
-                    },
-                )
-            })
-            .collect();
+        let mut commands = Vec::with_capacity(alive_before.len());
+        for u in alive_before {
+            let sends = &outgoing[u.index()];
+            let mut frames = Vec::with_capacity(sends.len());
+            for (seq, e) in sends.iter().enumerate() {
+                self.scratch.clear();
+                e.msg.encode(&mut self.scratch);
+                let frame = Frame {
+                    height: self.height,
+                    round,
+                    src: u,
+                    seq: seq as u32,
+                    payload: Payload::from(&self.scratch[..]),
+                };
+                frames.push((e.dst, frame));
+            }
+            let command = Command {
+                frames,
+                expect: expect[u.index()],
+                crashed: verdict.crashed.contains(&u),
+                stop,
+            };
+            commands.push((u, command));
+        }
         Ok(RoundPlan { commands, stop })
     }
 
@@ -614,7 +614,7 @@ mod tests {
             payload: {
                 let mut b = Vec::new();
                 7u64.encode(&mut b);
-                b
+                b.into()
             },
         };
         node.feed(early).unwrap();
@@ -636,7 +636,7 @@ mod tests {
             round,
             src: NodeId(0),
             seq: 0,
-            payload: Vec::new(),
+            payload: Payload::default(),
         };
         let err = node.feed(mk(2, 0)).unwrap_err();
         assert!(err.contains("height 2 during height 3"), "{err}");
@@ -654,7 +654,7 @@ mod tests {
             round: 0,
             src: NodeId(1),
             seq: 0,
-            payload: vec![0xFF; 3], // too short for a u64
+            payload: vec![0xFF; 3].into(), // too short for a u64
         })
         .unwrap();
         let err = node.end_round().unwrap_err();

@@ -408,7 +408,7 @@ mod tests {
                 round,
                 src: NodeId(src),
                 seq,
-                payload: vec![seq as u8; 3],
+                payload: vec![seq as u8; 3].into(),
             },
         )
     }

@@ -19,7 +19,7 @@
 //! see it — the receiver maps it to a local KT0 port through its own
 //! private permutation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use ftc_sim::ids::{NodeId, Round};
 
@@ -29,6 +29,105 @@ pub const HEADER_LEN: usize = 16;
 /// Hard cap on one frame's declared length; anything larger is treated as
 /// stream corruption rather than allocated.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
+
+/// Bytes a [`Payload`] holds in the frame itself.
+///
+/// The model is CONGEST, so every message any shipped protocol sends is
+/// `O(log n)` bits: the largest [`ftc_sim::payload::Wire`] encoding in
+/// `ftc-core` is `LeMsg::Propose` at 17 B (`AgreeMsg` ≤ 2 B, the chatter
+/// canary's `u64` 8 B). 22 is what fits, with a length byte and the
+/// variant tag, in the 24 bytes the `Vec<u8>` it replaces took — so a
+/// [`Frame`] stays 40 bytes and all verified traffic travels without
+/// touching the allocator.
+const INLINE_CAP: usize = 22;
+
+// A later field must not silently fatten every `Command`, `got` and
+// `inbound` vector, nor push the shipped protocols' messages to the heap.
+const _: () = assert!(std::mem::size_of::<Frame>() <= 40);
+const _: () = assert!(INLINE_CAP >= 17);
+
+/// A frame's payload bytes: held inline up to a fixed capacity that covers
+/// every message the shipped protocols send, on the heap beyond it.
+///
+/// The representation is private and canonical — bytes that fit inline
+/// are always inline, whichever conversion built the value — so equality,
+/// `Debug` and [`Frame::encoded_len`] see only the bytes.
+#[derive(Clone)]
+pub struct Payload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE_CAP] },
+    Heap(Box<[u8]>),
+}
+
+impl Payload {
+    /// Reads exactly `len` payload bytes from `r` straight into their
+    /// final home.
+    fn read_from<R: Read>(r: &mut R, len: usize) -> io::Result<Self> {
+        if len <= INLINE_CAP {
+            let mut bytes = [0u8; INLINE_CAP];
+            r.read_exact(&mut bytes[..len])?;
+            Ok(Payload(Repr::Inline {
+                len: len as u8,
+                bytes,
+            }))
+        } else {
+            let mut bytes = vec![0u8; len].into_boxed_slice();
+            r.read_exact(&mut bytes)?;
+            Ok(Payload(Repr::Heap(bytes)))
+        }
+    }
+}
+
+impl Default for Payload {
+    /// The empty payload.
+    fn default() -> Self {
+        Payload::from(&[][..])
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(mut src: &[u8]) -> Self {
+        let len = src.len();
+        Payload::read_from(&mut src, len).expect("a slice yields its own length")
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(src: Vec<u8>) -> Self {
+        if src.len() <= INLINE_CAP {
+            Payload::from(&src[..])
+        } else {
+            Payload(Repr::Heap(src.into_boxed_slice()))
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// One protocol message in flight on a transport link.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,7 +144,7 @@ pub struct Frame {
     /// by `(src, seq)` to reproduce the engine's inbox order.
     pub seq: u32,
     /// The [`ftc_sim::payload::Wire`]-encoded protocol message.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl Frame {
@@ -64,15 +163,6 @@ impl Frame {
         buf.extend_from_slice(&self.src.0.to_le_bytes());
         buf.extend_from_slice(&self.seq.to_le_bytes());
         buf.extend_from_slice(&self.payload);
-    }
-
-    /// Writes the frame to `w` as one `write_all` (one syscall per frame
-    /// in the common case, which matters with `TCP_NODELAY`).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let mut buf = Vec::with_capacity(4 + HEADER_LEN + self.payload.len());
-        self.encode(&mut buf);
-        w.write_all(&buf)?;
-        Ok(buf.len() as u64)
     }
 
     /// Reads one frame from `r`.
@@ -98,15 +188,15 @@ impl Frame {
                 format!("corrupt frame length {len}"),
             ));
         }
-        let mut rest = vec![0u8; len];
-        r.read_exact(&mut rest)?;
-        let word = |i: usize| u32::from_le_bytes(rest[i..i + 4].try_into().unwrap());
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap());
         Ok(Some(Frame {
             height: word(0),
             round: word(4),
             src: NodeId(word(8)),
             seq: word(12),
-            payload: rest[HEADER_LEN..].to_vec(),
+            payload: Payload::read_from(r, len - HEADER_LEN)?,
         }))
     }
 }
@@ -121,8 +211,41 @@ mod tests {
             round,
             src: NodeId(src),
             seq,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
+    }
+
+    /// Payload lengths on both sides of the inline boundary.
+    const BOUNDARY_LENS: [usize; 6] = [0, 1, INLINE_CAP - 1, INLINE_CAP, INLINE_CAP + 1, 64 << 10];
+
+    #[test]
+    fn payload_representation_is_canonical_and_invisible() {
+        for len in BOUNDARY_LENS {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            // A `Vec` with spare capacity, a slice and the wire all build
+            // the same value: inline exactly when it fits.
+            let mut roomy = Vec::with_capacity(len + 100);
+            roomy.extend_from_slice(&bytes);
+            let from_slice = frame(1, 2, 3, 4, &bytes);
+            let from_vec = Frame {
+                payload: roomy.into(),
+                ..from_slice.clone()
+            };
+            let mut stream = Vec::new();
+            from_slice.encode(&mut stream);
+            let from_wire = Frame::read_from(&mut &stream[..]).unwrap().unwrap();
+            for f in [&from_vec, &from_slice, &from_wire] {
+                let inline = matches!(f.payload.0, Repr::Inline { .. });
+                assert_eq!(inline, len <= INLINE_CAP, "len {len}");
+                assert_eq!(&f.payload[..], &bytes[..]);
+                assert_eq!(f, &from_slice);
+                assert_eq!(f.clone(), from_slice);
+                assert_eq!(f.encoded_len(), 20 + len as u64);
+                assert_eq!(stream.len() as u64, f.encoded_len());
+                assert_eq!(format!("{:?}", f.payload), format!("{bytes:?}"));
+            }
+        }
+        assert_eq!(Payload::default(), Payload::from(Vec::new()));
     }
 
     #[test]
@@ -135,11 +258,12 @@ mod tests {
         let mut stream = Vec::new();
         let mut bytes = 0u64;
         for f in &frames {
-            bytes += f.write_to(&mut stream).unwrap();
+            f.encode(&mut stream);
+            bytes += f.encoded_len();
             assert_eq!(
                 bytes,
                 stream.len() as u64,
-                "write_to reports exact wire bytes"
+                "encoded_len reports exact wire bytes"
             );
             assert_eq!(f.encoded_len(), 20 + f.payload.len() as u64);
         }
@@ -154,7 +278,7 @@ mod tests {
     #[test]
     fn height_survives_the_wire() {
         let mut stream = Vec::new();
-        frame(41, 2, 9, 1, b"hi").write_to(&mut stream).unwrap();
+        frame(41, 2, 9, 1, b"hi").encode(&mut stream);
         let mut r = &stream[..];
         let back = Frame::read_from(&mut r).unwrap().unwrap();
         assert_eq!(back.height, 41);
@@ -164,7 +288,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_an_error_not_eof() {
         let mut stream = Vec::new();
-        frame(0, 1, 2, 3, b"abcdef").write_to(&mut stream).unwrap();
+        frame(0, 1, 2, 3, b"abcdef").encode(&mut stream);
         stream.truncate(stream.len() - 2);
         let mut r = &stream[..];
         assert!(Frame::read_from(&mut r).is_err());
@@ -228,10 +352,13 @@ mod tests {
             frame(1, 0, 2, 0, b"ab"),
             frame(1, 1, 7, 3, b""),
             frame(2, 9, 1, 1, &[0x5A; 33]),
+            frame(2, 9, 1, 2, &[0x11; INLINE_CAP - 1]),
+            frame(2, 9, 1, 3, &[0x22; INLINE_CAP]),
+            frame(2, 9, 1, 4, &[0x33; INLINE_CAP + 1]),
         ];
         let mut boundaries = vec![0usize];
         for f in &frames {
-            f.write_to(&mut stream).unwrap();
+            f.encode(&mut stream);
             boundaries.push(stream.len());
         }
         for cut in 0..=stream.len() {
@@ -262,15 +389,18 @@ mod tests {
     #[test]
     fn partial_reads_decode_identically_to_contiguous_reads() {
         let mut stream = Vec::new();
-        let frames = [
+        let mut frames = vec![
             frame(0, 3, 1, 0, b"tiny"),
             frame(4, 0, 0, 9, &[0xC3; 257]),
             frame(0, 1, 2, 3, b""),
         ];
-        for f in &frames {
-            f.write_to(&mut stream).unwrap();
+        for (seq, len) in BOUNDARY_LENS.into_iter().enumerate() {
+            frames.push(frame(1, 2, 3, seq as u32, &vec![seq as u8 + 1; len]));
         }
-        for chunk in [1, 2, 3, 7, 16] {
+        for f in &frames {
+            f.encode(&mut stream);
+        }
+        for chunk in [1, 2, 3, 7, 16, 4096] {
             let mut r = Chunked {
                 data: &stream,
                 chunk,
@@ -319,9 +449,7 @@ mod tests {
             // Corrupt one byte of an otherwise valid stream.
             let mut stream = Vec::new();
             let payload_len = rng.below(40);
-            frame(case, case % 7, case % 5, case % 3, &rng.bytes(payload_len))
-                .write_to(&mut stream)
-                .unwrap();
+            frame(case, case % 7, case % 5, case % 3, &rng.bytes(payload_len)).encode(&mut stream);
             let pos = rng.below(stream.len());
             stream[pos] ^= (rng.next() as u8) | 1;
             let mut r = Chunked {
@@ -351,7 +479,7 @@ mod tests {
                 &rng.bytes(payload_len),
             );
             let mut stream = Vec::new();
-            f.write_to(&mut stream).unwrap();
+            f.encode(&mut stream);
             assert_eq!(stream.len() as u64, f.encoded_len());
             let mut r = Chunked {
                 data: &stream,

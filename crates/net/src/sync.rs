@@ -14,7 +14,8 @@
 //! one loop in this module. Per round:
 //!
 //! 1. **activate** — every worker runs its alive nodes against the inboxes
-//!    assembled from last round's frames and submits their queued sends;
+//!    assembled from last round's frames and submits their queued sends,
+//!    one channel message per worker per round;
 //! 2. **adjudicate** — the coordinator routes the sends through the KT0
 //!    port permutations, consults the adversary, applies crash filters,
 //!    closes the round's books and answers with one command batch per
@@ -260,6 +261,10 @@ fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
 /// was alive at the round's start.
 type Batch = Vec<(NodeId, Command)>;
 
+/// One worker's submissions for a round: one per owned node that is still
+/// active — or a single [`Submission::failure`] when the worker gives up.
+type Submissions<M> = Vec<Submission<M>>;
+
 /// Why a worker abandoned the run, and the node to attribute it to.
 type Failure = (NodeId, String);
 
@@ -310,7 +315,7 @@ where
     // coordinator that unwinds (the adversary violating the model) drops
     // them and the workers exit instead of deadlocking the join.
     let failure = thread::scope(|scope| {
-        let (submit_tx, submit_rx) = channel::<Submission<P::Msg>>();
+        let (submit_tx, submit_rx) = channel::<Submissions<P::Msg>>();
         let mut batch_txs: Vec<Sender<Batch>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for (index, (nodes, link)) in pools.into_iter().zip(links).enumerate() {
@@ -324,13 +329,17 @@ where
 
         let failure = 'rounds: loop {
             // --- activate: collect one submission per alive node. ---
-            let expected = coord.alive().len();
+            let expected = coord.alive_count();
             let mut submissions = Vec::with_capacity(expected);
-            for _ in 0..expected {
-                match submit_rx.recv() {
-                    Ok(sub) if sub.failed.is_some() => break 'rounds sub.failed,
-                    Ok(sub) => submissions.push(sub),
-                    Err(_) => break 'rounds Some("every worker died mid-round".into()),
+            while submissions.len() < expected {
+                let Ok(batch) = submit_rx.recv() else {
+                    break 'rounds Some("every worker died mid-round".into());
+                };
+                for sub in batch {
+                    if sub.failed.is_some() {
+                        break 'rounds sub.failed;
+                    }
+                    submissions.push(sub);
                 }
             }
 
@@ -459,12 +468,12 @@ where
     fn run(
         mut self,
         batches: &Receiver<Batch>,
-        submit_tx: &Sender<Submission<P::Msg>>,
+        submit_tx: &Sender<Submissions<P::Msg>>,
     ) -> Option<(NetMetrics, Vec<RoundCore<P>>)> {
         match self.rounds(batches, submit_tx) {
             Ok(()) => Some((self.net, self.nodes)),
             Err((node, err)) => {
-                let _ = submit_tx.send(Submission::failure(node, err));
+                let _ = submit_tx.send(vec![Submission::failure(node, err)]);
                 None
             }
         }
@@ -473,20 +482,17 @@ where
     fn rounds(
         &mut self,
         batches: &Receiver<Batch>,
-        submit_tx: &Sender<Submission<P::Msg>>,
+        submit_tx: &Sender<Submissions<P::Msg>>,
     ) -> Result<(), Failure> {
         let gone = |node: NodeId| (node, "coordinator gone".to_string());
         loop {
-            // Phase 1: activate and submit.
-            let mut any_active = false;
-            for node in self.nodes.iter_mut().filter(|n| n.is_active()) {
-                any_active = true;
-                let id = node.id();
-                submit_tx.send(node.activate()).map_err(|_| gone(id))?;
-            }
-            if !any_active {
+            // Phase 1: activate, and submit the round's lot in one message.
+            let active = self.nodes.iter_mut().filter(|n| n.is_active());
+            let submissions: Submissions<P::Msg> = active.map(|n| n.activate()).collect();
+            let Some(first) = submissions.first().map(|sub| sub.node) else {
                 return Ok(());
-            }
+            };
+            submit_tx.send(submissions).map_err(|_| gone(first))?;
 
             // Phase 2: transmit for *all* owned nodes before collecting for
             // *any* (the deadlock-freedom invariant — see module docs).
@@ -927,7 +933,7 @@ mod tests {
             round,
             src: NodeId(src),
             seq,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -940,15 +946,19 @@ mod tests {
         }
     }
 
+    /// What a driven worker handed back: `(frames_sent, wire_bytes,
+    /// heard-by-node-0, heard-by-node-2)`.
+    type Handed = (u64, u64, u64, u64);
+
     /// Runs worker 0 of 2 on an `n = 4` network (it owns nodes 0 and 2)
     /// over `link`, the coordinator stubbed by the pre-filled `batches`.
-    /// Returns what the worker handed back — `(frames_sent, wire_bytes,
-    /// heard-by-node-0, heard-by-node-2)` — and the failure it submitted.
-    fn drive(
+    /// Returns what the worker handed back and every message it put on the
+    /// submission channel, in order.
+    fn drive_raw(
         link: &mut Scripted,
         wire: Option<&WireFaultPlan>,
         batches: Vec<Batch>,
-    ) -> (Option<(u64, u64, u64, u64)>, Option<String>) {
+    ) -> (Option<Handed>, Vec<Submissions<u64>>) {
         let cfg = SimConfig::new(4).seed(1).max_rounds(8);
         let nodes = [0, 2]
             .map(|u| RoundCore::new(&cfg, NodeId(u), chatter(NodeId(u)), 0))
@@ -965,7 +975,19 @@ mod tests {
             let heard: Vec<u64> = nodes.into_iter().map(|n| n.into_state().heard).collect();
             (net.frames_sent, net.wire_bytes, heard[0], heard[1])
         });
-        (done, submit_rx.into_iter().find_map(|sub| sub.failed))
+        (done, submit_rx.into_iter().collect())
+    }
+
+    /// [`drive_raw`], with the submission channel reduced to the failure
+    /// it carried, if any.
+    fn drive(
+        link: &mut Scripted,
+        wire: Option<&WireFaultPlan>,
+        batches: Vec<Batch>,
+    ) -> (Option<Handed>, Option<String>) {
+        let (done, submitted) = drive_raw(link, wire, batches);
+        let failed = submitted.into_iter().flatten().find_map(|sub| sub.failed);
+        (done, failed)
     }
 
     fn stop_both() -> Batch {
@@ -1080,6 +1102,66 @@ mod tests {
             failed.as_deref(),
             Some("node n2 timed out collecting round 0: got 1 of 2 frames (scripted stall)")
         );
+    }
+
+    #[test]
+    fn worker_submits_one_message_a_round_whatever_it_owns() {
+        // Three rounds, three messages: both nodes' submissions ride in
+        // the first; node 2 crashes in round 0, so the later two carry
+        // node 0 alone.
+        let crash = Command {
+            crashed: true,
+            ..verdict(vec![], 0)
+        };
+        let batches = vec![
+            vec![(NodeId(0), verdict(vec![], 0)), (NodeId(2), crash)],
+            vec![(NodeId(0), verdict(vec![], 0))],
+            vec![(NodeId(0), Command::stop())],
+        ];
+        let (done, submitted) = drive_raw(&mut Scripted::default(), None, batches);
+        assert!(done.is_some());
+        let nodes = |batch: &Submissions<u64>| batch.iter().map(|s| s.node.0).collect::<Vec<_>>();
+        let per_round: Vec<Vec<u32>> = submitted.iter().map(nodes).collect();
+        assert_eq!(per_round, [vec![0, 2], vec![0], vec![0]]);
+        assert!(submitted.iter().flatten().all(|sub| sub.failed.is_none()));
+    }
+
+    #[test]
+    fn a_worker_failure_is_a_one_element_batch_that_aborts_the_round() {
+        // Worker side: after round 0's submissions, the stalled link's
+        // report is the only thing in the next message.
+        let stall = || io::Error::new(io::ErrorKind::TimedOut, "scripted stall");
+        let mut link = Scripted::default();
+        link.pumps.push_back(Err(stall()));
+        let round0 = vec![
+            (NodeId(0), verdict(vec![], 0)),
+            (NodeId(2), verdict(vec![], 1)),
+        ];
+        let (done, submitted) = drive_raw(&mut link, None, vec![round0]);
+        assert_eq!(done, None);
+        let report = "node n2 timed out collecting round 0: got 0 of 1 frames (scripted stall)";
+        assert_eq!(submitted.len(), 2);
+        assert_eq!(submitted[0].len(), 2);
+        assert_eq!(submitted[1].len(), 1);
+        assert_eq!(submitted[1][0].node, NodeId(2));
+        assert_eq!(submitted[1][0].failed.as_deref(), Some(report));
+
+        // Coordinator side: two nodes on one worker broadcast to each
+        // other in round 0, nothing ever arrives, and the one-element
+        // batch ends the run with the worker's report, verbatim.
+        let mut link = Scripted::default();
+        link.pumps.push_back(Err(stall()));
+        let cfg = SimConfig::new(2).seed(1).max_rounds(4);
+        let opts = RunOpts::default();
+        let err = run_over_links(&cfg, vec![&mut link], chatter, &mut NoFaults, &opts)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "node n0 timed out collecting round 0: got 0 of 1 frames (scripted stall)"
+        );
+        let sent = |slot, dst| Seen::Sent(slot, NodeId(dst), 0);
+        assert_eq!(link.seen, [sent(0, 1), sent(1, 0)]);
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl<P: Protocol> NodeHarness<P> {
         }
     }
 
-    /// Resolves queued sends to `(destination, message)` pairs through this
-    /// node's own port permutation — what a network node does before
-    /// putting frames on the wire.
-    pub fn route(&self, sends: Vec<(Port, P::Msg)>) -> Vec<(NodeId, P::Msg)> {
-        sends
-            .into_iter()
-            .map(|(port, msg)| (self.ports.peer(port), msg))
-            .collect()
-    }
-
     /// The local port a message from `src` arrives on — what a network
     /// node computes when a frame carries its sender's id.
     ///
@@ -262,19 +252,9 @@ mod tests {
     fn routing_agrees_with_network_ports() {
         let cfg = SimConfig::new(16).seed(11);
         let ports = crate::round::network_ports(&cfg);
-        let h = NodeHarness::new(
-            &cfg,
-            NodeId(5),
-            Echoer {
-                rounds: 0,
-                heard: 0,
-            },
-        );
-        let routed = h.route(vec![(Port(2), 1u64), (Port(9), 2)]);
-        assert_eq!(routed[0].0, ports[5].peer(Port(2)));
-        assert_eq!(routed[1].0, ports[5].peer(Port(9)));
-        // Receiver-side port resolution is the inverse wiring.
-        let peer = routed[0].0;
+        // Receiver-side port resolution is the inverse of the sender's
+        // wiring, on a harness built independently of the network's maps.
+        let peer = ports[5].peer(Port(2));
         let recv = NodeHarness::new(
             &cfg,
             peer,
