@@ -20,7 +20,6 @@
 //! everything else in the record.
 
 use ftc_sim::adversary::DeliveryFilter;
-use ftc_sim::json::{Json, JsonError};
 use ftc_sim::prelude::FaultPlan;
 
 /// Crash-round quartiles.
@@ -106,46 +105,29 @@ impl Coverage {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
+}
 
-    /// JSON encoding. The derived figures ride along for readability; the
-    /// counts array is the payload.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("buckets".into(), Json::UInt(BUCKETS as u64)),
-            ("covered".into(), Json::UInt(self.covered() as u64)),
-            ("fraction".into(), Json::Num(self.fraction())),
-            ("entries".into(), Json::UInt(self.entries())),
-            (
-                "counts".into(),
-                Json::Arr(self.counts.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-        ])
+// The derived figures ride along for readability; the counts array is the
+// payload.
+ftc_sim::codec! {
+    struct Coverage: to_json {
+        "buckets" = |_| BUCKETS,
+        "covered" = |c| c.covered(),
+        "fraction" = |c| c.fraction(),
+        "entries" = |c| c.entries(),
+        "counts": counts,
     }
-
-    /// Decodes from the [`Coverage::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let counts = v
-            .field("counts")?
-            .as_arr()?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Result<Vec<_>, _>>()?;
-        if counts.len() != BUCKETS {
-            return Err(JsonError {
-                message: format!(
-                    "coverage grid has {} buckets, expected {BUCKETS}",
-                    counts.len()
-                ),
-            });
-        }
-        Ok(Coverage { counts })
-    }
+    check |c| match c.counts.len() {
+        BUCKETS => Ok(()),
+        other => Err(format!("coverage grid has {other} buckets, expected {BUCKETS}")),
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftc_sim::ids::NodeId;
+    use ftc_sim::json::Json;
 
     #[test]
     fn empty_plans_cover_nothing() {

@@ -10,8 +10,7 @@
 
 use ftc_hunt::prelude::Artifact;
 use ftc_lab::run::git_rev;
-use ftc_lab::spec::fnv1a64;
-use ftc_sim::json::{Json, JsonError};
+use ftc_sim::json::Json;
 
 use crate::coverage::Coverage;
 use crate::spec::{HuntCampaignSpec, HuntCellSpec};
@@ -43,46 +42,20 @@ pub struct HuntCellResult {
     pub wall_s: f64,
 }
 
-impl HuntCellResult {
-    /// JSON encoding; `diag` controls whether wall-clock rides along.
-    pub fn to_json(&self, diag: bool) -> Json {
-        let mut fields = vec![
-            ("cell".into(), self.cell.to_json()),
-            ("evaluated".into(), Json::UInt(self.evaluated)),
-            ("hits".into(), Json::UInt(self.hits)),
-            (
-                "shrunk".into(),
-                Json::Obj(vec![
-                    ("before".into(), Json::UInt(self.entries_before)),
-                    ("after".into(), Json::UInt(self.entries_after)),
-                    ("probes".into(), Json::UInt(self.shrink_probes)),
-                ]),
-            ),
-            ("coverage".into(), self.coverage.to_json()),
-            ("artifact".into(), self.artifact.to_json()),
-        ];
-        if diag {
-            fields.push(("wall_s".into(), Json::Num(self.wall_s)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes from the [`HuntCellResult::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let shrunk = v.field("shrunk")?;
-        Ok(HuntCellResult {
-            cell: HuntCellSpec::from_json(v.field("cell")?)?,
-            evaluated: v.field("evaluated")?.as_u64()?,
-            hits: v.field("hits")?.as_u64()?,
-            entries_before: shrunk.field("before")?.as_u64()?,
-            entries_after: shrunk.field("after")?.as_u64()?,
-            shrink_probes: shrunk.field("probes")?.as_u64()?,
-            coverage: Coverage::from_json(v.field("coverage")?)?,
-            artifact: Artifact::from_json(v.field("artifact")?).map_err(|e| JsonError {
-                message: format!("cell artifact: {}", e.message),
-            })?,
-            wall_s: v.get("wall_s").map_or(Ok(0.0), Json::as_f64)?,
-        })
+// Wall clock rides along only in the diag render.
+ftc_sim::codec! {
+    struct HuntCellResult: to_json(diag) {
+        "cell": cell,
+        "evaluated": evaluated,
+        "hits": hits,
+        "shrunk": {
+            "before": entries_before,
+            "after": entries_after,
+            "probes": shrink_probes,
+        },
+        "coverage": coverage,
+        "artifact": artifact,
+        "wall_s": wall_s [diag],
     }
 }
 
@@ -104,82 +77,21 @@ pub struct HuntCampaignRecord {
     pub wall_s: f64,
 }
 
+// Without diag, the render is the deterministic payload the store
+// content-addresses and `gate` compares.
+ftc_sim::codec! {
+    record HuntCampaignRecord(CHAOS_SCHEMA, |r| r.spec.name.clone()) {
+        "spec_hash": spec_hash,
+        "spec": spec,
+        "cells": cells,
+        "coverage": coverage,
+    }
+}
+
 impl HuntCampaignRecord {
-    /// JSON encoding. Without `diag`, the render is the deterministic
-    /// payload that the store content-addresses and `gate` compares.
-    pub fn to_json(&self, diag: bool) -> Json {
-        let mut fields = vec![
-            ("schema".into(), Json::Str(CHAOS_SCHEMA.into())),
-            ("name".into(), Json::Str(self.spec.name.clone())),
-            ("spec_hash".into(), Json::Str(self.spec_hash.clone())),
-            ("spec".into(), self.spec.to_json()),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(|c| c.to_json(diag)).collect()),
-            ),
-            ("coverage".into(), self.coverage.to_json()),
-        ];
-        if diag {
-            fields.push((
-                "diag".into(),
-                Json::Obj(vec![
-                    ("git_rev".into(), Json::Str(self.git_rev.clone())),
-                    ("wall_s".into(), Json::Num(self.wall_s)),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
-    }
-
-    /// The deterministic payload (diag stripped), rendered.
-    pub fn deterministic_render(&self) -> String {
-        self.to_json(false).render()
-    }
-
-    /// Content address: `<name>-<fnv64 of the deterministic payload>`.
-    pub fn id(&self) -> String {
-        format!(
-            "{}-{:016x}",
-            self.spec.name,
-            fnv1a64(self.deterministic_render().as_bytes())
-        )
-    }
-
     /// Total hits across the portfolio.
     pub fn hits(&self) -> u64 {
         self.cells.iter().map(|c| c.hits).sum()
-    }
-
-    /// Decodes from the [`HuntCampaignRecord::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.field("schema")?.as_str()? {
-            CHAOS_SCHEMA => {}
-            other => {
-                return Err(JsonError {
-                    message: format!("unknown record schema `{other}`"),
-                })
-            }
-        }
-        let (git_rev, wall_s) = match v.get("diag") {
-            Some(d) => (
-                d.field("git_rev")?.as_str()?.to_string(),
-                d.field("wall_s")?.as_f64()?,
-            ),
-            None => ("unknown".to_string(), 0.0),
-        };
-        Ok(HuntCampaignRecord {
-            spec: HuntCampaignSpec::from_json(v.field("spec")?)?,
-            spec_hash: v.field("spec_hash")?.as_str()?.to_string(),
-            cells: v
-                .field("cells")?
-                .as_arr()?
-                .iter()
-                .map(HuntCellResult::from_json)
-                .collect::<Result<_, _>>()?,
-            coverage: Coverage::from_json(v.field("coverage")?)?,
-            git_rev,
-            wall_s,
-        })
     }
 
     /// Parses a record from a JSON string.

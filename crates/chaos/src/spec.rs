@@ -8,7 +8,6 @@
 
 use ftc_hunt::prelude::{Objective, ProtoKind, Strategy};
 use ftc_lab::spec::fnv1a64;
-use ftc_sim::json::{Json, JsonError};
 
 /// One adversary search in a portfolio.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,40 +37,19 @@ pub struct HuntCellSpec {
     pub wire: bool,
 }
 
-impl HuntCellSpec {
-    /// JSON encoding (deterministic key order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), Json::Str(self.label.clone())),
-            ("proto".into(), Json::Str(self.proto.name().into())),
-            ("objective".into(), Json::Str(self.objective.name().into())),
-            ("strategy".into(), Json::Str(self.strategy.name().into())),
-            ("n".into(), Json::UInt(u64::from(self.n))),
-            ("alpha".into(), Json::Num(self.alpha)),
-            ("zeros".into(), Json::Num(self.zeros)),
-            ("budget".into(), Json::UInt(self.budget)),
-            ("probes".into(), Json::UInt(self.probes)),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("wire".into(), Json::Bool(self.wire)),
-        ])
-    }
-
-    /// Decodes from the [`HuntCellSpec::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let err = |message: String| JsonError { message };
-        Ok(HuntCellSpec {
-            label: v.field("label")?.as_str()?.to_string(),
-            proto: ProtoKind::parse(v.field("proto")?.as_str()?).map_err(err)?,
-            objective: Objective::parse(v.field("objective")?.as_str()?).map_err(err)?,
-            strategy: Strategy::parse(v.field("strategy")?.as_str()?).map_err(err)?,
-            n: v.field("n")?.as_u64()? as u32,
-            alpha: v.field("alpha")?.as_f64()?,
-            zeros: v.field("zeros")?.as_f64()?,
-            budget: v.field("budget")?.as_u64()?,
-            probes: v.field("probes")?.as_u64()?,
-            seed: v.field("seed")?.as_u64()?,
-            wire: v.field("wire")?.as_bool()?,
-        })
+ftc_sim::codec! {
+    struct HuntCellSpec: to_json {
+        "label": label,
+        "proto": proto,
+        "objective": objective,
+        "strategy": strategy,
+        "n": n,
+        "alpha": alpha,
+        "zeros": zeros,
+        "budget": budget,
+        "probes": probes,
+        "seed": seed,
+        "wire": wire,
     }
 }
 
@@ -100,39 +78,23 @@ impl HuntCampaignSpec {
         self
     }
 
-    /// JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(HuntCellSpec::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes from the [`HuntCampaignSpec::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(HuntCampaignSpec {
-            name: v.field("name")?.as_str()?.to_string(),
-            cells: v
-                .field("cells")?
-                .as_arr()?
-                .iter()
-                .map(HuntCellSpec::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
     /// Content hash of the spec (same FNV-1a the lab store uses).
     pub fn hash(&self) -> String {
         format!("{:016x}", fnv1a64(self.to_json().render().as_bytes()))
     }
 }
 
+ftc_sim::codec! {
+    struct HuntCampaignSpec: to_json {
+        "name": name,
+        "cells": cells,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_sim::json::Json;
 
     fn sample() -> HuntCampaignSpec {
         HuntCampaignSpec::new("unit").cell(HuntCellSpec {

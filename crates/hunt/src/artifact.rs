@@ -12,7 +12,7 @@
 use ftc_core::prelude::Params;
 use ftc_net::prelude::WireFaultPlan;
 use ftc_sim::engine::SimConfig;
-use ftc_sim::json::{Json, JsonError};
+use ftc_sim::json::Json;
 use ftc_sim::prelude::FaultPlan;
 
 use crate::objective::{Bounds, Objective};
@@ -60,6 +60,31 @@ pub struct Artifact {
     pub hit: bool,
     /// The recorded execution fingerprint replay must reproduce.
     pub fingerprint: Fingerprint,
+}
+
+// `height` and `wire` are elided when `None`, so single-shot and
+// pre-chaos artifacts keep their committed bytes.
+ftc_sim::codec! {
+    struct Artifact: to_json {
+        "version": version,
+        "proto": proto,
+        "objective": objective,
+        "alpha": alpha,
+        "zeros": zeros,
+        "height": height [elide],
+        "config": config,
+        "schedule": schedule,
+        "wire": wire [elide],
+        "observed": {
+            "score": score,
+            "hit": hit,
+            "fingerprint": fingerprint,
+        },
+    }
+    check |a| match a.version {
+        ARTIFACT_VERSION => Ok(()),
+        other => Err(format!("unsupported artifact version {other}")),
+    };
 }
 
 /// The result of replaying an artifact on one substrate.
@@ -118,70 +143,6 @@ impl Artifact {
     /// The protocol parameters the artifact's runs use.
     pub fn params(&self) -> Result<Params, String> {
         Params::new(self.config.n, self.alpha).map_err(|e| format!("bad artifact params: {e}"))
-    }
-
-    /// JSON encoding (compact, deterministic key order). The `height` key
-    /// appears only when set, so single-shot artifacts keep their exact
-    /// pre-service rendering (committed artifacts must not churn).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version".into(), Json::UInt(self.version)),
-            ("proto".into(), Json::Str(self.proto.name().into())),
-            ("objective".into(), Json::Str(self.objective.name().into())),
-            ("alpha".into(), Json::Num(self.alpha)),
-            ("zeros".into(), Json::Num(self.zeros)),
-        ];
-        if let Some(height) = self.height {
-            fields.push(("height".into(), Json::UInt(u64::from(height))));
-        }
-        fields.extend([
-            ("config".into(), self.config.to_json()),
-            ("schedule".into(), self.schedule.to_json()),
-        ]);
-        if let Some(wire) = &self.wire {
-            fields.push(("wire".into(), wire.to_json()));
-        }
-        fields.extend([(
-            "observed".into(),
-            Json::Obj(vec![
-                ("score".into(), Json::Num(self.score)),
-                ("hit".into(), Json::Bool(self.hit)),
-                ("fingerprint".into(), self.fingerprint.to_json()),
-            ]),
-        )]);
-        Json::Obj(fields)
-    }
-
-    /// Decodes an artifact from its [`Artifact::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let version = v.field("version")?.as_u64()?;
-        if version != ARTIFACT_VERSION {
-            return Err(JsonError {
-                message: format!("unsupported artifact version {version}"),
-            });
-        }
-        let err = |message: String| JsonError { message };
-        let observed = v.field("observed")?;
-        Ok(Artifact {
-            version,
-            proto: ProtoKind::parse(v.field("proto")?.as_str()?).map_err(err)?,
-            objective: Objective::parse(v.field("objective")?.as_str()?).map_err(err)?,
-            alpha: v.field("alpha")?.as_f64()?,
-            zeros: v.field("zeros")?.as_f64()?,
-            height: match v.get("height") {
-                Some(h) => Some(h.as_u64()? as u32),
-                None => None,
-            },
-            config: SimConfig::from_json(v.field("config")?)?,
-            schedule: FaultPlan::from_json(v.field("schedule")?)?,
-            wire: match v.get("wire") {
-                Some(w) => Some(WireFaultPlan::from_json(w)?),
-                None => None,
-            },
-            score: observed.field("score")?.as_f64()?,
-            hit: observed.field("hit")?.as_bool()?,
-            fingerprint: Fingerprint::from_json(observed.field("fingerprint")?)?,
-        })
     }
 
     /// Renders the artifact as a JSON string (plus trailing newline, so

@@ -57,36 +57,18 @@ impl Bounds {
     }
 }
 
+ftc_sim::codec! {
+    names pub Objective("objective") {
+        "two-leaders" => TwoLeaders,
+        "two-leaders-at-height" => TwoLeadersAtHeight,
+        "disagreement" => Disagreement,
+        "failure" => Failure,
+        "max-messages" => MaxMessages,
+        "max-rounds" => MaxRounds,
+    }
+}
+
 impl Objective {
-    /// Parses an `--objective` argument.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "two-leaders" => Ok(Objective::TwoLeaders),
-            "two-leaders-at-height" => Ok(Objective::TwoLeadersAtHeight),
-            "disagreement" => Ok(Objective::Disagreement),
-            "failure" => Ok(Objective::Failure),
-            "max-messages" => Ok(Objective::MaxMessages),
-            "max-rounds" => Ok(Objective::MaxRounds),
-            other => Err(format!(
-                "unknown objective {other} \
-                 (two-leaders|two-leaders-at-height|disagreement|failure|\
-                 max-messages|max-rounds)"
-            )),
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Objective::TwoLeaders => "two-leaders",
-            Objective::TwoLeadersAtHeight => "two-leaders-at-height",
-            Objective::Disagreement => "disagreement",
-            Objective::Failure => "failure",
-            Objective::MaxMessages => "max-messages",
-            Objective::MaxRounds => "max-rounds",
-        }
-    }
-
     /// Whether this objective is meaningful for `proto` (safety objectives
     /// are protocol-specific; the rest apply to both).
     pub fn supports(self, proto: ProtoKind) -> bool {

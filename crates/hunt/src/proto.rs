@@ -14,7 +14,6 @@ use ftc_net::prelude::*;
 use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::SimConfig;
 use ftc_sim::ids::{NodeId, Round};
-use ftc_sim::json::{Json, JsonError};
 use ftc_sim::metrics::Metrics;
 use ftc_sim::prelude::{FaultPlan, ScriptedCrash};
 use ftc_sim::trace::Trace;
@@ -32,24 +31,14 @@ pub enum ProtoKind {
     Agree,
 }
 
+ftc_sim::codec! {
+    names pub ProtoKind("protocol") {
+        "le" => Le,
+        "agree" => Agree,
+    }
+}
+
 impl ProtoKind {
-    /// Parses a `--proto` argument.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "le" => Ok(ProtoKind::Le),
-            "agree" => Ok(ProtoKind::Agree),
-            other => Err(format!("unknown protocol {other} (le|agree)")),
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtoKind::Le => "le",
-            ProtoKind::Agree => "agree",
-        }
-    }
-
     /// The protocol's round budget under `params`.
     pub fn round_budget(self, params: &Params) -> u32 {
         match self {
@@ -142,6 +131,16 @@ pub enum Adv {
     AdaptiveKiller,
 }
 
+ftc_sim::codec! {
+    enum Adv {
+        "none" => None,
+        "eager" => Eager,
+        "random" => Random("horizon": horizon),
+        "targeted" => Targeted,
+        "adaptive_killer" => AdaptiveKiller,
+    }
+}
+
 impl Adv {
     /// Resolves an `--adversary` name for `proto`. `random` spreads the
     /// crashes over the horizon the CLI has always used: 60 rounds for
@@ -216,64 +215,15 @@ pub struct Fingerprint {
     pub crashed: Vec<(u32, Round)>,
 }
 
-impl Fingerprint {
-    /// JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("success".into(), Json::Bool(self.success)),
-            (
-                "outcome".into(),
-                self.outcome.map_or(Json::Null, Json::UInt),
-            ),
-            ("msgs_sent".into(), Json::UInt(self.msgs_sent)),
-            ("msgs_delivered".into(), Json::UInt(self.msgs_delivered)),
-            ("bits_sent".into(), Json::UInt(self.bits_sent)),
-            ("rounds".into(), Json::UInt(u64::from(self.rounds))),
-            (
-                "crashed".into(),
-                Json::Arr(
-                    self.crashed
-                        .iter()
-                        .map(|&(node, round)| {
-                            Json::Arr(vec![
-                                Json::UInt(u64::from(node)),
-                                Json::UInt(u64::from(round)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes a fingerprint from its [`Fingerprint::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let crashed = v
-            .field("crashed")?
-            .as_arr()?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr()?;
-                match pair {
-                    [node, round] => Ok((node.as_u64()? as u32, round.as_u64()? as u32)),
-                    _ => Err(JsonError {
-                        message: "crash entry must be a [node, round] pair".into(),
-                    }),
-                }
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(Fingerprint {
-            success: v.field("success")?.as_bool()?,
-            outcome: match v.field("outcome")? {
-                Json::Null => None,
-                other => Some(other.as_u64()?),
-            },
-            msgs_sent: v.field("msgs_sent")?.as_u64()?,
-            msgs_delivered: v.field("msgs_delivered")?.as_u64()?,
-            bits_sent: v.field("bits_sent")?.as_u64()?,
-            rounds: v.field("rounds")?.as_u64()? as u32,
-            crashed,
-        })
+ftc_sim::codec! {
+    struct Fingerprint: to_json {
+        "success": success,
+        "outcome": outcome,
+        "msgs_sent": msgs_sent,
+        "msgs_delivered": msgs_delivered,
+        "bits_sent": bits_sent,
+        "rounds": rounds,
+        "crashed": crashed,
     }
 }
 
@@ -407,6 +357,7 @@ pub fn observe_wire(
 mod tests {
     use super::*;
     use ftc_sim::adversary::DeliveryFilter;
+    use ftc_sim::json::Json;
 
     #[test]
     fn proto_kind_parses_and_names() {

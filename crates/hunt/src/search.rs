@@ -54,24 +54,11 @@ pub enum Strategy {
     Anneal,
 }
 
-impl Strategy {
-    /// Parses a `--strategy` argument.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "random" => Ok(Strategy::Random),
-            "guided" => Ok(Strategy::Guided),
-            "anneal" => Ok(Strategy::Anneal),
-            other => Err(format!("unknown strategy {other} (random|guided|anneal)")),
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Random => "random",
-            Strategy::Guided => "guided",
-            Strategy::Anneal => "anneal",
-        }
+ftc_sim::codec! {
+    names pub Strategy("strategy") {
+        "random" => Random,
+        "guided" => Guided,
+        "anneal" => Anneal,
     }
 }
 

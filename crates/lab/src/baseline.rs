@@ -27,19 +27,32 @@ pub const BENCH_AGREE: &str = "BENCH_agreement.json";
 /// `engine-bench` campaign; gated by `ftc lab perf`).
 pub const BENCH_ENGINE: &str = "BENCH_engine.json";
 
+/// The deterministic keys of a trajectory cell: what the perf gate
+/// compares.
+const PAYLOAD_KEYS: [&str; 8] = [
+    "label",
+    "n",
+    "alpha",
+    "seed",
+    "trials",
+    "success_rate",
+    "msgs",
+    "rounds",
+];
+
+/// The timing keys of a trajectory cell.
+const TIMING_KEYS: [&str; 2] = ["wall_s", "trials_per_s"];
+
+/// A trajectory cell: the payload and timing keys of the cell's diag
+/// render, so a trajectory and a record cannot spell a cell differently.
 fn cell_entry(cell: &crate::run::CellResult) -> Json {
-    Json::Obj(vec![
-        ("label".into(), Json::Str(cell.cell.label.clone())),
-        ("n".into(), Json::UInt(u64::from(cell.cell.n))),
-        ("alpha".into(), Json::Num(cell.cell.alpha)),
-        ("seed".into(), Json::UInt(cell.cell.seed)),
-        ("trials".into(), Json::UInt(cell.cell.trials)),
-        ("success_rate".into(), Json::Num(cell.success_rate())),
-        ("msgs".into(), cell.msgs.to_json()),
-        ("rounds".into(), cell.rounds.to_json()),
-        ("wall_s".into(), Json::Num(cell.wall_s)),
-        ("trials_per_s".into(), Json::Num(cell.throughput())),
-    ])
+    let mut entry = cell.to_json(true);
+    if let Json::Obj(fields) = &mut entry {
+        fields.retain(|(k, _)| {
+            PAYLOAD_KEYS.contains(&k.as_str()) || TIMING_KEYS.contains(&k.as_str())
+        });
+    }
+    entry
 }
 
 fn record_entry(record: &CampaignRecord) -> Json {
@@ -243,16 +256,7 @@ pub fn perf_gate(
             .map_err(|e| format!("baseline entry: {e}"))?
             .to_string();
         let mine = cell_entry(fresh_cell);
-        for key in [
-            "label",
-            "n",
-            "alpha",
-            "seed",
-            "trials",
-            "success_rate",
-            "msgs",
-            "rounds",
-        ] {
+        for key in PAYLOAD_KEYS {
             let b = base
                 .field(key)
                 .map_err(|e| format!("baseline entry: {e}"))?;

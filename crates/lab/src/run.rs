@@ -23,7 +23,6 @@ use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
 use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
-use ftc_sim::json::{Json, JsonError};
 use ftc_sim::metrics::{LogHistogram, Metrics};
 use ftc_sim::perm::stream_seed;
 use ftc_sim::runner::{ParRunner, TrialPlan};
@@ -32,9 +31,7 @@ use ftc_sim::topology::Topology;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
-use crate::spec::{
-    fnv1a64, Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload,
-};
+use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 
 /// What one trial yields, uniformly across workloads.
 #[derive(Clone, Debug)]
@@ -113,6 +110,18 @@ fn schedule_adversary<M>(adv: Adv, f: usize) -> Result<Box<dyn Adversary<M>>, St
     }
 }
 
+/// The protocol parameters of `cell`. [`run_campaign`] builds them for
+/// every cell whose workload uses them before any trial starts, so an `α`
+/// below resilience is an error naming the cell, never a worker panic.
+fn cell_params(cell: &CellSpec) -> Result<Params, String> {
+    Params::new(cell.n, cell.alpha).map_err(|e| {
+        format!(
+            "cell `{}`: n={} alpha={}: {e}",
+            cell.label, cell.n, cell.alpha
+        )
+    })
+}
+
 /// Rejects the workload/adversary pairings no trial can run.
 pub(crate) fn check_adversary(workload: &Workload) -> Result<(), String> {
     match *workload {
@@ -137,7 +146,7 @@ fn bridged_trial(
     cfg: SimConfig,
     substrate: Substrate,
 ) -> Result<TrialValue, String> {
-    let params = Params::new(cell.n, cell.alpha).expect("valid params");
+    let params = cell_params(cell)?;
     let cfg = cfg.max_rounds(proto.round_budget(&params));
     let schedule = Schedule::Named(adv);
     let r = proto.run(
@@ -180,9 +189,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             bridged_trial(ProtoKind::Agree, *zeros, *adv, cell, cfg, substrate)?
         }
         Workload::LeIter { factor, per_round } => {
-            let params = Params::new(n, cell.alpha)
-                .expect("valid params")
-                .with_iteration_factor(*factor);
+            let params = cell_params(cell)?.with_iteration_factor(*factor);
             let f = params.max_faults();
             let cfg = cfg.max_rounds(params.le_round_budget());
             let mut adv = MinRankCrasher {
@@ -193,14 +200,14 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, LeOutcome::evaluate(&r).success, vec![])
         }
         Workload::LeByzantine { b } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let cfg = cfg.max_rounds(params.le_round_budget());
             let mut adv = EquivocatingClaimant::new(*b as usize);
             let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
             value_of(&r, LeOutcome::evaluate(&r).success, vec![])
         }
         Workload::AgreeByzantine { b } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let cfg = cfg.max_rounds(params.agreement_round_budget());
             let mut adv = ZeroForger::new(*b as usize);
             let r = run_sharded(&cfg, |_| AgreeNode::new(params.clone(), true), &mut adv, ij);
@@ -213,7 +220,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, !honest_zero, vec![])
         }
         Workload::LeEdge { p } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let mut cfg = cfg.max_rounds(params.le_round_budget());
             if *p > 0.0 {
@@ -229,7 +236,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             )
         }
         Workload::AgreeEdge { p } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let mut cfg = cfg.max_rounds(params.agreement_round_budget());
             if *p > 0.0 {
@@ -245,7 +252,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, AgreeOutcome::evaluate(&r).success, vec![])
         }
         Workload::LeCapped { cap } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let mut cfg = cfg.max_rounds(params.le_round_budget());
             if let Some(c) = cap {
@@ -261,7 +268,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             )
         }
         Workload::AgreeCapped { cap } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let mut cfg = cfg.max_rounds(params.agreement_round_budget());
             if let Some(c) = cap {
@@ -282,7 +289,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             )
         }
         Workload::LeExplicit => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
             let mut adv = RandomCrash::new(f, 40);
@@ -290,7 +297,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, ExplicitLeOutcome::evaluate(&r).success, vec![])
         }
         Workload::LeImplicitExplicitBudget => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
             let mut adv = RandomCrash::new(f, 40);
@@ -298,7 +305,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, LeOutcome::evaluate(&r).success, vec![])
         }
         Workload::AgreeExplicit { zeros } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(ExplicitAgreeNode::round_budget(&params));
             let mut adv = RandomCrash::new(f, 20);
@@ -333,7 +340,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             value_of(&r, AugustineOutcome::evaluate(&r).success, vec![])
         }
         Workload::MultiValue { k } => {
-            let params = Params::new(n, cell.alpha).expect("valid params");
+            let params = cell_params(cell)?;
             let f = params.max_faults();
             let k = *k;
             let cfg = cfg.max_rounds(params.agreement_round_budget());
@@ -374,8 +381,7 @@ pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<Tri
             candidate_factor,
             referee_factor,
         } => {
-            let params = Params::new(n, cell.alpha)
-                .expect("valid params")
+            let params = cell_params(cell)?
                 .with_candidate_factor(*candidate_factor)
                 .with_referee_factor(*referee_factor);
             let f = params.max_faults();
@@ -541,86 +547,32 @@ impl CellResult {
             s.mean * self.cell.trials as f64 / self.successes.max(1) as f64
         })
     }
+}
 
-    /// JSON encoding; `diag` controls whether wall-clock fields ride
-    /// along (they are stripped from the deterministic payload).
-    pub fn to_json(&self, diag: bool) -> Json {
-        let mut fields = vec![
-            ("label".into(), Json::Str(self.cell.label.clone())),
-            ("n".into(), Json::UInt(u64::from(self.cell.n))),
-            ("alpha".into(), Json::Num(self.cell.alpha)),
-            ("seed".into(), Json::UInt(self.cell.seed)),
-            ("trials".into(), Json::UInt(self.cell.trials)),
-            ("workload".into(), self.cell.workload.to_json()),
-        ];
-        // Matches CellSpec: complete-graph cells keep their historical
-        // shape (and therefore every committed record id).
-        if !self.cell.topology.is_complete() {
-            fields.push(("topology".into(), self.cell.topology.to_json()));
-        }
-        fields.extend(vec![
-            ("successes".into(), Json::UInt(self.successes)),
-            ("success_rate".into(), Json::Num(self.success_rate())),
-            ("msgs".into(), self.msgs.to_json()),
-            ("bits".into(), self.bits.to_json()),
-            ("rounds".into(), self.rounds.to_json()),
-            ("crashes".into(), self.crashes.to_json()),
-            ("msgs_hist".into(), self.msgs_hist.to_json()),
-            ("rounds_hist".into(), self.rounds_hist.to_json()),
-            (
-                "extras".into(),
-                Json::Obj(
-                    self.extras
-                        .iter()
-                        .map(|(k, s)| (k.clone(), s.to_json()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        if diag {
-            fields.push(("wall_s".into(), Json::Num(self.wall_s)));
-            fields.push(("trials_per_s".into(), Json::Num(self.throughput())));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes from the [`CellResult::to_json`] form (diag fields
-    /// optional).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let extras = match v.field("extras")? {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, s)| Ok((k.clone(), Summary::from_json(s)?)))
-                .collect::<Result<Vec<_>, JsonError>>()?,
-            _ => {
-                return Err(JsonError {
-                    message: "extras must be an object".into(),
-                })
-            }
-        };
-        Ok(CellResult {
-            cell: CellSpec {
-                label: v.field("label")?.as_str()?.to_string(),
-                workload: Workload::from_json(v.field("workload")?)?,
-                n: v.field("n")?.as_u64()? as u32,
-                alpha: v.field("alpha")?.as_f64()?,
-                seed: v.field("seed")?.as_u64()?,
-                trials: v.field("trials")?.as_u64()?,
-                topology: match v.get("topology") {
-                    Some(t) => Topology::from_json(t)?,
-                    None => Topology::Complete,
-                },
-            },
-            successes: v.field("successes")?.as_u64()?,
-            msgs: Summary::from_json(v.field("msgs")?)?,
-            bits: Summary::from_json(v.field("bits")?)?,
-            rounds: Summary::from_json(v.field("rounds")?)?,
-            crashes: Summary::from_json(v.field("crashes")?)?,
-            msgs_hist: LogHistogram::from_json(v.field("msgs_hist")?)?,
-            rounds_hist: LogHistogram::from_json(v.field("rounds_hist")?)?,
-            extras,
-            wall_s: v.get("wall_s").map_or(Ok(0.0), Json::as_f64)?,
-        })
+// The cell's spec fields come first, in record order (not `CellSpec`'s);
+// wall clocks ride along only in the diag render.
+ftc_sim::codec! {
+    struct CellResult: to_json(diag) {
+        cell: CellSpec {
+            "label": label,
+            "n": n,
+            "alpha": alpha,
+            "seed": seed,
+            "trials": trials,
+            "workload": workload,
+            "topology": topology [elide],
+        },
+        "successes": successes,
+        "success_rate" = |c| c.success_rate(),
+        "msgs": msgs,
+        "bits": bits,
+        "rounds": rounds,
+        "crashes": crashes,
+        "msgs_hist": msgs_hist,
+        "rounds_hist": rounds_hist,
+        "extras": extras [map],
+        "wall_s": wall_s [diag],
+        "trials_per_s" [diag] = |c| c.throughput(),
     }
 }
 
@@ -703,31 +655,12 @@ pub struct CheckResult {
     pub pass: bool,
 }
 
-impl CheckResult {
-    /// JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("check".into(), self.check.to_json()),
-            (
-                "exponent".into(),
-                self.exponent.map_or(Json::Null, Json::Num),
-            ),
-            ("points".into(), Json::UInt(self.points)),
-            ("pass".into(), Json::Bool(self.pass)),
-        ])
-    }
-
-    /// Decodes from the [`CheckResult::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CheckResult {
-            check: ExponentCheck::from_json(v.field("check")?)?,
-            exponent: match v.field("exponent")? {
-                Json::Null => None,
-                other => Some(other.as_f64()?),
-            },
-            points: v.field("points")?.as_u64()?,
-            pass: v.field("pass")?.as_bool()?,
-        })
+ftc_sim::codec! {
+    struct CheckResult: to_json {
+        "check": check,
+        "exponent": exponent,
+        "points": points,
+        "pass": pass,
     }
 }
 
@@ -794,88 +727,18 @@ pub struct CampaignRecord {
     pub wall_s: f64,
 }
 
-impl CampaignRecord {
-    /// JSON encoding. With `diag`, provenance and wall-clock figures ride
-    /// along; without, the render is the deterministic payload that the
-    /// store content-addresses and `gate` compares byte-for-byte.
-    pub fn to_json(&self, diag: bool) -> Json {
-        let mut fields = vec![
-            ("schema".into(), Json::Str("ftc-lab-record/v1".into())),
-            ("name".into(), Json::Str(self.spec.name.clone())),
-            ("spec_hash".into(), Json::Str(self.spec_hash.clone())),
-            ("substrate".into(), Json::Str(self.substrate.clone())),
-            ("spec".into(), self.spec.to_json()),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(|c| c.to_json(diag)).collect()),
-            ),
-            (
-                "checks".into(),
-                Json::Arr(self.checks.iter().map(CheckResult::to_json).collect()),
-            ),
-        ];
-        if diag {
-            fields.push((
-                "diag".into(),
-                Json::Obj(vec![
-                    ("git_rev".into(), Json::Str(self.git_rev.clone())),
-                    ("wall_s".into(), Json::Num(self.wall_s)),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
-    }
+/// Schema tag of persisted campaign records.
+pub(crate) const LAB_SCHEMA: &str = "ftc-lab-record/v1";
 
-    /// The deterministic payload (diag stripped), rendered.
-    pub fn deterministic_render(&self) -> String {
-        self.to_json(false).render()
-    }
-
-    /// Content address: `<name>-<fnv64 of the deterministic payload>`.
-    pub fn id(&self) -> String {
-        format!(
-            "{}-{:016x}",
-            self.spec.name,
-            fnv1a64(self.deterministic_render().as_bytes())
-        )
-    }
-
-    /// Decodes from the [`CampaignRecord::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.field("schema")?.as_str()? {
-            "ftc-lab-record/v1" => {}
-            other => {
-                return Err(JsonError {
-                    message: format!("unknown record schema `{other}`"),
-                })
-            }
-        }
-        let (git_rev, wall_s) = match v.get("diag") {
-            Some(d) => (
-                d.field("git_rev")?.as_str()?.to_string(),
-                d.field("wall_s")?.as_f64()?,
-            ),
-            None => ("unknown".to_string(), 0.0),
-        };
-        Ok(CampaignRecord {
-            spec: CampaignSpec::from_json(v.field("spec")?)?,
-            spec_hash: v.field("spec_hash")?.as_str()?.to_string(),
-            substrate: v.field("substrate")?.as_str()?.to_string(),
-            cells: v
-                .field("cells")?
-                .as_arr()?
-                .iter()
-                .map(CellResult::from_json)
-                .collect::<Result<_, _>>()?,
-            checks: v
-                .field("checks")?
-                .as_arr()?
-                .iter()
-                .map(CheckResult::from_json)
-                .collect::<Result<_, _>>()?,
-            git_rev,
-            wall_s,
-        })
+// Without diag, the render is the deterministic payload the store
+// content-addresses and `gate` compares byte for byte.
+ftc_sim::codec! {
+    record CampaignRecord(LAB_SCHEMA, |r| r.spec.name.clone()) {
+        "spec_hash": spec_hash,
+        "substrate": substrate,
+        "spec": spec,
+        "cells": cells,
+        "checks": checks,
     }
 }
 
@@ -920,6 +783,20 @@ pub fn run_campaign(
         }
         .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
         check_adversary(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
+        // Only the fault-free baselines and the bench canary run without
+        // the paper's parameters.
+        if !matches!(
+            cell.workload,
+            Workload::LeKutten
+                | Workload::LeDiamTwo { .. }
+                | Workload::AgreeAugustine { .. }
+                | Workload::Flood { .. }
+                | Workload::Gk { .. }
+                | Workload::Gossip { .. }
+                | Workload::EngineBench { .. }
+        ) {
+            cell_params(cell)?;
+        }
         if !cell.topology.is_complete()
             && matches!(
                 cell.workload,
@@ -982,6 +859,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_sim::json::Json;
 
     fn smoke_spec() -> CampaignSpec {
         CampaignSpec::new("run-unit")

@@ -9,41 +9,13 @@
 //! — the key that makes stored results diffable across commits: two
 //! records with the same spec hash measured the same experiment.
 
-use ftc_sim::json::{Json, JsonError};
 use ftc_sim::topology::Topology;
 
 /// Which crash schedule a cell runs under — the protocol bridge's
-/// vocabulary, encoded here because the JSON form is this schema's.
+/// vocabulary (its JSON form is written by its own codec table).
 pub use ftc_hunt::proto::Adv;
-
-/// JSON encoding of an [`Adv`], tagged by `kind`.
-fn adv_to_json(adv: Adv) -> Json {
-    let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
-    match adv {
-        Adv::None => Json::Obj(vec![kind("none")]),
-        Adv::Eager => Json::Obj(vec![kind("eager")]),
-        Adv::Random(h) => Json::Obj(vec![
-            kind("random"),
-            ("horizon".into(), Json::UInt(u64::from(h))),
-        ]),
-        Adv::Targeted => Json::Obj(vec![kind("targeted")]),
-        Adv::AdaptiveKiller => Json::Obj(vec![kind("adaptive_killer")]),
-    }
-}
-
-/// Decodes an [`Adv`] from its [`adv_to_json`] form.
-fn adv_from_json(v: &Json) -> Result<Adv, JsonError> {
-    match v.field("kind")?.as_str()? {
-        "none" => Ok(Adv::None),
-        "eager" => Ok(Adv::Eager),
-        "random" => Ok(Adv::Random(v.field("horizon")?.as_u64()? as u32)),
-        "targeted" => Ok(Adv::Targeted),
-        "adaptive_killer" => Ok(Adv::AdaptiveKiller),
-        other => Err(JsonError {
-            message: format!("unknown adversary kind `{other}`"),
-        }),
-    }
-}
+/// Content hash of a canonical render — also the record-id hash.
+pub use ftc_sim::json::fnv1a64;
 
 /// What one cell measures. Every variant is one trial closure of
 /// [`run_trial`](crate::run::run_trial) and carries exactly the knobs
@@ -187,171 +159,38 @@ pub enum Workload {
     },
 }
 
-impl Workload {
-    /// The JSON tag / default label of this workload.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Workload::Le { .. } => "le",
-            Workload::Agree { .. } => "agree",
-            Workload::LeIter { .. } => "le_iter",
-            Workload::LeByzantine { .. } => "le_byzantine",
-            Workload::AgreeByzantine { .. } => "agree_byzantine",
-            Workload::LeEdge { .. } => "le_edge",
-            Workload::AgreeEdge { .. } => "agree_edge",
-            Workload::LeCapped { .. } => "le_capped",
-            Workload::AgreeCapped { .. } => "agree_capped",
-            Workload::LeExplicit => "le_explicit",
-            Workload::LeImplicitExplicitBudget => "le_implicit_xbudget",
-            Workload::AgreeExplicit { .. } => "agree_explicit",
-            Workload::LeKutten => "le_kutten",
-            Workload::LeDiamTwo { .. } => "le_diam_two",
-            Workload::AgreeAugustine { .. } => "agree_augustine",
-            Workload::MultiValue { .. } => "multi_value",
-            Workload::Flood { .. } => "flood",
-            Workload::Gk { .. } => "gk",
-            Workload::Gossip { .. } => "gossip",
-            Workload::SamplingLemmas { .. } => "sampling_lemmas",
-            Workload::EngineBench { .. } => "engine_bench",
-            Workload::Soak { .. } => "soak",
-        }
-    }
-
-    /// JSON encoding, tagged by `kind`.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![("kind".to_string(), Json::Str(self.tag().into()))];
-        match self {
-            Workload::Le { adv } | Workload::LeDiamTwo { adv } => {
-                fields.push(("adv".into(), adv_to_json(*adv)))
-            }
-            Workload::Agree { zeros, adv } => {
-                fields.push(("zeros".into(), Json::Num(*zeros)));
-                fields.push(("adv".into(), adv_to_json(*adv)));
-            }
-            Workload::LeIter { factor, per_round } => {
-                fields.push(("factor".into(), Json::Num(*factor)));
-                fields.push(("per_round".into(), Json::UInt(u64::from(*per_round))));
-            }
-            Workload::LeByzantine { b } | Workload::AgreeByzantine { b } => {
-                fields.push(("b".into(), Json::UInt(u64::from(*b))));
-            }
-            Workload::LeEdge { p } | Workload::AgreeEdge { p } => {
-                fields.push(("p".into(), Json::Num(*p)));
-            }
-            Workload::LeCapped { cap } | Workload::AgreeCapped { cap } => {
-                fields.push((
-                    "cap".into(),
-                    cap.map_or(Json::Null, |c| Json::UInt(u64::from(c))),
-                ));
-            }
-            Workload::LeExplicit | Workload::LeImplicitExplicitBudget | Workload::LeKutten => {}
-            Workload::AgreeExplicit { zeros } | Workload::AgreeAugustine { zeros } => {
-                fields.push(("zeros".into(), Json::Num(*zeros)));
-            }
-            Workload::MultiValue { k } => fields.push(("k".into(), Json::UInt(u64::from(*k)))),
-            Workload::Flood { faults } | Workload::Gk { faults } | Workload::Gossip { faults } => {
-                fields.push(("faults".into(), Json::UInt(*faults)));
-            }
-            Workload::SamplingLemmas {
-                candidate_factor,
-                referee_factor,
-            } => {
-                fields.push(("candidate_factor".into(), Json::Num(*candidate_factor)));
-                fields.push(("referee_factor".into(), Json::Num(*referee_factor)));
-            }
-            Workload::EngineBench { adv, p, rounds } => {
-                fields.push(("adv".into(), adv_to_json(*adv)));
-                fields.push(("p".into(), Json::Num(*p)));
-                fields.push(("rounds".into(), Json::UInt(u64::from(*rounds))));
-            }
-            Workload::Soak {
-                heights,
-                kill_every,
-                rejoin_after,
-            } => {
-                fields.push(("heights".into(), Json::UInt(u64::from(*heights))));
-                fields.push(("kill_every".into(), Json::UInt(u64::from(*kill_every))));
-                fields.push(("rejoin_after".into(), Json::UInt(u64::from(*rejoin_after))));
-            }
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes from the [`Workload::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let cap = |v: &Json| -> Result<Option<u32>, JsonError> {
-            match v.field("cap")? {
-                Json::Null => Ok(None),
-                other => Ok(Some(other.as_u64()? as u32)),
-            }
-        };
-        match v.field("kind")?.as_str()? {
-            "le" => Ok(Workload::Le {
-                adv: adv_from_json(v.field("adv")?)?,
-            }),
-            "agree" => Ok(Workload::Agree {
-                zeros: v.field("zeros")?.as_f64()?,
-                adv: adv_from_json(v.field("adv")?)?,
-            }),
-            "le_iter" => Ok(Workload::LeIter {
-                factor: v.field("factor")?.as_f64()?,
-                per_round: v.field("per_round")?.as_u64()? as u32,
-            }),
-            "le_byzantine" => Ok(Workload::LeByzantine {
-                b: v.field("b")?.as_u64()? as u32,
-            }),
-            "agree_byzantine" => Ok(Workload::AgreeByzantine {
-                b: v.field("b")?.as_u64()? as u32,
-            }),
-            "le_edge" => Ok(Workload::LeEdge {
-                p: v.field("p")?.as_f64()?,
-            }),
-            "agree_edge" => Ok(Workload::AgreeEdge {
-                p: v.field("p")?.as_f64()?,
-            }),
-            "le_capped" => Ok(Workload::LeCapped { cap: cap(v)? }),
-            "agree_capped" => Ok(Workload::AgreeCapped { cap: cap(v)? }),
-            "le_explicit" => Ok(Workload::LeExplicit),
-            "le_implicit_xbudget" => Ok(Workload::LeImplicitExplicitBudget),
-            "agree_explicit" => Ok(Workload::AgreeExplicit {
-                zeros: v.field("zeros")?.as_f64()?,
-            }),
-            "le_kutten" => Ok(Workload::LeKutten),
-            "le_diam_two" => Ok(Workload::LeDiamTwo {
-                adv: adv_from_json(v.field("adv")?)?,
-            }),
-            "agree_augustine" => Ok(Workload::AgreeAugustine {
-                zeros: v.field("zeros")?.as_f64()?,
-            }),
-            "multi_value" => Ok(Workload::MultiValue {
-                k: v.field("k")?.as_u64()? as u32,
-            }),
-            "flood" => Ok(Workload::Flood {
-                faults: v.field("faults")?.as_u64()?,
-            }),
-            "gk" => Ok(Workload::Gk {
-                faults: v.field("faults")?.as_u64()?,
-            }),
-            "gossip" => Ok(Workload::Gossip {
-                faults: v.field("faults")?.as_u64()?,
-            }),
-            "sampling_lemmas" => Ok(Workload::SamplingLemmas {
-                candidate_factor: v.field("candidate_factor")?.as_f64()?,
-                referee_factor: v.field("referee_factor")?.as_f64()?,
-            }),
-            "engine_bench" => Ok(Workload::EngineBench {
-                adv: adv_from_json(v.field("adv")?)?,
-                p: v.field("p")?.as_f64()?,
-                rounds: v.field("rounds")?.as_u64()? as u32,
-            }),
-            "soak" => Ok(Workload::Soak {
-                heights: v.field("heights")?.as_u64()? as u32,
-                kill_every: v.field("kill_every")?.as_u64()? as u32,
-                rejoin_after: v.field("rejoin_after")?.as_u64()? as u32,
-            }),
-            other => Err(JsonError {
-                message: format!("unknown workload kind `{other}`"),
-            }),
-        }
+// The tag doubles as the cell's default label (`Workload::tag`).
+ftc_sim::codec! {
+    enum Workload: to_json, tag {
+        "le" => Le { "adv": adv },
+        "agree" => Agree { "zeros": zeros, "adv": adv },
+        "le_iter" => LeIter { "factor": factor, "per_round": per_round },
+        "le_byzantine" => LeByzantine { "b": b },
+        "agree_byzantine" => AgreeByzantine { "b": b },
+        "le_edge" => LeEdge { "p": p },
+        "agree_edge" => AgreeEdge { "p": p },
+        "le_capped" => LeCapped { "cap": cap },
+        "agree_capped" => AgreeCapped { "cap": cap },
+        "le_explicit" => LeExplicit,
+        "le_implicit_xbudget" => LeImplicitExplicitBudget,
+        "agree_explicit" => AgreeExplicit { "zeros": zeros },
+        "le_kutten" => LeKutten,
+        "le_diam_two" => LeDiamTwo { "adv": adv },
+        "agree_augustine" => AgreeAugustine { "zeros": zeros },
+        "multi_value" => MultiValue { "k": k },
+        "flood" => Flood { "faults": faults },
+        "gk" => Gk { "faults": faults },
+        "gossip" => Gossip { "faults": faults },
+        "sampling_lemmas" => SamplingLemmas {
+            "candidate_factor": candidate_factor,
+            "referee_factor": referee_factor,
+        },
+        "engine_bench" => EngineBench { "adv": adv, "p": p, "rounds": rounds },
+        "soak" => Soak {
+            "heights": heights,
+            "kill_every": kill_every,
+            "rejoin_after": rejoin_after,
+        },
     }
 }
 
@@ -404,37 +243,17 @@ impl CellSpec {
         self.topology = topology;
         self
     }
+}
 
-    /// JSON encoding.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("label".into(), Json::Str(self.label.clone())),
-            ("workload".into(), self.workload.to_json()),
-            ("n".into(), Json::UInt(u64::from(self.n))),
-            ("alpha".into(), Json::Num(self.alpha)),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("trials".into(), Json::UInt(self.trials)),
-        ];
-        if !self.topology.is_complete() {
-            fields.push(("topology".into(), self.topology.to_json()));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes from the [`CellSpec::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CellSpec {
-            label: v.field("label")?.as_str()?.to_string(),
-            workload: Workload::from_json(v.field("workload")?)?,
-            n: v.field("n")?.as_u64()? as u32,
-            alpha: v.field("alpha")?.as_f64()?,
-            seed: v.field("seed")?.as_u64()?,
-            trials: v.field("trials")?.as_u64()?,
-            topology: match v.get("topology") {
-                Some(t) => Topology::from_json(t)?,
-                None => Topology::Complete,
-            },
-        })
+ftc_sim::codec! {
+    struct CellSpec: to_json {
+        "label": label,
+        "workload": workload,
+        "n": n,
+        "alpha": alpha,
+        "seed": seed,
+        "trials": trials,
+        "topology": topology [elide],
     }
 }
 
@@ -447,22 +266,10 @@ pub enum CheckMetric {
     Rounds,
 }
 
-impl CheckMetric {
-    fn name(self) -> &'static str {
-        match self {
-            CheckMetric::Msgs => "msgs",
-            CheckMetric::Rounds => "rounds",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "msgs" => Ok(CheckMetric::Msgs),
-            "rounds" => Ok(CheckMetric::Rounds),
-            other => Err(JsonError {
-                message: format!("unknown check metric `{other}`"),
-            }),
-        }
+ftc_sim::codec! {
+    names CheckMetric("check metric") {
+        "msgs" => Msgs,
+        "rounds" => Rounds,
     }
 }
 
@@ -475,22 +282,10 @@ pub enum CheckAxis {
     InvAlpha,
 }
 
-impl CheckAxis {
-    fn name(self) -> &'static str {
-        match self {
-            CheckAxis::N => "n",
-            CheckAxis::InvAlpha => "inv_alpha",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "n" => Ok(CheckAxis::N),
-            "inv_alpha" => Ok(CheckAxis::InvAlpha),
-            other => Err(JsonError {
-                message: format!("unknown check axis `{other}`"),
-            }),
-        }
+ftc_sim::codec! {
+    names CheckAxis("check axis") {
+        "n" => N,
+        "inv_alpha" => InvAlpha,
     }
 }
 
@@ -517,29 +312,14 @@ pub struct ExponentCheck {
     pub max: f64,
 }
 
-impl ExponentCheck {
-    /// JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("series".into(), Json::Str(self.series.clone())),
-            ("metric".into(), Json::Str(self.metric.name().into())),
-            ("axis".into(), Json::Str(self.axis.name().into())),
-            ("min".into(), Json::Num(self.min)),
-            ("max".into(), Json::Num(self.max)),
-        ])
-    }
-
-    /// Decodes from the [`ExponentCheck::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ExponentCheck {
-            name: v.field("name")?.as_str()?.to_string(),
-            series: v.field("series")?.as_str()?.to_string(),
-            metric: CheckMetric::parse(v.field("metric")?.as_str()?)?,
-            axis: CheckAxis::parse(v.field("axis")?.as_str()?)?,
-            min: v.field("min")?.as_f64()?,
-            max: v.field("max")?.as_f64()?,
-        })
+ftc_sim::codec! {
+    struct ExponentCheck: to_json {
+        "name": name,
+        "series": series,
+        "metric": metric,
+        "axis": axis,
+        "min": min,
+        "max": max,
     }
 }
 
@@ -576,40 +356,6 @@ impl CampaignSpec {
         self
     }
 
-    /// JSON encoding (the canonical form the spec hash covers).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(CellSpec::to_json).collect()),
-            ),
-            (
-                "checks".into(),
-                Json::Arr(self.checks.iter().map(ExponentCheck::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes from the [`CampaignSpec::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CampaignSpec {
-            name: v.field("name")?.as_str()?.to_string(),
-            cells: v
-                .field("cells")?
-                .as_arr()?
-                .iter()
-                .map(CellSpec::from_json)
-                .collect::<Result<_, _>>()?,
-            checks: v
-                .field("checks")?
-                .as_arr()?
-                .iter()
-                .map(ExponentCheck::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
     /// Content hash of the canonical JSON render (FNV-1a 64, hex).
     ///
     /// Two records are comparable iff their spec hashes agree; `gate`
@@ -619,20 +365,19 @@ impl CampaignSpec {
     }
 }
 
-/// FNV-1a 64-bit over a byte string. Stable, dependency-free, and good
-/// enough for content addressing human-scale result sets.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+// The canonical form the spec hash covers.
+ftc_sim::codec! {
+    struct CampaignSpec: to_json {
+        "name": name,
+        "cells": cells,
+        "checks": checks,
     }
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_sim::json::Json;
 
     fn sample_spec() -> CampaignSpec {
         CampaignSpec::new("unit")
@@ -779,6 +524,6 @@ mod tests {
     fn unknown_tags_are_rejected() {
         let bad = Json::parse(r#"{"kind":"paxos"}"#).unwrap();
         assert!(Workload::from_json(&bad).is_err());
-        assert!(adv_from_json(&bad).is_err());
+        assert!(<Adv as ftc_sim::json::Codec>::decode(&bad).is_err());
     }
 }

@@ -12,9 +12,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use ftc_sim::json::Json;
+use ftc_sim::json::{Codec, Diag, Json, JsonError};
 
-use crate::run::CampaignRecord;
+use crate::run::{CampaignRecord, LAB_SCHEMA};
 
 /// Default store location relative to the repo root.
 pub const DEFAULT_DIR: &str = "results/store";
@@ -45,10 +45,18 @@ pub struct StoreEntry {
     pub wall_s: f64,
 }
 
+/// A store file that does not parse as what it should hold, named.
+fn invalid(path: &Path, e: JsonError) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {e}", path.display()),
+    )
+}
+
 /// Maps a record's schema tag onto its listing kind.
 fn kind_of(schema: &str) -> &'static str {
     match schema {
-        "ftc-lab-record/v1" => "lab",
+        LAB_SCHEMA => "lab",
         "ftc-chaos-record/v1" => "hunt",
         _ => "unknown",
     }
@@ -93,10 +101,9 @@ impl Store {
     /// outside the store use this too).
     pub fn load_path(path: &Path) -> io::Result<CampaignRecord> {
         let text = fs::read_to_string(path)?;
-        let json = Json::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        CampaignRecord::from_json(&json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        Json::parse(&text)
+            .and_then(|json| CampaignRecord::from_json(&json))
+            .map_err(|e| invalid(path, e))
     }
 
     /// Persists an already-rendered record under `id` (the caller owns
@@ -133,24 +140,16 @@ impl Store {
                 continue;
             }
             let text = fs::read_to_string(&path)?;
-            let json = Json::parse(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            let json = Json::parse(&text).map_err(|e| invalid(&path, e))?;
             let str_field = |name: &str| {
                 json.field(name)
                     .and_then(Json::as_str)
                     .unwrap_or("unknown")
                     .to_string()
             };
-            let (git_rev, wall_s) = match json.get("diag") {
-                Some(d) => (
-                    d.field("git_rev")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown")
-                        .to_string(),
-                    d.field("wall_s").and_then(Json::as_f64).unwrap_or(0.0),
-                ),
-                None => ("unknown".to_string(), 0.0),
-            };
+            let Diag { git_rev, wall_s } = (json.get("diag"))
+                .and_then(|d| Diag::decode(d).ok())
+                .unwrap_or_default();
             entries.push(StoreEntry {
                 id: path
                     .file_stem()

@@ -39,7 +39,6 @@ use std::time::Duration;
 
 use ftc_sim::adversary::FaultPlan;
 use ftc_sim::ids::{NodeId, Round};
-use ftc_sim::json::{Json, JsonError};
 
 use crate::frame::Frame;
 
@@ -66,17 +65,16 @@ pub enum WireFaultKind {
     },
 }
 
-impl WireFaultKind {
-    /// The JSON/CLI tag.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WireFaultKind::Reorder => "reorder",
-            WireFaultKind::Duplicate => "duplicate",
-            WireFaultKind::Tear { .. } => "tear",
-            WireFaultKind::Delay { .. } => "delay",
-        }
+ftc_sim::codec! {
+    enum WireFaultKind: name {
+        "reorder" => Reorder,
+        "duplicate" => Duplicate,
+        "tear" => Tear { "chunk": chunk },
+        "delay" => Delay { "micros": micros },
     }
+}
 
+impl WireFaultKind {
     /// Which stack mechanism absorbs this fault (the degradation residue).
     fn absorbed_by(&self) -> &'static str {
         match self {
@@ -97,6 +95,14 @@ pub struct WireFaultEntry {
     pub round: Round,
     /// What happens to the burst.
     pub kind: WireFaultKind,
+}
+
+ftc_sim::codec! {
+    struct WireFaultEntry {
+        "node": node,
+        "round": round,
+        ..kind,
+    }
 }
 
 /// A deterministic, seeded schedule of socket-level faults.
@@ -266,70 +272,12 @@ impl WireFaultPlan {
             .collect();
         (FaultPlan::new(), residue)
     }
+}
 
-    /// JSON encoding (compact, deterministic key order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), Json::UInt(self.seed)),
-            (
-                "entries".into(),
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            let mut fields = vec![
-                                ("node".into(), Json::UInt(u64::from(e.node.0))),
-                                ("round".into(), Json::UInt(u64::from(e.round))),
-                                ("kind".into(), Json::Str(e.kind.name().into())),
-                            ];
-                            match &e.kind {
-                                WireFaultKind::Tear { chunk } => {
-                                    fields.push(("chunk".into(), Json::UInt(*chunk as u64)));
-                                }
-                                WireFaultKind::Delay { micros } => {
-                                    fields.push(("micros".into(), Json::UInt(*micros)));
-                                }
-                                _ => {}
-                            }
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes a plan from its [`WireFaultPlan::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let seed = v.field("seed")?.as_u64()?;
-        let entries = v
-            .field("entries")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                let kind = match e.field("kind")?.as_str()? {
-                    "reorder" => WireFaultKind::Reorder,
-                    "duplicate" => WireFaultKind::Duplicate,
-                    "tear" => WireFaultKind::Tear {
-                        chunk: e.field("chunk")?.as_u64()? as usize,
-                    },
-                    "delay" => WireFaultKind::Delay {
-                        micros: e.field("micros")?.as_u64()?,
-                    },
-                    other => {
-                        return Err(JsonError {
-                            message: format!("unknown wire fault kind {other}"),
-                        })
-                    }
-                };
-                Ok(WireFaultEntry {
-                    node: NodeId(e.field("node")?.as_u64()? as u32),
-                    round: e.field("round")?.as_u64()? as u32,
-                    kind,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(WireFaultPlan { seed, entries })
+ftc_sim::codec! {
+    struct WireFaultPlan: to_json {
+        "seed": seed,
+        "entries": entries,
     }
 }
 
@@ -399,6 +347,7 @@ impl<W: Write> Write for ChunkedWriter<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_sim::json::Json;
 
     fn frame(round: u32, src: u32, seq: u32) -> (NodeId, Frame) {
         (

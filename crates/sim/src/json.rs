@@ -1,24 +1,35 @@
-//! Minimal self-contained JSON for schedule portability.
+//! One JSON codec for everything the workspace stores.
 //!
-//! Counterexample schedules found by the adversary-search harness
-//! (`ftc-hunt`) must travel between processes and substrates: a schedule
-//! hunted on the sim engine is replayed on the `ftc-net` cluster runtime,
-//! possibly on another machine. The workspace vendors no serde, so this
-//! module provides the few hundred lines of JSON the artifact format
-//! actually needs: a [`Json`] value type, a strict parser, a compact
-//! renderer, and conversions for the schedule types
-//! ([`DeliveryFilter`], [`FaultPlan`], [`SimConfig`]).
+//! Counterexample artifacts travel between processes and substrates, and
+//! lab and hunt records are content-addressed by a hash of their render,
+//! so the bytes *are* the identity: a writer that moves one byte moves a
+//! record id. The workspace vendors no serde, so this module is the whole
+//! stack:
+//!
+//! * [`Json`] — a value type with a strict parser and a compact,
+//!   deterministic renderer;
+//! * [`Codec`] — how one Rust value is written and read, with leaf impls
+//!   for `bool`, `u64`, `u32`/`usize` (checked, never truncated), `f64`,
+//!   `String`, [`NodeId`], `Option` as `null`, `Vec` as an array and a
+//!   pair as a two-element array;
+//! * [`codec!`] — the generator: each stored type spells its fields once,
+//!   in one table in render order, and the writer, the reader and the
+//!   reader's errors all come from that table. A missing required key, a
+//!   key the table does not list and an integer that does not fit its
+//!   field are errors naming the type and the key.
 //!
 //! Integers are kept exact: a `u64` seed round-trips bit-for-bit (values
 //! are only widened to `f64` when they carry a fraction or exponent),
 //! which matters because every seed in this codebase is a full-width
-//! `splitmix64` output.
+//! `splitmix64` output. Floats go through Rust's shortest-round-trip
+//! `{:?}` form, so encode→decode is the identity on every field.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::adversary::{DeliveryFilter, FaultPlan};
 use crate::engine::SimConfig;
-use crate::ids::NodeId;
+use crate::ids::{NodeId, Round};
 use crate::metrics::{LogHistogram, Metrics, RoundMetrics, ServiceMetrics};
 use crate::stats::Summary;
 
@@ -421,368 +432,695 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-// --- Schedule serde -------------------------------------------------------
+// --- The codec ------------------------------------------------------------
 
-impl DeliveryFilter {
-    /// JSON encoding, tagged by `kind`.
-    pub fn to_json(&self) -> Json {
-        match self {
-            DeliveryFilter::DeliverAll => {
-                Json::Obj(vec![("kind".into(), Json::Str("deliver_all".into()))])
+/// A value with one JSON form.
+///
+/// `encode` writes it and `decode` reads it back, rejecting anything
+/// `encode` could not have written. `diag` asks for the diagnostic fields
+/// — wall clocks and provenance — that stay outside a record's
+/// deterministic payload; types without such fields pass it on unread.
+pub trait Codec: Sized {
+    /// The JSON form of `self`.
+    fn encode(&self, diag: bool) -> Json;
+    /// Reads a value back from its [`Codec::encode`] form.
+    fn decode(v: &Json) -> Result<Self, JsonError>;
+}
+
+/// The scalar leaves, one line each: how the value is written, and how it
+/// is read back.
+macro_rules! leaf_codec {
+    ($($t:ty: |$x:ident| $encode:expr, |$v:ident| $decode:expr;)*) => {$(
+        impl Codec for $t {
+            fn encode(&self, _: bool) -> Json {
+                let $x = self;
+                $encode
             }
-            DeliveryFilter::DropAll => {
-                Json::Obj(vec![("kind".into(), Json::Str("drop_all".into()))])
+            fn decode($v: &Json) -> Result<Self, JsonError> {
+                $decode
             }
-            DeliveryFilter::KeepFirst(k) => Json::Obj(vec![
-                ("kind".into(), Json::Str("keep_first".into())),
-                ("k".into(), Json::UInt(*k as u64)),
-            ]),
-            DeliveryFilter::DeliverEachWithProbability(p) => Json::Obj(vec![
-                ("kind".into(), Json::Str("deliver_each".into())),
-                ("p".into(), Json::Num(*p)),
-            ]),
-            DeliveryFilter::KeepToDestinations(dsts) => Json::Obj(vec![
-                ("kind".into(), Json::Str("keep_to".into())),
-                (
-                    "dsts".into(),
-                    Json::Arr(dsts.iter().map(|d| Json::UInt(u64::from(d.0))).collect()),
-                ),
-            ]),
         }
-    }
+    )*};
+}
 
-    /// Decodes a filter from its [`DeliveryFilter::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.field("kind")?.as_str()? {
-            "deliver_all" => Ok(DeliveryFilter::DeliverAll),
-            "drop_all" => Ok(DeliveryFilter::DropAll),
-            "keep_first" => Ok(DeliveryFilter::KeepFirst(v.field("k")?.as_u64()? as usize)),
-            "deliver_each" => Ok(DeliveryFilter::DeliverEachWithProbability(
-                v.field("p")?.as_f64()?,
-            )),
-            "keep_to" => {
-                let dsts = v
-                    .field("dsts")?
-                    .as_arr()?
-                    .iter()
-                    .map(|d| d.as_u64().map(|u| NodeId(u as u32)))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(DeliveryFilter::KeepToDestinations(dsts))
-            }
-            other => Err(JsonError::new(format!("unknown filter kind `{other}`"))),
+leaf_codec! {
+    bool: |x| Json::Bool(*x), |v| v.as_bool();
+    u64: |x| Json::UInt(*x), |v| v.as_u64();
+    u32: |x| Json::UInt(u64::from(*x)), |v| narrow(v);
+    usize: |x| Json::UInt(*x as u64), |v| narrow(v);
+    // `u128` sums exceed every JSON integer reader: a decimal string.
+    u128: |x| Json::Str(x.to_string()), |v| v.as_str()?.parse().map_err(|_| {
+        JsonError::new("expected a decimal u128 string")
+    });
+    f64: |x| Json::Num(*x), |v| v.as_f64();
+    String: |x| Json::Str(x.clone()), |v| v.as_str().map(str::to_string);
+    NodeId: |x| Json::UInt(u64::from(x.0)), |v| u32::decode(v).map(NodeId);
+}
+
+/// An unsigned integer narrower than `u64`: a value that does not fit is
+/// an error naming it, never a silent truncation.
+fn narrow<T: TryFrom<u64>>(v: &Json) -> Result<T, JsonError> {
+    let u = v.as_u64()?;
+    let ty = std::any::type_name::<T>();
+    T::try_from(u).map_err(|_| JsonError::new(format!("{u} does not fit {ty}")))
+}
+
+/// `None` is `null`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, diag: bool) -> Json {
+        self.as_ref().map_or(Json::Null, |x| x.encode(diag))
+    }
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v {
+            Json::Null => Ok(None),
+            other => T::decode(other).map(Some),
         }
     }
 }
 
-impl FaultPlan {
-    /// JSON encoding: an array of `{node, round, filter}` entries.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.entries()
-                .iter()
-                .map(|(node, round, filter)| {
-                    Json::Obj(vec![
-                        ("node".into(), Json::UInt(u64::from(node.0))),
-                        ("round".into(), Json::UInt(u64::from(*round))),
-                        ("filter".into(), filter.to_json()),
-                    ])
-                })
-                .collect(),
-        )
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, diag: bool) -> Json {
+        Json::Arr(self.iter().map(|x| x.encode(diag)).collect())
     }
-
-    /// Decodes a plan from its [`FaultPlan::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let entries = v
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Ok((
-                    NodeId(e.field("node")?.as_u64()? as u32),
-                    e.field("round")?.as_u64()? as u32,
-                    DeliveryFilter::from_json(e.field("filter")?)?,
-                ))
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        (v.as_arr()?.iter().enumerate())
+            .map(|(i, x)| {
+                T::decode(x).map_err(|e| JsonError::new(format!("item {i}: {}", e.message)))
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(FaultPlan::from_entries(entries))
+            .collect()
     }
 }
 
-impl SimConfig {
-    /// JSON encoding of every configuration knob.
-    ///
-    /// The `topology` field is appended only for non-complete graphs:
-    /// complete-graph configurations render byte-identically to the
-    /// pre-topology schema, which is what keeps every committed
-    /// content-addressed record id stable.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("n".into(), Json::UInt(u64::from(self.n))),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("max_rounds".into(), Json::UInt(u64::from(self.max_rounds))),
-            ("kt1".into(), Json::Bool(self.kt1)),
-            ("record_trace".into(), Json::Bool(self.record_trace)),
-            (
-                "congest_bits".into(),
-                self.congest_bits
-                    .map_or(Json::Null, |b| Json::UInt(u64::from(b))),
-            ),
-            (
-                "send_cap".into(),
-                self.send_cap
-                    .map_or(Json::Null, |c| Json::UInt(u64::from(c))),
-            ),
-            (
-                "edge_failure_prob".into(),
-                Json::Num(self.edge_failure_prob),
-            ),
-        ];
-        if !self.topology.is_complete() {
-            fields.push(("topology".into(), self.topology.to_json()));
-        }
-        Json::Obj(fields)
+/// A fixed-size array: an array of exactly `N` items.
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn encode(&self, diag: bool) -> Json {
+        Json::Arr(self.iter().map(|x| x.encode(diag)).collect())
     }
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        let items = Vec::<T>::decode(v)?;
+        let len = items.len();
+        (items.try_into()).map_err(|_| JsonError::new(format!("expected {N} items, got {len}")))
+    }
+}
 
-    /// Decodes and validates a configuration from its
-    /// [`SimConfig::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut cfg = SimConfig::try_new(v.field("n")?.as_u64()? as u32)
-            .map_err(|e| JsonError::new(e.to_string()))?;
-        cfg.seed = v.field("seed")?.as_u64()?;
-        cfg.max_rounds = v.field("max_rounds")?.as_u64()? as u32;
-        cfg.kt1 = v.field("kt1")?.as_bool()?;
-        cfg.record_trace = v.field("record_trace")?.as_bool()?;
-        cfg.congest_bits = match v.field("congest_bits")? {
-            Json::Null => None,
-            other => Some(other.as_u64()? as u32),
+/// A pair is a two-element array (e.g. a `[node, round]` crash event).
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self, diag: bool) -> Json {
+        Json::Arr(vec![self.0.encode(diag), self.1.encode(diag)])
+    }
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v.as_arr()? {
+            [a, b] => Ok((A::decode(a)?, B::decode(b)?)),
+            other => Err(JsonError::new(format!(
+                "expected a pair, got {} items",
+                other.len()
+            ))),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Arc<T> {
+    fn encode(&self, diag: bool) -> Json {
+        (**self).encode(diag)
+    }
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        T::decode(v).map(Arc::new)
+    }
+}
+
+/// A `kind`-tagged enum: the tag and the variant's fields, written as
+/// rows of whichever object holds them — its own, or (flattened by a
+/// `..field` row) its parent's.
+pub trait Tagged: Sized {
+    /// Appends `kind` and the variant's fields to `out`.
+    fn encode_into(&self, out: &mut Vec<(String, Json)>, diag: bool);
+    /// Reads `kind` and the variant's fields from `fields`.
+    fn decode_from(fields: &mut Fields<'_>) -> Result<Self, JsonError>;
+}
+
+/// The keys of one object under decode. Every table row takes its key
+/// once; [`Fields::finish`] then rejects whatever no row asked for.
+pub struct Fields<'a> {
+    ty: String,
+    obj: &'a [(String, Json)],
+    taken: Vec<bool>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens `v` for decoding as type `ty`, which every error names.
+    pub fn open(ty: &str, v: &'a Json) -> Result<Self, JsonError> {
+        let Json::Obj(obj) = v else {
+            return Err(JsonError::new(format!("{ty}: expected an object")));
         };
-        cfg.send_cap = match v.field("send_cap")? {
-            Json::Null => None,
-            other => Some(other.as_u64()? as u32),
+        Ok(Fields {
+            ty: ty.to_string(),
+            obj,
+            taken: vec![false; obj.len()],
+        })
+    }
+
+    /// An error about this object, naming its type.
+    pub fn error(&self, message: impl fmt::Display) -> JsonError {
+        JsonError::new(format!("{}: {message}", self.ty))
+    }
+
+    fn take(&mut self, key: &str) -> Option<&'a Json> {
+        let i = self.obj.iter().position(|(k, _)| k == key)?;
+        self.taken[i] = true;
+        Some(&self.obj[i].1)
+    }
+
+    fn at<T>(&self, key: &str, decoded: Result<T, JsonError>) -> Result<T, JsonError> {
+        decoded.map_err(|e| JsonError::new(format!("{}.{key}: {}", self.ty, e.message)))
+    }
+
+    /// Decodes `key`, or `None` if the object has no such key.
+    pub fn opt<T: Codec>(&mut self, key: &str) -> Result<Option<T>, JsonError> {
+        match self.take(key) {
+            Some(v) => self.at(key, T::decode(v)).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Decodes the required `key`.
+    pub fn req<T: Codec>(&mut self, key: &str) -> Result<T, JsonError> {
+        self.opt(key)?
+            .ok_or_else(|| self.error(format_args!("missing key `{key}`")))
+    }
+
+    /// Opens the required object under `key` as a nested group of rows.
+    pub fn group(&mut self, key: &str) -> Result<Fields<'a>, JsonError> {
+        let v = (self.take(key)).ok_or_else(|| self.error(format_args!("missing key `{key}`")))?;
+        Fields::open(&format!("{}.{key}", self.ty), v)
+    }
+
+    /// Decodes the object under `key` as named `T`s in order — a map
+    /// whose keys are data, not a table.
+    pub fn map<T: Codec>(&mut self, key: &str) -> Result<Vec<(String, T)>, JsonError> {
+        let group = self.group(key)?;
+        (group.obj.iter())
+            .map(|(k, v)| group.at(k, T::decode(v)).map(|t| (k.clone(), t)))
+            .collect()
+    }
+
+    /// Accepts `key` unread: a value the writer derives for readers.
+    pub fn skip(&mut self, key: &str) {
+        self.take(key);
+    }
+
+    /// Requires `key` to hold the string `expected` (a schema tag).
+    pub fn constant(&mut self, key: &str, expected: &str) -> Result<(), JsonError> {
+        let found: String = self.req(key)?;
+        if found == expected {
+            Ok(())
+        } else {
+            Err(self.error(format_args!("`{key}` is `{found}`, expected `{expected}`")))
+        }
+    }
+
+    /// Rejects the first key no row took.
+    pub fn finish(self) -> Result<(), JsonError> {
+        let Some(i) = self.taken.iter().position(|taken| !taken) else {
+            return Ok(());
         };
-        cfg.edge_failure_prob = v.field("edge_failure_prob")?.as_f64()?;
-        // Absent field = complete graph (the pre-topology schema).
-        if let Some(t) = v.get("topology") {
-            cfg.topology = crate::topology::Topology::from_json(t)?;
-        }
-        cfg.validate().map_err(|e| JsonError::new(e.to_string()))?;
-        Ok(cfg)
+        let key = &self.obj[i].0;
+        let what = if self.obj[..i].iter().any(|(k, _)| k == key) {
+            "repeated"
+        } else {
+            "unknown"
+        };
+        Err(self.error(format_args!("{what} key `{key}`")))
     }
 }
 
-// --- Measurement serde ----------------------------------------------------
-//
-// The experiment-campaign store (`ftc-lab`) persists aggregated results as
-// self-describing JSON records; these conversions are its vocabulary. The
-// same exactness rule applies as for schedules: integer counters stay
-// integers, and floats go through Rust's shortest-round-trip `{:?}` form,
-// so encode→decode is the identity on every field.
-
-impl Summary {
-    /// JSON encoding of all nine summary statistics.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::UInt(self.count as u64)),
-            ("mean".into(), Json::Num(self.mean)),
-            ("std_dev".into(), Json::Num(self.std_dev)),
-            ("min".into(), Json::Num(self.min)),
-            ("max".into(), Json::Num(self.max)),
-            ("median".into(), Json::Num(self.median)),
-            ("p95".into(), Json::Num(self.p95)),
-            ("p99".into(), Json::Num(self.p99)),
-            ("p999".into(), Json::Num(self.p999)),
-        ])
-    }
-
-    /// Decodes a summary from its [`Summary::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Summary {
-            count: v.field("count")?.as_u64()? as usize,
-            mean: v.field("mean")?.as_f64()?,
-            std_dev: v.field("std_dev")?.as_f64()?,
-            min: v.field("min")?.as_f64()?,
-            max: v.field("max")?.as_f64()?,
-            median: v.field("median")?.as_f64()?,
-            p95: v.field("p95")?.as_f64()?,
-            p99: v.field("p99")?.as_f64()?,
-            p999: v.field("p999")?.as_f64()?,
-        })
-    }
-}
-
-impl LogHistogram {
-    /// JSON encoding. `sum` can exceed `u64` (it is a `u128` of per-trial
-    /// message totals), so it travels as a decimal string.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "counts".into(),
-                Json::Arr(self.counts.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            ("total".into(), Json::UInt(self.total)),
-            ("sum".into(), Json::Str(self.sum.to_string())),
-            ("min".into(), Json::UInt(self.min)),
-            ("max".into(), Json::UInt(self.max)),
-        ])
-    }
-
-    /// Decodes a histogram from its [`LogHistogram::to_json`] form,
-    /// checking the bucket count and that `total` equals the bucket sum.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let raw = v.field("counts")?.as_arr()?;
-        if raw.len() != 65 {
-            return Err(JsonError::new(format!(
-                "histogram needs 65 buckets, got {}",
-                raw.len()
-            )));
-        }
-        let mut counts = [0u64; 65];
-        for (slot, item) in counts.iter_mut().zip(raw.iter()) {
-            *slot = item.as_u64()?;
-        }
-        let total = v.field("total")?.as_u64()?;
-        if counts.iter().sum::<u64>() != total {
-            return Err(JsonError::new("histogram total disagrees with buckets"));
-        }
-        let sum = v
-            .field("sum")?
-            .as_str()?
-            .parse::<u128>()
-            .map_err(|_| JsonError::new("histogram sum must be a decimal u128"))?;
-        Ok(LogHistogram {
-            counts,
-            total,
-            sum,
-            min: v.field("min")?.as_u64()?,
-            max: v.field("max")?.as_u64()?,
-        })
-    }
-}
-
-impl ServiceMetrics {
-    /// JSON encoding of the cross-height service accounting.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("heights".into(), Json::UInt(u64::from(self.heights))),
-            (
-                "failed_elections".into(),
-                Json::UInt(u64::from(self.failed_elections)),
-            ),
-            (
-                "leader_changes".into(),
-                Json::UInt(u64::from(self.leader_changes)),
-            ),
-            ("ttnl_rounds".into(), self.ttnl_rounds.to_json()),
-            ("available_rounds".into(), Json::UInt(self.available_rounds)),
-            ("total_rounds".into(), Json::UInt(self.total_rounds)),
-            (
-                "current_leader".into(),
-                self.current_leader.map_or(Json::Null, Json::UInt),
-            ),
-        ])
-    }
-
-    /// Decodes service metrics from their [`ServiceMetrics::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ServiceMetrics {
-            heights: v.field("heights")?.as_u64()? as u32,
-            failed_elections: v.field("failed_elections")?.as_u64()? as u32,
-            leader_changes: v.field("leader_changes")?.as_u64()? as u32,
-            ttnl_rounds: LogHistogram::from_json(v.field("ttnl_rounds")?)?,
-            available_rounds: v.field("available_rounds")?.as_u64()?,
-            total_rounds: v.field("total_rounds")?.as_u64()?,
-            current_leader: match v.field("current_leader")? {
-                Json::Null => None,
-                other => Some(other.as_u64()?),
-            },
-        })
-    }
-}
-
-impl Metrics {
-    /// JSON encoding of the full per-execution accounting.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("rounds".into(), Json::UInt(u64::from(self.rounds))),
-            ("msgs_sent".into(), Json::UInt(self.msgs_sent)),
-            ("msgs_delivered".into(), Json::UInt(self.msgs_delivered)),
-            ("bits_sent".into(), Json::UInt(self.bits_sent)),
-            (
-                "max_edge_bits_per_round".into(),
-                Json::UInt(self.max_edge_bits_per_round),
-            ),
-            (
-                "per_round".into(),
-                Json::Arr(
-                    self.per_round
-                        .iter()
-                        .map(|rm| {
-                            Json::Obj(vec![
-                                ("sent".into(), Json::UInt(rm.sent)),
-                                ("delivered".into(), Json::UInt(rm.delivered)),
-                                ("bits_sent".into(), Json::UInt(rm.bits_sent)),
-                                ("crashes".into(), Json::UInt(u64::from(rm.crashes))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "crashes".into(),
-                Json::Arr(
-                    self.crashes
-                        .iter()
-                        .map(|&(node, round)| {
-                            Json::Arr(vec![
-                                Json::UInt(u64::from(node.0)),
-                                Json::UInt(u64::from(round)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("msgs_suppressed".into(), Json::UInt(self.msgs_suppressed)),
-            ("msgs_lost_edges".into(), Json::UInt(self.msgs_lost_edges)),
-            ("wire_bytes".into(), Json::UInt(self.wire_bytes)),
-        ])
-    }
-
-    /// Decodes metrics from their [`Metrics::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let per_round = v
-            .field("per_round")?
-            .as_arr()?
+/// Writes named `T`s as one object whose keys are data (a `[map]` row).
+pub fn encode_map<T: Codec>(items: &[(String, T)], diag: bool) -> Json {
+    Json::Obj(
+        items
             .iter()
-            .map(|rm| {
-                Ok(RoundMetrics {
-                    sent: rm.field("sent")?.as_u64()?,
-                    delivered: rm.field("delivered")?.as_u64()?,
-                    bits_sent: rm.field("bits_sent")?.as_u64()?,
-                    crashes: rm.field("crashes")?.as_u64()? as u32,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let crashes = v
-            .field("crashes")?
-            .as_arr()?
-            .iter()
-            .map(|pair| match pair.as_arr()? {
-                [node, round] => Ok((NodeId(node.as_u64()? as u32), round.as_u64()? as u32)),
-                _ => Err(JsonError::new("crash entry must be a [node, round] pair")),
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(Metrics {
-            rounds: v.field("rounds")?.as_u64()? as u32,
-            msgs_sent: v.field("msgs_sent")?.as_u64()?,
-            msgs_delivered: v.field("msgs_delivered")?.as_u64()?,
-            bits_sent: v.field("bits_sent")?.as_u64()?,
-            max_edge_bits_per_round: v.field("max_edge_bits_per_round")?.as_u64()?,
-            per_round,
-            crashes,
-            msgs_suppressed: v.field("msgs_suppressed")?.as_u64()?,
-            msgs_lost_edges: v.field("msgs_lost_edges")?.as_u64()?,
-            wire_bytes: v.field("wire_bytes")?.as_u64()?,
-        })
+            .map(|(k, t)| (k.clone(), t.encode(diag)))
+            .collect(),
+    )
+}
+
+/// `f(value)`: how a table's derived row reads the value it is written
+/// from.
+pub fn derive<T, R>(value: &T, f: impl FnOnce(&T) -> R) -> R {
+    f(value)
+}
+
+/// Runs a table's post-decode `check` on the decoded `value` of type `ty`.
+pub fn check<T, E: fmt::Display>(
+    ty: &str,
+    value: &T,
+    rule: impl FnOnce(&T) -> Result<(), E>,
+) -> Result<(), JsonError> {
+    rule(value).map_err(|e| JsonError::new(format!("{ty}: {e}")))
+}
+
+/// FNV-1a 64-bit over a byte string: the content address of a record's
+/// deterministic render. Stable, dependency-free, and good enough for
+/// human-scale result sets.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Run provenance: the `diag` block every stored record carries and no
+/// content address covers. A record without one reads as `unknown` /
+/// `0.0`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Diag {
+    /// Git revision of the producing tree.
+    pub git_rev: String,
+    /// Total wall-clock seconds.
+    pub wall_s: f64,
+}
+
+impl Default for Diag {
+    fn default() -> Self {
+        Diag {
+            git_rev: "unknown".into(),
+            wall_s: 0.0,
+        }
+    }
+}
+
+/// Generates [`Codec`] for a type from one field table.
+///
+/// Every form lists keys in render order, so the table *is* the byte
+/// layout; the reader takes each key once and rejects any key the table
+/// does not list.
+///
+/// * `struct T { rows } check |t| …;` — an object, one row per key. The
+///   optional `check` runs on the decoded value, before unknown keys are
+///   rejected (it returns `Result<(), impl Display>`). Rows end with a
+///   comma. `struct T: to_json { … }` also generates the public
+///   `to_json(&self)` / `from_json` pair, `struct T: to_json(diag)` the
+///   `to_json(&self, diag: bool)` one. Rows:
+///   - `"key": field` — required;
+///   - `"key": field [elide]` — omitted when equal to the field type's
+///     `Default`, and read back as that default when absent (how
+///     `Complete` topologies and `None` heights keep historical renders
+///     byte for byte);
+///   - `"key": field [diag]` — written only with `diag`, default when
+///     absent;
+///   - `"key": field [map]` — a `Vec<(String, T)>` written as an object
+///     whose keys are data;
+///   - `"key" = |t| expr` — derived and write-only (`[diag]` may follow
+///     the key); the reader accepts and ignores it;
+///   - `"key": { "k": field, … }` — a nested object of this type's fields;
+///   - `field: Type { "k": f, … }` — `Type`'s fields written inline, in
+///     this order, building `field` back on read;
+///   - `..field` — a [`Tagged`] enum's `kind` and variant fields, inline.
+/// * `record T(SCHEMA, |t| name) { rows }` — a stored record: `schema`
+///   (written, then checked on read) and the derived `name` first, the
+///   rows, then the [`Diag`] block from the type's `git_rev` / `wall_s`
+///   fields, written only with `diag`. Generates `to_json(&self, diag)`,
+///   `from_json`, `deterministic_render` and the content-addressed `id`.
+/// * `enum T: api… { "tag" => Unit, "tag" => V { "k": f, … }, "tag" =>
+///   V("k": f) }` — a `kind`-tagged enum ([`Tagged`] and [`Codec`]). Each
+///   `api` is `to_json` or the name of a generated `fn(&self) -> &'static
+///   str` returning the tag.
+/// * `names vis T("what") { "name" => V, … }` — a fieldless enum written
+///   as its name; generates `vis fn name(self)` and `vis fn parse(&str)`.
+/// * `tuple Name(A, B, C) { "a": a, … }` — a tuple written as an object.
+#[macro_export]
+macro_rules! codec {
+    (struct $T:ident $(: $api:ident $(($diag:ident))?)? { $($rows:tt)* } $(check $check:expr;)?) => {
+        $crate::codec!(@rows [$T $(check $check)?] [self out diag r] [] [] [] $($rows)*);
+        $($crate::codec!(@$api $T $($diag)?);)?
+    };
+    (record $T:ident($schema:expr, $name:expr) { $($rows:tt)* }) => {
+        $crate::codec!(@rows [$T] [self out diag r] [] [] []
+            "schema" == $schema, "name" = $name, $($rows)* #diag);
+        $crate::codec!(@to_json $T diag);
+        impl $T {
+            /// The deterministic payload (diag stripped), rendered.
+            pub fn deterministic_render(&self) -> String {
+                self.to_json(false).render()
+            }
+
+            /// Content address: `<name>-<fnv64 of the deterministic payload>`.
+            pub fn id(&self) -> String {
+                let hash = $crate::json::fnv1a64(self.deterministic_render().as_bytes());
+                format!("{}-{hash:016x}", $crate::json::derive(self, $name))
+            }
+        }
+    };
+    (enum $T:ident $(: $($api:ident),+)? {
+        $($tag:literal => $V:ident $({ $($k:literal : $f:ident),* $(,)? })? $(($tk:literal : $tf:ident))?),* $(,)?
+    }) => {
+        impl $crate::json::Tagged for $T {
+            fn encode_into(
+                &self,
+                out: &mut Vec<(String, $crate::json::Json)>,
+                diag: bool,
+            ) {
+                match self {
+                    $($T::$V $({ $($f),* })? $(($tf))? => {
+                        out.push(("kind".to_string(), $crate::json::Json::Str($tag.to_string())));
+                        $($(out.push(($k.to_string(), $crate::json::Codec::encode($f, diag)));)*)?
+                        $(out.push(($tk.to_string(), $crate::json::Codec::encode($tf, diag)));)?
+                    })*
+                }
+            }
+
+            fn decode_from(
+                fields: &mut $crate::json::Fields<'_>,
+            ) -> Result<Self, $crate::json::JsonError> {
+                let kind: String = fields.req("kind")?;
+                match kind.as_str() {
+                    $($tag => Ok($T::$V $({ $($f: fields.req($k)?),* })? $((fields.req($tk)?))?),)*
+                    other => Err(fields.error(format_args!("unknown kind `{other}`"))),
+                }
+            }
+        }
+
+        impl $crate::json::Codec for $T {
+            fn encode(&self, diag: bool) -> $crate::json::Json {
+                let mut out = Vec::new();
+                $crate::json::Tagged::encode_into(self, &mut out, diag);
+                $crate::json::Json::Obj(out)
+            }
+
+            fn decode(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                let mut fields = $crate::json::Fields::open(stringify!($T), v)?;
+                let value = $crate::json::Tagged::decode_from(&mut fields)?;
+                fields.finish()?;
+                Ok(value)
+            }
+        }
+
+        $crate::codec!(@enum_api $T [$($tag => $V)*] $($($api)+)?);
+    };
+    (names $vis:vis $T:ident($what:literal) { $($name:literal => $V:ident),* $(,)? }) => {
+        impl $T {
+            /// The name this value is spelled as, on the command line and
+            /// in JSON.
+            $vis fn name(self) -> &'static str {
+                match self {
+                    $($T::$V => $name,)*
+                }
+            }
+
+            /// Parses a [`name`](Self::name).
+            $vis fn parse(s: &str) -> Result<Self, String> {
+                match s {
+                    $($name => Ok($T::$V),)*
+                    other => Err(format!("unknown {} {other} ({})", $what, [$($name),*].join("|"))),
+                }
+            }
+        }
+
+        impl $crate::json::Codec for $T {
+            fn encode(&self, _: bool) -> $crate::json::Json {
+                $crate::json::Json::Str(self.name().to_string())
+            }
+
+            fn decode(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                Self::parse(v.as_str()?).map_err(|message| $crate::json::JsonError { message })
+            }
+        }
+    };
+    (tuple $Name:ident($($Ty:ty),*) { $($k:literal : $f:ident),* $(,)? }) => {
+        impl $crate::json::Codec for ($($Ty,)*) {
+            fn encode(&self, diag: bool) -> $crate::json::Json {
+                let ($($f,)*) = self;
+                $crate::json::Json::Obj(vec![
+                    $(($k.to_string(), $crate::json::Codec::encode($f, diag)),)*
+                ])
+            }
+
+            fn decode(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                let mut fields = $crate::json::Fields::open(stringify!($Name), v)?;
+                $(let $f = fields.req($k)?;)*
+                fields.finish()?;
+                Ok(($($f,)*))
+            }
+        }
+    };
+
+    // Struct rows, munched one at a time into [writer] [reader] [fields]
+    // under the names [self out diag reader].
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        $k:literal : $field:ident $([$rule:ident])? $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $crate::codec!(@put $o $d $k ($s.$field) $($rule)?);]
+            [$($g)* let $field = $crate::codec!(@get $r $k $($rule)?);]
+            [$($f)* $field] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        $k:literal : { $($gk:literal : $gf:ident $([$gr:ident])?),* $(,)? } $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $o.push(($k.to_string(), {
+                let mut group = Vec::new();
+                $($crate::codec!(@put group $d $gk ($s.$gf) $($gr)?);)*
+                $crate::json::Json::Obj(group)
+            }));]
+            [$($g)* let mut group = $r.group($k)?;
+                $(let $gf = $crate::codec!(@get group $gk $($gr)?);)*
+                group.finish()?;]
+            [$($f)* $($gf)*] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        $field:ident : $Ty:ident { $($nk:literal : $nf:ident $([$nr:ident])?),* $(,)? } $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $($crate::codec!(@put $o $d $nk ($s.$field.$nf) $($nr)?);)*]
+            [$($g)* $(let $nf = $crate::codec!(@get $r $nk $($nr)?);)* let $field = $Ty { $($nf),* };]
+            [$($f)* $field] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        $k:literal $([$rule:ident])? = $derive:expr $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $crate::codec!(@put $o $d $k ($crate::json::derive($s, $derive)) $($rule)?);]
+            [$($g)* $r.skip($k);]
+            [$($f)*] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        $k:literal == $constant:expr $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $o.push(($k.to_string(), $crate::json::Json::Str($constant.to_string())));]
+            [$($g)* $r.constant($k, $constant)?;]
+            [$($f)*] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]
+        ..$field:ident $(, $($rest:tt)*)?) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* $crate::json::Tagged::encode_into(&$s.$field, &mut $o, $d);]
+            [$($g)* let $field = $crate::json::Tagged::decode_from(&mut $r)?;]
+            [$($f)* $field] $($($rest)*)?);
+    };
+    (@rows $h:tt [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*] #diag) => {
+        $crate::codec!(@rows $h [$s $o $d $r]
+            [$($e)* if $d {
+                let provenance = $crate::json::Diag { git_rev: $s.git_rev.clone(), wall_s: $s.wall_s };
+                $o.push(("diag".to_string(), $crate::json::Codec::encode(&provenance, $d)));
+            }]
+            [$($g)* let $crate::json::Diag { git_rev, wall_s } = $r.opt("diag")?.unwrap_or_default();]
+            [$($f)* git_rev wall_s]);
+    };
+    (@rows [$T:ident $(check $check:expr)?] [$s:ident $o:ident $d:ident $r:ident] [$($e:tt)*] [$($g:tt)*] [$($f:ident)*]) => {
+        impl $crate::json::Codec for $T {
+            // Rows push one at a time, some behind an `if`.
+            #[allow(clippy::vec_init_then_push)]
+            fn encode(&$s, $d: bool) -> $crate::json::Json {
+                let mut $o = Vec::new();
+                $($e)*
+                $crate::json::Json::Obj($o)
+            }
+
+            fn decode(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                let mut $r = $crate::json::Fields::open(stringify!($T), v)?;
+                $($g)*
+                let value = $T { $($f),* };
+                // A failed check (a future version, say) explains more
+                // than the unknown keys that come with it.
+                $($crate::json::check(stringify!($T), &value, $check)?;)?
+                $r.finish()?;
+                Ok(value)
+            }
+        }
+    };
+    (@put $o:ident $d:ident $k:literal ($($v:tt)*)) => {
+        $o.push(($k.to_string(), $crate::json::Codec::encode(&$($v)*, $d)));
+    };
+    (@put $o:ident $d:ident $k:literal ($($v:tt)*) elide) => {
+        if $($v)* != Default::default() {
+            $crate::codec!(@put $o $d $k ($($v)*));
+        }
+    };
+    (@put $o:ident $d:ident $k:literal ($($v:tt)*) diag) => {
+        if $d {
+            $crate::codec!(@put $o $d $k ($($v)*));
+        }
+    };
+    (@put $o:ident $d:ident $k:literal ($($v:tt)*) map) => {
+        $o.push(($k.to_string(), $crate::json::encode_map(&$($v)*, $d)));
+    };
+    (@get $r:ident $k:literal) => {
+        $r.req($k)?
+    };
+    (@get $r:ident $k:literal map) => {
+        $r.map($k)?
+    };
+    (@get $r:ident $k:literal $optional:ident) => {
+        $r.opt($k)?.unwrap_or_default()
+    };
+    (@to_json $T:ident $($diag:ident)?) => {
+        impl $T {
+            /// JSON encoding, written by the type's `codec!` table. A `diag`
+            /// argument, where there is one, adds the wall clocks and
+            /// provenance that stay outside the deterministic payload.
+            pub fn to_json(&self $(, $diag: bool)?) -> $crate::json::Json {
+                $crate::json::Codec::encode(self, false $(|| $diag)?)
+            }
+
+            /// Decodes the [`to_json`](Self::to_json) form (diag fields
+            /// optional). A missing key, a key the table does not list or
+            /// an integer that does not fit its field is an error naming
+            /// the type and the key.
+            pub fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                $crate::json::Codec::decode(v)
+            }
+        }
+    };
+    (@enum_api $T:ident $tags:tt) => {};
+    (@enum_api $T:ident $tags:tt to_json $($rest:ident)*) => {
+        $crate::codec!(@to_json $T);
+        $crate::codec!(@enum_api $T $tags $($rest)*);
+    };
+    (@enum_api $T:ident [$($tag:literal => $V:ident)*] $method:ident $($rest:ident)*) => {
+        impl $T {
+            /// The `kind` tag this variant is written under.
+            pub fn $method(&self) -> &'static str {
+                match self {
+                    $($T::$V { .. } => $tag,)*
+                }
+            }
+        }
+        $crate::codec!(@enum_api $T [$($tag => $V)*] $($rest)*);
+    };
+}
+
+// --- Schedules and measurements --------------------------------------------
+
+crate::codec! {
+    enum DeliveryFilter: to_json {
+        "deliver_all" => DeliverAll,
+        "drop_all" => DropAll,
+        "keep_first" => KeepFirst("k": k),
+        "deliver_each" => DeliverEachWithProbability("p": p),
+        "keep_to" => KeepToDestinations("dsts": dsts),
+    }
+}
+
+crate::codec! {
+    tuple CrashEntry(NodeId, Round, DeliveryFilter) {
+        "node": node,
+        "round": round,
+        "filter": filter,
+    }
+}
+
+/// A plan is the array of its crash entries.
+impl Codec for FaultPlan {
+    fn encode(&self, diag: bool) -> Json {
+        Json::Arr(self.entries().iter().map(|e| e.encode(diag)).collect())
+    }
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Vec::decode(v).map(FaultPlan::from_entries)
+    }
+}
+crate::codec!(@to_json FaultPlan);
+
+crate::codec! {
+    struct SimConfig: to_json {
+        "n": n,
+        "seed": seed,
+        "max_rounds": max_rounds,
+        "kt1": kt1,
+        "record_trace": record_trace,
+        "congest_bits": congest_bits,
+        "send_cap": send_cap,
+        "edge_failure_prob": edge_failure_prob,
+        "topology": topology [elide],
+    }
+    check |c| c.validate();
+}
+
+crate::codec! {
+    struct Summary: to_json {
+        "count": count,
+        "mean": mean,
+        "std_dev": std_dev,
+        "min": min,
+        "max": max,
+        "median": median,
+        "p95": p95,
+        "p99": p99,
+        "p999": p999,
+    }
+}
+
+crate::codec! {
+    struct LogHistogram: to_json {
+        "counts": counts,
+        "total": total,
+        "sum": sum,
+        "min": min,
+        "max": max,
+    }
+    check |h| match h.counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) {
+        Some(total) if total == h.total => Ok(()),
+        _ => Err("total disagrees with buckets"),
+    };
+}
+
+crate::codec! {
+    struct ServiceMetrics: to_json {
+        "heights": heights,
+        "failed_elections": failed_elections,
+        "leader_changes": leader_changes,
+        "ttnl_rounds": ttnl_rounds,
+        "available_rounds": available_rounds,
+        "total_rounds": total_rounds,
+        "current_leader": current_leader,
+    }
+}
+
+crate::codec! {
+    struct RoundMetrics {
+        "sent": sent,
+        "delivered": delivered,
+        "bits_sent": bits_sent,
+        "crashes": crashes,
+    }
+}
+
+crate::codec! {
+    struct Metrics: to_json {
+        "rounds": rounds,
+        "msgs_sent": msgs_sent,
+        "msgs_delivered": msgs_delivered,
+        "bits_sent": bits_sent,
+        "max_edge_bits_per_round": max_edge_bits_per_round,
+        "per_round": per_round,
+        "crashes": crashes,
+        "msgs_suppressed": msgs_suppressed,
+        "msgs_lost_edges": msgs_lost_edges,
+        "wire_bytes": wire_bytes,
+    }
+}
+
+crate::codec! {
+    struct Diag {
+        "git_rev": git_rev,
+        "wall_s": wall_s,
     }
 }
 

@@ -34,7 +34,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::ConfigError;
 use crate::ids::NodeId;
-use crate::json::{Json, JsonError};
 use crate::perm::stream_seed;
 use crate::ports::Wiring;
 
@@ -205,37 +204,6 @@ impl Topology {
         }
     }
 
-    /// Tagged JSON encoding. [`Topology::Complete`] encodes too (for
-    /// symmetry), but writers normally omit the field entirely for it —
-    /// that is what keeps pre-topology records bit-identical.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Topology::Complete => Json::Obj(vec![("kind".into(), Json::Str("complete".into()))]),
-            Topology::DiameterTwo { clusters } => Json::Obj(vec![
-                ("kind".into(), Json::Str("diameter_two".into())),
-                ("clusters".into(), Json::UInt(u64::from(*clusters))),
-            ]),
-            Topology::RandomRegular { d } => Json::Obj(vec![
-                ("kind".into(), Json::Str("random_regular".into())),
-                ("d".into(), Json::UInt(u64::from(*d))),
-            ]),
-            Topology::Explicit { adjacency } => Json::Obj(vec![
-                ("kind".into(), Json::Str("explicit".into())),
-                (
-                    "adjacency".into(),
-                    Json::Arr(
-                        adjacency
-                            .iter()
-                            .map(|l| {
-                                Json::Arr(l.iter().map(|&v| Json::UInt(u64::from(v))).collect())
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
-    }
-
     /// Materializes the edge oracle for one run: the `(n, topology_seed)`
     /// pair pins the exact graph (seeded generation included), and the
     /// returned [`EdgeSet`] answers membership queries without ever
@@ -254,39 +222,16 @@ impl Topology {
         };
         EdgeSet { n, kind }
     }
+}
 
-    /// Inverse of [`Topology::to_json`].
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let u32_of = |x: &Json| -> Result<u32, JsonError> {
-            let u = x.as_u64()?;
-            u32::try_from(u).map_err(|_| JsonError::new(format!("value {u} exceeds u32")))
-        };
-        let kind = v.field("kind")?.as_str()?;
-        match kind {
-            "complete" => Ok(Topology::Complete),
-            "diameter_two" => Ok(Topology::DiameterTwo {
-                clusters: u32_of(v.field("clusters")?)?,
-            }),
-            "random_regular" => Ok(Topology::RandomRegular {
-                d: u32_of(v.field("d")?)?,
-            }),
-            "explicit" => {
-                let lists = v.field("adjacency")?.as_arr()?;
-                let mut adjacency = Vec::with_capacity(lists.len());
-                for l in lists {
-                    adjacency.push(
-                        l.as_arr()?
-                            .iter()
-                            .map(u32_of)
-                            .collect::<Result<Vec<u32>, JsonError>>()?,
-                    );
-                }
-                Ok(Topology::Explicit {
-                    adjacency: Arc::new(adjacency),
-                })
-            }
-            other => Err(JsonError::new(format!("unknown topology kind `{other}`"))),
-        }
+// Complete encodes too, but every writer elides it (`[elide]` rows): that
+// is what keeps pre-topology records bit-identical.
+crate::codec! {
+    enum Topology: to_json {
+        "complete" => Complete,
+        "diameter_two" => DiameterTwo { "clusters": clusters },
+        "random_regular" => RandomRegular { "d": d },
+        "explicit" => Explicit { "adjacency": adjacency },
     }
 }
 
@@ -478,6 +423,7 @@ fn random_regular_adjacency(n: u32, d: u32, topology_seed: u64) -> Adjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn explicit(lists: &[&[u32]]) -> Topology {
         Topology::Explicit {

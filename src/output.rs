@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use ftc_sim::json::Json;
 use ftc_sim::stats::Summary;
 
 /// Output format of a subcommand.
@@ -78,38 +79,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl Value {
-    /// JSON rendering of this cell.
-    fn to_json(&self) -> String {
-        match self {
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::UInt(u) => u.to_string(),
-            Value::Float(x) if x.is_finite() => x.to_string(),
-            Value::Float(_) => "null".into(),
-            Value::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-                out
-            }
-        }
-    }
-}
-
 /// Renders result rows in a fixed column order, in CSV or JSON Lines.
 #[derive(Debug)]
 pub struct RowWriter {
@@ -161,7 +130,14 @@ impl RowWriter {
                     .columns
                     .iter()
                     .zip(values)
-                    .map(|(c, v)| format!("\"{c}\":{}", v.to_json()))
+                    .map(|(c, v)| match v {
+                        // `Display`, not `Json::Num`'s `{:?}`: the goldens
+                        // spell a whole float `4`, not `4.0`.
+                        Value::Float(x) if x.is_finite() => format!("\"{c}\":{x}"),
+                        Value::Float(_) => format!("\"{c}\":null"),
+                        Value::Str(s) => format!("\"{c}\":{}", Json::Str(s.clone()).render()),
+                        other => format!("\"{c}\":{other}"),
+                    })
                     .collect::<Vec<_>>()
                     .join(",");
                 format!("{{{fields}}}")

@@ -291,3 +291,79 @@ fn help_is_generated_and_exits_zero() {
     );
     assert!(!stdout("trace -h").contains("--format"));
 }
+
+/// Doctored inputs — artifacts, specs, records and store files a person or
+/// a bad disk could produce — exit 1 with a message naming the key or cell
+/// at fault, never 101 and never a silent run of something else.
+#[test]
+fn doctored_inputs_fail_typed_naming_the_key_or_cell() {
+    let dir = std::env::temp_dir().join(format!("ftc-cli-doctored-{}", std::process::id()));
+    let store = dir.join("store");
+    std::fs::create_dir_all(&dir).unwrap();
+    let read = |path: &str| std::fs::read_to_string(path).unwrap();
+    let spec = |cell: &str| format!(r#"{{"name":"cli-doctored","cells":[{cell}],"checks":[]}}"#);
+    let le = r#""workload":{"kind":"le","adv":{"kind":"none"}},"n":64"#;
+    let record = read("results/store/gate-smoke-eae41a889964a9c6.json");
+    let rows: [(&str, String, &str, &[&str]); 6] = [
+        (
+            "art.json",
+            read("results/le-failure.counterexample.json").replace(
+                r#""node":13,"round":60"#,
+                r#""node":4294967309,"round":4294967356"#,
+            ),
+            "replay {file}",
+            &["CrashEntry.node", "4294967309"],
+        ),
+        (
+            "typo.json",
+            spec(&format!(
+                r#"{{"label":"typo",{le},"alpha":0.75,"seed":3,"trials":2,"topolgy":{{"kind":"random_regular","d":4}}}}"#
+            )),
+            "lab run {file} --store {store}",
+            &["unknown key `topolgy`"],
+        ),
+        (
+            "alpha.json",
+            spec(&format!(
+                r#"{{"label":"thin",{le},"alpha":0.5,"seed":3,"trials":2}}"#
+            )),
+            "lab run {file} --store {store}",
+            &["cell `thin`", "n=64", "alpha=0.5"],
+        ),
+        (
+            "short.json",
+            spec(&format!(
+                r#"{{"label":"short",{le},"alpha":0.75,"seed":3}}"#
+            )),
+            "lab run {file} --store {store}",
+            &["missing key `trials`"],
+        ),
+        (
+            "v2.json",
+            record.replace("ftc-lab-record/v1", "ftc-lab-record/v2"),
+            "lab gate {file}",
+            &["`schema`", "ftc-lab-record/v2"],
+        ),
+        (
+            "store/gate-smoke-eae41a889964a9c6.json",
+            record[..500].to_string(),
+            "lab show gate-smoke --store {store}",
+            &["gate-smoke-eae41a889964a9c6.json"],
+        ),
+    ];
+    for (name, text, command, needles) in rows {
+        let file = dir.join(name);
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        std::fs::write(&file, text).unwrap();
+        let args = command
+            .replace("{file}", file.to_str().unwrap())
+            .replace("{store}", store.to_str().unwrap());
+        let err = error(&args);
+        for needle in needles {
+            assert!(err.contains(needle), "`ftc {args}`: {err}");
+        }
+    }
+    let runs = std::fs::read_dir(&store).unwrap().count();
+    assert_eq!(runs, 1, "only the planted file: no doctored run was stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
