@@ -25,7 +25,10 @@
 //! * [`shrink`] — ddmin over crash entries, then filter and round
 //!   simplification, all against the exact counterexample seed;
 //! * [`artifact`] — the JSON bundle `ftc replay` re-checks, minted from a
-//!   finished hunt by [`Artifact::mint`](crate::artifact::Artifact::mint).
+//!   finished hunt by [`Artifact::mint`](crate::artifact::Artifact::mint);
+//! * [`portfolio`] — the whole strategies × objectives × protocols grid as
+//!   one content-addressed record with a schedule-space coverage figure,
+//!   run and gated through `ftc lab` like any other campaign.
 //!
 //! [`FaultPlan`]: ftc_sim::prelude::FaultPlan
 //! [`ParRunner`]: ftc_sim::runner::ParRunner
@@ -38,6 +41,7 @@
 pub mod artifact;
 pub mod mutate;
 pub mod objective;
+pub mod portfolio;
 pub mod proto;
 pub mod search;
 pub mod shrink;
@@ -49,12 +53,14 @@ pub mod prelude {
         guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
     };
     pub use crate::objective::{Bounds, Objective};
+    pub use crate::portfolio::{
+        run_hunt_campaign, Coverage, HuntCampaignRecord, HuntCampaignSpec, HuntCellResult,
+        HuntCellSpec, CHAOS_SCHEMA,
+    };
     pub use crate::proto::{
         agree_input, observe, observe_wire, Adv, Fingerprint, Observation, ProtoKind, ProtoRun,
         Schedule, Substrate,
     };
-    pub use crate::search::{
-        run_hunt, run_hunt_observed, Candidate, HuntReport, HuntSpec, Strategy,
-    };
+    pub use crate::search::{run_hunt, Candidate, HuntReport, HuntSpec, Strategy};
     pub use crate::shrink::ShrinkReport;
 }

@@ -234,7 +234,7 @@ pub fn run_hunt(spec: &HuntSpec) -> Result<HuntReport, String> {
 /// This is the hook schedule-space coverage accounting hangs off: the
 /// observer sees exactly the plans the budget explored, so a coverage
 /// figure computed from it is as deterministic as the hunt itself.
-pub fn run_hunt_observed(
+pub(crate) fn run_hunt_observed(
     spec: &HuntSpec,
     mut observer: impl FnMut(&Candidate),
 ) -> Result<HuntReport, String> {
@@ -267,14 +267,17 @@ pub fn run_hunt_observed(
     let mut hits = 0u64;
     let mut first_error: Option<String> = None;
 
+    let seeds = TrialPlan::new(spec.seed, spec.budget);
     let mut gen = 0u64;
     while evaluated < spec.budget {
         let batch_size = (spec.budget - evaluated).min(GENERATION);
-        let plan = TrialPlan::new(spec.seed, batch_size)
-            .first(evaluated)
-            .jobs(spec.jobs);
+        let plan = TrialPlan::new(spec.seed, batch_size).jobs(spec.jobs);
         let incumbent_plan = incumbent.as_ref().map(|c| (c.plan.clone(), c.wire.clone()));
-        let batch = ParRunner::new(plan).run(|trial, seed| {
+        // Trial indices run on across generations: the whole budget is
+        // one seed range, cut into batches.
+        let batch = ParRunner::new(plan).run(|i, _| {
+            let trial = evaluated + i;
+            let seed = seeds.seed_of(trial);
             let mut rng = SmallRng::seed_from_u64(seed);
             let proposal = match (spec.strategy, &incumbent_plan) {
                 (Strategy::Random, _) | (Strategy::Anneal, None) => random_plan(&mut rng, &space),

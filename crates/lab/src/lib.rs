@@ -8,7 +8,8 @@
 //! trial runner. The result is a [`CampaignRecord`] — a self-describing
 //! JSON document carrying the spec, its hash, per-cell [`Summary`]s and
 //! log-histograms, and wall-clock provenance — persisted in a
-//! content-addressed [`store`], compared cell-by-cell by [`diff`] with
+//! content-addressed [`store`] (which also holds `ftc-hunt`'s portfolio
+//! records), compared cell-by-cell by [`diff`] with
 //! statistically justified tolerance bands, and gated in CI by
 //! [`diff::gate`] against committed baselines. The named campaigns are
 //! the rows of [`campaigns::CAMPAIGNS`]; Table I and the paper's figures
@@ -31,4 +32,4 @@ pub use diff::{diff_records, CellDiff, DiffReport, Tolerance};
 pub use ftc_mesh::Substrate;
 pub use run::{run_campaign, run_cell, CampaignRecord, CellResult, CheckResult};
 pub use spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
-pub use store::Store;
+pub use store::{Record, Store};

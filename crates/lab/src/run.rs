@@ -23,6 +23,7 @@ use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
 use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
+use ftc_sim::json::git_rev;
 use ftc_sim::metrics::{LogHistogram, Metrics};
 use ftc_sim::perm::stream_seed;
 use ftc_sim::runner::{ParRunner, TrialPlan};
@@ -740,20 +741,6 @@ ftc_sim::codec! {
         "cells": cells,
         "checks": checks,
     }
-}
-
-/// Best-effort git revision of the working tree ("unknown" outside a
-/// checkout). Diagnostic only — never part of the deterministic payload.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Executes a campaign: every cell on the chosen substrate, then the

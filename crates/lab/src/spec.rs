@@ -9,13 +9,12 @@
 //! — the key that makes stored results diffable across commits: two
 //! records with the same spec hash measured the same experiment.
 
+use ftc_sim::json::fnv1a64;
 use ftc_sim::topology::Topology;
 
 /// Which crash schedule a cell runs under — the protocol bridge's
 /// vocabulary (its JSON form is written by its own codec table).
 pub use ftc_hunt::proto::Adv;
-/// Content hash of a canonical render — also the record-id hash.
-pub use ftc_sim::json::fnv1a64;
 
 /// What one cell measures. Every variant is one trial closure of
 /// [`run_trial`](crate::run::run_trial) and carries exactly the knobs

@@ -7,12 +7,17 @@
 //! spec or measured numbers mints a new id. Files on disk keep the diag
 //! fields (git rev, wall clock) because provenance matters to humans;
 //! identity never depends on them.
+//!
+//! The store holds both record kinds — lab campaigns and portfolio
+//! hunts — and tells them apart once, by the `schema` tag every record
+//! leads with ([`Record`]).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use ftc_sim::json::{Codec, Diag, Json, JsonError};
+use ftc_hunt::portfolio::{HuntCampaignRecord, CHAOS_SCHEMA};
+use ftc_sim::json::{Codec, Diag, Json, JsonError, Stored};
 
 use crate::run::{CampaignRecord, LAB_SCHEMA};
 
@@ -23,6 +28,15 @@ pub const DEFAULT_DIR: &str = "results/store";
 #[derive(Clone, Debug)]
 pub struct Store {
     dir: PathBuf,
+}
+
+/// A stored record of either kind.
+#[derive(Clone, Debug)]
+pub enum Record {
+    /// A measurement campaign (`kind` `lab`).
+    Lab(CampaignRecord),
+    /// A portfolio adversary hunt (`kind` `hunt`).
+    Hunt(HuntCampaignRecord),
 }
 
 /// One line of `list` output.
@@ -57,7 +71,7 @@ fn invalid(path: &Path, e: JsonError) -> io::Error {
 fn kind_of(schema: &str) -> &'static str {
     match schema {
         LAB_SCHEMA => "lab",
-        "ftc-chaos-record/v1" => "hunt",
+        CHAOS_SCHEMA => "hunt",
         _ => "unknown",
     }
 }
@@ -77,49 +91,45 @@ impl Store {
         self.dir.join(format!("{id}.json"))
     }
 
-    /// Persists a record; returns its content id. Idempotent: an
-    /// existing file with the same id is left untouched (its recorded
-    /// provenance is from the first run that produced these numbers).
-    pub fn put(&self, record: &CampaignRecord) -> io::Result<String> {
+    /// Persists a record of either kind; returns its content id.
+    /// Idempotent: an existing file with the same id is left untouched
+    /// (its recorded provenance is from the first run that produced these
+    /// numbers).
+    pub fn put(&self, record: &impl Stored) -> io::Result<String> {
         fs::create_dir_all(&self.dir)?;
         let id = record.id();
         let path = self.path_of(&id);
         if !path.exists() {
-            let mut text = record.to_json(true).render();
+            let mut text = record.encode(true).render();
             text.push('\n');
             fs::write(&path, text)?;
         }
         Ok(id)
     }
 
-    /// Loads a record by id.
+    /// Loads a lab record by id.
     pub fn load(&self, id: &str) -> io::Result<CampaignRecord> {
-        Self::load_path(&self.path_of(id))
-    }
-
-    /// Loads a record from an arbitrary file path (baselines committed
-    /// outside the store use this too).
-    pub fn load_path(path: &Path) -> io::Result<CampaignRecord> {
-        let text = fs::read_to_string(path)?;
-        Json::parse(&text)
-            .and_then(|json| CampaignRecord::from_json(&json))
-            .map_err(|e| invalid(path, e))
-    }
-
-    /// Persists an already-rendered record under `id` (the caller owns
-    /// the schema — this is how non-lab records, e.g. `ftc-chaos`
-    /// portfolio records, share the store). Idempotent like [`Store::put`].
-    pub fn put_rendered(&self, id: &str, text: &str) -> io::Result<()> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_of(id);
-        if !path.exists() {
-            let mut text = text.to_string();
-            if !text.ends_with('\n') {
-                text.push('\n');
-            }
-            fs::write(&path, text)?;
+        match Self::read(&self.path_of(id))? {
+            Record::Lab(record) => Ok(record),
+            Record::Hunt(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{id} is a portfolio hunt, not a lab record"),
+            )),
         }
-        Ok(())
+    }
+
+    /// Reads the record at `path`, its kind chosen by its `schema` tag; a
+    /// schema this build does not know is read as a lab record, whose
+    /// reader then names it.
+    fn read(path: &Path) -> io::Result<Record> {
+        let text = fs::read_to_string(path)?;
+        let json = Json::parse(&text).map_err(|e| invalid(path, e))?;
+        let schema = json.get("schema").and_then(|s| s.as_str().ok());
+        match schema.map(kind_of) {
+            Some("hunt") => HuntCampaignRecord::decode(&json).map(Record::Hunt),
+            _ => CampaignRecord::decode(&json).map(Record::Lab),
+        }
+        .map_err(|e| invalid(path, e))
     }
 
     /// Lists all records, sorted by id (so names cluster and output is
@@ -171,27 +181,30 @@ impl Store {
         Ok(entries)
     }
 
-    /// Finds the record whose id matches exactly, or — failing that —
-    /// the unique record whose id starts with `needle` (so `show` can
-    /// take a name or an abbreviated id).
-    pub fn resolve(&self, needle: &str) -> io::Result<CampaignRecord> {
-        if self.path_of(needle).exists() {
-            return self.load(needle);
+    /// Finds a record: the file at `needle` if one exists there, else the
+    /// record whose id matches exactly, else the unique record whose id
+    /// starts with `needle` (so verbs can take a name, an abbreviated id
+    /// or a committed file).
+    pub fn resolve(&self, needle: &str) -> io::Result<Record> {
+        for path in [PathBuf::from(needle), self.path_of(needle)] {
+            if path.is_file() {
+                return Self::read(&path);
+            }
         }
         let matches: Vec<StoreEntry> = self
             .list()?
             .into_iter()
             .filter(|e| e.id.starts_with(needle))
             .collect();
-        match matches.len() {
-            1 => self.load(&matches[0].id),
-            0 => Err(io::Error::new(
+        match matches.as_slice() {
+            [entry] => Self::read(&self.path_of(&entry.id)),
+            [] => Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("no record matching `{needle}` in {}", self.dir.display()),
             )),
-            k => Err(io::Error::new(
+            many => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("`{needle}` is ambiguous ({k} records match)"),
+                format!("`{needle}` is ambiguous ({} records match)", many.len()),
             )),
         }
     }
@@ -252,7 +265,16 @@ mod tests {
         let a = store.put(&small_record("alpha", 1)).unwrap();
         store.put(&small_record("alpha", 2)).unwrap();
         assert!(store.resolve("alpha").is_err(), "two records share prefix");
-        assert_eq!(store.resolve(&a).unwrap().id(), a);
+        let Record::Lab(found) = store.resolve(&a).unwrap() else {
+            panic!("a lab record resolves as one");
+        };
+        assert_eq!(found.id(), a);
+        // A file path resolves too, wherever the file lives.
+        let path = store.dir().join(format!("{a}.json"));
+        assert!(matches!(
+            store.resolve(path.to_str().unwrap()),
+            Ok(Record::Lab(_))
+        ));
         assert!(store.resolve("nope").is_err());
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -264,28 +286,47 @@ mod tests {
     }
 
     #[test]
-    fn foreign_schemas_list_side_by_side_with_lab_records() {
+    fn both_kinds_share_one_put_and_resolve_by_schema() {
+        use ftc_hunt::portfolio::{run_hunt_campaign, HuntCampaignSpec, HuntCellSpec};
+        use ftc_hunt::prelude::{Objective, ProtoKind, Strategy};
+
         let store = tmp_store("kinds");
         store.put(&small_record("store-unit", 1)).unwrap();
-        // A chaos-style record: same envelope, different schema and body.
-        let chaos = r#"{"schema":"ftc-chaos-record/v1","name":"portfolio","spec_hash":"abcd","spec":{},"cells":[{},{}],"coverage":{},"diag":{"git_rev":"f00","wall_s":1.5}}"#;
-        store
-            .put_rendered("portfolio-0123456789abcdef", chaos)
-            .unwrap();
-        // put_rendered is idempotent.
-        store
-            .put_rendered("portfolio-0123456789abcdef", chaos)
-            .unwrap();
+        let spec = HuntCampaignSpec::new("portfolio").cell(HuntCellSpec {
+            label: "le-msgs".into(),
+            proto: ProtoKind::Le,
+            objective: Objective::MaxMessages,
+            strategy: Strategy::Random,
+            n: 16,
+            alpha: 0.5,
+            zeros: 0.05,
+            budget: 2,
+            probes: 1,
+            seed: 3,
+            wire: false,
+        });
+        let hunt = run_hunt_campaign(&spec, 1).unwrap();
+        let id = store.put(&hunt).unwrap();
+        assert_eq!(store.put(&hunt).unwrap(), id, "put is idempotent");
         let entries = store.list().unwrap();
         assert_eq!(entries.len(), 2);
-        let hunt = entries.iter().find(|e| e.kind == "hunt").unwrap();
-        assert_eq!(hunt.name, "portfolio");
-        assert_eq!(hunt.spec_hash, "abcd");
-        assert_eq!(hunt.cells, 2);
-        assert_eq!(hunt.git_rev, "f00");
-        assert_eq!(hunt.wall_s, 1.5);
+        let listed = entries.iter().find(|e| e.kind == "hunt").unwrap();
+        assert_eq!(listed.id, id);
+        assert_eq!(listed.name, "portfolio");
+        assert_eq!(listed.spec_hash, spec.hash());
+        assert_eq!(listed.cells, 1);
+        assert_eq!(listed.git_rev, hunt.git_rev);
         let lab = entries.iter().find(|e| e.kind == "lab").unwrap();
         assert_eq!(lab.name, "store-unit");
+        let Record::Hunt(back) = store.resolve("portfolio").unwrap() else {
+            panic!("the schema tag picks the hunt reader");
+        };
+        assert_eq!(back.deterministic_render(), hunt.deterministic_render());
+        assert!(store
+            .load(&id)
+            .unwrap_err()
+            .to_string()
+            .contains("portfolio hunt"));
         let _ = fs::remove_dir_all(store.dir());
     }
 }

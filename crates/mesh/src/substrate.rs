@@ -3,7 +3,7 @@
 //! "Run this `(SimConfig, seed)` on substrate X" is a single value and a
 //! single call: [`Substrate::run`] holds the only engine / channel / mesh
 //! dispatch in the workspace. Everything above the runtimes — `ftc-hunt`,
-//! `ftc-serve`, `ftc-lab`, `ftc-chaos`, the `ftc` CLI — goes through it,
+//! `ftc-serve`, `ftc-lab`, the `ftc` CLI — goes through it,
 //! so a hook that must see every run threads through one call site.
 
 use ftc_net::channel;

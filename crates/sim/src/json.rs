@@ -710,6 +710,27 @@ impl Default for Diag {
     }
 }
 
+/// Best-effort git revision of the working tree ("unknown" outside a
+/// checkout): what a fresh record writes into its [`Diag`] block.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// A stored record (the `record` form of [`codec!`]): a [`Codec`] type
+/// with a content address, so one store can hold every kind.
+pub trait Stored: Codec {
+    /// `<name>-<fnv64 of the deterministic payload>`.
+    fn id(&self) -> String;
+}
+
 /// Generates [`Codec`] for a type from one field table.
 ///
 /// Every form lists keys in render order, so the table *is* the byte
@@ -741,7 +762,8 @@ impl Default for Diag {
 ///   (written, then checked on read) and the derived `name` first, the
 ///   rows, then the [`Diag`] block from the type's `git_rev` / `wall_s`
 ///   fields, written only with `diag`. Generates `to_json(&self, diag)`,
-///   `from_json`, `deterministic_render` and the content-addressed `id`.
+///   `from_json`, `deterministic_render` and the content-addressed `id`
+///   (also as [`Stored`]).
 /// * `enum T: api… { "tag" => Unit, "tag" => V { "k": f, … }, "tag" =>
 ///   V("k": f) }` — a `kind`-tagged enum ([`Tagged`] and [`Codec`]). Each
 ///   `api` is `to_json` or the name of a generated `fn(&self) -> &'static
@@ -769,6 +791,12 @@ macro_rules! codec {
             pub fn id(&self) -> String {
                 let hash = $crate::json::fnv1a64(self.deterministic_render().as_bytes());
                 format!("{}-{hash:016x}", $crate::json::derive(self, $name))
+            }
+        }
+
+        impl $crate::json::Stored for $T {
+            fn id(&self) -> String {
+                $T::id(self)
             }
         }
     };

@@ -9,20 +9,7 @@
 //! * each trial's randomness derives solely from its own
 //!   `stream_seed(base_seed, trial_index + 1)` — trials share no mutable
 //!   state, so scheduling cannot perturb them;
-//! * outcomes are reordered by trial index before they are returned;
-//! * the early-stop rule (below) is a function of the *trial-index prefix*,
-//!   never of completion order.
-//!
-//! ## Early stopping
-//!
-//! [`TrialPlan::stop_when`] installs a Wilson-interval criterion on the
-//! per-trial success indicator: the batch stops at the smallest trial count
-//! `k ≥ min_trials` whose first `k` trials (by index) give a 95% confidence
-//! interval on the success probability no wider than the requested
-//! half-width. Workers race ahead of that prefix, so a parallel run may
-//! *execute* more trials than a sequential one — but every executed trial
-//! beyond the deterministic stopping point is discarded, so the *returned*
-//! batch is identical at any thread count.
+//! * outcomes are reordered by trial index before they are returned.
 //!
 //! ## Timeouts and aborts
 //!
@@ -35,11 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::engine::SimConfig;
 use crate::perm::stream_seed;
-use crate::stats::wilson_interval;
 
 /// Result of one trial, tagged with its index and derived seed.
 #[derive(Clone, Debug)]
@@ -56,31 +40,15 @@ pub struct TrialOutcome<T> {
     pub timed_out: bool,
 }
 
-/// Early-stop criterion: stop once the 95% Wilson interval on the success
-/// probability is narrow enough.
-#[derive(Clone, Copy, Debug)]
-pub struct StopWhenTight {
-    /// Never stop before this many trials.
-    pub min_trials: u64,
-    /// Stop at the first prefix whose interval half-width is ≤ this.
-    pub half_width: f64,
-}
-
 /// A declarative description of a Monte-Carlo batch.
 #[derive(Clone, Debug)]
 pub struct TrialPlan {
-    /// Base seed; trial `i` runs with `stream_seed(base_seed, first + i + 1)`.
+    /// Base seed; trial `i` runs with `stream_seed(base_seed, i + 1)`.
     pub base_seed: u64,
-    /// Index of the first trial (seed-range support: a plan with
-    /// `first = 1000` continues exactly where a `first = 0, trials = 1000`
-    /// plan stopped).
-    pub first: u64,
-    /// Number of trials (the maximum, when early stopping is configured).
+    /// Number of trials.
     pub trials: u64,
     /// Worker threads; `0` means one per available core.
     pub jobs: usize,
-    /// Optional early-stop criterion (applies to `run_until`).
-    pub stop: Option<StopWhenTight>,
     /// Optional per-trial wall-clock budget; exceeding it flags the
     /// outcome, it does not kill the trial (trials are pure functions and
     /// cannot be safely interrupted mid-round).
@@ -88,37 +56,19 @@ pub struct TrialPlan {
 }
 
 impl TrialPlan {
-    /// A plan of `trials` trials from `base_seed`, all cores, no early
-    /// stop, no timeout.
+    /// A plan of `trials` trials from `base_seed`, all cores, no timeout.
     pub fn new(base_seed: u64, trials: u64) -> Self {
         TrialPlan {
             base_seed,
-            first: 0,
             trials,
             jobs: 0,
-            stop: None,
             timeout: None,
         }
-    }
-
-    /// Starts the seed range at trial index `first` instead of 0.
-    pub fn first(mut self, first: u64) -> Self {
-        self.first = first;
-        self
     }
 
     /// Sets the worker count (`0` = one per core).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Installs the Wilson-interval early-stop criterion.
-    pub fn stop_when(mut self, min_trials: u64, half_width: f64) -> Self {
-        self.stop = Some(StopWhenTight {
-            min_trials,
-            half_width,
-        });
         self
     }
 
@@ -128,13 +78,13 @@ impl TrialPlan {
         self
     }
 
-    /// The seed trial `i` (relative to `first`) runs with.
+    /// The seed trial `i` runs with.
     ///
     /// `+ 1` keeps trial seeds disjoint from the salted engine streams of
     /// `base_seed` itself, so a trial never replays the base config's own
     /// execution.
     pub fn seed_of(&self, i: u64) -> u64 {
-        stream_seed(self.base_seed, self.first.wrapping_add(i).wrapping_add(1))
+        stream_seed(self.base_seed, i.wrapping_add(1))
     }
 
     fn effective_jobs(&self) -> usize {
@@ -176,12 +126,8 @@ impl AbortHandle {
 /// Everything a batch produced, plus execution diagnostics.
 #[derive(Clone, Debug)]
 pub struct TrialBatch<T> {
-    /// Outcomes sorted by trial index. With early stopping this is exactly
-    /// the deterministic prefix `0..stopped_at`.
+    /// Outcomes sorted by trial index (fewer than planned after an abort).
     pub outcomes: Vec<TrialOutcome<T>>,
-    /// Trials actually executed (≥ `outcomes.len()` under early stopping:
-    /// workers race past the stopping point and the surplus is discarded).
-    pub executed: u64,
     /// Trials flagged as over the per-trial timeout.
     pub timed_out: u64,
     /// Whether the batch was cut short by an [`AbortHandle`].
@@ -247,158 +193,57 @@ impl ParRunner {
         self.abort.clone()
     }
 
-    /// Runs the whole plan (no early stopping), returning outcomes sorted
-    /// by trial index. `job(trial, seed)` must be a pure function of its
-    /// arguments for the determinism guarantee to hold.
+    /// Runs the whole plan, returning outcomes sorted by trial index.
+    /// `job(trial, seed)` must be a pure function of its arguments for the
+    /// determinism guarantee to hold.
     pub fn run<T, F>(&self, job: F) -> TrialBatch<T>
     where
         T: Send,
         F: Fn(u64, u64) -> T + Sync,
     {
-        self.execute(job, None::<fn(&T) -> bool>)
-    }
-
-    /// Runs the plan with the early-stop criterion judging each trial by
-    /// `is_success`. Requires [`TrialPlan::stop`] to be set (otherwise
-    /// behaves like [`ParRunner::run`]).
-    pub fn run_until<T, F, S>(&self, job: F, is_success: S) -> TrialBatch<T>
-    where
-        T: Send,
-        F: Fn(u64, u64) -> T + Sync,
-        S: Fn(&T) -> bool + Sync,
-    {
-        self.execute(job, Some(is_success))
-    }
-
-    fn execute<T, F, S>(&self, job: F, is_success: Option<S>) -> TrialBatch<T>
-    where
-        T: Send,
-        F: Fn(u64, u64) -> T + Sync,
-        S: Fn(&T) -> bool + Sync,
-    {
         let plan = &self.plan;
-        let trials = plan.trials;
         let started = Instant::now();
-        if trials == 0 {
-            return TrialBatch {
-                outcomes: Vec::new(),
-                executed: 0,
-                timed_out: 0,
-                aborted: self.abort.is_aborted(),
-                elapsed: started.elapsed(),
-            };
-        }
-
-        let threads = plan.effective_jobs();
         let next = AtomicU64::new(0);
-        let executed = AtomicU64::new(0);
-        // Deterministic stopping point: trials with index >= stop_at are
-        // never *kept*. u64::MAX = "no stop decided yet".
-        let stop_at = AtomicU64::new(u64::MAX);
-        let shared: Mutex<PrefixState<T>> = Mutex::new(PrefixState::new(trials, plan.stop));
-
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    if self.abort.is_aborted() {
-                        break;
-                    }
-                    let trial = next.fetch_add(1, Ordering::Relaxed);
-                    if trial >= trials || trial >= stop_at.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let seed = plan.seed_of(trial);
-                    let t0 = Instant::now();
-                    let value = job(plan.first.wrapping_add(trial), seed);
-                    let duration = t0.elapsed();
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    let timed_out = plan.timeout.is_some_and(|lim| duration > lim);
-                    let success = is_success.as_ref().map(|s| s(&value));
-                    let outcome = TrialOutcome {
-                        trial: plan.first.wrapping_add(trial),
-                        seed,
-                        value,
-                        duration,
-                        timed_out,
-                    };
-                    let mut state = shared.lock();
-                    if let Some(stop) = state.push(trial, outcome, success) {
-                        // First thread to advance the prefix past the
-                        // criterion publishes the deterministic cut-off.
-                        stop_at.fetch_min(stop, Ordering::Relaxed);
-                    }
+        // Each worker keeps what it ran; the merge below restores trial
+        // order, so scheduling never shows in the result.
+        let worker = || {
+            let mut done = Vec::new();
+            while !self.abort.is_aborted() {
+                let trial = next.fetch_add(1, Ordering::Relaxed);
+                if trial >= plan.trials {
+                    break;
+                }
+                let seed = plan.seed_of(trial);
+                let t0 = Instant::now();
+                let value = job(trial, seed);
+                let duration = t0.elapsed();
+                done.push(TrialOutcome {
+                    trial,
+                    seed,
+                    value,
+                    duration,
+                    timed_out: plan.timeout.is_some_and(|lim| duration > lim),
                 });
             }
+            done
+        };
+        let mut outcomes: Vec<TrialOutcome<T>> = crossbeam::scope(|scope| {
+            let workers: Vec<_> = (0..plan.effective_jobs())
+                .map(|_| scope.spawn(|_| worker()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("trial worker panicked"))
+                .collect()
         })
         .expect("trial worker panicked");
-
-        let state = shared.into_inner();
-        let cut = stop_at.load(Ordering::Relaxed);
-        let mut outcomes: Vec<TrialOutcome<T>> = state
-            .slots
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| (*i as u64) < cut)
-            .filter_map(|(_, s)| s)
-            .collect();
         outcomes.sort_by_key(|o| o.trial);
-        let timed_out = outcomes.iter().filter(|o| o.timed_out).count() as u64;
         TrialBatch {
+            timed_out: outcomes.iter().filter(|o| o.timed_out).count() as u64,
             outcomes,
-            executed: executed.into_inner(),
-            timed_out,
             aborted: self.abort.is_aborted(),
             elapsed: started.elapsed(),
         }
-    }
-}
-
-/// Completion tracking for the deterministic early-stop rule: outcomes are
-/// parked in index slots; the contiguous frontier advances as gaps fill,
-/// evaluating the criterion at every prefix length exactly once — the same
-/// sequence of decisions a sequential run would make.
-struct PrefixState<T> {
-    slots: Vec<Option<TrialOutcome<T>>>,
-    success_by_index: Vec<Option<bool>>,
-    stop: Option<StopWhenTight>,
-    /// Trials `0..frontier` are all complete.
-    frontier: u64,
-    /// Successes among trials `0..frontier`.
-    successes_in_prefix: u64,
-}
-
-impl<T> PrefixState<T> {
-    fn new(trials: u64, stop: Option<StopWhenTight>) -> Self {
-        PrefixState {
-            slots: (0..trials).map(|_| None).collect(),
-            success_by_index: vec![None; stop.is_some() as usize * trials as usize],
-            stop,
-            frontier: 0,
-            successes_in_prefix: 0,
-        }
-    }
-
-    /// Records a completed trial; returns the deterministic stopping point
-    /// if the criterion first holds at some prefix ending here.
-    fn push(&mut self, index: u64, outcome: TrialOutcome<T>, success: Option<bool>) -> Option<u64> {
-        self.slots[index as usize] = Some(outcome);
-        let stop = self.stop?;
-        self.success_by_index[index as usize] = Some(success.unwrap_or(false));
-        let total = self.slots.len() as u64;
-        while self.frontier < total {
-            let Some(s) = self.success_by_index[self.frontier as usize] else {
-                break;
-            };
-            self.frontier += 1;
-            self.successes_in_prefix += u64::from(s);
-            if self.frontier >= stop.min_trials {
-                let (lo, hi) = wilson_interval(self.successes_in_prefix, self.frontier);
-                if (hi - lo) / 2.0 <= stop.half_width {
-                    return Some(self.frontier);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -509,52 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_ranges_compose() {
-        // Trials [0,10) then [10,20) must equal trials [0,20).
-        let all = ParRunner::new(TrialPlan::new(5, 20)).run(|_, s| s);
-        let lo = ParRunner::new(TrialPlan::new(5, 10)).run(|_, s| s);
-        let hi = ParRunner::new(TrialPlan::new(5, 10).first(10)).run(|_, s| s);
-        let stitched: Vec<u64> = lo.values().chain(hi.values()).copied().collect();
-        assert_eq!(
-            all.values().copied().collect::<Vec<u64>>(),
-            stitched,
-            "seed-range split must reproduce the full batch"
-        );
-        assert_eq!(hi.outcomes[0].trial, 10);
-    }
-
-    #[test]
-    fn early_stop_is_prefix_deterministic() {
-        // All trials succeed, so the interval tightens on trial count
-        // alone: the stopping point is the same at every thread count.
-        let mut cuts = Vec::new();
-        for jobs in [1usize, 2, 8] {
-            let plan = TrialPlan::new(1, 500).jobs(jobs).stop_when(10, 0.1);
-            let batch = ParRunner::new(plan).run_until(|_, seed| seed, |_| true);
-            cuts.push(batch.len());
-            assert!(batch.executed >= batch.len() as u64);
-        }
-        assert_eq!(cuts[0], cuts[1]);
-        assert_eq!(cuts[1], cuts[2]);
-        assert!(cuts[0] < 500, "criterion should stop well before the cap");
-        assert!(cuts[0] >= 10, "min_trials must be respected");
-    }
-
-    #[test]
-    fn early_stop_prefix_matches_sequential_values() {
-        let job = |_t: u64, seed: u64| seed;
-        let succ = |v: &u64| v % 4 != 0; // ~75% success rate
-        let seq =
-            ParRunner::new(TrialPlan::new(7, 400).jobs(1).stop_when(20, 0.12)).run_until(job, succ);
-        let par =
-            ParRunner::new(TrialPlan::new(7, 400).jobs(8).stop_when(20, 0.12)).run_until(job, succ);
-        assert_eq!(
-            seq.values().collect::<Vec<_>>(),
-            par.values().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn timeout_flags_slow_trials_without_dropping_them() {
         let plan = TrialPlan::new(3, 4).timeout(Duration::from_nanos(1));
         let batch = ParRunner::new(plan).run(|_, seed| {
@@ -578,9 +377,9 @@ mod tests {
         });
         assert!(batch.aborted);
         assert!(
-            (batch.executed as usize) < 1000,
+            batch.len() < 1000,
             "abort must cut the batch short, executed {}",
-            batch.executed
+            batch.len()
         );
     }
 }

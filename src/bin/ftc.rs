@@ -78,15 +78,11 @@ const COMMANDS: &[Command] = &[
     ("cluster", "", trials::cmd_cluster),
     ("serve", "", service::cmd_serve),
     ("loadgen", "", service::cmd_loadgen),
-    (
-        "hunt",
-        "[portfolio run <name|spec.json> | portfolio gate <record|file>] ",
-        hunt::cmd_hunt,
-    ),
+    ("hunt", "", hunt::cmd_hunt),
     ("replay", "<artifact.json> ", hunt::cmd_replay),
     (
         "lab",
-        "<run <campaign|spec.json> | list | show <id> | diff <baseline> <fresh> | \
+        "<run <campaign|portfolio|spec.json> | list | show <id> | diff <baseline> <fresh> | \
          gate <baseline> | baseline [NAME] | perf <trajectory.json>> ",
         lab::cmd_lab,
     ),
@@ -140,6 +136,7 @@ mod tests {
 
     use crate::flags::FLAGS;
     use crate::hunt::{cmd_hunt, cmd_replay};
+    use crate::lab::cmd_lab;
     use crate::service::serve_config;
     use crate::trials::{base_config, cmd_cluster, cmd_trials};
     use crate::{parse_opts, usage_for, Opts, COMMANDS};
@@ -429,10 +426,12 @@ mod tests {
 
     #[test]
     fn coverage_and_kind_flags_validate_their_values() {
-        let o = parse("hunt", "--min-coverage 0.25").unwrap();
+        let o = parse("lab", "--min-coverage 0.25").unwrap();
         assert_eq!(o.min_coverage, Some(0.25));
-        assert!(parse("hunt", "--min-coverage 1.5").is_err());
-        assert!(parse("hunt", "--min-coverage -0.1").is_err());
+        assert!(parse("lab", "--min-coverage 1.01").is_err());
+        assert!(parse("lab", "--min-coverage -0.1").is_err());
+        // A portfolio is a lab campaign now: hunt no longer reads it.
+        assert!(parse("hunt", "--min-coverage 0.25").is_err());
         assert_eq!(
             parse("lab", "--kind hunt").unwrap().kind.as_deref(),
             Some("hunt")
@@ -466,35 +465,45 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let spec_path = dir.join("spec.json");
         std::fs::write(&spec_path, spec.to_json().render()).unwrap();
-        let store = dir.join("store");
+        let store = dir.join("store").to_string_lossy().into_owned();
+        let lab = |args: &[&str]| Opts {
+            positional: args.iter().map(|a| a.to_string()).collect(),
+            store: store.clone(),
+            ..Opts::default()
+        };
         let o = Opts {
-            positional: vec![
-                "portfolio".into(),
-                "run".into(),
-                spec_path.to_string_lossy().into_owned(),
-            ],
-            store: store.to_string_lossy().into_owned(),
             jobs: 2,
             min_coverage: Some(0.01),
             expect_hit: true,
+            ..lab(&["run", spec_path.to_str().unwrap()])
+        };
+        cmd_lab(&o).unwrap();
+        // The stored record gates clean against a fresh re-run, by id prefix,
+        // and shows as a portfolio.
+        cmd_lab(&lab(&["gate", "cli-unit"])).unwrap();
+        cmd_lab(&lab(&["show", "cli-unit"])).unwrap();
+        // A coverage floor above what was explored fails the run.
+        let greedy = Opts {
+            min_coverage: Some(1.0),
+            ..lab(&["run", spec_path.to_str().unwrap()])
+        };
+        assert!(cmd_lab(&greedy).unwrap_err().contains("--min-coverage"));
+        // An unknown name is a clean error naming both registries.
+        let err = cmd_lab(&lab(&["run", "martian"])).unwrap_err();
+        assert!(
+            err.contains("adversary-portfolio") && err.contains("gate-smoke"),
+            "{err}"
+        );
+        // The retired verb tree is an error, not a default hunt.
+        let retired = Opts {
+            positional: vec![
+                "portfolio".into(),
+                "run".into(),
+                "adversary-portfolio".into(),
+            ],
             ..Opts::default()
         };
-        cmd_hunt(&o).unwrap();
-        // The stored record gates clean against a fresh re-run, by id prefix.
-        let gate = Opts {
-            positional: vec!["portfolio".into(), "gate".into(), "cli-unit".into()],
-            store: store.to_string_lossy().into_owned(),
-            ..Opts::default()
-        };
-        cmd_hunt(&gate).unwrap();
-        // An unknown portfolio name is a clean error naming the registry.
-        let bad = Opts {
-            positional: vec!["portfolio".into(), "run".into(), "martian".into()],
-            store: store.to_string_lossy().into_owned(),
-            ..Opts::default()
-        };
-        let err = cmd_hunt(&bad).unwrap_err();
-        assert!(err.contains("adversary-portfolio"), "{err}");
+        assert!(cmd_hunt(&retired).unwrap_err().contains("lab run"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -363,7 +363,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--smoke",
         metavar: None,
-        readers: "hunt lab",
+        readers: "lab",
         help: "run the named campaign at smoke scale",
         set: |o, _, _| {
             o.smoke = true;
@@ -373,7 +373,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--store",
         metavar: Some("DIR"),
-        readers: "hunt lab",
+        readers: "lab",
         help: "results-store directory (default results/store)",
         set: |o, _, v| {
             o.store = v.into();
@@ -481,7 +481,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--expect-hit",
         metavar: None,
-        readers: "hunt",
+        readers: "hunt lab",
         help: "exit nonzero unless a counterexample was found",
         set: |o, _, _| {
             if o.expect_empty {
@@ -494,7 +494,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--expect-empty",
         metavar: None,
-        readers: "hunt",
+        readers: "hunt lab",
         help: "exit nonzero if a counterexample was found",
         set: |o, _, _| {
             if o.expect_hit {
@@ -507,8 +507,8 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--min-coverage",
         metavar: Some("F"),
-        readers: "hunt",
-        help: "hunt portfolio: minimum schedule-space coverage fraction, in [0, 1]",
+        readers: "lab",
+        help: "lab run of a portfolio: minimum schedule-space coverage fraction, in [0, 1]",
         set: |o, f, v| {
             let c: f64 = num(f, v)?;
             if !(0.0..=1.0).contains(&c) {

@@ -1,14 +1,15 @@
-//! `hunt`, `replay` and `hunt portfolio`: adversary search (`ftc-hunt`,
-//! `ftc-chaos`) and the replay check of its artifacts.
+//! `hunt` and `replay`: adversary search (`ftc-hunt`) and the replay
+//! check of its artifacts. Portfolio hunts are campaigns: `ftc lab`.
 
 use ftc::prelude::*;
 
 use crate::flags::{substrate_kind, Opts};
-use crate::lab::{load_record, resolve_spec};
 
 pub fn cmd_hunt(o: &Opts) -> Result<(), String> {
-    if o.positional.first().map(String::as_str) == Some("portfolio") {
-        return cmd_hunt_portfolio(o);
+    if let Some(arg) = o.positional.first() {
+        return Err(format!(
+            "hunt takes no argument `{arg}` (portfolio hunts run as `ftc lab run <name>`)"
+        ));
     }
     let (proto, objective) = (o.proto, o.objective);
     let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
@@ -222,117 +223,4 @@ pub fn cmd_replay(o: &Opts) -> Result<(), String> {
         return Err(format!("{failures} replay substrate(s) diverged"));
     }
     Ok(())
-}
-
-fn print_hunt_record(record: &HuntCampaignRecord, format: Format) {
-    if format == Format::Json {
-        println!("{}", record.to_json(true).render());
-        return;
-    }
-    println!(
-        "portfolio {} (spec {}, git {})",
-        record.spec.name, record.spec_hash, record.git_rev
-    );
-    println!(
-        "  {:<28} {:>9} {:>6} {:>12} {:>5} {:>7} {:>8}",
-        "cell", "evaluated", "hits", "score", "hit", "shrunk", "wall_s"
-    );
-    for c in &record.cells {
-        println!(
-            "  {:<28} {:>9} {:>6} {:>12.1} {:>5} {:>3}->{:<3} {:>8.2}",
-            c.cell.label,
-            c.evaluated,
-            c.hits,
-            c.artifact.score,
-            if c.artifact.hit { "HIT" } else { "-" },
-            c.entries_before,
-            c.entries_after,
-            c.wall_s
-        );
-    }
-    println!(
-        "  coverage: {}/{} schedule-space buckets ({:.1}%), {} crash entries explored",
-        record.coverage.covered(),
-        ftc::chaos::coverage::BUCKETS,
-        record.coverage.fraction() * 100.0,
-        record.coverage.entries()
-    );
-}
-
-/// `ftc hunt portfolio <run|gate>`: campaign-scale adversary search.
-fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
-    let verb = o
-        .positional
-        .get(1)
-        .ok_or("hunt portfolio needs a verb: ftc hunt portfolio <run|gate> ...")?;
-    let store = Store::at(&o.store);
-    match verb.as_str() {
-        "run" => {
-            let arg = o
-                .positional
-                .get(2)
-                .ok_or("hunt portfolio run needs a portfolio name or spec file")?;
-            let named = ftc::chaos::campaigns::named(arg, o.smoke);
-            let names = ftc::chaos::campaigns::names();
-            let spec = resolve_spec(arg, "portfolio", named, names, HuntCampaignSpec::from_json)?;
-            let record = run_hunt_campaign(&spec, o.jobs)?;
-            let id = record.id();
-            store
-                .put_rendered(&id, &record.to_json(true).render())
-                .map_err(|e| e.to_string())?;
-            print_hunt_record(&record, o.format);
-            if o.format != Format::Json {
-                println!("  stored as {id} in {}", store.dir().display());
-            }
-            if let Some(floor) = o.min_coverage {
-                if record.coverage.fraction() < floor {
-                    return Err(format!(
-                        "--min-coverage: explored {:.3} of schedule space, floor is {floor}",
-                        record.coverage.fraction()
-                    ));
-                }
-            }
-            if o.expect_hit && record.hits() == 0 {
-                return Err("--expect-hit: no cell found a counterexample".into());
-            }
-            if o.expect_empty && record.hits() > 0 {
-                let hits: Vec<&str> = record
-                    .cells
-                    .iter()
-                    .filter(|c| c.hits > 0)
-                    .map(|c| c.cell.label.as_str())
-                    .collect();
-                return Err(format!(
-                    "--expect-empty: {} cell(s) found counterexamples: {}",
-                    hits.len(),
-                    hits.join(", ")
-                ));
-            }
-            Ok(())
-        }
-        "gate" => {
-            let arg = o
-                .positional
-                .get(2)
-                .ok_or("hunt portfolio gate needs a record id or file")?;
-            let base = load_record(&store, "hunt", arg, HuntCampaignRecord::parse)?;
-            let fresh = run_hunt_campaign(&base.spec, o.jobs)?;
-            if fresh.deterministic_render() == base.deterministic_render() {
-                println!(
-                    "ok: portfolio {} reproduced bit-for-bit ({} cells, coverage {:.1}%)",
-                    base.id(),
-                    base.cells.len(),
-                    base.coverage.fraction() * 100.0
-                );
-                Ok(())
-            } else {
-                Err(format!(
-                    "portfolio drifted from baseline {}: fresh deterministic id is {}",
-                    base.id(),
-                    fresh.id()
-                ))
-            }
-        }
-        other => Err(format!("unknown hunt portfolio verb {other} (run|gate)")),
-    }
 }

@@ -1,9 +1,10 @@
-//! `lab`: declarative experiment campaigns and the results store
-//! (`ftc-lab`).
+//! `lab`: declarative experiment campaigns, portfolio hunts, and the
+//! results store that holds both (`ftc-lab`, `ftc-hunt`).
 
+use ftc::hunt::portfolio;
 use ftc::lab::campaigns;
 use ftc::prelude::*;
-use ftc::sim::json::{Json, JsonError};
+use ftc::sim::json::Json;
 
 use crate::flags::Opts;
 
@@ -23,74 +24,153 @@ fn lab_substrate(o: &Opts) -> Result<Substrate, String> {
     }
 }
 
-/// Resolves a registry-name-or-spec-file argument: `named` knows the
-/// registry (`names` lists it for the error), `from_json` decodes a file.
-pub fn resolve_spec<S>(
-    arg: &str,
-    what: &str,
-    named: Option<S>,
-    names: &[&str],
-    from_json: impl FnOnce(&Json) -> Result<S, JsonError>,
-) -> Result<S, String> {
-    if let Some(spec) = named {
-        return Ok(spec);
+/// What `lab run` executes: a measurement campaign or a portfolio hunt.
+enum Spec {
+    Lab(CampaignSpec),
+    Hunt(HuntCampaignSpec),
+}
+
+/// Resolves a `lab run` argument: a lab campaign name, then a portfolio
+/// name, then a spec file of either kind.
+fn resolve_spec(arg: &str, smoke: bool) -> Result<Spec, String> {
+    if let Some(spec) = campaigns::named(arg, smoke) {
+        return Ok(Spec::Lab(spec));
+    }
+    if let Some(spec) = portfolio::named(arg, smoke) {
+        return Ok(Spec::Hunt(spec));
     }
     if std::path::Path::new(arg).exists() {
         let text = std::fs::read_to_string(arg).map_err(|e| format!("{arg}: {e}"))?;
         let json = Json::parse(&text).map_err(|e| format!("{arg}: {e}"))?;
-        return from_json(&json).map_err(|e| format!("{arg}: {e}"));
+        return CampaignSpec::from_json(&json)
+            .map(Spec::Lab)
+            .or_else(|lab| match HuntCampaignSpec::from_json(&json) {
+                Ok(spec) => Ok(Spec::Hunt(spec)),
+                Err(hunt) => Err(format!("{arg}: {lab} (as a portfolio: {hunt})")),
+            });
     }
+    let mut names = campaigns::names();
+    names.extend(portfolio::names());
     Err(format!(
-        "`{arg}` is neither a known {what} ({}) nor a spec file",
+        "`{arg}` is neither a known campaign ({}) nor a spec file",
         names.join("|")
     ))
 }
 
-/// A record argument: a file path if one exists there, else the id (or
-/// unique id prefix) of a `kind` record in the store.
-pub fn load_record<R, E: std::fmt::Display>(
-    store: &Store,
-    kind: &str,
-    arg: &str,
-    parse: impl FnOnce(&str) -> Result<R, E>,
-) -> Result<R, String> {
-    let noun = match kind {
-        "hunt" => "portfolio record",
-        _ => "record",
-    };
-    let mut path = std::path::PathBuf::from(arg);
-    if !path.exists() {
-        let matches: Vec<String> = store
-            .list()
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .filter(|e| e.kind == kind && e.id.starts_with(arg))
-            .map(|e| e.id)
-            .collect();
-        path = match matches.as_slice() {
-            [id] => store.dir().join(format!("{id}.json")),
-            [] => {
-                return Err(format!(
-                    "no {noun} matching `{arg}` in {}",
-                    store.dir().display()
-                ))
-            }
-            many => {
-                return Err(format!(
-                    "`{arg}` is ambiguous ({} {noun}s match)",
-                    many.len()
-                ))
-            }
-        };
+/// `lab run` of a measurement campaign.
+fn run_lab(o: &Opts, store: &Store, spec: &CampaignSpec) -> Result<(), String> {
+    if o.min_coverage.is_some() || o.expect_hit || o.expect_empty {
+        return Err("--min-coverage, --expect-hit and --expect-empty judge portfolio hunts".into());
     }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    let record = run_campaign(spec, o.jobs, lab_substrate(o)?)?;
+    let id = store.put(&record).map_err(|e| e.to_string())?;
+    print_record(&record, o.format)?;
+    if o.format != Format::Json {
+        println!("  stored as {id} in {}", store.dir().display());
+    }
+    if record.checks.iter().any(|c| !c.pass) {
+        return Err("one or more exponent checks failed".into());
+    }
+    Ok(())
 }
 
-fn load_lab_record(store: &Store, arg: &str) -> Result<CampaignRecord, String> {
-    load_record(store, "lab", arg, |text| {
-        CampaignRecord::from_json(&Json::parse(text)?)
-    })
+/// `lab run` of a portfolio hunt: its cells name their own substrates.
+fn run_portfolio(o: &Opts, store: &Store, spec: &HuntCampaignSpec) -> Result<(), String> {
+    if o.substrate.is_some() || o.intra_jobs > 1 {
+        return Err(
+            "a portfolio cell names its own substrate (drop --substrate/--intra-jobs)".into(),
+        );
+    }
+    let record = run_hunt_campaign(spec, o.jobs)?;
+    let id = store.put(&record).map_err(|e| e.to_string())?;
+    print_hunt_record(&record, o.format);
+    if o.format != Format::Json {
+        println!("  stored as {id} in {}", store.dir().display());
+    }
+    if let Some(floor) = o.min_coverage {
+        if record.coverage.fraction() < floor {
+            return Err(format!(
+                "--min-coverage: explored {:.3} of schedule space, floor is {floor}",
+                record.coverage.fraction()
+            ));
+        }
+    }
+    if o.expect_hit && record.hits() == 0 {
+        return Err("--expect-hit: no cell found a counterexample".into());
+    }
+    if o.expect_empty && record.hits() > 0 {
+        let hits: Vec<&str> = record
+            .cells
+            .iter()
+            .filter(|c| c.hits > 0)
+            .map(|c| c.cell.label.as_str())
+            .collect();
+        return Err(format!(
+            "--expect-empty: {} cell(s) found counterexamples: {}",
+            hits.len(),
+            hits.join(", ")
+        ));
+    }
+    Ok(())
+}
+
+/// `lab gate` of a portfolio record: a fresh run of its spec must
+/// reproduce the deterministic payload byte for byte.
+fn gate_portfolio(base: &HuntCampaignRecord, jobs: usize) -> Result<(), String> {
+    let fresh = run_hunt_campaign(&base.spec, jobs)?;
+    let drift = base.drift(&fresh);
+    if drift.is_empty() {
+        println!(
+            "ok: portfolio {} reproduced bit-for-bit ({} cells, coverage {:.1}%)",
+            base.id(),
+            base.cells.len(),
+            base.coverage.fraction() * 100.0
+        );
+        return Ok(());
+    }
+    for line in &drift {
+        eprintln!("drift: {line}");
+    }
+    Err(format!(
+        "{} mismatch(es) against baseline {}",
+        drift.len(),
+        base.id()
+    ))
+}
+
+fn print_hunt_record(record: &HuntCampaignRecord, format: Format) {
+    if format == Format::Json {
+        println!("{}", record.to_json(true).render());
+        return;
+    }
+    println!(
+        "portfolio {} (spec {}, git {})",
+        record.spec.name, record.spec_hash, record.git_rev
+    );
+    println!(
+        "  {:<28} {:>9} {:>6} {:>12} {:>5} {:>7} {:>8}",
+        "cell", "evaluated", "hits", "score", "hit", "shrunk", "wall_s"
+    );
+    for c in &record.cells {
+        println!(
+            "  {:<28} {:>9} {:>6} {:>12.1} {:>5} {:>3}->{:<3} {:>8.2}",
+            c.cell.label,
+            c.evaluated,
+            c.hits,
+            c.artifact.score,
+            if c.artifact.hit { "HIT" } else { "-" },
+            c.entries_before,
+            c.entries_after,
+            c.wall_s
+        );
+    }
+    println!(
+        "  coverage: {}/{} schedule-space buckets ({:.1}%), {} crash entries explored",
+        record.coverage.covered(),
+        portfolio::BUCKETS,
+        record.coverage.fraction() * 100.0,
+        record.coverage.entries()
+    );
 }
 
 /// Prints `record`: as JSON, as its campaign's figure when the campaign
@@ -154,23 +234,10 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             .ok_or_else(|| format!("lab {verb} needs {what}"))
     };
     match verb.as_str() {
-        "run" => {
-            let arg = arg(1, "a campaign name or spec file")?;
-            let named = campaigns::named(&arg, o.smoke);
-            let names = campaigns::names();
-            let spec = resolve_spec(&arg, "campaign", named, &names, CampaignSpec::from_json)?;
-            let substrate = lab_substrate(o)?;
-            let record = run_campaign(&spec, o.jobs, substrate)?;
-            let id = store.put(&record).map_err(|e| e.to_string())?;
-            print_record(&record, o.format)?;
-            if o.format != Format::Json {
-                println!("  stored as {id} in {}", store.dir().display());
-            }
-            if record.checks.iter().any(|c| !c.pass) {
-                return Err("one or more exponent checks failed".into());
-            }
-            Ok(())
-        }
+        "run" => match resolve_spec(&arg(1, "a campaign name or spec file")?, o.smoke)? {
+            Spec::Lab(spec) => run_lab(o, &store, &spec),
+            Spec::Hunt(spec) => run_portfolio(o, &store, &spec),
+        },
         "list" => {
             let entries: Vec<_> = store
                 .list()
@@ -206,25 +273,37 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             }
             Ok(())
         }
-        "show" => {
-            let record = store
-                .resolve(&arg(1, "a record id (or unique prefix)")?)
-                .map_err(|e| e.to_string())?;
-            print_record(&record, o.format)
-        }
+        "show" => match store.resolve(&arg(1, "a record id (or unique prefix)")?) {
+            Ok(Record::Lab(record)) => print_record(&record, o.format),
+            Ok(Record::Hunt(record)) => {
+                print_hunt_record(&record, o.format);
+                Ok(())
+            }
+            Err(e) => Err(e.to_string()),
+        },
         "diff" => {
-            let base = load_lab_record(&store, &arg(1, "a baseline record")?)?;
-            let fresh = load_lab_record(&store, &arg(2, "a fresh record")?)?;
+            let lab = |k, what| match store.resolve(&arg(k, what)?) {
+                Ok(Record::Lab(record)) => Ok(record),
+                Ok(Record::Hunt(record)) => Err(format!(
+                    "{} is a portfolio hunt; lab diff compares lab records (lab gate re-runs it)",
+                    record.id()
+                )),
+                Err(e) => Err(e.to_string()),
+            };
+            let base = lab(1, "a baseline record")?;
+            let fresh = lab(2, "a fresh record")?;
             let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
             report_diff(&base, &fresh, &tol)
         }
-        "gate" => {
-            let base = load_lab_record(&store, &arg(1, "a baseline record or file")?)?;
-            let substrate = lab_substrate(o)?;
-            let fresh = run_campaign(&base.spec, o.jobs, substrate)?;
-            let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
-            report_diff(&base, &fresh, &tol)
-        }
+        "gate" => match store.resolve(&arg(1, "a baseline record or file")?) {
+            Ok(Record::Lab(base)) => {
+                let fresh = run_campaign(&base.spec, o.jobs, lab_substrate(o)?)?;
+                let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
+                report_diff(&base, &fresh, &tol)
+            }
+            Ok(Record::Hunt(base)) => gate_portfolio(&base, o.jobs),
+            Err(e) => Err(e.to_string()),
+        },
         "baseline" => {
             let dir = std::path::Path::new(o.out.as_deref().unwrap_or("."));
             std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;

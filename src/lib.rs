@@ -3,10 +3,11 @@
 //! Umbrella crate for the reproduction of Kumar & Molla, *"On the Message
 //! Complexity of Fault-Tolerant Computation: Leader Election and
 //! Agreement"* (PODC 2021 brief announcement; full version IEEE TPDS
-//! 34(4), 2023). It re-exports the four member crates:
+//! 34(4), 2023). It re-exports the nine member crates:
 //!
-//! * [`sim`] — the synchronous crash-fault complete-network simulator
-//!   (KT0 ports, CONGEST accounting, adversaries, traces);
+//! * [`sim`] — the synchronous crash-fault simulator (KT0 ports, CONGEST
+//!   accounting, adversaries, traces) on the complete network or a sparse
+//!   topology;
 //! * [`core`] — the paper's protocols: implicit/explicit leader election
 //!   and agreement, plus worst-case adversaries;
 //! * [`baselines`] — the Table-I comparison protocols (FloodSet,
@@ -14,22 +15,22 @@
 //! * [`lowerbound`] — influence-cloud analysis for the `Ω(√n/α^{3/2})`
 //!   lower bounds (the message-budget sweeps are lab cells: `ftc sweep`,
 //!   the `fig-lowerbound` campaign);
-//! * [`net`] — the real message-passing runtime: the same protocols over
-//!   in-process channels or localhost TCP sockets, bit-identical to the
-//!   simulator for any `(SimConfig, seed)`;
-//! * [`mesh`] — the multiplexed socket runtime: one socket per *process*
-//!   pair and many simulated nodes per process, taking real cluster runs
-//!   from n=8 to n=1024 on the same sans-I/O round core;
+//! * [`net`] — the sans-I/O round core and the round driver over
+//!   in-process channels, bit-identical to the simulator for any
+//!   `(SimConfig, seed)`;
+//! * [`mesh`] — the socket runtime: one localhost socket per *process*
+//!   pair and many simulated nodes per process on the same round core,
+//!   and the one `Substrate` every run names;
 //! * [`hunt`] — adversary search: hunts, shrinks, and replays worst-case
-//!   crash schedules as committed counterexample artifacts;
-//! * [`chaos`] — portfolio hunts at campaign scale: the full strategies ×
-//!   objectives × protocol grid as one self-describing record with a
-//!   schedule-space coverage figure, plus socket-level wire-fault search;
+//!   crash schedules as committed counterexample artifacts, and runs the
+//!   whole strategies × objectives × protocols grid as one portfolio
+//!   record with a schedule-space coverage figure (also reachable as
+//!   `chaos`, its former crate name);
 //! * [`lab`] — declarative experiment campaigns: parameter grids over the
 //!   protocols (Table I and every figure among them, with their
-//!   renderers), a content-addressed results store under `results/store/`,
-//!   cell-by-cell diffs with statistical tolerance bands, and the CI perf
-//!   gate built on them;
+//!   renderers), a content-addressed results store under `results/store/`
+//!   that holds lab and portfolio records alike, cell-by-cell diffs with
+//!   statistical tolerance bands, and the CI perf gate built on them;
 //! * [`serve`] — a long-lived leader *service*: repeated election heights
 //!   over the unmodified protocols, leader-kill churn with rejoin, a
 //!   deterministic load generator, and a runtime invariant monitor that
@@ -53,9 +54,9 @@
 #![warn(missing_docs)]
 
 pub use ftc_baselines as baselines;
-pub use ftc_chaos as chaos;
 pub use ftc_core as core;
 pub use ftc_hunt as hunt;
+pub use ftc_hunt as chaos;
 pub use ftc_lab as lab;
 pub use ftc_lowerbound as lowerbound;
 pub use ftc_mesh as mesh;
@@ -69,12 +70,11 @@ pub mod output;
 pub mod prelude {
     pub use crate::output::{emit_summaries, render_summaries, Format, RowWriter, Value};
     pub use ftc_baselines::prelude::*;
-    pub use ftc_chaos::prelude::*;
     pub use ftc_core::prelude::*;
     pub use ftc_hunt::prelude::*;
     pub use ftc_lab::{
         diff_records, run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, CheckAxis,
-        CheckMetric, DiffReport, ExponentCheck, Store, Tolerance, Workload,
+        CheckMetric, DiffReport, ExponentCheck, Record, Store, Tolerance, Workload,
     };
     pub use ftc_lowerbound::prelude::*;
     pub use ftc_mesh::prelude::*;

@@ -1,13 +1,16 @@
 //! End-to-end coverage of the `ftc lab gate` CLI contract: a gate against
 //! an honest baseline exits 0, and *any* perturbation of a measured
-//! number in the baseline makes the gate exit non-zero. This drives the
-//! real binary (not the library) so argument parsing, record loading and
-//! process exit codes are all on the hook.
+//! number in the baseline makes the gate exit non-zero — for lab records
+//! and portfolio-hunt records alike. This drives the real binary (not the
+//! library) so argument parsing, record loading and process exit codes
+//! are all on the hook.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
+use ftc::hunt::portfolio::HuntCampaignRecord;
 use ftc::lab::{run_campaign, Adv, CampaignSpec, CellSpec, Store, Substrate, Workload};
+use ftc::sim::json::Json;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ftc-gate-cli-{tag}-{}", std::process::id()));
@@ -16,13 +19,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn gate(baseline: &std::path::Path) -> std::process::Output {
+fn ftc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ftc"))
-        .args(["lab", "gate"])
-        .arg(baseline)
-        .args(["--jobs", "1"])
+        .args(args)
         .output()
         .expect("spawn ftc")
+}
+
+fn gate(baseline: &Path) -> Output {
+    ftc(&["lab", "gate", baseline.to_str().unwrap(), "--jobs", "1"])
 }
 
 #[test]
@@ -74,5 +79,54 @@ fn gate_passes_honest_baseline_and_fails_perturbed_one() {
         "gate failure output should list drifting cells, got:\n{stderr}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn portfolio_records_gate_and_show_through_lab() {
+    let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/store");
+    let committed = store.join("adversary-portfolio-598993f4cd7641a0.json");
+    let out = gate(&committed);
+    assert!(
+        out.status.success(),
+        "committed portfolio failed its gate:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // One cell's hit count, off by one.
+    let dir = tmp_dir("portfolio");
+    let text = std::fs::read_to_string(&committed).unwrap();
+    let mut doctored = HuntCampaignRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
+    doctored.cells[0].hits += 1;
+    let label = doctored.cells[0].cell.label.clone();
+    let path = dir.join("doctored.json");
+    std::fs::write(&path, doctored.to_json(true).render()).unwrap();
+    let out = gate(&path);
+    assert!(!out.status.success(), "gate accepted a doctored portfolio");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("drift: cell {label}: `hits`")) && stderr.contains("mismatch"),
+        "gate failure output should name the drifting cell and key, got:\n{stderr}"
+    );
+
+    let out = ftc(&[
+        "lab",
+        "show",
+        "adversary-portfolio",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("coverage: 80/80"), "{stdout}");
+
+    // The verb tree `lab` replaced is gone, not a default hunt.
+    let out = ftc(&["hunt", "portfolio", "run", "adversary-portfolio"]);
+    assert_eq!(out.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
