@@ -315,9 +315,17 @@ pub fn export(record: &CampaignRecord, path: &Path) -> io::Result<usize> {
         entries.push(record_entry(record));
     }
     let count = entries.len();
+    // The header names every campaign the file holds, not the last to
+    // export: one name for a single-campaign file, as it always was.
+    let mut names: Vec<&str> = entries
+        .iter()
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str().ok()))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
     let doc = Json::Obj(vec![
         ("schema".into(), Json::Str("ftc-lab-bench/v1".into())),
-        ("protocol".into(), Json::Str(record.spec.name.clone())),
+        ("protocol".into(), Json::Str(names.join(", "))),
         ("entries".into(), Json::Arr(entries)),
     ]);
     let mut text = doc.render();
@@ -378,16 +386,32 @@ mod tests {
         );
         assert_eq!(latest.field("wall_s").unwrap().as_f64().unwrap(), 0.25);
         let text = fs::read_to_string(&path).unwrap();
-        let json = Json::parse(&text).unwrap();
-        assert_eq!(
-            json.field("schema").unwrap().as_str().unwrap(),
-            "ftc-lab-bench/v1"
+        // A single-campaign file's header is the campaign's name.
+        assert!(
+            text.starts_with(
+                r#"{"schema":"ftc-lab-bench/v1","protocol":"bench-unit","entries":[{"#
+            ),
+            "{}",
+            &text[..80]
         );
+        let json = Json::parse(&text).unwrap();
         let entries = json.field("entries").unwrap().as_arr().unwrap();
         assert_eq!(entries.len(), 3);
         let cell = &entries[0].field("cells").unwrap().as_arr().unwrap()[0];
         assert!(cell.get("success_rate").is_some());
         assert!(cell.field("msgs").unwrap().get("median").is_some());
+
+        // A second campaign joins the header in sorted order, whichever
+        // campaign exported last.
+        let mut other = record(1);
+        other.spec.name = "another-unit".into();
+        assert_eq!(export(&other, &path).unwrap(), 4);
+        assert_eq!(export(&record(2), &path).unwrap(), 4);
+        let json = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            json.field("protocol").unwrap().as_str().unwrap(),
+            "another-unit, bench-unit"
+        );
         let _ = fs::remove_file(&path);
     }
 

@@ -290,11 +290,18 @@ where
                     self.id.0, f.src.0, f.round
                 )
             })?;
+            // The sender's id waits in `port` for the one inverse walk
+            // below, which maps every sender to its local port.
             self.inbox.push(Incoming {
-                port: self.harness.port_from(f.src),
+                port: Port(f.src.0),
                 msg,
             });
         }
+        self.harness.ports_from(
+            &mut self.inbox,
+            |m| NodeId(m.port.0),
+            |m, port| m.port = port,
+        );
         self.got.clear();
         self.round += 1;
         let round = self.round;

@@ -27,7 +27,7 @@ use crate::node::NodeHarness;
 use crate::payload::Payload;
 use crate::perm::stream_seed;
 use crate::protocol::{Incoming, Protocol};
-use crate::round::{network_ports, resolve_sends, SALT_ADVERSARY, SALT_EDGES, SALT_FILTERS};
+use crate::round::{network_ports, SALT_ADVERSARY, SALT_EDGES, SALT_FILTERS};
 use crate::trace::{Trace, TraceEvent};
 
 /// The pre-optimisation control plane, verbatim.
@@ -303,7 +303,22 @@ where
             let act = nodes[u].activate(round, &inboxes[u]);
             suppressed += act.suppressed;
             terminated[u] = act.terminated;
-            outgoing[u] = resolve_sends(&ports, NodeId(u as u32), act.sends);
+            // Routed one message at a time, so the batched walks of
+            // `resolve_sends` are checked against the scalar lookups.
+            let src = NodeId(u as u32);
+            outgoing[u] = act
+                .sends
+                .into_iter()
+                .map(|(port, msg)| {
+                    let dst = ports[u].peer(port);
+                    Envelope {
+                        src,
+                        dst,
+                        dst_port: ports[dst.index()].port_to(src),
+                        msg,
+                    }
+                })
+                .collect();
             inboxes[u].clear();
         }
 

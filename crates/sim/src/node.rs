@@ -162,14 +162,22 @@ impl<P: Protocol> NodeHarness<P> {
         }
     }
 
-    /// The local port a message from `src` arrives on — what a network
-    /// node computes when a frame carries its sender's id.
+    /// The local ports a batch of messages arrives on — what a network
+    /// node computes when frames carry their senders' ids:
+    /// `set(item, port_to(src_of(item)))` for every item, in one inverse
+    /// walk of this node's map eight lanes abreast.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is this node itself or out of range.
-    pub fn port_from(&self, src: NodeId) -> Port {
-        self.ports.port_to(src)
+    /// Panics if a sender is this node itself, out of range, or not a
+    /// neighbour.
+    pub fn ports_from<T>(
+        &self,
+        items: &mut [T],
+        src_of: impl Fn(&T) -> NodeId,
+        set: impl FnMut(&mut T, Port),
+    ) {
+        PortMap::ports_to(items, |item| (&self.ports, src_of(item)), set);
     }
 
     /// Read access to the protocol state.
@@ -263,9 +271,14 @@ mod tests {
                 heard: 0,
             },
         );
-        assert_eq!(
-            recv.port_from(NodeId(5)),
-            ports[peer.index()].port_to(NodeId(5))
-        );
+        let mut from: Vec<(NodeId, Port)> = (0..16)
+            .map(NodeId)
+            .filter(|&u| u != peer)
+            .map(|u| (u, Port(u32::MAX)))
+            .collect();
+        recv.ports_from(&mut from, |&(u, _)| u, |item, port| item.1 = port);
+        for (u, port) in from {
+            assert_eq!(port, ports[peer.index()].port_to(u), "from {u}");
+        }
     }
 }

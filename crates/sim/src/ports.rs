@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use crate::ids::{NodeId, Port};
-use crate::perm::{stream_seed, Perm};
+use crate::perm::{stream_seed, walk, Perm, LANES};
 
 /// How one node's ports attach to the graph: the shape its permutation
 /// ranges over.
@@ -119,6 +119,69 @@ impl PortMap {
     /// Panics if `port` is out of range; the message carries the node,
     /// degree, and topology seed so the failure replays deterministically.
     pub fn peer(&self, port: Port) -> NodeId {
+        self.neighbour_at(self.perm.apply(self.port_index(port)))
+    }
+
+    /// [`PortMap::peer`] for a batch: `set(item, peer(port_of(item)))` for
+    /// every item, in one forward walk of this map's cipher eight lanes
+    /// abreast. Panics exactly as `peer` does.
+    pub(crate) fn peers<T>(
+        &self,
+        items: &mut [T],
+        port_of: impl Fn(&T) -> Port,
+        mut set: impl FnMut(&mut T, NodeId),
+    ) {
+        walk::<_, LANES, false>(
+            items,
+            |item| (&self.perm, self.port_index(port_of(item))),
+            |item, k| set(item, self.neighbour_at(k)),
+        );
+    }
+
+    /// The local port through which neighbour `peer` is reached, or
+    /// `None` if the graph has no `(self, peer)` edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is this node itself or out of range — those are
+    /// caller bugs, not topology facts.
+    pub fn try_port_to(&self, peer: NodeId) -> Option<Port> {
+        self.try_index_of(peer)
+            .map(|k| Port(self.perm.invert(k) as u32))
+    }
+
+    /// The local port through which neighbour `peer` is reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is this node itself, out of range, or not adjacent
+    /// to this node; the non-edge message carries both endpoints and the
+    /// topology seed so the failure is a replayable artifact.
+    pub fn port_to(&self, peer: NodeId) -> Port {
+        Port(self.perm.invert(self.index_of(peer)) as u32)
+    }
+
+    /// [`PortMap::port_to`] for a batch in which every item names its own
+    /// map and peer: `set(item, map.port_to(peer))` for `(map, peer) =
+    /// route(item)`, in one inverse walk eight lanes abreast. Panics
+    /// exactly as `port_to` does.
+    pub(crate) fn ports_to<'p, T>(
+        items: &mut [T],
+        route: impl Fn(&T) -> (&'p PortMap, NodeId),
+        mut set: impl FnMut(&mut T, Port),
+    ) {
+        walk::<_, LANES, true>(
+            items,
+            |item| {
+                let (map, peer) = route(item);
+                (&map.perm, map.index_of(peer))
+            },
+            |item, port| set(item, Port(port as u32)),
+        );
+    }
+
+    /// The cipher input of `port`, range-checked with this node's context.
+    fn port_index(&self, port: Port) -> u64 {
         assert!(
             port.0 < self.degree,
             "port {port} out of range at node {node} (degree {degree}, topology seed {seed:#018x})",
@@ -126,7 +189,12 @@ impl PortMap {
             degree = self.degree,
             seed = self.seed,
         );
-        let k = self.perm.apply(u64::from(port.0)) as u32;
+        u64::from(port.0)
+    }
+
+    /// The neighbour at index `k` of the wiring (the cipher's output).
+    fn neighbour_at(&self, k: u64) -> NodeId {
+        let k = k as u32;
         match &self.wiring {
             // Skip-self encoding: neighbour indices `0..n-1` exclude
             // `self.node`.
@@ -138,14 +206,9 @@ impl PortMap {
         }
     }
 
-    /// The local port through which neighbour `peer` is reached, or
-    /// `None` if the graph has no `(self, peer)` edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is this node itself or out of range — those are
-    /// caller bugs, not topology facts.
-    pub fn try_port_to(&self, peer: NodeId) -> Option<Port> {
+    /// The wiring index of neighbour `peer`, or `None` if the graph has no
+    /// `(self, peer)` edge.
+    fn try_index_of(&self, peer: NodeId) -> Option<u64> {
         assert!(peer.0 < self.n, "peer {peer} outside network");
         assert_ne!(peer, self.node, "a node has no port to itself");
         let k = match &self.wiring {
@@ -157,18 +220,12 @@ impl PortMap {
             Wiring::Hub { clusters } => (peer.0 < *clusters).then_some(peer.0),
             Wiring::List(list) => list.binary_search(&peer.0).ok().map(|i| i as u32),
         }?;
-        Some(Port(self.perm.invert(u64::from(k)) as u32))
+        Some(u64::from(k))
     }
 
-    /// The local port through which neighbour `peer` is reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is this node itself, out of range, or not adjacent
-    /// to this node; the non-edge message carries both endpoints and the
-    /// topology seed so the failure is a replayable artifact.
-    pub fn port_to(&self, peer: NodeId) -> Port {
-        self.try_port_to(peer).unwrap_or_else(|| {
+    /// [`PortMap::try_index_of`], panicking on a non-edge.
+    fn index_of(&self, peer: NodeId) -> u64 {
+        self.try_index_of(peer).unwrap_or_else(|| {
             panic!(
                 "node {node} has no edge to {peer} (topology seed {seed:#018x})",
                 node = self.node,

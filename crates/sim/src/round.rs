@@ -83,6 +83,12 @@ pub fn resolve_sends<M>(
 /// the routed envelopes into `out` (cleared first). The engine calls this
 /// once per node per round with pooled buffers, so steady-state rounds
 /// resolve without touching the allocator.
+///
+/// The routing is two batched walks of the port ciphers, in place in
+/// `out`: each envelope parks its sender-side port in `dst_port`, one
+/// forward walk over the sender's map turns it into `dst`, and one inverse
+/// walk, with each envelope on its receiver's map, writes the receiver-side
+/// port over it.
 pub fn resolve_sends_into<M>(
     ports: &[PortMap],
     src: NodeId,
@@ -90,17 +96,18 @@ pub fn resolve_sends_into<M>(
     out: &mut Vec<Envelope<M>>,
 ) {
     out.clear();
-    out.reserve(sends.len());
-    let src_ports = &ports[src.index()];
-    for (port, msg) in sends.drain(..) {
-        let dst = src_ports.peer(port);
-        out.push(Envelope {
-            src,
-            dst,
-            dst_port: ports[dst.index()].port_to(src),
-            msg,
-        });
-    }
+    out.extend(sends.drain(..).map(|(port, msg)| Envelope {
+        src,
+        dst: src,
+        dst_port: port,
+        msg,
+    }));
+    ports[src.index()].peers(out, |e| e.dst_port, |e, dst| e.dst = dst);
+    PortMap::ports_to(
+        out,
+        |e| (&ports[e.dst.index()], src),
+        |e, port| e.dst_port = port,
+    );
 }
 
 /// What the control core decided for one round.
@@ -782,6 +789,78 @@ mod tests {
             // permutation, lands on the same port the engine precomputed.
             assert_eq!(ports[e.dst.index()].port_to(e.src), e.dst_port);
         }
+    }
+
+    #[test]
+    fn batched_resolution_matches_per_message_lookups_on_every_wiring() {
+        use crate::topology::Topology;
+        // n = 66: a complete node's 65 ports sit in a carrier of 256, so
+        // walks run long and lanes refill out of order. Diameter-two
+        // non-hubs use the hub wiring and rr:6 the neighbour lists.
+        for topology in [
+            Topology::Complete,
+            Topology::DiameterTwo { clusters: 5 },
+            Topology::RandomRegular { d: 6 },
+        ] {
+            let cfg = SimConfig::new(66).seed(3).topology(topology.clone());
+            let ports = network_ports(&cfg);
+            for (u, map) in ports.iter().enumerate() {
+                let src = NodeId(u as u32);
+                // Every port twice, in two orders, so batch sizes span
+                // whole, partial and single-lane tails.
+                let deg = map.port_count();
+                let sends: Vec<(Port, u64)> = (0..deg)
+                    .chain((0..deg).rev())
+                    .map(|p| (Port(p), u64::from(p)))
+                    .collect();
+                for len in [0, 1, 3, 8, 9, sends.len()] {
+                    let batch = sends[..len.min(sends.len())].to_vec();
+                    let got = resolve_sends(&ports, src, batch.clone());
+                    let want: Vec<Envelope<u64>> = batch
+                        .into_iter()
+                        .map(|(port, msg)| {
+                            let dst = map.peer(port);
+                            Envelope {
+                                src,
+                                dst,
+                                dst_port: ports[dst.index()].port_to(src),
+                                msg,
+                            }
+                        })
+                        .collect();
+                    assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (g.src, g.dst, g.dst_port, g.msg),
+                            (w.src, w.dst, w.dst_port, w.msg),
+                            "{topology} node {u}, batch of {len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_resolution_panics_with_the_scalar_context() {
+        let panic_of = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>()
+                .expect("string payload")
+                .clone()
+        };
+        let ports = network_ports(&SimConfig::new(4).seed(2));
+        let scalar = panic_of(&|| {
+            ports[1].peer(Port(3));
+        });
+        let batched = panic_of(&|| {
+            resolve_sends(&ports, NodeId(1), vec![(Port(0), 0u64), (Port(3), 1)]);
+        });
+        assert_eq!(batched, scalar);
+        assert!(
+            scalar.contains("at node n1 (degree 3, topology seed 0x"),
+            "{scalar}"
+        );
     }
 
     #[test]

@@ -384,6 +384,75 @@ fn committed_counterexample_replays_identically_on_the_mesh() {
     }
 }
 
+// ---------------------------------------------------------------------
+// n = 66: a node's 65 ports sit in a port-cipher carrier of 256, so the
+// cycle walks average 3.9 steps and the engine's batched port lanes
+// finish out of order — unlike N = 64, where every walk is one step.
+// ---------------------------------------------------------------------
+
+const N_LONG_WALKS: u32 = 66;
+
+#[test]
+fn leader_election_matches_engine_where_port_walks_are_long() {
+    let params = Params::new(N_LONG_WALKS, ALPHA).unwrap();
+    let f = params.max_faults();
+    let cfg = SimConfig::new(N_LONG_WALKS)
+        .seed(7)
+        .max_rounds(params.le_round_budget());
+    let sim = run(
+        &cfg,
+        |_| LeNode::new(params.clone()),
+        le_adversary("random", f).as_mut(),
+    );
+    let expected = le_fingerprint(&sim);
+    let channel = run_over_channel(
+        &cfg,
+        4,
+        |_| LeNode::new(params.clone()),
+        le_adversary("random", f).as_mut(),
+    );
+    assert_eq!(le_fingerprint(&channel.run), expected, "channel:4");
+    let mesh = run_over_mesh(
+        &cfg,
+        2,
+        |_| LeNode::new(params.clone()),
+        le_adversary("random", f).as_mut(),
+    )
+    .expect("mesh fabric");
+    assert_eq!(le_fingerprint(&mesh.run), expected, "mesh:2");
+}
+
+#[test]
+fn agreement_matches_engine_where_port_walks_are_long() {
+    let params = Params::new(N_LONG_WALKS, ALPHA).unwrap();
+    let f = params.max_faults();
+    let input = |id: NodeId| !id.0.is_multiple_of(8);
+    let cfg = SimConfig::new(N_LONG_WALKS)
+        .seed(13)
+        .max_rounds(params.agreement_round_budget());
+    let sim = run(
+        &cfg,
+        |id| AgreeNode::new(params.clone(), input(id)),
+        agree_adversary("targeted", f).as_mut(),
+    );
+    let expected = agree_fingerprint(&sim);
+    let channel = run_over_channel(
+        &cfg,
+        4,
+        |id| AgreeNode::new(params.clone(), input(id)),
+        agree_adversary("targeted", f).as_mut(),
+    );
+    assert_eq!(agree_fingerprint(&channel.run), expected, "channel:4");
+    let mesh = run_over_mesh(
+        &cfg,
+        2,
+        |id| AgreeNode::new(params.clone(), input(id)),
+        agree_adversary("targeted", f).as_mut(),
+    )
+    .expect("mesh fabric");
+    assert_eq!(agree_fingerprint(&mesh.run), expected, "mesh:2");
+}
+
 #[test]
 fn mesh_socket_count_is_quadratic_in_procs_not_nodes() {
     // The scaling claim that makes n=1024 feasible: sockets depend on the
