@@ -16,21 +16,26 @@
 //!   that arrive ([`RoundCore::feed`] buffers out-of-order next-round
 //!   frames and rejects stale or foreign-height ones), ask it whether the
 //!   round is quiescent ([`RoundCore::ready`] — all frames the coordinator
-//!   promised have arrived), and step it ([`RoundCore::activate`] →
-//!   submission out, [`RoundCore::apply`] → routed frames to transmit,
-//!   [`RoundCore::end_round`] → next round's inbox assembled in the
-//!   engine's canonical `(src, seq)` order).
+//!   promised have arrived), and step it ([`RoundCore::activate`] → the
+//!   node's sends, routed through its own KT0 port map, out as a
+//!   submission; [`RoundCore::apply`] → the survivors of adjudication
+//!   encoded into frames to transmit; [`RoundCore::end_round`] → next
+//!   round's inbox assembled in the engine's canonical `(src, seq)`
+//!   order).
 //! * [`CoordinatorCore`] — the global control plane. Collect one
 //!   [`Submission`] per alive node, call
-//!   [`CoordinatorCore::adjudicate`]: it routes sends through the KT0 port
-//!   permutations, consults the adversary, applies crash filters via the
-//!   engine's own [`ControlCore`], and returns one [`Command`] per
-//!   participant plus the stop verdict.
+//!   [`CoordinatorCore::adjudicate`]: it consults the adversary and
+//!   applies crash filters via the engine's own [`ControlCore`], filtering
+//!   each submission's envelopes in place, and hands each participant its
+//!   own envelopes back in a [`Command`], plus the stop verdict.
 //!
-//! Because the adjudication path *is* [`ControlCore::finish_round`] — the
-//! same code the in-process engine runs — any driver built on these cores
-//! is bit-identical to the engine for the same `(SimConfig, seed)`,
-//! whatever its transport does.
+//! Everything per frame — routing, encoding, decoding, port resolution —
+//! is a node's own work, so a driver runs it on the node's thread; the
+//! coordinator does only what needs the whole round (DESIGN D25). Because
+//! the adjudication path *is* [`ControlCore::finish_round`] — the same
+//! code the in-process engine runs — any driver built on these cores is
+//! bit-identical to the engine for the same `(SimConfig, seed)`, whatever
+//! its transport does.
 
 use ftc_sim::adversary::{Adversary, Envelope};
 use ftc_sim::engine::SimConfig;
@@ -39,18 +44,20 @@ use ftc_sim::node::NodeHarness;
 use ftc_sim::payload::Wire;
 use ftc_sim::ports::PortMap;
 use ftc_sim::protocol::{Incoming, Protocol};
-use ftc_sim::round::{network_ports, resolve_sends, ControlCore, ControlOutput};
+use ftc_sim::round::{network_ports, ControlCore, ControlOutput};
 
 use crate::frame::{Frame, Payload};
 
-/// One node's round submission to the coordinator: its queued sends, still
-/// in KT0 port space (the coordinator routes them).
+/// One node's round submission to the coordinator: its queued sends,
+/// already routed through its own port map.
 #[derive(Debug)]
 pub struct Submission<M> {
     /// The submitting node.
     pub node: NodeId,
-    /// Queued sends in the node's private port space.
-    pub sends: Vec<(Port, M)>,
+    /// Queued sends in send order, `dst` resolved and `dst_port`
+    /// [`Port::UNRESOLVED`]. The buffer comes back, filtered, in the
+    /// node's next [`Command`].
+    pub sends: Vec<Envelope<M>>,
     /// Sends the harness suppressed under the send cap.
     pub suppressed: u64,
     /// The node's protocol reports termination.
@@ -77,9 +84,11 @@ impl<M> Submission<M> {
 
 /// The coordinator's round verdict for one node.
 #[derive(Debug)]
-pub struct Command {
-    /// Frames to transmit, already routed and filtered.
-    pub frames: Vec<(NodeId, Frame)>,
+pub struct Command<M> {
+    /// The node's sends that survived adjudication, in order: its
+    /// submission's buffer filtered in place, or the adversary's forgeries
+    /// in its stead. [`RoundCore::apply`] encodes them.
+    pub sends: Vec<Envelope<M>>,
     /// How many frames to expect for this round's collect phase.
     pub expect: usize,
     /// This node crashed this round: transmit, then tear down.
@@ -88,12 +97,12 @@ pub struct Command {
     pub stop: bool,
 }
 
-impl Command {
+impl<M> Command<M> {
     /// A bare stop command — used to unwedge surviving nodes after a run
     /// failure.
     pub fn stop() -> Self {
         Command {
-            frames: Vec::new(),
+            sends: Vec::new(),
             expect: 0,
             crashed: false,
             stop: true,
@@ -104,9 +113,9 @@ impl Command {
 /// One round's adjudicated output: per-participant commands, in node-id
 /// order over the nodes that were alive at the round's start.
 #[derive(Debug)]
-pub struct RoundPlan {
+pub struct RoundPlan<M> {
     /// One command per node alive at the start of the round.
-    pub commands: Vec<(NodeId, Command)>,
+    pub commands: Vec<(NodeId, Command<M>)>,
     /// The run is over after this round.
     pub stop: bool,
 }
@@ -129,8 +138,8 @@ pub enum NodeStatus {
 ///
 /// ```text
 /// loop {
-///     let sub    = core.activate();          // -> ship to coordinator
-///     let frames = core.apply(command);      // <- coordinator; -> transmit
+///     let sub    = core.activate();          // routed sends -> coordinator
+///     let frames = core.apply(command);      // survivors, encoded -> transmit
 ///     while !core.ready() { core.feed(recv_frame)?; }   // quiescence
 ///     core.end_round()?;                     // inbox for next activate
 /// }
@@ -153,6 +162,15 @@ pub struct RoundCore<P: Protocol> {
     /// Early frames for rounds we have not reached yet.
     pending: Vec<Frame>,
     inbox: Vec<Incoming<P::Msg>>,
+    /// The protocol's queued `(port, msg)` sends, kept like `inbox`.
+    outbox: Vec<(Port, P::Msg)>,
+    /// The envelope buffer between an [`apply`](RoundCore::apply) and the
+    /// next [`activate`](RoundCore::activate): it leaves in each
+    /// [`Submission`] and returns in the [`Command`], so it is allocated
+    /// and freed on this node's thread (unless a tamper replaces it).
+    sends: Vec<Envelope<P::Msg>>,
+    /// Every payload is encoded here and copied into its frame.
+    scratch: Vec<u8>,
 }
 
 impl<P> RoundCore<P>
@@ -172,6 +190,9 @@ where
             got: Vec::new(),
             pending: Vec::new(),
             inbox: Vec::new(),
+            outbox: Vec::new(),
+            sends: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -206,37 +227,71 @@ where
     }
 
     /// Runs the protocol against the inbox assembled by the previous
-    /// [`end_round`](RoundCore::end_round) and returns the submission to
-    /// ship to the coordinator. Only valid while active.
+    /// [`end_round`](RoundCore::end_round), routes its sends through this
+    /// node's port map into the buffer the last [`Command`] returned, and
+    /// returns the submission to ship to the coordinator. Only valid while
+    /// active.
     pub fn activate(&mut self) -> Submission<P::Msg> {
         debug_assert_eq!(self.status, NodeStatus::Active);
-        let activation = self.harness.activate(self.round, &self.inbox);
+        let meta = self
+            .harness
+            .activate_into(self.round, &self.inbox, &mut self.outbox);
+        let mut sends = std::mem::take(&mut self.sends);
+        self.harness.route(&mut self.outbox, &mut sends);
         Submission {
             node: self.id,
-            sends: activation.sends,
-            suppressed: activation.suppressed,
-            terminated: activation.terminated,
+            sends,
+            suppressed: meta.suppressed,
+            terminated: meta.terminated,
             failed: None,
         }
     }
 
     /// Applies the coordinator's verdict and returns the frames this node
-    /// must put on the wire (empty on stop). After this call the node is
-    /// [`Crashed`](NodeStatus::Crashed), [`Stopped`](NodeStatus::Stopped),
-    /// or collecting `expect` frames for the current round.
-    pub fn apply(&mut self, command: Command) -> Vec<(NodeId, Frame)> {
+    /// must put on the wire: each surviving send encoded, `seq` numbering
+    /// the survivors in order (empty on stop). The command's buffer is
+    /// kept for the next [`activate`](RoundCore::activate). After this
+    /// call the node is [`Crashed`](NodeStatus::Crashed),
+    /// [`Stopped`](NodeStatus::Stopped), or collecting `expect` frames for
+    /// the current round.
+    pub fn apply(&mut self, command: Command<P::Msg>) -> Vec<(NodeId, Frame)> {
         debug_assert_eq!(self.status, NodeStatus::Active);
-        let frames = if command.stop {
+        let Command {
+            mut sends,
+            expect,
+            crashed,
+            stop,
+        } = command;
+        let frames = if stop {
             Vec::new()
         } else {
-            command.frames
+            let (height, round, src) = (self.height, self.round, self.id);
+            let scratch = &mut self.scratch;
+            sends
+                .iter()
+                .enumerate()
+                .map(|(seq, e)| {
+                    scratch.clear();
+                    e.msg.encode(scratch);
+                    let frame = Frame {
+                        height,
+                        round,
+                        src,
+                        seq: seq as u32,
+                        payload: Payload::from(&scratch[..]),
+                    };
+                    (e.dst, frame)
+                })
+                .collect()
         };
-        if command.crashed {
+        sends.clear();
+        self.sends = sends;
+        if crashed {
             self.status = NodeStatus::Crashed;
-        } else if command.stop {
+        } else if stop {
             self.status = NodeStatus::Stopped;
         } else {
-            self.expect = command.expect;
+            self.expect = expect;
         }
         frames
     }
@@ -337,13 +392,17 @@ pub struct CoordinatorCore<M> {
     max_rounds: u32,
     height: u32,
     round: Round,
+    /// Forged sends are checked against the receivers' maps.
     ports: Vec<PortMap>,
     core: ControlCore,
     terminated: Vec<bool>,
     stopped: bool,
-    /// Every payload is encoded here and copied into its frame.
-    scratch: Vec<u8>,
-    _msg: std::marker::PhantomData<fn() -> M>,
+    /// The round's envelopes per sender: each submission's buffer is moved
+    /// in, filtered in place and moved back out into its command, so every
+    /// entry is empty between rounds.
+    outgoing: Vec<Vec<Envelope<M>>>,
+    /// Frames each node must collect this round.
+    expect: Vec<usize>,
 }
 
 impl<M: Wire> CoordinatorCore<M> {
@@ -369,12 +428,12 @@ impl<M: Wire> CoordinatorCore<M> {
             core: ControlCore::new::<M, _>(cfg, adversary),
             terminated: vec![false; cfg.n as usize],
             stopped: false,
-            scratch: Vec::new(),
-            _msg: std::marker::PhantomData,
+            outgoing: (0..cfg.n).map(|_| Vec::new()).collect(),
+            expect: vec![0; cfg.n as usize],
         }
     }
 
-    /// The election instance frames must be tagged with.
+    /// The election instance this run adjudicates.
     pub fn height(&self) -> u32 {
         self.height
     }
@@ -403,29 +462,27 @@ impl<M: Wire> CoordinatorCore<M> {
             .collect()
     }
 
-    /// Adjudicates one round: routes every submission's sends through the
-    /// KT0 port permutations, lets the adversary crash and filter via the
-    /// engine's [`ControlCore::finish_round`], and returns one [`Command`]
-    /// per participant. Errors if any submission carries a transport
-    /// failure.
+    /// Adjudicates one round: lets the adversary tamper, crash and filter
+    /// via the engine's [`ControlCore::finish_round`], which filters every
+    /// submission's envelopes in place, and hands each participant its
+    /// survivors back in a [`Command`]. Errors if any submission carries a
+    /// transport failure.
     ///
     /// The run stops exactly when the engine's loop would: round limit
     /// hit, or a quiescent round (nothing delivered, all survivors
     /// terminated). The final round's messages are already fully
     /// accounted; physically shipping bytes no activation will ever read
-    /// is skipped, so stop commands carry no frames.
+    /// is skipped, so a stop command's sends are never encoded.
     pub fn adjudicate<A>(
         &mut self,
         submissions: Vec<Submission<M>>,
         adversary: &mut A,
-    ) -> Result<RoundPlan, String>
+    ) -> Result<RoundPlan<M>, String>
     where
         A: Adversary<M> + ?Sized,
     {
-        let nn = self.n as usize;
         let round = self.round;
         let alive_before = self.alive();
-        let mut outgoing: Vec<Vec<Envelope<M>>> = vec![Vec::new(); nn];
         let mut suppressed = 0u64;
         for sub in submissions {
             if let Some(err) = sub.failed {
@@ -433,18 +490,22 @@ impl<M: Wire> CoordinatorCore<M> {
             }
             suppressed += sub.suppressed;
             self.terminated[sub.node.index()] = sub.terminated;
-            outgoing[sub.node.index()] = resolve_sends(&self.ports, sub.node, sub.sends);
+            self.outgoing[sub.node.index()] = sub.sends;
         }
 
         // Adjudicate: `outgoing` is filtered in place down to the
         // deliverable envelopes.
-        let verdict =
-            self.core
-                .finish_round(round, &mut outgoing, suppressed, adversary, &self.ports);
+        let verdict = self.core.finish_round(
+            round,
+            &mut self.outgoing,
+            suppressed,
+            adversary,
+            &self.ports,
+        );
 
-        let mut expect = vec![0usize; nn];
-        for e in outgoing.iter().flatten() {
-            expect[e.dst.index()] += 1;
+        self.expect.fill(0);
+        for e in self.outgoing.iter().flatten() {
+            self.expect[e.dst.index()] += 1;
         }
         let stop = round + 1 == self.max_rounds
             || (verdict.delivered == 0
@@ -455,30 +516,18 @@ impl<M: Wire> CoordinatorCore<M> {
         self.stopped = stop;
         self.round += 1;
 
-        let mut commands = Vec::with_capacity(alive_before.len());
-        for u in alive_before {
-            let sends = &outgoing[u.index()];
-            let mut frames = Vec::with_capacity(sends.len());
-            for (seq, e) in sends.iter().enumerate() {
-                self.scratch.clear();
-                e.msg.encode(&mut self.scratch);
-                let frame = Frame {
-                    height: self.height,
-                    round,
-                    src: u,
-                    seq: seq as u32,
-                    payload: Payload::from(&self.scratch[..]),
+        let commands = alive_before
+            .into_iter()
+            .map(|u| {
+                let command = Command {
+                    sends: std::mem::take(&mut self.outgoing[u.index()]),
+                    expect: self.expect[u.index()],
+                    crashed: verdict.crashed.contains(&u),
+                    stop,
                 };
-                frames.push((e.dst, frame));
-            }
-            let command = Command {
-                frames,
-                expect: expect[u.index()],
-                crashed: verdict.crashed.contains(&u),
-                stop,
-            };
-            commands.push((u, command));
-        }
+                (u, command)
+            })
+            .collect();
         Ok(RoundPlan { commands, stop })
     }
 
@@ -607,6 +656,72 @@ mod tests {
         let heard: Vec<u64> = states.iter().map(|s| s.heard).collect();
         let sim_heard: Vec<u64> = sim.states.iter().map(|s| s.heard).collect();
         assert_eq!(heard, sim_heard);
+    }
+
+    #[test]
+    fn apply_encodes_the_survivors_and_hands_the_buffer_to_the_next_activate() {
+        // Node 2 crashes in round 0 keeping its first two sends: its
+        // command carries exactly those, and `apply` numbers them 0 and 1
+        // with the bytes `Wire::encode` writes.
+        let cfg = SimConfig::new(6).seed(4).max_rounds(4);
+        let crash = FaultPlan::new().crash(NodeId(2), 0, DeliveryFilter::KeepFirst(2));
+        let mut adv = ScriptedCrash::new(crash);
+        let mut coord = CoordinatorCore::<u64>::new(&cfg, 0, &mut adv);
+        let mut nodes: Vec<RoundCore<Chatter>> = (0..cfg.n)
+            .map(|i| RoundCore::new(&cfg, NodeId(i), chatter(), 0))
+            .collect();
+        let subs = nodes.iter_mut().map(RoundCore::activate).collect();
+        let mut commands: Vec<Command<u64>> = coord
+            .adjudicate(subs, &mut adv)
+            .unwrap()
+            .commands
+            .into_iter()
+            .map(|(_, command)| command)
+            .collect();
+
+        let crashed = commands.remove(2);
+        assert!(crashed.crashed);
+        let dsts: Vec<NodeId> = crashed.sends.iter().map(|e| e.dst).collect();
+        let frames = nodes[2].apply(crashed);
+        assert_eq!(nodes[2].status(), NodeStatus::Crashed);
+        let mut zero = Vec::new();
+        0u64.encode(&mut zero);
+        assert_eq!(frames.len(), 2);
+        for (seq, (dst, f)) in frames.iter().enumerate() {
+            assert_eq!(*dst, dsts[seq]);
+            assert_eq!(
+                (f.height, f.round, f.src, f.seq),
+                (0, 0, NodeId(2), seq as u32)
+            );
+            assert_eq!(&f.payload[..], &zero[..]);
+        }
+
+        // Node 0's buffer comes back in its command; `apply` keeps it and
+        // the next `activate` routes into the same allocation.
+        let buffer = commands[0].sends.as_ptr();
+        let mut in_flight = frames;
+        for (u, command) in [0, 1, 3, 4, 5].into_iter().zip(commands) {
+            in_flight.extend(nodes[u].apply(command));
+        }
+        for (dst, frame) in in_flight {
+            nodes[dst.index()].feed(frame).unwrap();
+        }
+        for node in nodes.iter_mut().filter(|n| n.is_active()) {
+            node.end_round().unwrap();
+        }
+        let sub = nodes[0].activate();
+        assert!(!sub.sends.is_empty());
+        assert_eq!(sub.sends.as_ptr(), buffer);
+
+        // A stop command encodes nothing, whatever it carries.
+        let stop = Command {
+            sends: sub.sends,
+            expect: 3,
+            crashed: false,
+            stop: true,
+        };
+        assert!(nodes[0].apply(stop).is_empty());
+        assert_eq!(nodes[0].status(), NodeStatus::Stopped);
     }
 
     #[test]

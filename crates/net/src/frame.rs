@@ -41,8 +41,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 /// touching the allocator.
 const INLINE_CAP: usize = 22;
 
-// A later field must not silently fatten every `Command`, `got` and
-// `inbound` vector, nor push the shipped protocols' messages to the heap.
+// A later field must not silently fatten every transmitted burst, `got`
+// and `inbound` vector, nor push the shipped protocols' messages to the
+// heap.
 const _: () = assert!(std::mem::size_of::<Frame>() <= 40);
 const _: () = assert!(INLINE_CAP >= 17);
 

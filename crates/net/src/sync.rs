@@ -14,15 +14,18 @@
 //! one loop in this module. Per round:
 //!
 //! 1. **activate** — every worker runs its alive nodes against the inboxes
-//!    assembled from last round's frames and submits their queued sends,
-//!    one channel message per worker per round;
-//! 2. **adjudicate** — the coordinator routes the sends through the KT0
-//!    port permutations, consults the adversary, applies crash filters,
-//!    closes the round's books and answers with one command batch per
-//!    worker;
-//! 3. **transmit** — each worker hands its nodes' surviving frames to its
-//!    link; a node crashed this round sends its filter-surviving frames
-//!    and is then torn down (the wire form of crash-with-partial-delivery);
+//!    assembled from last round's frames, routes each node's queued sends
+//!    through that node's own KT0 port map, and submits them, one channel
+//!    message per worker per round;
+//! 2. **adjudicate** — the coordinator consults the adversary, applies
+//!    crash filters to the submitted envelopes in place, closes the
+//!    round's books and answers with one command batch per worker, each
+//!    node's filtered envelopes riding back in its command. It does no
+//!    per-frame work of its own;
+//! 3. **transmit** — each worker encodes its nodes' surviving envelopes
+//!    into frames and hands them to its link; a node crashed this round
+//!    sends its filter-surviving frames and is then torn down (the wire
+//!    form of crash-with-partial-delivery);
 //! 4. **collect** — each worker pumps its link until every owned node has
 //!    the frames the coordinator told it to expect, then closes the round
 //!    on every core (next round's inbox, in canonical `(src, seq)` order).
@@ -189,8 +192,8 @@ impl<E: Endpoint> Link for Vec<E> {
 /// Runs `cfg` over an in-process channel mesh with `workers` worker
 /// threads and default [`RunOpts`]. Infallible transport, any `n ≥ 2`,
 /// any topology: the sender registry is O(n) whatever the graph (there is
-/// no per-edge resource to gate), and the coordinator only ever routes
-/// frames along topology edges.
+/// no per-edge resource to gate), and nodes only ever route frames along
+/// topology edges.
 ///
 /// See [`run_over`] for semantics and panics.
 pub fn run_over_channel<P, F, A>(
@@ -259,7 +262,7 @@ fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
 
 /// One worker's verdicts for a round: a [`Command`] per owned node that
 /// was alive at the round's start.
-type Batch = Vec<(NodeId, Command)>;
+type Batch<M> = Vec<(NodeId, Command<M>)>;
 
 /// One worker's submissions for a round: one per owned node that is still
 /// active — or a single [`Submission::failure`] when the worker gives up.
@@ -316,7 +319,7 @@ where
     // them and the workers exit instead of deadlocking the join.
     let failure = thread::scope(|scope| {
         let (submit_tx, submit_rx) = channel::<Submissions<P::Msg>>();
-        let mut batch_txs: Vec<Sender<Batch>> = Vec::with_capacity(workers);
+        let mut batch_txs: Vec<Sender<Batch<P::Msg>>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for (index, (nodes, link)) in pools.into_iter().zip(links).enumerate() {
             let (batch_tx, batches) = channel();
@@ -348,7 +351,7 @@ where
                 Ok(plan) => plan,
                 Err(err) => break Some(err),
             };
-            let mut batches: Vec<Batch> = (0..workers).map(|_| Vec::new()).collect();
+            let mut batches: Vec<Batch<P::Msg>> = (0..workers).map(|_| Vec::new()).collect();
             for (u, command) in plan.commands {
                 batches[u.index() % workers].push((u, command));
             }
@@ -467,7 +470,7 @@ where
     /// report then goes nowhere and the exit is quiet.
     fn run(
         mut self,
-        batches: &Receiver<Batch>,
+        batches: &Receiver<Batch<P::Msg>>,
         submit_tx: &Sender<Submissions<P::Msg>>,
     ) -> Option<(NetMetrics, Vec<RoundCore<P>>)> {
         match self.rounds(batches, submit_tx) {
@@ -481,7 +484,7 @@ where
 
     fn rounds(
         &mut self,
-        batches: &Receiver<Batch>,
+        batches: &Receiver<Batch<P::Msg>>,
         submit_tx: &Sender<Submissions<P::Msg>>,
     ) -> Result<(), Failure> {
         let gone = |node: NodeId| (node, "coordinator gone".to_string());
@@ -515,12 +518,13 @@ where
         }
     }
 
-    /// Applies the coordinator's batch and hands every burst to the link.
+    /// Applies the coordinator's batch — each node encodes its own
+    /// survivors — and hands every burst to the link.
     /// Under a wire plan each burst is perturbed between core and link:
     /// delayed, reordered and duplicated per the schedule, with the
     /// appended duplicate suffix transmitted but *not* charged, so model
     /// accounting stays identical to a faultless wire.
-    fn transmit(&mut self, batch: Batch) -> Result<(), Failure> {
+    fn transmit(&mut self, batch: Batch<P::Msg>) -> Result<(), Failure> {
         let mut tear: Option<usize> = None;
         for (id, command) in batch {
             debug_assert_eq!(id.index() % self.workers, self.index);
@@ -620,8 +624,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_sim::adversary::{DeliveryFilter, EagerCrash, FaultPlan, NoFaults, ScriptedCrash};
+    use ftc_sim::adversary::{
+        DeliveryFilter, EagerCrash, Envelope, FaultPlan, NoFaults, ScriptedCrash,
+    };
     use ftc_sim::engine::run;
+    use ftc_sim::ids::Port;
     use ftc_sim::protocol::{Ctx, Incoming};
 
     /// Broadcasts its round number for 3 rounds and counts what it hears —
@@ -937,9 +944,19 @@ mod tests {
         }
     }
 
-    fn verdict(frames: Vec<(NodeId, Frame)>, expect: usize) -> Command {
+    /// An envelope of `msg` from `src` to `dst`, as the sender routes it.
+    fn send(src: u32, dst: u32, msg: u64) -> Envelope<u64> {
+        Envelope {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            dst_port: Port::UNRESOLVED,
+            msg,
+        }
+    }
+
+    fn verdict(sends: Vec<Envelope<u64>>, expect: usize) -> Command<u64> {
         Command {
-            frames,
+            sends,
             expect,
             crashed: false,
             stop: false,
@@ -957,7 +974,7 @@ mod tests {
     fn drive_raw(
         link: &mut Scripted,
         wire: Option<&WireFaultPlan>,
-        batches: Vec<Batch>,
+        batches: Vec<Batch<u64>>,
     ) -> (Option<Handed>, Vec<Submissions<u64>>) {
         let cfg = SimConfig::new(4).seed(1).max_rounds(8);
         let nodes = [0, 2]
@@ -983,14 +1000,14 @@ mod tests {
     fn drive(
         link: &mut Scripted,
         wire: Option<&WireFaultPlan>,
-        batches: Vec<Batch>,
+        batches: Vec<Batch<u64>>,
     ) -> (Option<Handed>, Option<String>) {
         let (done, submitted) = drive_raw(link, wire, batches);
         let failed = submitted.into_iter().flatten().find_map(|sub| sub.failed);
         (done, failed)
     }
 
-    fn stop_both() -> Batch {
+    fn stop_both() -> Batch<u64> {
         vec![(NodeId(0), Command::stop()), (NodeId(2), Command::stop())]
     }
 
@@ -1027,7 +1044,7 @@ mod tests {
         };
         let (to_2, to_1) = (frame(0, 0, 0, 9), frame(0, 0, 1, 9));
         let bytes = to_2.encoded_len() + to_1.encoded_len();
-        let burst = vec![(NodeId(2), to_2), (NodeId(1), to_1)];
+        let burst = vec![send(0, 2, 9), send(0, 1, 9)];
         let round0 = vec![
             (NodeId(0), verdict(burst, 0)),
             (NodeId(2), verdict(vec![], 1)),
@@ -1065,10 +1082,7 @@ mod tests {
         // frames: both go out, charged, and only then is the slot torn
         // down. Node 0 carries on to the stop.
         let mut link = Scripted::default();
-        let burst = vec![
-            (NodeId(1), frame(0, 2, 0, 0)),
-            (NodeId(3), frame(0, 2, 1, 0)),
-        ];
+        let burst = vec![send(2, 1, 0), send(2, 3, 0)];
         let crash = Command {
             crashed: true,
             ..verdict(burst, 0)

@@ -138,7 +138,10 @@ pub struct Envelope<M> {
     pub src: NodeId,
     /// Receiver (already resolved from the sender's port).
     pub dst: NodeId,
-    /// The port `dst` will observe the message arriving on.
+    /// The port `dst` will observe the message arriving on — or
+    /// [`Port::UNRESOLVED`]. Only in-process delivery (the engine, the
+    /// naive reference) resolves it; a substrate receiver derives its port
+    /// from the frame's `src`, so substrate senders leave it unresolved.
     pub dst_port: Port,
     /// Payload.
     pub msg: M,

@@ -57,6 +57,12 @@ impl From<usize> for NodeId {
 pub struct Port(pub u32);
 
 impl Port {
+    /// The receiver-side port of an envelope nobody has resolved: what
+    /// [`crate::round::route_sends_into`] leaves in
+    /// [`crate::adversary::Envelope::dst_port`]. No node has this many
+    /// ports, so it never names a real one.
+    pub const UNRESOLVED: Port = Port(u32::MAX);
+
     /// The port's index as a `usize`.
     #[inline]
     pub fn index(self) -> usize {

@@ -304,7 +304,7 @@ where
             suppressed += act.suppressed;
             terminated[u] = act.terminated;
             // Routed one message at a time, so the batched walks of
-            // `resolve_sends` are checked against the scalar lookups.
+            // `resolve_sends_into` are checked against the scalar lookups.
             let src = NodeId(u as u32);
             outgoing[u] = act
                 .sends

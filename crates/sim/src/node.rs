@@ -11,12 +11,13 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::adversary::Envelope;
 use crate::engine::SimConfig;
 use crate::ids::{NodeId, Port, Round};
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
 use crate::protocol::{Ctx, Incoming, Protocol};
-use crate::round::{SALT_NODES, SALT_TOPOLOGY};
+use crate::round::{route_sends_into, SALT_NODES, SALT_TOPOLOGY};
 
 /// The result of one activation of a node.
 #[derive(Debug)]
@@ -122,7 +123,8 @@ impl<P: Protocol> NodeHarness<P> {
     /// Allocation-free variant of [`NodeHarness::activate`]: the queued
     /// sends are written into `outbox` (cleared first), so a driver looping
     /// many nodes can reuse one scratch buffer across all activations. The
-    /// engine pairs this with [`crate::round::resolve_sends_into`].
+    /// engine pairs this with [`crate::round::resolve_sends_into`], a
+    /// substrate node with [`NodeHarness::route`].
     pub fn activate_into(
         &mut self,
         round: Round,
@@ -160,6 +162,17 @@ impl<P: Protocol> NodeHarness<P> {
             terminated: self.state.is_terminated(),
             inert: self.state.is_inert(),
         }
+    }
+
+    /// Routes this node's queued sends through its own port map:
+    /// [`crate::round::route_sends_into`], so `dst` is set and `dst_port`
+    /// is left [`Port::UNRESOLVED`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a send names a port this node does not have.
+    pub fn route(&self, sends: &mut Vec<(Port, P::Msg)>, out: &mut Vec<Envelope<P::Msg>>) {
+        route_sends_into(&self.ports, self.node, sends, out);
     }
 
     /// The local ports a batch of messages arrives on — what a network

@@ -66,31 +66,18 @@ pub fn network_ports(cfg: &SimConfig) -> Vec<PortMap> {
         .collect()
 }
 
-/// Resolves one node's queued `(port, msg)` sends into routed envelopes,
-/// exactly as the engine does: `dst` from the sender's permutation,
-/// `dst_port` from the receiver's.
-pub fn resolve_sends<M>(
-    ports: &[PortMap],
-    src: NodeId,
-    mut sends: Vec<(Port, M)>,
-) -> Vec<Envelope<M>> {
-    let mut out = Vec::with_capacity(sends.len());
-    resolve_sends_into(ports, src, &mut sends, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`resolve_sends`]: drains `sends` and writes
-/// the routed envelopes into `out` (cleared first). The engine calls this
-/// once per node per round with pooled buffers, so steady-state rounds
-/// resolve without touching the allocator.
+/// Routes one node's queued `(port, msg)` sends through its own port map
+/// `map`: drains `sends` and writes one envelope per send into `out`
+/// (cleared first), with `dst` set and `dst_port` left
+/// [`Port::UNRESOLVED`]. This needs the sender's map alone, so a
+/// substrate node routes its own sends; its receivers derive their ports
+/// from the frame's `src`.
 ///
-/// The routing is two batched walks of the port ciphers, in place in
-/// `out`: each envelope parks its sender-side port in `dst_port`, one
-/// forward walk over the sender's map turns it into `dst`, and one inverse
-/// walk, with each envelope on its receiver's map, writes the receiver-side
-/// port over it.
-pub fn resolve_sends_into<M>(
-    ports: &[PortMap],
+/// The routing is one batched forward walk of the sender's cipher, in
+/// place in `out`: each envelope parks its sender-side port in `dst_port`
+/// until the walk turns it into `dst`.
+pub fn route_sends_into<M>(
+    map: &PortMap,
     src: NodeId,
     sends: &mut Vec<(Port, M)>,
     out: &mut Vec<Envelope<M>>,
@@ -102,7 +89,29 @@ pub fn resolve_sends_into<M>(
         dst_port: port,
         msg,
     }));
-    ports[src.index()].peers(out, |e| e.dst_port, |e, dst| e.dst = dst);
+    map.peers(
+        out,
+        |e| e.dst_port,
+        |e, dst| {
+            e.dst = dst;
+            e.dst_port = Port::UNRESOLVED;
+        },
+    );
+}
+
+/// [`route_sends_into`] over the sender's map, then one batched inverse
+/// walk, with each envelope on its receiver's map, that writes the port
+/// the receiver will observe into `dst_port` — exactly what in-process
+/// delivery needs. The engine calls this once per node per round with
+/// pooled buffers, so steady-state rounds resolve without touching the
+/// allocator.
+pub fn resolve_sends_into<M>(
+    ports: &[PortMap],
+    src: NodeId,
+    sends: &mut Vec<(Port, M)>,
+    out: &mut Vec<Envelope<M>>,
+) {
+    route_sends_into(&ports[src.index()], src, sends, out);
     PortMap::ports_to(
         out,
         |e| (&ports[e.dst.index()], src),
@@ -763,7 +772,9 @@ mod tests {
     use crate::adversary::{DeliveryFilter, FaultPlan, NoFaults, ScriptedCrash};
 
     fn envelopes(ports: &[PortMap], src: NodeId, msgs: &[(Port, u64)]) -> Vec<Envelope<u64>> {
-        resolve_sends(ports, src, msgs.to_vec())
+        let mut out = Vec::new();
+        resolve_sends_into(ports, src, &mut msgs.to_vec(), &mut out);
+        out
     }
 
     #[test]
@@ -796,7 +807,12 @@ mod tests {
         use crate::topology::Topology;
         // n = 66: a complete node's 65 ports sit in a carrier of 256, so
         // walks run long and lanes refill out of order. Diameter-two
-        // non-hubs use the hub wiring and rr:6 the neighbour lists.
+        // non-hubs use the hub wiring and rr:6 the neighbour lists. Two
+        // inputs: the engine's `resolve_sends_into`, and a substrate
+        // node's `route_sends_into` — which must leave every `dst_port`
+        // unresolved — followed by the receivers' inverse walk keyed by
+        // each envelope's sender, as `RoundCore::end_round` keys it by
+        // `Frame::src`.
         for topology in [
             Topology::Complete,
             Topology::DiameterTwo { clusters: 5 },
@@ -815,7 +831,16 @@ mod tests {
                     .collect();
                 for len in [0, 1, 3, 8, 9, sends.len()] {
                     let batch = sends[..len.min(sends.len())].to_vec();
-                    let got = resolve_sends(&ports, src, batch.clone());
+                    let mut resolved = Vec::new();
+                    resolve_sends_into(&ports, src, &mut batch.clone(), &mut resolved);
+                    let mut routed = Vec::new();
+                    route_sends_into(map, src, &mut batch.clone(), &mut routed);
+                    assert!(routed.iter().all(|e| e.dst_port == Port::UNRESOLVED));
+                    PortMap::ports_to(
+                        &mut routed,
+                        |e| (&ports[e.dst.index()], e.src),
+                        |e, port| e.dst_port = port,
+                    );
                     let want: Vec<Envelope<u64>> = batch
                         .into_iter()
                         .map(|(port, msg)| {
@@ -828,13 +853,15 @@ mod tests {
                             }
                         })
                         .collect();
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(
-                            (g.src, g.dst, g.dst_port, g.msg),
-                            (w.src, w.dst, w.dst_port, w.msg),
-                            "{topology} node {u}, batch of {len}"
-                        );
+                    for got in [&resolved, &routed] {
+                        assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(
+                                (g.src, g.dst, g.dst_port, g.msg),
+                                (w.src, w.dst, w.dst_port, w.msg),
+                                "{topology} node {u}, batch of {len}"
+                            );
+                        }
                     }
                 }
             }
@@ -854,7 +881,7 @@ mod tests {
             ports[1].peer(Port(3));
         });
         let batched = panic_of(&|| {
-            resolve_sends(&ports, NodeId(1), vec![(Port(0), 0u64), (Port(3), 1)]);
+            envelopes(&ports, NodeId(1), &[(Port(0), 0), (Port(3), 1)]);
         });
         assert_eq!(batched, scalar);
         assert!(
