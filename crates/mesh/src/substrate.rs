@@ -7,7 +7,7 @@
 //! so a hook that must see every run threads through one call site.
 
 use ftc_net::channel;
-use ftc_net::sync::{run_over_links, NetMetrics, NetRunResult, RunOpts};
+use ftc_net::sync::{deal, run_over_links, NetMetrics, NetRunResult, RunOpts};
 use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{run_sharded, SimConfig};
 use ftc_sim::ids::NodeId;
@@ -117,12 +117,8 @@ impl Substrate {
             // (`run_over_links`) over their link, one per worker, node `u`
             // on worker `u mod workers`; `recv_timeout` is the link's.
             Substrate::Channel(workers) => {
-                let workers = workers.clamp(1, cfg.n as usize);
-                let mut links: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
                 let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
-                for (u, endpoint) in endpoints.into_iter().enumerate() {
-                    links[u % workers].push(endpoint);
-                }
+                let links = deal(endpoints, workers.clamp(1, cfg.n as usize));
                 run_over_links(cfg, links, factory, adversary, opts)
             }
             Substrate::Mesh(procs) => {

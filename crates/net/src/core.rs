@@ -38,13 +38,13 @@
 //! its transport does.
 
 use ftc_sim::adversary::{Adversary, Envelope};
-use ftc_sim::engine::SimConfig;
+use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::{NodeId, Port, Round};
 use ftc_sim::node::NodeHarness;
 use ftc_sim::payload::Wire;
 use ftc_sim::ports::PortMap;
 use ftc_sim::protocol::{Incoming, Protocol};
-use ftc_sim::round::{network_ports, ControlCore, ControlOutput};
+use ftc_sim::round::{network_ports, ControlCore};
 
 use crate::frame::{Frame, Payload};
 
@@ -381,14 +381,14 @@ where
 /// The sans-I/O control plane of a cluster run: the coordinator's half of
 /// the round loop, built directly on the engine's [`ControlCore`].
 ///
-/// Per round the driver collects one [`Submission`] from every node in
-/// [`alive`](CoordinatorCore::alive) (in any order — submissions are keyed
-/// by node id) and calls [`adjudicate`](CoordinatorCore::adjudicate). When
-/// the returned plan says stop, [`finish`](CoordinatorCore::finish) yields
-/// the run's [`ControlOutput`] — metrics, crash schedule, trace — exactly
-/// as the engine would have produced it.
+/// Per round the driver collects one [`Submission`] from every alive node
+/// ([`alive_count`](CoordinatorCore::alive_count) of them, in any order —
+/// submissions are keyed by node id) and calls
+/// [`adjudicate`](CoordinatorCore::adjudicate). When the returned plan says
+/// stop, [`finish`](CoordinatorCore::finish) yields the run's
+/// [`RunResult`] — metrics, crash schedule, trace — exactly as the engine
+/// would have produced it.
 pub struct CoordinatorCore<M> {
-    n: u32,
     max_rounds: u32,
     height: u32,
     round: Round,
@@ -401,8 +401,12 @@ pub struct CoordinatorCore<M> {
     /// in, filtered in place and moved back out into its command, so every
     /// entry is empty between rounds.
     outgoing: Vec<Vec<Envelope<M>>>,
-    /// Frames each node must collect this round.
+    /// Frames each node must collect this round: counted over the
+    /// survivors, then taken (left 0) as each command is built.
     expect: Vec<usize>,
+    /// The round's sender list: the ids that submitted, sorted, plus any
+    /// node a forgery gave traffic.
+    senders: Vec<u32>,
 }
 
 impl<M: Wire> CoordinatorCore<M> {
@@ -420,7 +424,6 @@ impl<M: Wire> CoordinatorCore<M> {
         cfg.validate().expect("invalid SimConfig");
         assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
         CoordinatorCore {
-            n: cfg.n,
             max_rounds: cfg.max_rounds,
             height,
             round: 0,
@@ -430,6 +433,7 @@ impl<M: Wire> CoordinatorCore<M> {
             stopped: false,
             outgoing: (0..cfg.n).map(|_| Vec::new()).collect(),
             expect: vec![0; cfg.n as usize],
+            senders: Vec::new(),
         }
     }
 
@@ -454,14 +458,6 @@ impl<M: Wire> CoordinatorCore<M> {
         self.core.alive_count()
     }
 
-    /// The nodes that must submit this round.
-    pub fn alive(&self) -> Vec<NodeId> {
-        (0..self.n)
-            .map(NodeId)
-            .filter(|&u| self.core.is_alive(u))
-            .collect()
-    }
-
     /// Adjudicates one round: lets the adversary tamper, crash and filter
     /// via the engine's [`ControlCore::finish_round`], which filters every
     /// submission's envelopes in place, and hands each participant its
@@ -482,8 +478,8 @@ impl<M: Wire> CoordinatorCore<M> {
         A: Adversary<M> + ?Sized,
     {
         let round = self.round;
-        let alive_before = self.alive();
         let mut suppressed = 0u64;
+        self.senders.clear();
         for sub in submissions {
             if let Some(err) = sub.failed {
                 return Err(err);
@@ -491,52 +487,58 @@ impl<M: Wire> CoordinatorCore<M> {
             suppressed += sub.suppressed;
             self.terminated[sub.node.index()] = sub.terminated;
             self.outgoing[sub.node.index()] = sub.sends;
+            self.senders.push(sub.node.0);
         }
+        self.senders.sort_unstable();
+        debug_assert_eq!(self.senders.len(), self.core.alive_count());
 
         // Adjudicate: `outgoing` is filtered in place down to the
-        // deliverable envelopes.
+        // deliverable envelopes. Every alive node submitted, so every
+        // receiver and every survivor is in `senders`.
         let verdict = self.core.finish_round(
             round,
             &mut self.outgoing,
+            &mut self.senders,
             suppressed,
             adversary,
             &self.ports,
         );
 
-        self.expect.fill(0);
-        for e in self.outgoing.iter().flatten() {
-            self.expect[e.dst.index()] += 1;
+        for &u in &self.senders {
+            for e in &self.outgoing[u as usize] {
+                self.expect[e.dst.index()] += 1;
+            }
         }
         let stop = round + 1 == self.max_rounds
             || (verdict.delivered == 0
-                && (0..self.n)
-                    .map(NodeId)
-                    .filter(|&u| self.core.is_alive(u))
-                    .all(|u| self.terminated[u.index()]));
+                && self
+                    .senders
+                    .iter()
+                    .all(|&u| self.terminated[u as usize] || !self.core.is_alive(NodeId(u))));
         self.stopped = stop;
         self.round += 1;
 
-        let commands = alive_before
-            .into_iter()
-            .map(|u| {
+        let commands = self
+            .senders
+            .iter()
+            .map(|&u| {
                 let command = Command {
-                    sends: std::mem::take(&mut self.outgoing[u.index()]),
-                    expect: self.expect[u.index()],
-                    crashed: verdict.crashed.contains(&u),
+                    sends: std::mem::take(&mut self.outgoing[u as usize]),
+                    expect: std::mem::take(&mut self.expect[u as usize]),
+                    crashed: verdict.crashed.contains(&NodeId(u)),
                     stop,
                 };
-                (u, command)
+                (NodeId(u), command)
             })
             .collect();
         Ok(RoundPlan { commands, stop })
     }
 
-    /// Closes the books: records the transport's byte accounting and
-    /// returns the run's control-plane output (metrics, crash schedule,
-    /// faulty set, trace).
-    pub fn finish(mut self, wire_bytes: u64) -> ControlOutput {
-        self.core.record_wire_bytes(wire_bytes);
-        self.core.finish()
+    /// Closes the books into the run's [`RunResult`]: the nodes' final
+    /// `states` (in id order) beside the metrics, crash schedule, faulty
+    /// set and trace, with the transport's `wire_bytes`.
+    pub fn finish<P>(self, states: Vec<P>, wire_bytes: u64) -> RunResult<P> {
+        self.core.finish(states, wire_bytes)
     }
 }
 
@@ -584,17 +586,17 @@ mod tests {
         cfg: &SimConfig,
         adversary: &mut A,
         scramble: bool,
-    ) -> (Vec<Chatter>, ControlOutput, u64) {
+    ) -> (RunResult<Chatter>, u64) {
         let mut coord = CoordinatorCore::<u64>::new(cfg, 0, adversary);
         let mut nodes: Vec<RoundCore<Chatter>> = (0..cfg.n)
             .map(|i| RoundCore::new(cfg, NodeId(i), chatter(), 0))
             .collect();
         let mut wire_bytes = 0u64;
         while !coord.stopped() {
-            let subs: Vec<Submission<u64>> = coord
-                .alive()
-                .iter()
-                .map(|&u| nodes[u.index()].activate())
+            let subs: Vec<Submission<u64>> = nodes
+                .iter_mut()
+                .filter(|n| n.is_active())
+                .map(RoundCore::activate)
                 .collect();
             let plan = coord.adjudicate(subs, adversary).expect("no failures");
             // Transmit: deliver every frame as pure data, optionally in
@@ -618,9 +620,8 @@ mod tests {
                 node.end_round().expect("well-formed round");
             }
         }
-        let out = coord.finish(wire_bytes);
         let states = nodes.into_iter().map(RoundCore::into_state).collect();
-        (states, out, wire_bytes)
+        (coord.finish(states, wire_bytes), wire_bytes)
     }
 
     #[test]
@@ -628,12 +629,12 @@ mod tests {
         let cfg = SimConfig::new(16).seed(5).max_rounds(10);
         let sim = run(&cfg, |_| chatter(), &mut NoFaults);
         for scramble in [false, true] {
-            let (states, out, wire) = drive(&cfg, &mut NoFaults, scramble);
+            let (out, wire) = drive(&cfg, &mut NoFaults, scramble);
             assert_eq!(out.metrics.msgs_sent, sim.metrics.msgs_sent);
             assert_eq!(out.metrics.msgs_delivered, sim.metrics.msgs_delivered);
             assert_eq!(out.metrics.rounds, sim.metrics.rounds);
             assert_eq!(out.metrics.wire_bytes, wire);
-            let heard: Vec<u64> = states.iter().map(|s| s.heard).collect();
+            let heard: Vec<u64> = out.states.iter().map(|s| s.heard).collect();
             let sim_heard: Vec<u64> = sim.states.iter().map(|s| s.heard).collect();
             assert_eq!(heard, sim_heard);
         }
@@ -650,10 +651,10 @@ mod tests {
             );
         let cfg = SimConfig::new(12).seed(3).max_rounds(8);
         let sim = run(&cfg, |_| chatter(), &mut ScriptedCrash::new(plan.clone()));
-        let (states, out, _) = drive(&cfg, &mut ScriptedCrash::new(plan), true);
+        let (out, _) = drive(&cfg, &mut ScriptedCrash::new(plan), true);
         assert_eq!(out.metrics.msgs_delivered, sim.metrics.msgs_delivered);
         assert_eq!(out.crashed_at, sim.crashed_at);
-        let heard: Vec<u64> = states.iter().map(|s| s.heard).collect();
+        let heard: Vec<u64> = out.states.iter().map(|s| s.heard).collect();
         let sim_heard: Vec<u64> = sim.states.iter().map(|s| s.heard).collect();
         assert_eq!(heard, sim_heard);
     }

@@ -251,8 +251,9 @@ where
 }
 
 /// Deals `items` (one per node, in id order) onto `workers` pools by
-/// residue: node `u` goes to pool `u mod workers`, slot `u div workers`.
-fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
+/// residue: node `u` goes to pool `u mod workers`, slot `u div workers` —
+/// the placement [`run_over_links`] expects of its links.
+pub fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
     let mut pools: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
     for (u, item) in items.into_iter().enumerate() {
         pools[u % workers].push(item);
@@ -397,19 +398,12 @@ where
         return Err(err);
     }
 
-    let out = coord.finish(net.wire_bytes);
+    let states = states
+        .into_iter()
+        .map(|s| s.expect("worker returned no state for a node"))
+        .collect();
     Ok(NetRunResult {
-        run: RunResult {
-            metrics: out.metrics,
-            states: states
-                .into_iter()
-                .map(|s| s.expect("worker returned no state for a node"))
-                .collect(),
-            crashed_at: out.crashed_at,
-            faulty: out.faulty,
-            trace: out.trace,
-            congest_violations: out.congest_violations,
-        },
+        run: coord.finish(states, net.wire_bytes),
         net,
     })
 }

@@ -442,10 +442,10 @@ where
 
     for round in 0..cfg.max_rounds {
         // --- 1. activation: every agenda node still alive runs and queues
-        // messages, sharded across workers when the agenda is large. ---
-        let mut suppressed = 0u64;
-        if intra_jobs > 1 && agenda.len() >= INTRA_SHARD_MIN {
-            let (supp, undone_delta) = activate_sharded(
+        // messages, sharded across workers when the agenda is large. The
+        // ids that stay non-inert start the next agenda. ---
+        let (suppressed, undone_delta) = if intra_jobs > 1 && agenda.len() >= INTRA_SHARD_MIN {
+            activate_sharded(
                 &mut nodes,
                 &mut inboxes,
                 &mut outgoing,
@@ -456,41 +456,38 @@ where
                 &mut next_agenda,
                 round,
                 intra_jobs,
-            );
-            suppressed = supp;
-            undone = (undone as i64 + undone_delta) as usize;
-            for &su in &next_agenda {
-                queued[su as usize] = true;
-            }
+            )
         } else {
-            for &su in &agenda {
-                let u = su as usize;
-                if !core.is_alive(NodeId(su)) {
-                    continue;
-                }
-                let act = nodes[u].activate_into(round, &inboxes[u], &mut sends);
-                suppressed += act.suppressed;
-                if terminated[u] != act.terminated {
-                    undone = if act.terminated {
-                        undone - 1
-                    } else {
-                        undone + 1
-                    };
-                    terminated[u] = act.terminated;
-                }
-                resolve_sends_into(&ports, NodeId(su), &mut sends, &mut outgoing[u]);
-                inboxes[u].clear();
-                if !act.inert {
-                    next_agenda.push(su);
-                    queued[u] = true;
-                }
-            }
+            activate_window(
+                round,
+                &agenda,
+                0,
+                &mut nodes,
+                &mut inboxes,
+                &mut outgoing,
+                &mut terminated,
+                core.alive(),
+                &ports,
+                &mut sends,
+                &mut next_agenda,
+            )
+        };
+        undone = (undone as i64 + undone_delta) as usize;
+        for &su in &next_agenda {
+            queued[su as usize] = true;
         }
 
         // --- 2. control plane: tampering, crashes, filters, accounting.
-        // Filters `outgoing` down to the deliverable envelopes in place. ---
-        let verdict =
-            core.finish_round_touched(round, &mut outgoing, &agenda, suppressed, adversary, &ports);
+        // Filters `outgoing` down to the deliverable envelopes in place and
+        // merges any sender a forgery created into the agenda. ---
+        let verdict = core.finish_round(
+            round,
+            &mut outgoing,
+            &mut agenda,
+            suppressed,
+            adversary,
+            &ports,
+        );
         for &c in &verdict.crashed {
             if !terminated[c.index()] {
                 undone -= 1;
@@ -498,22 +495,8 @@ where
         }
 
         // --- 3. delivery: surviving messages reach next-round inboxes, and
-        // their receivers join the next agenda. Tampering may have conjured
-        // traffic for senders outside the agenda; merge those in (rare). ---
-        let merged: Vec<u32>;
-        let deliver_order: &[u32] = if verdict.tampered_extra.is_empty() {
-            &agenda
-        } else {
-            let mut m: Vec<u32> = agenda
-                .iter()
-                .copied()
-                .chain(verdict.tampered_extra.iter().map(|d| d.0))
-                .collect();
-            m.sort_unstable();
-            merged = m;
-            &merged
-        };
-        for &su in deliver_order {
+        // their receivers join the next agenda. ---
+        for &su in &agenda {
             for e in outgoing[su as usize].drain(..) {
                 let d = e.dst.index();
                 if !queued[d] {
@@ -544,23 +527,57 @@ where
     }
 
     let states = nodes.into_iter().map(NodeHarness::into_state).collect();
-    let out = core.finish();
-    RunResult {
-        metrics: out.metrics,
-        states,
-        crashed_at: out.crashed_at,
-        faulty: out.faulty,
-        trace: out.trace,
-        congest_violations: out.congest_violations,
+    core.finish(states, 0)
+}
+
+/// Activates the still-alive nodes of `ids` (ascending) against windows of
+/// the per-node arrays that start at node `base`: runs each node into the
+/// scratch `sends`, resolves its sends into its `outgoing` buffer, clears
+/// its inbox, and appends its id to `keep` unless it turned inert. Returns
+/// the summed suppressed count and the net change to the
+/// not-yet-terminated counter.
+#[allow(clippy::too_many_arguments)]
+fn activate_window<P: Protocol>(
+    round: Round,
+    ids: &[u32],
+    base: usize,
+    nodes: &mut [NodeHarness<P>],
+    inboxes: &mut [Vec<Incoming<P::Msg>>],
+    outgoing: &mut [Vec<Envelope<P::Msg>>],
+    terminated: &mut [bool],
+    alive: &[bool],
+    ports: &[PortMap],
+    sends: &mut Vec<(Port, P::Msg)>,
+    keep: &mut Vec<u32>,
+) -> (u64, i64) {
+    let mut suppressed = 0u64;
+    let mut undone_delta = 0i64;
+    for &su in ids {
+        if !alive[su as usize] {
+            continue;
+        }
+        let u = su as usize - base;
+        let act = nodes[u].activate_into(round, &inboxes[u], sends);
+        suppressed += act.suppressed;
+        if terminated[u] != act.terminated {
+            undone_delta += if act.terminated { -1 } else { 1 };
+            terminated[u] = act.terminated;
+        }
+        resolve_sends_into(ports, NodeId(su), sends, &mut outgoing[u]);
+        inboxes[u].clear();
+        if !act.inert {
+            keep.push(su);
+        }
     }
+    (suppressed, undone_delta)
 }
 
 /// One sharded activation phase: cuts `agenda` into contiguous chunks and
-/// activates each on its own worker against disjoint `&mut` windows of the
-/// per-node arrays. Returns the summed suppressed count and the net change
-/// to the not-yet-terminated counter; the ids each worker kept for the
-/// next agenda (non-inert activations) are appended to `next_agenda` in
-/// chunk order, which preserves ascending id order.
+/// runs [`activate_window`] on each on its own worker, against disjoint
+/// `&mut` windows of the per-node arrays. Returns the summed suppressed
+/// count and undone change; the ids each worker kept for the next agenda
+/// are appended to `next_agenda` in chunk order, which preserves ascending
+/// id order.
 #[allow(clippy::too_many_arguments)]
 fn activate_sharded<P: Protocol>(
     nodes: &mut [NodeHarness<P>],
@@ -599,27 +616,20 @@ fn activate_sharded<P: Protocol>(
             let window_base = base;
             base = end;
             handles.push(scope.spawn(move |_| {
-                let mut sends: Vec<(Port, P::Msg)> = Vec::new();
-                let mut suppressed = 0u64;
-                let mut undone_delta = 0i64;
-                let mut keep: Vec<u32> = Vec::new();
-                for &su in chunk {
-                    let u = su as usize - window_base;
-                    if !alive[su as usize] {
-                        continue;
-                    }
-                    let act = nodes_w[u].activate_into(round, &inboxes_w[u], &mut sends);
-                    suppressed += act.suppressed;
-                    if terminated_w[u] != act.terminated {
-                        undone_delta += if act.terminated { -1 } else { 1 };
-                        terminated_w[u] = act.terminated;
-                    }
-                    resolve_sends_into(ports, NodeId(su), &mut sends, &mut outgoing_w[u]);
-                    inboxes_w[u].clear();
-                    if !act.inert {
-                        keep.push(su);
-                    }
-                }
+                let mut keep = Vec::new();
+                let (suppressed, undone_delta) = activate_window(
+                    round,
+                    chunk,
+                    window_base,
+                    nodes_w,
+                    inboxes_w,
+                    outgoing_w,
+                    terminated_w,
+                    alive,
+                    ports,
+                    &mut Vec::new(),
+                    &mut keep,
+                );
                 (suppressed, undone_delta, keep)
             }));
         }

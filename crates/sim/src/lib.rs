@@ -80,11 +80,11 @@ pub mod prelude {
     pub use crate::ids::{NodeId, Port, Round};
     pub use crate::json::{Json, JsonError};
     pub use crate::metrics::{LogHistogram, Metrics, MetricsAggregate, ServiceMetrics};
-    pub use crate::node::{Activation, NodeHarness};
+    pub use crate::node::NodeHarness;
     pub use crate::payload::{Payload, Wire};
     pub use crate::ports::PortMap;
     pub use crate::protocol::{Ctx, Incoming, Protocol};
-    pub use crate::round::{ControlCore, ControlOutput, DeadEdgeCache, EdgeFates, RoundVerdict};
+    pub use crate::round::{ControlCore, EdgeFates, RoundVerdict};
     pub use crate::runner::{
         run_trials, run_trials_jobs, run_trials_with, AbortHandle, ParRunner, TrialBatch,
         TrialOutcome, TrialPlan,

@@ -2,14 +2,17 @@
 //! tests.
 //!
 //! The production hot path ([`crate::round::ControlCore::finish_round`] +
-//! [`crate::engine::run`]) is heavily optimised: pooled buffers, in-place
-//! filtering, a flat per-sender edge accumulator, a memoised dead-edge set
-//! and span-indexed trace patching. This module keeps the *obviously
-//! correct* original formulation alive — per-round allocation, a `HashMap`
-//! keyed by directed edge, a fresh hash roll per envelope, whole-tail trace
-//! scans — and the property test at the bottom drives both engines over
-//! randomized configurations, seeds, adversaries and filters, asserting
-//! bit-identical `Metrics`, crash ledgers, traces and inbox orderings.
+//! [`crate::engine::run`]) is heavily optimised: a sparse agenda and sender
+//! list, pooled buffers, in-place filtering, a flat per-sender edge
+//! accumulator, batched port walks and span-indexed trace patching. This
+//! module keeps the *obviously correct* original formulation alive — every
+//! alive node activated every round, per-round allocation, a `HashMap`
+//! keyed by directed edge, scalar port lookups, its own hash roll per
+//! envelope, whole-tail trace scans — and the property tests at the bottom
+//! drive both engines over randomized configurations, seeds, adversaries
+//! (crash-only and forging) and filters, asserting bit-identical `Metrics`,
+//! crash ledgers, traces and inbox orderings. It is the one dense
+//! reference model of the workspace.
 //!
 //! If the two ever disagree, the optimised path broke; the naive path is
 //! the spec.
@@ -300,14 +303,14 @@ where
             if !core.alive[u] {
                 continue;
             }
-            let act = nodes[u].activate(round, &inboxes[u]);
+            let mut sends = Vec::new();
+            let act = nodes[u].activate_into(round, &inboxes[u], &mut sends);
             suppressed += act.suppressed;
             terminated[u] = act.terminated;
             // Routed one message at a time, so the batched walks of
             // `resolve_sends_into` are checked against the scalar lookups.
             let src = NodeId(u as u32);
-            outgoing[u] = act
-                .sends
+            outgoing[u] = sends
                 .into_iter()
                 .map(|(port, msg)| {
                     let dst = ports[u].peer(port);
@@ -354,7 +357,8 @@ where
 mod tests {
     use super::*;
     use crate::adversary::{
-        DeliveryFilter, EagerCrash, FaultPlan, NoFaults, RandomCrash, ScriptedCrash,
+        CrashDirective, DeliveryFilter, EagerCrash, FaultPlan, FaultySet, NoFaults, RandomCrash,
+        ScriptedCrash, Tamper,
     };
     use crate::engine::run;
     use crate::ids::Port;
@@ -559,9 +563,50 @@ mod tests {
         }
     }
 
+    /// Crashes like [`RandomCrash`] and, from round 1 on, forges one or two
+    /// sends for every alive faulty node with nothing queued. Under
+    /// [`Bouncer`] those are mostly nodes the sparse engine skipped as
+    /// inert, so the forged sender sits outside its agenda.
+    struct Forger(RandomCrash);
+
+    impl Adversary<u64> for Forger {
+        fn faulty_set(&mut self, n: u32, rng: &mut SmallRng) -> FaultySet {
+            Adversary::<u64>::faulty_set(&mut self.0, n, rng)
+        }
+
+        fn on_round(
+            &mut self,
+            view: &AdversaryView<'_, u64>,
+            rng: &mut SmallRng,
+        ) -> Vec<CrashDirective> {
+            self.0.on_round(view, rng)
+        }
+
+        fn tamper(
+            &mut self,
+            view: &AdversaryView<'_, u64>,
+            rng: &mut SmallRng,
+        ) -> Vec<Tamper<u64>> {
+            if view.round() == 0 {
+                return Vec::new();
+            }
+            let n = view.n();
+            view.crashable()
+                .filter(|&u| view.outgoing_of(u).is_empty())
+                .map(|node| {
+                    let sends = (0..rng.random_range(1..3u32))
+                        .map(|_| (NodeId((node.0 + rng.random_range(1..n)) % n), 2))
+                        .collect();
+                    Tamper { node, sends }
+                })
+                .collect()
+        }
+    }
+
     /// The sparse agenda engine must match the dense oracle even when the
     /// protocol's `is_inert` hint lets whole swaths of nodes be skipped —
-    /// the skips must be observationally invisible, message for message.
+    /// the skips must be observationally invisible, message for message,
+    /// and so must a forged sender the engine never activated.
     #[test]
     fn inert_skips_match_naive_reference() {
         let mut meta = SmallRng::seed_from_u64(0xB0C1_4E57);
@@ -576,12 +621,13 @@ mod tests {
                 cfg = cfg.edge_failure_prob(0.3);
             }
             let f = meta.random_range(1..(n / 2).max(2)) as usize;
-            let kind = meta.random_range(0..3u32);
+            let kind = meta.random_range(0..4u32);
             let mk = move |k: u32| -> Box<dyn Adversary<u64>> {
                 match k {
                     0 => Box::new(NoFaults),
                     1 => Box::new(EagerCrash::new(f)),
-                    _ => Box::new(RandomCrash::new(f, 5)),
+                    2 => Box::new(RandomCrash::new(f, 5)),
+                    _ => Box::new(Forger(RandomCrash::new(f, 5))),
                 }
             };
             let factory = |_: NodeId| Bouncer {

@@ -19,20 +19,7 @@ use crate::ports::PortMap;
 use crate::protocol::{Ctx, Incoming, Protocol};
 use crate::round::{route_sends_into, SALT_NODES, SALT_TOPOLOGY};
 
-/// The result of one activation of a node.
-#[derive(Debug)]
-pub struct Activation<M> {
-    /// The messages the node queued this round, in send order, already
-    /// capped by the node's send budget.
-    pub sends: Vec<(Port, M)>,
-    /// Sends dropped against the budget this activation.
-    pub suppressed: u64,
-    /// The node's quiescence hint after the activation.
-    pub terminated: bool,
-}
-
-/// The bookkeeping of one activation when the sends are written into a
-/// caller-supplied buffer (see [`NodeHarness::activate_into`]).
+/// The bookkeeping of one activation (see [`NodeHarness::activate_into`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ActivationMeta {
     /// Sends dropped against the budget this activation.
@@ -109,20 +96,9 @@ impl<P: Protocol> NodeHarness<P> {
     }
 
     /// Runs one activation: `on_start` at round 0, `on_round` with `inbox`
-    /// afterwards. Applies the per-node send budget to the queued sends.
-    pub fn activate(&mut self, round: Round, inbox: &[Incoming<P::Msg>]) -> Activation<P::Msg> {
-        let mut outbox = Vec::new();
-        let meta = self.activate_into(round, inbox, &mut outbox);
-        Activation {
-            sends: outbox,
-            suppressed: meta.suppressed,
-            terminated: meta.terminated,
-        }
-    }
-
-    /// Allocation-free variant of [`NodeHarness::activate`]: the queued
-    /// sends are written into `outbox` (cleared first), so a driver looping
-    /// many nodes can reuse one scratch buffer across all activations. The
+    /// afterwards. The queued sends, capped by the per-node send budget,
+    /// are written into `outbox` (cleared first), so a driver looping many
+    /// nodes can reuse one scratch buffer across all activations. The
     /// engine pairs this with [`crate::round::resolve_sends_into`], a
     /// substrate node with [`NodeHarness::route`].
     pub fn activate_into(
@@ -239,16 +215,17 @@ mod tests {
                 heard: 0,
             },
         );
-        let a0 = h.activate(0, &[]);
-        assert_eq!(a0.sends.len(), 7);
+        let mut sends = Vec::new();
+        let a0 = h.activate_into(0, &[], &mut sends);
+        assert_eq!(sends.len(), 7);
         assert!(!a0.terminated);
         let inbox = vec![Incoming {
             port: Port(0),
             msg: 9u64,
         }];
-        let a1 = h.activate(1, &inbox);
-        assert!(a1.sends.is_empty());
-        let a2 = h.activate(2, &inbox);
+        h.activate_into(1, &inbox, &mut sends);
+        assert!(sends.is_empty());
+        let a2 = h.activate_into(2, &inbox, &mut sends);
         assert!(a2.terminated);
         assert_eq!(h.state().heard, 2);
     }
@@ -264,8 +241,9 @@ mod tests {
                 heard: 0,
             },
         );
-        let a = h.activate(0, &[]);
-        assert_eq!(a.sends.len(), 4);
+        let mut sends = Vec::new();
+        let a = h.activate_into(0, &[], &mut sends);
+        assert_eq!(sends.len(), 4);
         assert_eq!(a.suppressed, 3);
     }
 

@@ -11,17 +11,18 @@
 //! [`ControlCore`] packages exactly that control plane: the faulty set, the
 //! liveness ledger, the adversary/filter RNG streams, metrics, CONGEST and
 //! trace accounting. A driver (engine or network synchronizer) feeds it the
-//! round's outgoing envelopes and gets back the envelopes to actually
-//! deliver plus the crash events to enact (in a socket runtime: mid-round
-//! connection teardown). Because both drivers share this type and the seed
-//! derivation below, a network execution reproduces the simulator's
-//! decisions bit for bit.
+//! round's outgoing envelopes with the list of their senders and gets back
+//! the envelopes to actually deliver plus the crash events to enact (in a
+//! socket runtime: mid-round connection teardown); at the end it turns the
+//! books into the run's [`RunResult`]. Because both drivers share this type
+//! and the seed derivation below, a network execution reproduces the
+//! simulator's decisions bit for bit.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::adversary::{Adversary, AdversaryView, Envelope, FaultySet};
-use crate::engine::SimConfig;
+use crate::engine::{RunResult, SimConfig};
 use crate::ids::{NodeId, Port, Round};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::payload::Payload;
@@ -137,53 +138,18 @@ pub struct RoundVerdict {
     /// Messages delivered this round (the filtered `outgoing` flattened
     /// length).
     pub delivered: u64,
-    /// Senders *outside* the touched list handed to
-    /// [`ControlCore::finish_round_touched`] whose output the adversary
-    /// conjured by tampering, in id order. A sparse driver must drain
-    /// these buffers alongside its own touched list (merged in id order);
-    /// always empty for dense drivers and crash-only adversaries.
-    pub tampered_extra: Vec<NodeId>,
-}
-
-/// Everything the control core accumulated over a finished run.
-#[derive(Debug)]
-pub struct ControlOutput {
-    /// Accounting (messages, bits, rounds, congestion, crashes).
-    pub metrics: Metrics,
-    /// For each node, the round it crashed in (`None` = survived).
-    pub crashed_at: Vec<Option<Round>>,
-    /// The faulty set the adversary committed to.
-    pub faulty: FaultySet,
-    /// The message trace, when recording was enabled.
-    pub trace: Option<Trace>,
-    /// Rounds × edges over the configured CONGEST budget (0 if unchecked).
-    pub congest_violations: u64,
-}
-
-/// Largest number of unordered node pairs for which [`DeadEdgeCache`]
-/// will materialise its bitmap (2 bits per pair ⇒ ≤ 32 MiB).
-const MAX_CACHED_EDGE_PAIRS: u64 = 1 << 27;
-
-/// Whether the undirected edge `{lo, hi}` is dead, by the same hash roll
-/// the engine has always used. `lo < hi` canonicalizes the pair so both
-/// directions agree.
-#[inline]
-fn edge_roll(edge_seed: u64, lo: u32, hi: u32, p: f64) -> bool {
-    let key = (u64::from(lo) << 32) | u64::from(hi);
-    let h = stream_seed(edge_seed, key);
-    (h as f64 / u64::MAX as f64) < p
 }
 
 /// The per-run fate of every undirected edge, sampled lazily.
 ///
 /// [`SimConfig::edge_failure_prob`] kills each undirected edge for the
-/// whole run. A fate is a pure hash of `(edge seed, canonical pair)` — the
-/// same `stream_seed` roll in both directions, in every round, from any
-/// thread — so the data plane samples it on demand for exactly the edges a
-/// message actually crosses and never materialises anything per pair.
-/// That makes a round cost `O(traffic)` where the eager per-pair bitmap
-/// was `Θ(n²)` memory. [`DeadEdgeCache`] memoises the identical roll and
-/// is retained as the oracle the property suite pins this sampler against.
+/// whole run. A fate is a pure hash of `(edge seed, canonical pair)`: with
+/// `lo < hi`, the edge is dead when
+/// `stream_seed(stream_seed(seed, 5), lo << 32 | hi) / u64::MAX < p` — the
+/// same roll in both directions, in every round, from any thread. So the
+/// data plane samples it on demand for exactly the edges a message
+/// actually crosses and never materialises anything per pair: a round
+/// costs `O(traffic)`, not `Θ(n²)` memory.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeFates {
     edge_seed: u64,
@@ -216,73 +182,22 @@ impl EdgeFates {
     pub fn is_dead(&self, a: NodeId, b: NodeId) -> bool {
         assert_ne!(a, b, "no self edge");
         let (lo, hi) = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        edge_roll(self.edge_seed, lo, hi, self.p)
-    }
-}
-
-/// Eagerly memoised dead-edge set: the reference implementation the lazy
-/// [`EdgeFates`] sampler is tested against.
-///
-/// Caches each pair's verdict in a packed bitmap (2 bits per pair: known +
-/// dead) the first time the pair is queried. No longer used by the data
-/// plane — the bitmap is `Θ(n²)` and refuses to build past
-/// `MAX_CACHED_EDGE_PAIRS` — but kept public so the equivalence property
-/// test can pin `EdgeFates` to the historical rolls per `(seed, edge)`.
-#[derive(Debug)]
-pub struct DeadEdgeCache {
-    n: u64,
-    bits: Vec<u64>,
-}
-
-impl DeadEdgeCache {
-    /// A cache for `n` nodes, or `None` when the pair count would make the
-    /// bitmap unreasonably large.
-    pub fn new(n: u32) -> Option<Self> {
-        let pairs = u64::from(n) * u64::from(n - 1) / 2;
-        if pairs > MAX_CACHED_EDGE_PAIRS {
-            return None;
-        }
-        Some(DeadEdgeCache {
-            n: u64::from(n),
-            bits: vec![0; (pairs * 2).div_ceil(64) as usize],
-        })
-    }
-
-    /// Whether the undirected edge `{a, b}` is dead under `fates`,
-    /// memoising the roll.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b`.
-    #[inline]
-    pub fn is_dead(&mut self, a: u32, b: u32, fates: &EdgeFates) -> bool {
-        assert_ne!(a, b, "no self edge");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        // Row-major upper-triangle index of the pair (lo, hi), lo < hi.
-        let l = u64::from(lo);
-        let idx = l * (2 * self.n - l - 1) / 2 + (u64::from(hi) - l - 1);
-        let w = (idx / 32) as usize;
-        let sh = (idx % 32) * 2;
-        let word = self.bits[w];
-        if (word >> sh) & 1 == 1 {
-            return (word >> (sh + 1)) & 1 == 1;
-        }
-        let dead = edge_roll(fates.edge_seed, lo, hi, fates.p);
-        self.bits[w] = word | (1 << sh) | (u64::from(dead) << (sh + 1));
-        dead
+        let key = (u64::from(lo) << 32) | u64::from(hi);
+        (stream_seed(self.edge_seed, key) as f64 / u64::MAX as f64) < self.p
     }
 }
 
 /// The deterministic control plane of one execution: faulty set, liveness,
 /// adversary consultation, delivery filtering, and all accounting.
 ///
-/// Drivers call [`ControlCore::finish_round`] once per round with the
-/// round's outgoing traffic and then enact the returned
-/// [`RoundVerdict`]; [`ControlCore::finish`] yields the final books.
+/// One way in, one way out: drivers call [`ControlCore::finish_round`]
+/// once per round with the round's outgoing traffic and its sorted sender
+/// list, enact the returned [`RoundVerdict`], and close the run with
+/// [`ControlCore::finish`], which yields the [`RunResult`].
 ///
 /// The core owns the hot path's scratch memory (flat edge accumulator,
-/// dead-edge cache, trace spans), so steady-state rounds run without
-/// allocating; see `DESIGN.md` § "Round-buffer memory layout".
+/// trace spans), so steady-state rounds run without allocating; see
+/// `DESIGN.md` D9.
 #[derive(Debug)]
 pub struct ControlCore {
     n: u32,
@@ -307,13 +222,10 @@ pub struct ControlCore {
     edge_touched: Vec<u32>,
     /// Per-sender `(start, end)` ranges into the trace's event list for the
     /// current round — lets trace patching scan one sender's events instead
-    /// of the whole round tail. Only the spans of the round's touched
-    /// senders are refreshed; a stale span is only ever consulted for a
-    /// sender with no outgoing traffic, where patching is a no-op.
+    /// of the whole round tail. Only the spans of the round's senders are
+    /// refreshed; a stale span is only ever consulted for a sender with no
+    /// outgoing traffic, where patching is a no-op.
     trace_spans: Vec<(usize, usize)>,
-    /// Cached `0..n` sender list backing the dense [`ControlCore::finish_round`]
-    /// wrapper, so legacy dense drivers stay allocation-free per round.
-    all_senders: Vec<u32>,
 }
 
 impl ControlCore {
@@ -353,13 +265,7 @@ impl ControlCore {
             edge_acc: vec![0; nn],
             edge_touched: Vec::new(),
             trace_spans: Vec::new(),
-            all_senders: Vec::new(),
         }
-    }
-
-    /// Network size.
-    pub fn n(&self) -> u32 {
-        self.n
     }
 
     /// Whether `node` is still alive.
@@ -374,24 +280,24 @@ impl ControlCore {
 
     /// Number of still-alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// The adversary's static faulty set.
-    pub fn faulty(&self) -> &FaultySet {
-        &self.faulty
-    }
-
-    /// The run's lazily sampled edge fates.
-    pub fn edge_fates(&self) -> EdgeFates {
-        self.fates
+        (self.n - self.dead_count) as usize
     }
 
     /// Runs the control plane for one round over the traffic the alive
-    /// nodes queued (`outgoing`, indexed by sender; entries of dead nodes
-    /// must be empty). Consults the adversary (tamper, then crash
-    /// directives), applies delivery filters, accounts metrics / CONGEST /
-    /// trace, and returns what to deliver and whom to crash.
+    /// nodes queued (`outgoing`, indexed by sender). Consults the adversary
+    /// (tamper, then crash directives), applies delivery filters, accounts
+    /// metrics / CONGEST / trace, and returns whom to crash; `outgoing` is
+    /// left holding exactly the deliverable envelopes.
+    ///
+    /// `senders` is the round's sender list: sorted ascending,
+    /// deduplicated, and naming every node whose `outgoing` entry is
+    /// non-empty (entries of other nodes are ignored and must be empty).
+    /// Only those senders are visited, so a round costs
+    /// `O(senders + traffic)`, not `O(n)`; senders with empty buffers add
+    /// nothing to accounting, tracing or delivery, so any list that covers
+    /// the traffic gives the same result. A node the adversary tampers with
+    /// is merged into `senders` in place, so a driver that delivers over
+    /// its list after the call also delivers the forged traffic.
     ///
     /// `suppressed` is the number of sends the nodes dropped against their
     /// send budget this round (see [`SimConfig::send_cap`]).
@@ -404,42 +310,7 @@ impl ControlCore {
         &mut self,
         round: Round,
         outgoing: &mut [Vec<Envelope<M>>],
-        suppressed: u64,
-        adversary: &mut A,
-        ports: &[PortMap],
-    ) -> RoundVerdict
-    where
-        M: Payload,
-        A: Adversary<M> + ?Sized,
-    {
-        // Dense wrapper: every node is a potential sender. Sparse drivers
-        // (the engine's agenda loop) call `finish_round_touched` directly.
-        let mut all = std::mem::take(&mut self.all_senders);
-        if all.len() != outgoing.len() {
-            all.clear();
-            all.extend(0..outgoing.len() as u32);
-        }
-        let verdict =
-            self.finish_round_touched(round, outgoing, &all, suppressed, adversary, ports);
-        self.all_senders = all;
-        verdict
-    }
-
-    /// Sparse variant of [`ControlCore::finish_round`]: runs the identical
-    /// control plane while visiting only `touched` senders, so the round
-    /// costs `O(touched + traffic)` instead of `O(n)`.
-    ///
-    /// `touched` must be sorted ascending, deduplicated, and contain every
-    /// sender whose `outgoing` entry is non-empty (entries of other nodes
-    /// are ignored and must be empty). Nodes the adversary tampers with are
-    /// merged in automatically. Because senders with empty buffers
-    /// contribute nothing to accounting, tracing or delivery, the verdict,
-    /// metrics and filtered buffers are bit-identical to the dense walk.
-    pub fn finish_round_touched<M, A>(
-        &mut self,
-        round: Round,
-        outgoing: &mut [Vec<Envelope<M>>],
-        touched_senders: &[u32],
+        senders: &mut Vec<u32>,
         suppressed: u64,
         adversary: &mut A,
         ports: &[PortMap],
@@ -450,8 +321,8 @@ impl ControlCore {
     {
         let n = self.n;
         debug_assert!(
-            touched_senders.windows(2).all(|w| w[0] < w[1]),
-            "touched sender list must be sorted and deduplicated"
+            senders.windows(2).all(|w| w[0] < w[1]),
+            "sender list must be sorted and deduplicated"
         );
         self.metrics.msgs_suppressed += suppressed;
 
@@ -467,7 +338,6 @@ impl ControlCore {
             };
             adversary.tamper(&view, &mut self.adv_rng)
         };
-        let mut extra_senders: Vec<u32> = Vec::new();
         for t in tampers {
             let i = t.node.index();
             assert!(
@@ -480,8 +350,10 @@ impl ControlCore {
                 "adversary tampered with crashed node {}",
                 t.node
             );
-            if touched_senders.binary_search(&t.node.0).is_err() {
-                extra_senders.push(t.node.0);
+            // A forgery may give a node outside the list traffic (rare:
+            // only Byzantine extensions tamper).
+            if let Err(at) = senders.binary_search(&t.node.0) {
+                senders.insert(at, t.node.0);
             }
             outgoing[i] = t
                 .sends
@@ -501,24 +373,7 @@ impl ControlCore {
                 })
                 .collect();
         }
-        // A tamper may conjure traffic for a sender outside the touched
-        // list; fold those in (rare — only Byzantine extensions hit this)
-        // and report them in the verdict so sparse drivers drain them.
-        extra_senders.sort_unstable();
-        let tampered_extra: Vec<NodeId> = extra_senders.iter().map(|&u| NodeId(u)).collect();
-        let merged: Vec<u32>;
-        let touched_senders: &[u32] = if extra_senders.is_empty() {
-            touched_senders
-        } else {
-            let mut m: Vec<u32> = touched_senders
-                .iter()
-                .copied()
-                .chain(extra_senders)
-                .collect();
-            m.sort_unstable();
-            merged = m;
-            &merged
-        };
+        let senders: &[u32] = senders;
 
         // --- adversary: crash directives for this round. ---
         let directives = {
@@ -536,7 +391,7 @@ impl ControlCore {
         let mut crashed = Vec::new();
         let mut sent: u64 = 0;
         let mut bits_sent: u64 = 0;
-        for &su in touched_senders {
+        for &su in senders {
             let node_out = &outgoing[su as usize];
             sent += node_out.len() as u64;
             bits_sent += node_out
@@ -546,16 +401,16 @@ impl ControlCore {
         }
 
         // Record every *sent* message in the trace before filtering, so the
-        // communication graph also knows about suppressed sends. Touched
-        // senders are walked in id order, so events land exactly where the
-        // dense walk put them; each sender's events are contiguous, and the
-        // span is remembered so patching below touches only that sender's
-        // slice. Spans of untouched senders go stale, which is safe: a
-        // stale span is only consulted for a sender with an empty buffer,
+        // communication graph also knows about suppressed sends. Senders
+        // are walked in id order, so events land exactly where a walk over
+        // all n nodes puts them; each sender's events are contiguous, and
+        // the span is remembered so patching below touches only that
+        // sender's slice. Spans of unlisted nodes go stale, which is safe:
+        // a stale span is only consulted for a sender with an empty buffer,
         // where the patch has nothing to drop.
         if let Some(tr) = self.trace.as_mut() {
             self.trace_spans.resize(outgoing.len(), (0, 0));
-            for &su in touched_senders {
+            for &su in senders {
                 let u = su as usize;
                 let start = tr.events().len();
                 for e in &outgoing[u] {
@@ -626,7 +481,7 @@ impl ControlCore {
         let spans = &self.trace_spans;
         let mut trace = self.trace.as_mut();
 
-        for &su in touched_senders {
+        for &su in senders {
             let u = su as usize;
             let node_out = &mut outgoing[u];
             if node_out.is_empty() {
@@ -692,24 +547,18 @@ impl ControlCore {
             crashes: crashes_this_round,
         });
 
-        RoundVerdict {
-            crashed,
-            delivered,
-            tampered_extra,
-        }
+        RoundVerdict { crashed, delivered }
     }
 
-    /// Records the total number of bytes the run pushed onto the wire
-    /// (frame headers + encoded payloads + round markers). The engine
-    /// leaves this at 0; socket drivers report real byte counts.
-    pub fn record_wire_bytes(&mut self, bytes: u64) {
-        self.metrics.wire_bytes += bytes;
-    }
-
-    /// Closes the books: final metrics, crash ledger, faulty set, trace.
-    pub fn finish(self) -> ControlOutput {
-        ControlOutput {
+    /// Closes the books into the run's result: the nodes' final `states`
+    /// (in id order) beside the metrics, crash ledger, faulty set and
+    /// trace. `wire_bytes` is what the run pushed onto the wire (frame
+    /// headers + encoded payloads); the engine has no wire and passes 0.
+    pub fn finish<P>(mut self, states: Vec<P>, wire_bytes: u64) -> RunResult<P> {
+        self.metrics.wire_bytes = wire_bytes;
+        RunResult {
             metrics: self.metrics,
+            states,
             crashed_at: self.crashed_at,
             faulty: self.faulty,
             trace: self.trace,
@@ -769,7 +618,9 @@ fn mark_undelivered_span(events: &mut [TraceEvent], dst: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{DeliveryFilter, FaultPlan, NoFaults, ScriptedCrash};
+    use crate::adversary::{
+        CrashDirective, DeliveryFilter, FaultPlan, NoFaults, ScriptedCrash, Tamper,
+    };
 
     fn envelopes(ports: &[PortMap], src: NodeId, msgs: &[(Port, u64)]) -> Vec<Envelope<u64>> {
         let mut out = Vec::new();
@@ -898,11 +749,18 @@ mod tests {
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), u64::from(u))]))
             .collect();
-        let v = core.finish_round(0, &mut outgoing, 0, &mut NoFaults, &ports);
+        let v = core.finish_round(
+            0,
+            &mut outgoing,
+            &mut (0..4).collect(),
+            0,
+            &mut NoFaults,
+            &ports,
+        );
         assert_eq!(v.delivered, 4);
         assert!(v.crashed.is_empty());
         assert_eq!(outgoing.iter().flatten().count(), 4);
-        let out = core.finish();
+        let out = core.finish(vec![(); 4], 0);
         assert_eq!(out.metrics.msgs_sent, 4);
         assert_eq!(out.metrics.msgs_delivered, 4);
         assert_eq!(out.metrics.rounds, 1);
@@ -918,17 +776,58 @@ mod tests {
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), 1u64), (Port(1), 2)]))
             .collect();
-        let v = core.finish_round(0, &mut outgoing, 0, &mut adv, &ports);
+        let v = core.finish_round(0, &mut outgoing, &mut (0..4).collect(), 0, &mut adv, &ports);
         assert_eq!(v.crashed, vec![NodeId(0)]);
         assert!(!core.is_alive(NodeId(0)));
         // Node 0's two sends were dropped; sends *to* node 0 die too.
         assert!(v.delivered < 8);
         assert!(outgoing[0].is_empty());
         assert!(outgoing.iter().flatten().all(|e| e.dst != NodeId(0)));
-        let out = core.finish();
+        let out = core.finish(vec![(); 4], 0);
         assert_eq!(out.crashed_at[0], Some(0));
         assert_eq!(out.metrics.msgs_sent, 8); // paid for even if dropped
         assert_eq!(out.metrics.msgs_delivered, v.delivered);
+    }
+
+    #[test]
+    fn a_forged_sender_joins_the_sender_list_in_place() {
+        // Node 2 queued nothing and is not listed; the adversary forges a
+        // send for it. It is merged into the list in id order, and its
+        // forgery is accounted and left to deliver like any other send.
+        struct Forge;
+        impl Adversary<u64> for Forge {
+            fn faulty_set(&mut self, n: u32, _: &mut SmallRng) -> FaultySet {
+                FaultySet::from_nodes(n, [NodeId(2)])
+            }
+            fn on_round(
+                &mut self,
+                _: &AdversaryView<'_, u64>,
+                _: &mut SmallRng,
+            ) -> Vec<CrashDirective> {
+                Vec::new()
+            }
+            fn tamper(&mut self, _: &AdversaryView<'_, u64>, _: &mut SmallRng) -> Vec<Tamper<u64>> {
+                let sends = vec![(NodeId(0), 9)];
+                vec![Tamper {
+                    node: NodeId(2),
+                    sends,
+                }]
+            }
+        }
+        let cfg = SimConfig::new(4).seed(1);
+        let ports = network_ports(&cfg);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut Forge);
+        let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
+        for u in [1, 3] {
+            outgoing[u] = envelopes(&ports, NodeId(u as u32), &[(Port(0), 1)]);
+        }
+        let mut senders = vec![1, 3];
+        let v = core.finish_round(0, &mut outgoing, &mut senders, 0, &mut Forge, &ports);
+        assert_eq!(senders, [1, 2, 3]);
+        assert_eq!(v.delivered, 3);
+        let forged = &outgoing[2][0];
+        assert_eq!((forged.dst, forged.msg), (NodeId(0), 9));
+        assert_eq!(forged.dst_port, ports[0].port_to(NodeId(2)));
     }
 
     #[test]
@@ -937,7 +836,7 @@ mod tests {
         let ports = network_ports(&cfg);
         let mut core = ControlCore::new::<u64, _>(&cfg, &mut NoFaults);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
-        core.finish_round(0, &mut outgoing, 7, &mut NoFaults, &ports);
-        assert_eq!(core.finish().metrics.msgs_suppressed, 7);
+        core.finish_round(0, &mut outgoing, &mut Vec::new(), 7, &mut NoFaults, &ports);
+        assert_eq!(core.finish(vec![(); 4], 0).metrics.msgs_suppressed, 7);
     }
 }
