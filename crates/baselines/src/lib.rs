@@ -14,7 +14,6 @@
 //! | [`chlebus_kowalski`] | Chlebus–Kowalski SPAA'09 `[36]` | `O(n log n)` exp. | `O(log n)` exp. | linear | KT0 |
 //! | [`kutten_le`] | Kutten et al. TCS'15 `[21]` (fault-free) | `O(√n·log^{3/2}n)` | `O(1)` | none | KT0 |
 //! | [`diam_two_le`] | Chatterjee–Pandurangan–Robinson ICDCN'20 (hub relay, diameter-two) | `O(n·h)` | `O(1)` | none | KT0 |
-//! | [`cms`] | Chor–Merritt–Shmoys JACM'89 `[25]` | `Θ(n²)`/phase | `O(1)` expected | `< n/2` whp | KT0 |
 //! | [`augustine_agreement`] | Augustine–Molla–Pandurangan PODC'18 `[23]` (fault-free) | `O(√n·log^{3/2}n)` | `O(1)` | none | KT0 |
 
 #![forbid(unsafe_code)]
@@ -23,7 +22,6 @@
 pub mod augustine_agreement;
 pub mod broadcast_le;
 pub mod chlebus_kowalski;
-pub mod cms;
 pub mod diam_two_le;
 pub mod flood_agreement;
 pub mod gilbert_kowalski;
@@ -38,7 +36,6 @@ pub mod prelude {
     pub use crate::chlebus_kowalski::{
         gossip_round_budget, gossip_rounds, GossipNode, GossipOutcome,
     };
-    pub use crate::cms::{cms_round_budget, CmsMsg, CmsNode, CmsOutcome, CMS_PHASES};
     pub use crate::diam_two_le::{
         diam_two_round_budget, DiamTwoLeNode, DiamTwoMsg, DiamTwoOutcome,
     };

@@ -26,7 +26,7 @@ use std::time::Instant;
 use ftc_core::prelude::Params;
 use ftc_sim::adversary::DeliveryFilter;
 use ftc_sim::engine::SimConfig;
-use ftc_sim::json::{fnv1a64, git_rev, Codec, Json};
+use ftc_sim::json::{fnv1a64, git_rev};
 use ftc_sim::prelude::FaultPlan;
 
 use crate::artifact::Artifact;
@@ -310,45 +310,10 @@ ftc_sim::codec! {
     }
 }
 
-/// A short render of `v` for a drift line; large values are elided.
-fn brief(v: Option<&Json>) -> String {
-    match v.map(Json::render) {
-        Some(text) if text.len() <= 40 => text,
-        Some(_) => "…".into(),
-        None => "absent".into(),
-    }
-}
-
 impl HuntCampaignRecord {
     /// Total hits across the portfolio.
     pub fn hits(&self) -> u64 {
         self.cells.iter().map(|c| c.hits).sum()
-    }
-
-    /// Where `fresh`'s deterministic payload departs from this one: one
-    /// line per differing key of a cell or of the record, empty when the
-    /// two renders are byte-identical.
-    pub fn drift(&self, fresh: &HuntCampaignRecord) -> Vec<String> {
-        let mut lines = Vec::new();
-        let mut compare = |what: &str, base: Json, new: Json| {
-            let Json::Obj(fields) = &base else { return };
-            for (key, b) in fields.iter().filter(|(k, _)| k != "cells") {
-                let (b, f) = (Some(b), new.get(key));
-                if b != f {
-                    lines.push(format!("{what}: `{key}` {} -> {}", brief(b), brief(f)));
-                }
-            }
-        };
-        for (b, f) in self.cells.iter().zip(&fresh.cells) {
-            let what = format!("cell {}", b.cell.label);
-            compare(&what, b.encode(false), f.encode(false));
-        }
-        compare("record", self.encode(false), fresh.encode(false));
-        if lines.is_empty() && self.deterministic_render() != fresh.deterministic_render() {
-            let (b, f) = (self.cells.len(), fresh.cells.len());
-            lines.push(format!("record: {b} cells -> {f}"));
-        }
-        lines
     }
 }
 
@@ -530,6 +495,7 @@ fn adversary_portfolio(smoke: bool) -> HuntCampaignSpec {
 mod tests {
     use super::*;
     use ftc_sim::ids::NodeId;
+    use ftc_sim::json::{self, Json};
     use std::collections::HashSet;
 
     fn cell(label: &str, proto: ProtoKind, objective: Objective, wire: bool) -> HuntCellSpec {
@@ -659,7 +625,7 @@ mod tests {
         let b = run_hunt_campaign(&spec, 2).unwrap();
         assert_eq!(a.deterministic_render(), b.deterministic_render());
         assert_eq!(a.id(), b.id());
-        assert!(a.drift(&b).is_empty());
+        assert!(json::diff(&a.to_json(false), &b.to_json(false)).is_empty());
         assert_eq!(a.cells.len(), 2);
         assert_eq!(a.cells[0].evaluated, 4);
         // The searches explored something, and the campaign grid saw it.
@@ -676,7 +642,7 @@ mod tests {
         let mut doctored = a.clone();
         doctored.cells[1].hits += 1;
         assert_eq!(
-            doctored.drift(&a),
+            json::diff(&doctored.to_json(false), &a.to_json(false)),
             vec![format!(
                 "cell agree-fail: `hits` {} -> {}",
                 a.cells[1].hits + 1,

@@ -15,7 +15,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use ftc_sim::json::{Json, JsonError};
+use ftc_sim::json::{self, Json, JsonError};
 
 use crate::run::CampaignRecord;
 
@@ -191,25 +191,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Equality of two payload fields that reads a number by its value, not
-/// its spelling: the trajectory's older entries spell a whole float `1`,
-/// which parses as an integer, where a fresh record holds `1.0`.
-fn same_value(a: &Json, b: &Json) -> bool {
-    match (a, b) {
-        (Json::Arr(x), Json::Arr(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_value(p, q))
+/// Trajectory cells cut to their payload keys, under `cells` so the
+/// differ names each cell by its label.
+fn payload(cells: impl Iterator<Item = Json>) -> Json {
+    let cells = cells.map(|mut cell| {
+        if let Json::Obj(fields) = &mut cell {
+            fields.retain(|(k, _)| PAYLOAD_KEYS.contains(&k.as_str()));
         }
-        (Json::Obj(x), Json::Obj(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y)
-                    .all(|((k, p), (l, q))| k == l && same_value(p, q))
-        }
-        (Json::Num(_), _) | (_, Json::Num(_)) => {
-            matches!((a.as_f64(), b.as_f64()), (Ok(x), Ok(y)) if x == y)
-        }
-        _ => a == b,
-    }
+        cell
+    });
+    Json::Obj(vec![("cells".into(), Json::Arr(cells.collect()))])
 }
 
 /// Gates a fresh run of a bench campaign against a committed trajectory
@@ -247,7 +238,12 @@ pub fn perf_gate(
             fresh.cells.len()
         ));
     }
-    let mut mismatches = Vec::new();
+    // By value: an entry from when whole floats were spelled `1` holds
+    // the fresh record's `1.0`.
+    let mismatches = json::diff(
+        &payload(base_cells.iter().cloned()),
+        &payload(fresh.cells.iter().map(cell_entry)),
+    );
     let mut cells = Vec::with_capacity(fresh.cells.len());
     for (base, fresh_cell) in base_cells.iter().zip(&fresh.cells) {
         let label = base
@@ -255,20 +251,6 @@ pub fn perf_gate(
             .and_then(Json::as_str)
             .map_err(|e| format!("baseline entry: {e}"))?
             .to_string();
-        let mine = cell_entry(fresh_cell);
-        for key in PAYLOAD_KEYS {
-            let b = base
-                .field(key)
-                .map_err(|e| format!("baseline entry: {e}"))?;
-            let f = mine.field(key).expect("cell_entry writes every key");
-            if !same_value(b, f) {
-                mismatches.push(format!(
-                    "cell {label}: {key} baseline {} != fresh {}",
-                    b.render(),
-                    f.render()
-                ));
-            }
-        }
         let base_tps = base
             .field("trials_per_s")
             .and_then(Json::as_f64)

@@ -13,10 +13,10 @@
 
 use ftc_core::params::Params;
 use ftc_hunt::proto::ProtoKind;
-use ftc_sim::stats::wilson_interval;
+use ftc_sim::stats::{fit_power_law, wilson_interval};
 
 use crate::campaigns::scaling_sizes;
-use crate::run::{try_fit_power_law, CampaignRecord, CellResult};
+use crate::run::{CampaignRecord, CellResult};
 use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 
 /// Trials per cell at smoke scale: `full`, cut to two.
@@ -110,7 +110,7 @@ fn params(cell: &CellResult) -> Result<Params, String> {
 }
 
 fn fit(what: &str, xs: &[f64], ys: &[f64]) -> Result<(f64, f64), String> {
-    try_fit_power_law(xs, ys)
+    fit_power_law(xs, ys)
         .ok_or_else(|| format!("{what}: a power-law fit needs two distinct positive points"))
 }
 

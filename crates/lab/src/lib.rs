@@ -9,9 +9,9 @@
 //! JSON document carrying the spec, its hash, per-cell [`Summary`]s and
 //! log-histograms, and wall-clock provenance — persisted in a
 //! content-addressed [`store`] (which also holds `ftc-hunt`'s portfolio
-//! records), compared cell-by-cell by [`diff`] with
-//! statistically justified tolerance bands, and gated in CI by
-//! [`diff::gate`] against committed baselines. The named campaigns are
+//! records) and gated in CI against committed baselines: a fresh run must
+//! reproduce the deterministic payload byte for byte, and
+//! [`ftc_sim::json::diff`] names each key that moved. The named campaigns are
 //! the rows of [`campaigns::CAMPAIGNS`]; Table I and the paper's figures
 //! are among them, each with the renderer ([`figures`]) that turns its
 //! record into the figure's text.
@@ -22,13 +22,11 @@
 
 pub mod baseline;
 pub mod campaigns;
-pub mod diff;
 pub mod figures;
 pub mod run;
 pub mod spec;
 pub mod store;
 
-pub use diff::{diff_records, CellDiff, DiffReport, Tolerance};
 pub use ftc_mesh::Substrate;
 pub use run::{run_campaign, run_cell, CampaignRecord, CellResult, CheckResult};
 pub use spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};

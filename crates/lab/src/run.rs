@@ -665,21 +665,6 @@ ftc_sim::codec! {
     }
 }
 
-/// [`fit_power_law`] for points that may come from a store file: `None`
-/// where it would panic (fewer than two distinct `x`, a non-positive
-/// coordinate).
-pub(crate) fn try_fit_power_law(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
-    let distinct_xs = {
-        let mut sorted: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    };
-    let fittable =
-        xs.len() == ys.len() && distinct_xs >= 2 && xs.iter().chain(ys.iter()).all(|&v| v > 0.0);
-    fittable.then(|| fit_power_law(xs, ys))
-}
-
 fn evaluate_check(check: &ExponentCheck, cells: &[CellResult]) -> CheckResult {
     let series: Vec<&CellResult> = cells
         .iter()
@@ -699,7 +684,7 @@ fn evaluate_check(check: &ExponentCheck, cells: &[CellResult]) -> CheckResult {
             CheckMetric::Rounds => c.rounds.mean,
         })
         .collect();
-    let exponent = try_fit_power_law(&xs, &ys).map(|(exponent, _)| exponent);
+    let exponent = fit_power_law(&xs, &ys).map(|(exponent, _)| exponent);
     CheckResult {
         check: check.clone(),
         exponent,

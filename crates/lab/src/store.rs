@@ -21,9 +21,6 @@ use ftc_sim::json::{Codec, Diag, Json, JsonError, Stored};
 
 use crate::run::{CampaignRecord, LAB_SCHEMA};
 
-/// Default store location relative to the repo root.
-pub const DEFAULT_DIR: &str = "results/store";
-
 /// A directory of campaign records addressed by content.
 #[derive(Clone, Debug)]
 pub struct Store {

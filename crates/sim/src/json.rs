@@ -16,7 +16,9 @@
 //!   in one table in render order, and the writer, the reader and the
 //!   reader's errors all come from that table. A missing required key, a
 //!   key the table does not list and an integer that does not fit its
-//!   field are errors naming the type and the key.
+//!   field are errors naming the type and the key;
+//! * [`diff`] — where two stored payloads differ, one line per leaf by
+//!   key path: what `lab gate`, `lab diff` and `lab perf` print.
 //!
 //! Integers are kept exact: a `u64` seed round-trips bit-for-bit (values
 //! are only widened to `f64` when they carry a fraction or exponent),
@@ -731,6 +733,63 @@ pub trait Stored: Codec {
     fn id(&self) -> String;
 }
 
+/// Where `fresh` departs from `base`: one line per differing leaf, reading
+/// `cell <label>: `<key.path>` <base> -> <fresh>` inside an element of a
+/// top-level `cells` array (named by its `label`, or its `cell.label`) and
+/// `record: `<key.path>` …` elsewhere. Numbers compare by value, so `1`
+/// equals `1.0`; an array whose length changed is one leaf; a value longer
+/// than 40 characters is elided. Empty when the two are equal by value,
+/// as two renders differing only in key order or number spelling are.
+pub fn diff(base: &Json, fresh: &Json) -> Vec<String> {
+    let mut lines = Vec::new();
+    diff_into(None, "", base, fresh, &mut lines);
+    lines
+}
+
+fn diff_into(cell: Option<&str>, path: &str, base: &Json, fresh: &Json, lines: &mut Vec<String>) {
+    let join = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    let brief = |v: Option<&Json>| match v.map(Json::render) {
+        Some(text) if text.chars().count() <= 40 => text,
+        Some(_) => "…".into(),
+        None => "absent".into(),
+    };
+    let leaf = |path: &str, b: Option<&Json>, f: Option<&Json>| {
+        let scope = cell.map_or("record".into(), |label| format!("cell {label}"));
+        format!("{scope}: `{path}` {} -> {}", brief(b), brief(f))
+    };
+    match (base, fresh) {
+        (Json::Obj(b), Json::Obj(f)) => {
+            for (key, bv) in b {
+                match fresh.get(key) {
+                    Some(fv) => diff_into(cell, &join(key), bv, fv, lines),
+                    None => lines.push(leaf(&join(key), Some(bv), None)),
+                }
+            }
+            for (key, fv) in f.iter().filter(|(k, _)| base.get(k).is_none()) {
+                lines.push(leaf(&join(key), None, Some(fv)));
+            }
+        }
+        (Json::Arr(b), Json::Arr(f)) if b.len() == f.len() => {
+            for (i, (bv, fv)) in b.iter().zip(f).enumerate() {
+                let label = (cell.is_none() && path == "cells")
+                    .then(|| bv.get("label").or_else(|| bv.get("cell")?.get("label")))
+                    .flatten()
+                    .and_then(|l| l.as_str().ok());
+                match label {
+                    Some(label) => diff_into(Some(label), "", bv, fv, lines),
+                    None => diff_into(cell, &format!("{path}[{i}]"), bv, fv, lines),
+                }
+            }
+        }
+        (Json::Num(x), y) | (y, Json::Num(x)) if y.as_f64().is_ok_and(|y| y == *x) => {}
+        _ if base != fresh => lines.push(leaf(path, Some(base), Some(fresh))),
+        _ => {}
+    }
+}
+
 /// Generates [`Codec`] for a type from one field table.
 ///
 /// Every form lists keys in render order, so the table *is* the byte
@@ -1405,6 +1464,70 @@ mod tests {
         let back = ServiceMetrics::from_json(&empty.to_json()).unwrap();
         assert_eq!(back, empty);
         assert_eq!(back.availability(), None);
+    }
+
+    fn parse(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn identical_values_diff_empty() {
+        let v = parse(r#"{"a":[1,{"b":"x"}],"cells":[{"label":"le","n":8}]}"#);
+        assert!(diff(&v, &v.clone()).is_empty());
+    }
+
+    #[test]
+    fn a_nested_cell_key_is_named_by_label_and_path() {
+        let base = parse(r#"{"name":"c","cells":[{"label":"le","msgs":{"mean":1.5}}]}"#);
+        let fresh = parse(r#"{"name":"c","cells":[{"label":"le","msgs":{"mean":2.5}}]}"#);
+        assert_eq!(diff(&base, &fresh), ["cell le: `msgs.mean` 1.5 -> 2.5"]);
+        // A portfolio cell carries its label under `cell`.
+        let base = parse(r#"{"cells":[{"cell":{"label":"agree-fail"},"hits":0}]}"#);
+        let fresh = parse(r#"{"cells":[{"cell":{"label":"agree-fail"},"hits":1}]}"#);
+        assert_eq!(diff(&base, &fresh), ["cell agree-fail: `hits` 0 -> 1"]);
+        // Outside `cells`, a line is the record's; absent keys say so.
+        let base = parse(r#"{"spec":{"seeds":[1,2]},"gone":true}"#);
+        let fresh = parse(r#"{"spec":{"seeds":[1,3]},"new":null}"#);
+        assert_eq!(
+            diff(&base, &fresh),
+            [
+                "record: `spec.seeds[1]` 2 -> 3",
+                "record: `gone` true -> absent",
+                "record: `new` absent -> null",
+            ]
+        );
+    }
+
+    #[test]
+    fn array_length_and_element_changes_are_reported() {
+        let base = parse(r#"{"counts":[1,2]}"#);
+        assert_eq!(
+            diff(&base, &parse(r#"{"counts":[1,2,3]}"#)),
+            ["record: `counts` [1,2] -> [1,2,3]"]
+        );
+        assert_eq!(
+            diff(&base, &parse(r#"{"counts":[1,5]}"#)),
+            ["record: `counts[1]` 2 -> 5"]
+        );
+    }
+
+    #[test]
+    fn numbers_compare_by_value() {
+        let base = parse(r#"{"rate":1,"mean":2.0}"#);
+        let fresh = parse(r#"{"mean":2,"rate":1.0}"#);
+        assert!(diff(&base, &fresh).is_empty());
+        assert_eq!(
+            diff(&base, &parse(r#"{"rate":"1","mean":2.0}"#)),
+            [r#"record: `rate` 1 -> "1""#]
+        );
+    }
+
+    #[test]
+    fn long_values_are_elided() {
+        let long = "x".repeat(41);
+        let base = parse(&format!(r#"{{"artifact":"{long}"}}"#));
+        let fresh = parse(r#"{"artifact":"short"}"#);
+        assert_eq!(diff(&base, &fresh), [r#"record: `artifact` … -> "short""#]);
     }
 
     #[test]

@@ -132,19 +132,13 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 ///
 /// Used to check asymptotic claims: fitting measured message counts against
 /// `n` should give `e ≈ 0.5` for the paper's protocols and `e ≈ 2` for
-/// quadratic baselines.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are given, any coordinate is `≤ 0`, or
-/// all `x` values are equal (the slope would be undefined).
-pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "mismatched sample lengths");
-    assert!(xs.len() >= 2, "need at least two points to fit");
-    assert!(
-        xs.iter().chain(ys.iter()).all(|&v| v > 0.0),
-        "power-law fit requires positive coordinates"
-    );
+/// quadratic baselines. `None` when the slope is undefined: the samples
+/// differ in length, there are fewer than two points, a coordinate is
+/// `≤ 0`, or all `x` values are equal.
+pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+    if xs.len() != ys.len() || xs.len() < 2 || !xs.iter().chain(ys).all(|&v| v > 0.0) {
+        return None;
+    }
     let lx: Vec<f64> = xs.iter().map(|v| v.ln()).collect();
     let ly: Vec<f64> = ys.iter().map(|v| v.ln()).collect();
     let n = lx.len() as f64;
@@ -152,10 +146,12 @@ pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     let my = ly.iter().sum::<f64>() / n;
     let sxy: f64 = lx.iter().zip(&ly).map(|(x, y)| (x - mx) * (y - my)).sum();
     let sxx: f64 = lx.iter().map(|x| (x - mx).powi(2)).sum();
-    assert!(sxx > 0.0, "need at least two distinct x values to fit");
+    if sxx <= 0.0 {
+        return None;
+    }
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    (slope, intercept.exp())
+    Some((slope, intercept.exp()))
 }
 
 /// Wilson score interval for a binomial proportion at ~95% confidence.
@@ -216,7 +212,7 @@ mod tests {
     fn power_law_recovers_exact_exponent() {
         let xs: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x.powf(0.5)).collect();
-        let (e, c) = fit_power_law(&xs, &ys);
+        let (e, c) = fit_power_law(&xs, &ys).unwrap();
         assert!((e - 0.5).abs() < 1e-9, "exponent {e}");
         assert!((c - 3.0).abs() < 1e-9, "coefficient {c}");
     }
@@ -229,7 +225,7 @@ mod tests {
             .enumerate()
             .map(|(i, x)| x * x * (1.0 + 0.01 * (i as f64 % 3.0)))
             .collect();
-        let (e, _) = fit_power_law(&xs, &ys);
+        let (e, _) = fit_power_law(&xs, &ys).unwrap();
         assert!((e - 2.0).abs() < 0.05, "exponent {e}");
     }
 
@@ -279,34 +275,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive coordinates")]
     fn power_law_rejects_non_positive_points() {
-        let _ = fit_power_law(&[1.0, 2.0], &[0.0, 3.0]);
+        assert_eq!(fit_power_law(&[1.0, 2.0], &[0.0, 3.0]), None);
     }
 
     #[test]
-    #[should_panic(expected = "at least two points")]
     fn power_law_rejects_single_point() {
-        let _ = fit_power_law(&[4.0], &[9.0]);
+        assert_eq!(fit_power_law(&[4.0], &[9.0]), None);
     }
 
     #[test]
-    #[should_panic(expected = "mismatched sample lengths")]
     fn power_law_rejects_mismatched_lengths() {
-        let _ = fit_power_law(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
+        assert_eq!(fit_power_law(&[1.0, 2.0, 3.0], &[1.0, 2.0]), None);
     }
 
     #[test]
-    #[should_panic(expected = "two distinct x values")]
     fn power_law_rejects_degenerate_axis() {
-        // All-equal x coordinates leave the log–log slope undefined; a
-        // loud panic beats the silent NaN this used to produce.
-        let _ = fit_power_law(&[8.0, 8.0, 8.0], &[1.0, 2.0, 3.0]);
+        // All-equal x coordinates leave the log–log slope undefined.
+        assert_eq!(fit_power_law(&[8.0, 8.0, 8.0], &[1.0, 2.0, 3.0]), None);
     }
 
     #[test]
     fn power_law_flat_line_fits_zero_exponent() {
-        let (e, c) = fit_power_law(&[1.0, 4.0, 16.0], &[5.0, 5.0, 5.0]);
+        let (e, c) = fit_power_law(&[1.0, 4.0, 16.0], &[5.0, 5.0, 5.0]).unwrap();
         assert!(e.abs() < 1e-12, "exponent {e}");
         assert!((c - 5.0).abs() < 1e-9, "coefficient {c}");
     }

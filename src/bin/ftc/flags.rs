@@ -401,7 +401,7 @@ pub const FLAGS: &[Flag] = &[
         name: "--tolerance",
         metavar: Some("F"),
         readers: "lab",
-        help: "lab diff|gate|perf: fractional tolerance band (default: exact; perf 0.2)",
+        help: "lab perf: allowed throughput shortfall below the median ratio (default 0.2)",
         set: |o, f, v| {
             let t: f64 = num(f, v)?;
             if t <= 0.0 || t.is_nan() {

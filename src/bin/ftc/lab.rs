@@ -114,30 +114,6 @@ fn run_portfolio(o: &Opts, store: &Store, spec: &HuntCampaignSpec) -> Result<(),
     Ok(())
 }
 
-/// `lab gate` of a portfolio record: a fresh run of its spec must
-/// reproduce the deterministic payload byte for byte.
-fn gate_portfolio(base: &HuntCampaignRecord, jobs: usize) -> Result<(), String> {
-    let fresh = run_hunt_campaign(&base.spec, jobs)?;
-    let drift = base.drift(&fresh);
-    if drift.is_empty() {
-        println!(
-            "ok: portfolio {} reproduced bit-for-bit ({} cells, coverage {:.1}%)",
-            base.id(),
-            base.cells.len(),
-            base.coverage.fraction() * 100.0
-        );
-        return Ok(());
-    }
-    for line in &drift {
-        eprintln!("drift: {line}");
-    }
-    Err(format!(
-        "{} mismatch(es) against baseline {}",
-        drift.len(),
-        base.id()
-    ))
-}
-
 fn print_hunt_record(record: &HuntCampaignRecord, format: Format) {
     if format == Format::Json {
         println!("{}", record.to_json(true).render());
@@ -227,6 +203,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
         .first()
         .ok_or("lab needs a verb: ftc lab <run|list|show|diff|gate|baseline|perf>")?;
     let store = Store::at(&o.store);
+    let resolve = |needle: &str| store.resolve(needle).map_err(|e| e.to_string());
     let arg = |k: usize, what: &str| {
         o.positional
             .get(k)
@@ -273,37 +250,28 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             }
             Ok(())
         }
-        "show" => match store.resolve(&arg(1, "a record id (or unique prefix)")?) {
-            Ok(Record::Lab(record)) => print_record(&record, o.format),
-            Ok(Record::Hunt(record)) => {
+        "show" => match resolve(&arg(1, "a record id (or unique prefix)")?)? {
+            Record::Lab(record) => print_record(&record, o.format),
+            Record::Hunt(record) => {
                 print_hunt_record(&record, o.format);
                 Ok(())
             }
-            Err(e) => Err(e.to_string()),
         },
-        "diff" => {
-            let lab = |k, what| match store.resolve(&arg(k, what)?) {
-                Ok(Record::Lab(record)) => Ok(record),
-                Ok(Record::Hunt(record)) => Err(format!(
-                    "{} is a portfolio hunt; lab diff compares lab records (lab gate re-runs it)",
-                    record.id()
-                )),
-                Err(e) => Err(e.to_string()),
+        "diff" | "gate" if o.tolerance.is_some() => Err(format!(
+            "lab {verb} compares payloads exactly; --tolerance is the lab perf throughput band"
+        )),
+        "diff" => compare(
+            &resolve(&arg(1, "a baseline record")?)?,
+            &resolve(&arg(2, "a fresh record")?)?,
+        ),
+        "gate" => {
+            let base = resolve(&arg(1, "a baseline record or file")?)?;
+            let fresh = match &base {
+                Record::Lab(b) => Record::Lab(run_campaign(&b.spec, o.jobs, lab_substrate(o)?)?),
+                Record::Hunt(b) => Record::Hunt(run_hunt_campaign(&b.spec, o.jobs)?),
             };
-            let base = lab(1, "a baseline record")?;
-            let fresh = lab(2, "a fresh record")?;
-            let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
-            report_diff(&base, &fresh, &tol)
+            compare(&base, &fresh)
         }
-        "gate" => match store.resolve(&arg(1, "a baseline record or file")?) {
-            Ok(Record::Lab(base)) => {
-                let fresh = run_campaign(&base.spec, o.jobs, lab_substrate(o)?)?;
-                let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
-                report_diff(&base, &fresh, &tol)
-            }
-            Ok(Record::Hunt(base)) => gate_portfolio(&base, o.jobs),
-            Err(e) => Err(e.to_string()),
-        },
         "baseline" => {
             let dir = std::path::Path::new(o.out.as_deref().unwrap_or("."));
             std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
@@ -467,31 +435,36 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
     }
 }
 
-fn report_diff(
-    base: &CampaignRecord,
-    fresh: &CampaignRecord,
-    tol: &Tolerance,
-) -> Result<(), String> {
-    let report = diff_records(base, fresh, tol)?;
-    if report.ok() {
-        println!(
-            "ok: {} cells agree{}",
-            report.cells.len(),
-            if tol.exact {
-                " bit-for-bit"
-            } else {
-                " within tolerance"
-            }
-        );
-        Ok(())
-    } else {
-        for line in report.lines() {
-            eprintln!("drift: {line}");
-        }
-        Err(format!(
-            "{} mismatch(es) against baseline {}",
-            report.lines().len(),
-            base.id()
-        ))
+/// A record's id and deterministic payload.
+fn payload(record: &Record) -> (String, Json) {
+    match record {
+        Record::Lab(r) => (r.id(), r.to_json(false)),
+        Record::Hunt(r) => (r.id(), r.to_json(false)),
     }
+}
+
+/// Compares two records of either kind. The verdict is byte equality of
+/// their deterministic payloads; a failure prints one `drift:` line per
+/// value that moved.
+fn compare(base: &Record, fresh: &Record) -> Result<(), String> {
+    let ((id, base), (_, fresh)) = (payload(base), payload(fresh));
+    if base.render() == fresh.render() {
+        let cells = base
+            .get("cells")
+            .and_then(|c| c.as_arr().ok())
+            .map_or(0, <[Json]>::len);
+        println!("ok: {cells} cells agree bit-for-bit");
+        return Ok(());
+    }
+    let mut drift = ftc::sim::json::diff(&base, &fresh);
+    if drift.is_empty() {
+        drift.push("record: the renders differ only in key order or number spelling".into());
+    }
+    for line in &drift {
+        eprintln!("drift: {line}");
+    }
+    Err(format!(
+        "{} mismatch(es) against baseline {id}",
+        drift.len()
+    ))
 }

@@ -29,8 +29,8 @@
 //! * [`lab`] — declarative experiment campaigns: parameter grids over the
 //!   protocols (Table I and every figure among them, with their
 //!   renderers), a content-addressed results store under `results/store/`
-//!   that holds lab and portfolio records alike, cell-by-cell diffs with
-//!   statistical tolerance bands, and the CI perf gate built on them;
+//!   that holds lab and portfolio records alike, bit-for-bit gates that
+//!   name each drifted key, and the CI perf gate;
 //! * [`serve`] — a long-lived leader *service*: repeated election heights
 //!   over the unmodified protocols, leader-kill churn with rejoin, a
 //!   deterministic load generator, and a runtime invariant monitor that
@@ -73,8 +73,8 @@ pub mod prelude {
     pub use ftc_core::prelude::*;
     pub use ftc_hunt::prelude::*;
     pub use ftc_lab::{
-        diff_records, run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, CheckAxis,
-        CheckMetric, DiffReport, ExponentCheck, Record, Store, Tolerance, Workload,
+        run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, CheckAxis, CheckMetric,
+        ExponentCheck, Record, Store, Workload,
     };
     pub use ftc_lowerbound::prelude::*;
     pub use ftc_mesh::prelude::*;

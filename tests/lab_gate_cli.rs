@@ -130,3 +130,49 @@ fn portfolio_records_gate_and_show_through_lab() {
     assert_eq!(out.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn lab_diff_takes_portfolios_and_tolerance_is_perf_only() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results/store/adversary-portfolio-598993f4cd7641a0.json");
+    let dir = tmp_dir("diff");
+    let text = std::fs::read_to_string(&committed).unwrap();
+    let copy = dir.join("copy.json");
+    std::fs::write(&copy, &text).unwrap();
+    let diff = |a: &Path, b: &Path, extra: &[&str]| {
+        let mut args = vec!["lab", "diff", a.to_str().unwrap(), b.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        ftc(&args)
+    };
+    let out = diff(&committed, &copy, &[]);
+    assert!(
+        out.status.success(),
+        "a portfolio differs from its own copy:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // One cell's hit count raised by one is named, cell and key.
+    let mut doctored = HuntCampaignRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
+    doctored.cells[0].hits += 1;
+    let label = doctored.cells[0].cell.label.clone();
+    let path = dir.join("doctored.json");
+    std::fs::write(&path, doctored.to_json(true).render()).unwrap();
+    let out = diff(&committed, &path, &[]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("drift: cell {label}: `hits`")),
+        "{stderr}"
+    );
+
+    // The band is `lab perf`'s; diff and gate compare exactly.
+    for out in [
+        diff(&committed, &copy, &["--tolerance", "0.1"]),
+        ftc(&["lab", "gate", copy.to_str().unwrap(), "--tolerance", "0.1"]),
+    ] {
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("lab perf"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
