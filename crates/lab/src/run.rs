@@ -146,18 +146,12 @@ fn bridged_trial(
     cell: &CellSpec,
     cfg: SimConfig,
     substrate: Substrate,
+    opts: &RunOpts,
 ) -> Result<TrialValue, String> {
     let params = cell_params(cell)?;
     let cfg = cfg.max_rounds(proto.round_budget(&params));
     let schedule = Schedule::Named(adv);
-    let r = proto.run(
-        &params,
-        &cfg,
-        zeros,
-        schedule,
-        substrate,
-        &RunOpts::default(),
-    )?;
+    let r = proto.run(&params, &cfg, zeros, schedule, substrate, opts)?;
     let success = r.observation.fingerprint.success;
     let mut extras = vec![];
     if proto == ProtoKind::Le {
@@ -174,20 +168,29 @@ fn bridged_trial(
 }
 
 /// Runs one trial of `cell` at a fully derived `seed`. Pure in its
-/// arguments; the cluster substrates are only supported for the plain
-/// `Le`/`Agree` workloads (checked up front by [`run_campaign`]).
-pub fn run_trial(cell: &CellSpec, seed: u64, substrate: Substrate) -> Result<TrialValue, String> {
+/// arguments, `opts.intra_jobs` included (the engine shards a round
+/// without changing a bit of it); the cluster substrates are only
+/// supported for the plain `Le`/`Agree` workloads (checked up front by
+/// [`run_campaign`]).
+pub fn run_trial(
+    cell: &CellSpec,
+    seed: u64,
+    substrate: Substrate,
+    opts: &RunOpts,
+) -> Result<TrialValue, String> {
     let n = cell.n;
     let mut cfg = SimConfig::new(n).seed(seed);
     if !cell.topology.is_complete() {
         cfg = cfg.topology(cell.topology.clone());
     }
     let cfg = cfg;
-    let ij = substrate.intra_jobs();
+    let ij = opts.intra_jobs;
     Ok(match &cell.workload {
-        Workload::Le { adv } => bridged_trial(ProtoKind::Le, 0.0, *adv, cell, cfg, substrate)?,
+        Workload::Le { adv } => {
+            bridged_trial(ProtoKind::Le, 0.0, *adv, cell, cfg, substrate, opts)?
+        }
         Workload::Agree { zeros, adv } => {
-            bridged_trial(ProtoKind::Agree, *zeros, *adv, cell, cfg, substrate)?
+            bridged_trial(ProtoKind::Agree, *zeros, *adv, cell, cfg, substrate, opts)?
         }
         Workload::LeIter { factor, per_round } => {
             let params = cell_params(cell)?.with_iteration_factor(*factor);
@@ -578,11 +581,18 @@ ftc_sim::codec! {
 }
 
 /// Runs all trials of one cell and aggregates. Deterministic in
-/// `(cell, substrate)`; `jobs` only changes wall-clock.
+/// `(cell, substrate)`; `jobs`, the thread budget, only changes
+/// wall-clock. It runs up to `jobs` trials at once, and a cell of fewer
+/// trials than threads shards each of them over the rest
+/// ([`TrialPlan::threads_per_trial`]).
 pub fn run_cell(cell: &CellSpec, jobs: usize, substrate: Substrate) -> Result<CellResult, String> {
     let start = Instant::now();
-    let batch = ParRunner::new(TrialPlan::new(cell.seed, cell.trials).jobs(jobs))
-        .run(|_, seed| run_trial(cell, seed, substrate));
+    let plan = TrialPlan::new(cell.seed, cell.trials).jobs(jobs);
+    let opts = RunOpts {
+        intra_jobs: plan.threads_per_trial(),
+        ..RunOpts::default()
+    };
+    let batch = ParRunner::new(plan).run(|_, seed| run_trial(cell, seed, substrate, &opts));
     let mut values = Vec::with_capacity(batch.len());
     for v in batch.values() {
         values.push(v.clone()?);
@@ -793,7 +803,7 @@ pub fn run_campaign(
             ));
         }
     }
-    if !matches!(substrate, Substrate::Engine | Substrate::EngineSharded(_)) {
+    if substrate != Substrate::Engine {
         if let Some(cell) = spec
             .cells
             .iter()
@@ -897,7 +907,7 @@ mod tests {
     #[test]
     fn le_cell_matches_bench_measurement_semantics() {
         // The lab cell must reproduce the exact numbers the figure
-        // binaries produced via run_trials_jobs: same seed derivation,
+        // binaries produced through `ParRunner`: same seed derivation,
         // same adversary construction.
         let cell = CellSpec::new(
             Workload::Le {
@@ -912,19 +922,18 @@ mod tests {
         // Reference: inline re-implementation of measure_le's closure.
         let params = Params::new(128, 0.5).unwrap();
         let f = params.max_faults();
-        let cfg = SimConfig::new(128)
-            .seed(7)
-            .max_rounds(params.le_round_budget());
-        let reference = ftc_sim::runner::run_trials_jobs(&cfg, 6, 1, |c| {
+        let cfg = SimConfig::new(128).max_rounds(params.le_round_budget());
+        let reference = ParRunner::new(TrialPlan::new(7, 6).jobs(1)).run(|_, seed| {
             let mut adv = RandomCrash::new(f, 10);
-            let r = ftc_sim::engine::run(c, |_| LeNode::new(params.clone()), &mut adv);
+            let c = cfg.clone().seed(seed);
+            let r = ftc_sim::engine::run(&c, |_| LeNode::new(params.clone()), &mut adv);
             (LeOutcome::evaluate(&r).success, r.metrics.msgs_sent)
         });
-        let ref_msgs: Vec<f64> = reference.iter().map(|t| t.value.1 as f64).collect();
+        let ref_msgs: Vec<f64> = reference.values().map(|v| v.1 as f64).collect();
         assert_eq!(lab.msgs, Summary::of(&ref_msgs));
         assert_eq!(
             lab.successes,
-            reference.iter().filter(|t| t.value.0).count() as u64
+            reference.values().filter(|v| v.0).count() as u64
         );
     }
 
@@ -946,14 +955,36 @@ mod tests {
             engine.cells[0].to_json(false).render(),
             channel.cells[0].to_json(false).render()
         );
-        // Intra-trial sharding shares the `engine` label, so the whole
-        // deterministic render — record id included — must be identical.
-        let sharded = run_campaign(&spec, 1, Substrate::EngineSharded(3)).unwrap();
+    }
+
+    #[test]
+    fn a_lone_trial_shards_without_moving_a_bit() {
+        // One trial of 1024 broadcasters: every round's agenda is 1024
+        // nodes, enough for the engine to shard it, and a budget of 3
+        // threads gives the lone trial all three.
+        let spec = CampaignSpec::new("shard-unit").cell(
+            CellSpec::new(
+                Workload::EngineBench {
+                    adv: Adv::None,
+                    p: 0.0,
+                    rounds: 3,
+                },
+                1024,
+                0.5,
+                5,
+                1,
+            )
+            .label("bcast"),
+        );
+        assert_eq!(TrialPlan::new(5, 1).jobs(3).threads_per_trial(), 3);
+        let serial = run_campaign(&spec, 1, Substrate::Engine).unwrap();
+        let sharded = run_campaign(&spec, 3, Substrate::Engine).unwrap();
         assert_eq!(
-            engine.deterministic_render(),
+            serial.deterministic_render(),
             sharded.deterministic_render()
         );
-        assert_eq!(engine.id(), sharded.id());
+        assert_eq!(serial.id(), sharded.id());
+        assert_eq!(serial.cells[0].msgs.mean, 3.0 * 1024.0 * 1023.0);
     }
 
     #[test]
@@ -991,8 +1022,6 @@ mod tests {
         let spec = CampaignSpec::new("bad").cell(CellSpec::new(Workload::LeKutten, 16, 0.5, 3, 2));
         assert!(run_campaign(&spec, 1, Substrate::Channel(2)).is_err());
         assert!(run_campaign(&spec, 1, Substrate::Engine).is_ok());
-        // The sharded engine is still the engine: every workload runs.
-        assert!(run_campaign(&spec, 1, Substrate::EngineSharded(2)).is_ok());
     }
 
     #[test]

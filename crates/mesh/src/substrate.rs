@@ -26,9 +26,6 @@ const DEFAULT_WIDTH: usize = 4;
 pub enum Substrate {
     /// The in-process sim engine (`ftc_sim::engine::run`).
     Engine,
-    /// The sim engine with intra-trial sharding: one trial's nodes are
-    /// split across this many worker threads per round.
-    EngineSharded(usize),
     /// The `ftc-net` in-process channel mesh with this many workers.
     Channel(usize),
     /// The multiplexed socket runtime with this many procs (clamped to
@@ -65,33 +62,25 @@ impl Substrate {
         }
     }
 
-    /// The store-record label; [`Substrate::parse`] reads it back. Widths
-    /// that are invisible in results stay out of it — sharding and the
-    /// proc count never change a bit of the deterministic render — so
-    /// record ids are invariant in `--intra-jobs` and the mesh width.
+    /// The store-record label; [`Substrate::parse`] reads it back. A width
+    /// that is invisible in results stays out of it — the proc count never
+    /// changes a bit of the deterministic render — so record ids are
+    /// invariant in the mesh width.
     pub fn label(self) -> String {
         match self {
-            Substrate::Engine | Substrate::EngineSharded(_) => "engine".into(),
+            Substrate::Engine => "engine".into(),
             Substrate::Channel(w) => format!("channel:{w}"),
             Substrate::Mesh(_) => "mesh".into(),
-        }
-    }
-
-    /// Worker threads sharding a single engine trial's nodes (1 off the
-    /// sharded engine).
-    pub fn intra_jobs(self) -> usize {
-        match self {
-            Substrate::EngineSharded(j) => j.max(1),
-            _ => 1,
         }
     }
 
     /// Runs one execution of `cfg` on this substrate.
     ///
     /// The model result is bit-identical across substrates; `net` is zero
-    /// on the engine (it has no wire, so `opts` does not apply there —
-    /// [`ftc_net::fault::WireFaultPlan::degrade`]'s empty-plan
-    /// equivalence). A fabric that cannot be built or a wedged run (a
+    /// on the engine (it has no wire, so of `opts` only `intra_jobs`
+    /// applies there — [`ftc_net::fault::WireFaultPlan::degrade`]'s
+    /// empty-plan equivalence — and the network substrates ignore
+    /// `intra_jobs`). A fabric that cannot be built or a wedged run (a
     /// receive timing out, an adjudication error) is an `Err` with the
     /// node/round/frame-count context; invalid configurations still panic,
     /// as in [`ftc_sim::engine::run`].
@@ -109,8 +98,8 @@ impl Substrate {
         A: Adversary<P::Msg> + ?Sized,
     {
         match self {
-            Substrate::Engine | Substrate::EngineSharded(_) => Ok(NetRunResult {
-                run: run_sharded(cfg, factory, adversary, self.intra_jobs()),
+            Substrate::Engine => Ok(NetRunResult {
+                run: run_sharded(cfg, factory, adversary, opts.intra_jobs),
                 net: NetMetrics::default(),
             }),
             // Both network substrates are the one driver
@@ -152,7 +141,6 @@ mod tests {
             assert_eq!(back.label(), label, "{input}");
         }
         // Store labels that record ids hash must never grow a width.
-        assert_eq!(Substrate::EngineSharded(8).label(), "engine");
         assert_eq!(Substrate::Mesh(1).label(), Substrate::Mesh(64).label());
 
         for bad in ["channel:0", "mesh:0", "mesh:x", "engine:2", "udp", ""] {

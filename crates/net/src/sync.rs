@@ -117,6 +117,11 @@ pub struct RunOpts<'a> {
     /// exactly the property `ftc hunt --wire-faults` searches for
     /// violations of. `None` is the exact pre-fault code path.
     pub wire: Option<&'a WireFaultPlan>,
+    /// Threads the engine may shard one run's rounds over
+    /// (`ftc_sim::engine::run_sharded`; default 1). The network substrates
+    /// ignore it, as the engine ignores `wire`. Callers set it from
+    /// `TrialPlan::threads_per_trial`, never from a flag.
+    pub intra_jobs: usize,
 }
 
 impl Default for RunOpts<'_> {
@@ -125,6 +130,7 @@ impl Default for RunOpts<'_> {
             recv_timeout: RECV_TIMEOUT,
             height: 0,
             wire: None,
+            intra_jobs: 1,
         }
     }
 }

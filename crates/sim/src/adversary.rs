@@ -452,48 +452,6 @@ impl<M> Adversary<M> for ScriptedCrash {
     }
 }
 
-/// An adaptive adversary defined by a closure over the round view.
-///
-/// The faulty set is `f` uniformly random nodes; the closure decides, every
-/// round, which of the still-alive faulty nodes crash and how. Protocol
-/// crates use this to build message-inspecting worst cases (e.g. "crash the
-/// current minimum-rank proposer", Section IV-A).
-pub struct FnAdversary<M, F>
-where
-    F: FnMut(&AdversaryView<'_, M>, &mut SmallRng) -> Vec<CrashDirective> + Send,
-{
-    f: usize,
-    decide: F,
-    _marker: std::marker::PhantomData<fn(&M)>,
-}
-
-impl<M, F> FnAdversary<M, F>
-where
-    F: FnMut(&AdversaryView<'_, M>, &mut SmallRng) -> Vec<CrashDirective> + Send,
-{
-    /// `f` random faulty nodes, crash decisions delegated to `decide`.
-    pub fn new(f: usize, decide: F) -> Self {
-        FnAdversary {
-            f,
-            decide,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, F> Adversary<M> for FnAdversary<M, F>
-where
-    F: FnMut(&AdversaryView<'_, M>, &mut SmallRng) -> Vec<CrashDirective> + Send,
-{
-    fn faulty_set(&mut self, n: u32, rng: &mut SmallRng) -> FaultySet {
-        FaultySet::random(n, self.f, rng)
-    }
-
-    fn on_round(&mut self, view: &AdversaryView<'_, M>, rng: &mut SmallRng) -> Vec<CrashDirective> {
-        (self.decide)(view, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,39 +556,6 @@ mod tests {
         assert_eq!(adv.on_round(&view0, &mut r).len(), 3);
         let view1 = AdversaryView { round: 1, ..view0 };
         assert!(adv.on_round(&view1, &mut r).is_empty());
-    }
-
-    #[test]
-    fn fn_adversary_delegates_decisions() {
-        let mut calls = 0usize;
-        {
-            let mut adv = FnAdversary::<(), _>::new(2, |view, _rng| {
-                view.crashable()
-                    .take(1)
-                    .map(|node| CrashDirective {
-                        node,
-                        filter: DeliveryFilter::DropAll,
-                    })
-                    .collect()
-            });
-            let mut r = rng();
-            let faulty = adv.faulty_set(10, &mut r);
-            assert_eq!(faulty.len(), 2);
-            let alive = vec![true; 10];
-            let outgoing: Vec<Vec<Envelope<()>>> = vec![Vec::new(); 10];
-            let view = AdversaryView {
-                round: 0,
-                n: 10,
-                faulty: &faulty,
-                alive: &alive,
-                outgoing: &outgoing,
-            };
-            let d = adv.on_round(&view, &mut r);
-            assert_eq!(d.len(), 1);
-            assert!(faulty.contains(d[0].node));
-            calls += d.len();
-        }
-        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -379,7 +379,9 @@ const INTRA_SHARD_MIN: usize = 1024;
 ///
 /// This is *intra-trial* parallelism, complementing the *trials-across-
 /// cores* parallelism of [`crate::runner::ParRunner`]: one huge trial (say
-/// `n = 1,000,000`) can use the whole machine. The round's agenda (the
+/// `n = 1,000,000`) can use the whole machine. Callers take `intra_jobs`
+/// from [`crate::runner::TrialPlan::threads_per_trial`], the thread budget
+/// a batch's trials leave over. The round's agenda (the
 /// nodes that act, in id order) is cut into contiguous chunks; each worker
 /// activates its chunk against disjoint slices of the node/buffer arrays
 /// and the results are merged back in chunk order. Activations are

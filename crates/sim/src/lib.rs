@@ -79,16 +79,13 @@ pub mod prelude {
     pub use crate::engine::{run, run_sharded, ConfigError, RunResult, SimConfig};
     pub use crate::ids::{NodeId, Port, Round};
     pub use crate::json::{Json, JsonError};
-    pub use crate::metrics::{LogHistogram, Metrics, MetricsAggregate, ServiceMetrics};
+    pub use crate::metrics::{LogHistogram, Metrics, ServiceMetrics};
     pub use crate::node::NodeHarness;
     pub use crate::payload::{Payload, Wire};
     pub use crate::ports::PortMap;
     pub use crate::protocol::{Ctx, Incoming, Protocol};
     pub use crate::round::{ControlCore, EdgeFates, RoundVerdict};
-    pub use crate::runner::{
-        run_trials, run_trials_jobs, run_trials_with, AbortHandle, ParRunner, TrialBatch,
-        TrialOutcome, TrialPlan,
-    };
+    pub use crate::runner::{AbortHandle, ParRunner, TrialBatch, TrialOutcome, TrialPlan};
     pub use crate::stats::Summary;
     pub use crate::topology::{EdgeSet, Topology};
     pub use crate::trace::{Trace, TraceEvent};

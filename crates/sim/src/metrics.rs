@@ -284,85 +284,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Order-free aggregation of [`Metrics`] across a batch of trials.
-///
-/// Parallel trial runners produce per-trial `Metrics` in nondeterministic
-/// *completion* order; every operation here is commutative and associative,
-/// so aggregates built per worker and [`merge`](MetricsAggregate::merge)d
-/// equal the aggregate a sequential loop would build.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsAggregate {
-    /// Trials folded in.
-    pub trials: u64,
-    /// Distribution of per-trial total messages sent.
-    pub msgs_sent: LogHistogram,
-    /// Distribution of per-trial total bits sent.
-    pub bits_sent: LogHistogram,
-    /// Distribution of per-trial executed rounds.
-    pub rounds: LogHistogram,
-    /// Distribution of per-trial crash counts.
-    pub crashes: LogHistogram,
-    /// Distribution of per-trial wire bytes (all-zero for engine runs;
-    /// real transports feed actual per-edge byte accounting in here).
-    pub wire_bytes: LogHistogram,
-    /// Largest per-edge-per-round bit load seen in any trial.
-    pub max_edge_bits_per_round: u64,
-    /// Trials that violated the configured CONGEST bound at least once.
-    pub congest_violating_trials: u64,
-    /// Total CONGEST violations across all trials.
-    pub congest_violations: u64,
-}
-
-impl MetricsAggregate {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        MetricsAggregate::default()
-    }
-
-    /// Folds in one trial's metrics; `congest_violations` comes from the
-    /// engine's [`RunResult`](crate::engine::RunResult), which checks the
-    /// bound as it runs.
-    pub fn record(&mut self, m: &Metrics, congest_violations: u64) {
-        self.trials += 1;
-        self.msgs_sent.record(m.msgs_sent);
-        self.bits_sent.record(m.bits_sent);
-        self.rounds.record(u64::from(m.rounds));
-        self.crashes.record(m.crash_count() as u64);
-        self.wire_bytes.record(m.wire_bytes);
-        self.max_edge_bits_per_round = self.max_edge_bits_per_round.max(m.max_edge_bits_per_round);
-        self.congest_violating_trials += u64::from(congest_violations > 0);
-        self.congest_violations += congest_violations;
-    }
-
-    /// Folds another aggregate into this one (commutative, associative).
-    pub fn merge(&mut self, other: &MetricsAggregate) {
-        self.trials += other.trials;
-        self.msgs_sent.merge(&other.msgs_sent);
-        self.bits_sent.merge(&other.bits_sent);
-        self.rounds.merge(&other.rounds);
-        self.crashes.merge(&other.crashes);
-        self.wire_bytes.merge(&other.wire_bytes);
-        self.max_edge_bits_per_round = self
-            .max_edge_bits_per_round
-            .max(other.max_edge_bits_per_round);
-        self.congest_violating_trials += other.congest_violating_trials;
-        self.congest_violations += other.congest_violations;
-    }
-
-    /// Builds an aggregate from per-trial `(Metrics, congest_violations)`
-    /// pairs in one pass.
-    pub fn collect<'a, I>(iter: I) -> Self
-    where
-        I: IntoIterator<Item = (&'a Metrics, u64)>,
-    {
-        let mut agg = MetricsAggregate::new();
-        for (m, v) in iter {
-            agg.record(m, v);
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,30 +401,5 @@ mod tests {
         assert_eq!(s.total_rounds, 145);
         let avail = s.availability().unwrap();
         assert!((avail - 88.0 / 145.0).abs() < 1e-12, "{avail}");
-    }
-
-    #[test]
-    fn aggregate_merge_is_order_free() {
-        let trial = |msgs: u64, rounds: u32, viol: u64| {
-            let mut m = Metrics::new();
-            m.msgs_sent = msgs;
-            m.bits_sent = msgs * 64;
-            m.rounds = rounds;
-            (m, viol)
-        };
-        let trials = [trial(10, 2, 0), trial(500, 5, 3), trial(80, 3, 1)];
-        let seq = MetricsAggregate::collect(trials.iter().map(|(m, v)| (m, *v)));
-        // Fold in a different order via two partial aggregates.
-        let mut left = MetricsAggregate::new();
-        left.record(&trials[2].0, trials[2].1);
-        let mut right = MetricsAggregate::new();
-        right.record(&trials[0].0, trials[0].1);
-        right.record(&trials[1].0, trials[1].1);
-        left.merge(&right);
-        assert_eq!(left, seq);
-        assert_eq!(seq.trials, 3);
-        assert_eq!(seq.congest_violations, 4);
-        assert_eq!(seq.congest_violating_trials, 2);
-        assert_eq!(seq.msgs_sent.max(), Some(500));
     }
 }

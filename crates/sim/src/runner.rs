@@ -11,6 +11,15 @@
 //!   state, so scheduling cannot perturb them;
 //! * outcomes are reordered by trial index before they are returned.
 //!
+//! ## One thread budget
+//!
+//! [`TrialPlan::jobs`] is the batch's whole thread budget. [`ParRunner`]
+//! runs `min(budget, trials)` trials at once, and
+//! [`TrialPlan::threads_per_trial`] is what each of them may spend
+//! sharding itself ([`crate::engine::run_sharded`]), so a batch of fewer
+//! trials than threads still uses every thread. Neither number changes a
+//! result bit.
+//!
 //! ## Timeouts and aborts
 //!
 //! [`TrialPlan::timeout`] stamps trials whose wall-clock time exceeded the
@@ -22,7 +31,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::engine::SimConfig;
 use crate::perm::stream_seed;
 
 /// Result of one trial, tagged with its index and derived seed.
@@ -87,15 +95,26 @@ impl TrialPlan {
         stream_seed(self.base_seed, i.wrapping_add(1))
     }
 
+    /// The run's thread budget: [`TrialPlan::jobs`], or every core at 0.
+    fn budget(&self) -> usize {
+        match self.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            j => j,
+        }
+    }
+
+    /// Trials [`ParRunner`] runs at once: one thread each, never more
+    /// than there are trials.
     fn effective_jobs(&self) -> usize {
-        let j = if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        };
-        j.min(self.trials.max(1) as usize).max(1)
+        self.budget().min(self.trials.max(1) as usize)
+    }
+
+    /// Threads each running trial may shard itself over: the budget split
+    /// evenly across the trials, `max(1, budget / trials)`. A batch of
+    /// fewer trials than threads spends the rest inside each trial; a
+    /// larger one runs every trial serially.
+    pub fn threads_per_trial(&self) -> usize {
+        (self.budget() / self.trials.max(1) as usize).max(1)
     }
 }
 
@@ -247,63 +266,23 @@ impl ParRunner {
     }
 }
 
-/// Runs `job` for `trials` independent seeds derived from `base_seed`, in
-/// parallel over all cores, returning outcomes sorted by trial index.
-///
-/// Thin compatibility wrapper over [`ParRunner`];
-/// `job(trial, seed)` should construct its own protocol/adversary state —
-/// everything it needs to be an independent experiment.
-pub fn run_trials_with<T, F>(trials: u64, base_seed: u64, job: F) -> Vec<TrialOutcome<T>>
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-{
-    ParRunner::new(TrialPlan::new(base_seed, trials))
-        .run(job)
-        .outcomes
-}
-
-/// Convenience wrapper: runs `job` once per trial with a copy of `cfg`
-/// whose seed is the derived per-trial seed.
-pub fn run_trials<T, F>(cfg: &SimConfig, trials: u64, job: F) -> Vec<TrialOutcome<T>>
-where
-    T: Send,
-    F: Fn(&SimConfig) -> T + Sync,
-{
-    run_trials_with(trials, cfg.seed, |_, seed| {
-        let mut c = cfg.clone();
-        c.seed = seed;
-        job(&c)
-    })
-}
-
-/// Like [`run_trials`], but with an explicit job count (`0` = all cores).
-pub fn run_trials_jobs<T, F>(
-    cfg: &SimConfig,
-    trials: u64,
-    jobs: usize,
-    job: F,
-) -> Vec<TrialOutcome<T>>
-where
-    T: Send,
-    F: Fn(&SimConfig) -> T + Sync,
-{
-    ParRunner::new(TrialPlan::new(cfg.seed, trials).jobs(jobs))
-        .run(|_, seed| {
-            let mut c = cfg.clone();
-            c.seed = seed;
-            job(&c)
-        })
-        .outcomes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_all<T: Send>(
+        trials: u64,
+        base_seed: u64,
+        job: impl Fn(u64, u64) -> T + Sync,
+    ) -> Vec<TrialOutcome<T>> {
+        ParRunner::new(TrialPlan::new(base_seed, trials))
+            .run(job)
+            .outcomes
+    }
+
     #[test]
     fn trials_are_ordered_and_seeded_distinctly() {
-        let out = run_trials_with(32, 7, |trial, seed| (trial, seed));
+        let out = run_all(32, 7, |trial, seed| (trial, seed));
         assert_eq!(out.len(), 32);
         for (i, t) in out.iter().enumerate() {
             assert_eq!(t.trial, i as u64);
@@ -317,8 +296,8 @@ mod tests {
 
     #[test]
     fn reproducible_across_invocations() {
-        let a = run_trials_with(8, 42, |_, seed| seed);
-        let b = run_trials_with(8, 42, |_, seed| seed);
+        let a = run_all(8, 42, |_, seed| seed);
+        let b = run_all(8, 42, |_, seed| seed);
         assert_eq!(
             a.iter().map(|t| t.value).collect::<Vec<_>>(),
             b.iter().map(|t| t.value).collect::<Vec<_>>()
@@ -326,17 +305,40 @@ mod tests {
     }
 
     #[test]
-    fn cfg_wrapper_varies_seed_only() {
-        let cfg = SimConfig::new(8).seed(5).max_rounds(3);
-        let out = run_trials(&cfg, 4, |c| (c.n, c.max_rounds, c.seed));
-        assert!(out.iter().all(|t| t.value.0 == 8 && t.value.1 == 3));
-        assert!(out.windows(2).all(|w| w[0].value.2 != w[1].value.2));
+    fn zero_trials_is_empty() {
+        assert!(run_all(0, 1, |_, _| ()).is_empty());
     }
 
     #[test]
-    fn zero_trials_is_empty() {
-        let out = run_trials_with(0, 1, |_, _| ());
-        assert!(out.is_empty());
+    fn threads_per_trial_splits_the_budget() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // (jobs, trials, threads per trial); jobs 0 is every core.
+        let table = [
+            (0, 1, cores),
+            (0, 2, (cores / 2).max(1)),
+            (0, 3, (cores / 3).max(1)),
+            (0, 128, (cores / 128).max(1)),
+            (1, 1, 1),
+            (1, 2, 1),
+            (1, 3, 1),
+            (1, 128, 1),
+            (2, 1, 2),
+            (2, 2, 1),
+            (2, 3, 1),
+            (2, 128, 1),
+            (8, 1, 8),
+            (8, 2, 4),
+            (8, 3, 2),
+            (8, 128, 1),
+        ];
+        for (jobs, trials, want) in table {
+            let plan = TrialPlan::new(0, trials).jobs(jobs);
+            assert_eq!(
+                plan.threads_per_trial(),
+                want,
+                "jobs {jobs}, trials {trials}"
+            );
+        }
     }
 
     #[test]

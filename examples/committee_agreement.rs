@@ -34,21 +34,24 @@ fn main() -> Result<(), ParamsError> {
     let cfg = SimConfig::new(n)
         .seed(2024)
         .max_rounds(params.agreement_round_budget());
-    let outcomes = run_trials(&cfg, trials, |c| {
-        let mut adv = ZeroHolderCrasher::new(params.max_faults());
-        let r = run(
-            c,
-            |id| AgreeNode::new(params.clone(), id.0 >= witnesses),
-            &mut adv,
-        );
-        let o = AgreeOutcome::evaluate(&r);
-        (
-            o.success,
-            o.agreed_value,
-            r.metrics.msgs_sent,
-            r.metrics.rounds,
-        )
-    });
+    let outcomes = ParRunner::new(TrialPlan::new(cfg.seed, trials))
+        .run(|_, seed| {
+            let c = &cfg.clone().seed(seed);
+            let mut adv = ZeroHolderCrasher::new(params.max_faults());
+            let r = run(
+                c,
+                |id| AgreeNode::new(params.clone(), id.0 >= witnesses),
+                &mut adv,
+            );
+            let o = AgreeOutcome::evaluate(&r);
+            (
+                o.success,
+                o.agreed_value,
+                r.metrics.msgs_sent,
+                r.metrics.rounds,
+            )
+        })
+        .outcomes;
     for t in &outcomes {
         if t.value.0 {
             successes += 1;

@@ -36,22 +36,25 @@ fn main() -> Result<(), ParamsError> {
             .seed(5150)
             .max_rounds(params.agreement_round_budget())
             .record_trace(true);
-        let results = run_trials(&cfg, trials, |c| {
-            let mut adv = EagerCrash::new(params.max_faults());
-            let r = run(
-                c,
-                |id| AgreeNode::new(params.clone(), id.0 % 2 == 0),
-                &mut adv,
-            );
-            let o = AgreeOutcome::evaluate(&r);
-            let analysis = InfluenceAnalysis::full(r.trace.as_ref().expect("trace on"));
-            (
-                r.metrics.msgs_sent,
-                o.success,
-                analysis.initiator_count(),
-                analysis.event_n(),
-            )
-        });
+        let results = ParRunner::new(TrialPlan::new(cfg.seed, trials))
+            .run(|_, seed| {
+                let c = &cfg.clone().seed(seed);
+                let mut adv = EagerCrash::new(params.max_faults());
+                let r = run(
+                    c,
+                    |id| AgreeNode::new(params.clone(), id.0 % 2 == 0),
+                    &mut adv,
+                );
+                let o = AgreeOutcome::evaluate(&r);
+                let analysis = InfluenceAnalysis::full(r.trace.as_ref().expect("trace on"));
+                (
+                    r.metrics.msgs_sent,
+                    o.success,
+                    analysis.initiator_count(),
+                    analysis.event_n(),
+                )
+            })
+            .outcomes;
 
         let msgs = Summary::of_iter(results.iter().map(|t| t.value.0 as f64));
         let failures = results.iter().filter(|t| !t.value.1).count();

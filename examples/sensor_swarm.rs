@@ -35,13 +35,16 @@ fn main() -> Result<(), ParamsError> {
         let cfg = SimConfig::new(N)
             .seed(1234)
             .max_rounds(params.le_round_budget());
-        let sub = run_trials(&cfg, TRIALS, |c| {
-            let mut adv = RandomCrash::new(f, 40);
-            let params = params.clone();
-            let r = run(c, |_| LeNode::new(params.clone()), &mut adv);
-            let o = LeOutcome::evaluate(&r);
-            (o.success, r.metrics.msgs_sent, r.metrics.rounds)
-        });
+        let sub = ParRunner::new(TrialPlan::new(cfg.seed, TRIALS))
+            .run(|_, seed| {
+                let c = &cfg.clone().seed(seed);
+                let mut adv = RandomCrash::new(f, 40);
+                let params = params.clone();
+                let r = run(c, |_| LeNode::new(params.clone()), &mut adv);
+                let o = LeOutcome::evaluate(&r);
+                (o.success, r.metrics.msgs_sent, r.metrics.rounds)
+            })
+            .outcomes;
         let ok = sub.iter().filter(|t| t.value.0).count();
         let msgs = Summary::of_iter(sub.iter().map(|t| t.value.1 as f64));
         let rounds = Summary::of_iter(sub.iter().map(|t| f64::from(t.value.2)));
@@ -51,12 +54,15 @@ fn main() -> Result<(), ParamsError> {
         let bcfg = SimConfig::new(N)
             .seed(1234)
             .max_rounds(broadcast_le_round_budget(fb));
-        let base = run_trials(&bcfg, TRIALS, |c| {
-            let mut adv = RandomCrash::new(f, 40);
-            let r = run(c, |_| BroadcastLeNode::new(fb), &mut adv);
-            let o = BroadcastLeOutcome::evaluate(&r);
-            (o.success, r.metrics.msgs_sent, r.metrics.rounds)
-        });
+        let base = ParRunner::new(TrialPlan::new(bcfg.seed, TRIALS))
+            .run(|_, seed| {
+                let c = &bcfg.clone().seed(seed);
+                let mut adv = RandomCrash::new(f, 40);
+                let r = run(c, |_| BroadcastLeNode::new(fb), &mut adv);
+                let o = BroadcastLeOutcome::evaluate(&r);
+                (o.success, r.metrics.msgs_sent, r.metrics.rounds)
+            })
+            .outcomes;
         let bmsgs = Summary::of_iter(base.iter().map(|t| t.value.1 as f64));
         let brounds = Summary::of_iter(base.iter().map(|t| f64::from(t.value.2)));
 

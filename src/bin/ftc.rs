@@ -263,6 +263,9 @@ mod tests {
                 assert!(err.contains("--substrate channel:<W>"), "{err}");
             }
         }
+        // `--intra-jobs` is refused, naming `--jobs`, the one thread budget.
+        let err = parse("lab", "--intra-jobs 2").unwrap_err();
+        assert!(err.contains("retired") && err.contains("--jobs"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct Opts {
     pub out: Option<String>,
     pub smoke: bool,
     pub store: String,
-    pub intra_jobs: usize,
     /// Absent = the trajectory file's most recent entry.
     pub campaign: Option<String>,
     /// Absent = exact.
@@ -83,7 +82,6 @@ impl Default for Opts {
             out: None,
             smoke: false,
             store: "results/store".into(),
-            intra_jobs: 1,
             campaign: None,
             tolerance: None,
             heights: 20,
@@ -119,7 +117,7 @@ impl Opts {
 /// `transport`/`substrate` output columns have always named it.
 pub fn substrate_kind(substrate: Substrate) -> &'static str {
     match substrate {
-        Substrate::Engine | Substrate::EngineSharded(_) => "engine",
+        Substrate::Engine => "engine",
         Substrate::Channel(_) => "channel",
         Substrate::Mesh(_) => "mesh",
     }
@@ -290,7 +288,8 @@ pub const FLAGS: &[Flag] = &[
         name: "--jobs",
         metavar: Some("J"),
         readers: "le agree sweep hunt lab",
-        help: "worker threads across trials (default: every core); never changes a result",
+        help: "the run's thread budget (default: every core), spread across trials and, \
+         when they are fewer, within each; never changes a result",
         set: |o, f, v| positive(f, v).map(|x| o.jobs = x),
     },
     Flag {
@@ -379,13 +378,6 @@ pub const FLAGS: &[Flag] = &[
             o.store = v.into();
             Ok(())
         },
-    },
-    Flag {
-        name: "--intra-jobs",
-        metavar: Some("J"),
-        readers: "lab",
-        help: "threads sharding one trial's nodes (engine only); never changes a result",
-        set: |o, f, v| positive(f, v).map(|x| o.intra_jobs = x),
     },
     Flag {
         name: "--campaign",
@@ -533,8 +525,19 @@ pub const FLAGS: &[Flag] = &[
     },
 ];
 
-/// The three flags `--substrate` replaced.
-const RETIRED: [&str; 3] = ["--transport", "--workers", "--procs"];
+/// Retired flags and what replaced them.
+const RETIRED: [(&str, &str); 4] = [
+    ("--transport", SUBSTRATE_WIDTH),
+    ("--workers", SUBSTRATE_WIDTH),
+    ("--procs", SUBSTRATE_WIDTH),
+    (
+        "--intra-jobs",
+        "`--jobs` is the one thread budget, and a cell of fewer trials than \
+         threads shards each trial over the rest",
+    ),
+];
+const SUBSTRATE_WIDTH: &str = "one flag names the substrate and its width, \
+     `--substrate channel:<W>` / `--substrate mesh:<P>`";
 
 /// Parses `cmd`'s arguments off the flag table. A flag `cmd` does not
 /// read is an error naming the subcommands that do — never silently
@@ -547,11 +550,8 @@ pub fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
             o.positional.push(arg.clone());
             continue;
         }
-        if RETIRED.contains(&arg.as_str()) {
-            return Err(format!(
-                "{arg} is retired: one flag names the substrate and its width, \
-                 `--substrate channel:<W>` / `--substrate mesh:<P>`"
-            ));
+        if let Some((_, why)) = RETIRED.iter().find(|(name, _)| name == arg) {
+            return Err(format!("{arg} is retired: {why}"));
         }
         let flag = FLAGS
             .iter()

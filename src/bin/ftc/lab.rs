@@ -6,20 +6,19 @@ use ftc::lab::campaigns;
 use ftc::prelude::*;
 use ftc::sim::json::Json;
 
-use crate::flags::Opts;
+use crate::flags::{substrate_spelled, Opts};
 
-/// The substrate the `lab` verbs run on: `--substrate`, upgraded to the
-/// sharded engine when `--intra-jobs J` asks for intra-trial parallelism.
-fn lab_substrate(o: &Opts) -> Result<Substrate, String> {
-    let substrate = o.substrate.unwrap_or(Substrate::Engine);
-    if o.intra_jobs <= 1 {
-        return Ok(substrate);
-    }
-    match substrate {
-        Substrate::Engine => Ok(Substrate::EngineSharded(o.intra_jobs)),
-        other => Err(format!(
-            "--intra-jobs shards the engine substrate only (got {})",
-            other.label()
+/// The substrate a re-run of a stored record executes on: the record's
+/// own `label`, or `--substrate` when it names the same one (a mesh width,
+/// which labels leave out). A `--substrate` with another label is an error
+/// before anything runs.
+fn rerun_substrate(o: &Opts, label: &str) -> Result<Substrate, String> {
+    match o.substrate {
+        None => Substrate::parse(label),
+        Some(s) if s.label() == label => Ok(s),
+        Some(s) => Err(format!(
+            "--substrate {} cannot re-run a record of substrate {label}",
+            substrate_spelled(s)
         )),
     }
 }
@@ -62,7 +61,7 @@ fn run_lab(o: &Opts, store: &Store, spec: &CampaignSpec) -> Result<(), String> {
     if o.min_coverage.is_some() || o.expect_hit || o.expect_empty {
         return Err("--min-coverage, --expect-hit and --expect-empty judge portfolio hunts".into());
     }
-    let record = run_campaign(spec, o.jobs, lab_substrate(o)?)?;
+    let record = run_campaign(spec, o.jobs, o.substrate.unwrap_or(Substrate::Engine))?;
     let id = store.put(&record).map_err(|e| e.to_string())?;
     print_record(&record, o.format)?;
     if o.format != Format::Json {
@@ -76,10 +75,8 @@ fn run_lab(o: &Opts, store: &Store, spec: &CampaignSpec) -> Result<(), String> {
 
 /// `lab run` of a portfolio hunt: its cells name their own substrates.
 fn run_portfolio(o: &Opts, store: &Store, spec: &HuntCampaignSpec) -> Result<(), String> {
-    if o.substrate.is_some() || o.intra_jobs > 1 {
-        return Err(
-            "a portfolio cell names its own substrate (drop --substrate/--intra-jobs)".into(),
-        );
+    if o.substrate.is_some() {
+        return Err("a portfolio cell names its own substrate (drop --substrate)".into());
     }
     let record = run_hunt_campaign(spec, o.jobs)?;
     let id = store.put(&record).map_err(|e| e.to_string())?;
@@ -267,7 +264,10 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
         "gate" => {
             let base = resolve(&arg(1, "a baseline record or file")?)?;
             let fresh = match &base {
-                Record::Lab(b) => Record::Lab(run_campaign(&b.spec, o.jobs, lab_substrate(o)?)?),
+                Record::Lab(b) => {
+                    let substrate = rerun_substrate(o, &b.substrate)?;
+                    Record::Lab(run_campaign(&b.spec, o.jobs, substrate)?)
+                }
                 Record::Hunt(b) => Record::Hunt(run_hunt_campaign(&b.spec, o.jobs)?),
             };
             compare(&base, &fresh)
@@ -293,8 +293,8 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             // wire-throughput records the mesh, everything else the
             // engine — the cluster substrates would otherwise record
             // wall clocks of a different machine shape entirely.
-            let substrate = match lab_substrate(o)? {
-                s @ (Substrate::Engine | Substrate::EngineSharded(_)) => s,
+            let substrate = match o.substrate.unwrap_or(Substrate::Engine) {
+                s @ Substrate::Engine => s,
                 s @ Substrate::Mesh(_) if only.is_some_and(|n| n == "wire-throughput") => s,
                 other => {
                     return Err(format!(
@@ -367,15 +367,11 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                          either scale — regenerate the trajectory with ftc lab baseline"
                     )
                 })?;
-            let substrate = match lab_substrate(o)? {
-                s @ (Substrate::Engine | Substrate::EngineSharded(_) | Substrate::Mesh(_)) => s,
-                other => {
-                    return Err(format!(
-                        "lab perf gates the engine and mesh substrates only (got {})",
-                        other.label()
-                    ))
-                }
-            };
+            let label = entry
+                .field("substrate")
+                .and_then(Json::as_str)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            let substrate = rerun_substrate(o, label)?;
             let fresh = run_campaign(&spec, o.jobs, substrate)?;
             store.put(&fresh).map_err(|e| e.to_string())?;
             let tolerance = o.tolerance.unwrap_or(0.2);

@@ -27,9 +27,7 @@ pub fn cmd_trials(proto: ProtoKind, o: &Opts) -> Result<(), String> {
     let le = proto == ProtoKind::Le;
     let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
     let schedule = Schedule::Named(Adv::named(&o.adversary, proto)?);
-    let cfg = base_config(o)?
-        .seed(o.seed)
-        .max_rounds(proto.round_budget(&params));
+    let cfg = base_config(o)?.max_rounds(proto.round_budget(&params));
     let mut columns = vec!["trial", "seed", "success"];
     columns.push(if le { "leader_rank" } else { "value" });
     columns.extend(["msgs", "bits", "rounds"]);
@@ -40,13 +38,18 @@ pub fn cmd_trials(proto: ProtoKind, o: &Opts) -> Result<(), String> {
         .format
         .is_machine()
         .then(|| RowWriter::new(o.format, &columns));
-    let opts = RunOpts::default();
-    let results = run_trials_jobs(&cfg, o.trials, o.jobs, |c| {
-        proto.run(&params, c, o.zeros, schedule, Substrate::Engine, &opts)
+    let plan = TrialPlan::new(o.seed, o.trials).jobs(o.jobs);
+    let opts = RunOpts {
+        intra_jobs: plan.threads_per_trial(),
+        ..RunOpts::default()
+    };
+    let batch = ParRunner::new(plan).run(|_, seed| {
+        let cfg = cfg.clone().seed(seed);
+        proto.run(&params, &cfg, o.zeros, schedule, Substrate::Engine, &opts)
     });
     let mut successes = 0;
-    let mut metrics = Vec::with_capacity(results.len());
-    for t in results {
+    let mut metrics = Vec::with_capacity(batch.len());
+    for t in batch.outcomes {
         let run = t.value?;
         let fp = run.observation.fingerprint;
         successes += u64::from(fp.success);

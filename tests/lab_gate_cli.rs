@@ -176,3 +176,67 @@ fn lab_diff_takes_portfolios_and_tolerance_is_perf_only() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn gate_reruns_a_record_on_the_substrate_it_names() {
+    let dir = tmp_dir("substrate");
+    let spec = CampaignSpec::new("gate-cli-substrate").cell(CellSpec::new(
+        Workload::Le {
+            adv: Adv::Random(5),
+        },
+        16,
+        0.5,
+        3,
+        2,
+    ));
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, spec.to_json().render()).unwrap();
+    let store = dir.join("store");
+    let out = ftc(&[
+        "lab",
+        "run",
+        spec_path.to_str().unwrap(),
+        "--substrate",
+        "channel:2",
+        "--jobs",
+        "1",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let record = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("the run stored its record");
+
+    // No flag: the gate re-runs on the record's own channel:2.
+    let out = gate(&record);
+    assert!(
+        out.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Another substrate fails before anything runs, naming the record's.
+    let out = ftc(&[
+        "lab",
+        "gate",
+        record.to_str().unwrap(),
+        "--substrate",
+        "engine",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("channel:2"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

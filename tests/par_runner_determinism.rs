@@ -6,9 +6,9 @@
 //! counts, per-round breakdowns, crash schedules), not just summaries: a
 //! single message delivered in a different round would fail the comparison.
 
+use ftc::lab::run_cell;
 use ftc::prelude::*;
 use ftc::sim::perm::stream_seed;
-use ftc::sim::runner::{ParRunner, TrialPlan};
 use rand::prelude::*;
 
 /// Runs one leader-election trial and returns its complete metrics plus
@@ -18,6 +18,19 @@ fn le_trial(cfg: &SimConfig) -> (bool, Metrics) {
     let mut adv = RandomCrash::new(p.max_faults(), 30);
     let r = run(cfg, |_| LeNode::new(p.clone()), &mut adv);
     (LeOutcome::evaluate(&r).success, r.metrics)
+}
+
+/// `trials` runs of `job` over `jobs` threads, trial `i` on a copy of
+/// `cfg` seeded as the runner seeds it.
+fn trials_at<T: Send>(
+    cfg: &SimConfig,
+    trials: u64,
+    jobs: usize,
+    job: impl Fn(&SimConfig) -> T + Sync,
+) -> Vec<TrialOutcome<T>> {
+    ParRunner::new(TrialPlan::new(cfg.seed, trials).jobs(jobs))
+        .run(|_, seed| job(&cfg.clone().seed(seed)))
+        .outcomes
 }
 
 /// Sequential reference: the same trials run one after another on the
@@ -55,7 +68,7 @@ fn par_runner_matches_sequential_at_every_thread_count() {
 }
 
 #[test]
-fn run_trials_is_thread_count_invariant_for_agreement() {
+fn par_runner_is_thread_count_invariant_for_agreement() {
     let p = Params::new(96, 0.5).expect("valid");
     let cfg = SimConfig::new(96)
         .seed(77)
@@ -65,12 +78,12 @@ fn run_trials_is_thread_count_invariant_for_agreement() {
         let r = run(c, |id| AgreeNode::new(p.clone(), id.0 % 3 != 0), &mut adv);
         (AgreeOutcome::evaluate(&r).success, r.metrics)
     };
-    let seq: Vec<_> = run_trials_jobs(&cfg, 10, 1, job)
+    let seq: Vec<_> = trials_at(&cfg, 10, 1, job)
         .into_iter()
         .map(|t| (t.trial, t.seed, t.value))
         .collect();
     for jobs in [2usize, 8] {
-        let par: Vec<_> = run_trials_jobs(&cfg, 10, jobs, job)
+        let par: Vec<_> = trials_at(&cfg, 10, jobs, job)
             .into_iter()
             .map(|t| (t.trial, t.seed, t.value))
             .collect();
@@ -105,8 +118,8 @@ fn determinism_holds_across_random_configs() {
             run(c, |_| LeNode::new(p.clone()), &mut adv).metrics
         };
         let trials = gen.random_range(1..8u64);
-        let seq = run_trials_jobs(&cfg, trials, 1, &job);
-        let par = run_trials_jobs(&cfg, trials, 4, &job);
+        let seq = trials_at(&cfg, trials, 1, &job);
+        let par = trials_at(&cfg, trials, 4, &job);
         assert_eq!(seq.len(), par.len(), "case {case}");
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.trial, b.trial, "case {case}");
@@ -116,28 +129,19 @@ fn determinism_holds_across_random_configs() {
     }
 }
 
-/// Aggregates built from parallel batches equal aggregates built
-/// sequentially — the merge path introduces no order dependence.
+/// The per-cell histograms `run_cell` stores (messages and rounds per
+/// trial) are the same at every thread budget.
 #[test]
 fn aggregates_are_thread_count_invariant() {
-    let p = Params::new(128, 0.5).expect("valid");
-    let cfg = SimConfig::new(128)
-        .seed(5)
-        .max_rounds(p.le_round_budget())
-        .congest_bits(64);
-    let job = |c: &SimConfig| {
-        let mut adv = EagerCrash::new(p.max_faults());
-        let r = run(c, |_| LeNode::new(p.clone()), &mut adv);
-        (r.metrics, r.congest_violations)
+    let cell = CellSpec::new(Workload::Le { adv: Adv::Eager }, 128, 0.5, 5, 16);
+    let hists = |jobs: usize| {
+        let c = run_cell(&cell, jobs, Substrate::Engine).expect("the cell runs");
+        (c.msgs_hist, c.rounds_hist)
     };
-    let agg_of = |jobs: usize| {
-        let out = run_trials_jobs(&cfg, 16, jobs, job);
-        MetricsAggregate::collect(out.iter().map(|t| (&t.value.0, t.value.1)))
-    };
-    let seq = agg_of(1);
+    let (msgs, rounds) = hists(1);
     for jobs in [2usize, 8] {
-        assert_eq!(seq, agg_of(jobs), "jobs={jobs}");
+        assert_eq!((msgs.clone(), rounds.clone()), hists(jobs), "jobs={jobs}");
     }
-    assert_eq!(seq.trials, 16);
-    assert!(seq.msgs_sent.mean().unwrap() > 0.0);
+    assert_eq!(msgs.count(), 16);
+    assert!(msgs.mean().unwrap() > 0.0);
 }
