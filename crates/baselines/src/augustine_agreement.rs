@@ -57,19 +57,22 @@ impl AugustineNode {
         }
     }
 
-    /// The node's input.
-    pub fn input(&self) -> bool {
-        self.input
-    }
-
     /// Whether this node became a candidate.
     pub fn is_candidate(&self) -> bool {
         self.candidate
     }
+}
+
+impl Decides for AugustineNode {
+    type Value = bool;
 
     /// The node's decision (`None` = ⊥, the implicit-agreement default).
-    pub fn decision(&self) -> Option<bool> {
+    fn decision(&self) -> Option<bool> {
         self.decision
+    }
+
+    fn input(&self) -> Option<bool> {
+        Some(self.input)
     }
 }
 
@@ -127,38 +130,14 @@ pub fn augustine_round_budget() -> u32 {
     5
 }
 
-/// Outcome of a fault-free implicit agreement run.
-#[derive(Clone, Debug)]
-pub struct AugustineOutcome {
-    /// Distinct decisions among deciders.
-    pub decisions: Vec<bool>,
-    /// The agreed value, when consistent.
-    pub agreed_value: Option<bool>,
-    /// Implicit-agreement success (non-empty + consistent + valid).
-    pub success: bool,
-}
-
-impl AugustineOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<AugustineNode>) -> Self {
-        let decided: std::collections::BTreeSet<bool> = result
-            .surviving_states()
-            .filter_map(|(_, s)| s.decision())
-            .collect();
-        let decisions: Vec<bool> = decided.iter().copied().collect();
-        let agreed_value = (decisions.len() == 1).then(|| decisions[0]);
-        let valid = agreed_value.is_some_and(|v| result.all_states().any(|(_, s)| s.input() == v));
-        AugustineOutcome {
-            success: decisions.len() == 1 && valid,
-            decisions,
-            agreed_value,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Implicit-agreement success: one decision, and some node's input.
+    fn success(v: &Verdict<bool>) -> bool {
+        v.implicit() && v.valid
+    }
 
     fn run_aug(
         n: u32,
@@ -177,7 +156,7 @@ mod tests {
         let mut ok = 0;
         for seed in 0..20 {
             let r = run_aug(1024, seed, |id| id.0 % 2 == 0, &mut NoFaults);
-            if AugustineOutcome::evaluate(&r).success {
+            if success(&r.verdict()) {
                 ok += 1;
             }
         }
@@ -188,16 +167,16 @@ mod tests {
     fn committee_minimum_wins() {
         for seed in 0..10 {
             let r = run_aug(1024, seed, |id| id.0 % 2 == 0, &mut NoFaults);
-            let o = AugustineOutcome::evaluate(&r);
-            if !o.success {
+            let o = r.verdict();
+            if !success(&o) {
                 continue;
             }
             let min_cand_input = r
                 .all_states()
                 .filter(|(_, s)| s.is_candidate())
-                .map(|(_, s)| s.input())
+                .filter_map(|(_, s)| s.input())
                 .min();
-            assert_eq!(o.agreed_value, min_cand_input, "seed {seed}");
+            assert_eq!(o.value(), min_cand_input, "seed {seed}");
         }
     }
 
@@ -228,15 +207,15 @@ mod tests {
             let probe = run_aug(512, seed, |id| id.0 >= 40, &mut NoFaults);
             let zero_cand = probe
                 .all_states()
-                .find(|(_, s)| s.is_candidate() && !s.input())
+                .find(|(_, s)| s.is_candidate() && s.input() == Some(false))
                 .map(|(id, _)| id);
             let Some(target) = zero_cand else { continue };
             let plan =
                 FaultPlan::new().crash(target, 0, ftc_sim::adversary::DeliveryFilter::KeepFirst(3));
             let mut adv = ScriptedCrash::new(plan);
             let r = run_aug(512, seed, |id| id.0 >= 40, &mut adv);
-            let o = AugustineOutcome::evaluate(&r);
-            if !o.success || o.agreed_value == Some(true) {
+            let o = r.verdict();
+            if !success(&o) || o.value() == Some(true) {
                 // Split, or the surviving committee missed the 0 that a
                 // (now dead) decider may have decided — fragile either way.
                 violations += 1;

@@ -49,6 +49,17 @@ impl BroadcastLeNode {
     }
 }
 
+/// A survivor's decision is the minimum rank it saw (`None` counts as a
+/// value). Success is one distinct minimum and at most one elected
+/// survivor.
+impl Decides for BroadcastLeNode {
+    type Value = Option<Rank>;
+
+    fn decision(&self) -> Option<Option<Rank>> {
+        Some(self.min_seen)
+    }
+}
+
 impl Protocol for BroadcastLeNode {
     type Msg = u64;
 
@@ -81,38 +92,6 @@ impl Protocol for BroadcastLeNode {
     }
 }
 
-/// Outcome of a broadcast leader election.
-#[derive(Clone, Debug)]
-pub struct BroadcastLeOutcome {
-    /// Alive nodes that output `ELECTED`.
-    pub elected_alive: usize,
-    /// Whether all alive nodes agree on the minimum rank.
-    pub agreed_min: bool,
-    /// Success: exactly one alive elected node (or the unique minimum
-    /// holder crashed post-election) and agreement on the minimum.
-    pub success: bool,
-}
-
-impl BroadcastLeOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<BroadcastLeNode>) -> Self {
-        let elected_alive = result
-            .surviving_states()
-            .filter(|(_, s)| s.elected() == Some(true))
-            .count();
-        let mins: std::collections::BTreeSet<Option<Rank>> = result
-            .surviving_states()
-            .map(|(_, s)| s.min_seen())
-            .collect();
-        let agreed_min = mins.len() == 1;
-        BroadcastLeOutcome {
-            elected_alive,
-            agreed_min,
-            success: agreed_min && elected_alive <= 1,
-        }
-    }
-}
-
 /// Round budget for a broadcast LE run tolerating `f` crashes.
 pub fn broadcast_le_round_budget(f: u32) -> u32 {
     f + 4
@@ -122,15 +101,23 @@ pub fn broadcast_le_round_budget(f: u32) -> u32 {
 mod tests {
     use super::*;
 
+    /// One distinct minimum among the survivors, and the number of them
+    /// elected.
+    fn judge(r: &RunResult<BroadcastLeNode>) -> (bool, usize) {
+        let elected = r
+            .surviving_states()
+            .filter(|(_, s)| s.elected() == Some(true))
+            .count();
+        (r.verdict().implicit(), elected)
+    }
+
     #[test]
     fn fault_free_unique_leader() {
         let cfg = SimConfig::new(64)
             .seed(1)
             .max_rounds(broadcast_le_round_budget(0));
         let r = run(&cfg, |_| BroadcastLeNode::new(0), &mut NoFaults);
-        let o = BroadcastLeOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.elected_alive, 1);
+        assert_eq!(judge(&r), (true, 1));
     }
 
     #[test]
@@ -142,8 +129,8 @@ mod tests {
                 .max_rounds(broadcast_le_round_budget(f));
             let mut adv = RandomCrash::new(f as usize, f);
             let r = run(&cfg, |_| BroadcastLeNode::new(f), &mut adv);
-            let o = BroadcastLeOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let (agreed_min, elected) = judge(&r);
+            assert!(agreed_min && elected <= 1, "seed {seed}: {elected} elected");
         }
     }
 

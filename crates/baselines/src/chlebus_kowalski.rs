@@ -41,16 +41,6 @@ impl GossipNode {
         }
     }
 
-    /// The node's decision (explicit output).
-    pub fn decision(&self) -> Option<bool> {
-        self.decision
-    }
-
-    /// The node's input bit.
-    pub fn input(&self) -> bool {
-        self.input
-    }
-
     fn push(&self, ctx: &mut Ctx<'_, bool>) {
         for _ in 0..FANOUT {
             let p = ctx.random_port();
@@ -67,6 +57,19 @@ pub fn gossip_rounds(n: u32) -> u32 {
 /// Round budget for a gossip run.
 pub fn gossip_round_budget(n: u32) -> u32 {
     gossip_rounds(n) + 4
+}
+
+impl Decides for GossipNode {
+    type Value = bool;
+
+    /// The node's decision (explicit output).
+    fn decision(&self) -> Option<bool> {
+        self.decision
+    }
+
+    fn input(&self) -> Option<bool> {
+        Some(self.input)
+    }
 }
 
 impl Protocol for GossipNode {
@@ -95,37 +98,6 @@ impl Protocol for GossipNode {
     }
 }
 
-/// Outcome of a gossip consensus run.
-#[derive(Clone, Debug)]
-pub struct GossipOutcome {
-    /// The common decision, when consistent.
-    pub value: Option<bool>,
-    /// Alive nodes without a decision.
-    pub undecided: usize,
-    /// Whether all alive nodes decided the same, valid value.
-    pub success: bool,
-}
-
-impl GossipOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<GossipNode>) -> Self {
-        let decisions: Vec<Option<bool>> = result
-            .surviving_states()
-            .map(|(_, s)| s.decision())
-            .collect();
-        let undecided = decisions.iter().filter(|d| d.is_none()).count();
-        let distinct: std::collections::BTreeSet<bool> =
-            decisions.iter().flatten().copied().collect();
-        let value = (distinct.len() == 1).then(|| *distinct.first().unwrap());
-        let valid = value.is_some_and(|v| result.all_states().any(|(_, s)| s.input() == v));
-        GossipOutcome {
-            value,
-            undecided,
-            success: undecided == 0 && distinct.len() == 1 && valid,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +118,9 @@ mod tests {
     fn fault_free_converges_to_minimum() {
         for seed in 0..5 {
             let r = run_gossip(256, seed, |id| id.0 != 31, &mut NoFaults);
-            let o = GossipOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.value, Some(false));
+            let o = r.verdict();
+            assert!(o.explicit() && o.valid, "seed {seed}: {o:?}");
+            assert_eq!(o.value(), Some(false));
         }
     }
 
@@ -157,8 +129,8 @@ mod tests {
         for seed in 0..10 {
             let mut adv = RandomCrash::new(100, 10);
             let r = run_gossip(256, seed, |id| id.0 % 4 == 0, &mut adv);
-            let o = GossipOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let o = r.verdict();
+            assert!(o.explicit() && o.valid, "seed {seed}: {o:?}");
         }
     }
 
@@ -174,8 +146,8 @@ mod tests {
     #[test]
     fn all_zero_inputs_decide_zero() {
         let r = run_gossip(128, 5, |_| false, &mut NoFaults);
-        let o = GossipOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.value, Some(false));
+        let o = r.verdict();
+        assert!(o.explicit() && o.valid);
+        assert_eq!(o.value(), Some(false));
     }
 }

@@ -70,6 +70,15 @@ impl Default for DiamTwoLeNode {
     }
 }
 
+/// Definition 1: an elected node decides; success is one decider.
+impl Decides for DiamTwoLeNode {
+    type Value = ();
+
+    fn decision(&self) -> Option<()> {
+        (self.elected == Some(true)).then_some(())
+    }
+}
+
 impl Protocol for DiamTwoLeNode {
     type Msg = DiamTwoMsg;
 
@@ -109,29 +118,6 @@ pub fn diam_two_round_budget() -> u32 {
     4
 }
 
-/// Outcome of a hub-relay election run.
-#[derive(Clone, Debug)]
-pub struct DiamTwoOutcome {
-    /// Number of surviving nodes that output ELECTED.
-    pub elected: usize,
-    /// Implicit-LE success: exactly one elected survivor.
-    pub success: bool,
-}
-
-impl DiamTwoOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<DiamTwoLeNode>) -> Self {
-        let elected = result
-            .surviving_states()
-            .filter(|(_, s)| s.elected() == Some(true))
-            .count();
-        DiamTwoOutcome {
-            elected,
-            success: elected == 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,8 +135,8 @@ mod tests {
         for seed in 0..20 {
             let cfg = hub_cfg(512, 9, seed);
             let r = run(&cfg, |_| DiamTwoLeNode::new(), &mut NoFaults);
-            let o = DiamTwoOutcome::evaluate(&r);
-            assert_eq!(o.elected, 1, "seed {seed}: {} elected", o.elected);
+            let elected = r.verdict().deciders;
+            assert_eq!(elected, 1, "seed {seed}: {elected} elected");
         }
     }
 
@@ -171,7 +157,7 @@ mod tests {
             .seed(5)
             .max_rounds(diam_two_round_budget());
         let r = run(&cfg, |_| DiamTwoLeNode::new(), &mut NoFaults);
-        assert!(DiamTwoOutcome::evaluate(&r).success);
+        assert_eq!(r.verdict().deciders, 1);
         // Every node is its own hub: flooding cost.
         assert_eq!(r.metrics.msgs_sent, 128 * 127 * 2);
     }
@@ -186,7 +172,7 @@ mod tests {
             let cfg = hub_cfg(64, 4, seed);
             let mut adv = RandomCrash::new(16, 2);
             let r = run(&cfg, |_| DiamTwoLeNode::new(), &mut adv);
-            if !DiamTwoOutcome::evaluate(&r).success {
+            if r.verdict().deciders != 1 {
                 failures += 1;
             }
         }

@@ -8,6 +8,8 @@
 //! crashes, and after such a clean round all alive nodes hold the same
 //! minimum.
 //!
+//! Success is [`Verdict::explicit`]: every survivor decided the same bit.
+//!
 //! Costs: `O(n²)` messages for binary inputs (each node broadcasts at most
 //! twice), `f+1` rounds, works for **any** `f ≤ n−1`, explicit output,
 //! KT0. Message complexity is what the paper's protocols beat.
@@ -35,14 +37,18 @@ impl FloodAgreeNode {
         }
     }
 
-    /// The node's decision, once made (`None` before round `f+1`).
-    pub fn decision(&self) -> Option<bool> {
-        self.decision
-    }
-
     /// The node's current (pre-decision) value.
     pub fn value(&self) -> bool {
         self.value
+    }
+}
+
+impl Decides for FloodAgreeNode {
+    type Value = bool;
+
+    /// The node's decision, once made (`None` before round `f+1`).
+    fn decision(&self) -> Option<bool> {
+        self.decision
     }
 }
 
@@ -72,35 +78,6 @@ impl Protocol for FloodAgreeNode {
     }
 }
 
-/// Outcome of a FloodSet run: explicit agreement among alive nodes.
-#[derive(Clone, Debug)]
-pub struct FloodOutcome {
-    /// The value all alive nodes decided, when consistent.
-    pub value: Option<bool>,
-    /// Alive nodes that never decided.
-    pub undecided: usize,
-    /// Whether all alive nodes decided the same value.
-    pub success: bool,
-}
-
-impl FloodOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<FloodAgreeNode>) -> Self {
-        let decisions: Vec<Option<bool>> = result
-            .surviving_states()
-            .map(|(_, s)| s.decision())
-            .collect();
-        let undecided = decisions.iter().filter(|d| d.is_none()).count();
-        let distinct: std::collections::BTreeSet<bool> =
-            decisions.iter().flatten().copied().collect();
-        FloodOutcome {
-            value: (distinct.len() == 1).then(|| *distinct.first().unwrap()),
-            undecided,
-            success: undecided == 0 && distinct.len() == 1,
-        }
-    }
-}
-
 /// Round budget for a FloodSet run tolerating `f` crashes.
 pub fn flood_round_budget(f: u32) -> u32 {
     f + 4
@@ -126,17 +103,17 @@ mod tests {
     #[test]
     fn fault_free_agrees_on_minimum() {
         let r = run_flood(64, 0, 1, |id| id.0 != 7, &mut NoFaults);
-        let o = FloodOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.value, Some(false));
+        let o = r.verdict();
+        assert!(o.explicit());
+        assert_eq!(o.value(), Some(false));
     }
 
     #[test]
     fn all_ones_stays_one() {
         let r = run_flood(64, 8, 2, |_| true, &mut NoFaults);
-        let o = FloodOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.value, Some(true));
+        let o = r.verdict();
+        assert!(o.explicit());
+        assert_eq!(o.value(), Some(true));
     }
 
     #[test]
@@ -145,8 +122,8 @@ mod tests {
             let f = 24;
             let mut adv = RandomCrash::new(f as usize, f);
             let r = run_flood(64, f, seed, |id| id.0 != 0, &mut adv);
-            let o = FloodOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let o = r.verdict();
+            assert!(o.explicit(), "seed {seed}: {o:?}");
         }
     }
 

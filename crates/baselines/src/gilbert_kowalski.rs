@@ -134,16 +134,6 @@ impl GkNode {
         }
     }
 
-    /// The node's decision (explicit output).
-    pub fn decision(&self) -> Option<bool> {
-        self.decision
-    }
-
-    /// The node's input bit.
-    pub fn input(&self) -> bool {
-        self.input
-    }
-
     fn decide_and_relay(&mut self, ctx: &mut Ctx<'_, GkMsg>, v: bool) {
         let geo = self.geo.expect("geometry set in on_start");
         if self.decision.is_none() {
@@ -157,6 +147,19 @@ impl GkNode {
                 ctx.send(port, GkMsg::Decide(v));
             }
         }
+    }
+}
+
+impl Decides for GkNode {
+    type Value = bool;
+
+    /// The node's decision (explicit output).
+    fn decision(&self) -> Option<bool> {
+        self.decision
+    }
+
+    fn input(&self) -> Option<bool> {
+        Some(self.input)
     }
 }
 
@@ -257,38 +260,6 @@ pub fn gk_round_budget(n: u32) -> u32 {
     geo.decide_round() + geo.max_depth + geo.k + 16
 }
 
-/// Outcome of a GK10-style run.
-#[derive(Clone, Debug)]
-pub struct GkOutcome {
-    /// The common decision, when consistent.
-    pub value: Option<bool>,
-    /// Alive nodes without a decision.
-    pub undecided: usize,
-    /// Explicit-agreement success: everyone alive decided the same value,
-    /// and the value is some node's input.
-    pub success: bool,
-}
-
-impl GkOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<GkNode>) -> Self {
-        let decisions: Vec<Option<bool>> = result
-            .surviving_states()
-            .map(|(_, s)| s.decision())
-            .collect();
-        let undecided = decisions.iter().filter(|d| d.is_none()).count();
-        let distinct: std::collections::BTreeSet<bool> =
-            decisions.iter().flatten().copied().collect();
-        let value = (distinct.len() == 1).then(|| *distinct.first().unwrap());
-        let valid = value.is_some_and(|v| result.all_states().any(|(_, s)| s.input() == v));
-        GkOutcome {
-            value,
-            undecided,
-            success: undecided == 0 && distinct.len() == 1 && valid,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,17 +280,17 @@ mod tests {
     #[test]
     fn fault_free_decides_minimum() {
         let r = run_gk(256, 1, |id| id.0 != 200, &mut NoFaults);
-        let o = GkOutcome::evaluate(&r);
-        assert!(o.success, "{o:?}");
-        assert_eq!(o.value, Some(false));
+        let o = r.verdict();
+        assert!(o.explicit() && o.valid, "{o:?}");
+        assert_eq!(o.value(), Some(false));
     }
 
     #[test]
     fn all_ones_decides_one() {
         let r = run_gk(256, 2, |_| true, &mut NoFaults);
-        let o = GkOutcome::evaluate(&r);
-        assert!(o.success, "{o:?}");
-        assert_eq!(o.value, Some(true));
+        let o = r.verdict();
+        assert!(o.explicit() && o.valid, "{o:?}");
+        assert_eq!(o.value(), Some(true));
     }
 
     #[test]
@@ -327,8 +298,8 @@ mod tests {
         for seed in 0..10 {
             let mut adv = RandomCrash::new(100, 20);
             let r = run_gk(256, seed, |id| id.0 % 3 == 0, &mut adv);
-            let o = GkOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let o = r.verdict();
+            assert!(o.explicit() && o.valid, "seed {seed}: {o:?}");
         }
     }
 
@@ -336,8 +307,8 @@ mod tests {
     fn message_complexity_is_linear_class() {
         let n = 4096u32;
         let r = run_gk(n, 3, |id| id.0 == 9, &mut NoFaults);
-        let o = GkOutcome::evaluate(&r);
-        assert!(o.success, "{o:?}");
+        let o = r.verdict();
+        assert!(o.explicit() && o.valid, "{o:?}");
         // O(n): gather (≈ n) + committee flooding (O(log² n)) +
         // dissemination (≈ n). Well below n·log n.
         assert!(
@@ -373,7 +344,7 @@ mod tests {
         }
         let mut adv = ScriptedCrash::new(plan);
         let r = run_gk(n, 5, |_| true, &mut adv);
-        let o = GkOutcome::evaluate(&r);
-        assert!(o.success, "{o:?}");
+        let o = r.verdict();
+        assert!(o.explicit() && o.valid, "{o:?}");
     }
 }

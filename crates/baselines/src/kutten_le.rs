@@ -79,6 +79,15 @@ impl Default for KuttenLeNode {
     }
 }
 
+/// Definition 1: an elected node decides; success is one decider.
+impl Decides for KuttenLeNode {
+    type Value = ();
+
+    fn decision(&self) -> Option<()> {
+        (self.elected == Some(true)).then_some(())
+    }
+}
+
 impl Protocol for KuttenLeNode {
     type Msg = KuttenMsg;
 
@@ -139,33 +148,6 @@ pub fn kutten_round_budget() -> u32 {
     5
 }
 
-/// Outcome of a Kutten et al. run.
-#[derive(Clone, Debug)]
-pub struct KuttenOutcome {
-    /// Number of nodes that output ELECTED.
-    pub elected: usize,
-    /// Number of candidates.
-    pub candidates: usize,
-    /// Implicit-LE success: exactly one elected node.
-    pub success: bool,
-}
-
-impl KuttenOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<KuttenLeNode>) -> Self {
-        let elected = result
-            .surviving_states()
-            .filter(|(_, s)| s.elected() == Some(true))
-            .count();
-        let candidates = result.states.iter().filter(|s| s.is_candidate()).count();
-        KuttenOutcome {
-            elected,
-            candidates,
-            success: elected == 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,8 +160,7 @@ mod tests {
                 .seed(seed)
                 .max_rounds(kutten_round_budget());
             let r = run(&cfg, |_| KuttenLeNode::new(), &mut NoFaults);
-            let o = KuttenOutcome::evaluate(&r);
-            if o.success {
+            if r.verdict().deciders == 1 {
                 wins += 1;
             }
         }
@@ -229,8 +210,7 @@ mod tests {
             let plan = FaultPlan::new().crash(w, 0, DeliveryFilter::KeepFirst(2));
             let mut adv = ScriptedCrash::new(plan);
             let r = run(&cfg, |_| KuttenLeNode::new(), &mut adv);
-            let o = KuttenOutcome::evaluate(&r);
-            if !o.success {
+            if r.verdict().deciders != 1 {
                 failures += 1;
             }
         }

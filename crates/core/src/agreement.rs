@@ -16,9 +16,7 @@
 //! is a single bit plus a tag, so messages ≈ bits (Theorem 5.1). Rounds:
 //! `O(log n/α)`.
 
-use std::collections::BTreeSet;
-
-use ftc_sim::ids::{NodeId, Port};
+use ftc_sim::ids::Port;
 use ftc_sim::prelude::*;
 
 use crate::messages::AgreeMsg;
@@ -93,11 +91,6 @@ impl AgreeNode {
         }
     }
 
-    /// The node's input bit.
-    pub fn input(&self) -> bool {
-        self.input
-    }
-
     /// Whether this node made itself a candidate.
     pub fn is_candidate(&self) -> bool {
         self.candidate.is_some()
@@ -135,6 +128,21 @@ impl AgreeNode {
                 ctx.send(p, AgreeMsg::Zero);
             }
         }
+    }
+}
+
+impl Decides for AgreeNode {
+    type Value = bool;
+
+    fn decision(&self) -> Option<bool> {
+        match self.status() {
+            AgreeStatus::Decided(v) => Some(v),
+            AgreeStatus::Undecided => None,
+        }
+    }
+
+    fn input(&self) -> Option<bool> {
+        Some(self.input)
     }
 }
 
@@ -218,7 +226,8 @@ impl Protocol for AgreeNode {
     }
 }
 
-/// Evaluation of one agreement execution against Definition 2.
+/// Evaluation of one agreement execution against Definition 2: the
+/// run's [`Verdict`] plus the committee counts.
 #[derive(Clone, Debug)]
 pub struct AgreeOutcome {
     /// Nodes that became candidates.
@@ -242,54 +251,20 @@ pub struct AgreeOutcome {
 impl AgreeOutcome {
     /// Scores a finished run.
     pub fn evaluate(result: &RunResult<AgreeNode>) -> AgreeOutcome {
-        let candidate_count = result.states.iter().filter(|s| s.is_candidate()).count();
-        let alive_candidates = result
-            .surviving_states()
-            .filter(|(_, s)| s.is_candidate())
-            .count();
-
-        let decided: BTreeSet<bool> = result
-            .surviving_states()
-            .filter_map(|(_, s)| match s.status() {
-                AgreeStatus::Decided(v) => Some(v),
-                AgreeStatus::Undecided => None,
-            })
-            .collect();
-        let decisions: Vec<bool> = decided.iter().copied().collect();
-        let some_decided = !decisions.is_empty();
-        let consistent = decisions.len() <= 1;
-        let agreed_value = (decisions.len() == 1).then(|| decisions[0]);
-
-        let valid = agreed_value.is_some_and(|v| result.all_states().any(|(_, s)| s.input() == v));
-
+        let v = result.verdict();
         AgreeOutcome {
-            candidate_count,
-            alive_candidates,
-            decisions,
-            agreed_value,
-            some_decided,
-            consistent,
-            valid,
-            success: some_decided && consistent && valid,
-        }
-    }
-
-    /// Convenience: the set of nodes whose decision differs from the
-    /// majority — used by failure-injection tests to localise splits.
-    pub fn dissenters(result: &RunResult<AgreeNode>) -> Vec<NodeId> {
-        let outcome = AgreeOutcome::evaluate(result);
-        let Some(v) = outcome.agreed_value else {
-            return result
+            candidate_count: result.states.iter().filter(|s| s.is_candidate()).count(),
+            alive_candidates: result
                 .surviving_states()
-                .filter(|(_, s)| matches!(s.status(), AgreeStatus::Decided(_)))
-                .map(|(id, _)| id)
-                .collect();
-        };
-        result
-            .surviving_states()
-            .filter(|(_, s)| matches!(s.status(), AgreeStatus::Decided(d) if d != v))
-            .map(|(id, _)| id)
-            .collect()
+                .filter(|(_, s)| s.is_candidate())
+                .count(),
+            agreed_value: v.value(),
+            some_decided: !v.decisions.is_empty(),
+            consistent: v.decisions.len() <= 1,
+            valid: v.valid,
+            success: v.implicit() && v.valid,
+            decisions: v.decisions,
+        }
     }
 }
 
@@ -405,8 +380,9 @@ mod tests {
 
     #[test]
     fn dissenters_empty_on_success() {
+        // No survivor decided other than the agreed value.
         let result = run_agree(128, 1.0, 9, |id| id.0 % 3 == 0, &mut NoFaults);
-        assert!(AgreeOutcome::dissenters(&result).is_empty());
+        assert_eq!(result.verdict().decisions.len(), 1);
     }
 
     #[test]

@@ -78,14 +78,18 @@ impl ExplicitLeNode {
         &self.inner
     }
 
-    /// The leader rank this node ended up knowing (explicit output).
-    pub fn known_leader(&self) -> Option<Rank> {
-        self.known_leader.or(self.inner.leader_belief())
-    }
-
     /// Total round budget including the announcement exchange.
     pub fn round_budget(params: &Params) -> u32 {
         params.le_round_budget() + 3
+    }
+}
+
+/// The explicit output: the leader rank this node ended up knowing.
+impl Decides for ExplicitLeNode {
+    type Value = Rank;
+
+    fn decision(&self) -> Option<Rank> {
+        self.known_leader.or(self.inner.leader_belief())
     }
 }
 
@@ -166,19 +170,20 @@ impl ExplicitAgreeNode {
         &self.inner
     }
 
-    /// The agreed value this node ended up knowing (explicit output).
-    /// Zero-announcements dominate one-announcements, mirroring the
-    /// implicit protocol's bias.
-    pub fn known_value(&self) -> Option<bool> {
-        self.known_value.or(match self.inner.status() {
-            AgreeStatus::Decided(v) => Some(v),
-            AgreeStatus::Undecided => None,
-        })
-    }
-
     /// Total round budget including the announcement exchange.
     pub fn round_budget(params: &Params) -> u32 {
         params.agreement_round_budget() + 3
+    }
+}
+
+/// The explicit output: the agreed value this node ended up knowing.
+/// Zero-announcements dominate one-announcements, mirroring the implicit
+/// protocol's bias.
+impl Decides for ExplicitAgreeNode {
+    type Value = bool;
+
+    fn decision(&self) -> Option<bool> {
+        self.known_value.or(self.inner.decision())
     }
 }
 
@@ -216,67 +221,6 @@ impl Protocol for ExplicitAgreeNode {
     }
 }
 
-/// Outcome of an explicit leader election: did *every* alive node learn
-/// the same leader?
-#[derive(Clone, Debug)]
-pub struct ExplicitLeOutcome {
-    /// The leader all alive nodes agree on, if they do.
-    pub leader: Option<Rank>,
-    /// Number of alive nodes that know no leader.
-    pub unaware: usize,
-    /// Whether every alive node knows the same leader.
-    pub success: bool,
-}
-
-impl ExplicitLeOutcome {
-    /// Scores a finished explicit run.
-    pub fn evaluate(result: &RunResult<ExplicitLeNode>) -> Self {
-        let mut leaders: Vec<Option<Rank>> = Vec::new();
-        for (_, s) in result.surviving_states() {
-            leaders.push(s.known_leader());
-        }
-        let unaware = leaders.iter().filter(|l| l.is_none()).count();
-        let distinct: std::collections::BTreeSet<Rank> =
-            leaders.iter().flatten().copied().collect();
-        let success = unaware == 0 && distinct.len() == 1;
-        ExplicitLeOutcome {
-            leader: (distinct.len() == 1).then(|| *distinct.first().unwrap()),
-            unaware,
-            success,
-        }
-    }
-}
-
-/// Outcome of an explicit agreement: did *every* alive node learn the same
-/// value?
-#[derive(Clone, Debug)]
-pub struct ExplicitAgreeOutcome {
-    /// The value all alive nodes agree on, if they do.
-    pub value: Option<bool>,
-    /// Number of alive nodes that know no value.
-    pub unaware: usize,
-    /// Whether every alive node knows the same value.
-    pub success: bool,
-}
-
-impl ExplicitAgreeOutcome {
-    /// Scores a finished explicit run.
-    pub fn evaluate(result: &RunResult<ExplicitAgreeNode>) -> Self {
-        let values: Vec<Option<bool>> = result
-            .surviving_states()
-            .map(|(_, s)| s.known_value())
-            .collect();
-        let unaware = values.iter().filter(|v| v.is_none()).count();
-        let distinct: std::collections::BTreeSet<bool> = values.iter().flatten().copied().collect();
-        let success = unaware == 0 && distinct.len() == 1;
-        ExplicitAgreeOutcome {
-            value: (distinct.len() == 1).then(|| *distinct.first().unwrap()),
-            unaware,
-            success,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,9 +232,8 @@ mod tests {
             .seed(4)
             .max_rounds(ExplicitLeNode::round_budget(&params));
         let result = run(&cfg, |_| ExplicitLeNode::new(params.clone()), &mut NoFaults);
-        let o = ExplicitLeOutcome::evaluate(&result);
-        assert!(o.success, "{o:?}");
-        assert!(o.leader.is_some());
+        let v = result.verdict();
+        assert!(v.explicit(), "{v:?}");
     }
 
     #[test]
@@ -302,8 +245,8 @@ mod tests {
                 .max_rounds(ExplicitLeNode::round_budget(&params));
             let mut adv = RandomCrash::new(64, 30);
             let result = run(&cfg, |_| ExplicitLeNode::new(params.clone()), &mut adv);
-            let o = ExplicitLeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let v = result.verdict();
+            assert!(v.explicit(), "seed {seed}: {v:?}");
         }
     }
 
@@ -318,9 +261,9 @@ mod tests {
             |id| ExplicitAgreeNode::new(params.clone(), id.0 % 2 == 0),
             &mut NoFaults,
         );
-        let o = ExplicitAgreeOutcome::evaluate(&result);
-        assert!(o.success, "{o:?}");
-        assert_eq!(o.value, Some(false), "zero must win");
+        let v = result.verdict();
+        assert!(v.explicit(), "{v:?}");
+        assert_eq!(v.value(), Some(false), "zero must win");
     }
 
     #[test]
@@ -336,8 +279,8 @@ mod tests {
                 |id| ExplicitAgreeNode::new(params.clone(), id.0 < 4),
                 &mut adv,
             );
-            let o = ExplicitAgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let v = result.verdict();
+            assert!(v.explicit(), "seed {seed}: {v:?}");
         }
     }
 
@@ -374,14 +317,14 @@ mod tests {
                 |_| ExplicitLeNode::with_policy(params.clone(), policy),
                 &mut adv,
             );
-            ExplicitLeOutcome::evaluate(&r)
+            r.verdict()
         };
 
         let all = run_policy(AnnouncePolicy::AllCandidates);
         let only = run_policy(AnnouncePolicy::LeaderOnly);
-        assert!(all.success, "all-candidates policy broke: {all:?}");
+        assert!(all.explicit(), "all-candidates policy broke: {all:?}");
         assert!(
-            !only.success && only.unaware > 0,
+            !only.explicit() && only.undecided > 0,
             "leader-only policy unexpectedly survived: {only:?}"
         );
     }
@@ -394,8 +337,8 @@ mod tests {
             .seed(2)
             .max_rounds(ExplicitLeNode::round_budget(&params));
         let result = run(&cfg, |_| ExplicitLeNode::new(params.clone()), &mut NoFaults);
-        let o = ExplicitLeOutcome::evaluate(&result);
-        assert!(o.success, "{o:?}");
+        let v = result.verdict();
+        assert!(v.explicit(), "{v:?}");
         // O(n·log n/α) with a generous constant (the implicit phase and
         // the |C| parallel announcements both contribute), far below n².
         let bound = f64::from(n) * params.ln_n() / params.alpha();

@@ -16,6 +16,12 @@
 //! * [`params`], [`rank`], [`sampling`], [`messages`] — the shared
 //!   building blocks (Lemmas 1–3).
 //!
+//! Each protocol state says what it decided through
+//! [`ftc_sim::verdict::Decides`], and a run is judged by its
+//! [`ftc_sim::verdict::Verdict`]. [`agreement::AgreeOutcome`] is a verdict
+//! plus committee counts; [`leader_election::LeOutcome`] judges at rank
+//! level (which leader, and whether it is faulty).
+//!
 //! All protocols run on the [`ftc_sim`] substrate: a synchronous,
 //! fully-connected, **anonymous (KT0)** network in the CONGEST model with
 //! up to `n − log²n` crash faults under a static adversary with adaptive
@@ -63,12 +69,10 @@ pub mod prelude {
     pub use crate::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderCrasher};
     pub use crate::agreement::{AgreeNode, AgreeOutcome, AgreeStatus};
     pub use crate::byzantine::{EquivocatingClaimant, ZeroForger};
-    pub use crate::explicit::{
-        AnnouncePolicy, ExplicitAgreeNode, ExplicitAgreeOutcome, ExplicitLeNode, ExplicitLeOutcome,
-    };
+    pub use crate::explicit::{AnnouncePolicy, ExplicitAgreeNode, ExplicitLeNode};
     pub use crate::leader_election::{LeNode, LeOutcome, LeStatus};
     pub use crate::messages::{AgreeMsg, LeMsg};
-    pub use crate::multi_agreement::{MultiAgreeNode, MultiMsg, MultiOutcome};
+    pub use crate::multi_agreement::{MultiAgreeNode, MultiMsg};
     pub use crate::params::{Params, ParamsError};
     pub use crate::rank::Rank;
 }

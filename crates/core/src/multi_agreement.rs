@@ -17,8 +17,6 @@
 //! all-ones silence optimisation, which generalises to "nodes holding the
 //! maximum possible value send only registrations").
 
-use std::collections::BTreeSet;
-
 use ftc_sim::ids::Port;
 use ftc_sim::payload::{bits_for, Payload};
 use ftc_sim::prelude::*;
@@ -52,7 +50,7 @@ impl Payload for MultiMsg {
 ///
 /// ```
 /// use ftc_sim::prelude::*;
-/// use ftc_core::multi_agreement::{MultiAgreeNode, MultiOutcome};
+/// use ftc_core::multi_agreement::MultiAgreeNode;
 /// use ftc_core::params::Params;
 ///
 /// let params = Params::new(128, 1.0)?;
@@ -63,9 +61,9 @@ impl Payload for MultiMsg {
 ///     |id| MultiAgreeNode::new(params.clone(), k, 3 + (id.0 % 13)),
 ///     &mut NoFaults,
 /// );
-/// let o = MultiOutcome::evaluate(&result);
-/// assert!(o.success);
-/// assert_eq!(o.agreed_value, Some(3)); // the minimum input wins
+/// let v = result.verdict();
+/// assert!(v.implicit() && v.valid);
+/// assert_eq!(v.value(), Some(3)); // the minimum input wins
 /// # Ok::<(), ftc_core::params::ParamsError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -100,20 +98,9 @@ impl MultiAgreeNode {
         }
     }
 
-    /// The node's input value.
-    pub fn input(&self) -> u32 {
-        self.input
-    }
-
     /// Whether this node made itself a candidate.
     pub fn is_candidate(&self) -> bool {
         self.candidate.is_some()
-    }
-
-    /// The candidate's current (and at termination, decided) value;
-    /// `None` for non-candidates (`⊥`).
-    pub fn decision(&self) -> Option<u32> {
-        self.candidate.as_ref().map(|(_, v)| *v)
     }
 
     /// Candidate adopts `v` if it improves the current minimum, pushing
@@ -139,6 +126,20 @@ impl MultiAgreeNode {
                 ctx.send(p, MultiMsg::Value(v));
             }
         }
+    }
+}
+
+impl Decides for MultiAgreeNode {
+    type Value = u32;
+
+    /// The candidate's current (and at termination, decided) value;
+    /// `None` for non-candidates (`⊥`).
+    fn decision(&self) -> Option<u32> {
+        self.candidate.as_ref().map(|(_, v)| *v)
+    }
+
+    fn input(&self) -> Option<u32> {
+        Some(self.input)
     }
 }
 
@@ -197,60 +198,25 @@ impl Protocol for MultiAgreeNode {
     }
 }
 
-/// Evaluation of a multi-valued agreement run (Definition 2, generalised).
-#[derive(Clone, Debug)]
-pub struct MultiOutcome {
-    /// Distinct decisions among alive candidates.
-    pub decisions: Vec<u32>,
-    /// The agreed value, when consistent.
-    pub agreed_value: Option<u32>,
-    /// Whether at least one alive node decided.
-    pub some_decided: bool,
-    /// Whether all alive decided nodes agree.
-    pub consistent: bool,
-    /// Whether the agreed value is some node's input.
-    pub valid: bool,
-    /// Non-emptiness + consistency + validity.
-    pub success: bool,
-}
-
-impl MultiOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<MultiAgreeNode>) -> Self {
-        let decided: BTreeSet<u32> = result
-            .surviving_states()
-            .filter_map(|(_, s)| s.decision())
-            .collect();
-        let decisions: Vec<u32> = decided.iter().copied().collect();
-        let some_decided = !decisions.is_empty();
-        let consistent = decisions.len() <= 1;
-        let agreed_value = (decisions.len() == 1).then(|| decisions[0]);
-        let valid = agreed_value.is_some_and(|v| result.all_states().any(|(_, s)| s.input() == v));
-        MultiOutcome {
-            decisions,
-            agreed_value,
-            some_decided,
-            consistent,
-            valid,
-            success: some_decided && consistent && valid,
-        }
-    }
-
-    /// The minimum input among nodes that became candidates — the value
-    /// a fault-free run must agree on.
-    pub fn min_candidate_input(result: &RunResult<MultiAgreeNode>) -> Option<u32> {
-        result
-            .all_states()
-            .filter(|(_, s)| s.is_candidate())
-            .map(|(_, s)| s.input())
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftc_sim::ids::NodeId;
+
+    /// The minimum input among nodes that became candidates — the value
+    /// a fault-free run must agree on.
+    fn min_candidate_input(result: &RunResult<MultiAgreeNode>) -> Option<u32> {
+        result
+            .all_states()
+            .filter(|(_, s)| s.is_candidate())
+            .filter_map(|(_, s)| s.input())
+            .min()
+    }
+
+    /// Definition 2: one decision, and it is some node's input.
+    fn success(v: &Verdict<u32>) -> bool {
+        v.implicit() && v.valid
+    }
 
     fn run_multi(
         n: u32,
@@ -275,26 +241,26 @@ mod tests {
     fn fault_free_agrees_on_min_candidate_input() {
         for seed in 0..10 {
             let r = run_multi(256, 1.0, 64, seed, |id| 5 + (id.0 * 7) % 59, &mut NoFaults);
-            let o = MultiOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.agreed_value, MultiOutcome::min_candidate_input(&r));
+            let o = r.verdict();
+            assert!(success(&o), "seed {seed}: {o:?}");
+            assert_eq!(o.value(), min_candidate_input(&r));
         }
     }
 
     #[test]
     fn unanimous_input_survives() {
         let r = run_multi(128, 1.0, 16, 3, |_| 9, &mut NoFaults);
-        let o = MultiOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.agreed_value, Some(9));
+        let o = r.verdict();
+        assert!(success(&o));
+        assert_eq!(o.value(), Some(9));
     }
 
     #[test]
     fn all_maximum_inputs_stay_silent() {
         let r = run_multi(256, 1.0, 8, 4, |_| 7, &mut NoFaults);
-        let o = MultiOutcome::evaluate(&r);
-        assert!(o.success);
-        assert_eq!(o.agreed_value, Some(7));
+        let o = r.verdict();
+        assert!(success(&o));
+        assert_eq!(o.value(), Some(7));
         let registration = r.metrics.per_round.first().map_or(0, |m| m.sent);
         assert_eq!(
             r.metrics.msgs_sent, registration,
@@ -307,8 +273,8 @@ mod tests {
         for seed in 0..10 {
             let mut adv = RandomCrash::new(128, 20);
             let r = run_multi(256, 0.5, 32, seed, |id| (id.0 * 13) % 32, &mut adv);
-            let o = MultiOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let o = r.verdict();
+            assert!(success(&o), "seed {seed}: {o:?}");
         }
     }
 
@@ -325,10 +291,10 @@ mod tests {
                 |id| u32::from(id.0 % 9 != 0),
                 &mut NoFaults,
             );
-            let o = MultiOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}");
-            let min_cand = MultiOutcome::min_candidate_input(&r);
-            assert_eq!(o.agreed_value, min_cand);
+            let o = r.verdict();
+            assert!(success(&o), "seed {seed}");
+            let min_cand = min_candidate_input(&r);
+            assert_eq!(o.value(), min_cand);
         }
     }
 
@@ -345,8 +311,8 @@ mod tests {
             |id| (id.0 * 7919) % (1 << 16),
             &mut NoFaults,
         );
-        assert!(MultiOutcome::evaluate(&small).success);
-        assert!(MultiOutcome::evaluate(&large).success);
+        assert!(success(&small.verdict()));
+        assert!(success(&large.verdict()));
         let small_bits_per_msg = small.metrics.bits_sent as f64 / small.metrics.msgs_sent as f64;
         let large_bits_per_msg = large.metrics.bits_sent as f64 / large.metrics.msgs_sent as f64;
         assert!(large_bits_per_msg > small_bits_per_msg);
@@ -366,9 +332,9 @@ mod tests {
                 |id| 299 - (id.0 % 300).min(299),
                 &mut NoFaults,
             );
-            let o = MultiOutcome::evaluate(&r);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.agreed_value, MultiOutcome::min_candidate_input(&r));
+            let o = r.verdict();
+            assert!(success(&o), "seed {seed}: {o:?}");
+            assert_eq!(o.value(), min_candidate_input(&r));
         }
     }
 

@@ -159,6 +159,20 @@ impl Adv {
             )),
         }
     }
+
+    /// The schedule-only adversary this name denotes, for any message
+    /// type: a crash plan that never reads traffic, spending fault budget
+    /// `f`. `Targeted` and `AdaptiveKiller` read traffic and are an error.
+    pub fn schedule_only<M>(self, f: usize) -> Result<Box<dyn Adversary<M>>, String> {
+        match self {
+            Adv::None => Ok(Box::new(NoFaults)),
+            Adv::Eager => Ok(Box::new(EagerCrash::new(f))),
+            Adv::Random(horizon) => Ok(Box::new(RandomCrash::new(f, horizon))),
+            Adv::Targeted | Adv::AdaptiveKiller => {
+                Err("this workload runs schedule-only adversaries (none|eager|random)".into())
+            }
+        }
+    }
 }
 
 /// The crash schedule of one [`ProtoKind::run`].
@@ -182,11 +196,9 @@ impl Schedule<'_> {
     ) -> Result<Box<dyn Adversary<M>>, String> {
         match self {
             Schedule::Scripted(plan) => Ok(Box::new(ScriptedCrash::new(plan.clone()))),
-            Schedule::Named(Adv::None) => Ok(Box::new(NoFaults)),
-            Schedule::Named(Adv::Eager) => Ok(Box::new(EagerCrash::new(f))),
-            Schedule::Named(Adv::Random(horizon)) => Ok(Box::new(RandomCrash::new(f, horizon))),
             Schedule::Named(Adv::Targeted) => Ok(targeted),
             Schedule::Named(Adv::AdaptiveKiller) => adaptive,
+            Schedule::Named(adv) => adv.schedule_only(f),
         }
     }
 }

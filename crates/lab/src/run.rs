@@ -21,7 +21,7 @@ use ftc_core::sampling::draw_committee;
 use ftc_hunt::proto::{agree_input, ProtoKind, Schedule};
 use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
-use ftc_sim::adversary::{Adversary, EagerCrash, NoFaults, RandomCrash};
+use ftc_sim::adversary::{EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
 use ftc_sim::json::git_rev;
 use ftc_sim::metrics::{LogHistogram, Metrics};
@@ -97,20 +97,6 @@ impl ftc_sim::protocol::Protocol for BenchChatter {
     }
 }
 
-/// Schedule-only adversaries (crash plans that never inspect protocol
-/// traffic) — usable with any message type. The engine bench and the
-/// topology baselines run these.
-fn schedule_adversary<M>(adv: Adv, f: usize) -> Result<Box<dyn Adversary<M>>, String> {
-    match adv {
-        Adv::None => Ok(Box::new(NoFaults)),
-        Adv::Eager => Ok(Box::new(EagerCrash::new(f))),
-        Adv::Random(h) => Ok(Box::new(RandomCrash::new(f, h))),
-        Adv::Targeted | Adv::AdaptiveKiller => {
-            Err("this workload runs schedule-only adversaries (none|eager|random)".into())
-        }
-    }
-}
-
 /// The protocol parameters of `cell`. [`run_campaign`] builds them for
 /// every cell whose workload uses them before any trial starts, so an `α`
 /// below resilience is an error naming the cell, never a worker panic.
@@ -127,7 +113,7 @@ fn cell_params(cell: &CellSpec) -> Result<Params, String> {
 pub(crate) fn check_adversary(workload: &Workload) -> Result<(), String> {
     match *workload {
         Workload::LeDiamTwo { adv } | Workload::EngineBench { adv, .. } => {
-            schedule_adversary::<u64>(adv, 0).map(drop)
+            adv.schedule_only::<u64>(0).map(drop)
         }
         Workload::Agree {
             adv: Adv::AdaptiveKiller,
@@ -298,7 +284,7 @@ pub fn run_trial(
             let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
             let mut adv = RandomCrash::new(f, 40);
             let r = run_sharded(&cfg, |_| ExplicitLeNode::new(params.clone()), &mut adv, ij);
-            value_of(&r, ExplicitLeOutcome::evaluate(&r).success, vec![])
+            value_of(&r, r.verdict().explicit(), vec![])
         }
         Workload::LeImplicitExplicitBudget => {
             let params = cell_params(cell)?;
@@ -319,19 +305,19 @@ pub fn run_trial(
                 &mut adv,
                 ij,
             );
-            value_of(&r, ExplicitAgreeOutcome::evaluate(&r).success, vec![])
+            value_of(&r, r.verdict().explicit(), vec![])
         }
         Workload::LeKutten => {
             let cfg = cfg.max_rounds(kutten_round_budget());
             let r = run_sharded(&cfg, |_| KuttenLeNode::new(), &mut NoFaults, ij);
-            value_of(&r, KuttenOutcome::evaluate(&r).success, vec![])
+            value_of(&r, r.verdict().deciders == 1, vec![])
         }
         Workload::LeDiamTwo { adv } => {
             let f = ((1.0 - cell.alpha) * f64::from(n)) as usize;
             let cfg = cfg.max_rounds(diam_two_round_budget());
-            let mut a = schedule_adversary(*adv, f)?;
+            let mut a = adv.schedule_only(f)?;
             let r = run_sharded(&cfg, |_| DiamTwoLeNode::new(), &mut *a, ij);
-            value_of(&r, DiamTwoOutcome::evaluate(&r).success, vec![])
+            value_of(&r, r.verdict().deciders == 1, vec![])
         }
         Workload::AgreeAugustine { zeros } => {
             let cfg = cfg.max_rounds(augustine_round_budget());
@@ -341,7 +327,8 @@ pub fn run_trial(
                 &mut NoFaults,
                 ij,
             );
-            value_of(&r, AugustineOutcome::evaluate(&r).success, vec![])
+            let v = r.verdict();
+            value_of(&r, v.implicit() && v.valid, vec![])
         }
         Workload::MultiValue { k } => {
             let params = cell_params(cell)?;
@@ -355,7 +342,8 @@ pub fn run_trial(
                 &mut adv,
                 ij,
             );
-            value_of(&r, MultiOutcome::evaluate(&r).success, vec![])
+            let v = r.verdict();
+            value_of(&r, v.implicit() && v.valid, vec![])
         }
         Workload::Flood { faults } => {
             let f = *faults as usize;
@@ -367,19 +355,21 @@ pub fn run_trial(
                 &mut adv,
                 ij,
             );
-            value_of(&r, FloodOutcome::evaluate(&r).success, vec![])
+            value_of(&r, r.verdict().explicit(), vec![])
         }
         Workload::Gk { faults } => {
             let cfg = cfg.kt1(true).max_rounds(gk_round_budget(n));
             let mut adv = RandomCrash::new(*faults as usize, 20);
             let r = run_sharded(&cfg, |id| GkNode::new(id.0 % 7 != 0), &mut adv, ij);
-            value_of(&r, GkOutcome::evaluate(&r).success, vec![])
+            let v = r.verdict();
+            value_of(&r, v.explicit() && v.valid, vec![])
         }
         Workload::Gossip { faults } => {
             let cfg = cfg.max_rounds(gossip_round_budget(n));
             let mut adv = RandomCrash::new(*faults as usize, 10);
             let r = run_sharded(&cfg, |id| GossipNode::new(n, id.0 % 7 != 0), &mut adv, ij);
-            value_of(&r, GossipOutcome::evaluate(&r).success, vec![])
+            let v = r.verdict();
+            value_of(&r, v.explicit() && v.valid, vec![])
         }
         Workload::SamplingLemmas {
             candidate_factor,
@@ -432,7 +422,7 @@ pub fn run_trial(
             if *p > 0.0 {
                 cfg = cfg.edge_failure_prob(*p);
             }
-            let mut a = schedule_adversary(*adv, f)?;
+            let mut a = adv.schedule_only(f)?;
             let r = run_sharded(
                 &cfg,
                 |_| BenchChatter {
@@ -765,6 +755,25 @@ pub fn run_campaign(
         }
         .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
         check_adversary(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
+        // The fault budget must fit the network: one above n panics
+        // `FaultySet::random` on a worker, and `((1 − α)·n) as usize`
+        // leaves `0..=n` for α < 0 and saturates to no faults for α > 1.
+        if !(cell.alpha > 0.0 && cell.alpha <= 1.0) {
+            return Err(format!(
+                "cell `{}`: alpha={} is outside (0, 1]",
+                cell.label, cell.alpha
+            ));
+        }
+        if let Workload::Flood { faults } | Workload::Gk { faults } | Workload::Gossip { faults } =
+            cell.workload
+        {
+            if faults > u64::from(cell.n) {
+                return Err(format!(
+                    "cell `{}`: faults={faults} exceeds n={}",
+                    cell.label, cell.n
+                ));
+            }
+        }
         // Only the fault-free baselines and the bench canary run without
         // the paper's parameters.
         if !matches!(
@@ -1076,6 +1085,45 @@ mod tests {
             adv: Adv::AdaptiveKiller,
         };
         let ok = CampaignSpec::new("pairing-ok").cell(CellSpec::new(le, 16, 0.5, 3, 2));
+        assert!(run_campaign(&ok, 1, Substrate::Engine).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_fault_budgets_fail_fast_naming_the_cell() {
+        // Regression: the first two panicked a worker (`cannot make 100 of
+        // 64 nodes faulty`, `96 of 64`); the third ran with no faults.
+        let bench = Workload::EngineBench {
+            adv: Adv::Eager,
+            p: 0.0,
+            rounds: 2,
+        };
+        let cells = [
+            (
+                Workload::Flood { faults: 100 },
+                0.5,
+                "faults=100 exceeds n=64",
+            ),
+            (
+                Workload::LeDiamTwo { adv: Adv::Eager },
+                -0.5,
+                "alpha=-0.5 is outside",
+            ),
+            (bench, 7.0, "alpha=7 is outside"),
+        ];
+        for (workload, alpha, why) in cells {
+            let spec = CampaignSpec::new("budget-bad")
+                .cell(CellSpec::new(workload, 64, alpha, 3, 2).label("over"));
+            let err = run_campaign(&spec, 1, Substrate::Engine).unwrap_err();
+            assert!(err.contains("cell `over`") && err.contains(why), "{err}");
+        }
+        // A budget of the whole network still runs.
+        let ok = CampaignSpec::new("budget-ok").cell(CellSpec::new(
+            Workload::Gossip { faults: 16 },
+            16,
+            0.5,
+            3,
+            1,
+        ));
         assert!(run_campaign(&ok, 1, Substrate::Engine).is_ok());
     }
 

@@ -21,7 +21,8 @@
 //!
 //! Protocols implement the [`protocol::Protocol`] trait and are executed by
 //! [`engine::run`]; repeated seeded executions are driven in parallel by
-//! [`runner`]. All executions are deterministic functions of
+//! [`runner`], and [`verdict`] judges a run against the paper's success
+//! definitions. All executions are deterministic functions of
 //! `(SimConfig, seed)`.
 //!
 //! ## Example
@@ -69,6 +70,7 @@ pub mod runner;
 pub mod stats;
 pub mod topology;
 pub mod trace;
+pub mod verdict;
 
 /// Convenient glob import for simulator users.
 pub mod prelude {
@@ -89,4 +91,5 @@ pub mod prelude {
     pub use crate::stats::Summary;
     pub use crate::topology::{EdgeSet, Topology};
     pub use crate::trace::{Trace, TraceEvent};
+    pub use crate::verdict::{Decides, Verdict};
 }

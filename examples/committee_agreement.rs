@@ -88,13 +88,13 @@ fn main() -> Result<(), ParamsError> {
         |id| ExplicitAgreeNode::new(params.clone(), id.0 >= witnesses),
         &mut adv,
     );
-    let o = ExplicitAgreeOutcome::evaluate(&r);
+    let v = r.verdict();
     println!("— explicit extension (single run) —");
     println!(
         "  every alive participant informed: {} (value {:?}, {} unaware)",
-        o.success,
-        o.value.map(u8::from),
-        o.unaware
+        v.explicit(),
+        v.value().map(u8::from),
+        v.undecided
     );
     println!(
         "  total cost incl. broadcast: {} messages in {} rounds (rounds are dominated \n  by the fixed implicit-phase budget before the announcement; explicit bound O(n·log n/α) = {:.0})",

@@ -11,9 +11,7 @@
 //! cargo run --release --example sensor_swarm
 //! ```
 
-use ftc::baselines::broadcast_le::{
-    broadcast_le_round_budget, BroadcastLeNode, BroadcastLeOutcome,
-};
+use ftc::baselines::broadcast_le::{broadcast_le_round_budget, BroadcastLeNode};
 use ftc::prelude::*;
 
 const N: u32 = 2048;
@@ -59,12 +57,11 @@ fn main() -> Result<(), ParamsError> {
                 let c = &bcfg.clone().seed(seed);
                 let mut adv = RandomCrash::new(f, 40);
                 let r = run(c, |_| BroadcastLeNode::new(fb), &mut adv);
-                let o = BroadcastLeOutcome::evaluate(&r);
-                (o.success, r.metrics.msgs_sent, r.metrics.rounds)
+                (r.metrics.msgs_sent, r.metrics.rounds)
             })
             .outcomes;
-        let bmsgs = Summary::of_iter(base.iter().map(|t| t.value.1 as f64));
-        let brounds = Summary::of_iter(base.iter().map(|t| f64::from(t.value.2)));
+        let bmsgs = Summary::of_iter(base.iter().map(|t| t.value.0 as f64));
+        let brounds = Summary::of_iter(base.iter().map(|t| f64::from(t.value.1)));
 
         println!(
             "{:>7.1}% {:>7}/{:<2} {:>14.0} {:>8.0} {:>14.0} {:>8.0} {:>8.1}x",

@@ -90,9 +90,9 @@ fn explicit_agreement_informs_every_survivor() {
             |id| ExplicitAgreeNode::new(p.clone(), id.0 % 4 != 0),
             &mut adv,
         );
-        let o = ExplicitAgreeOutcome::evaluate(&r);
-        assert!(o.success, "seed {seed}: {o:?}");
-        assert_eq!(o.value, Some(false), "the 0 minority must win");
+        let v = r.verdict();
+        assert!(v.explicit(), "seed {seed}: {v:?}");
+        assert_eq!(v.value(), Some(false), "the 0 minority must win");
     }
 }
 
@@ -105,8 +105,8 @@ fn explicit_leader_election_informs_every_survivor() {
             .max_rounds(ExplicitLeNode::round_budget(&p));
         let mut adv = RandomCrash::new(p.max_faults(), 20);
         let r = run(&cfg, |_| ExplicitLeNode::new(p.clone()), &mut adv);
-        let o = ExplicitLeOutcome::evaluate(&r);
-        assert!(o.success, "seed {seed}: {o:?}");
+        let v = r.verdict();
+        assert!(v.explicit(), "seed {seed}: {v:?}");
     }
 }
 

@@ -240,3 +240,41 @@ fn gate_reruns_a_record_on_the_substrate_it_names() {
     assert!(stderr.contains("channel:2"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
+    // Each of these used to panic a worker (exit 101) or, for α > 1,
+    // store a record that ran fault-free.
+    let dir = tmp_dir("budget");
+    let (spec, store) = (dir.join("spec.json"), dir.join("store"));
+    let cells = [
+        ("flood-over", r#"{"kind":"flood","faults":100},"alpha":0.5"#),
+        (
+            "diam-negative",
+            r#"{"kind":"le_diam_two","adv":{"kind":"eager"}},"alpha":-0.5"#,
+        ),
+        (
+            "bench-seven",
+            r#"{"kind":"engine_bench","adv":{"kind":"eager"},"p":0.0,"rounds":2},"alpha":7.0"#,
+        ),
+    ];
+    for (label, workload) in cells {
+        let cell =
+            format!(r#"{{"label":"{label}","workload":{workload},"n":64,"seed":3,"trials":2}}"#);
+        let text = format!(r#"{{"name":"budget-bad","cells":[{cell}],"checks":[]}}"#);
+        std::fs::write(&spec, text).unwrap();
+        let args = [
+            "lab",
+            "run",
+            spec.to_str().unwrap(),
+            "--store",
+            store.to_str().unwrap(),
+        ];
+        let out = ftc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(&format!("cell `{label}`")), "{stderr}");
+        assert!(!store.exists(), "a rejected campaign reached the store");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
