@@ -54,9 +54,8 @@ use crate::frame::{Frame, Payload};
 pub struct Submission<M> {
     /// The submitting node.
     pub node: NodeId,
-    /// Queued sends in send order, `dst` resolved and `dst_port`
-    /// [`Port::UNRESOLVED`]. The buffer comes back, filtered, in the
-    /// node's next [`Command`].
+    /// Queued sends in send order, `dst` resolved. The buffer comes back,
+    /// filtered, in the node's next [`Command`].
     pub sends: Vec<Envelope<M>>,
     /// Sends the harness suppressed under the send cap.
     pub suppressed: u64,
@@ -345,8 +344,8 @@ where
                     self.id.0, f.src.0, f.round
                 )
             })?;
-            // The sender's id waits in `port` for the one inverse walk
-            // below, which maps every sender to its local port.
+            // The sender's id waits in `port` for the one lookup below,
+            // which maps every sender to its local port.
             self.inbox.push(Incoming {
                 port: Port(f.src.0),
                 msg,

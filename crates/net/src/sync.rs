@@ -628,7 +628,6 @@ mod tests {
         DeliveryFilter, EagerCrash, Envelope, FaultPlan, NoFaults, ScriptedCrash,
     };
     use ftc_sim::engine::run;
-    use ftc_sim::ids::Port;
     use ftc_sim::protocol::{Ctx, Incoming};
 
     /// Broadcasts its round number for 3 rounds and counts what it hears —
@@ -949,7 +948,6 @@ mod tests {
         Envelope {
             src: NodeId(src),
             dst: NodeId(dst),
-            dst_port: Port::UNRESOLVED,
             msg,
         }
     }

@@ -15,7 +15,7 @@
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
-use crate::ids::{NodeId, Port, Round};
+use crate::ids::{NodeId, Round};
 
 /// The set of nodes the adversary is allowed to crash.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -136,13 +136,10 @@ pub struct CrashDirective {
 pub struct Envelope<M> {
     /// Sender.
     pub src: NodeId,
-    /// Receiver (already resolved from the sender's port).
+    /// Receiver (already resolved from the sender's port). The port `dst`
+    /// observes the message on is the receiver's to resolve, from `src`,
+    /// through its own map.
     pub dst: NodeId,
-    /// The port `dst` will observe the message arriving on — or
-    /// [`Port::UNRESOLVED`]. Only in-process delivery (the engine, the
-    /// naive reference) resolves it; a substrate receiver derives its port
-    /// from the frame's `src`, so substrate senders leave it unresolved.
-    pub dst_port: Port,
     /// Payload.
     pub msg: M,
 }
@@ -201,8 +198,9 @@ impl<'a, M> AdversaryView<'a, M> {
 /// A Byzantine rewrite of one node's outgoing traffic for one round.
 ///
 /// Produced by [`Adversary::tamper`]; the engine replaces the node's
-/// honestly queued envelopes with `sends` (resolving destination ports
-/// itself). Only faulty, still-alive nodes may be tampered with.
+/// honestly queued envelopes with `sends` (dropping those along
+/// non-edges; each receiver resolves its own port). Only faulty,
+/// still-alive nodes may be tampered with.
 #[derive(Clone, Debug)]
 pub struct Tamper<M> {
     /// The corrupted node.
@@ -480,7 +478,6 @@ mod tests {
         Envelope {
             src: NodeId(0),
             dst: NodeId(i),
-            dst_port: Port(0),
             msg: (),
         }
     }

@@ -26,13 +26,11 @@
 use std::fmt;
 
 use crate::adversary::{Adversary, Envelope, FaultySet};
-use crate::ids::Port;
-use crate::ids::{NodeId, Round};
+use crate::ids::{NodeId, Port, Round};
 use crate::metrics::Metrics;
 use crate::node::NodeHarness;
-use crate::ports::PortMap;
 use crate::protocol::{Incoming, Protocol};
-use crate::round::{network_ports, resolve_sends_into, ControlCore};
+use crate::round::{network_ports, ControlCore};
 use crate::topology::Topology;
 use crate::trace::Trace;
 
@@ -453,7 +451,6 @@ where
                 &mut outgoing,
                 &mut terminated,
                 core.alive(),
-                &ports,
                 &agenda,
                 &mut next_agenda,
                 round,
@@ -469,7 +466,6 @@ where
                 &mut outgoing,
                 &mut terminated,
                 core.alive(),
-                &ports,
                 &mut sends,
                 &mut next_agenda,
             )
@@ -497,7 +493,9 @@ where
         }
 
         // --- 3. delivery: surviving messages reach next-round inboxes, and
-        // their receivers join the next agenda. ---
+        // their receivers join the next agenda. Each message parks its
+        // sender's id in `port` until its receiver resolves the inbox
+        // through its own map at activation. ---
         for &su in &agenda {
             for e in outgoing[su as usize].drain(..) {
                 let d = e.dst.index();
@@ -506,7 +504,7 @@ where
                     next_agenda.push(e.dst.0);
                 }
                 inboxes[d].push(Incoming {
-                    port: e.dst_port,
+                    port: Port(su),
                     msg: e.msg,
                 });
             }
@@ -533,11 +531,12 @@ where
 }
 
 /// Activates the still-alive nodes of `ids` (ascending) against windows of
-/// the per-node arrays that start at node `base`: runs each node into the
-/// scratch `sends`, resolves its sends into its `outgoing` buffer, clears
-/// its inbox, and appends its id to `keep` unless it turned inert. Returns
-/// the summed suppressed count and the net change to the
-/// not-yet-terminated counter.
+/// the per-node arrays that start at node `base`: resolves each node's
+/// inbox to its local ports, runs the node into the scratch `sends`,
+/// routes its sends into its `outgoing` buffer, clears its inbox, and
+/// appends its id to `keep` unless it turned inert. Every port walk runs
+/// on the node's own map. Returns the summed suppressed count and the net
+/// change to the not-yet-terminated counter.
 #[allow(clippy::too_many_arguments)]
 fn activate_window<P: Protocol>(
     round: Round,
@@ -548,7 +547,6 @@ fn activate_window<P: Protocol>(
     outgoing: &mut [Vec<Envelope<P::Msg>>],
     terminated: &mut [bool],
     alive: &[bool],
-    ports: &[PortMap],
     sends: &mut Vec<(Port, P::Msg)>,
     keep: &mut Vec<u32>,
 ) -> (u64, i64) {
@@ -559,14 +557,16 @@ fn activate_window<P: Protocol>(
             continue;
         }
         let u = su as usize - base;
-        let act = nodes[u].activate_into(round, &inboxes[u], sends);
+        let (node, inbox) = (&mut nodes[u], &mut inboxes[u]);
+        node.ports_from(inbox, |m| NodeId(m.port.0), |m, port| m.port = port);
+        let act = node.activate_into(round, inbox, sends);
         suppressed += act.suppressed;
         if terminated[u] != act.terminated {
             undone_delta += if act.terminated { -1 } else { 1 };
             terminated[u] = act.terminated;
         }
-        resolve_sends_into(ports, NodeId(su), sends, &mut outgoing[u]);
-        inboxes[u].clear();
+        node.route(sends, &mut outgoing[u]);
+        inbox.clear();
         if !act.inert {
             keep.push(su);
         }
@@ -587,7 +587,6 @@ fn activate_sharded<P: Protocol>(
     outgoing: &mut [Vec<Envelope<P::Msg>>],
     terminated: &mut [bool],
     alive: &[bool],
-    ports: &[PortMap],
     agenda: &[u32],
     next_agenda: &mut Vec<u32>,
     round: Round,
@@ -628,7 +627,6 @@ fn activate_sharded<P: Protocol>(
                     outgoing_w,
                     terminated_w,
                     alive,
-                    ports,
                     &mut Vec::new(),
                     &mut keep,
                 );

@@ -10,7 +10,8 @@
 //! * **anonymous (KT0)** port wiring: every node talks to its neighbours
 //!   through ports `0..n-1` that are connected by a uniformly random
 //!   permutation it does not know (a [`ports::PortMap`] backed by a
-//!   format-preserving Feistel permutation, so memory stays `O(1)` per node),
+//!   format-preserving Feistel permutation, so memory stays `O(1)` per node
+//!   until the node has walked its degree),
 //! * **synchronous rounds** in the **CONGEST** model, with per-message and
 //!   per-edge bit accounting ([`metrics`]),
 //! * a **static crash adversary** that fixes the faulty set before the run

@@ -4,10 +4,12 @@
 //! The production hot path ([`crate::round::ControlCore::finish_round`] +
 //! [`crate::engine::run`]) is heavily optimised: a sparse agenda and sender
 //! list, pooled buffers, in-place filtering, a flat per-sender edge
-//! accumulator, batched port walks and span-indexed trace patching. This
+//! accumulator, batched port walks on each node's own map (tabulated once
+//! the node has walked its degree) and span-indexed trace patching. This
 //! module keeps the *obviously correct* original formulation alive — every
 //! alive node activated every round, per-round allocation, a `HashMap`
-//! keyed by directed edge, scalar port lookups, its own hash roll per
+//! keyed by directed edge, scalar port lookups on maps that never
+//! tabulate, both resolved at delivery, its own hash roll per
 //! envelope, whole-tail trace scans — and the property tests at the bottom
 //! drive both engines over randomized configurations, seeds, adversaries
 //! (crash-only and forging) and filters, asserting bit-identical `Metrics`,
@@ -111,16 +113,13 @@ impl NaiveCore {
             outgoing[i] = t
                 .sends
                 .into_iter()
-                .filter_map(|(dst, msg)| {
-                    // Forged sends along non-edges are dropped, exactly as
-                    // in the optimised control core.
-                    let dst_port = ports[dst.index()].try_port_to(t.node)?;
-                    Some(Envelope {
-                        src: t.node,
-                        dst,
-                        dst_port,
-                        msg,
-                    })
+                // Forged sends along non-edges are dropped, exactly as in
+                // the optimised control core.
+                .filter(|(dst, _)| ports[dst.index()].has_edge(t.node))
+                .map(|(dst, msg)| Envelope {
+                    src: t.node,
+                    dst,
+                    msg,
                 })
                 .collect();
         }
@@ -307,19 +306,16 @@ where
             let act = nodes[u].activate_into(round, &inboxes[u], &mut sends);
             suppressed += act.suppressed;
             terminated[u] = act.terminated;
-            // Routed one message at a time, so the batched walks of
-            // `resolve_sends_into` are checked against the scalar lookups.
+            // Routed one message at a time through maps that never
+            // tabulate, so the nodes' batched walks and tables are checked
+            // against the bare cipher.
             let src = NodeId(u as u32);
             outgoing[u] = sends
                 .into_iter()
-                .map(|(port, msg)| {
-                    let dst = ports[u].peer(port);
-                    Envelope {
-                        src,
-                        dst,
-                        dst_port: ports[dst.index()].port_to(src),
-                        msg,
-                    }
+                .map(|(port, msg)| Envelope {
+                    src,
+                    dst: ports[u].peer(port),
+                    msg,
                 })
                 .collect();
             inboxes[u].clear();
@@ -329,7 +325,7 @@ where
 
         for e in verdict.deliver.into_iter().flatten() {
             inboxes[e.dst.index()].push(Incoming {
-                port: e.dst_port,
+                port: ports[e.dst.index()].port_to(e.src),
                 msg: e.msg,
             });
         }
@@ -600,6 +596,115 @@ mod tests {
                     Tamper { node, sends }
                 })
                 .collect()
+        }
+    }
+
+    /// Broadcasts every round for `talk` rounds and logs every receipt, so
+    /// every node walks its degree in its first round and routes and
+    /// resolves through its table from then on.
+    struct Flood {
+        talk: u32,
+        log: Vec<(Round, u32, u64)>,
+    }
+
+    impl Protocol for Flood {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.broadcast(u64::from(ctx.node_id().0));
+        }
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Incoming<u64>]) {
+            for m in inbox {
+                self.log.push((ctx.round(), m.port.0, m.msg));
+            }
+            if ctx.round() < self.talk {
+                ctx.broadcast(u64::from(ctx.round()) << 32 | u64::from(ctx.node_id().0));
+            }
+        }
+        fn is_terminated(&self) -> bool {
+            false
+        }
+    }
+
+    /// Crashes `victim` in round 1 keeping its first three sends, and from
+    /// round 1 on replaces `forger`'s broadcast with forgeries — some of
+    /// them along non-edges on the sparse wirings.
+    struct CrashAndForge {
+        victim: NodeId,
+        forger: NodeId,
+    }
+
+    impl Adversary<u64> for CrashAndForge {
+        fn faulty_set(&mut self, n: u32, _: &mut SmallRng) -> FaultySet {
+            FaultySet::from_nodes(n, [self.victim, self.forger])
+        }
+        fn on_round(
+            &mut self,
+            view: &AdversaryView<'_, u64>,
+            _: &mut SmallRng,
+        ) -> Vec<CrashDirective> {
+            if view.round() != 1 {
+                return Vec::new();
+            }
+            vec![CrashDirective {
+                node: self.victim,
+                filter: DeliveryFilter::KeepFirst(3),
+            }]
+        }
+        fn tamper(&mut self, view: &AdversaryView<'_, u64>, _: &mut SmallRng) -> Vec<Tamper<u64>> {
+            if view.round() == 0 {
+                return Vec::new();
+            }
+            let (n, f) = (view.n(), self.forger.0);
+            let sends = (0..12u32)
+                .map(|j| NodeId((f + 1 + j * 7 + view.round()) % n))
+                .filter(|&dst| dst != self.forger)
+                .map(|dst| (dst, 0xF0F0_0000 | u64::from(dst.0)))
+                .collect();
+            vec![Tamper {
+                node: self.forger,
+                sends,
+            }]
+        }
+    }
+
+    /// Dense traffic is where every map tabulates: each node broadcasts
+    /// every round, under a crash that keeps part of a round and a forger,
+    /// on all three wirings. Per-node inbox logs (round, port, payload)
+    /// must match the oracle's scalar lookups on maps that never tabulate.
+    #[test]
+    fn dense_traffic_matches_naive_reference_on_every_wiring() {
+        use crate::topology::Topology;
+        for topology in [
+            Topology::Complete,
+            Topology::DiameterTwo { clusters: 5 },
+            Topology::RandomRegular { d: 6 },
+        ] {
+            for (n, seed) in [(40u32, 3u64), (66, 11)] {
+                let cfg = SimConfig::new(n)
+                    .seed(seed)
+                    .max_rounds(5)
+                    .topology(topology.clone());
+                let adversary = || CrashAndForge {
+                    victim: NodeId(n - 1),
+                    forger: NodeId(n / 2),
+                };
+                let factory = |_: NodeId| Flood {
+                    talk: 4,
+                    log: Vec::new(),
+                };
+                let fast = run(&cfg, factory, &mut adversary());
+                let naive = naive_run(&cfg, factory, &mut adversary());
+                let ctx = format!("{topology} n={n} seed={seed}");
+                assert_eq!(fast.metrics, naive.metrics, "{ctx}: metrics diverged");
+                assert_eq!(fast.crashed_at, naive.crashed_at, "{ctx}");
+                assert!(fast.metrics.msgs_delivered > u64::from(n) * 4, "{ctx}");
+                for u in 0..n as usize {
+                    assert_eq!(
+                        fast.states[u].log, naive.states[u].log,
+                        "{ctx}: node {u} inbox diverged"
+                    );
+                }
+            }
         }
     }
 

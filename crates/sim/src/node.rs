@@ -17,7 +17,7 @@ use crate::ids::{NodeId, Port, Round};
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
 use crate::protocol::{Ctx, Incoming, Protocol};
-use crate::round::{route_sends_into, SALT_NODES, SALT_TOPOLOGY};
+use crate::round::{SALT_NODES, SALT_TOPOLOGY};
 
 /// The bookkeeping of one activation (see [`NodeHarness::activate_into`]).
 #[derive(Clone, Copy, Debug)]
@@ -98,9 +98,9 @@ impl<P: Protocol> NodeHarness<P> {
     /// Runs one activation: `on_start` at round 0, `on_round` with `inbox`
     /// afterwards. The queued sends, capped by the per-node send budget,
     /// are written into `outbox` (cleared first), so a driver looping many
-    /// nodes can reuse one scratch buffer across all activations. The
-    /// engine pairs this with [`crate::round::resolve_sends_into`], a
-    /// substrate node with [`NodeHarness::route`].
+    /// nodes can reuse one scratch buffer across all activations. Every
+    /// driver resolves `inbox` with [`NodeHarness::ports_from`] before the
+    /// call and routes `outbox` with [`NodeHarness::route`] after it.
     pub fn activate_into(
         &mut self,
         round: Round,
@@ -140,33 +140,44 @@ impl<P: Protocol> NodeHarness<P> {
         }
     }
 
-    /// Routes this node's queued sends through its own port map:
-    /// [`crate::round::route_sends_into`], so `dst` is set and `dst_port`
-    /// is left [`Port::UNRESOLVED`].
+    /// Routes this node's queued sends through its own port map: drains
+    /// `sends` and writes one envelope per send into `out` (cleared
+    /// first), in one batched forward walk in place in `out` — each
+    /// envelope parks its port in `dst` until the walk turns it into the
+    /// receiver.
     ///
     /// # Panics
     ///
     /// Panics if a send names a port this node does not have.
-    pub fn route(&self, sends: &mut Vec<(Port, P::Msg)>, out: &mut Vec<Envelope<P::Msg>>) {
-        route_sends_into(&self.ports, self.node, sends, out);
+    pub fn route(&mut self, sends: &mut Vec<(Port, P::Msg)>, out: &mut Vec<Envelope<P::Msg>>) {
+        out.clear();
+        let src = self.node;
+        out.extend(sends.drain(..).map(|(port, msg)| Envelope {
+            src,
+            dst: NodeId(port.0),
+            msg,
+        }));
+        self.ports
+            .peers(out, |e| Port(e.dst.0), |e, dst| e.dst = dst);
     }
 
-    /// The local ports a batch of messages arrives on — what a network
-    /// node computes when frames carry their senders' ids:
-    /// `set(item, port_to(src_of(item)))` for every item, in one inverse
-    /// walk of this node's map eight lanes abreast.
+    /// The local ports a batch of messages arrives on, from their senders'
+    /// ids: `set(item, port_to(src_of(item)))` for every item, in one
+    /// inverse walk of this node's map eight lanes abreast. Every driver
+    /// resolves a node's inbox this way, on the receiver: the engine at
+    /// activation, a substrate node when it closes a round.
     ///
     /// # Panics
     ///
     /// Panics if a sender is this node itself, out of range, or not a
     /// neighbour.
     pub fn ports_from<T>(
-        &self,
+        &mut self,
         items: &mut [T],
         src_of: impl Fn(&T) -> NodeId,
         set: impl FnMut(&mut T, Port),
     ) {
-        PortMap::ports_to(items, |item| (&self.ports, src_of(item)), set);
+        self.ports.ports_to(items, src_of, set);
     }
 
     /// Read access to the protocol state.
@@ -251,17 +262,27 @@ mod tests {
     fn routing_agrees_with_network_ports() {
         let cfg = SimConfig::new(16).seed(11);
         let ports = crate::round::network_ports(&cfg);
+        let echoer = || Echoer {
+            rounds: 0,
+            heard: 0,
+        };
+        // The sender's forward walk lands where the scalar lookup does.
+        let mut sender = NodeHarness::new(&cfg, NodeId(5), echoer());
+        let mut sends: Vec<(Port, u64)> = (0..15).rev().map(|p| (Port(p), u64::from(p))).collect();
+        let mut out = Vec::new();
+        sender.route(&mut sends, &mut out);
+        assert!(sends.is_empty());
+        assert_eq!(out.len(), 15);
+        for e in &out {
+            assert_eq!(
+                (e.src, e.dst),
+                (NodeId(5), ports[5].peer(Port(e.msg as u32)))
+            );
+        }
         // Receiver-side port resolution is the inverse of the sender's
         // wiring, on a harness built independently of the network's maps.
         let peer = ports[5].peer(Port(2));
-        let recv = NodeHarness::new(
-            &cfg,
-            peer,
-            Echoer {
-                rounds: 0,
-                heard: 0,
-            },
-        );
+        let mut recv = NodeHarness::new(&cfg, peer, echoer());
         let mut from: Vec<(NodeId, Port)> = (0..16)
             .map(NodeId)
             .filter(|&u| u != peer)

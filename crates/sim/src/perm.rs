@@ -13,7 +13,11 @@
 //! carrier. That ratio lies in `[1, 4]`. It is 1.0 at a domain of 256 or
 //! 1024, 2.0 at 2047 and ≈ 4 at `4^h + 1`, so a node's ports cost up to
 //! four times more to resolve in one network than in one of nearly the
-//! same size. A batch of walks is evaluated eight lanes abreast (`walk`).
+//! same size. A batch of walks on one permutation is evaluated eight lanes
+//! abreast (`walk`). A [`crate::ports::PortMap`] that has walked as many
+//! ports as it has stops walking: it tabulates its permutation once and
+//! reads the table from then on, so the lazy evaluation is what a node
+//! pays only until its traffic would have paid for the table anyway.
 //!
 //! This is a simulation-quality PRP (statistically well-mixed, deterministic
 //! per seed), **not** a cryptographic one.
@@ -100,7 +104,7 @@ impl Perm {
 
     fn walk_one<const INVERSE: bool>(&self, x: u64) -> u64 {
         let mut v = x;
-        walk::<_, 1, INVERSE>(std::slice::from_mut(&mut v), |&x| (self, x), |v, y| *v = y);
+        walk::<_, 1, INVERSE>(self, std::slice::from_mut(&mut v), |&x| x, |v, y| *v = y);
         v
     }
 }
@@ -111,132 +115,90 @@ pub(crate) const LANES: usize = 8;
 
 /// The cipher, walked in refilling lanes.
 ///
-/// Every item names one job, `job(item) = (perm, x)`: walk `x` through
-/// `perm` forward ([`Perm::apply`]) or, if `INVERSE`, backward
-/// ([`Perm::invert`]), and hand the result to `done` with its item. Up to
-/// `L` jobs advance in lockstep through the Feistel rounds, each lane with
-/// its own permutation. After every evaluation, a lane whose walk has
-/// landed inside its domain delivers and takes the next job, so one long
-/// cycle walk never holds the other lanes back. One lane is the plain
-/// serial walk; eight give the core eight independent multiply chains
-/// instead of one, and move the branch that ends a walk off the chain's
-/// critical path.
+/// Every item names one job: walk `x_of(item)` through `perm` forward
+/// ([`Perm::apply`]) or, if `INVERSE`, backward ([`Perm::invert`]), and
+/// hand the result to `done` with its item. Up to `L` jobs advance in
+/// lockstep through the Feistel rounds. After every evaluation, a lane
+/// whose walk has landed inside the domain delivers and takes the next
+/// job, so one long cycle walk never holds the other lanes back. One lane
+/// is the plain serial walk; eight give the core eight independent
+/// multiply chains instead of one, and move the branch that ends a walk
+/// off the chain's critical path.
+///
+/// Deciphering runs the enciphering round on swapped halves with the keys
+/// reversed, so both directions share one round loop: a lane holds
+/// `(p, q) = (left, right)` forward and `(right, left)` backward.
 ///
 /// Jobs are taken in item order; `done` sees items in completion order.
 ///
 /// # Panics
 ///
-/// Panics if a job's `x` lies outside its permutation's domain.
-pub(crate) fn walk<'p, T, const L: usize, const INVERSE: bool>(
+/// Panics if a job's `x` lies outside the permutation's domain.
+// Indexing the lane arrays compiles tighter here than zipping them.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn walk<T, const L: usize, const INVERSE: bool>(
+    perm: &Perm,
     items: &mut [T],
-    job: impl Fn(&T) -> (&'p Perm, u64),
+    x_of: impl Fn(&T) -> u64,
     mut done: impl FnMut(&mut T, u64),
 ) {
     const { assert!(L >= 1 && L <= 32, "one bit per lane in a u32") };
-    let width = items.len().min(L);
-    let mut lanes = Lanes::<L>::idle();
-    for (l, item) in items[..width].iter().enumerate() {
-        lanes.load::<INVERSE>(l, l, job(item));
+    if items.is_empty() {
+        return;
     }
-    let (mut next, mut live) = (width, width);
-    while live > 0 {
-        lanes.encipher(width);
+    let mut keys = perm.keys;
+    if INVERSE {
+        keys.reverse();
+    }
+    let (h, domain) = (perm.half_bits, perm.domain);
+    let mask = (1u64 << h) - 1;
+    let split = |x: u64| {
+        assert!(x < domain, "input {x} outside domain {domain}");
+        let (hi, lo) = (x >> h, x & mask);
+        if INVERSE {
+            (lo, hi)
+        } else {
+            (hi, lo)
+        }
+    };
+    let join = |p: u64, q: u64| if INVERSE { (q << h) | p } else { (p << h) | q };
+
+    let width = items.len().min(L);
+    let (mut p, mut q, mut item) = ([0u64; L], [0u64; L], [0usize; L]);
+    for l in 0..width {
+        (p[l], q[l]) = split(x_of(&items[l]));
+        item[l] = l;
+    }
+    let mut next = width;
+    // One bit per lane that still has a job.
+    let mut live = u32::MAX >> (32 - width);
+    while live != 0 {
+        // One evaluation on every lane, idle ones included: they compute
+        // garbage nobody reads, rather than branch.
+        for key in keys {
+            for l in 0..width {
+                let t = p[l] ^ (round_fn(q[l], key) & mask);
+                p[l] = q[l];
+                q[l] = t;
+            }
+        }
         // Outside the domain, a lane's value is the next step's input, and
         // its halves are already in place: only landed lanes need work.
-        let mut landed = lanes.landed::<INVERSE>(width);
+        let mut landed = 0u32;
+        for l in 0..width {
+            landed |= u32::from(join(p[l], q[l]) < domain) << l;
+        }
+        landed &= live;
         while landed != 0 {
             let l = landed.trailing_zeros() as usize;
             landed &= landed - 1;
-            done(&mut items[lanes.item[l]], lanes.join::<INVERSE>(l));
+            done(&mut items[item[l]], join(p[l], q[l]));
             if next < items.len() {
-                lanes.load::<INVERSE>(l, next, job(&items[next]));
+                (p[l], q[l]) = split(x_of(&items[next]));
+                item[l] = next;
                 next += 1;
             } else {
-                lanes.domain[l] = 0;
-                live -= 1;
-            }
-        }
-    }
-}
-
-/// The state of `L` lanes of [`walk`].
-///
-/// Deciphering runs the enciphering round on swapped halves with the keys
-/// reversed, so both directions share [`Lanes::encipher`]: a lane holds
-/// `(p, q) = (left, right)` forward and `(right, left)` backward.
-struct Lanes<const L: usize> {
-    p: [u64; L],
-    q: [u64; L],
-    /// Round keys, round-major, in the order the direction applies them.
-    keys: [[u64; L]; ROUNDS],
-    half_bits: [u32; L],
-    mask: [u64; L],
-    /// Each lane's domain size; 0 once the lane has no job left, so that
-    /// it never lands.
-    domain: [u64; L],
-    /// The item each lane walks.
-    item: [usize; L],
-}
-
-impl<const L: usize> Lanes<L> {
-    fn idle() -> Self {
-        Lanes {
-            p: [0; L],
-            q: [0; L],
-            keys: [[0; L]; ROUNDS],
-            half_bits: [0; L],
-            mask: [0; L],
-            domain: [0; L],
-            item: [0; L],
-        }
-    }
-
-    /// Starts lane `l` on item `i`'s job.
-    fn load<const INVERSE: bool>(&mut self, l: usize, i: usize, (perm, x): (&Perm, u64)) {
-        assert!(x < perm.domain, "input {x} outside domain {}", perm.domain);
-        for (r, keys) in self.keys.iter_mut().enumerate() {
-            keys[l] = perm.keys[if INVERSE { ROUNDS - 1 - r } else { r }];
-        }
-        let h = perm.half_bits;
-        self.half_bits[l] = h;
-        self.mask[l] = (1u64 << h) - 1;
-        self.domain[l] = perm.domain;
-        self.item[l] = i;
-        let (hi, lo) = (x >> h, x & self.mask[l]);
-        (self.p[l], self.q[l]) = if INVERSE { (lo, hi) } else { (hi, lo) };
-    }
-
-    /// Lane `l`'s current value, in the carrier of its permutation.
-    fn join<const INVERSE: bool>(&self, l: usize) -> u64 {
-        let (hi, lo) = if INVERSE {
-            (self.q[l], self.p[l])
-        } else {
-            (self.p[l], self.q[l])
-        };
-        (hi << self.half_bits[l]) | lo
-    }
-
-    /// A bit per lane among the first `width`: set if its value lies inside
-    /// its domain.
-    fn landed<const INVERSE: bool>(&self, width: usize) -> u32 {
-        let mut landed = 0;
-        for l in 0..width.min(L) {
-            landed |= u32::from(self.join::<INVERSE>(l) < self.domain[l]) << l;
-        }
-        landed
-    }
-
-    /// One cipher evaluation on each of the first `width` lanes, idle ones
-    /// included: they compute garbage nobody reads, rather than branch.
-    // Indexing four arrays by lane compiles tighter here than zipping them.
-    #[allow(clippy::needless_range_loop)]
-    fn encipher(&mut self, width: usize) {
-        let width = width.min(L);
-        for keys in &self.keys {
-            for l in 0..width {
-                let next = self.p[l] ^ (round_fn(self.q[l], keys[l]) & self.mask[l]);
-                self.p[l] = self.q[l];
-                self.q[l] = next;
+                live &= !(1 << l);
             }
         }
     }
@@ -313,9 +275,9 @@ mod tests {
         for d in WALK_DOMAINS {
             let p = Perm::new(d, 0x1A9E ^ d);
             let mut fwd: Vec<(u64, u64)> = (0..d).map(|x| (x, 0)).collect();
-            walk::<_, LANES, false>(&mut fwd, |&(x, _)| (&p, x), |j, y| j.1 = y);
+            walk::<_, LANES, false>(&p, &mut fwd, |&(x, _)| x, |j, y| j.1 = y);
             let mut inv: Vec<(u64, u64)> = (0..d).map(|y| (y, 0)).collect();
-            walk::<_, LANES, true>(&mut inv, |&(y, _)| (&p, y), |j, x| j.1 = x);
+            walk::<_, LANES, true>(&p, &mut inv, |&(y, _)| y, |j, x| j.1 = x);
             for x in 0..d {
                 let y = oracle(&p, x, encipher);
                 assert_eq!(fwd[x as usize].1, y, "domain {d}: lanes apply({x})");
@@ -328,45 +290,39 @@ mod tests {
     }
 
     #[test]
-    fn every_live_lane_count_walks_its_own_permutation() {
-        // Batches of 1..=8 jobs, each job on a different permutation (and
-        // so a different carrier/domain ratio), with repeats so that long
-        // walks overlap refills.
-        let perms: Vec<Perm> = WALK_DOMAINS
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| Perm::new(d, i as u64 * 0x9E37))
-            .collect();
-        for live in 1..=LANES {
-            for start in 0..perms.len() {
-                let jobs: Vec<(usize, u64)> = (0..live)
-                    .map(|j| {
-                        let k = (start + j * 5) % perms.len();
-                        (k, (start as u64 * 7919 + j as u64) % perms[k].domain)
-                    })
-                    .collect();
-                for (inverse, step) in
-                    [(false, encipher as fn(&Perm, u64) -> u64), (true, decipher)]
-                {
-                    let mut items: Vec<(usize, u64, Option<u64>)> =
-                        jobs.iter().map(|&(k, x)| (k, x, None)).collect();
-                    let job = |&(k, x, _): &(usize, u64, Option<u64>)| (&perms[k], x);
-                    let done = |it: &mut (usize, u64, Option<u64>), v| {
-                        assert!(it.2.is_none(), "job delivered twice");
-                        it.2 = Some(v);
-                    };
-                    if inverse {
-                        walk::<_, LANES, true>(&mut items, job, done);
-                    } else {
-                        walk::<_, LANES, false>(&mut items, job, done);
-                    }
-                    for &(k, x, got) in &items {
-                        assert_eq!(
-                            got,
-                            Some(oracle(&perms[k], x, step)),
-                            "live {live}, domain {}, inverse {inverse}, x {x}",
-                            perms[k].domain
-                        );
+    fn every_live_lane_count_walks_one_permutation() {
+        // Batches of 1..=8 jobs on each permutation (and so each
+        // carrier/domain ratio), with repeats so that long walks overlap
+        // refills and lanes retire out of order.
+        for (i, &d) in WALK_DOMAINS.iter().enumerate() {
+            let perm = Perm::new(d, i as u64 * 0x9E37);
+            for live in 1..=LANES {
+                for start in 0..8u64 {
+                    let xs: Vec<u64> = (0..live as u64)
+                        .map(|j| (start * 7919 + j * 5 + j / 2) % d)
+                        .collect();
+                    for (inverse, step) in
+                        [(false, encipher as fn(&Perm, u64) -> u64), (true, decipher)]
+                    {
+                        let mut items: Vec<(u64, Option<u64>)> =
+                            xs.iter().map(|&x| (x, None)).collect();
+                        let x_of = |&(x, _): &(u64, Option<u64>)| x;
+                        let done = |it: &mut (u64, Option<u64>), v| {
+                            assert!(it.1.is_none(), "job delivered twice");
+                            it.1 = Some(v);
+                        };
+                        if inverse {
+                            walk::<_, LANES, true>(&perm, &mut items, x_of, done);
+                        } else {
+                            walk::<_, LANES, false>(&perm, &mut items, x_of, done);
+                        }
+                        for &(x, got) in &items {
+                            assert_eq!(
+                                got,
+                                Some(oracle(&perm, x, step)),
+                                "live {live}, domain {d}, inverse {inverse}, x {x}"
+                            );
+                        }
                     }
                 }
             }
@@ -378,7 +334,7 @@ mod tests {
     fn a_batched_job_outside_its_domain_panics() {
         let p = Perm::new(10, 0);
         let mut xs = [3u64, 10];
-        walk::<_, LANES, false>(&mut xs, |&x| (&p, x), |x, v| *x = v);
+        walk::<_, LANES, false>(&p, &mut xs, |&x| x, |x, v| *x = v);
     }
 
     fn assert_is_permutation(domain: u64, seed: u64) {

@@ -6,8 +6,19 @@
 //! uniformly random permutation unknown to the node. [`PortMap`] realises
 //! one such permutation per node, backed by the lazy [`crate::perm::Perm`]
 //! so that closed-form topologies (complete, hub) cost `O(1)` memory per
-//! node regardless of `n`; list topologies share one `Arc` per neighbour
-//! list.
+//! node regardless of `n` until the node has walked its degree; list
+//! topologies share one `Arc` per neighbour list.
+//!
+//! A map counts the ports its batched lookups walk, in either direction:
+//! the ones behind [`crate::node::NodeHarness::route`] and
+//! [`crate::node::NodeHarness::ports_from`]. Once the count
+//! reaches the degree, one forward walk over the domain fills a table of
+//! both directions (8 B a port), and every lookup reads it from then on.
+//! This is ski rental: the table costs at most as many walks as the map
+//! had already paid for, so the map does at most twice the cipher work of
+//! walking every lookup, and a node that moves fewer messages than it has
+//! ports never builds one. The table is a cache of the same permutation,
+//! so no result depends on whether it exists.
 //!
 //! On [`crate::topology::Topology::Complete`] the permutation seed, the
 //! skip-self encoding, and every `peer`/`port_to` result are bit-identical
@@ -52,9 +63,15 @@ pub struct PortMap {
     node: NodeId,
     n: u32,
     degree: u32,
+    /// Ports the batched lookups have walked, in either direction, until
+    /// the table exists.
+    walked: u32,
     seed: u64,
     perm: Perm,
     wiring: Wiring,
+    /// Built once `walked` reaches `degree`: `table[p]` is port `p`'s
+    /// wiring index, `table[degree + k]` the port of wiring index `k`.
+    table: Option<Box<[u32]>>,
 }
 
 impl PortMap {
@@ -101,9 +118,11 @@ impl PortMap {
             node,
             n,
             degree,
+            walked: 0,
             seed: topology_seed,
             perm,
             wiring,
+            table: None,
         }
     }
 
@@ -119,35 +138,42 @@ impl PortMap {
     /// Panics if `port` is out of range; the message carries the node,
     /// degree, and topology seed so the failure replays deterministically.
     pub fn peer(&self, port: Port) -> NodeId {
-        self.neighbour_at(self.perm.apply(self.port_index(port)))
+        self.neighbour_at(self.index_at(self.port_index(port)))
     }
 
     /// [`PortMap::peer`] for a batch: `set(item, peer(port_of(item)))` for
     /// every item, in one forward walk of this map's cipher eight lanes
-    /// abreast. Panics exactly as `peer` does.
+    /// abreast, or from the table once the map has one. Counts toward the
+    /// table (see the module docs). Panics exactly as `peer` does.
     pub(crate) fn peers<T>(
-        &self,
+        &mut self,
         items: &mut [T],
         port_of: impl Fn(&T) -> Port,
         mut set: impl FnMut(&mut T, NodeId),
     ) {
-        walk::<_, LANES, false>(
-            items,
-            |item| (&self.perm, self.port_index(port_of(item))),
-            |item, k| set(item, self.neighbour_at(k)),
-        );
+        self.tally(items.len());
+        if self.table.is_some() {
+            for item in items {
+                set(item, self.peer(port_of(item)));
+            }
+        } else {
+            walk::<_, LANES, false>(
+                &self.perm,
+                items,
+                |item| self.port_index(port_of(item)),
+                |item, k| set(item, self.neighbour_at(k)),
+            );
+        }
     }
 
-    /// The local port through which neighbour `peer` is reached, or
-    /// `None` if the graph has no `(self, peer)` edge.
+    /// Whether the graph has a `(self, peer)` edge. Walks nothing.
     ///
     /// # Panics
     ///
     /// Panics if `peer` is this node itself or out of range — those are
     /// caller bugs, not topology facts.
-    pub fn try_port_to(&self, peer: NodeId) -> Option<Port> {
-        self.try_index_of(peer)
-            .map(|k| Port(self.perm.invert(k) as u32))
+    pub fn has_edge(&self, peer: NodeId) -> bool {
+        self.try_index_of(peer).is_some()
     }
 
     /// The local port through which neighbour `peer` is reached.
@@ -158,26 +184,77 @@ impl PortMap {
     /// to this node; the non-edge message carries both endpoints and the
     /// topology seed so the failure is a replayable artifact.
     pub fn port_to(&self, peer: NodeId) -> Port {
-        Port(self.perm.invert(self.index_of(peer)) as u32)
+        self.port_at(self.index_of(peer))
     }
 
-    /// [`PortMap::port_to`] for a batch in which every item names its own
-    /// map and peer: `set(item, map.port_to(peer))` for `(map, peer) =
-    /// route(item)`, in one inverse walk eight lanes abreast. Panics
-    /// exactly as `port_to` does.
-    pub(crate) fn ports_to<'p, T>(
+    /// [`PortMap::port_to`] for a batch: `set(item, port_to(peer_of(item)))`
+    /// for every item, in one inverse walk of this map's cipher eight lanes
+    /// abreast, or from the table once the map has one. Counts toward the
+    /// table (see the module docs). Panics exactly as `port_to` does.
+    pub(crate) fn ports_to<T>(
+        &mut self,
         items: &mut [T],
-        route: impl Fn(&T) -> (&'p PortMap, NodeId),
+        peer_of: impl Fn(&T) -> NodeId,
         mut set: impl FnMut(&mut T, Port),
     ) {
-        walk::<_, LANES, true>(
-            items,
-            |item| {
-                let (map, peer) = route(item);
-                (&map.perm, map.index_of(peer))
+        self.tally(items.len());
+        if self.table.is_some() {
+            for item in items {
+                set(item, self.port_to(peer_of(item)));
+            }
+        } else {
+            walk::<_, LANES, true>(
+                &self.perm,
+                items,
+                |item| self.index_of(peer_of(item)),
+                |item, port| set(item, Port(port as u32)),
+            );
+        }
+    }
+
+    /// Counts `batch` more walked ports and, once the count reaches the
+    /// degree, tabulates the permutation in one forward walk over the
+    /// domain: `degree` walks, no more than the lookups counted so far.
+    fn tally(&mut self, batch: usize) {
+        if self.table.is_some() {
+            return;
+        }
+        self.walked = self
+            .walked
+            .saturating_add(u32::try_from(batch).unwrap_or(u32::MAX));
+        if self.walked < self.degree {
+            return;
+        }
+        // The first half starts as the ports themselves, the walk's inputs;
+        // the walk overwrites every slot of both halves.
+        let mut table: Box<[u32]> = (0..2 * self.degree).collect();
+        let (to_index, to_port) = table.split_at_mut(self.degree as usize);
+        walk::<_, LANES, false>(
+            &self.perm,
+            to_index,
+            |&p| u64::from(p),
+            |slot, k| {
+                to_port[k as usize] = *slot;
+                *slot = k as u32;
             },
-            |item, port| set(item, Port(port as u32)),
         );
+        self.table = Some(table);
+    }
+
+    /// The wiring index of port index `p` (the cipher).
+    fn index_at(&self, p: u64) -> u64 {
+        match &self.table {
+            Some(table) => u64::from(table[p as usize]),
+            None => self.perm.apply(p),
+        }
+    }
+
+    /// The port of wiring index `k` (the cipher's inverse).
+    fn port_at(&self, k: u64) -> Port {
+        Port(match &self.table {
+            Some(table) => table[self.degree as usize + k as usize],
+            None => self.perm.invert(k) as u32,
+        })
     }
 
     /// The cipher input of `port`, range-checked with this node's context.
@@ -297,7 +374,7 @@ mod tests {
             let port = pm.port_to(NodeId(h));
             assert_eq!(pm.peer(port), NodeId(h));
         }
-        assert_eq!(pm.try_port_to(NodeId(5)), None, "non-hubs are not adjacent");
+        assert!(!pm.has_edge(NodeId(5)), "non-hubs are not adjacent");
     }
 
     #[test]
@@ -311,8 +388,8 @@ mod tests {
         for &v in list.iter() {
             assert_eq!(pm.peer(pm.port_to(NodeId(v))), NodeId(v));
         }
-        assert_eq!(pm.try_port_to(NodeId(2)), None);
-        assert_eq!(pm.try_port_to(NodeId(8)), None);
+        assert!(!pm.has_edge(NodeId(2)));
+        assert!(!pm.has_edge(NodeId(8)));
     }
 
     #[test]
@@ -324,6 +401,152 @@ mod tests {
         assert!(msg.contains("node n5"), "{msg}");
         assert!(msg.contains("no edge to n6"), "{msg}");
         assert!(msg.contains("0x000000000000abcd"), "seed missing: {msg}");
+    }
+
+    /// Every map of an `n`-node network on each wiring the tables must
+    /// serve: complete, the hub/non-hub split of diameter two, and
+    /// neighbour lists.
+    fn wirings(n: u32) -> Vec<(crate::topology::Topology, Vec<PortMap>)> {
+        use crate::topology::Topology;
+        [
+            Topology::Complete,
+            Topology::DiameterTwo { clusters: 5 },
+            Topology::RandomRegular { d: 6 },
+        ]
+        .into_iter()
+        .map(|t| {
+            let cfg = crate::engine::SimConfig::new(n).seed(3).topology(t.clone());
+            (t, crate::round::network_ports(&cfg))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_map_crossing_its_threshold_mid_batch_matches_the_cipher() {
+        // n = 66: a complete node's 65 ports sit in a carrier of 256, so
+        // walks run long and lanes retire out of order; n = 1025 puts 1024
+        // ports in a carrier of 4096. The first batch (forward, half the
+        // ports) stays lazy, the second (inverse, every neighbour) crosses
+        // the threshold, the third (forward, every port) reads the table.
+        // Each answer must be what a fresh map's scalar cipher says.
+        for n in [66u32, 1025] {
+            for (topology, maps) in wirings(n) {
+                // Every map at n = 66; at n = 1025 a spread of nodes, hubs
+                // of the diameter-two wiring included.
+                let step = if n > 100 { 97 } else { 1 };
+                for fresh in maps.iter().step_by(step) {
+                    let ctx = format!("{topology} n={n} node {}", fresh.node);
+                    let deg = fresh.port_count();
+                    let mut map = fresh.clone();
+                    let mut half: Vec<(Port, NodeId)> = (0..deg / 2)
+                        .rev()
+                        .map(|p| (Port(p), NodeId(u32::MAX)))
+                        .collect();
+                    map.peers(&mut half, |&(p, _)| p, |it, v| it.1 = v);
+                    assert_eq!(map.table.is_some(), deg / 2 >= deg, "{ctx}");
+                    for &(p, v) in &half {
+                        assert_eq!(v, fresh.peer(p), "{ctx}: lazy peer({p})");
+                    }
+                    let mut back: Vec<(NodeId, Port)> =
+                        fresh.neighbors().map(|v| (v, Port(u32::MAX))).collect();
+                    map.ports_to(&mut back, |&(v, _)| v, |it, p| it.1 = p);
+                    assert!(map.table.is_some(), "{ctx}: threshold crossed");
+                    for &(v, p) in &back {
+                        assert_eq!(p, fresh.port_to(v), "{ctx}: port_to({v})");
+                    }
+                    let mut all: Vec<(Port, NodeId)> =
+                        (0..deg).map(|p| (Port(p), NodeId(u32::MAX))).collect();
+                    map.peers(&mut all, |&(p, _)| p, |it, v| it.1 = v);
+                    for &(p, v) in &all {
+                        assert_eq!(v, fresh.peer(p), "{ctx}: table peer({p})");
+                        assert_eq!(map.peer(p), v, "{ctx}: scalar peer({p})");
+                        assert_eq!(map.port_to(v), p, "{ctx}: scalar port_to({v})");
+                    }
+                    assert!(fresh.table.is_none(), "scalar lookups never tabulate");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tabulated_map_panics_with_the_scalar_context() {
+        let panic_of = |f: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>()
+                .expect("string payload")
+                .clone()
+        };
+        for n in [66u32, 1025] {
+            for (topology, maps) in wirings(n) {
+                let fresh = &maps[n as usize - 1];
+                let deg = fresh.port_count();
+                let mut map = fresh.clone();
+                let mut all: Vec<Port> = (0..deg).map(Port).collect();
+                map.peers(&mut all, |&p| p, |_, _| {});
+                assert!(map.table.is_some(), "{topology}: tabulated");
+
+                let scalar = panic_of(&mut || {
+                    fresh.peer(Port(deg));
+                });
+                let batched = panic_of(&mut || {
+                    let mut bad = [Port(0), Port(deg)];
+                    map.clone().peers(&mut bad, |&p| p, |_, _| {});
+                });
+                assert_eq!(batched, scalar, "{topology}");
+                let want = format!(
+                    "at node n{} (degree {deg}, topology seed {:#018x})",
+                    n - 1,
+                    fresh.seed
+                );
+                assert!(scalar.contains(&want), "{scalar}");
+                let table_scalar = panic_of(&mut || {
+                    map.peer(Port(deg));
+                });
+                assert_eq!(table_scalar, scalar);
+
+                // A non-edge: node 0 is a hub of the diameter-two wiring,
+                // so pick any node the map has no edge to.
+                let Some(stranger) = (0..n - 1).map(NodeId).find(|&v| !fresh.has_edge(v)) else {
+                    continue;
+                };
+                let scalar = panic_of(&mut || {
+                    fresh.port_to(stranger);
+                });
+                let batched = panic_of(&mut || {
+                    let mut bad = [stranger];
+                    map.clone().ports_to(&mut bad, |&v| v, |_, _| {});
+                });
+                assert_eq!(batched, scalar, "{topology}");
+                assert!(
+                    scalar.contains(&format!("node n{} has no edge to {stranger}", n - 1)),
+                    "{scalar}"
+                );
+                assert!(
+                    scalar.contains(&format!("{:#018x}", fresh.seed)),
+                    "{scalar}"
+                );
+                let table_scalar = panic_of(&mut || {
+                    map.port_to(stranger);
+                });
+                assert_eq!(table_scalar, scalar);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_traffic_never_tabulates() {
+        // Fewer lookups than ports, in both directions, stay lazy.
+        let mut map = PortMap::new(1025, NodeId(9), 4);
+        for _ in 0..3 {
+            let mut some: Vec<Port> = (0..100).map(Port).collect();
+            map.peers(&mut some, |&p| p, |_, _| {});
+            let mut back = [NodeId(0), NodeId(1000)];
+            map.ports_to(&mut back, |&v| v, |_, _| {});
+        }
+        assert!(map.table.is_none());
+        let mut rest: Vec<Port> = (0..1024 - 306).map(Port).collect();
+        map.peers(&mut rest, |&p| p, |_, _| {});
+        assert!(map.table.is_some(), "the lookup that reaches the degree");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use crate::adversary::{Adversary, AdversaryView, Envelope, FaultySet};
 use crate::engine::{RunResult, SimConfig};
-use crate::ids::{NodeId, Port, Round};
+use crate::ids::{NodeId, Round};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::payload::Payload;
 use crate::perm::stream_seed;
@@ -48,9 +48,10 @@ pub fn topology_seed(cfg: &SimConfig) -> u64 {
 
 /// The port permutations of the whole network, in node-id order.
 ///
-/// Each [`PortMap`] is `O(1)` memory (lazy Feistel permutation), so this is
-/// cheap even for large `n`. Drivers that resolve destination ports
-/// centrally (the engine, the net coordinator) build one of these.
+/// Each [`PortMap`] starts at `O(1)` memory (lazy Feistel permutation), so
+/// this is cheap even for large `n`. The engine hands one to each node,
+/// and [`ControlCore::finish_round`] checks forged sends against the
+/// receivers' wiring in one.
 pub fn network_ports(cfg: &SimConfig) -> Vec<PortMap> {
     let seed = topology_seed(cfg);
     let adjacency = cfg.topology.adjacency(cfg.n, seed);
@@ -65,59 +66,6 @@ pub fn network_ports(cfg: &SimConfig) -> Vec<PortMap> {
             )
         })
         .collect()
-}
-
-/// Routes one node's queued `(port, msg)` sends through its own port map
-/// `map`: drains `sends` and writes one envelope per send into `out`
-/// (cleared first), with `dst` set and `dst_port` left
-/// [`Port::UNRESOLVED`]. This needs the sender's map alone, so a
-/// substrate node routes its own sends; its receivers derive their ports
-/// from the frame's `src`.
-///
-/// The routing is one batched forward walk of the sender's cipher, in
-/// place in `out`: each envelope parks its sender-side port in `dst_port`
-/// until the walk turns it into `dst`.
-pub fn route_sends_into<M>(
-    map: &PortMap,
-    src: NodeId,
-    sends: &mut Vec<(Port, M)>,
-    out: &mut Vec<Envelope<M>>,
-) {
-    out.clear();
-    out.extend(sends.drain(..).map(|(port, msg)| Envelope {
-        src,
-        dst: src,
-        dst_port: port,
-        msg,
-    }));
-    map.peers(
-        out,
-        |e| e.dst_port,
-        |e, dst| {
-            e.dst = dst;
-            e.dst_port = Port::UNRESOLVED;
-        },
-    );
-}
-
-/// [`route_sends_into`] over the sender's map, then one batched inverse
-/// walk, with each envelope on its receiver's map, that writes the port
-/// the receiver will observe into `dst_port` — exactly what in-process
-/// delivery needs. The engine calls this once per node per round with
-/// pooled buffers, so steady-state rounds resolve without touching the
-/// allocator.
-pub fn resolve_sends_into<M>(
-    ports: &[PortMap],
-    src: NodeId,
-    sends: &mut Vec<(Port, M)>,
-    out: &mut Vec<Envelope<M>>,
-) {
-    route_sends_into(&ports[src.index()], src, sends, out);
-    PortMap::ports_to(
-        out,
-        |e| (&ports[e.dst.index()], src),
-        |e, port| e.dst_port = port,
-    );
 }
 
 /// What the control core decided for one round.
@@ -363,11 +311,9 @@ impl ControlCore {
                     assert_ne!(dst, t.node, "forged message to self");
                     // Even a Byzantine node can only use edges that exist:
                     // forged sends along non-edges are dropped silently.
-                    let dst_port = ports[dst.index()].try_port_to(t.node)?;
-                    Some(Envelope {
+                    ports[dst.index()].has_edge(t.node).then_some(Envelope {
                         src: t.node,
                         dst,
-                        dst_port,
                         msg,
                     })
                 })
@@ -621,11 +567,17 @@ mod tests {
     use crate::adversary::{
         CrashDirective, DeliveryFilter, FaultPlan, NoFaults, ScriptedCrash, Tamper,
     };
+    use crate::ids::Port;
 
+    /// One node's sends, routed one message at a time.
     fn envelopes(ports: &[PortMap], src: NodeId, msgs: &[(Port, u64)]) -> Vec<Envelope<u64>> {
-        let mut out = Vec::new();
-        resolve_sends_into(ports, src, &mut msgs.to_vec(), &mut out);
-        out
+        msgs.iter()
+            .map(|&(port, msg)| Envelope {
+                src,
+                dst: ports[src.index()].peer(port),
+                msg,
+            })
+            .collect()
     }
 
     #[test]
@@ -637,108 +589,6 @@ mod tests {
         for p in 0..15 {
             assert_eq!(ports[3].peer(Port(p)), direct.peer(Port(p)));
         }
-    }
-
-    #[test]
-    fn resolve_matches_receiver_side_port() {
-        let cfg = SimConfig::new(8).seed(4);
-        let ports = network_ports(&cfg);
-        let env = envelopes(&ports, NodeId(2), &[(Port(0), 7u64), (Port(3), 8)]);
-        for e in &env {
-            assert_eq!(e.src, NodeId(2));
-            assert_ne!(e.dst, NodeId(2));
-            // The receiver, resolving the sender id through its own
-            // permutation, lands on the same port the engine precomputed.
-            assert_eq!(ports[e.dst.index()].port_to(e.src), e.dst_port);
-        }
-    }
-
-    #[test]
-    fn batched_resolution_matches_per_message_lookups_on_every_wiring() {
-        use crate::topology::Topology;
-        // n = 66: a complete node's 65 ports sit in a carrier of 256, so
-        // walks run long and lanes refill out of order. Diameter-two
-        // non-hubs use the hub wiring and rr:6 the neighbour lists. Two
-        // inputs: the engine's `resolve_sends_into`, and a substrate
-        // node's `route_sends_into` — which must leave every `dst_port`
-        // unresolved — followed by the receivers' inverse walk keyed by
-        // each envelope's sender, as `RoundCore::end_round` keys it by
-        // `Frame::src`.
-        for topology in [
-            Topology::Complete,
-            Topology::DiameterTwo { clusters: 5 },
-            Topology::RandomRegular { d: 6 },
-        ] {
-            let cfg = SimConfig::new(66).seed(3).topology(topology.clone());
-            let ports = network_ports(&cfg);
-            for (u, map) in ports.iter().enumerate() {
-                let src = NodeId(u as u32);
-                // Every port twice, in two orders, so batch sizes span
-                // whole, partial and single-lane tails.
-                let deg = map.port_count();
-                let sends: Vec<(Port, u64)> = (0..deg)
-                    .chain((0..deg).rev())
-                    .map(|p| (Port(p), u64::from(p)))
-                    .collect();
-                for len in [0, 1, 3, 8, 9, sends.len()] {
-                    let batch = sends[..len.min(sends.len())].to_vec();
-                    let mut resolved = Vec::new();
-                    resolve_sends_into(&ports, src, &mut batch.clone(), &mut resolved);
-                    let mut routed = Vec::new();
-                    route_sends_into(map, src, &mut batch.clone(), &mut routed);
-                    assert!(routed.iter().all(|e| e.dst_port == Port::UNRESOLVED));
-                    PortMap::ports_to(
-                        &mut routed,
-                        |e| (&ports[e.dst.index()], e.src),
-                        |e, port| e.dst_port = port,
-                    );
-                    let want: Vec<Envelope<u64>> = batch
-                        .into_iter()
-                        .map(|(port, msg)| {
-                            let dst = map.peer(port);
-                            Envelope {
-                                src,
-                                dst,
-                                dst_port: ports[dst.index()].port_to(src),
-                                msg,
-                            }
-                        })
-                        .collect();
-                    for got in [&resolved, &routed] {
-                        assert_eq!(got.len(), want.len());
-                        for (g, w) in got.iter().zip(&want) {
-                            assert_eq!(
-                                (g.src, g.dst, g.dst_port, g.msg),
-                                (w.src, w.dst, w.dst_port, w.msg),
-                                "{topology} node {u}, batch of {len}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_resolution_panics_with_the_scalar_context() {
-        let panic_of = |f: &dyn Fn()| {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
-            err.downcast_ref::<String>()
-                .expect("string payload")
-                .clone()
-        };
-        let ports = network_ports(&SimConfig::new(4).seed(2));
-        let scalar = panic_of(&|| {
-            ports[1].peer(Port(3));
-        });
-        let batched = panic_of(&|| {
-            envelopes(&ports, NodeId(1), &[(Port(0), 0), (Port(3), 1)]);
-        });
-        assert_eq!(batched, scalar);
-        assert!(
-            scalar.contains("at node n1 (degree 3, topology seed 0x"),
-            "{scalar}"
-        );
     }
 
     #[test]
@@ -826,8 +676,10 @@ mod tests {
         assert_eq!(senders, [1, 2, 3]);
         assert_eq!(v.delivered, 3);
         let forged = &outgoing[2][0];
-        assert_eq!((forged.dst, forged.msg), (NodeId(0), 9));
-        assert_eq!(forged.dst_port, ports[0].port_to(NodeId(2)));
+        assert_eq!(
+            (forged.src, forged.dst, forged.msg),
+            (NodeId(2), NodeId(0), 9)
+        );
     }
 
     #[test]

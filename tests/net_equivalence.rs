@@ -499,6 +499,64 @@ fn agreement_matches_engine_where_port_walks_are_long() {
     assert_eq!(agree_fingerprint(&mesh.run), expected, "mesh:2");
 }
 
+/// Broadcasts for four rounds and folds every receipt — round, local
+/// port, payload — into `heard`, so a port a receiver resolved wrongly
+/// shows in its final state. Every node walks its degree in round 0 and
+/// routes and resolves through its port table from then on.
+#[derive(Clone, Debug, PartialEq)]
+struct Flood {
+    heard: u64,
+    rounds: u32,
+}
+
+impl Protocol for Flood {
+    type Msg = u64;
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        ctx.broadcast(0);
+    }
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Incoming<u64>]) {
+        for m in inbox {
+            let receipt = (u64::from(ctx.round()) << 48) ^ (u64::from(m.port.0) << 24) ^ m.msg;
+            self.heard = self.heard.rotate_left(7) ^ receipt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        self.rounds += 1;
+        if self.rounds < 4 {
+            ctx.broadcast(u64::from(ctx.round()));
+        }
+    }
+    fn is_terminated(&self) -> bool {
+        self.rounds >= 4
+    }
+}
+
+#[test]
+fn dense_broadcast_matches_engine_where_every_node_tabulates() {
+    let cfg = SimConfig::new(N_LONG_WALKS).seed(7).max_rounds(8);
+    let node = |_: NodeId| Flood {
+        heard: 0,
+        rounds: 0,
+    };
+    let adversary = || RandomCrash::new(8, 4);
+    let sim = run(&cfg, node, &mut adversary());
+    assert!(sim.metrics.msgs_delivered > 3 * u64::from(N_LONG_WALKS * (N_LONG_WALKS - 1)));
+    assert!(
+        sim.crashed_at.iter().any(Option::is_some),
+        "the adversary crashes"
+    );
+    let channel = run_over_channel(&cfg, 4, node, &mut adversary());
+    let mesh = run_over_mesh(&cfg, 2, node, &mut adversary()).expect("mesh fabric");
+    for (label, net) in [("channel:4", &channel.run), ("mesh:2", &mesh.run)] {
+        assert_eq!(net.metrics.msgs_sent, sim.metrics.msgs_sent, "{label}");
+        assert_eq!(
+            net.metrics.msgs_delivered, sim.metrics.msgs_delivered,
+            "{label}"
+        );
+        assert_eq!(net.metrics.rounds, sim.metrics.rounds, "{label}");
+        assert_eq!(net.crashed_at, sim.crashed_at, "{label}");
+        assert_eq!(net.states, sim.states, "{label}: a receipt diverged");
+    }
+}
+
 #[test]
 fn mesh_socket_count_is_quadratic_in_procs_not_nodes() {
     // The scaling claim that makes n=1024 feasible: sockets depend on the
