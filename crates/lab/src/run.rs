@@ -743,10 +743,11 @@ pub fn run_campaign(
     }
     for cell in &spec.cells {
         // Configuration errors must surface here, before any trial runs —
-        // a bad topology, an oversized Byzantine budget or an adversary
-        // the workload cannot face used to panic mid-trial on a worker.
-        cell.topology
-            .validate(cell.n)
+        // a network of fewer than two nodes, a bad topology, an oversized
+        // Byzantine budget or an adversary the workload cannot face used
+        // to panic mid-trial on a worker.
+        SimConfig::try_new(cell.n)
+            .and_then(|_| cell.topology.validate(cell.n))
             .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
         match cell.workload {
             Workload::LeByzantine { b } => EquivocatingClaimant::new(b as usize).validate(cell.n),
@@ -1176,6 +1177,21 @@ mod tests {
         );
         let err = run_campaign(&spec, 1, Substrate::Engine).unwrap_err();
         assert!(err.contains("bad"), "{err}");
+        // Fewer than two nodes cannot form a network, on any topology: the
+        // error names the cell instead of a trial worker panicking.
+        for (n, topology) in [
+            (0, Topology::RandomRegular { d: 2 }),
+            (1, Topology::Complete),
+        ] {
+            let tiny = CampaignSpec::new("topo-tiny").cell(
+                CellSpec::new(Workload::LeKutten, n, 0.5, 3, 2)
+                    .label("tiny")
+                    .topology(topology),
+            );
+            let err = run_campaign(&tiny, 1, Substrate::Engine).unwrap_err();
+            let want = format!("cell `tiny`: network size must be at least 2, got {n}");
+            assert_eq!(err, want);
+        }
         // Workloads that never touch the sim engine reject non-complete
         // topologies instead of silently ignoring them.
         let soak = CampaignSpec::new("topo-soak").cell(

@@ -57,8 +57,7 @@ use ftc_sim::engine::SimConfig;
 use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
 use ftc_sim::protocol::Protocol;
-
-use ftc_sim::round::topology_seed;
+use ftc_sim::round::network_edges;
 
 use crate::fabric::{self, ProcLinks};
 use crate::wire::{EnvelopeDecoder, WriteBuf};
@@ -75,7 +74,7 @@ fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
     if cfg.topology.is_complete() || procs <= 1 {
         return fabric::build(procs);
     }
-    let edges = cfg.topology.edge_set(cfg.n, topology_seed(cfg));
+    let edges = network_edges(cfg);
     let mut crossed = vec![false; procs * procs];
     edges.for_each_edge(|u, v| {
         let (p, q) = (u as usize % procs, v as usize % procs);

@@ -44,7 +44,8 @@ use ftc_sim::node::NodeHarness;
 use ftc_sim::payload::Wire;
 use ftc_sim::ports::PortMap;
 use ftc_sim::protocol::{Incoming, Protocol};
-use ftc_sim::round::{network_ports, ControlCore};
+use ftc_sim::round::{network_edges, ControlCore};
+use ftc_sim::topology::EdgeSet;
 
 use crate::frame::{Frame, Payload};
 
@@ -177,11 +178,20 @@ where
     P: Protocol,
     P::Msg: Wire,
 {
-    /// A fresh node core at round 0 of election instance `height`.
+    /// A fresh node core at round 0 of election instance `height`, for a
+    /// caller that drives it alone: it builds a graph of its own to wire
+    /// its one map. [`run_over_links`](crate::sync::run_over_links) wires
+    /// all its cores from the run's one graph instead.
     pub fn new(cfg: &SimConfig, id: NodeId, state: P, height: u32) -> Self {
+        Self::wired(cfg, PortMap::new(&network_edges(cfg), id), state, height)
+    }
+
+    /// A fresh core for the node `ports` wires.
+    pub(crate) fn wired(cfg: &SimConfig, ports: PortMap, state: P, height: u32) -> Self {
+        let harness = NodeHarness::new(cfg, ports, state);
         RoundCore {
-            id,
-            harness: NodeHarness::new(cfg, id, state),
+            id: harness.node(),
+            harness,
             height,
             round: 0,
             status: NodeStatus::Active,
@@ -391,8 +401,6 @@ pub struct CoordinatorCore<M> {
     max_rounds: u32,
     height: u32,
     round: Round,
-    /// Forged sends are checked against the receivers' maps.
-    ports: Vec<PortMap>,
     core: ControlCore,
     terminated: Vec<bool>,
     stopped: bool,
@@ -426,14 +434,18 @@ impl<M: Wire> CoordinatorCore<M> {
             max_rounds: cfg.max_rounds,
             height,
             round: 0,
-            ports: network_ports(cfg),
-            core: ControlCore::new::<M, _>(cfg, adversary),
+            core: ControlCore::new::<M, _>(cfg, network_edges(cfg), adversary),
             terminated: vec![false; cfg.n as usize],
             stopped: false,
             outgoing: (0..cfg.n).map(|_| Vec::new()).collect(),
             expect: vec![0; cfg.n as usize],
             senders: Vec::new(),
         }
+    }
+
+    /// The run's graph, which the round driver wires its cores from.
+    pub(crate) fn edges(&self) -> &EdgeSet {
+        self.core.edges()
     }
 
     /// The election instance this run adjudicates.
@@ -500,7 +512,6 @@ impl<M: Wire> CoordinatorCore<M> {
             &mut self.senders,
             suppressed,
             adversary,
-            &self.ports,
         );
 
         for &u in &self.senders {

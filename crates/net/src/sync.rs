@@ -61,6 +61,7 @@ use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::NodeId;
 use ftc_sim::payload::Wire;
+use ftc_sim::ports::PortMap;
 use ftc_sim::protocol::Protocol;
 
 use crate::channel;
@@ -315,7 +316,11 @@ where
         (1..=nn).contains(&workers),
         "need between 1 and n = {nn} links, got {workers}"
     );
-    let cores = (0..cfg.n).map(|u| RoundCore::new(cfg, NodeId(u), factory(NodeId(u)), height));
+    let edges = coord.edges();
+    let cores = (0..cfg.n).map(|u| {
+        let ports = PortMap::new(edges, NodeId(u));
+        RoundCore::wired(cfg, ports, factory(NodeId(u)), height)
+    });
     let pools = deal(cores, workers);
 
     let mut states: Vec<Option<P>> = (0..nn).map(|_| None).collect();

@@ -29,8 +29,9 @@ use crate::adversary::{Adversary, Envelope, FaultySet};
 use crate::ids::{NodeId, Port, Round};
 use crate::metrics::Metrics;
 use crate::node::NodeHarness;
+use crate::ports::PortMap;
 use crate::protocol::{Incoming, Protocol};
-use crate::round::{network_ports, ControlCore};
+use crate::round::{network_edges, ControlCore};
 use crate::topology::Topology;
 use crate::trace::Trace;
 
@@ -411,14 +412,11 @@ where
     let nn = n as usize;
     let intra_jobs = intra_jobs.max(1);
 
-    let ports = network_ports(cfg);
+    let edges = network_edges(cfg);
     let mut nodes: Vec<NodeHarness<P>> = (0..n)
-        .map(|i| {
-            let id = NodeId(i);
-            NodeHarness::with_ports(cfg, id, factory(id), ports[id.index()].clone())
-        })
+        .map(|i| NodeHarness::new(cfg, PortMap::new(&edges, NodeId(i)), factory(NodeId(i))))
         .collect();
-    let mut core = ControlCore::new(cfg, adversary);
+    let mut core = ControlCore::new(cfg, edges, adversary);
 
     // Pooled round buffers: allocated once, reused every round. `outgoing`
     // is filled at activation, filtered in place by the control core, and
@@ -478,14 +476,7 @@ where
         // --- 2. control plane: tampering, crashes, filters, accounting.
         // Filters `outgoing` down to the deliverable envelopes in place and
         // merges any sender a forgery created into the agenda. ---
-        let verdict = core.finish_round(
-            round,
-            &mut outgoing,
-            &mut agenda,
-            suppressed,
-            adversary,
-            &ports,
-        );
+        let verdict = core.finish_round(round, &mut outgoing, &mut agenda, suppressed, adversary);
         for &c in &verdict.crashed {
             if !terminated[c.index()] {
                 undone -= 1;

@@ -31,8 +31,10 @@ use crate::metrics::{Metrics, RoundMetrics};
 use crate::node::NodeHarness;
 use crate::payload::Payload;
 use crate::perm::stream_seed;
+use crate::ports::PortMap;
 use crate::protocol::{Incoming, Protocol};
-use crate::round::{network_ports, SALT_ADVERSARY, SALT_EDGES, SALT_FILTERS};
+use crate::round::{network_edges, SALT_ADVERSARY, SALT_EDGES, SALT_FILTERS};
+use crate::topology::EdgeSet;
 use crate::trace::{Trace, TraceEvent};
 
 /// The pre-optimisation control plane, verbatim.
@@ -89,7 +91,7 @@ impl NaiveCore {
         outgoing: &mut [Vec<Envelope<M>>],
         suppressed: u64,
         adversary: &mut A,
-        ports: &[crate::ports::PortMap],
+        edges: &EdgeSet,
     ) -> NaiveVerdict<M>
     where
         M: Payload,
@@ -115,7 +117,7 @@ impl NaiveCore {
                 .into_iter()
                 // Forged sends along non-edges are dropped, exactly as in
                 // the optimised control core.
-                .filter(|(dst, _)| ports[dst.index()].has_edge(t.node))
+                .filter(|(dst, _)| edges.has_edge(dst.0, t.node.0))
                 .map(|(dst, msg)| Envelope {
                     src: t.node,
                     dst,
@@ -286,9 +288,10 @@ where
     let n = cfg.n;
     let nn = n as usize;
 
-    let ports = network_ports(cfg);
+    let edges = network_edges(cfg);
+    let ports: Vec<PortMap> = (0..n).map(|i| PortMap::new(&edges, NodeId(i))).collect();
     let mut nodes: Vec<NodeHarness<P>> = (0..n)
-        .map(|i| NodeHarness::new(cfg, NodeId(i), factory(NodeId(i))))
+        .map(|i| NodeHarness::new(cfg, ports[i as usize].clone(), factory(NodeId(i))))
         .collect();
     let mut core = NaiveCore::new(cfg, adversary);
 
@@ -321,7 +324,7 @@ where
             inboxes[u].clear();
         }
 
-        let verdict = core.finish_round(round, &mut outgoing, suppressed, adversary, &ports);
+        let verdict = core.finish_round(round, &mut outgoing, suppressed, adversary, &edges);
 
         for e in verdict.deliver.into_iter().flatten() {
             inboxes[e.dst.index()].push(Incoming {

@@ -4,8 +4,9 @@
 //! model: its protocol state machine, its private seeded randomness, its
 //! KT0 port permutation and its send budget. The in-process engine keeps
 //! `n` harnesses in one loop; the `ftc-net` runtime gives each harness to a
-//! node thread that talks real sockets. Both derive identical per-node
-//! state from `(SimConfig, NodeId)`, which is what makes a network run
+//! node thread that talks real sockets. Every driver wires the harnesses
+//! from the run's one graph ([`crate::round::network_edges`]) and derives
+//! the rest from `(SimConfig, NodeId)`, which is what makes a network run
 //! replay a simulator run exactly.
 
 use rand::rngs::SmallRng;
@@ -17,7 +18,7 @@ use crate::ids::{NodeId, Port, Round};
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
 use crate::protocol::{Ctx, Incoming, Protocol};
-use crate::round::{SALT_NODES, SALT_TOPOLOGY};
+use crate::round::SALT_NODES;
 
 /// The bookkeeping of one activation (see [`NodeHarness::activate_into`]).
 #[derive(Clone, Copy, Debug)]
@@ -46,37 +47,14 @@ pub struct NodeHarness<P: Protocol> {
 }
 
 impl<P: Protocol> NodeHarness<P> {
-    /// Builds node `node`'s harness for a run of `cfg`, wrapping `state`.
-    ///
-    /// The port permutation and the RNG stream are derived from
-    /// `(cfg.seed, node)` exactly as the engine derives them, so harnesses
-    /// built independently (e.g. one per thread) still agree with an
-    /// engine run of the same configuration.
-    pub fn new(cfg: &SimConfig, node: NodeId, state: P) -> Self {
-        let topology_seed = stream_seed(cfg.seed, SALT_TOPOLOGY);
-        // Independent construction regenerates the node's wiring from the
-        // topology; fine for the socket runtimes' network sizes. Drivers
-        // that already built [`crate::round::network_ports`] should hand
-        // the map in via [`NodeHarness::with_ports`] instead.
-        let adjacency = cfg.topology.adjacency(cfg.n, topology_seed);
-        let ports = PortMap::with_wiring(
-            cfg.n,
-            node,
-            topology_seed,
-            cfg.topology.wiring_of(node, adjacency.as_ref()),
-        );
-        Self::with_ports(cfg, node, state, ports)
-    }
-
-    /// Like [`NodeHarness::new`] but adopts a prebuilt port map — the
-    /// engine builds all `n` maps once via
-    /// [`crate::round::network_ports`] and hands them out, so list
-    /// topologies are generated once per run instead of once per node.
-    ///
-    /// `ports` must be the map [`NodeHarness::new`] would derive for
-    /// `(cfg, node)`; handing in anything else forfeits replay equality
-    /// with independently constructed harnesses.
-    pub fn with_ports(cfg: &SimConfig, node: NodeId, state: P, ports: PortMap) -> Self {
+    /// Builds the harness of the node `ports` wires, for a run of `cfg`,
+    /// wrapping `state`. `ports` is the node's map over the run's graph
+    /// ([`PortMap::new`] on [`crate::round::network_edges`]); the RNG
+    /// stream is derived from `(cfg.seed, node)`, so harnesses built apart
+    /// (e.g. one per thread) still agree with an engine run of the same
+    /// configuration.
+    pub fn new(cfg: &SimConfig, ports: PortMap, state: P) -> Self {
+        let node = ports.node();
         let node_seed_base = stream_seed(cfg.seed, SALT_NODES);
         NodeHarness {
             node,
@@ -215,17 +193,23 @@ mod tests {
         }
     }
 
+    fn echoer() -> Echoer {
+        Echoer {
+            rounds: 0,
+            heard: 0,
+        }
+    }
+
+    /// Node `node`'s harness, wired standalone from a fresh graph.
+    fn harness(cfg: &SimConfig, node: u32) -> NodeHarness<Echoer> {
+        let ports = PortMap::new(&crate::round::network_edges(cfg), NodeId(node));
+        NodeHarness::new(cfg, ports, echoer())
+    }
+
     #[test]
     fn activation_runs_start_then_rounds() {
         let cfg = SimConfig::new(8).seed(3);
-        let mut h = NodeHarness::new(
-            &cfg,
-            NodeId(1),
-            Echoer {
-                rounds: 0,
-                heard: 0,
-            },
-        );
+        let mut h = harness(&cfg, 1);
         let mut sends = Vec::new();
         let a0 = h.activate_into(0, &[], &mut sends);
         assert_eq!(sends.len(), 7);
@@ -244,14 +228,7 @@ mod tests {
     #[test]
     fn send_cap_suppresses_excess() {
         let cfg = SimConfig::new(8).seed(3).send_cap(4);
-        let mut h = NodeHarness::new(
-            &cfg,
-            NodeId(0),
-            Echoer {
-                rounds: 0,
-                heard: 0,
-            },
-        );
+        let mut h = harness(&cfg, 0);
         let mut sends = Vec::new();
         let a = h.activate_into(0, &[], &mut sends);
         assert_eq!(sends.len(), 4);
@@ -260,37 +237,56 @@ mod tests {
 
     #[test]
     fn routing_agrees_with_network_ports() {
-        let cfg = SimConfig::new(16).seed(11);
-        let ports = crate::round::network_ports(&cfg);
-        let echoer = || Echoer {
-            rounds: 0,
-            heard: 0,
-        };
-        // The sender's forward walk lands where the scalar lookup does.
-        let mut sender = NodeHarness::new(&cfg, NodeId(5), echoer());
-        let mut sends: Vec<(Port, u64)> = (0..15).rev().map(|p| (Port(p), u64::from(p))).collect();
-        let mut out = Vec::new();
-        sender.route(&mut sends, &mut out);
-        assert!(sends.is_empty());
-        assert_eq!(out.len(), 15);
-        for e in &out {
-            assert_eq!(
-                (e.src, e.dst),
-                (NodeId(5), ports[5].peer(Port(e.msg as u32)))
-            );
-        }
-        // Receiver-side port resolution is the inverse of the sender's
-        // wiring, on a harness built independently of the network's maps.
-        let peer = ports[5].peer(Port(2));
-        let mut recv = NodeHarness::new(&cfg, peer, echoer());
-        let mut from: Vec<(NodeId, Port)> = (0..16)
-            .map(NodeId)
-            .filter(|&u| u != peer)
-            .map(|u| (u, Port(u32::MAX)))
+        use crate::topology::Topology;
+        // A 16-cycle with a chord from each node to the opposite one.
+        let chords: Vec<Vec<u32>> = (0..16u32)
+            .map(|u| {
+                let mut row = vec![(u + 1) % 16, (u + 15) % 16, (u + 8) % 16];
+                row.sort_unstable();
+                row
+            })
             .collect();
-        recv.ports_from(&mut from, |&(u, _)| u, |item, port| item.1 = port);
-        for (u, port) in from {
-            assert_eq!(port, ports[peer.index()].port_to(u), "from {u}");
+        let topologies = [
+            Topology::Complete,
+            Topology::RandomRegular { d: 6 },
+            Topology::Explicit {
+                adjacency: std::sync::Arc::new(chords),
+            },
+        ];
+        for topology in topologies {
+            let cfg = SimConfig::new(16).seed(11).topology(topology.clone());
+            assert!(cfg.validate().is_ok(), "{topology}");
+            // The run's maps, against harnesses wired standalone from a
+            // graph of their own, as `RoundCore::new` wires one.
+            let ports = crate::round::network_ports(&cfg);
+            // The sender's forward walk lands where the scalar lookup does.
+            let mut sender = harness(&cfg, 5);
+            let degree = ports[5].port_count();
+            let mut sends: Vec<(Port, u64)> =
+                (0..degree).rev().map(|p| (Port(p), u64::from(p))).collect();
+            let mut out = Vec::new();
+            sender.route(&mut sends, &mut out);
+            assert!(sends.is_empty());
+            assert_eq!(out.len(), degree as usize, "{topology}");
+            for e in &out {
+                assert_eq!(
+                    (e.src, e.dst),
+                    (NodeId(5), ports[5].peer(Port(e.msg as u32))),
+                    "{topology}"
+                );
+            }
+            // Receiver-side port resolution is the inverse of the sender's
+            // wiring.
+            let peer = ports[5].peer(Port(2));
+            let mut recv = harness(&cfg, peer.0);
+            let mut from: Vec<(NodeId, Port)> = ports[peer.index()]
+                .neighbors()
+                .map(|u| (u, Port(u32::MAX)))
+                .collect();
+            recv.ports_from(&mut from, |&(u, _)| u, |item, port| item.1 = port);
+            for (u, port) in from {
+                assert_eq!(port, ports[peer.index()].port_to(u), "{topology}: from {u}");
+            }
         }
     }
 }

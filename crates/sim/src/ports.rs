@@ -1,13 +1,16 @@
-//! KT0 port wiring over the configured topology.
+//! KT0 port wiring over the run's graph.
 //!
 //! Every node `u` has one local port per *neighbour* — `n-1` of them on
 //! the complete graph, `deg(u)` in general. The KT0 model (Section II of
 //! the paper) stipulates that the assignment of neighbours to ports is a
 //! uniformly random permutation unknown to the node. [`PortMap`] realises
-//! one such permutation per node, backed by the lazy [`crate::perm::Perm`]
-//! so that closed-form topologies (complete, hub) cost `O(1)` memory per
-//! node regardless of `n` until the node has walked its degree; list
-//! topologies share one `Arc` per neighbour list.
+//! one such permutation per node over the node's row of the run's
+//! [`EdgeSet`], backed by the lazy [`crate::perm::Perm`] so that
+//! closed-form topologies (complete, hub) cost `O(1)` memory per node
+//! regardless of `n` until the node has walked its degree; list
+//! topologies share each row's `Arc` with the graph. A map only answers
+//! port questions: whether an edge exists is the graph's question
+//! ([`EdgeSet::has_edge`]).
 //!
 //! A map counts the ports its batched lookups walk, in either direction:
 //! the ones behind [`crate::node::NodeHarness::route`] and
@@ -29,9 +32,10 @@ use std::sync::Arc;
 
 use crate::ids::{NodeId, Port};
 use crate::perm::{stream_seed, walk, Perm, LANES};
+use crate::topology::EdgeSet;
 
 /// How one node's ports attach to the graph: the shape its permutation
-/// ranges over.
+/// ranges over, read off the node's row by [`EdgeSet::wiring`].
 #[derive(Clone, Debug)]
 pub(crate) enum Wiring {
     /// Adjacent to all `n-1` other nodes (complete graph, or a hub of the
@@ -52,8 +56,10 @@ pub(crate) enum Wiring {
 /// ```
 /// use ftc_sim::ports::PortMap;
 /// use ftc_sim::ids::{NodeId, Port};
+/// use ftc_sim::topology::Topology;
 ///
-/// let pm = PortMap::new(8, NodeId(3), 42);
+/// let graph = Topology::Complete.edge_set(8, 42);
+/// let pm = PortMap::new(&graph, NodeId(3));
 /// let peer = pm.peer(Port(0));
 /// assert_ne!(peer, NodeId(3));          // never wired to itself
 /// assert_eq!(pm.port_to(peer), Port(0)); // inverse is consistent
@@ -75,32 +81,24 @@ pub struct PortMap {
 }
 
 impl PortMap {
-    /// Builds node `node`'s port permutation in a *complete* `n`-node
-    /// network. Topology-aware callers go through
-    /// [`crate::round::network_ports`], which hands each node its wiring.
+    /// Builds node `node`'s port permutation over its row of the run's
+    /// graph. Drivers build the graph once ([`crate::round::network_edges`])
+    /// and wire every node from it.
     ///
-    /// `topology_seed` determines the wiring of the *whole* network; each
-    /// node derives an independent permutation from it, which matches the
-    /// paper's lower-bound setup where "for every node, the edges are
-    /// randomly connected to the ports" independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `node.0 >= n`.
-    pub fn new(n: u32, node: NodeId, topology_seed: u64) -> Self {
-        Self::with_wiring(n, node, topology_seed, Wiring::Complete)
-    }
-
-    /// Builds the port permutation of `node` over an explicit wiring.
+    /// The graph's topology seed determines the wiring of the *whole*
+    /// network; each node derives an independent permutation from it,
+    /// which matches the paper's lower-bound setup where "for every node,
+    /// the edges are randomly connected to the ports" independently.
     ///
     /// # Panics
     ///
     /// Panics — deterministically, with the node and topology seed in the
-    /// message so a hunt that trips it replays — if the wiring is
-    /// degenerate (`n < 2`, node out of range, or zero degree).
-    pub(crate) fn with_wiring(n: u32, node: NodeId, topology_seed: u64, wiring: Wiring) -> Self {
-        assert!(n >= 2, "a complete network needs at least two nodes");
+    /// message so a hunt that trips it replays — if `node` is outside the
+    /// graph or has no neighbours.
+    pub fn new(edges: &EdgeSet, node: NodeId) -> Self {
+        let (n, seed) = (edges.n, edges.topology_seed);
         assert!(node.0 < n, "node {node} outside network of size {n}");
+        let wiring = edges.wiring(node);
         let degree = match &wiring {
             Wiring::Complete => n - 1,
             Wiring::Hub { clusters } => *clusters,
@@ -108,22 +106,27 @@ impl PortMap {
         };
         assert!(
             degree >= 1,
-            "node {node} has no neighbours (n={n}, topology seed {topology_seed:#018x})"
+            "node {node} has no neighbours (n={n}, topology seed {seed:#018x})"
         );
         let perm = Perm::new(
             u64::from(degree),
-            stream_seed(topology_seed, 0x5057_0000 ^ u64::from(node.0)),
+            stream_seed(seed, 0x5057_0000 ^ u64::from(node.0)),
         );
         PortMap {
             node,
             n,
             degree,
             walked: 0,
-            seed: topology_seed,
+            seed,
             perm,
             wiring,
             table: None,
         }
+    }
+
+    /// The node this map wires.
+    pub(crate) fn node(&self) -> NodeId {
+        self.node
     }
 
     /// Number of ports — the node's degree (`n-1` on the complete graph).
@@ -164,16 +167,6 @@ impl PortMap {
                 |item, k| set(item, self.neighbour_at(k)),
             );
         }
-    }
-
-    /// Whether the graph has a `(self, peer)` edge. Walks nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is this node itself or out of range — those are
-    /// caller bugs, not topology facts.
-    pub fn has_edge(&self, peer: NodeId) -> bool {
-        self.try_index_of(peer).is_some()
     }
 
     /// The local port through which neighbour `peer` is reached.
@@ -283,9 +276,14 @@ impl PortMap {
         }
     }
 
-    /// The wiring index of neighbour `peer`, or `None` if the graph has no
-    /// `(self, peer)` edge.
-    fn try_index_of(&self, peer: NodeId) -> Option<u64> {
+    /// The wiring index of neighbour `peer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is out of range, this node itself, or not
+    /// adjacent; the non-edge message carries both endpoints and the
+    /// topology seed.
+    fn index_of(&self, peer: NodeId) -> u64 {
         assert!(peer.0 < self.n, "peer {peer} outside network");
         assert_ne!(peer, self.node, "a node has no port to itself");
         let k = match &self.wiring {
@@ -296,19 +294,15 @@ impl PortMap {
             }),
             Wiring::Hub { clusters } => (peer.0 < *clusters).then_some(peer.0),
             Wiring::List(list) => list.binary_search(&peer.0).ok().map(|i| i as u32),
-        }?;
-        Some(u64::from(k))
-    }
-
-    /// [`PortMap::try_index_of`], panicking on a non-edge.
-    fn index_of(&self, peer: NodeId) -> u64 {
-        self.try_index_of(peer).unwrap_or_else(|| {
+        };
+        let k = k.unwrap_or_else(|| {
             panic!(
                 "node {node} has no edge to {peer} (topology seed {seed:#018x})",
                 node = self.node,
                 seed = self.seed,
             )
-        })
+        });
+        u64::from(k)
     }
 
     /// Iterates over this node's neighbours in port order.
@@ -321,11 +315,18 @@ impl PortMap {
 mod tests {
     use super::*;
 
+    use crate::topology::Topology;
+
+    /// Node `node`'s map in a complete `n`-node network.
+    fn complete(n: u32, node: u32, topology_seed: u64) -> PortMap {
+        PortMap::new(&Topology::Complete.edge_set(n, topology_seed), NodeId(node))
+    }
+
     #[test]
     fn covers_all_neighbours_exactly_once() {
         let n = 97;
         for node in [0u32, 1, 48, 96] {
-            let pm = PortMap::new(n, NodeId(node), 7);
+            let pm = complete(n, node, 7);
             let mut seen = vec![false; n as usize];
             for p in 0..n - 1 {
                 let peer = pm.peer(Port(p));
@@ -341,9 +342,9 @@ mod tests {
 
     #[test]
     fn wiring_differs_across_nodes_and_seeds() {
-        let a = PortMap::new(64, NodeId(0), 1);
-        let b = PortMap::new(64, NodeId(1), 1);
-        let c = PortMap::new(64, NodeId(0), 2);
+        let a = complete(64, 0, 1);
+        let b = complete(64, 1, 1);
+        let c = complete(64, 0, 2);
         let same_ab = (0..63)
             .filter(|&p| a.peer(Port(p)) == b.peer(Port(p)))
             .count();
@@ -356,16 +357,15 @@ mod tests {
 
     #[test]
     fn two_node_network() {
-        let pm0 = PortMap::new(2, NodeId(0), 0);
-        let pm1 = PortMap::new(2, NodeId(1), 0);
-        assert_eq!(pm0.peer(Port(0)), NodeId(1));
-        assert_eq!(pm1.peer(Port(0)), NodeId(0));
+        assert_eq!(complete(2, 0, 0).peer(Port(0)), NodeId(1));
+        assert_eq!(complete(2, 1, 0).peer(Port(0)), NodeId(0));
     }
 
     #[test]
     fn hub_wiring_permutes_exactly_the_hubs() {
         let (n, clusters) = (12u32, 4u32);
-        let pm = PortMap::with_wiring(n, NodeId(7), 3, Wiring::Hub { clusters });
+        let graph = Topology::DiameterTwo { clusters }.edge_set(n, 3);
+        let pm = PortMap::new(&graph, NodeId(7));
         assert_eq!(pm.port_count(), clusters);
         let mut peers: Vec<u32> = pm.neighbors().map(|p| p.0).collect();
         peers.sort_unstable();
@@ -374,27 +374,42 @@ mod tests {
             let port = pm.port_to(NodeId(h));
             assert_eq!(pm.peer(port), NodeId(h));
         }
-        assert!(!pm.has_edge(NodeId(5)), "non-hubs are not adjacent");
+        assert!(!graph.has_edge(7, 5), "non-hubs are not adjacent");
+        // A hub is wired like a complete-graph node.
+        assert_eq!(PortMap::new(&graph, NodeId(2)).port_count(), n - 1);
+    }
+
+    /// An explicit graph on `n` nodes whose only edges join `centre` to
+    /// each of `leaves`.
+    fn star(n: u32, centre: u32, leaves: &[u32]) -> EdgeSet {
+        let mut adjacency = vec![Vec::new(); n as usize];
+        adjacency[centre as usize] = leaves.to_vec();
+        for &v in leaves {
+            adjacency[v as usize] = vec![centre];
+        }
+        let adjacency = Arc::new(adjacency);
+        Topology::Explicit { adjacency }.edge_set(n, 11)
     }
 
     #[test]
     fn list_wiring_permutes_exactly_the_list() {
-        let list: Arc<[u32]> = Arc::from([1u32, 4, 9].as_slice());
-        let pm = PortMap::with_wiring(10, NodeId(6), 11, Wiring::List(list.clone()));
+        let graph = star(10, 6, &[1, 4, 9]);
+        let pm = PortMap::new(&graph, NodeId(6));
         assert_eq!(pm.port_count(), 3);
         let mut peers: Vec<u32> = pm.neighbors().map(|p| p.0).collect();
         peers.sort_unstable();
         assert_eq!(peers, vec![1, 4, 9]);
-        for &v in list.iter() {
+        for v in [1, 4, 9] {
             assert_eq!(pm.peer(pm.port_to(NodeId(v))), NodeId(v));
         }
-        assert!(!pm.has_edge(NodeId(2)));
-        assert!(!pm.has_edge(NodeId(8)));
+        assert!(!graph.has_edge(6, 2));
+        assert!(!graph.has_edge(6, 8));
     }
 
     #[test]
     fn non_edge_panic_is_replayable() {
-        let pm = PortMap::with_wiring(8, NodeId(5), 0xABCD, Wiring::Hub { clusters: 2 });
+        let graph = Topology::DiameterTwo { clusters: 2 }.edge_set(8, 0xABCD);
+        let pm = PortMap::new(&graph, NodeId(5));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pm.port_to(NodeId(6))))
             .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic payload");
@@ -403,11 +418,10 @@ mod tests {
         assert!(msg.contains("0x000000000000abcd"), "seed missing: {msg}");
     }
 
-    /// Every map of an `n`-node network on each wiring the tables must
-    /// serve: complete, the hub/non-hub split of diameter two, and
-    /// neighbour lists.
-    fn wirings(n: u32) -> Vec<(crate::topology::Topology, Vec<PortMap>)> {
-        use crate::topology::Topology;
+    /// The graph and every map of an `n`-node network on each wiring the
+    /// tables must serve: complete, the hub/non-hub split of diameter two,
+    /// and neighbour lists.
+    fn wirings(n: u32) -> Vec<(Topology, EdgeSet, Vec<PortMap>)> {
         [
             Topology::Complete,
             Topology::DiameterTwo { clusters: 5 },
@@ -415,8 +429,9 @@ mod tests {
         ]
         .into_iter()
         .map(|t| {
-            let cfg = crate::engine::SimConfig::new(n).seed(3).topology(t.clone());
-            (t, crate::round::network_ports(&cfg))
+            let graph = t.edge_set(n, 3);
+            let maps = (0..n).map(|u| PortMap::new(&graph, NodeId(u))).collect();
+            (t, graph, maps)
         })
         .collect()
     }
@@ -430,7 +445,7 @@ mod tests {
         // the threshold, the third (forward, every port) reads the table.
         // Each answer must be what a fresh map's scalar cipher says.
         for n in [66u32, 1025] {
-            for (topology, maps) in wirings(n) {
+            for (topology, _, maps) in wirings(n) {
                 // Every map at n = 66; at n = 1025 a spread of nodes, hubs
                 // of the diameter-two wiring included.
                 let step = if n > 100 { 97 } else { 1 };
@@ -477,7 +492,7 @@ mod tests {
                 .clone()
         };
         for n in [66u32, 1025] {
-            for (topology, maps) in wirings(n) {
+            for (topology, graph, maps) in wirings(n) {
                 let fresh = &maps[n as usize - 1];
                 let deg = fresh.port_count();
                 let mut map = fresh.clone();
@@ -506,7 +521,10 @@ mod tests {
 
                 // A non-edge: node 0 is a hub of the diameter-two wiring,
                 // so pick any node the map has no edge to.
-                let Some(stranger) = (0..n - 1).map(NodeId).find(|&v| !fresh.has_edge(v)) else {
+                let Some(stranger) = (0..n - 1)
+                    .map(NodeId)
+                    .find(|&v| !graph.has_edge(n - 1, v.0))
+                else {
                     continue;
                 };
                 let scalar = panic_of(&mut || {
@@ -536,7 +554,7 @@ mod tests {
     #[test]
     fn sparse_traffic_never_tabulates() {
         // Fewer lookups than ports, in both directions, stay lazy.
-        let mut map = PortMap::new(1025, NodeId(9), 4);
+        let mut map = complete(1025, 9, 4);
         for _ in 0..3 {
             let mut some: Vec<Port> = (0..100).map(Port).collect();
             map.peers(&mut some, |&p| p, |_, _| {});
@@ -552,18 +570,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "no port to itself")]
     fn port_to_self_panics() {
-        PortMap::new(4, NodeId(2), 0).port_to(NodeId(2));
+        complete(4, 2, 0).port_to(NodeId(2));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn oversized_port_panics() {
-        PortMap::new(4, NodeId(0), 0).peer(Port(3));
+        complete(4, 0, 0).peer(Port(3));
     }
 
     #[test]
     #[should_panic(expected = "no neighbours")]
     fn zero_degree_wiring_panics_with_context() {
-        PortMap::with_wiring(4, NodeId(1), 9, Wiring::List(Arc::from([].as_slice())));
+        PortMap::new(&star(4, 0, &[2, 3]), NodeId(1));
     }
 }

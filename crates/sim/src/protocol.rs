@@ -189,6 +189,12 @@ pub trait Protocol: Sized + Send {
 mod tests {
     use super::*;
     use crate::perm::stream_seed;
+    use crate::topology::Topology;
+
+    /// Node 0's map in a complete 16-node network.
+    fn node_zero() -> PortMap {
+        PortMap::new(&Topology::Complete.edge_set(16, 1), NodeId(0))
+    }
 
     fn mk_ctx<'a>(
         ports: &'a PortMap,
@@ -209,7 +215,7 @@ mod tests {
 
     #[test]
     fn send_and_broadcast_fill_outbox() {
-        let ports = PortMap::new(16, NodeId(0), 1);
+        let ports = node_zero();
         let mut rng = SmallRng::seed_from_u64(stream_seed(0, 0));
         let mut outbox = Vec::new();
         let mut ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
@@ -221,7 +227,7 @@ mod tests {
 
     #[test]
     fn sample_ports_is_distinct_and_in_range() {
-        let ports = PortMap::new(16, NodeId(0), 1);
+        let ports = node_zero();
         let mut rng = SmallRng::seed_from_u64(9);
         let mut outbox = Vec::new();
         let mut ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
@@ -234,7 +240,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "KT1")]
     fn kt0_denies_peer_lookup() {
-        let ports = PortMap::new(16, NodeId(0), 1);
+        let ports = node_zero();
         let mut rng = SmallRng::seed_from_u64(9);
         let mut outbox = Vec::new();
         let ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
@@ -243,7 +249,7 @@ mod tests {
 
     #[test]
     fn kt1_allows_peer_lookup() {
-        let ports = PortMap::new(16, NodeId(0), 1);
+        let ports = node_zero();
         let mut rng = SmallRng::seed_from_u64(9);
         let mut outbox = Vec::new();
         let ctx = mk_ctx(&ports, &mut rng, &mut outbox, true);

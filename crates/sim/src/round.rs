@@ -28,43 +28,38 @@ use crate::metrics::{Metrics, RoundMetrics};
 use crate::payload::Payload;
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
+use crate::topology::EdgeSet;
 use crate::trace::{Trace, TraceEvent};
 
 /// Salt constants keeping the run's RNG streams independent. Shared by the
 /// engine and the per-node harness so every driver derives the same
 /// topology, node randomness, adversary schedule and filter randomness
 /// from one master seed.
-pub(crate) const SALT_TOPOLOGY: u64 = 0x01;
+const SALT_TOPOLOGY: u64 = 0x01;
 pub(crate) const SALT_NODES: u64 = 0x02;
 pub(crate) const SALT_ADVERSARY: u64 = 0x03;
 pub(crate) const SALT_FILTERS: u64 = 0x04;
 pub(crate) const SALT_EDGES: u64 = 0x05;
 
-/// The topology seed of a run: every node's port permutation derives from
-/// it (see [`PortMap::new`]).
-pub fn topology_seed(cfg: &SimConfig) -> u64 {
-    stream_seed(cfg.seed, SALT_TOPOLOGY)
+/// The graph of a run of `cfg`: [`crate::topology::Topology::edge_set`]
+/// at the run's topology seed, from which every node's port permutation
+/// derives too. A driver builds it once per run, wires every node's
+/// [`PortMap`] from it and hands it to its [`ControlCore`], which checks
+/// forged sends against it (DESIGN D31).
+pub fn network_edges(cfg: &SimConfig) -> EdgeSet {
+    cfg.topology
+        .edge_set(cfg.n, stream_seed(cfg.seed, SALT_TOPOLOGY))
 }
 
-/// The port permutations of the whole network, in node-id order.
+/// The port permutations of the whole network, in node-id order, wired
+/// from one [`network_edges`].
 ///
 /// Each [`PortMap`] starts at `O(1)` memory (lazy Feistel permutation), so
-/// this is cheap even for large `n`. The engine hands one to each node,
-/// and [`ControlCore::finish_round`] checks forged sends against the
-/// receivers' wiring in one.
+/// this is cheap even for large `n`.
 pub fn network_ports(cfg: &SimConfig) -> Vec<PortMap> {
-    let seed = topology_seed(cfg);
-    let adjacency = cfg.topology.adjacency(cfg.n, seed);
+    let edges = network_edges(cfg);
     (0..cfg.n)
-        .map(|i| {
-            let node = NodeId(i);
-            PortMap::with_wiring(
-                cfg.n,
-                node,
-                seed,
-                cfg.topology.wiring_of(node, adjacency.as_ref()),
-            )
-        })
+        .map(|u| PortMap::new(&edges, NodeId(u)))
         .collect()
 }
 
@@ -149,6 +144,8 @@ impl EdgeFates {
 #[derive(Debug)]
 pub struct ControlCore {
     n: u32,
+    /// The run's graph: forged sends along non-edges are dropped.
+    edges: EdgeSet,
     alive: Vec<bool>,
     dead_count: u32,
     crashed_at: Vec<Option<Round>>,
@@ -177,13 +174,13 @@ pub struct ControlCore {
 }
 
 impl ControlCore {
-    /// Builds the control plane for one run and asks `adversary` for its
-    /// static faulty set.
+    /// Builds the control plane for one run over the run's graph `edges`
+    /// ([`network_edges`]) and asks `adversary` for its static faulty set.
     ///
     /// # Panics
     ///
     /// Panics if the faulty set references nodes outside the network.
-    pub fn new<M, A>(cfg: &SimConfig, adversary: &mut A) -> Self
+    pub fn new<M, A>(cfg: &SimConfig, edges: EdgeSet, adversary: &mut A) -> Self
     where
         M: Payload,
         A: Adversary<M> + ?Sized,
@@ -199,6 +196,7 @@ impl ControlCore {
         );
         ControlCore {
             n,
+            edges,
             alive: vec![true; nn],
             dead_count: 0,
             crashed_at: vec![None; nn],
@@ -214,6 +212,11 @@ impl ControlCore {
             edge_touched: Vec::new(),
             trace_spans: Vec::new(),
         }
+    }
+
+    /// The run's graph, for drivers that wire their nodes from it.
+    pub fn edges(&self) -> &EdgeSet {
+        &self.edges
     }
 
     /// Whether `node` is still alive.
@@ -261,7 +264,6 @@ impl ControlCore {
         senders: &mut Vec<u32>,
         suppressed: u64,
         adversary: &mut A,
-        ports: &[PortMap],
     ) -> RoundVerdict
     where
         M: Payload,
@@ -311,7 +313,7 @@ impl ControlCore {
                     assert_ne!(dst, t.node, "forged message to self");
                     // Even a Byzantine node can only use edges that exist:
                     // forged sends along non-edges are dropped silently.
-                    ports[dst.index()].has_edge(t.node).then_some(Envelope {
+                    self.edges.has_edge(t.node.0, dst.0).then_some(Envelope {
                         src: t.node,
                         dst,
                         msg,
@@ -585,7 +587,9 @@ mod tests {
         let cfg = SimConfig::new(16).seed(9);
         let ports = network_ports(&cfg);
         assert_eq!(ports.len(), 16);
-        let direct = PortMap::new(16, NodeId(3), topology_seed(&cfg));
+        let seed = stream_seed(cfg.seed, SALT_TOPOLOGY);
+        let graph = crate::topology::Topology::Complete.edge_set(16, seed);
+        let direct = PortMap::new(&graph, NodeId(3));
         for p in 0..15 {
             assert_eq!(ports[3].peer(Port(p)), direct.peer(Port(p)));
         }
@@ -595,18 +599,11 @@ mod tests {
     fn fault_free_round_delivers_everything() {
         let cfg = SimConfig::new(4).seed(1);
         let ports = network_ports(&cfg);
-        let mut core = ControlCore::new::<u64, _>(&cfg, &mut NoFaults);
+        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut NoFaults);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), u64::from(u))]))
             .collect();
-        let v = core.finish_round(
-            0,
-            &mut outgoing,
-            &mut (0..4).collect(),
-            0,
-            &mut NoFaults,
-            &ports,
-        );
+        let v = core.finish_round(0, &mut outgoing, &mut (0..4).collect(), 0, &mut NoFaults);
         assert_eq!(v.delivered, 4);
         assert!(v.crashed.is_empty());
         assert_eq!(outgoing.iter().flatten().count(), 4);
@@ -622,11 +619,11 @@ mod tests {
         let ports = network_ports(&cfg);
         let plan = FaultPlan::new().crash(NodeId(0), 0, DeliveryFilter::DropAll);
         let mut adv = ScriptedCrash::new(plan);
-        let mut core = ControlCore::new::<u64, _>(&cfg, &mut adv);
+        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut adv);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), 1u64), (Port(1), 2)]))
             .collect();
-        let v = core.finish_round(0, &mut outgoing, &mut (0..4).collect(), 0, &mut adv, &ports);
+        let v = core.finish_round(0, &mut outgoing, &mut (0..4).collect(), 0, &mut adv);
         assert_eq!(v.crashed, vec![NodeId(0)]);
         assert!(!core.is_alive(NodeId(0)));
         // Node 0's two sends were dropped; sends *to* node 0 die too.
@@ -639,40 +636,44 @@ mod tests {
         assert_eq!(out.metrics.msgs_delivered, v.delivered);
     }
 
+    /// Makes node 2 faulty and forges `sends` for it every round.
+    struct Forge(Vec<NodeId>);
+
+    impl Adversary<u64> for Forge {
+        fn faulty_set(&mut self, n: u32, _: &mut SmallRng) -> FaultySet {
+            FaultySet::from_nodes(n, [NodeId(2)])
+        }
+        fn on_round(
+            &mut self,
+            _: &AdversaryView<'_, u64>,
+            _: &mut SmallRng,
+        ) -> Vec<CrashDirective> {
+            Vec::new()
+        }
+        fn tamper(&mut self, _: &AdversaryView<'_, u64>, _: &mut SmallRng) -> Vec<Tamper<u64>> {
+            let sends = self.0.iter().map(|&dst| (dst, 9)).collect();
+            vec![Tamper {
+                node: NodeId(2),
+                sends,
+            }]
+        }
+    }
+
     #[test]
     fn a_forged_sender_joins_the_sender_list_in_place() {
         // Node 2 queued nothing and is not listed; the adversary forges a
         // send for it. It is merged into the list in id order, and its
         // forgery is accounted and left to deliver like any other send.
-        struct Forge;
-        impl Adversary<u64> for Forge {
-            fn faulty_set(&mut self, n: u32, _: &mut SmallRng) -> FaultySet {
-                FaultySet::from_nodes(n, [NodeId(2)])
-            }
-            fn on_round(
-                &mut self,
-                _: &AdversaryView<'_, u64>,
-                _: &mut SmallRng,
-            ) -> Vec<CrashDirective> {
-                Vec::new()
-            }
-            fn tamper(&mut self, _: &AdversaryView<'_, u64>, _: &mut SmallRng) -> Vec<Tamper<u64>> {
-                let sends = vec![(NodeId(0), 9)];
-                vec![Tamper {
-                    node: NodeId(2),
-                    sends,
-                }]
-            }
-        }
         let cfg = SimConfig::new(4).seed(1);
         let ports = network_ports(&cfg);
-        let mut core = ControlCore::new::<u64, _>(&cfg, &mut Forge);
+        let mut forge = Forge(vec![NodeId(0)]);
+        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut forge);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
         for u in [1, 3] {
             outgoing[u] = envelopes(&ports, NodeId(u as u32), &[(Port(0), 1)]);
         }
         let mut senders = vec![1, 3];
-        let v = core.finish_round(0, &mut outgoing, &mut senders, 0, &mut Forge, &ports);
+        let v = core.finish_round(0, &mut outgoing, &mut senders, 0, &mut forge);
         assert_eq!(senders, [1, 2, 3]);
         assert_eq!(v.delivered, 3);
         let forged = &outgoing[2][0];
@@ -683,12 +684,27 @@ mod tests {
     }
 
     #[test]
+    fn forged_sends_along_non_edges_are_dropped_by_the_graph() {
+        // One hub (node 0): spoke 2 reaches the hub, never spokes 1 or 3.
+        let cfg = SimConfig::new(4)
+            .seed(1)
+            .topology(crate::topology::Topology::DiameterTwo { clusters: 1 });
+        let mut forge = Forge(vec![NodeId(1), NodeId(0), NodeId(3)]);
+        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut forge);
+        let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
+        let v = core.finish_round(0, &mut outgoing, &mut Vec::new(), 0, &mut forge);
+        assert_eq!(v.delivered, 1);
+        let dsts: Vec<NodeId> = outgoing[2].iter().map(|e| e.dst).collect();
+        assert_eq!(dsts, [NodeId(0)]);
+        assert_eq!(core.finish(vec![(); 4], 0).metrics.msgs_sent, 1);
+    }
+
+    #[test]
     fn suppressed_sends_are_accounted() {
         let cfg = SimConfig::new(4).seed(0);
-        let ports = network_ports(&cfg);
-        let mut core = ControlCore::new::<u64, _>(&cfg, &mut NoFaults);
+        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut NoFaults);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
-        core.finish_round(0, &mut outgoing, &mut Vec::new(), 7, &mut NoFaults, &ports);
+        core.finish_round(0, &mut outgoing, &mut Vec::new(), 7, &mut NoFaults);
         assert_eq!(core.finish(vec![(); 4], 0).metrics.msgs_suppressed, 7);
     }
 }

@@ -21,10 +21,12 @@
 //! * [`Topology::Explicit`] — an arbitrary adjacency escape hatch for
 //!   tests and hand-built scenarios.
 //!
-//! Everything downstream is neighbour-generic: port maps permute each
-//! node's *actual* neighbours ([`crate::ports::PortMap`]), the engine
-//! and [`crate::round::EdgeFates`] only ever touch real edges, and the
-//! socket runtime (`ftc-mesh`) only opens links that some edge crosses.
+//! [`Topology::edge_set`] is the one place a run's graph is built. Its
+//! [`EdgeSet`] is the graph every layer reads: each node's port map
+//! permutes the node's row of it ([`crate::ports::PortMap::new`]), the
+//! control core checks forged sends against it, and the socket runtime
+//! (`ftc-mesh`) opens only the links some edge of it crosses. A driver
+//! builds it once per run and wires every node from it (DESIGN D31).
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,8 +43,9 @@ use crate::ports::Wiring;
 /// (only [`Topology::RandomRegular`] draws from it).
 const SALT_GRAPH: u64 = 0x4752_4150; // "GRAP"
 
-/// Per-node adjacency lists, shared across all port maps of a run.
-pub(crate) type Adjacency = Arc<Vec<Arc<[u32]>>>;
+/// Per-node sorted neighbour lists; each port map of the run shares its
+/// node's row.
+type Adjacency = Vec<Arc<[u32]>>;
 
 /// The graph an execution runs on.
 ///
@@ -109,7 +112,7 @@ impl Topology {
                 Ok(())
             }
             Topology::RandomRegular { d } => {
-                if *d == 0 || *d > n - 1 || (u64::from(n) * u64::from(*d)) % 2 != 0 {
+                if *d == 0 || *d >= n || (u64::from(n) * u64::from(*d)) % 2 != 0 {
                     return Err(ConfigError::DegreeOutOfRange { d: *d, n });
                 }
                 Ok(())
@@ -144,27 +147,10 @@ impl Topology {
         }
     }
 
-    /// The degree of `node` in an `n`-node network. For
-    /// [`Topology::RandomRegular`] this is `d` without generating the
-    /// graph.
-    pub fn degree(&self, n: u32, node: NodeId) -> u32 {
-        match self {
-            Topology::Complete => n - 1,
-            Topology::DiameterTwo { clusters } => {
-                if node.0 < *clusters {
-                    n - 1
-                } else {
-                    *clusters
-                }
-            }
-            Topology::RandomRegular { d } => *d,
-            Topology::Explicit { adjacency } => adjacency[node.index()].len() as u32,
-        }
-    }
-
-    /// Materialized per-node adjacency, for the variants that need one
-    /// (`RandomRegular` generates it from `topology_seed`; `Explicit`
-    /// converts its lists). Closed-form variants return `None`.
+    /// Builds the run's graph: the `(n, topology_seed)` pair pins it
+    /// exactly, seeded generation included. This is the only place a graph
+    /// is built; the closed-form variants are never expanded, and the
+    /// list variants are materialized once, here.
     ///
     /// # Panics
     ///
@@ -172,55 +158,24 @@ impl Topology {
     /// message) if random-regular switch repair fails to converge — which
     /// for valid parameters is astronomically unlikely; the panic message
     /// carries everything needed to replay it.
-    pub(crate) fn adjacency(&self, n: u32, topology_seed: u64) -> Option<Adjacency> {
-        match self {
-            Topology::Complete | Topology::DiameterTwo { .. } => None,
-            Topology::RandomRegular { d } => Some(random_regular_adjacency(n, *d, topology_seed)),
-            Topology::Explicit { adjacency } => Some(Arc::new(
-                adjacency.iter().map(|l| Arc::from(l.as_slice())).collect(),
-            )),
-        }
-    }
-
-    /// The wiring shape of one node; `adjacency` must be the result of
-    /// [`Topology::adjacency`] for the same `(n, topology_seed)`.
-    pub(crate) fn wiring_of(&self, node: NodeId, adjacency: Option<&Adjacency>) -> Wiring {
-        match self {
-            Topology::Complete => Wiring::Complete,
-            Topology::DiameterTwo { clusters } => {
-                if node.0 < *clusters {
-                    // A hub is adjacent to everyone — wired exactly like
-                    // a complete-graph node.
-                    Wiring::Complete
-                } else {
-                    Wiring::Hub {
-                        clusters: *clusters,
-                    }
-                }
-            }
-            Topology::RandomRegular { .. } | Topology::Explicit { .. } => Wiring::List(
-                adjacency.expect("list topologies carry an adjacency")[node.index()].clone(),
-            ),
-        }
-    }
-
-    /// Materializes the edge oracle for one run: the `(n, topology_seed)`
-    /// pair pins the exact graph (seeded generation included), and the
-    /// returned [`EdgeSet`] answers membership queries without ever
-    /// expanding the closed-form variants. This is the bridge the socket
-    /// runtime uses to open links only where an edge exists.
     pub fn edge_set(&self, n: u32, topology_seed: u64) -> EdgeSet {
         let kind = match self {
             Topology::Complete => EdgeSetKind::Complete,
             Topology::DiameterTwo { clusters } => EdgeSetKind::Hub {
                 clusters: *clusters,
             },
-            Topology::RandomRegular { .. } | Topology::Explicit { .. } => EdgeSetKind::Lists(
-                self.adjacency(n, topology_seed)
-                    .expect("list topologies carry an adjacency"),
-            ),
+            Topology::RandomRegular { d } => {
+                EdgeSetKind::Lists(random_regular_adjacency(n, *d, topology_seed))
+            }
+            Topology::Explicit { adjacency } => {
+                EdgeSetKind::Lists(adjacency.iter().map(|l| Arc::from(l.as_slice())).collect())
+            }
         };
-        EdgeSet { n, kind }
+        EdgeSet {
+            n,
+            topology_seed,
+            kind,
+        }
     }
 }
 
@@ -235,18 +190,22 @@ crate::codec! {
     }
 }
 
-/// An edge oracle for one run's materialized graph, built by
-/// [`Topology::edge_set`].
+/// One run's graph, built by [`Topology::edge_set`], and the one edge
+/// oracle of the run.
 ///
 /// Closed-form variants (complete, hub) answer in O(1) without expanding
-/// anything; list variants answer by binary search over the same
-/// adjacency the engine wires, so the oracle and the port maps can never
-/// disagree about which links exist. The socket runtime (`ftc-mesh`'s
-/// proc-pair fabric) consults it to open a socket only where a topology
-/// edge crosses — exactly the topology's links at one node per proc.
+/// anything; list variants answer by binary search over the rows the
+/// port maps permute, so the oracle and the maps can never disagree
+/// about which links exist. The control core checks forged sends with it,
+/// and the socket runtime (`ftc-mesh`'s proc-pair fabric) consults it to
+/// open a socket only where an edge crosses — exactly the topology's
+/// links at one node per proc.
 #[derive(Clone, Debug)]
 pub struct EdgeSet {
-    n: u32,
+    pub(crate) n: u32,
+    /// The seed the graph was built from; every node's port permutation
+    /// derives from it too.
+    pub(crate) topology_seed: u64,
     kind: EdgeSetKind,
 }
 
@@ -258,11 +217,6 @@ enum EdgeSetKind {
 }
 
 impl EdgeSet {
-    /// The network size the oracle was built for.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
     /// Whether the undirected edge `{u, v}` exists. Self-pairs and
     /// out-of-range ids are simply absent, not errors.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
@@ -273,20 +227,6 @@ impl EdgeSet {
             EdgeSetKind::Complete => true,
             EdgeSetKind::Hub { clusters } => u < *clusters || v < *clusters,
             EdgeSetKind::Lists(adj) => adj[u as usize].binary_search(&v).is_ok(),
-        }
-    }
-
-    /// Total number of undirected edges.
-    pub fn edge_count(&self) -> u64 {
-        let n = u64::from(self.n);
-        match &self.kind {
-            EdgeSetKind::Complete => n * (n - 1) / 2,
-            EdgeSetKind::Hub { clusters } => {
-                // Sum of degrees halved: hubs see n-1, spokes see the hubs.
-                let h = u64::from(*clusters);
-                (h * (n - 1) + (n - h) * h) / 2
-            }
-            EdgeSetKind::Lists(adj) => adj.iter().map(|l| l.len() as u64).sum::<u64>() / 2,
         }
     }
 
@@ -321,6 +261,20 @@ impl EdgeSet {
             }
         }
     }
+
+    /// Node `node`'s row: the shape its port permutation ranges over.
+    pub(crate) fn wiring(&self, node: NodeId) -> Wiring {
+        match &self.kind {
+            // A hub is adjacent to everyone — wired exactly like a
+            // complete-graph node.
+            EdgeSetKind::Complete => Wiring::Complete,
+            EdgeSetKind::Hub { clusters } if node.0 < *clusters => Wiring::Complete,
+            EdgeSetKind::Hub { clusters } => Wiring::Hub {
+                clusters: *clusters,
+            },
+            EdgeSetKind::Lists(adj) => Wiring::List(adj[node.index()].clone()),
+        }
+    }
 }
 
 /// Generates a random `d`-regular simple graph on `n` nodes via the
@@ -340,12 +294,10 @@ fn random_regular_adjacency(n: u32, d: u32, topology_seed: u64) -> Adjacency {
     if d == n - 1 {
         // The unique (n-1)-regular simple graph is K_n; the pairing model
         // cannot converge to it by local switches, so build it directly.
-        return Arc::new(
-            (0..n)
-                .map(|u| (0..n).filter(|&v| v != u).collect::<Vec<u32>>())
-                .map(Arc::from)
-                .collect(),
-        );
+        return (0..n)
+            .map(|u| (0..n).filter(|&v| v != u).collect::<Vec<u32>>())
+            .map(Arc::from)
+            .collect();
     }
     let m = nn * dd / 2;
     let seed = stream_seed(topology_seed, SALT_GRAPH);
@@ -409,15 +361,13 @@ fn random_regular_adjacency(n: u32, d: u32, topology_seed: u64) -> Adjacency {
         lists[a as usize].push(b);
         lists[b as usize].push(a);
     }
-    Arc::new(
-        lists
-            .into_iter()
-            .map(|mut l| {
-                l.sort_unstable();
-                Arc::from(l)
-            })
-            .collect(),
-    )
+    lists
+        .into_iter()
+        .map(|mut l| {
+            l.sort_unstable();
+            Arc::from(l)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -465,6 +415,13 @@ mod tests {
             Err(ConfigError::DegreeOutOfRange { d: 3, n: 15 })
         );
         assert!(Topology::RandomRegular { d: 3 }.validate(16).is_ok());
+        // Tiny networks are refused, not wrapped: d ≥ n for every d ≥ 1.
+        for n in [0, 1] {
+            assert_eq!(
+                Topology::RandomRegular { d: 2 }.validate(n),
+                Err(ConfigError::DegreeOutOfRange { d: 2, n })
+            );
+        }
     }
 
     #[test]
@@ -531,37 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_matches_materialized_adjacency() {
-        let topos = [
-            Topology::Complete,
-            Topology::DiameterTwo { clusters: 3 },
-            Topology::RandomRegular { d: 4 },
-        ];
-        let n = 12;
-        for topo in topos {
-            let adj = topo.adjacency(n, 9);
-            for u in 0..n {
-                let node = NodeId(u);
-                let expect = match &adj {
-                    Some(a) => a[node.index()].len() as u32,
-                    None => match &topo {
-                        Topology::Complete => n - 1,
-                        Topology::DiameterTwo { clusters } => {
-                            if u < *clusters {
-                                n - 1
-                            } else {
-                                *clusters
-                            }
-                        }
-                        _ => unreachable!(),
-                    },
-                };
-                assert_eq!(topo.degree(n, node), expect, "{topo} node {u}");
-            }
-        }
-    }
-
-    #[test]
     fn json_round_trips_every_variant() {
         let topos = [
             Topology::Complete,
@@ -578,7 +504,8 @@ mod tests {
     }
 
     #[test]
-    fn edge_set_agrees_with_degrees_and_adjacency() {
+    fn edge_set_rows_are_the_port_maps_neighbours() {
+        use crate::ports::PortMap;
         let n = 24;
         let seed = 11;
         let topos = [
@@ -594,20 +521,23 @@ mod tests {
                 n
             };
             let edges = topo.edge_set(n, seed);
-            assert_eq!(edges.n(), n);
-            // Membership is symmetric, self-free, and per-node counts
-            // reproduce the closed-form degrees.
-            let mut total = 0u64;
+            // Membership is symmetric and self-free, and each node's row
+            // is exactly the neighbours its port map reaches.
+            let mut total = 0usize;
             for u in 0..n {
-                let degree = (0..n).filter(|&v| edges.has_edge(u, v)).count() as u32;
-                assert_eq!(degree, topo.degree(n, NodeId(u)), "{topo} node {u}");
+                let row: Vec<u32> = (0..n).filter(|&v| edges.has_edge(u, v)).collect();
+                let mut wired: Vec<u32> = PortMap::new(&edges, NodeId(u))
+                    .neighbors()
+                    .map(|v| v.0)
+                    .collect();
+                wired.sort_unstable();
+                assert_eq!(wired, row, "{topo} node {u}");
                 for v in 0..n {
                     assert_eq!(edges.has_edge(u, v), edges.has_edge(v, u));
                 }
                 assert!(!edges.has_edge(u, u));
-                total += u64::from(degree);
+                total += row.len();
             }
-            assert_eq!(edges.edge_count(), total / 2, "{topo}");
             // Enumeration visits exactly the member edges, each once.
             let mut seen = std::collections::HashSet::new();
             edges.for_each_edge(|u, v| {
@@ -618,7 +548,7 @@ mod tests {
                 );
                 assert!(seen.insert((u, v)), "{topo}: ({u},{v}) visited twice");
             });
-            assert_eq!(seen.len() as u64, edges.edge_count(), "{topo}");
+            assert_eq!(seen.len(), total / 2, "{topo}");
         }
         // Out-of-range queries are absent, not panics.
         assert!(!Topology::Complete.edge_set(4, 0).has_edge(0, 9));

@@ -146,26 +146,37 @@ fn agreement_matches_engine_on_channel_transport() {
 
 /// Byzantine adversaries replace a corrupted node's sends with forgeries,
 /// which reach the wire through that node's own worker like any survivor.
+/// A forgery along a non-edge is dropped by the coordinator's edge check,
+/// so the forging cells also run on two sparse graphs.
 const TAMPERING_SEEDS: [u64; 3] = [1, 7, 99];
 const CORRUPTED: usize = 2;
+const TAMPERING_TOPOLOGIES: [Topology; 3] = [
+    Topology::Complete,
+    Topology::DiameterTwo { clusters: 4 },
+    Topology::RandomRegular { d: 6 },
+];
 
 #[test]
 fn forged_leadership_claims_match_engine_on_channel_and_mesh() {
     let params = Params::new(N, ALPHA).unwrap();
     let node = |_: NodeId| LeNode::new(params.clone());
-    for seed in TAMPERING_SEEDS {
-        let cfg = SimConfig::new(N)
-            .seed(seed)
-            .max_rounds(params.le_round_budget());
-        let adversary = || EquivocatingClaimant::new(CORRUPTED);
-        let expected = le_fingerprint(&run(&cfg, node, &mut adversary()));
-        for workers in WORKER_COUNTS {
-            let net = run_over_channel(&cfg, workers, node, &mut adversary());
-            let got = le_fingerprint(&net.run);
-            assert_eq!(got, expected, "seed={seed} channel:{workers}");
+    for topology in TAMPERING_TOPOLOGIES {
+        for seed in TAMPERING_SEEDS {
+            let cfg = SimConfig::new(N)
+                .seed(seed)
+                .max_rounds(params.le_round_budget())
+                .topology(topology.clone());
+            let adversary = || EquivocatingClaimant::new(CORRUPTED);
+            let expected = le_fingerprint(&run(&cfg, node, &mut adversary()));
+            for workers in WORKER_COUNTS {
+                let net = run_over_channel(&cfg, workers, node, &mut adversary());
+                let got = le_fingerprint(&net.run);
+                assert_eq!(got, expected, "{topology} seed={seed} channel:{workers}");
+            }
+            let mesh = run_over_mesh(&cfg, 2, node, &mut adversary()).expect("mesh fabric");
+            let got = le_fingerprint(&mesh.run);
+            assert_eq!(got, expected, "{topology} seed={seed} mesh:2");
         }
-        let mesh = run_over_mesh(&cfg, 2, node, &mut adversary()).expect("mesh fabric");
-        assert_eq!(le_fingerprint(&mesh.run), expected, "seed={seed} mesh:2");
     }
 }
 
@@ -174,19 +185,23 @@ fn forged_zeros_match_engine_on_channel_and_mesh() {
     let params = Params::new(N, ALPHA).unwrap();
     // Every honest input is 1, so each forged zero that lands shows.
     let node = |_: NodeId| AgreeNode::new(params.clone(), true);
-    for seed in TAMPERING_SEEDS {
-        let cfg = SimConfig::new(N)
-            .seed(seed)
-            .max_rounds(params.agreement_round_budget());
-        let adversary = || ZeroForger::new(CORRUPTED);
-        let expected = agree_fingerprint(&run(&cfg, node, &mut adversary()));
-        for workers in WORKER_COUNTS {
-            let net = run_over_channel(&cfg, workers, node, &mut adversary());
-            let got = agree_fingerprint(&net.run);
-            assert_eq!(got, expected, "seed={seed} channel:{workers}");
+    for topology in TAMPERING_TOPOLOGIES {
+        for seed in TAMPERING_SEEDS {
+            let cfg = SimConfig::new(N)
+                .seed(seed)
+                .max_rounds(params.agreement_round_budget())
+                .topology(topology.clone());
+            let adversary = || ZeroForger::new(CORRUPTED);
+            let expected = agree_fingerprint(&run(&cfg, node, &mut adversary()));
+            for workers in WORKER_COUNTS {
+                let net = run_over_channel(&cfg, workers, node, &mut adversary());
+                let got = agree_fingerprint(&net.run);
+                assert_eq!(got, expected, "{topology} seed={seed} channel:{workers}");
+            }
+            let mesh = run_over_mesh(&cfg, 2, node, &mut adversary()).expect("mesh fabric");
+            let got = agree_fingerprint(&mesh.run);
+            assert_eq!(got, expected, "{topology} seed={seed} mesh:2");
         }
-        let mesh = run_over_mesh(&cfg, 2, node, &mut adversary()).expect("mesh fabric");
-        assert_eq!(agree_fingerprint(&mesh.run), expected, "seed={seed} mesh:2");
     }
 }
 

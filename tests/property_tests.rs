@@ -129,7 +129,7 @@ fn portmap_wiring_is_sane() {
         let n = rng.random_range(2..300u32);
         let node = NodeId(rng.random_range(0..n));
         let seed: u64 = rng.random();
-        let pm = PortMap::new(n, node, seed);
+        let pm = PortMap::new(&Topology::Complete.edge_set(n, seed), node);
         for port in 0..n - 1 {
             let peer = pm.peer(Port(port));
             assert!(peer != node, "case {case}: self-wired port {port}");
