@@ -150,7 +150,9 @@ impl Protocol for MultiAgreeNode {
         if !sampling::decide_candidate(ctx.rng(), &self.params) {
             return;
         }
-        let referees = sampling::sample_referee_ports(ctx.rng(), &self.params);
+        // Via the Ctx: identical RNG draws on the complete graph,
+        // degree-clamped on sparse topologies (see LeNode::on_start).
+        let referees = ctx.sample_ports(self.params.referee_count());
         // The maximum value plays the role of the binary protocol's "1":
         // holders only register. Everyone else pushes their value.
         let msg = if self.input == self.k - 1 {

@@ -18,8 +18,6 @@
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
-use ftc_sim::ids::Port;
-
 use crate::params::Params;
 
 /// Flips the candidate coin (Lemma 1: probability `6·ln n/(α·n)`).
@@ -27,22 +25,16 @@ pub fn decide_candidate(rng: &mut SmallRng, params: &Params) -> bool {
     rng.random_bool(params.candidate_probability())
 }
 
-/// Samples the candidate's referee ports: `referee_count()` distinct
-/// uniform ports (Lemma 3).
-pub fn sample_referee_ports(rng: &mut SmallRng, params: &Params) -> Vec<Port> {
-    let count = params.referee_count();
-    let ports = params.n() as usize - 1;
-    rand::seq::index::sample(rng, ports, count.min(ports))
-        .into_iter()
-        .map(|i| Port(i as u32))
-        .collect()
-}
-
 /// One Monte-Carlo draw of the whole sampling layer, for testing the
 /// concentration lemmas without running a protocol: returns the candidate
 /// node indices and, per candidate, its referee node indices.
+///
+/// Each candidate's referees are `referee_count()` distinct uniform ports
+/// of the complete graph (Lemma 3), the draw `Ctx::sample_ports` makes.
 pub fn draw_committee(rng: &mut SmallRng, params: &Params) -> (Vec<usize>, Vec<Vec<usize>>) {
     let n = params.n() as usize;
+    let ports = n - 1;
+    let count = params.referee_count().min(ports);
     let mut candidates = Vec::new();
     for node in 0..n {
         if decide_candidate(rng, params) {
@@ -53,16 +45,9 @@ pub fn draw_committee(rng: &mut SmallRng, params: &Params) -> (Vec<usize>, Vec<V
         .iter()
         .map(|&c| {
             // Convert ports to global indices by skipping `c` itself.
-            sample_referee_ports(rng, params)
+            rand::seq::index::sample(rng, ports, count)
                 .into_iter()
-                .map(|p| {
-                    let k = p.index();
-                    if k < c {
-                        k
-                    } else {
-                        k + 1
-                    }
-                })
+                .map(|k| if k < c { k } else { k + 1 })
                 .collect()
         })
         .collect();
@@ -137,12 +122,16 @@ mod tests {
     #[test]
     fn referee_ports_are_distinct() {
         let params = Params::new(256, 1.0).unwrap();
-        let ports = sample_referee_ports(&mut rng(3), &params);
-        let mut sorted: Vec<u32> = ports.iter().map(|p| p.0).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ports.len());
-        assert!(sorted.iter().all(|&p| p < 255));
+        let (c, refs) = draw_committee(&mut rng(3), &params);
+        assert!(!c.is_empty());
+        for rs in &refs {
+            assert_eq!(rs.len(), params.referee_count().min(255));
+            let mut sorted = rs.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), rs.len());
+            assert!(sorted.iter().all(|&r| r < 256));
+        }
     }
 
     #[test]

@@ -1148,12 +1148,19 @@ mod tests {
                 CellSpec::new(Workload::LeDiamTwo { adv: Adv::None }, 128, 0.5, 7, 2)
                     .label("cpr/diam2")
                     .topology(Topology::DiameterTwo { clusters: 6 }),
+            )
+            .cell(
+                // Referees are drawn among a node's 6 ports, not all n - 1.
+                CellSpec::new(Workload::MultiValue { k: 4 }, 256, 0.5, 3, 2)
+                    .label("multi/rr6")
+                    .topology(Topology::RandomRegular { d: 6 }),
             );
         let a = run_campaign(&spec, 1, Substrate::Engine).unwrap();
         let b = run_campaign(&spec, 4, Substrate::Engine).unwrap();
         assert_eq!(a.deterministic_render(), b.deterministic_render());
         // The diam-two baseline is fault-free here: it must elect.
         assert_eq!(a.cells[1].successes, 2);
+        assert_eq!(a.cells[2].successes, 2);
         // Sparse cells move fewer messages than the same protocol on the
         // complete graph would allow; the render must carry the topology.
         assert!(a.deterministic_render().contains("random_regular"));

@@ -824,6 +824,42 @@ mod tests {
     }
 
     #[test]
+    fn trace_marks_the_first_surviving_sends_to_a_destination_delivered() {
+        /// Two sends down port 0 around one down port 1, then one down
+        /// port 2: a crash filter keeping two splits the port-0 pair.
+        struct Pair;
+        impl Protocol for Pair {
+            type Msg = u64;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+                for (port, msg) in [(0, 1), (1, 2), (0, 3), (2, 4)] {
+                    ctx.send(Port(port), msg);
+                }
+            }
+            fn on_round(&mut self, _: &mut Ctx<'_, u64>, _: &[Incoming<u64>]) {}
+            fn is_terminated(&self) -> bool {
+                true
+            }
+        }
+        let cfg = SimConfig::new(8).seed(3).max_rounds(3).record_trace(true);
+        let adv = || {
+            ScriptedCrash::new(FaultPlan::new().crash(NodeId(0), 0, DeliveryFilter::KeepFirst(2)))
+        };
+        let fast = run(&cfg, |_| Pair, &mut adv())
+            .trace
+            .expect("trace enabled");
+        let from0: Vec<_> = fast
+            .events()
+            .iter()
+            .filter(|e| e.src == NodeId(0))
+            .map(|e| (e.dst, e.delivered))
+            .collect();
+        let (a, b, c) = (from0[0].0, from0[1].0, from0[3].0);
+        assert_eq!(from0, [(a, true), (b, true), (a, false), (c, false)]);
+        let naive = crate::naive::naive_run(&cfg, |_| Pair, &mut adv());
+        assert_eq!(fast.events(), naive.trace.expect("trace enabled").events());
+    }
+
+    #[test]
     fn edge_failures_drop_a_matching_fraction() {
         let n = 64u32;
         let cfg = SimConfig::new(n)

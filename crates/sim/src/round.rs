@@ -9,14 +9,15 @@
 //! *control-plane* logic, and it is deterministic in `(SimConfig, seed)`.
 //!
 //! [`ControlCore`] packages exactly that control plane: the faulty set, the
-//! liveness ledger, the adversary/filter RNG streams, metrics, CONGEST and
-//! trace accounting. A driver (engine or network synchronizer) feeds it the
-//! round's outgoing envelopes with the list of their senders and gets back
-//! the envelopes to actually deliver plus the crash events to enact (in a
-//! socket runtime: mid-round connection teardown); at the end it turns the
-//! books into the run's [`RunResult`]. Because both drivers share this type
-//! and the seed derivation below, a network execution reproduces the
-//! simulator's decisions bit for bit.
+//! liveness ledger, the adversary/filter RNG streams, metrics, CONGEST
+//! accounting and the message trace, recorded from the round's sends and
+//! settled from what it delivers (DESIGN D32). A driver (engine or network
+//! synchronizer) feeds it the round's outgoing envelopes with the list of
+//! their senders and gets back the envelopes to actually deliver plus the
+//! crash events to enact (in a socket runtime: mid-round connection
+//! teardown); at the end it turns the books into the run's [`RunResult`].
+//! Because both drivers share this type and the seed derivation below, a
+//! network execution reproduces the simulator's decisions bit for bit.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -29,7 +30,7 @@ use crate::payload::Payload;
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
 use crate::topology::EdgeSet;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceRecorder;
 
 /// Salt constants keeping the run's RNG streams independent. Shared by the
 /// engine and the per-node harness so every driver derives the same
@@ -138,8 +139,8 @@ impl EdgeFates {
 /// list, enact the returned [`RoundVerdict`], and close the run with
 /// [`ControlCore::finish`], which yields the [`RunResult`].
 ///
-/// The core owns the hot path's scratch memory (flat edge accumulator,
-/// trace spans), so steady-state rounds run without allocating; see
+/// The core owns the hot path's scratch memory (the flat edge
+/// accumulator), so steady-state rounds run without allocating; see
 /// `DESIGN.md` D9.
 #[derive(Debug)]
 pub struct ControlCore {
@@ -147,11 +148,9 @@ pub struct ControlCore {
     /// The run's graph: forged sends along non-edges are dropped.
     edges: EdgeSet,
     alive: Vec<bool>,
-    dead_count: u32,
-    crashed_at: Vec<Option<Round>>,
     faulty: FaultySet,
     metrics: Metrics,
-    trace: Option<Trace>,
+    trace: Option<TraceRecorder>,
     congest_bits: Option<u32>,
     congest_violations: u64,
     /// Lazily sampled per-edge fates (replaces the old `Θ(n²)` bitmap).
@@ -165,12 +164,6 @@ pub struct ControlCore {
     edge_acc: Vec<u64>,
     /// Destinations with a set mark in `edge_acc`, for O(touched) reset.
     edge_touched: Vec<u32>,
-    /// Per-sender `(start, end)` ranges into the trace's event list for the
-    /// current round — lets trace patching scan one sender's events instead
-    /// of the whole round tail. Only the spans of the round's senders are
-    /// refreshed; a stale span is only ever consulted for a sender with no
-    /// outgoing traffic, where patching is a no-op.
-    trace_spans: Vec<(usize, usize)>,
 }
 
 impl ControlCore {
@@ -198,11 +191,9 @@ impl ControlCore {
             n,
             edges,
             alive: vec![true; nn],
-            dead_count: 0,
-            crashed_at: vec![None; nn],
             faulty,
             metrics: Metrics::new(),
-            trace: cfg.record_trace.then(|| Trace::new(n)),
+            trace: cfg.record_trace.then(|| TraceRecorder::new(n)),
             congest_bits: cfg.congest_bits,
             congest_violations: 0,
             fates: EdgeFates::new(cfg),
@@ -210,7 +201,6 @@ impl ControlCore {
             filter_rng,
             edge_acc: vec![0; nn],
             edge_touched: Vec::new(),
-            trace_spans: Vec::new(),
         }
     }
 
@@ -231,7 +221,7 @@ impl ControlCore {
 
     /// Number of still-alive nodes.
     pub fn alive_count(&self) -> usize {
-        (self.n - self.dead_count) as usize
+        self.n as usize - self.metrics.crashes.len()
     }
 
     /// Runs the control plane for one round over the traffic the alive
@@ -335,10 +325,12 @@ impl ControlCore {
             adversary.on_round(&view, &mut self.adv_rng)
         };
 
-        let mut crashes_this_round = 0u32;
         let mut crashed = Vec::new();
         let mut sent: u64 = 0;
         let mut bits_sent: u64 = 0;
+        // Every *sent* message is paid for and traced before any filter, so
+        // the communication graph also knows about suppressed sends; id
+        // order puts events where a walk over all n nodes puts them.
         for &su in senders {
             let node_out = &outgoing[su as usize];
             sent += node_out.len() as u64;
@@ -346,31 +338,8 @@ impl ControlCore {
                 .iter()
                 .map(|e| u64::from(e.msg.size_bits()))
                 .sum::<u64>();
-        }
-
-        // Record every *sent* message in the trace before filtering, so the
-        // communication graph also knows about suppressed sends. Senders
-        // are walked in id order, so events land exactly where a walk over
-        // all n nodes puts them; each sender's events are contiguous, and
-        // the span is remembered so patching below touches only that
-        // sender's slice. Spans of unlisted nodes go stale, which is safe:
-        // a stale span is only consulted for a sender with an empty buffer,
-        // where the patch has nothing to drop.
-        if let Some(tr) = self.trace.as_mut() {
-            self.trace_spans.resize(outgoing.len(), (0, 0));
-            for &su in senders {
-                let u = su as usize;
-                let start = tr.events().len();
-                for e in &outgoing[u] {
-                    tr.push(TraceEvent {
-                        round,
-                        src: e.src,
-                        dst: e.dst,
-                        delivered: true, // patched below if suppressed / dst dead
-                        bits: e.msg.size_bits(),
-                    });
-                }
-                self.trace_spans[u] = (start, tr.events().len());
+            if let Some(tr) = &mut self.trace {
+                tr.record(round, node_out);
             }
         }
         for d in directives {
@@ -382,27 +351,9 @@ impl ControlCore {
             );
             assert!(self.alive[i], "adversary crashed {} twice", d.node);
             self.alive[i] = false;
-            self.dead_count += 1;
-            self.crashed_at[i] = Some(round);
             self.metrics.record_crash(d.node, round);
-            crashes_this_round += 1;
             crashed.push(d.node);
-
-            if let Some(tr) = &mut self.trace {
-                // Trace events were recorded optimistically; mark the drops
-                // by diffing the destination multiset across the filter.
-                let before_dsts: Vec<NodeId> = outgoing[i].iter().map(|e| e.dst).collect();
-                d.filter.apply(&mut outgoing[i], &mut self.filter_rng);
-                let mut kept_dsts: Vec<NodeId> = outgoing[i].iter().map(|e| e.dst).collect();
-                let (start, end) = self.trace_spans[i];
-                patch_trace_span(
-                    &mut tr.events_mut()[start..end],
-                    &before_dsts,
-                    &mut kept_dsts,
-                );
-            } else {
-                d.filter.apply(&mut outgoing[i], &mut self.filter_rng);
-            }
+            d.filter.apply(&mut outgoing[i], &mut self.filter_rng);
         }
 
         // --- delivery + accounting. ---
@@ -419,19 +370,16 @@ impl ControlCore {
         let fates = self.fates;
         let p = fates.p;
         let budget = self.congest_bits.map(u64::from);
-        let all_dsts_alive = self.dead_count == 0;
+        let all_dsts_alive = self.metrics.crashes.is_empty();
 
         let alive = &self.alive;
         let metrics = &mut self.metrics;
         let violations = &mut self.congest_violations;
         let edge_acc = &mut self.edge_acc;
         let touched = &mut self.edge_touched;
-        let spans = &self.trace_spans;
-        let mut trace = self.trace.as_mut();
 
         for &su in senders {
-            let u = su as usize;
-            let node_out = &mut outgoing[u];
+            let node_out = &mut outgoing[su as usize];
             if node_out.is_empty() {
                 continue;
             }
@@ -466,99 +414,51 @@ impl ControlCore {
             let mut w = 0usize;
             for r_i in 0..node_out.len() {
                 let dst = node_out[r_i].dst;
-                let edge_is_dead = p > 0.0 && fates.is_dead(src, dst);
-                if edge_is_dead {
+                if p > 0.0 && fates.is_dead(src, dst) {
                     metrics.msgs_lost_edges += 1;
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let (start, end) = spans[u];
-                        mark_undelivered_span(&mut tr.events_mut()[start..end], dst);
-                    }
                 } else if alive[dst.index()] {
                     delivered += 1;
                     if w != r_i {
                         node_out.swap(w, r_i);
                     }
                     w += 1;
-                } else if let Some(tr) = trace.as_deref_mut() {
-                    let (start, end) = spans[u];
-                    mark_undelivered_span(&mut tr.events_mut()[start..end], dst);
                 }
             }
             node_out.truncate(w);
         }
         metrics.record_edge_bits(round_max_edge);
+        if let Some(tr) = &mut self.trace {
+            tr.settle(senders, outgoing);
+        }
 
         self.metrics.record_round(RoundMetrics {
             sent,
             delivered,
             bits_sent,
-            crashes: crashes_this_round,
+            crashes: crashed.len() as u32,
         });
 
         RoundVerdict { crashed, delivered }
     }
 
     /// Closes the books into the run's result: the nodes' final `states`
-    /// (in id order) beside the metrics, crash ledger, faulty set and
-    /// trace. `wire_bytes` is what the run pushed onto the wire (frame
-    /// headers + encoded payloads); the engine has no wire and passes 0.
+    /// (in id order) beside the metrics, crash ledger (indexed by node,
+    /// projected from the metrics' crash events), faulty set and trace.
+    /// `wire_bytes` is what the run pushed onto the wire (frame headers +
+    /// encoded payloads); the engine has no wire and passes 0.
     pub fn finish<P>(mut self, states: Vec<P>, wire_bytes: u64) -> RunResult<P> {
         self.metrics.wire_bytes = wire_bytes;
+        let mut crashed_at = vec![None; self.n as usize];
+        for &(node, round) in &self.metrics.crashes {
+            crashed_at[node.index()] = Some(round);
+        }
         RunResult {
             metrics: self.metrics,
             states,
-            crashed_at: self.crashed_at,
+            crashed_at,
             faulty: self.faulty,
-            trace: self.trace,
+            trace: self.trace.map(TraceRecorder::into_trace),
             congest_violations: self.congest_violations,
-        }
-    }
-}
-
-/// Marks as undelivered the events in one sender's current-round span
-/// whose destination does not appear in `kept_dsts` (multiset semantics).
-///
-/// `events` is the contiguous slice of this sender's events for the round
-/// (every event in it has the same round and src), so no round/src
-/// matching is needed — the scan is O(span), not O(trace).
-fn patch_trace_span(
-    events: &mut [TraceEvent],
-    before_dsts: &[NodeId],
-    kept_dsts: &mut Vec<NodeId>,
-) {
-    // Figure out which destinations were dropped.
-    let mut dropped: Vec<NodeId> = Vec::new();
-    for &dst in before_dsts {
-        if let Some(pos) = kept_dsts.iter().position(|&d| d == dst) {
-            kept_dsts.swap_remove(pos);
-        } else {
-            dropped.push(dst);
-        }
-    }
-    if dropped.is_empty() {
-        return;
-    }
-    // Patch matching events from the back, as the tail scan always did.
-    for ev in events.iter_mut().rev() {
-        if ev.delivered {
-            if let Some(pos) = dropped.iter().position(|&d| d == ev.dst) {
-                ev.delivered = false;
-                dropped.swap_remove(pos);
-                if dropped.is_empty() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Marks one event `→ dst` in a sender's current-round span as undelivered
-/// (dead edge, or receiver already crashed).
-fn mark_undelivered_span(events: &mut [TraceEvent], dst: NodeId) {
-    for ev in events.iter_mut().rev() {
-        if ev.dst == dst && ev.delivered {
-            ev.delivered = false;
-            return;
         }
     }
 }

@@ -4,13 +4,16 @@
 //! with an edge `u → v` iff `u` sent a message to `v` in some round `≤ r`.
 //! The influence-cloud machinery of Theorems 4.2 and 5.2 is built entirely
 //! on top of this graph. When tracing is enabled
-//! ([`crate::engine::SimConfig::record_trace`]) the engine records one
-//! [`TraceEvent`] per message so that `ftc-lowerbound` can rebuild `C^r`
-//! for any `r` and analyse initiators, influence clouds and deciding trees.
+//! ([`crate::engine::SimConfig::record_trace`]) every driver records one
+//! [`TraceEvent`] per message through its [`crate::round::ControlCore`], so
+//! that `ftc-lowerbound` can rebuild `C^r` for any `r` and analyse
+//! initiators, influence clouds and deciding trees.
 
+use crate::adversary::Envelope;
 use crate::ids::{NodeId, Round};
+use crate::payload::Payload;
 
-/// One message send, as observed by the engine.
+/// One message send, as observed by the control plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Round in which the message was sent.
@@ -21,7 +24,9 @@ pub struct TraceEvent {
     pub dst: NodeId,
     /// Whether the message survived the sender's crash filter and was
     /// delivered. The paper's influence relation is about *received*
-    /// messages, so analyses usually restrict to `delivered` events.
+    /// messages, so analyses usually restrict to `delivered` events. Of a
+    /// sender's sends to one receiver in a round, the *first* `k` are the
+    /// delivered ones, where `k` is how many of them arrived.
     pub delivered: bool,
     /// Payload size in bits.
     pub bits: u32,
@@ -48,17 +53,9 @@ impl Trace {
         self.n
     }
 
-    pub(crate) fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
     /// All events in send order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    pub(crate) fn events_mut(&mut self) -> &mut [TraceEvent] {
-        &mut self.events
     }
 
     /// Events of round `r` only.
@@ -87,6 +84,80 @@ impl Trace {
     /// The last round with any event, or `None` for a silent execution.
     pub fn last_round(&self) -> Option<Round> {
         self.events.iter().map(|e| e.round).max()
+    }
+}
+
+/// The recorder behind [`crate::round::ControlCore`]'s trace: it records
+/// each round's sends once, before any filter, and settles their
+/// `delivered` flags once, after delivery, from the envelopes that are left.
+#[derive(Debug)]
+pub(crate) struct TraceRecorder {
+    trace: Trace,
+    /// Index of the current round's first event.
+    round_start: usize,
+    /// Per-destination arrivals of the sender being settled; all-zero
+    /// between senders, as its arrivals are a sub-multiset of its sends.
+    left: Vec<u32>,
+}
+
+impl TraceRecorder {
+    pub(crate) fn new(n: u32) -> Self {
+        TraceRecorder {
+            trace: Trace::new(n),
+            round_start: 0,
+            left: vec![0; n as usize],
+        }
+    }
+
+    /// Records one sender's sends of `round`, in send order.
+    pub(crate) fn record<M: Payload>(&mut self, round: Round, sends: &[Envelope<M>]) {
+        self.trace.events.extend(sends.iter().map(|e| TraceEvent {
+            round,
+            src: e.src,
+            dst: e.dst,
+            delivered: false,
+            bits: e.msg.size_bits(),
+        }));
+    }
+
+    /// Closes the round from what arrived: `delivered` holds, per sender
+    /// of the sorted `senders`, its envelopes that reached their receiver
+    /// (the rule is on [`TraceEvent::delivered`]).
+    pub(crate) fn settle<M>(&mut self, senders: &[u32], delivered: &[Vec<Envelope<M>>]) {
+        let events = &mut self.trace.events[self.round_start..];
+        let left = &mut self.left;
+        let mut at = 0;
+        for &su in senders {
+            for e in &delivered[su as usize] {
+                left[e.dst.index()] += 1;
+            }
+            while let Some(ev) = events.get_mut(at).filter(|ev| ev.src.0 == su) {
+                let k = &mut left[ev.dst.index()];
+                ev.delivered = *k > 0;
+                *k -= u32::from(ev.delivered);
+                at += 1;
+            }
+            debug_assert!(delivered[su as usize]
+                .iter()
+                .all(|e| left[e.dst.index()] == 0));
+        }
+        self.round_start = self.trace.events.len();
+    }
+
+    pub(crate) fn into_trace(self) -> Trace {
+        self.trace
+    }
+}
+
+/// The naive reference model (`crate::naive`) writes its trace by hand.
+#[cfg(test)]
+impl Trace {
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
+        self.events.push(ev);
+    }
+
+    pub(crate) fn events_mut(&mut self) -> &mut [TraceEvent] {
+        &mut self.events
     }
 }
 

@@ -9,6 +9,8 @@
 //! 1 and 4 workers (the acceptance configuration), on the channel
 //! transport, and on the socket mesh at several process counts up to one
 //! node per process (one TCP socket per edge), plus n = 8 socket smokes.
+//! The forging and mesh cells also record the message trace, which must
+//! match the engine's event for event.
 
 use ftc::prelude::*;
 
@@ -29,6 +31,8 @@ struct Fingerprint {
     bits_sent: u64,
     rounds: u32,
     crashed_at: Vec<Option<u32>>,
+    /// The message trace, `None` when the run recorded none.
+    trace: Option<Vec<TraceEvent>>,
 }
 
 fn le_fingerprint(r: &RunResult<LeNode>) -> Fingerprint {
@@ -41,6 +45,7 @@ fn le_fingerprint(r: &RunResult<LeNode>) -> Fingerprint {
         bits_sent: r.metrics.bits_sent,
         rounds: r.metrics.rounds,
         crashed_at: r.crashed_at.clone(),
+        trace: r.trace.as_ref().map(|t| t.events().to_vec()),
     }
 }
 
@@ -54,6 +59,7 @@ fn agree_fingerprint(r: &RunResult<AgreeNode>) -> Fingerprint {
         bits_sent: r.metrics.bits_sent,
         rounds: r.metrics.rounds,
         crashed_at: r.crashed_at.clone(),
+        trace: r.trace.as_ref().map(|t| t.events().to_vec()),
     }
 }
 
@@ -165,7 +171,8 @@ fn forged_leadership_claims_match_engine_on_channel_and_mesh() {
             let cfg = SimConfig::new(N)
                 .seed(seed)
                 .max_rounds(params.le_round_budget())
-                .topology(topology.clone());
+                .topology(topology.clone())
+                .record_trace(true);
             let adversary = || EquivocatingClaimant::new(CORRUPTED);
             let expected = le_fingerprint(&run(&cfg, node, &mut adversary()));
             for workers in WORKER_COUNTS {
@@ -190,7 +197,8 @@ fn forged_zeros_match_engine_on_channel_and_mesh() {
             let cfg = SimConfig::new(N)
                 .seed(seed)
                 .max_rounds(params.agreement_round_budget())
-                .topology(topology.clone());
+                .topology(topology.clone())
+                .record_trace(true);
             let adversary = || ZeroForger::new(CORRUPTED);
             let expected = agree_fingerprint(&run(&cfg, node, &mut adversary()));
             for workers in WORKER_COUNTS {
@@ -332,7 +340,8 @@ fn leader_election_matches_engine_on_mesh_transport() {
         for seed in [1u64, 99] {
             let cfg = SimConfig::new(N)
                 .seed(seed)
-                .max_rounds(params.le_round_budget());
+                .max_rounds(params.le_round_budget())
+                .record_trace(true);
             let sim = run(
                 &cfg,
                 |_| LeNode::new(params.clone()),
@@ -367,7 +376,8 @@ fn agreement_matches_engine_on_mesh_transport() {
         for seed in [2u64, 13] {
             let cfg = SimConfig::new(N)
                 .seed(seed)
-                .max_rounds(params.agreement_round_budget());
+                .max_rounds(params.agreement_round_budget())
+                .record_trace(true);
             let sim = run(
                 &cfg,
                 |id| AgreeNode::new(params.clone(), input(id)),
