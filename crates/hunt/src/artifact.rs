@@ -81,10 +81,7 @@ ftc_sim::codec! {
             "fingerprint": fingerprint,
         },
     }
-    check |a| match a.version {
-        ARTIFACT_VERSION => Ok(()),
-        other => Err(format!("unsupported artifact version {other}")),
-    };
+    check |a| a.check();
 }
 
 /// The result of replaying an artifact on one substrate.
@@ -157,6 +154,23 @@ impl Artifact {
     pub fn parse(s: &str) -> Result<Self, String> {
         let v = Json::parse(s).map_err(|e| format!("artifact JSON: {}", e.message))?;
         Artifact::from_json(&v).map_err(|e| format!("artifact: {}", e.message))
+    }
+
+    /// What the codec cannot see key by key: a schedule that crashes a
+    /// node outside the network, or a zero round budget, would panic the
+    /// replay.
+    fn check(&self) -> Result<(), String> {
+        if self.version != ARTIFACT_VERSION {
+            return Err(format!("unsupported artifact version {}", self.version));
+        }
+        if self.config.max_rounds == 0 {
+            return Err("config.max_rounds must be at least 1".into());
+        }
+        let n = self.config.n;
+        if let Some((node, ..)) = self.schedule.entries().iter().find(|(v, ..)| v.0 >= n) {
+            return Err(format!("schedule crashes node {}, outside n={n}", node.0));
+        }
+        Ok(())
     }
 
     /// Re-executes the bundle on `substrate` and diffs against the record.
@@ -297,6 +311,18 @@ mod tests {
         art.fingerprint.msgs_sent += 1;
         let report = art.replay(Substrate::Engine).unwrap();
         assert!(!report.fingerprint_matches);
+    }
+
+    #[test]
+    fn doctored_configs_are_rejected_by_key() {
+        let mut outside = sample_artifact();
+        outside.schedule = FaultPlan::new().crash(NodeId(99), 0, DeliveryFilter::DropAll);
+        let err = Artifact::parse(&outside.render()).unwrap_err();
+        assert!(err.contains("schedule") && err.contains("99"), "{err}");
+        let mut roundless = sample_artifact();
+        roundless.config.max_rounds = 0;
+        let err = Artifact::parse(&roundless.render()).unwrap_err();
+        assert!(err.contains("max_rounds"), "{err}");
     }
 
     #[test]

@@ -324,15 +324,21 @@ impl HuntCampaignRecord {
 /// real cross-worker framing).
 const WIRE_WORKERS: usize = 2;
 
+/// The cell's parameters and config, or an error naming the cell.
+fn cell_config(cell: &HuntCellSpec) -> Result<(Params, SimConfig), String> {
+    let named = |e: &dyn std::fmt::Display| format!("cell `{}`: {e}", cell.label);
+    let params = Params::new(cell.n, cell.alpha).map_err(|e| named(&e))?;
+    let cfg = SimConfig::try_new(cell.n).map_err(|e| named(&e))?;
+    Ok((params, cfg))
+}
+
 /// Runs one portfolio cell: hunt, shrink, mint the artifact, and account
 /// coverage over everything the search explored.
 fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult, String> {
     let start = Instant::now();
-    let params = Params::new(cell.n, cell.alpha).map_err(|e| e.to_string())?;
+    let (params, cfg) = cell_config(cell)?;
     let round_budget = cell.proto.round_budget(&params);
-    let cfg = SimConfig::try_new(cell.n)
-        .map_err(|e| e.to_string())?
-        .max_rounds(round_budget);
+    let cfg = cfg.max_rounds(round_budget);
     let substrate = if cell.wire {
         Substrate::Channel(WIRE_WORKERS)
     } else {
@@ -391,6 +397,8 @@ pub fn run_hunt_campaign(
                 cell.proto.name()
             ));
         }
+        // Before any cell runs, so a bad later cell fails at once.
+        cell_config(cell)?;
     }
     let start = Instant::now();
     let mut cells = Vec::with_capacity(spec.cells.len());
@@ -516,6 +524,22 @@ mod tests {
 
     fn parse(text: &str) -> HuntCampaignRecord {
         HuntCampaignRecord::from_json(&Json::parse(text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_bad_later_cell_is_named_before_any_cell_runs() {
+        let mut low = cell("le-low-alpha", ProtoKind::Le, Objective::Failure, false);
+        (low.n, low.alpha) = (1024, 0.01);
+        let mut lone = cell("le-lone", ProtoKind::Le, Objective::Failure, false);
+        lone.n = 1;
+        for bad in [low, lone] {
+            let label = bad.label.clone();
+            let spec = HuntCampaignSpec::new("unit")
+                .cell(cell("le-ok", ProtoKind::Le, Objective::Failure, false))
+                .cell(bad);
+            let err = run_hunt_campaign(&spec, 1).unwrap_err();
+            assert!(err.starts_with(&format!("cell `{label}`: ")), "{err}");
+        }
     }
 
     #[test]

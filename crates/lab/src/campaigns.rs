@@ -586,7 +586,7 @@ mod tests {
                 assert_eq!(spec.name, name);
                 assert!(!spec.cells.is_empty());
                 for cell in &spec.cells {
-                    crate::run::check_adversary(&cell.workload)
+                    crate::run::check_workload(&cell.workload)
                         .unwrap_or_else(|e| panic!("{name}/{}: {e}", cell.label));
                 }
             }

@@ -109,17 +109,45 @@ fn cell_params(cell: &CellSpec) -> Result<Params, String> {
     })
 }
 
-/// Rejects the workload/adversary pairings no trial can run.
-pub(crate) fn check_adversary(workload: &Workload) -> Result<(), String> {
+/// Rejects the workload/adversary pairings no trial can run, and the
+/// knobs outside their range: an edge probability of 1, a zero factor or
+/// `k = 0` would panic a worker, and a negative edge probability or
+/// `zeros` above 1 would run another experiment than the record names.
+pub(crate) fn check_workload(workload: &Workload) -> Result<(), String> {
+    let probability = |key: &str, p: f64| in_range(key, p, (0.0..1.0).contains(&p), "in [0, 1)");
+    let positive = |key: &str, x: f64| in_range(key, x, x > 0.0, "> 0");
     match *workload {
-        Workload::LeDiamTwo { adv } | Workload::EngineBench { adv, .. } => {
-            adv.schedule_only::<u64>(0).map(drop)
+        Workload::LeDiamTwo { adv } => adv.schedule_only::<u64>(0).map(drop),
+        Workload::EngineBench { adv, p, .. } => {
+            adv.schedule_only::<u64>(0)?;
+            probability("p", p)
         }
         Workload::Agree {
             adv: Adv::AdaptiveKiller,
             ..
         } => Err("the adaptive killer targets leader election only".into()),
+        Workload::Agree { zeros, .. }
+        | Workload::AgreeExplicit { zeros }
+        | Workload::AgreeAugustine { zeros } => {
+            in_range("zeros", zeros, (0.0..=1.0).contains(&zeros), "in [0, 1]")
+        }
+        Workload::LeEdge { p } | Workload::AgreeEdge { p } => probability("p", p),
+        Workload::LeIter { factor, .. } => positive("factor", factor),
+        Workload::SamplingLemmas {
+            candidate_factor,
+            referee_factor,
+        } => positive("candidate_factor", candidate_factor)
+            .and(positive("referee_factor", referee_factor)),
+        Workload::MultiValue { k } => in_range("k", k, k >= 1, ">= 1"),
         _ => Ok(()),
+    }
+}
+
+fn in_range(key: &str, value: impl std::fmt::Display, ok: bool, range: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{key}={value} must be {range}"))
     }
 }
 
@@ -755,7 +783,7 @@ pub fn run_campaign(
             _ => Ok(()),
         }
         .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
-        check_adversary(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
+        check_workload(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
         // The fault budget must fit the network: one above n panics
         // `FaultySet::random` on a worker, and `((1 − α)·n) as usize`
         // leaves `0..=n` for α < 0 and saturates to no faults for α > 1.

@@ -243,8 +243,10 @@ fn gate_reruns_a_record_on_the_substrate_it_names() {
 
 #[test]
 fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
-    // Each of these used to panic a worker (exit 101) or, for α > 1,
-    // store a record that ran fault-free.
+    // Each of these used to panic a worker (exit 101) or store a record
+    // of a run other than the one it names: α > 1 ran fault-free, a
+    // negative edge probability ran reliable edges, `zeros = 2` ran
+    // all-zero inputs. The knob rows keep an α their parameters accept.
     let dir = tmp_dir("budget");
     let (spec, store) = (dir.join("spec.json"), dir.join("store"));
     let cells = [
@@ -256,6 +258,32 @@ fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
         (
             "bench-seven",
             r#"{"kind":"engine_bench","adv":{"kind":"eager"},"p":0.0,"rounds":2},"alpha":7.0"#,
+        ),
+        ("edge-over", r#"{"kind":"le_edge","p":1.5},"alpha":0.75"#),
+        (
+            "agree-edge-one",
+            r#"{"kind":"agree_edge","p":1.0},"alpha":0.75"#,
+        ),
+        (
+            "bench-edge-one",
+            r#"{"kind":"engine_bench","adv":{"kind":"eager"},"p":1.0,"rounds":2},"alpha":0.75"#,
+        ),
+        (
+            "iter-negative",
+            r#"{"kind":"le_iter","factor":-1.0,"per_round":1},"alpha":0.75"#,
+        ),
+        (
+            "referee-zero",
+            r#"{"kind":"sampling_lemmas","candidate_factor":6.0,"referee_factor":0.0},"alpha":0.75"#,
+        ),
+        ("k-zero", r#"{"kind":"multi_value","k":0},"alpha":0.75"#),
+        (
+            "edge-negative",
+            r#"{"kind":"le_edge","p":-0.5},"alpha":0.75"#,
+        ),
+        (
+            "zeros-two",
+            r#"{"kind":"agree","zeros":2.0,"adv":{"kind":"none"}},"alpha":0.75"#,
         ),
     ];
     for (label, workload) in cells {
