@@ -116,6 +116,12 @@ check() {
   # a receiver port and no sender-side pass computes one.
   found="$(grep -rnwE 'dst_port|UNRESOLVED|resolve_sends_into' crates src tests examples || true)"
   test -z "$found" || { echo "receiver ports resolved off the receiver: $found"; exit 1; }
+
+  # Check audit. A run is checked where it is built (DESIGN D33): a lab
+  # cell by its trial builder, a hunt by `HuntSpec::check`, a config by
+  # `ControlCore::new`. No second pass over the lab's workloads comes back.
+  found="$(grep -rnwE 'check_workload|run_trial|bridged_trial' crates src || true)"
+  test -z "$found" || { echo "a lab cell checked apart from its build: $found"; exit 1; }
 }
 
 smoke() {

@@ -157,14 +157,11 @@ impl Artifact {
     }
 
     /// What the codec cannot see key by key: a schedule that crashes a
-    /// node outside the network, or a zero round budget, would panic the
-    /// replay.
+    /// node outside the network would panic the replay. (The config's own
+    /// codec runs [`SimConfig::validate`].)
     fn check(&self) -> Result<(), String> {
         if self.version != ARTIFACT_VERSION {
             return Err(format!("unsupported artifact version {}", self.version));
-        }
-        if self.config.max_rounds == 0 {
-            return Err("config.max_rounds must be at least 1".into());
         }
         let n = self.config.n;
         if let Some((node, ..)) = self.schedule.entries().iter().find(|(v, ..)| v.0 >= n) {

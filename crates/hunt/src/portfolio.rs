@@ -324,21 +324,12 @@ impl HuntCampaignRecord {
 /// real cross-worker framing).
 const WIRE_WORKERS: usize = 2;
 
-/// The cell's parameters and config, or an error naming the cell.
-fn cell_config(cell: &HuntCellSpec) -> Result<(Params, SimConfig), String> {
+/// The cell's hunt: its parameters, config and substrate, checked
+/// ([`HuntSpec::check`]), or an error naming the cell.
+fn cell_spec(cell: &HuntCellSpec, jobs: usize) -> Result<HuntSpec, String> {
     let named = |e: &dyn std::fmt::Display| format!("cell `{}`: {e}", cell.label);
     let params = Params::new(cell.n, cell.alpha).map_err(|e| named(&e))?;
     let cfg = SimConfig::try_new(cell.n).map_err(|e| named(&e))?;
-    Ok((params, cfg))
-}
-
-/// Runs one portfolio cell: hunt, shrink, mint the artifact, and account
-/// coverage over everything the search explored.
-fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult, String> {
-    let start = Instant::now();
-    let (params, cfg) = cell_config(cell)?;
-    let round_budget = cell.proto.round_budget(&params);
-    let cfg = cfg.max_rounds(round_budget);
     let substrate = if cell.wire {
         Substrate::Channel(WIRE_WORKERS)
     } else {
@@ -347,8 +338,8 @@ fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult, Str
     let spec = HuntSpec {
         proto: cell.proto,
         objective: cell.objective,
+        cfg: cfg.max_rounds(cell.proto.round_budget(&params)),
         params,
-        cfg,
         zeros: cell.zeros,
         budget: cell.budget,
         probes: cell.probes,
@@ -358,11 +349,20 @@ fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult, Str
         substrate,
         wire: cell.wire,
     };
+    spec.check().map_err(|e| named(&e))?;
+    Ok(spec)
+}
+
+/// Runs one portfolio cell's built hunt: hunt, shrink, mint the artifact,
+/// and account coverage over everything the search explored.
+fn run_hunt_cell(cell: &HuntCellSpec, spec: &HuntSpec) -> Result<HuntCellResult, String> {
+    let start = Instant::now();
+    let round_budget = spec.cfg.max_rounds;
     let mut coverage = Coverage::new();
-    let report = run_hunt_observed(&spec, |c| {
+    let report = run_hunt_observed(spec, |c| {
         coverage.record_plan(&c.plan, cell.n, round_budget);
     })?;
-    let (artifact, reduced) = Artifact::mint(&spec, &report);
+    let (artifact, reduced) = Artifact::mint(spec, &report);
     Ok(HuntCellResult {
         cell: cell.clone(),
         evaluated: report.evaluated,
@@ -385,26 +385,16 @@ pub fn run_hunt_campaign(
     if spec.cells.is_empty() {
         return Err(format!("portfolio `{}` has no cells", spec.name));
     }
-    for cell in &spec.cells {
-        if cell.budget == 0 || cell.probes == 0 {
-            return Err(format!("cell `{}` has a zero budget", cell.label));
-        }
-        if !cell.objective.supports(cell.proto) {
-            return Err(format!(
-                "cell `{}`: objective {} does not apply to {}",
-                cell.label,
-                cell.objective.name(),
-                cell.proto.name()
-            ));
-        }
-        // Before any cell runs, so a bad later cell fails at once.
-        cell_config(cell)?;
-    }
+    // Every cell's hunt is built before any runs, so a bad later cell
+    // fails at once.
+    let hunts = (spec.cells.iter())
+        .map(|cell| cell_spec(cell, jobs))
+        .collect::<Result<Vec<_>, _>>()?;
     let start = Instant::now();
     let mut cells = Vec::with_capacity(spec.cells.len());
     let mut coverage = Coverage::new();
-    for cell in &spec.cells {
-        let result = run_hunt_cell(cell, jobs)?;
+    for (cell, hunt) in spec.cells.iter().zip(&hunts) {
+        let result = run_hunt_cell(cell, hunt)?;
         coverage.merge(&result.coverage);
         cells.push(result);
     }

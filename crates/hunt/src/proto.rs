@@ -59,8 +59,9 @@ impl ProtoKind {
     /// the outcome. Deterministic in `(params, cfg, zeros, schedule)`: the
     /// substrate and `opts` never change the observation (the
     /// bit-equivalence contract `ftc replay` re-asserts for every
-    /// artifact). `zeros` is the agreement input density (ignored for
-    /// LE); `cfg.max_rounds` should be [`ProtoKind::round_budget`].
+    /// artifact). `zeros` is the agreement input density, in `[0, 1]`
+    /// ([`check_zeros`]) and ignored for LE; `cfg.max_rounds` should be
+    /// [`ProtoKind::round_budget`].
     pub fn run(
         self,
         params: &Params,
@@ -70,6 +71,7 @@ impl ProtoKind {
         substrate: Substrate,
         opts: &RunOpts<'_>,
     ) -> Result<ProtoRun, String> {
+        check_zeros(zeros)?;
         let f = params.max_faults();
         match self {
             ProtoKind::Le => {
@@ -317,6 +319,17 @@ pub fn agree_input(zeros: f64, id: NodeId) -> bool {
     !(stride != u32::MAX && id.0.is_multiple_of(stride))
 }
 
+/// Rejects a `zeros` fraction outside `[0, 1]`: [`agree_input`] would
+/// read it as another input pattern (above 1, every node holds 0; below
+/// 0, every node holds 1) than the one the run reports.
+pub fn check_zeros(zeros: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&zeros) {
+        Ok(())
+    } else {
+        Err(format!("zeros={zeros} must be in [0, 1]"))
+    }
+}
+
 /// Runs `plan` against `proto` on the chosen substrate and condenses the
 /// result. Deterministic in `(cfg, plan)`; the substrate never changes the
 /// observation (that is the bit-equivalence guarantee this crate leans on,
@@ -462,6 +475,34 @@ mod tests {
         let err = bridged(ProtoKind::Agree, &cfg, Adv::AdaptiveKiller).unwrap_err();
         assert!(err.contains("leader election only"), "{err}");
         assert!(bridged(ProtoKind::Le, &cfg, Adv::AdaptiveKiller).is_ok());
+    }
+
+    #[test]
+    fn zeros_outside_the_unit_interval_is_an_error_not_another_input() {
+        // `agree_input` reads 2 as every node at 0 and -1 as every node at
+        // 1: a run of those would report a `zeros` it did not have.
+        let params = Params::new(16, 0.5).unwrap();
+        let cfg = SimConfig::new(16).max_rounds(params.agreement_round_budget());
+        let run = |proto: ProtoKind, zeros| {
+            let schedule = Schedule::Named(Adv::None);
+            proto.run(
+                &params,
+                &cfg,
+                zeros,
+                schedule,
+                Substrate::Engine,
+                &RunOpts::default(),
+            )
+        };
+        for zeros in [2.0, -1.0, f64::NAN] {
+            for proto in [ProtoKind::Agree, ProtoKind::Le] {
+                let err = run(proto, zeros).unwrap_err();
+                assert!(err.contains("must be in [0, 1]"), "{err}");
+            }
+        }
+        for zeros in [0.0, 0.05, 1.0] {
+            assert!(run(ProtoKind::Agree, zeros).is_ok());
+        }
     }
 
     #[test]

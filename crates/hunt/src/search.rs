@@ -28,7 +28,7 @@ use crate::mutate::{
     guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
 };
 use crate::objective::{Bounds, Objective};
-use crate::proto::{observe_wire, Observation, ProtoKind, Schedule, Substrate};
+use crate::proto::{check_zeros, observe_wire, Observation, ProtoKind, Schedule, Substrate};
 
 /// Candidates evaluated per generation (the parallelism grain; fixed so
 /// the generation boundaries — and with them the annealing decisions —
@@ -96,6 +96,25 @@ pub struct HuntSpec {
     /// they cause is a runtime bug; on [`Substrate::Engine`] they are
     /// drawn but invisible.
     pub wire: bool,
+}
+
+impl HuntSpec {
+    /// Rejects a hunt no candidate of which can be judged: an objective
+    /// the protocol does not have, an empty budget or probe panel, or a
+    /// `zeros` fraction [`check_zeros`] rejects.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.objective.supports(self.proto) {
+            return Err(format!(
+                "objective {} does not apply to protocol {}",
+                self.objective.name(),
+                self.proto.name()
+            ));
+        }
+        if self.budget == 0 || self.probes == 0 {
+            return Err("hunt budget and probes must be at least 1".into());
+        }
+        check_zeros(self.zeros)
+    }
 }
 
 /// One evaluated schedule: its worst probe, per the objective.
@@ -238,16 +257,7 @@ pub(crate) fn run_hunt_observed(
     spec: &HuntSpec,
     mut observer: impl FnMut(&Candidate),
 ) -> Result<HuntReport, String> {
-    if !spec.objective.supports(spec.proto) {
-        return Err(format!(
-            "objective {} does not apply to protocol {}",
-            spec.objective.name(),
-            spec.proto.name()
-        ));
-    }
-    if spec.budget == 0 {
-        return Err("hunt budget must be at least 1".into());
-    }
+    spec.check()?;
     let bounds = Bounds::for_proto(spec.proto, &spec.params);
     let panel = probe_seeds(spec.seed, spec.probes);
     let mut space = PlanSpace::new(
@@ -400,6 +410,16 @@ mod tests {
         s.objective = Objective::Failure;
         s.budget = 0;
         assert!(run_hunt(&s).is_err());
+        // An empty probe panel used to be read as one probe, and a
+        // `zeros` above 1 as all-zero inputs.
+        s.budget = 1;
+        s.probes = 0;
+        assert!(s.check().unwrap_err().contains("probes"));
+        s.probes = 1;
+        s.zeros = 2.0;
+        assert!(run_hunt(&s).unwrap_err().contains("zeros=2"));
+        s.zeros = 0.05;
+        assert!(s.check().is_ok());
     }
 
     #[test]

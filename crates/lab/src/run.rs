@@ -18,11 +18,12 @@ use ftc_core::adversaries::MinRankCrasher;
 use ftc_core::byzantine::{EquivocatingClaimant, ZeroForger};
 use ftc_core::prelude::*;
 use ftc_core::sampling::draw_committee;
-use ftc_hunt::proto::{agree_input, ProtoKind, Schedule};
+use ftc_hunt::proto::{agree_input, check_zeros, ProtoKind, Schedule};
 use ftc_mesh::{RunOpts, Substrate};
 use ftc_serve::prelude::{run_service, ChurnPlan, LoadProfile, ServeConfig};
 use ftc_sim::adversary::{EagerCrash, NoFaults, RandomCrash};
 use ftc_sim::engine::{run_sharded, RunResult, SimConfig};
+use ftc_sim::ids::NodeId;
 use ftc_sim::json::git_rev;
 use ftc_sim::metrics::{LogHistogram, Metrics};
 use ftc_sim::perm::stream_seed;
@@ -52,8 +53,13 @@ pub struct TrialValue {
     pub extras: Vec<(&'static str, f64)>,
 }
 
-fn value_of<T>(r: &RunResult<T>, success: bool, extras: Vec<(&'static str, f64)>) -> TrialValue {
-    metrics_value(&r.metrics, success, extras)
+/// An engine run's trial value.
+fn value_of<T>(
+    r: &RunResult<T>,
+    success: bool,
+    extras: Vec<(&'static str, f64)>,
+) -> Result<TrialValue, String> {
+    Ok(metrics_value(&r.metrics, success, extras))
 }
 
 fn metrics_value(m: &Metrics, success: bool, extras: Vec<(&'static str, f64)>) -> TrialValue {
@@ -97,49 +103,314 @@ impl ftc_sim::protocol::Protocol for BenchChatter {
     }
 }
 
-/// The protocol parameters of `cell`. [`run_campaign`] builds them for
-/// every cell whose workload uses them before any trial starts, so an `α`
-/// below resilience is an error naming the cell, never a worker panic.
-fn cell_params(cell: &CellSpec) -> Result<Params, String> {
-    Params::new(cell.n, cell.alpha).map_err(|e| {
-        format!(
-            "cell `{}`: n={} alpha={}: {e}",
-            cell.label, cell.n, cell.alpha
-        )
-    })
+/// One trial of a built cell: a pure function of its derived seed and
+/// `opts`, `opts.intra_jobs` included (the engine shards a round without
+/// changing a bit of it).
+pub(crate) type Trial = Box<dyn Fn(u64, &RunOpts<'_>) -> Result<TrialValue, String> + Sync>;
+
+/// Builds the trial every seed of `cell` runs on `substrate`, checking its
+/// config, parameters and adversary as it makes them. A cell no trial of
+/// which can run is an error naming the cell before any trial starts,
+/// never a worker panic or a record of another run than the one it names.
+pub(crate) fn trial(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
+    build(cell, substrate).map_err(|e| format!("cell `{}`: {e}", cell.label))
 }
 
-/// Rejects the workload/adversary pairings no trial can run, and the
-/// knobs outside their range: an edge probability of 1, a zero factor or
-/// `k = 0` would panic a worker, and a negative edge probability or
-/// `zeros` above 1 would run another experiment than the record names.
-pub(crate) fn check_workload(workload: &Workload) -> Result<(), String> {
+/// [`trial`], before the cell's label is put on its error.
+fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
+    let (n, alpha) = (cell.n, cell.alpha);
+    let mut cfg = SimConfig::try_new(n).map_err(|e| e.to_string())?;
+    cell.topology.validate(n).map_err(|e| e.to_string())?;
+    if !cell.topology.is_complete() {
+        cfg = cfg.topology(cell.topology.clone());
+    }
+    if cell.trials == 0 {
+        return Err("zero trials".into());
+    }
+    // `((1 − α)·n) as usize` leaves `0..=n` for α < 0 and saturates to no
+    // faults for α > 1.
+    if !(alpha > 0.0 && alpha <= 1.0) {
+        return Err(format!("alpha={alpha} is outside (0, 1]"));
+    }
+    let params = || Params::new(n, alpha).map_err(|e| format!("n={n} alpha={alpha}: {e}"));
+    // The fault budget the schedule-only workloads spend.
+    let f = ((1.0 - alpha) * f64::from(n)) as usize;
     let probability = |key: &str, p: f64| in_range(key, p, (0.0..1.0).contains(&p), "in [0, 1)");
     let positive = |key: &str, x: f64| in_range(key, x, x > 0.0, "> 0");
-    match *workload {
-        Workload::LeDiamTwo { adv } => adv.schedule_only::<u64>(0).map(drop),
-        Workload::EngineBench { adv, p, .. } => {
-            adv.schedule_only::<u64>(0)?;
-            probability("p", p)
+    // One above n panics `FaultySet::random` on a worker.
+    let within_n = |faults: u64| match faults <= u64::from(n) {
+        true => Ok(()),
+        false => Err(format!("faults={faults} exceeds n={n}")),
+    };
+    let complete = || match cell.topology.is_complete() {
+        true => Ok(()),
+        false => Err(format!(
+            "workload `{}` runs on the complete graph only",
+            cell.workload.tag()
+        )),
+    };
+    match cell.workload {
+        Workload::Le { adv } => bridged(ProtoKind::Le, 0.0, adv, params()?, cfg, substrate),
+        Workload::Agree { zeros, adv } => {
+            bridged(ProtoKind::Agree, zeros, adv, params()?, cfg, substrate)
         }
-        Workload::Agree {
-            adv: Adv::AdaptiveKiller,
-            ..
-        } => Err("the adaptive killer targets leader election only".into()),
-        Workload::Agree { zeros, .. }
-        | Workload::AgreeExplicit { zeros }
-        | Workload::AgreeAugustine { zeros } => {
-            in_range("zeros", zeros, (0.0..=1.0).contains(&zeros), "in [0, 1]")
+        _ if substrate != Substrate::Engine => Err(format!(
+            "substrate `{}` only runs the plain le/agree workloads, not `{}`",
+            substrate.label(),
+            cell.workload.tag()
+        )),
+        Workload::LeIter { factor, per_round } => {
+            positive("factor", factor)?;
+            let params = params()?.with_iteration_factor(factor);
+            // `le_round_budget`, whose `4·iterations` wraps for a large
+            // enough factor.
+            let budget = (params.iterations().checked_mul(4))
+                .and_then(|r| r.checked_add(params.preprocess_rounds() + 8))
+                .ok_or_else(|| format!("factor={factor:e} needs more than {} rounds", u32::MAX))?;
+            let f = params.max_faults();
+            engine(cfg.max_rounds(budget), move |cfg, ij| {
+                let per_round = per_round as usize;
+                let mut adv = MinRankCrasher { f, per_round };
+                let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
+                value_of(&r, LeOutcome::evaluate(&r).success, vec![])
+            })
         }
-        Workload::LeEdge { p } | Workload::AgreeEdge { p } => probability("p", p),
-        Workload::LeIter { factor, .. } => positive("factor", factor),
+        Workload::LeByzantine { b } => {
+            let b = b as usize;
+            EquivocatingClaimant::new(b)
+                .validate(n)
+                .map_err(|e| e.to_string())?;
+            let params = params()?;
+            engine(cfg.max_rounds(params.le_round_budget()), move |cfg, ij| {
+                let mut adv = EquivocatingClaimant::new(b);
+                let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
+                value_of(&r, LeOutcome::evaluate(&r).success, vec![])
+            })
+        }
+        Workload::AgreeByzantine { b } => {
+            let b = b as usize;
+            ZeroForger::new(b).validate(n).map_err(|e| e.to_string())?;
+            let params = params()?;
+            let cfg = cfg.max_rounds(params.agreement_round_budget());
+            engine(cfg, move |cfg, ij| {
+                let mut adv = ZeroForger::new(b);
+                let r = run_sharded(cfg, |_| AgreeNode::new(params.clone(), true), &mut adv, ij);
+                // Success = validity holds: no honest survivor decided the
+                // forged 0 nobody input.
+                let honest_zero = r
+                    .surviving_states()
+                    .filter(|(id, _)| !r.faulty.contains(*id))
+                    .any(|(_, s)| s.status() == AgreeStatus::Decided(false));
+                value_of(&r, !honest_zero, vec![])
+            })
+        }
+        Workload::LeEdge { p } => {
+            probability("p", p)?;
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(params.le_round_budget());
+            engine(cfg.edge_failure_prob(p), move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 40);
+                let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
+                let lost = r.metrics.msgs_lost_edges as f64;
+                let success = LeOutcome::evaluate(&r).success;
+                value_of(&r, success, vec![("lost_edges", lost)])
+            })
+        }
+        Workload::AgreeEdge { p } => {
+            probability("p", p)?;
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(params.agreement_round_budget());
+            engine(cfg.edge_failure_prob(p), move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 20);
+                let factory = |id: NodeId| AgreeNode::new(params.clone(), id.0.is_multiple_of(8));
+                let r = run_sharded(cfg, factory, &mut adv, ij);
+                value_of(&r, AgreeOutcome::evaluate(&r).success, vec![])
+            })
+        }
+        Workload::LeCapped { cap } => {
+            let params = params()?;
+            let f = params.max_faults();
+            let mut cfg = cfg.max_rounds(params.le_round_budget());
+            cfg.send_cap = cap;
+            engine(cfg, move |cfg, ij| {
+                let mut adv = EagerCrash::new(f);
+                let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
+                let suppressed = r.metrics.msgs_suppressed as f64;
+                let success = LeOutcome::evaluate(&r).success;
+                value_of(&r, success, vec![("suppressed", suppressed)])
+            })
+        }
+        Workload::AgreeCapped { cap } => {
+            let params = params()?;
+            let f = params.max_faults();
+            let mut cfg = cfg.max_rounds(params.agreement_round_budget());
+            cfg.send_cap = cap;
+            engine(cfg, move |cfg, ij| {
+                let mut adv = EagerCrash::new(f);
+                let factory = |id: NodeId| AgreeNode::new(params.clone(), id.0.is_multiple_of(2));
+                let r = run_sharded(cfg, factory, &mut adv, ij);
+                let suppressed = r.metrics.msgs_suppressed as f64;
+                let success = AgreeOutcome::evaluate(&r).success;
+                value_of(&r, success, vec![("suppressed", suppressed)])
+            })
+        }
+        Workload::LeExplicit => {
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
+            engine(cfg, move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 40);
+                let r = run_sharded(cfg, |_| ExplicitLeNode::new(params.clone()), &mut adv, ij);
+                value_of(&r, r.verdict().explicit(), vec![])
+            })
+        }
+        Workload::LeImplicitExplicitBudget => {
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
+            engine(cfg, move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 40);
+                let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
+                value_of(&r, LeOutcome::evaluate(&r).success, vec![])
+            })
+        }
+        Workload::AgreeExplicit { zeros } => {
+            check_zeros(zeros)?;
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(ExplicitAgreeNode::round_budget(&params));
+            engine(cfg, move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 20);
+                let factory = |id| ExplicitAgreeNode::new(params.clone(), agree_input(zeros, id));
+                let r = run_sharded(cfg, factory, &mut adv, ij);
+                value_of(&r, r.verdict().explicit(), vec![])
+            })
+        }
+        Workload::LeKutten => engine(cfg.max_rounds(kutten_round_budget()), |cfg, ij| {
+            let r = run_sharded(cfg, |_| KuttenLeNode::new(), &mut NoFaults, ij);
+            value_of(&r, r.verdict().deciders == 1, vec![])
+        }),
+        Workload::LeDiamTwo { adv } => {
+            if !matches!(
+                cell.topology,
+                Topology::DiameterTwo { .. } | Topology::Complete
+            ) {
+                return Err("le_diam_two needs a diameter_two (or complete) topology".into());
+            }
+            adv.schedule_only::<u64>(f)?;
+            engine(cfg.max_rounds(diam_two_round_budget()), move |cfg, ij| {
+                let mut a = adv.schedule_only(f)?;
+                let r = run_sharded(cfg, |_| DiamTwoLeNode::new(), &mut *a, ij);
+                value_of(&r, r.verdict().deciders == 1, vec![])
+            })
+        }
+        Workload::AgreeAugustine { zeros } => {
+            check_zeros(zeros)?;
+            engine(cfg.max_rounds(augustine_round_budget()), move |cfg, ij| {
+                let factory = |id| AugustineNode::new(agree_input(zeros, id));
+                let r = run_sharded(cfg, factory, &mut NoFaults, ij);
+                let v = r.verdict();
+                value_of(&r, v.implicit() && v.valid, vec![])
+            })
+        }
+        Workload::MultiValue { k } => {
+            in_range("k", k, k >= 1, ">= 1")?;
+            let params = params()?;
+            let f = params.max_faults();
+            let cfg = cfg.max_rounds(params.agreement_round_budget());
+            engine(cfg, move |cfg, ij| {
+                let mut adv = RandomCrash::new(f, 20);
+                let input = |id: NodeId| id.0.wrapping_mul(2654435761) % k;
+                let factory = |id| MultiAgreeNode::new(params.clone(), k, input(id));
+                let r = run_sharded(cfg, factory, &mut adv, ij);
+                let v = r.verdict();
+                value_of(&r, v.implicit() && v.valid, vec![])
+            })
+        }
+        Workload::Flood { faults } => {
+            within_n(faults)?;
+            let f = faults as u32;
+            engine(cfg.max_rounds(flood_round_budget(f)), move |cfg, ij| {
+                let mut adv = RandomCrash::new(f as usize, f);
+                let factory = |id: NodeId| FloodAgreeNode::new(f, !id.0.is_multiple_of(7));
+                let r = run_sharded(cfg, factory, &mut adv, ij);
+                value_of(&r, r.verdict().explicit(), vec![])
+            })
+        }
+        Workload::Gk { faults } => {
+            within_n(faults)?;
+            // KT1: a node sends to arbitrary ids, which needs every edge.
+            complete()?;
+            let cfg = cfg.kt1(true).max_rounds(gk_round_budget(n));
+            engine(cfg, move |cfg, ij| {
+                let mut adv = RandomCrash::new(faults as usize, 20);
+                let r = run_sharded(cfg, |id| GkNode::new(id.0 % 7 != 0), &mut adv, ij);
+                let v = r.verdict();
+                value_of(&r, v.explicit() && v.valid, vec![])
+            })
+        }
+        Workload::Gossip { faults } => {
+            within_n(faults)?;
+            engine(cfg.max_rounds(gossip_round_budget(n)), move |cfg, ij| {
+                let mut adv = RandomCrash::new(faults as usize, 10);
+                let r = run_sharded(cfg, |id| GossipNode::new(n, id.0 % 7 != 0), &mut adv, ij);
+                let v = r.verdict();
+                value_of(&r, v.explicit() && v.valid, vec![])
+            })
+        }
         Workload::SamplingLemmas {
             candidate_factor,
             referee_factor,
-        } => positive("candidate_factor", candidate_factor)
-            .and(positive("referee_factor", referee_factor)),
-        Workload::MultiValue { k } => in_range("k", k, k >= 1, ">= 1"),
-        _ => Ok(()),
+        } => {
+            positive("candidate_factor", candidate_factor)?;
+            positive("referee_factor", referee_factor)?;
+            complete()?;
+            let params = params()?
+                .with_candidate_factor(candidate_factor)
+                .with_referee_factor(referee_factor);
+            Ok(Box::new(move |seed, _| Ok(sampling_lemmas(&params, seed))))
+        }
+        Workload::EngineBench { adv, p, rounds } => {
+            probability("p", p)?;
+            adv.schedule_only::<u64>(f)?;
+            // Two rounds past the broadcasts drain the last one.
+            let budget = (rounds.checked_add(2))
+                .ok_or_else(|| format!("rounds={rounds} leaves no room for the drain"))?;
+            let cfg = cfg.max_rounds(budget).edge_failure_prob(p);
+            engine(cfg, move |cfg, ij| {
+                let mut a = adv.schedule_only(f)?;
+                let chatter = |_| BenchChatter {
+                    rounds_done: 0,
+                    budget: rounds,
+                    heard: 0,
+                };
+                let r = run_sharded(cfg, chatter, &mut *a, ij);
+                // Success = the run actually exercised the delivery path; the
+                // interesting output is msgs/bits (deterministic payload) and
+                // the cell's wall-clock throughput (diagnostic).
+                value_of(&r, r.metrics.msgs_delivered > 0, vec![])
+            })
+        }
+        Workload::Soak {
+            heights,
+            kill_every,
+            rejoin_after,
+        } => {
+            complete()?;
+            // The service builds these parameters for every height.
+            params()?;
+            let scfg = ServeConfig::new(n, alpha)
+                .heights(heights)
+                .churn(ChurnPlan {
+                    kill_leader_every: kill_every,
+                    bystanders: 2,
+                    rejoin_after,
+                })
+                .load(LoadProfile::default());
+            Ok(Box::new(move |seed, _| soak(&scfg.clone().seed(seed))))
+        }
     }
 }
 
@@ -151,367 +422,122 @@ fn in_range(key: &str, value: impl std::fmt::Display, ok: bool, range: &str) -> 
     }
 }
 
-/// One trial of a paper protocol under a named adversary, through the
-/// protocol bridge — the only workloads the cluster substrates run.
-fn bridged_trial(
+/// An engine trial: `run` gets each trial's seeded config and its share
+/// of the thread budget.
+fn engine<R>(cfg: SimConfig, run: R) -> Result<Trial, String>
+where
+    R: Fn(&SimConfig, usize) -> Result<TrialValue, String> + Sync + 'static,
+{
+    Ok(Box::new(move |seed, opts| {
+        run(&cfg.clone().seed(seed), opts.intra_jobs)
+    }))
+}
+
+/// A paper protocol under a named adversary, through the protocol bridge:
+/// the only workloads the cluster substrates run.
+fn bridged(
     proto: ProtoKind,
     zeros: f64,
     adv: Adv,
-    cell: &CellSpec,
+    params: Params,
     cfg: SimConfig,
     substrate: Substrate,
-    opts: &RunOpts,
-) -> Result<TrialValue, String> {
-    let params = cell_params(cell)?;
+) -> Result<Trial, String> {
+    if proto == ProtoKind::Agree && adv == Adv::AdaptiveKiller {
+        return Err("the adaptive killer targets leader election only".into());
+    }
+    check_zeros(zeros)?;
     let cfg = cfg.max_rounds(proto.round_budget(&params));
-    let schedule = Schedule::Named(adv);
-    let r = proto.run(&params, &cfg, zeros, schedule, substrate, opts)?;
-    let success = r.observation.fingerprint.success;
-    let mut extras = vec![];
-    if proto == ProtoKind::Le {
-        let faulty_leader = success && r.leader_is_faulty;
-        extras.push(("faulty_leader", f64::from(u8::from(faulty_leader))));
-    }
-    // Socket-substrate records additionally carry the wire traffic;
-    // engine/channel records keep their historical shape (and therefore
-    // their ids).
-    if matches!(substrate, Substrate::Mesh(_)) {
-        extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
-    }
-    Ok(metrics_value(&r.metrics, success, extras))
+    Ok(Box::new(move |seed, opts| {
+        let cfg = cfg.clone().seed(seed);
+        let r = proto.run(&params, &cfg, zeros, Schedule::Named(adv), substrate, opts)?;
+        let success = r.observation.fingerprint.success;
+        let mut extras = vec![];
+        if proto == ProtoKind::Le {
+            let faulty_leader = success && r.leader_is_faulty;
+            extras.push(("faulty_leader", f64::from(u8::from(faulty_leader))));
+        }
+        // Socket-substrate records additionally carry the wire traffic;
+        // engine/channel records keep their historical shape (and therefore
+        // their ids).
+        if matches!(substrate, Substrate::Mesh(_)) {
+            extras.push(("wire_bytes", r.metrics.wire_bytes as f64));
+        }
+        Ok(metrics_value(&r.metrics, success, extras))
+    }))
 }
 
-/// Runs one trial of `cell` at a fully derived `seed`. Pure in its
-/// arguments, `opts.intra_jobs` included (the engine shards a round
-/// without changing a bit of it); the cluster substrates are only
-/// supported for the plain `Le`/`Agree` workloads (checked up front by
-/// [`run_campaign`]).
-pub fn run_trial(
-    cell: &CellSpec,
-    seed: u64,
-    substrate: Substrate,
-    opts: &RunOpts,
-) -> Result<TrialValue, String> {
-    let n = cell.n;
-    let mut cfg = SimConfig::new(n).seed(seed);
-    if !cell.topology.is_complete() {
-        cfg = cfg.topology(cell.topology.clone());
+/// E10: one draw of the sampling layer alone, against Lemmas 1–3.
+fn sampling_lemmas(params: &Params, seed: u64) -> TrialValue {
+    let lo = 2.0 * params.ln_n() / params.alpha();
+    let hi = 12.0 * params.ln_n() / params.alpha();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let faulty: HashSet<usize> =
+        rand::seq::index::sample(&mut rng, params.n() as usize, params.max_faults())
+            .into_iter()
+            .collect();
+    let (cands, refs) = draw_committee(&mut rng, params);
+    let committee = cands.len() as f64;
+    let in_band = committee >= lo && committee <= hi;
+    let nonfaulty = cands.iter().any(|c| !faulty.contains(c));
+    let ref_sets: Vec<HashSet<usize>> = refs
+        .iter()
+        .map(|r| r.iter().copied().filter(|x| !faulty.contains(x)).collect())
+        .collect();
+    let mut all_pairs = true;
+    'outer: for i in 0..cands.len() {
+        for j in i + 1..cands.len() {
+            if ref_sets[i].is_disjoint(&ref_sets[j]) {
+                all_pairs = false;
+                break 'outer;
+            }
+        }
     }
-    let cfg = cfg;
-    let ij = opts.intra_jobs;
-    Ok(match &cell.workload {
-        Workload::Le { adv } => {
-            bridged_trial(ProtoKind::Le, 0.0, *adv, cell, cfg, substrate, opts)?
-        }
-        Workload::Agree { zeros, adv } => {
-            bridged_trial(ProtoKind::Agree, *zeros, *adv, cell, cfg, substrate, opts)?
-        }
-        Workload::LeIter { factor, per_round } => {
-            let params = cell_params(cell)?.with_iteration_factor(*factor);
-            let f = params.max_faults();
-            let cfg = cfg.max_rounds(params.le_round_budget());
-            let mut adv = MinRankCrasher {
-                f,
-                per_round: *per_round as usize,
-            };
-            let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
-            value_of(&r, LeOutcome::evaluate(&r).success, vec![])
-        }
-        Workload::LeByzantine { b } => {
-            let params = cell_params(cell)?;
-            let cfg = cfg.max_rounds(params.le_round_budget());
-            let mut adv = EquivocatingClaimant::new(*b as usize);
-            let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
-            value_of(&r, LeOutcome::evaluate(&r).success, vec![])
-        }
-        Workload::AgreeByzantine { b } => {
-            let params = cell_params(cell)?;
-            let cfg = cfg.max_rounds(params.agreement_round_budget());
-            let mut adv = ZeroForger::new(*b as usize);
-            let r = run_sharded(&cfg, |_| AgreeNode::new(params.clone(), true), &mut adv, ij);
-            // Success = validity holds: no honest survivor decided the
-            // forged 0 nobody input.
-            let honest_zero = r
-                .surviving_states()
-                .filter(|(id, _)| !r.faulty.contains(*id))
-                .any(|(_, s)| s.status() == AgreeStatus::Decided(false));
-            value_of(&r, !honest_zero, vec![])
-        }
-        Workload::LeEdge { p } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let mut cfg = cfg.max_rounds(params.le_round_budget());
-            if *p > 0.0 {
-                cfg = cfg.edge_failure_prob(*p);
-            }
-            let mut adv = RandomCrash::new(f, 40);
-            let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
-            let lost = r.metrics.msgs_lost_edges as f64;
-            value_of(
-                &r,
-                LeOutcome::evaluate(&r).success,
-                vec![("lost_edges", lost)],
-            )
-        }
-        Workload::AgreeEdge { p } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let mut cfg = cfg.max_rounds(params.agreement_round_budget());
-            if *p > 0.0 {
-                cfg = cfg.edge_failure_prob(*p);
-            }
-            let mut adv = RandomCrash::new(f, 20);
-            let r = run_sharded(
-                &cfg,
-                |id| AgreeNode::new(params.clone(), id.0 % 8 == 0),
-                &mut adv,
-                ij,
-            );
-            value_of(&r, AgreeOutcome::evaluate(&r).success, vec![])
-        }
-        Workload::LeCapped { cap } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let mut cfg = cfg.max_rounds(params.le_round_budget());
-            if let Some(c) = cap {
-                cfg = cfg.send_cap(*c);
-            }
-            let mut adv = EagerCrash::new(f);
-            let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
-            let suppressed = r.metrics.msgs_suppressed as f64;
-            value_of(
-                &r,
-                LeOutcome::evaluate(&r).success,
-                vec![("suppressed", suppressed)],
-            )
-        }
-        Workload::AgreeCapped { cap } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let mut cfg = cfg.max_rounds(params.agreement_round_budget());
-            if let Some(c) = cap {
-                cfg = cfg.send_cap(*c);
-            }
-            let mut adv = EagerCrash::new(f);
-            let r = run_sharded(
-                &cfg,
-                |id| AgreeNode::new(params.clone(), id.0 % 2 == 0),
-                &mut adv,
-                ij,
-            );
-            let suppressed = r.metrics.msgs_suppressed as f64;
-            value_of(
-                &r,
-                AgreeOutcome::evaluate(&r).success,
-                vec![("suppressed", suppressed)],
-            )
-        }
-        Workload::LeExplicit => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
-            let mut adv = RandomCrash::new(f, 40);
-            let r = run_sharded(&cfg, |_| ExplicitLeNode::new(params.clone()), &mut adv, ij);
-            value_of(&r, r.verdict().explicit(), vec![])
-        }
-        Workload::LeImplicitExplicitBudget => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
-            let mut adv = RandomCrash::new(f, 40);
-            let r = run_sharded(&cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
-            value_of(&r, LeOutcome::evaluate(&r).success, vec![])
-        }
-        Workload::AgreeExplicit { zeros } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let cfg = cfg.max_rounds(ExplicitAgreeNode::round_budget(&params));
-            let mut adv = RandomCrash::new(f, 20);
-            let r = run_sharded(
-                &cfg,
-                |id| ExplicitAgreeNode::new(params.clone(), agree_input(*zeros, id)),
-                &mut adv,
-                ij,
-            );
-            value_of(&r, r.verdict().explicit(), vec![])
-        }
-        Workload::LeKutten => {
-            let cfg = cfg.max_rounds(kutten_round_budget());
-            let r = run_sharded(&cfg, |_| KuttenLeNode::new(), &mut NoFaults, ij);
-            value_of(&r, r.verdict().deciders == 1, vec![])
-        }
-        Workload::LeDiamTwo { adv } => {
-            let f = ((1.0 - cell.alpha) * f64::from(n)) as usize;
-            let cfg = cfg.max_rounds(diam_two_round_budget());
-            let mut a = adv.schedule_only(f)?;
-            let r = run_sharded(&cfg, |_| DiamTwoLeNode::new(), &mut *a, ij);
-            value_of(&r, r.verdict().deciders == 1, vec![])
-        }
-        Workload::AgreeAugustine { zeros } => {
-            let cfg = cfg.max_rounds(augustine_round_budget());
-            let r = run_sharded(
-                &cfg,
-                |id| AugustineNode::new(agree_input(*zeros, id)),
-                &mut NoFaults,
-                ij,
-            );
-            let v = r.verdict();
-            value_of(&r, v.implicit() && v.valid, vec![])
-        }
-        Workload::MultiValue { k } => {
-            let params = cell_params(cell)?;
-            let f = params.max_faults();
-            let k = *k;
-            let cfg = cfg.max_rounds(params.agreement_round_budget());
-            let mut adv = RandomCrash::new(f, 20);
-            let r = run_sharded(
-                &cfg,
-                |id| MultiAgreeNode::new(params.clone(), k, (id.0.wrapping_mul(2654435761)) % k),
-                &mut adv,
-                ij,
-            );
-            let v = r.verdict();
-            value_of(&r, v.implicit() && v.valid, vec![])
-        }
-        Workload::Flood { faults } => {
-            let f = *faults as usize;
-            let cfg = cfg.max_rounds(flood_round_budget(f as u32));
-            let mut adv = RandomCrash::new(f, f as u32);
-            let r = run_sharded(
-                &cfg,
-                |id| FloodAgreeNode::new(f as u32, id.0 % 7 != 0),
-                &mut adv,
-                ij,
-            );
-            value_of(&r, r.verdict().explicit(), vec![])
-        }
-        Workload::Gk { faults } => {
-            let cfg = cfg.kt1(true).max_rounds(gk_round_budget(n));
-            let mut adv = RandomCrash::new(*faults as usize, 20);
-            let r = run_sharded(&cfg, |id| GkNode::new(id.0 % 7 != 0), &mut adv, ij);
-            let v = r.verdict();
-            value_of(&r, v.explicit() && v.valid, vec![])
-        }
-        Workload::Gossip { faults } => {
-            let cfg = cfg.max_rounds(gossip_round_budget(n));
-            let mut adv = RandomCrash::new(*faults as usize, 10);
-            let r = run_sharded(&cfg, |id| GossipNode::new(n, id.0 % 7 != 0), &mut adv, ij);
-            let v = r.verdict();
-            value_of(&r, v.explicit() && v.valid, vec![])
-        }
-        Workload::SamplingLemmas {
-            candidate_factor,
-            referee_factor,
-        } => {
-            let params = cell_params(cell)?
-                .with_candidate_factor(*candidate_factor)
-                .with_referee_factor(*referee_factor);
-            let f = params.max_faults();
-            let lo = 2.0 * params.ln_n() / params.alpha();
-            let hi = 12.0 * params.ln_n() / params.alpha();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let faulty: HashSet<usize> = rand::seq::index::sample(&mut rng, n as usize, f)
-                .into_iter()
-                .collect();
-            let (cands, refs) = draw_committee(&mut rng, &params);
-            let committee = cands.len() as f64;
-            let in_band = committee >= lo && committee <= hi;
-            let nonfaulty = cands.iter().any(|c| !faulty.contains(c));
-            let ref_sets: Vec<HashSet<usize>> = refs
-                .iter()
-                .map(|r| r.iter().copied().filter(|x| !faulty.contains(x)).collect())
-                .collect();
-            let mut all_pairs = true;
-            'outer: for i in 0..cands.len() {
-                for j in i + 1..cands.len() {
-                    if ref_sets[i].is_disjoint(&ref_sets[j]) {
-                        all_pairs = false;
-                        break 'outer;
-                    }
-                }
-            }
-            TrialValue {
-                success: in_band && nonfaulty && all_pairs,
-                msgs: 0,
-                bits: 0,
-                rounds: 0,
-                crashes: 0,
-                extras: vec![
-                    ("committee", committee),
-                    ("in_band", f64::from(u8::from(in_band))),
-                    ("nonfaulty", f64::from(u8::from(nonfaulty))),
-                    ("pairs", f64::from(u8::from(all_pairs))),
-                ],
-            }
-        }
-        Workload::EngineBench { adv, p, rounds } => {
-            let f = ((1.0 - cell.alpha) * f64::from(n)) as usize;
-            let mut cfg = cfg.max_rounds(rounds + 2);
-            if *p > 0.0 {
-                cfg = cfg.edge_failure_prob(*p);
-            }
-            let mut a = adv.schedule_only(f)?;
-            let r = run_sharded(
-                &cfg,
-                |_| BenchChatter {
-                    rounds_done: 0,
-                    budget: *rounds,
-                    heard: 0,
-                },
-                &mut *a,
-                ij,
-            );
-            // Success = the run actually exercised the delivery path; the
-            // interesting output is msgs/bits (deterministic payload) and
-            // the cell's wall-clock throughput (diagnostic).
-            value_of(&r, r.metrics.msgs_delivered > 0, vec![])
-        }
-        Workload::Soak {
-            heights,
-            kill_every,
-            rejoin_after,
-        } => {
-            let scfg = ServeConfig::new(n, cell.alpha)
-                .seed(seed)
-                .heights(*heights)
-                .churn(ChurnPlan {
-                    kill_leader_every: *kill_every,
-                    bystanders: 2,
-                    rejoin_after: *rejoin_after,
-                })
-                .load(LoadProfile::default());
-            let report = run_service(&scfg)?;
-            let q = |h: &ftc_sim::prelude::LogHistogram, p: f64| {
-                h.quantile(p).map_or(0.0, |v| v as f64)
-            };
-            let lat = report
-                .load
-                .as_ref()
-                .map(|l| l.latency.clone())
-                .unwrap_or_default();
-            TrialValue {
-                success: report.ok() && report.metrics.failed_elections == 0,
-                msgs: report.total_msgs(),
-                bits: report.total_bits(),
-                rounds: report.total_rounds().min(u64::from(u32::MAX)) as u32,
-                crashes: u64::from(report.crashes),
-                extras: vec![
-                    ("violations", report.violations.len() as f64),
-                    (
-                        "failed_elections",
-                        f64::from(report.metrics.failed_elections),
-                    ),
-                    ("leader_changes", f64::from(report.metrics.leader_changes)),
-                    ("availability", report.metrics.availability().unwrap_or(0.0)),
-                    ("ttnl_p50", q(&report.metrics.ttnl_rounds, 0.5)),
-                    ("ttnl_p95", q(&report.metrics.ttnl_rounds, 0.95)),
-                    ("ttnl_p99", q(&report.metrics.ttnl_rounds, 0.99)),
-                    ("lat_p50", q(&lat, 0.5)),
-                    ("lat_p95", q(&lat, 0.95)),
-                    ("lat_p99", q(&lat, 0.99)),
-                ],
-            }
-        }
+    TrialValue {
+        success: in_band && nonfaulty && all_pairs,
+        msgs: 0,
+        bits: 0,
+        rounds: 0,
+        crashes: 0,
+        extras: vec![
+            ("committee", committee),
+            ("in_band", f64::from(u8::from(in_band))),
+            ("nonfaulty", f64::from(u8::from(nonfaulty))),
+            ("pairs", f64::from(u8::from(all_pairs))),
+        ],
+    }
+}
+
+/// E18: one soak of the leader service under `scfg`.
+fn soak(scfg: &ServeConfig) -> Result<TrialValue, String> {
+    let report = run_service(scfg)?;
+    let q = |h: &LogHistogram, p: f64| h.quantile(p).map_or(0.0, |v| v as f64);
+    let lat = report
+        .load
+        .as_ref()
+        .map(|l| l.latency.clone())
+        .unwrap_or_default();
+    Ok(TrialValue {
+        success: report.ok() && report.metrics.failed_elections == 0,
+        msgs: report.total_msgs(),
+        bits: report.total_bits(),
+        rounds: report.total_rounds().min(u64::from(u32::MAX)) as u32,
+        crashes: u64::from(report.crashes),
+        extras: vec![
+            ("violations", report.violations.len() as f64),
+            (
+                "failed_elections",
+                f64::from(report.metrics.failed_elections),
+            ),
+            ("leader_changes", f64::from(report.metrics.leader_changes)),
+            ("availability", report.metrics.availability().unwrap_or(0.0)),
+            ("ttnl_p50", q(&report.metrics.ttnl_rounds, 0.5)),
+            ("ttnl_p95", q(&report.metrics.ttnl_rounds, 0.95)),
+            ("ttnl_p99", q(&report.metrics.ttnl_rounds, 0.99)),
+            ("lat_p50", q(&lat, 0.5)),
+            ("lat_p95", q(&lat, 0.95)),
+            ("lat_p99", q(&lat, 0.99)),
+        ],
     })
 }
 
@@ -602,15 +628,21 @@ ftc_sim::codec! {
 /// `(cell, substrate)`; `jobs`, the thread budget, only changes
 /// wall-clock. It runs up to `jobs` trials at once, and a cell of fewer
 /// trials than threads shards each of them over the rest
-/// ([`TrialPlan::threads_per_trial`]).
+/// ([`TrialPlan::threads_per_trial`]). A cell no trial of which can run
+/// is an error naming it ([`trial`]).
 pub fn run_cell(cell: &CellSpec, jobs: usize, substrate: Substrate) -> Result<CellResult, String> {
+    run_built(cell, &trial(cell, substrate)?, jobs)
+}
+
+/// [`run_cell`] over the cell's built trial.
+fn run_built(cell: &CellSpec, trial: &Trial, jobs: usize) -> Result<CellResult, String> {
     let start = Instant::now();
     let plan = TrialPlan::new(cell.seed, cell.trials).jobs(jobs);
     let opts = RunOpts {
         intra_jobs: plan.threads_per_trial(),
         ..RunOpts::default()
     };
-    let batch = ParRunner::new(plan).run(|_, seed| run_trial(cell, seed, substrate, &opts));
+    let batch = ParRunner::new(plan).run(|_, seed| trial(seed, &opts));
     let mut values = Vec::with_capacity(batch.len());
     for v in batch.values() {
         values.push(v.clone()?);
@@ -766,99 +798,15 @@ pub fn run_campaign(
     if spec.cells.is_empty() {
         return Err(format!("campaign `{}` has no cells", spec.name));
     }
-    if let Some(cell) = spec.cells.iter().find(|c| c.trials == 0) {
-        return Err(format!("cell `{}` has zero trials", cell.label));
-    }
-    for cell in &spec.cells {
-        // Configuration errors must surface here, before any trial runs —
-        // a network of fewer than two nodes, a bad topology, an oversized
-        // Byzantine budget or an adversary the workload cannot face used
-        // to panic mid-trial on a worker.
-        SimConfig::try_new(cell.n)
-            .and_then(|_| cell.topology.validate(cell.n))
-            .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
-        match cell.workload {
-            Workload::LeByzantine { b } => EquivocatingClaimant::new(b as usize).validate(cell.n),
-            Workload::AgreeByzantine { b } => ZeroForger::new(b as usize).validate(cell.n),
-            _ => Ok(()),
-        }
-        .map_err(|e| format!("cell `{}`: {e}", cell.label))?;
-        check_workload(&cell.workload).map_err(|e| format!("cell `{}`: {e}", cell.label))?;
-        // The fault budget must fit the network: one above n panics
-        // `FaultySet::random` on a worker, and `((1 − α)·n) as usize`
-        // leaves `0..=n` for α < 0 and saturates to no faults for α > 1.
-        if !(cell.alpha > 0.0 && cell.alpha <= 1.0) {
-            return Err(format!(
-                "cell `{}`: alpha={} is outside (0, 1]",
-                cell.label, cell.alpha
-            ));
-        }
-        if let Workload::Flood { faults } | Workload::Gk { faults } | Workload::Gossip { faults } =
-            cell.workload
-        {
-            if faults > u64::from(cell.n) {
-                return Err(format!(
-                    "cell `{}`: faults={faults} exceeds n={}",
-                    cell.label, cell.n
-                ));
-            }
-        }
-        // Only the fault-free baselines and the bench canary run without
-        // the paper's parameters.
-        if !matches!(
-            cell.workload,
-            Workload::LeKutten
-                | Workload::LeDiamTwo { .. }
-                | Workload::AgreeAugustine { .. }
-                | Workload::Flood { .. }
-                | Workload::Gk { .. }
-                | Workload::Gossip { .. }
-                | Workload::EngineBench { .. }
-        ) {
-            cell_params(cell)?;
-        }
-        if !cell.topology.is_complete()
-            && matches!(
-                cell.workload,
-                Workload::Soak { .. } | Workload::SamplingLemmas { .. }
-            )
-        {
-            return Err(format!(
-                "cell `{}`: workload `{}` runs on the complete graph only",
-                cell.label,
-                cell.workload.tag()
-            ));
-        }
-        if matches!(cell.workload, Workload::LeDiamTwo { .. })
-            && !matches!(
-                cell.topology,
-                Topology::DiameterTwo { .. } | Topology::Complete
-            )
-        {
-            return Err(format!(
-                "cell `{}`: le_diam_two needs a diameter_two (or complete) topology",
-                cell.label
-            ));
-        }
-    }
-    if substrate != Substrate::Engine {
-        if let Some(cell) = spec
-            .cells
-            .iter()
-            .find(|c| !matches!(c.workload, Workload::Le { .. } | Workload::Agree { .. }))
-        {
-            return Err(format!(
-                "substrate `{}` only runs the plain le/agree workloads; cell `{}` is `{}`",
-                substrate.label(),
-                cell.label,
-                cell.workload.tag()
-            ));
-        }
-    }
+    // Every cell is built before any runs, so a bad later cell fails at
+    // once.
+    let trials = (spec.cells.iter())
+        .map(|cell| trial(cell, substrate))
+        .collect::<Result<Vec<_>, _>>()?;
     let start = Instant::now();
     let mut cells = Vec::with_capacity(spec.cells.len());
-    for cell in &spec.cells {
-        cells.push(run_cell(cell, jobs, substrate)?);
+    for (cell, trial) in spec.cells.iter().zip(&trials) {
+        cells.push(run_built(cell, trial, jobs)?);
     }
     let checks = spec
         .checks
@@ -1244,6 +1192,21 @@ mod tests {
             .topology(Topology::DiameterTwo { clusters: 4 }),
         );
         assert!(run_campaign(&soak, 1, Substrate::Engine).is_err());
+    }
+
+    #[test]
+    fn a_lone_cell_is_checked_like_a_campaign() {
+        // `ftc sweep` runs its cells through `run_cell`, which used to skip
+        // every check `run_campaign` made. GK is KT1: on `rr:8` it panicked
+        // a worker (`node n31 has no edge to n15`).
+        let gk = CellSpec::new(Workload::Gk { faults: 1 }, 64, 0.5, 3, 2)
+            .label("gk/rr8")
+            .topology(Topology::RandomRegular { d: 8 });
+        let err = run_cell(&gk, 1, Substrate::Engine).unwrap_err();
+        assert_eq!(
+            err,
+            "cell `gk/rr8`: workload `gk` runs on the complete graph only"
+        );
     }
 
     #[test]

@@ -16,9 +16,10 @@ use ftc_sim::topology::Topology;
 /// vocabulary (its JSON form is written by its own codec table).
 pub use ftc_hunt::proto::Adv;
 
-/// What one cell measures. Every variant is one trial closure of
-/// [`run_trial`](crate::run::run_trial) and carries exactly the knobs
-/// that closure has.
+/// What one cell measures. Every variant is one arm of the lab's trial
+/// builder (`run::trial`), which checks the variant's knobs as it builds
+/// the closure every trial of the cell calls, and carries exactly the
+/// knobs that closure has.
 ///
 /// Input conventions: agreement-style workloads take a `zeros` fraction
 /// and spread the 0-inputs round-robin with stride `round(1/zeros)`

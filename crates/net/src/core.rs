@@ -422,19 +422,17 @@ impl<M: Wire> CoordinatorCore<M> {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configurations ([`SimConfig::validate`],
-    /// `max_rounds == 0`) — same contract as the engine.
+    /// Panics on an invalid configuration ([`SimConfig::validate`]), in
+    /// [`ControlCore::new`], as the engine does.
     pub fn new<A>(cfg: &SimConfig, height: u32, adversary: &mut A) -> Self
     where
         A: Adversary<M> + ?Sized,
     {
-        cfg.validate().expect("invalid SimConfig");
-        assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
         CoordinatorCore {
             max_rounds: cfg.max_rounds,
             height,
             round: 0,
-            core: ControlCore::new::<M, _>(cfg, network_edges(cfg), adversary),
+            core: ControlCore::new::<M, _>(cfg, adversary),
             terminated: vec![false; cfg.n as usize],
             stopped: false,
             outgoing: (0..cfg.n).map(|_| Vec::new()).collect(),

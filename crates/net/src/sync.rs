@@ -229,12 +229,11 @@ where
 ///
 /// # Panics
 ///
-/// Panics on invalid configurations ([`SimConfig::validate`],
-/// `max_rounds == 0`, endpoint count mismatch), if the adversary violates
-/// the model, or if the transport fails mid-run (a torn socket outside the
-/// crash schedule is a bug, not a model event — the model's faults are
-/// *injected*, never spontaneous). [`run_over_links`] reports the last as
-/// an `Err` instead.
+/// Panics on invalid configurations ([`SimConfig::validate`], endpoint
+/// count mismatch), if the adversary violates the model, or if the
+/// transport fails mid-run (a torn socket outside the crash schedule is
+/// a bug, not a model event — the model's faults are *injected*, never
+/// spontaneous). [`run_over_links`] reports the last as an `Err` instead.
 pub fn run_over<P, F, A, E>(
     cfg: &SimConfig,
     workers: usize,
@@ -249,7 +248,6 @@ where
     A: Adversary<P::Msg> + ?Sized,
     E: Endpoint,
 {
-    cfg.validate().expect("invalid SimConfig");
     let nn = cfg.n as usize;
     assert_eq!(endpoints.len(), nn, "need exactly one endpoint per node");
     let links = deal(endpoints, workers.clamp(1, nn));

@@ -31,7 +31,7 @@ use crate::metrics::Metrics;
 use crate::node::NodeHarness;
 use crate::ports::PortMap;
 use crate::protocol::{Incoming, Protocol};
-use crate::round::{network_edges, ControlCore};
+use crate::round::ControlCore;
 use crate::topology::Topology;
 use crate::trace::Trace;
 
@@ -43,6 +43,8 @@ pub enum ConfigError {
         /// The offending network size.
         n: u32,
     },
+    /// `max_rounds == 0`: a run needs at least one round.
+    NoRounds,
     /// Edge failure probability outside `[0, 1)`.
     EdgeFailureOutOfRange {
         /// The offending probability.
@@ -92,6 +94,7 @@ impl fmt::Display for ConfigError {
             ConfigError::NetworkTooSmall { n } => {
                 write!(f, "network size must be at least 2, got {n}")
             }
+            ConfigError::NoRounds => write!(f, "max_rounds must be at least 1"),
             ConfigError::EdgeFailureOutOfRange { p } => {
                 write!(f, "edge failure probability must be in [0, 1), got {p}")
             }
@@ -213,11 +216,15 @@ impl SimConfig {
         })
     }
 
-    /// Validates the assembled configuration (size, probabilities) in one
-    /// place, for front ends that mutate fields directly.
+    /// Validates the assembled configuration (size, round budget,
+    /// probabilities, topology) in one place: every driver's
+    /// [`ControlCore`] runs it, and so does the codec.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n < 2 {
             return Err(ConfigError::NetworkTooSmall { n: self.n });
+        }
+        if self.max_rounds == 0 {
+            return Err(ConfigError::NoRounds);
         }
         if !(0.0..1.0).contains(&self.edge_failure_prob) {
             return Err(ConfigError::EdgeFailureOutOfRange {
@@ -358,8 +365,9 @@ impl<P> RunResult<P> {
 ///
 /// # Panics
 ///
-/// Panics if the adversary violates the model: crashing a node outside its
-/// committed faulty set, or crashing a node twice.
+/// Panics on an invalid `cfg` ([`SimConfig::validate`]), or if the
+/// adversary violates the model: crashing a node outside its committed
+/// faulty set, or crashing a node twice.
 pub fn run<P, F, A>(cfg: &SimConfig, factory: F, adversary: &mut A) -> RunResult<P>
 where
     P: Protocol,
@@ -395,8 +403,9 @@ const INTRA_SHARD_MIN: usize = 1024;
 ///
 /// # Panics
 ///
-/// Panics if the adversary violates the model: crashing a node outside its
-/// committed faulty set, or crashing a node twice.
+/// Panics on an invalid `cfg` ([`SimConfig::validate`]), or if the
+/// adversary violates the model: crashing a node outside its committed
+/// faulty set, or crashing a node twice.
 pub fn run_sharded<P, F, A>(
     cfg: &SimConfig,
     mut factory: F,
@@ -412,11 +421,13 @@ where
     let nn = n as usize;
     let intra_jobs = intra_jobs.max(1);
 
-    let edges = network_edges(cfg);
+    let mut core = ControlCore::new(cfg, adversary);
     let mut nodes: Vec<NodeHarness<P>> = (0..n)
-        .map(|i| NodeHarness::new(cfg, PortMap::new(&edges, NodeId(i)), factory(NodeId(i))))
+        .map(|i| {
+            let ports = PortMap::new(core.edges(), NodeId(i));
+            NodeHarness::new(cfg, ports, factory(NodeId(i)))
+        })
         .collect();
-    let mut core = ControlCore::new(cfg, edges, adversary);
 
     // Pooled round buffers: allocated once, reused every round. `outgoing`
     // is filled at activation, filtered in place by the control core, and
@@ -972,6 +983,8 @@ mod tests {
         let cfg = SimConfig::try_new(2).unwrap();
         assert_eq!(cfg.n, 2);
         assert!(cfg.validate().is_ok());
+        let roundless = cfg.clone().max_rounds(0);
+        assert_eq!(roundless.validate(), Err(ConfigError::NoRounds));
         let mut bad = cfg;
         bad.edge_failure_prob = 1.5;
         assert!(matches!(

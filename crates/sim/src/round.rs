@@ -44,9 +44,9 @@ pub(crate) const SALT_EDGES: u64 = 0x05;
 
 /// The graph of a run of `cfg`: [`crate::topology::Topology::edge_set`]
 /// at the run's topology seed, from which every node's port permutation
-/// derives too. A driver builds it once per run, wires every node's
-/// [`PortMap`] from it and hands it to its [`ControlCore`], which checks
-/// forged sends against it (DESIGN D31).
+/// derives too. [`ControlCore::new`] builds it once per run and checks
+/// forged sends against it; a driver wires every node's [`PortMap`] from
+/// [`ControlCore::edges`] (DESIGN D31).
 pub fn network_edges(cfg: &SimConfig) -> EdgeSet {
     cfg.topology
         .edge_set(cfg.n, stream_seed(cfg.seed, SALT_TOPOLOGY))
@@ -167,17 +167,22 @@ pub struct ControlCore {
 }
 
 impl ControlCore {
-    /// Builds the control plane for one run over the run's graph `edges`
+    /// Builds the control plane for one run of `cfg` over the run's graph
     /// ([`network_edges`]) and asks `adversary` for its static faulty set.
+    /// Every driver builds one, so this is where every run's config is
+    /// checked.
     ///
     /// # Panics
     ///
-    /// Panics if the faulty set references nodes outside the network.
-    pub fn new<M, A>(cfg: &SimConfig, edges: EdgeSet, adversary: &mut A) -> Self
+    /// Panics on an invalid `cfg` ([`SimConfig::validate`]), or if the
+    /// faulty set references nodes outside the network.
+    pub fn new<M, A>(cfg: &SimConfig, adversary: &mut A) -> Self
     where
         M: Payload,
         A: Adversary<M> + ?Sized,
     {
+        cfg.validate().expect("invalid SimConfig");
+        let edges = network_edges(cfg);
         let n = cfg.n;
         let nn = n as usize;
         let mut adv_rng = SmallRng::seed_from_u64(stream_seed(cfg.seed, SALT_ADVERSARY));
@@ -499,7 +504,7 @@ mod tests {
     fn fault_free_round_delivers_everything() {
         let cfg = SimConfig::new(4).seed(1);
         let ports = network_ports(&cfg);
-        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut NoFaults);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut NoFaults);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), u64::from(u))]))
             .collect();
@@ -519,7 +524,7 @@ mod tests {
         let ports = network_ports(&cfg);
         let plan = FaultPlan::new().crash(NodeId(0), 0, DeliveryFilter::DropAll);
         let mut adv = ScriptedCrash::new(plan);
-        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut adv);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut adv);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = (0..4)
             .map(|u| envelopes(&ports, NodeId(u), &[(Port(0), 1u64), (Port(1), 2)]))
             .collect();
@@ -567,7 +572,7 @@ mod tests {
         let cfg = SimConfig::new(4).seed(1);
         let ports = network_ports(&cfg);
         let mut forge = Forge(vec![NodeId(0)]);
-        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut forge);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut forge);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
         for u in [1, 3] {
             outgoing[u] = envelopes(&ports, NodeId(u as u32), &[(Port(0), 1)]);
@@ -590,7 +595,7 @@ mod tests {
             .seed(1)
             .topology(crate::topology::Topology::DiameterTwo { clusters: 1 });
         let mut forge = Forge(vec![NodeId(1), NodeId(0), NodeId(3)]);
-        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut forge);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut forge);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
         let v = core.finish_round(0, &mut outgoing, &mut Vec::new(), 0, &mut forge);
         assert_eq!(v.delivered, 1);
@@ -602,7 +607,7 @@ mod tests {
     #[test]
     fn suppressed_sends_are_accounted() {
         let cfg = SimConfig::new(4).seed(0);
-        let mut core = ControlCore::new::<u64, _>(&cfg, network_edges(&cfg), &mut NoFaults);
+        let mut core = ControlCore::new::<u64, _>(&cfg, &mut NoFaults);
         let mut outgoing: Vec<Vec<Envelope<u64>>> = vec![Vec::new(); 4];
         core.finish_round(0, &mut outgoing, &mut Vec::new(), 7, &mut NoFaults);
         assert_eq!(core.finish(vec![(); 4], 0).metrics.msgs_suppressed, 7);

@@ -246,7 +246,8 @@ fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
     // Each of these used to panic a worker (exit 101) or store a record
     // of a run other than the one it names: α > 1 ran fault-free, a
     // negative edge probability ran reliable edges, `zeros = 2` ran
-    // all-zero inputs. The knob rows keep an α their parameters accept.
+    // all-zero inputs, a wrapped round budget ran 0 or 77 rounds. The knob
+    // rows keep an α their parameters accept.
     let dir = tmp_dir("budget");
     let (spec, store) = (dir.join("spec.json"), dir.join("store"));
     let cells = [
@@ -285,6 +286,20 @@ fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
             "zeros-two",
             r#"{"kind":"agree","zeros":2.0,"adv":{"kind":"none"}},"alpha":0.75"#,
         ),
+        // KT1: GK sends to arbitrary ids, which a sparse graph lacks.
+        (
+            "gk-sparse",
+            r#"{"kind":"gk","faults":1},"topology":{"kind":"random_regular","d":8},"alpha":0.5"#,
+        ),
+        // Round budgets past `u32::MAX` wrapped to another run's budget.
+        (
+            "bench-rounds-wrap",
+            r#"{"kind":"engine_bench","adv":{"kind":"none"},"p":0.0,"rounds":4294967294},"alpha":0.75"#,
+        ),
+        (
+            "iter-factor-wrap",
+            r#"{"kind":"le_iter","factor":1e300,"per_round":1},"alpha":0.75"#,
+        ),
     ];
     for (label, workload) in cells {
         let cell =
@@ -305,4 +320,44 @@ fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
         assert!(!store.exists(), "a rejected campaign reached the store");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_portfolio_cell_with_zeros_outside_the_unit_interval_exits_1_naming_the_cell() {
+    // Used to run, and store, a hunt over all-zero inputs.
+    let dir = tmp_dir("zeros");
+    let (spec, store) = (dir.join("spec.json"), dir.join("store"));
+    let cell = r#"{"label":"agree-zeros-two","proto":"agree","objective":"failure","strategy":"random","n":16,"alpha":0.5,"zeros":2.0,"budget":1,"probes":1,"seed":1,"wire":false}"#;
+    std::fs::write(&spec, format!(r#"{{"name":"zeros-bad","cells":[{cell}]}}"#)).unwrap();
+    let out = ftc(&[
+        "lab",
+        "run",
+        spec.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cell `agree-zeros-two`") && stderr.contains("zeros=2"),
+        "{stderr}"
+    );
+    assert!(!store.exists(), "a rejected portfolio reached the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_zeros_fraction_outside_the_unit_interval_exits_1_on_every_command() {
+    // `ftc agree --zeros 2` used to run every node at input 0 and print
+    // `zeros=2`; `ftc hunt` hunted the same run.
+    for args in [
+        "agree --n 64 --alpha 0.75 --zeros 2 --adversary none --trials 2",
+        "agree --n 64 --alpha 0.75 --zeros -1 --adversary none --trials 2",
+        "hunt --proto agree --n 16 --alpha 0.5 --zeros 2 --budget 1",
+    ] {
+        let out = ftc(&args.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains("must be in [0, 1]"), "{args}: {stderr}");
+    }
 }

@@ -601,3 +601,39 @@ fn mesh_socket_count_is_quadratic_in_procs_not_nodes() {
     assert!(LeOutcome::evaluate(&net.run).success);
     assert!(net.net.wire_bytes > 0);
 }
+
+/// The panic message of `run`, which must panic.
+fn panic_of(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("an invalid config ran");
+    (payload.downcast_ref::<String>().cloned())
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn every_driver_rejects_an_invalid_config_alike() {
+    // Every driver builds a `ControlCore`, which checks the config, and
+    // the mesh checks it once more before it opens a socket. The engine
+    // used to run both of these: zero rounds, and every edge dead.
+    let params = Params::new(N, ALPHA).unwrap();
+    let roundless = SimConfig::new(N).seed(1).max_rounds(0);
+    let mut edgeless = SimConfig::new(N).seed(1);
+    edgeless.edge_failure_prob = 1.5;
+    let cases = [
+        (roundless, "invalid SimConfig: NoRounds"),
+        (
+            edgeless,
+            "invalid SimConfig: EdgeFailureOutOfRange { p: 1.5 }",
+        ),
+    ];
+    for (cfg, want) in cases {
+        for substrate in [Substrate::Engine, Substrate::Channel(2), Substrate::Mesh(2)] {
+            let got = panic_of(|| {
+                let node = |_: NodeId| LeNode::new(params.clone());
+                let _ = substrate.run(&cfg, node, &mut NoFaults, &RunOpts::default());
+            });
+            assert_eq!(got, want, "{substrate:?}");
+        }
+    }
+}
