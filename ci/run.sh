@@ -30,17 +30,18 @@ PUSH_GATES=(
 # before hours at full scale, and the figure records too slow to gate on
 # every push (minutes each).
 NIGHTLY_GATES=(gate-smoke fig-success fig-rounds fig-messages-vs-alpha)
-# `perf` rows: trajectory file, campaign, flags. Each campaign re-runs
-# against its committed BENCH_*.json entries: per-cell ratios normalised
-# by their median, so a uniformly slower runner passes while a >20%
-# hot-path regression on specific cells fails, and deterministic payloads
-# (message and round counts) must match exactly.
+# `perf` rows: trajectory file, campaign, flags. Each row gates the
+# committed record its campaign's latest BENCH_*.json entry names, bit for
+# bit as `lab-gate` does, then times the run against that entry: per-cell
+# ratios normalised by their median, so a uniformly slower runner passes
+# while a >20% hot-path regression on specific cells fails.
 PERF_GATES=(
   "BENCH_engine.json engine-bench --jobs 2"
   # --jobs 2 pins the thread layout (the one-trial 10^6 cell shards over
   # both threads) whatever the runner's core count.
   "BENCH_engine.json scale-bench --jobs 2"
-  # Bytes/sec over real sockets: LE + agreement on the mesh runtime.
+  # Bytes/sec over real sockets: LE + agreement on the mesh runtime (2
+  # procs), whose every counter, wire_bytes included, must reproduce.
   "BENCH_engine.json wire-throughput --substrate mesh:2 --jobs 1"
   # The LE protocol step alone: a slower referee or candidate path shows
   # against the other sizes instead of hiding behind the campaigns above.
@@ -271,9 +272,6 @@ lab-gate() {
   gate 240 gate-smoke
   # Campaign-level determinism: `lab run` diffed across --jobs.
   jobs_pair 120 le-scaling 1 4
-  # Every counter of the mesh runtime's record (2 procs, real sockets),
-  # wire_bytes included, reproduces.
-  gate 300 wire-throughput --substrate mesh:2 --jobs 1
   # The topology-matrix smoke profile keeps its payload at any --jobs.
   jobs_pair 120 topology-matrix 1 4
   local name record
@@ -295,7 +293,7 @@ perf() {
   for row in "${PERF_GATES[@]}"; do
     read -r bench name flags <<< "$row"
     # $flags is unquoted: it is several words.
-    timeout 420 "$FTC" lab perf "$bench" --campaign "$name" $flags --store "$tmp/lab-perf"
+    timeout 420 "$FTC" lab perf "$bench" --campaign "$name" $flags
   done
 }
 

@@ -2,25 +2,29 @@
 //! results store that holds both (`ftc-lab`, `ftc-hunt`).
 
 use ftc::hunt::portfolio;
-use ftc::lab::campaigns;
+use ftc::lab::{baseline, campaigns};
 use ftc::prelude::*;
 use ftc::sim::json::Json;
 
 use crate::flags::{substrate_spelled, Opts};
 
-/// The substrate a re-run of a stored record executes on: the record's
-/// own `label`, or `--substrate` when it names the same one (a mesh width,
-/// which labels leave out). A `--substrate` with another label is an error
-/// before anything runs.
-fn rerun_substrate(o: &Opts, label: &str) -> Result<Substrate, String> {
-    match o.substrate {
-        None => Substrate::parse(label),
-        Some(s) if s.label() == label => Ok(s),
-        Some(s) => Err(format!(
-            "--substrate {} cannot re-run a record of substrate {label}",
-            substrate_spelled(s)
-        )),
-    }
+/// A fresh run of a stored lab record's own spec on the record's own
+/// substrate `label`, or on `--substrate` when it names the same one (a
+/// mesh width, which labels leave out). A `--substrate` with another label
+/// is an error before anything runs.
+fn rerun(o: &Opts, base: &CampaignRecord) -> Result<CampaignRecord, String> {
+    let label = base.substrate.as_str();
+    let substrate = match o.substrate {
+        None => Substrate::parse(label)?,
+        Some(s) if s.label() == label => s,
+        Some(s) => {
+            return Err(format!(
+                "--substrate {} cannot re-run a record of substrate {label}",
+                substrate_spelled(s)
+            ))
+        }
+    };
+    run_campaign(&base.spec, o.jobs, substrate)
 }
 
 /// What `lab run` executes: a measurement campaign or a portfolio hunt.
@@ -264,10 +268,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
         "gate" => {
             let base = resolve(&arg(1, "a baseline record or file")?)?;
             let fresh = match &base {
-                Record::Lab(b) => {
-                    let substrate = rerun_substrate(o, &b.substrate)?;
-                    Record::Lab(run_campaign(&b.spec, o.jobs, substrate)?)
-                }
+                Record::Lab(b) => Record::Lab(rerun(o, b)?),
                 Record::Hunt(b) => Record::Hunt(run_hunt_campaign(&b.spec, o.jobs)?),
             };
             compare(&base, &fresh)
@@ -321,8 +322,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                 let record = run_campaign(&spec, o.jobs, substrate)?;
                 let id = store.put(&record).map_err(|e| e.to_string())?;
                 let path = dir.join(file);
-                let entries =
-                    ftc::lab::baseline::export(&record, &path).map_err(|e| e.to_string())?;
+                let entries = baseline::export(&record, &path).map_err(|e| e.to_string())?;
                 print_record(&record, o.format)?;
                 if o.format != Format::Json {
                     println!(
@@ -338,58 +338,40 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             Ok(())
         }
         "perf" => {
-            let path =
-                std::path::PathBuf::from(arg(1, "a trajectory file (e.g. BENCH_engine.json)")?);
-            let entry = match &o.campaign {
-                Some(name) => ftc::lab::baseline::latest_entry_named(&path, name),
-                None => ftc::lab::baseline::latest_entry(&path),
-            }
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-            let name = entry
-                .field("name")
+            // `lab gate` on the record the trajectory's entry names, then
+            // a clock: only a bit-identical run is timed.
+            let path = arg(1, "a trajectory file (e.g. BENCH_engine.json)")?;
+            let entry = baseline::latest_entry(path.as_ref(), o.campaign.as_deref())
+                .map_err(|e| format!("{path}: {e}"))?;
+            let id = entry
+                .field("id")
                 .and_then(Json::as_str)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .to_string();
-            let base_hash = entry
-                .field("spec_hash")
-                .and_then(Json::as_str)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .to_string();
-            // The committed trajectory may be at either scale; pick the
-            // registry variant whose spec hash matches the entry.
-            let spec = [false, true]
-                .into_iter()
-                .filter_map(|smoke| campaigns::named(&name, smoke))
-                .find(|s| s.hash() == base_hash)
-                .ok_or_else(|| {
-                    format!(
-                        "baseline campaign {name} (spec {base_hash}) is not in the registry at \
-                         either scale — regenerate the trajectory with ftc lab baseline"
-                    )
-                })?;
-            let label = entry
-                .field("substrate")
-                .and_then(Json::as_str)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            let substrate = rerun_substrate(o, label)?;
-            let fresh = run_campaign(&spec, o.jobs, substrate)?;
-            store.put(&fresh).map_err(|e| e.to_string())?;
+                .map_err(|e| format!("{path}: {e}"))?;
+            let base = store.load(id).map_err(|e| {
+                format!(
+                    "{path}: no record {id} in {} ({e}); `ftc lab baseline` stores one \
+                     with its entry",
+                    store.dir().display()
+                )
+            })?;
+            let fresh = rerun(o, &base)?;
+            compare(&Record::Lab(base), &Record::Lab(fresh.clone()))?;
             let tolerance = o.tolerance.unwrap_or(0.2);
-            let mut report = ftc::lab::baseline::perf_gate(&entry, &fresh, tolerance)?;
-            if !report.pass() && report.mismatches.is_empty() {
-                // Throughput shortfall with matching payloads can be a
-                // scheduling hiccup rather than a regression: re-run once
-                // and gate on each cell's best of the two runs. A real
-                // hot-path regression fails both.
+            let mut report = baseline::perf_gate(&entry, &fresh, tolerance)?;
+            if !report.pass() {
+                // A throughput shortfall can be a scheduling hiccup rather
+                // than a regression: re-run once and gate on each cell's
+                // best of the two runs. A real hot-path regression fails
+                // both.
                 eprintln!("throughput below floor; re-running once to rule out transient noise");
-                let retry = run_campaign(&spec, o.jobs, substrate)?;
-                let mut best = fresh.clone();
+                let retry = rerun(o, &fresh)?;
+                let mut best = fresh;
                 for (b, r) in best.cells.iter_mut().zip(&retry.cells) {
                     if r.throughput() > b.throughput() {
                         b.wall_s = r.wall_s;
                     }
                 }
-                report = ftc::lab::baseline::perf_gate(&entry, &best, tolerance)?;
+                report = baseline::perf_gate(&entry, &best, tolerance)?;
             }
             for c in &report.cells {
                 println!(
@@ -407,23 +389,16 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                 report.median_ratio,
                 report.median_ratio * (1.0 - tolerance)
             );
-            for m in &report.mismatches {
-                eprintln!("drift: {m}");
+            let regressed = report.cells.iter().filter(|c| !c.pass).count();
+            if regressed > 0 {
+                return Err(format!("perf gate failed: {regressed} regressed cell(s)"));
             }
-            if report.pass() {
-                println!(
-                    "ok: {} cells within {:.0}% of the median ratio",
-                    report.cells.len(),
-                    tolerance * 100.0
-                );
-                Ok(())
-            } else {
-                Err(format!(
-                    "perf gate failed: {} regressed cell(s), {} deterministic mismatch(es)",
-                    report.cells.iter().filter(|c| !c.pass).count(),
-                    report.mismatches.len()
-                ))
-            }
+            println!(
+                "ok: {} cells within {:.0}% of the median ratio",
+                report.cells.len(),
+                tolerance * 100.0
+            );
+            Ok(())
         }
         other => Err(format!(
             "unknown lab verb {other} (run|list|show|diff|gate|baseline|perf)"

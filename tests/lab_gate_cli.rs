@@ -9,7 +9,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use ftc::hunt::portfolio::HuntCampaignRecord;
-use ftc::lab::{run_campaign, Adv, CampaignSpec, CellSpec, Store, Substrate, Workload};
+use ftc::lab::baseline::latest_entry;
+use ftc::lab::{
+    run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, Store, Substrate, Workload,
+};
 use ftc::sim::json::Json;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -173,6 +176,97 @@ fn lab_diff_takes_portfolios_and_tolerance_is_perf_only() {
         assert_eq!(out.status.code(), Some(1));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("lab perf"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn perf_gates_the_record_its_entry_names_bit_for_bit() {
+    // `lab perf` used to diff 8 of a cell's keys against the trajectory's
+    // copy of them, so a record doctored anywhere else passed. Each row
+    // doctors one stored value outside those keys. Throughput is not
+    // asserted: smoke cells are too short to time honestly.
+    let dir = tmp_dir("perf");
+    let store = dir.join("store");
+    let path = |p: &Path| p.to_str().unwrap().to_string();
+    type Doctor = fn(&mut CampaignRecord);
+    let rows: [(&str, &str, Doctor, &str); 2] = [
+        (
+            "engine-bench",
+            "BENCH_engine.json",
+            |r| r.cells[0].bits.mean += 1.0,
+            "drift: cell bcast: `bits.mean`",
+        ),
+        (
+            "le-scaling",
+            "BENCH_leader_election.json",
+            |r| r.checks[0].exponent = r.checks[0].exponent.map(|e| e + 0.5),
+            "drift: record: `checks[0].exponent`",
+        ),
+    ];
+    for (name, bench, doctor, drift) in rows {
+        let out = ftc(&[
+            "lab",
+            "baseline",
+            name,
+            "--smoke",
+            "--jobs",
+            "1",
+            "--out",
+            &path(&dir),
+            "--store",
+            &path(&store),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bench = dir.join(bench);
+        let perf = || {
+            ftc(&[
+                "lab",
+                "perf",
+                &path(&bench),
+                "--campaign",
+                name,
+                "--jobs",
+                "1",
+                "--store",
+                &path(&store),
+            ])
+        };
+        let out = perf();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("cells agree bit-for-bit"),
+            "{name}: {stdout}"
+        );
+
+        let entry = latest_entry(&bench, Some(name)).unwrap();
+        let id = entry.field("id").unwrap().as_str().unwrap();
+        let record = store.join(format!("{id}.json"));
+        let text = std::fs::read_to_string(&record).unwrap();
+        let mut doctored = CampaignRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
+        doctor(&mut doctored);
+        std::fs::write(&record, doctored.to_json(true).render()).unwrap();
+        let out = perf();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(drift), "{name}: {stderr}");
+
+        // An entry whose record is not in the store is an error naming
+        // both and the verb that writes them, not a panic.
+        std::fs::remove_file(&record).unwrap();
+        let out = perf();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(id)
+                && stderr.contains(&path(&store))
+                && stderr.contains("lab baseline"),
+            "{name}: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
