@@ -106,10 +106,10 @@ check() {
   if grep -rn 'as_u64()? as' crates src; then exit 1; fi
 
   # Outcome audit. A run is judged once, by `ftc_sim::verdict` (DESIGN
-  # D29). The only `*Outcome` types left are LE's and agreement's rank-
-  # and committee-level views, a serve height and a runner slot.
+  # D29). The only `*Outcome` types left are LE's rank-level view, a
+  # serve height and a runner slot.
   found="$(grep -rnoE 'pub struct \w+Outcome\b' crates src | sed 's/.*pub struct //' | sort)"
-  test "$found" = "$(printf '%s\n' AgreeOutcome HeightOutcome LeOutcome TrialOutcome)" \
+  test "$found" = "$(printf '%s\n' HeightOutcome LeOutcome TrialOutcome)" \
     || { echo "outcome types: $found"; exit 1; }
 
   # Port audit. A message's port is resolved on its receiver, through the

@@ -192,7 +192,7 @@ impl Adversary<LeMsg> for AdaptiveCandidateKiller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agreement::{AgreeNode, AgreeOutcome};
+    use crate::agreement::AgreeNode;
     use crate::leader_election::{LeNode, LeOutcome};
     use crate::params::Params;
     use ftc_sim::prelude::*;
@@ -247,8 +247,8 @@ mod tests {
                 |id| AgreeNode::new(params.clone(), id.0 >= 4),
                 &mut adv,
             );
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
         }
     }
 

@@ -48,7 +48,7 @@ struct CandidateState {
 ///
 /// ```
 /// use ftc_sim::prelude::*;
-/// use ftc_core::agreement::{AgreeNode, AgreeOutcome};
+/// use ftc_core::agreement::AgreeNode;
 /// use ftc_core::params::Params;
 ///
 /// let params = Params::new(64, 1.0)?;
@@ -59,8 +59,9 @@ struct CandidateState {
 ///     |id| AgreeNode::new(params.clone(), id.0 == 0),
 ///     &mut NoFaults,
 /// );
-/// let outcome = AgreeOutcome::evaluate(&result);
-/// assert!(outcome.success);
+/// // Definition 2: one decision among the survivors, some node's input.
+/// let verdict = result.verdict();
+/// assert!(verdict.implicit() && verdict.valid);
 /// # Ok::<(), ftc_core::params::ParamsError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -226,48 +227,6 @@ impl Protocol for AgreeNode {
     }
 }
 
-/// Evaluation of one agreement execution against Definition 2: the
-/// run's [`Verdict`] plus the committee counts.
-#[derive(Clone, Debug)]
-pub struct AgreeOutcome {
-    /// Nodes that became candidates.
-    pub candidate_count: usize,
-    /// Candidates alive at the end.
-    pub alive_candidates: usize,
-    /// Distinct decisions of *alive* nodes.
-    pub decisions: Vec<bool>,
-    /// The agreed value, when consistent.
-    pub agreed_value: Option<bool>,
-    /// Whether at least one alive node decided (non-emptiness).
-    pub some_decided: bool,
-    /// Whether all alive decided nodes agree (consensus condition).
-    pub consistent: bool,
-    /// Whether the agreed value is the input of some node (validity).
-    pub valid: bool,
-    /// Definition-2 success: non-empty, consistent, valid.
-    pub success: bool,
-}
-
-impl AgreeOutcome {
-    /// Scores a finished run.
-    pub fn evaluate(result: &RunResult<AgreeNode>) -> AgreeOutcome {
-        let v = result.verdict();
-        AgreeOutcome {
-            candidate_count: result.states.iter().filter(|s| s.is_candidate()).count(),
-            alive_candidates: result
-                .surviving_states()
-                .filter(|(_, s)| s.is_candidate())
-                .count(),
-            agreed_value: v.value(),
-            some_decided: !v.decisions.is_empty(),
-            consistent: v.decisions.len() <= 1,
-            valid: v.valid,
-            success: v.implicit() && v.valid,
-            decisions: v.decisions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,9 +249,9 @@ mod tests {
     fn all_ones_is_silent_and_agrees_one() {
         for seed in 0..10 {
             let result = run_agree(256, 1.0, seed, |_| true, &mut NoFaults);
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.agreed_value, Some(true));
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
+            assert_eq!(v.value(), Some(true));
             // Only registration traffic, nothing after.
             let reg: u64 = result.metrics.per_round[0].sent;
             assert_eq!(result.metrics.msgs_sent, reg, "iteration msgs sent");
@@ -303,9 +262,9 @@ mod tests {
     fn all_zeros_agrees_zero() {
         for seed in 0..10 {
             let result = run_agree(256, 1.0, seed, |_| false, &mut NoFaults);
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.agreed_value, Some(false));
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
+            assert_eq!(v.value(), Some(false));
         }
     }
 
@@ -315,9 +274,9 @@ mod tests {
         // the committee must agree on 0.
         for seed in 0..10 {
             let result = run_agree(256, 1.0, seed, |id| id.0 % 2 == 0, &mut NoFaults);
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
-            assert_eq!(o.agreed_value, Some(false), "0 must win: {o:?}");
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
+            assert_eq!(v.value(), Some(false), "0 must win: {v:?}");
         }
     }
 
@@ -326,8 +285,8 @@ mod tests {
         for seed in 0..10 {
             let mut adv = EagerCrash::new(192);
             let result = run_agree(256, 0.25, seed, |id| id.0 % 2 == 0, &mut adv);
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
         }
     }
 
@@ -336,19 +295,19 @@ mod tests {
         for seed in 0..10 {
             let mut adv = RandomCrash::new(128, 20);
             let result = run_agree(256, 0.5, seed, |id| id.0 < 8, &mut adv);
-            let o = AgreeOutcome::evaluate(&result);
-            assert!(o.success, "seed {seed}: {o:?}");
+            let v = result.verdict();
+            assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
         }
     }
 
     #[test]
     fn validity_one_requires_a_one_input() {
         // All inputs 0 ⇒ decision 0 is forced; deciding 1 would violate
-        // validity, which `evaluate` would flag.
+        // validity, which the verdict would flag.
         let result = run_agree(128, 1.0, 3, |_| false, &mut NoFaults);
-        let o = AgreeOutcome::evaluate(&result);
-        assert_eq!(o.agreed_value, Some(false));
-        assert!(o.valid);
+        let v = result.verdict();
+        assert_eq!(v.value(), Some(false));
+        assert!(v.valid);
     }
 
     #[test]
@@ -365,8 +324,8 @@ mod tests {
     fn message_bits_are_sublinear_at_scale() {
         let n = 4096u32;
         let result = run_agree(n, 1.0, 7, |id| id.0 == 0, &mut NoFaults);
-        let o = AgreeOutcome::evaluate(&result);
-        assert!(o.success, "{o:?}");
+        let v = result.verdict();
+        assert!(v.implicit() && v.valid, "{v:?}");
         // The theoretical bound is constant-free; the protocol's own
         // constant is 12 (candidate factor 6 x referee factor 2) with up to
         // three traversals of the candidate-referee edges.

@@ -510,8 +510,6 @@ pub struct LeOutcome {
     pub alive_candidates: usize,
     /// Alive nodes whose status is `Elected`.
     pub elected_alive: Vec<NodeId>,
-    /// All nodes (alive or crashed) whose status is `Elected`.
-    pub elected_total: usize,
     /// The leader rank all alive candidates agree on, when they do.
     pub agreed_leader: Option<Rank>,
     /// Whether all alive candidates hold *some* leader belief.
@@ -521,8 +519,6 @@ pub struct LeOutcome {
     /// Whether the elected node is in the adversary's faulty set (it may
     /// still be alive — faulty nodes may never crash).
     pub leader_is_faulty: bool,
-    /// Whether the elected node had crashed by the end of the run.
-    pub leader_crashed: bool,
     /// Definition-1 success: a unique elected node, consistent beliefs.
     pub success: bool,
 }
@@ -585,25 +581,16 @@ impl LeOutcome {
         };
         let success = unique_elected && agreed_leader.is_some();
 
-        let (leader_is_faulty, leader_crashed) = leader_node
-            .map(|id| {
-                (
-                    result.faulty.contains(id),
-                    result.crashed_at[id.index()].is_some(),
-                )
-            })
-            .unwrap_or((false, false));
+        let leader_is_faulty = leader_node.is_some_and(|id| result.faulty.contains(id));
 
         LeOutcome {
             candidate_count,
             alive_candidates,
             elected_alive,
-            elected_total,
             agreed_leader,
             all_settled,
             leader_node,
             leader_is_faulty,
-            leader_crashed,
             success,
         }
     }

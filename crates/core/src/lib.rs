@@ -18,9 +18,12 @@
 //!
 //! Each protocol state says what it decided through
 //! [`ftc_sim::verdict::Decides`], and a run is judged by its
-//! [`ftc_sim::verdict::Verdict`]. [`agreement::AgreeOutcome`] is a verdict
-//! plus committee counts; [`leader_election::LeOutcome`] judges at rank
-//! level (which leader, and whether it is faulty).
+//! [`ftc_sim::verdict::Verdict`]: an agreement run succeeds when
+//! `verdict.implicit() && verdict.valid` (Definition 2). Leader election
+//! keeps one view of its own, [`leader_election::LeOutcome`]: Definition 1
+//! also counts the claim of a leader that crashed after it was elected,
+//! which a survivors-only verdict cannot see, and it judges at rank level
+//! (which leader, and whether it is faulty).
 //!
 //! All protocols run on the [`ftc_sim`] substrate: a synchronous,
 //! fully-connected, **anonymous (KT0)** network in the CONGEST model with
@@ -67,7 +70,7 @@ pub mod sampling;
 /// Convenient glob import for protocol users.
 pub mod prelude {
     pub use crate::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderCrasher};
-    pub use crate::agreement::{AgreeNode, AgreeOutcome, AgreeStatus};
+    pub use crate::agreement::{AgreeNode, AgreeStatus};
     pub use crate::byzantine::{EquivocatingClaimant, ZeroForger};
     pub use crate::explicit::{AnnouncePolicy, ExplicitAgreeNode, ExplicitLeNode};
     pub use crate::leader_election::{LeNode, LeOutcome, LeStatus};

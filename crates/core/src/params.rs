@@ -29,6 +29,8 @@ pub enum ParamsError {
         /// The smallest admissible `α` for this `n`.
         min_alpha: f64,
     },
+    /// Leader election on `n < 3` nodes ([`Params::check_le`]).
+    LeNetworkTooSmall,
 }
 
 impl fmt::Display for ParamsError {
@@ -41,6 +43,11 @@ impl fmt::Display for ParamsError {
             ParamsError::AlphaBelowResilience { alpha, min_alpha } => write!(
                 f,
                 "alpha {alpha} below the tolerated minimum log^2(n)/n = {min_alpha}"
+            ),
+            ParamsError::LeNetworkTooSmall => write!(
+                f,
+                "leader election needs n >= 3: on two nodes the candidates share no \
+                 referee (Lemma 3) and both are elected"
             ),
         }
     }
@@ -104,11 +111,14 @@ impl Params {
     /// The enforced minimum `α` for a given `n`: the paper's resilience
     /// floor `log₂²n / n`, or `0` when that floor exceeds 1.
     ///
-    /// For tiny networks (`n ≤ 16`) the floor is above 1, i.e. the
-    /// paper's admissible range `[log²n/n, 1]` is empty — the asymptotic
-    /// regime simply has not kicked in yet. Rather than reject every `α`,
-    /// such networks accept the full `(0, 1]` range and run best-effort:
-    /// the algorithms stay correct, only the whp guarantees are vacuous.
+    /// For `4 ≤ n ≤ 16` the floor is at least 1, i.e. the paper's
+    /// admissible range `[log²n/n, 1]` is empty or the single point 1 —
+    /// the asymptotic regime simply has not kicked in yet. Rather than
+    /// reject every `α`, such networks accept the full `(0, 1]` range and
+    /// run best-effort: the whp guarantees are vacuous and a run may fail.
+    /// At `n = 2` and `3` the floor is below 1 again (`1/2` and `≈ 0.84`)
+    /// and enforced; leader election needs `n ≥ 3` besides
+    /// ([`Params::check_le`]).
     pub fn min_alpha(n: u32) -> f64 {
         let log2n = (f64::from(n)).log2();
         let floor = log2n * log2n / f64::from(n);
@@ -202,6 +212,21 @@ impl Params {
         self.preprocess_rounds() + 4 * self.iterations() + 8
     }
 
+    /// Rejects leader election on fewer than 3 nodes. On two nodes both
+    /// are candidates and each one's only referee is the other, so the
+    /// pair shares no referee (Lemma 3) and each sees its own rank echoed
+    /// as the maximum: every run elects two leaders.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamsError::LeNetworkTooSmall`] when `n < 3`.
+    pub fn check_le(&self) -> Result<(), ParamsError> {
+        match self.n {
+            0..=2 => Err(ParamsError::LeNetworkTooSmall),
+            _ => Ok(()),
+        }
+    }
+
     /// Total round budget for implicit agreement:
     /// registration + 2 rounds per iteration + drain slack.
     pub fn agreement_round_budget(&self) -> u32 {
@@ -250,8 +275,17 @@ mod tests {
     }
 
     #[test]
+    fn leader_election_needs_three_nodes() {
+        let le = |n| Params::new(n, 1.0).and_then(|p| p.check_le());
+        assert_eq!(le(2), Err(ParamsError::LeNetworkTooSmall));
+        assert_eq!(le(3), Ok(()));
+        let err = ParamsError::LeNetworkTooSmall.to_string();
+        assert!(err.contains("n >= 3") && err.contains("Lemma 3"), "{err}");
+    }
+
+    #[test]
     fn tiny_networks_escape_the_resilience_floor() {
-        // log₂²n/n > 1 for n ≤ 16: the paper's admissible α-range is
+        // log₂²n/n ≥ 1 for 4 ≤ n ≤ 16: the paper's admissible α-range is
         // empty, so any α ∈ (0, 1] is accepted (best-effort regime).
         assert_eq!(Params::min_alpha(8), 0.0);
         assert_eq!(Params::min_alpha(16), 0.0);

@@ -75,6 +75,7 @@ impl ProtoKind {
         let f = params.max_faults();
         match self {
             ProtoKind::Le => {
+                params.check_le().map_err(|e| e.to_string())?;
                 let mut adversary = schedule.adversary(
                     f,
                     Box::new(MinRankCrasher::new(f)),
@@ -101,12 +102,12 @@ impl ProtoKind {
                 )?;
                 let factory = |id| AgreeNode::new(params.clone(), agree_input(zeros, id));
                 let r = substrate.run(cfg, factory, &mut *adversary, opts)?;
-                let out = AgreeOutcome::evaluate(&r.run);
-                let outcome = out.agreed_value.map(u64::from);
+                let v = r.run.verdict();
+                let outcome = v.value().map(u64::from);
                 Ok(ProtoRun::new(
-                    out.success,
+                    v.implicit() && v.valid,
                     outcome,
-                    out.decisions.len(),
+                    v.decisions.len(),
                     false,
                     r,
                 ))
@@ -461,11 +462,11 @@ mod tests {
                 };
                 let factory = |id: NodeId| AgreeNode::new(params.clone(), !id.0.is_multiple_of(20));
                 let r = ftc_sim::engine::run(&cfg, factory, &mut *adv);
-                let out = AgreeOutcome::evaluate(&r);
+                let v = r.verdict();
                 let named = Adv::named(name, ProtoKind::Agree).unwrap();
                 let run = bridged(ProtoKind::Agree, &cfg, named).unwrap();
-                let value = out.agreed_value.map(u64::from);
-                same(&run, out.success, value, &r.metrics, &what);
+                let value = v.value().map(u64::from);
+                same(&run, v.implicit() && v.valid, value, &r.metrics, &what);
             }
         }
         assert!(Adv::named("martian", ProtoKind::Le).is_err());

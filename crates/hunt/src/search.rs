@@ -100,8 +100,9 @@ pub struct HuntSpec {
 
 impl HuntSpec {
     /// Rejects a hunt no candidate of which can be judged: an objective
-    /// the protocol does not have, an empty budget or probe panel, or a
-    /// `zeros` fraction [`check_zeros`] rejects.
+    /// the protocol does not have, leader election on fewer than 3 nodes,
+    /// an empty budget or probe panel, or a `zeros` fraction
+    /// [`check_zeros`] rejects.
     pub fn check(&self) -> Result<(), String> {
         if !self.objective.supports(self.proto) {
             return Err(format!(
@@ -109,6 +110,9 @@ impl HuntSpec {
                 self.objective.name(),
                 self.proto.name()
             ));
+        }
+        if self.proto == ProtoKind::Le {
+            self.params.check_le().map_err(|e| e.to_string())?;
         }
         if self.budget == 0 || self.probes == 0 {
             return Err("hunt budget and probes must be at least 1".into());

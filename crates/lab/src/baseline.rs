@@ -41,6 +41,9 @@ const PAYLOAD_KEYS: [&str; 8] = [
     "rounds",
 ];
 
+/// Allowed per-cell throughput shortfall below the median ratio.
+pub const PERF_BAND: f64 = 0.2;
+
 /// The timing keys of a trajectory cell.
 const TIMING_KEYS: [&str; 2] = ["wall_s", "trials_per_s"];
 
@@ -160,8 +163,6 @@ pub struct PerfReport {
     /// Median of the per-cell throughput ratios — the machine-speed
     /// estimate the floor is relative to.
     pub median_ratio: f64,
-    /// Allowed per-cell shortfall below the median ratio.
-    pub tolerance: f64,
 }
 
 impl PerfReport {
@@ -188,13 +189,9 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// absolute throughput is not comparable; instead the per-cell ratios
 /// fresh/baseline are normalised by their median — a uniformly slower
 /// machine shifts every ratio equally and passes, while a hot-path
-/// regression drags specific cells below `median × (1 − tolerance)` and
+/// regression drags specific cells below `median × (1 − PERF_BAND)` and
 /// fails.
-pub fn perf_gate(
-    entry: &Json,
-    fresh: &CampaignRecord,
-    tolerance: f64,
-) -> Result<PerfReport, String> {
+pub fn perf_gate(entry: &Json, fresh: &CampaignRecord) -> Result<PerfReport, String> {
     let base_cells = entry
         .field("cells")
         .and_then(Json::as_arr)
@@ -224,14 +221,13 @@ pub fn perf_gate(
         });
     }
     let median_ratio = median(cells.iter().map(|c| c.ratio).collect());
-    let floor = median_ratio * (1.0 - tolerance);
+    let floor = median_ratio * (1.0 - PERF_BAND);
     for c in &mut cells {
         c.pass = c.ratio >= floor;
     }
     Ok(PerfReport {
         cells,
         median_ratio,
-        tolerance,
     })
 }
 
@@ -388,7 +384,7 @@ mod tests {
         for cell in &mut slow.cells {
             cell.wall_s *= 3.0;
         }
-        let report = perf_gate(&entry, &slow, 0.2).unwrap();
+        let report = perf_gate(&entry, &slow).unwrap();
         assert!(report.pass(), "uniform slowdown must pass: {report:?}");
         assert!((report.median_ratio - 1.0 / 3.0).abs() < 1e-9);
 
@@ -396,7 +392,7 @@ mod tests {
         // cell below the normalised floor: fail, and name the cell.
         let mut regressed = base.clone();
         regressed.cells[1].wall_s *= 2.0;
-        let report = perf_gate(&entry, &regressed, 0.2).unwrap();
+        let report = perf_gate(&entry, &regressed).unwrap();
         assert!(!report.pass());
         assert!(report.cells[0].pass && report.cells[2].pass);
         assert!(!report.cells[1].pass);
@@ -426,7 +422,7 @@ mod tests {
                 cells.pop();
             }
         }
-        let err = perf_gate(&entry, &bench_record(), 0.2).unwrap_err();
+        let err = perf_gate(&entry, &bench_record()).unwrap_err();
         assert!(err.contains("no timing for cell bcast"), "{err}");
         fs::remove_file(&path)?;
         Ok(())

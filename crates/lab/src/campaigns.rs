@@ -71,7 +71,6 @@ pub const CAMPAIGNS: &[Campaign] = &[
     Campaign::new("gate-smoke", |_| gate_smoke()),
     Campaign::new("le-scaling", le_scaling).tracked_in(BENCH_LE),
     Campaign::new("agree-scaling", agree_scaling).tracked_in(BENCH_AGREE),
-    Campaign::new("alpha-sweep", alpha_sweep),
     Campaign::new("engine-bench", engine_bench).tracked_in(BENCH_ENGINE),
     Campaign::new("scale-bench", scale_bench).tracked_in(BENCH_ENGINE),
     Campaign::new("soak", soak),
@@ -261,29 +260,6 @@ fn agree_scaling(smoke: bool) -> CampaignSpec {
         min: if smoke { -0.35 } else { -0.15 },
         max: 0.45,
     })
-}
-
-/// Message cost as a function of 1/α at fixed n — the other axis of the
-/// Õ(n^{1-α/2}) trade-off.
-fn alpha_sweep(smoke: bool) -> CampaignSpec {
-    let n = if smoke { 1024 } else { 4096 };
-    let trials = if smoke { 4 } else { 6 };
-    let mut spec = CampaignSpec::new("alpha-sweep");
-    for alpha in [1.0, 0.5, 0.25, 0.125] {
-        spec = spec.cell(
-            CellSpec::new(
-                Workload::Le {
-                    adv: Adv::Random(60),
-                },
-                n,
-                alpha,
-                0xE3 ^ alpha.to_bits(),
-                trials,
-            )
-            .label("le"),
-        );
-    }
-    spec
 }
 
 /// The engine hot-path benchmark: broadcast chatter at three sizes under

@@ -133,6 +133,8 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
         return Err(format!("alpha={alpha} is outside (0, 1]"));
     }
     let params = || Params::new(n, alpha).map_err(|e| format!("n={n} alpha={alpha}: {e}"));
+    // The leader-election arms' parameters: LE needs n ≥ 3 (Lemma 3).
+    let le_params = || params().and_then(|p| p.check_le().map(|()| p).map_err(|e| e.to_string()));
     // The fault budget the schedule-only workloads spend.
     let f = ((1.0 - alpha) * f64::from(n)) as usize;
     let probability = |key: &str, p: f64| in_range(key, p, (0.0..1.0).contains(&p), "in [0, 1)");
@@ -150,7 +152,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
         )),
     };
     match cell.workload {
-        Workload::Le { adv } => bridged(ProtoKind::Le, 0.0, adv, params()?, cfg, substrate),
+        Workload::Le { adv } => bridged(ProtoKind::Le, 0.0, adv, le_params()?, cfg, substrate),
         Workload::Agree { zeros, adv } => {
             bridged(ProtoKind::Agree, zeros, adv, params()?, cfg, substrate)
         }
@@ -161,7 +163,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
         )),
         Workload::LeIter { factor, per_round } => {
             positive("factor", factor)?;
-            let params = params()?.with_iteration_factor(factor);
+            let params = le_params()?.with_iteration_factor(factor);
             // `le_round_budget`, whose `4·iterations` wraps for a large
             // enough factor.
             let budget = (params.iterations().checked_mul(4))
@@ -180,7 +182,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
             EquivocatingClaimant::new(b)
                 .validate(n)
                 .map_err(|e| e.to_string())?;
-            let params = params()?;
+            let params = le_params()?;
             engine(cfg.max_rounds(params.le_round_budget()), move |cfg, ij| {
                 let mut adv = EquivocatingClaimant::new(b);
                 let r = run_sharded(cfg, |_| LeNode::new(params.clone()), &mut adv, ij);
@@ -206,7 +208,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
         }
         Workload::LeEdge { p } => {
             probability("p", p)?;
-            let params = params()?;
+            let params = le_params()?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(params.le_round_budget());
             engine(cfg.edge_failure_prob(p), move |cfg, ij| {
@@ -226,11 +228,12 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
                 let mut adv = RandomCrash::new(f, 20);
                 let factory = |id: NodeId| AgreeNode::new(params.clone(), id.0.is_multiple_of(8));
                 let r = run_sharded(cfg, factory, &mut adv, ij);
-                value_of(&r, AgreeOutcome::evaluate(&r).success, vec![])
+                let v = r.verdict();
+                value_of(&r, v.implicit() && v.valid, vec![])
             })
         }
         Workload::LeCapped { cap } => {
-            let params = params()?;
+            let params = le_params()?;
             let f = params.max_faults();
             let mut cfg = cfg.max_rounds(params.le_round_budget());
             cfg.send_cap = cap;
@@ -252,12 +255,16 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
                 let factory = |id: NodeId| AgreeNode::new(params.clone(), id.0.is_multiple_of(2));
                 let r = run_sharded(cfg, factory, &mut adv, ij);
                 let suppressed = r.metrics.msgs_suppressed as f64;
-                let success = AgreeOutcome::evaluate(&r).success;
-                value_of(&r, success, vec![("suppressed", suppressed)])
+                let v = r.verdict();
+                value_of(
+                    &r,
+                    v.implicit() && v.valid,
+                    vec![("suppressed", suppressed)],
+                )
             })
         }
         Workload::LeExplicit => {
-            let params = params()?;
+            let params = le_params()?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
             engine(cfg, move |cfg, ij| {
@@ -267,7 +274,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
             })
         }
         Workload::LeImplicitExplicitBudget => {
-            let params = params()?;
+            let params = le_params()?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(ExplicitLeNode::round_budget(&params));
             engine(cfg, move |cfg, ij| {
@@ -400,7 +407,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
         } => {
             complete()?;
             // The service builds these parameters for every height.
-            params()?;
+            le_params()?;
             let scfg = ServeConfig::new(n, alpha)
                 .heights(heights)
                 .churn(ChurnPlan {

@@ -196,7 +196,9 @@ impl ServiceReport {
 
 /// Runs the service to completion.
 pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
-    let params = Params::new(cfg.n, cfg.alpha).map_err(|e| format!("serve: bad params: {e}"))?;
+    let params = Params::new(cfg.n, cfg.alpha)
+        .and_then(|p| p.check_le().map(|()| p))
+        .map_err(|e| format!("serve: bad params: {e}"))?;
     let mut churn = ChurnState::new();
     let mut monitor = Monitor::new();
     let mut metrics = ServiceMetrics::new();
@@ -244,7 +246,7 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
         let (r, wire_bytes) = (nr.run, nr.net.wire_bytes);
         let outcome = LeOutcome::evaluate(&r);
         monitor.election(h, &params, &hcfg, &plan, &outcome);
-        let success = outcome.success && outcome.leader_node.is_some();
+        let success = outcome.success;
         let rank = outcome.agreed_leader.map(|rk| rk.0);
         metrics.record_election(if success { rank } else { None }, r.metrics.rounds);
         if let Some(lg) = &mut load {

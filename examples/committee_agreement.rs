@@ -43,10 +43,10 @@ fn main() -> Result<(), ParamsError> {
                 |id| AgreeNode::new(params.clone(), id.0 >= witnesses),
                 &mut adv,
             );
-            let o = AgreeOutcome::evaluate(&r);
+            let v = r.verdict();
             (
-                o.success,
-                o.agreed_value,
+                v.implicit() && v.valid,
+                v.value(),
                 r.metrics.msgs_sent,
                 r.metrics.rounds,
             )

@@ -12,7 +12,7 @@
 //! cargo run --release --example lower_bound_probe
 //! ```
 
-use ftc::core::agreement::{AgreeNode, AgreeOutcome};
+use ftc::core::agreement::AgreeNode;
 use ftc::prelude::*;
 
 fn main() -> Result<(), ParamsError> {
@@ -45,11 +45,11 @@ fn main() -> Result<(), ParamsError> {
                     |id| AgreeNode::new(params.clone(), id.0 % 2 == 0),
                     &mut adv,
                 );
-                let o = AgreeOutcome::evaluate(&r);
+                let v = r.verdict();
                 let analysis = InfluenceAnalysis::full(r.trace.as_ref().expect("trace on"));
                 (
                     r.metrics.msgs_sent,
-                    o.success,
+                    v.implicit() && v.valid,
                     analysis.initiator_count(),
                     analysis.event_n(),
                 )

@@ -71,14 +71,17 @@ fn main() -> Result<(), ParamsError> {
         |id| AgreeNode::new(params.clone(), id.0 % 20 != 0),
         &mut adversary,
     );
-    let outcome = AgreeOutcome::evaluate(&result);
+    let verdict = result.verdict();
 
     println!("— agreement —");
     println!(
         "  success: {} (agreed value {:?}, {} deciders among candidates)",
-        outcome.success,
-        outcome.agreed_value.map(u8::from),
-        outcome.alive_candidates
+        verdict.implicit() && verdict.valid,
+        verdict.value().map(u8::from),
+        result
+            .surviving_states()
+            .filter(|(_, s)| s.is_candidate())
+            .count()
     );
     println!(
         "  cost: {} messages ({} bits) in {} rounds",

@@ -40,8 +40,6 @@ pub struct Opts {
     pub store: String,
     /// Absent = the trajectory file's most recent entry.
     pub campaign: Option<String>,
-    /// Absent = exact.
-    pub tolerance: Option<f64>,
     pub heights: u32,
     pub kill_every: u32,
     pub bystanders: u32,
@@ -83,7 +81,6 @@ impl Default for Opts {
             smoke: false,
             store: "results/store".into(),
             campaign: None,
-            tolerance: None,
             heights: 20,
             kill_every: 3,
             bystanders: 2,
@@ -390,20 +387,6 @@ pub const FLAGS: &[Flag] = &[
         },
     },
     Flag {
-        name: "--tolerance",
-        metavar: Some("F"),
-        readers: "lab",
-        help: "lab perf: allowed throughput shortfall below the median ratio (default 0.2)",
-        set: |o, f, v| {
-            let t: f64 = num(f, v)?;
-            if t <= 0.0 || t.is_nan() {
-                return Err(format!("{f} must be positive"));
-            }
-            o.tolerance = Some(t);
-            Ok(())
-        },
-    },
-    Flag {
         name: "--heights",
         metavar: Some("H"),
         readers: SERVICE,
@@ -526,7 +509,7 @@ pub const FLAGS: &[Flag] = &[
 ];
 
 /// Retired flags and what replaced them.
-const RETIRED: [(&str, &str); 4] = [
+const RETIRED: [(&str, &str); 5] = [
     ("--transport", SUBSTRATE_WIDTH),
     ("--workers", SUBSTRATE_WIDTH),
     ("--procs", SUBSTRATE_WIDTH),
@@ -534,6 +517,11 @@ const RETIRED: [(&str, &str); 4] = [
         "--intra-jobs",
         "`--jobs` is the one thread budget, and a cell of fewer trials than \
          threads shards each trial over the rest",
+    ),
+    (
+        "--tolerance",
+        "`lab perf` times against a fixed 20 % band below the median ratio; \
+         `lab diff` and `lab gate` compare exactly",
     ),
 ];
 const SUBSTRATE_WIDTH: &str = "one flag names the substrate and its width, \

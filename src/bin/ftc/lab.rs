@@ -258,9 +258,6 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                 Ok(())
             }
         },
-        "diff" | "gate" if o.tolerance.is_some() => Err(format!(
-            "lab {verb} compares payloads exactly; --tolerance is the lab perf throughput band"
-        )),
         "diff" => compare(
             &resolve(&arg(1, "a baseline record")?)?,
             &resolve(&arg(2, "a fresh record")?)?,
@@ -356,8 +353,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             })?;
             let fresh = rerun(o, &base)?;
             compare(&Record::Lab(base), &Record::Lab(fresh.clone()))?;
-            let tolerance = o.tolerance.unwrap_or(0.2);
-            let mut report = baseline::perf_gate(&entry, &fresh, tolerance)?;
+            let mut report = baseline::perf_gate(&entry, &fresh)?;
             if !report.pass() {
                 // A throughput shortfall can be a scheduling hiccup rather
                 // than a regression: re-run once and gate on each cell's
@@ -371,7 +367,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
                         b.wall_s = r.wall_s;
                     }
                 }
-                report = baseline::perf_gate(&entry, &best, tolerance)?;
+                report = baseline::perf_gate(&entry, &best)?;
             }
             for c in &report.cells {
                 println!(
@@ -387,7 +383,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             println!(
                 "median ratio {:.3} (machine-speed estimate); floor {:.3}",
                 report.median_ratio,
-                report.median_ratio * (1.0 - tolerance)
+                report.median_ratio * (1.0 - baseline::PERF_BAND)
             );
             let regressed = report.cells.iter().filter(|c| !c.pass).count();
             if regressed > 0 {
@@ -396,7 +392,7 @@ pub fn cmd_lab(o: &Opts) -> Result<(), String> {
             println!(
                 "ok: {} cells within {:.0}% of the median ratio",
                 report.cells.len(),
-                tolerance * 100.0
+                baseline::PERF_BAND * 100.0
             );
             Ok(())
         }

@@ -26,8 +26,8 @@ fn input_density_grid_under_targeted_crashes() {
         for seed in 0..8 {
             let mut adv = ZeroHolderCrasher::new(p.max_faults());
             let r = run_agree_with(&p, seed, |id| id.0 % stride != 0, &mut adv);
-            let o = AgreeOutcome::evaluate(&r);
-            assert!(o.success, "{label} seed {seed}: {o:?}");
+            let v = r.verdict();
+            assert!(v.implicit() && v.valid, "{label} seed {seed}: {v:?}");
         }
     }
 }
@@ -38,15 +38,15 @@ fn unanimous_inputs_are_never_overturned() {
     for seed in 0..8 {
         let mut adv = RandomCrash::new(p.max_faults(), 20);
         let r = run_agree_with(&p, seed, |_| true, &mut adv);
-        let o = AgreeOutcome::evaluate(&r);
-        assert!(o.success, "seed {seed}: {o:?}");
-        assert_eq!(o.agreed_value, Some(true), "invented a 0 from nowhere");
+        let v = r.verdict();
+        assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
+        assert_eq!(v.value(), Some(true), "invented a 0 from nowhere");
 
         let mut adv = RandomCrash::new(p.max_faults(), 20);
         let r = run_agree_with(&p, seed, |_| false, &mut adv);
-        let o = AgreeOutcome::evaluate(&r);
-        assert!(o.success, "seed {seed}: {o:?}");
-        assert_eq!(o.agreed_value, Some(false));
+        let v = r.verdict();
+        assert!(v.implicit() && v.valid, "seed {seed}: {v:?}");
+        assert_eq!(v.value(), Some(false));
     }
 }
 
@@ -70,9 +70,9 @@ fn consistency_invariant_across_many_seeds() {
     for seed in 0..30 {
         let mut adv = ZeroHolderCrasher::new(p.max_faults());
         let r = run_agree_with(&p, seed, |id| id.0 % 2 == 0, &mut adv);
-        let o = AgreeOutcome::evaluate(&r);
-        if let Some(v) = o.agreed_value {
-            assert!(o.valid, "seed {seed}: agreed {v} is nobody's input");
+        let verdict = r.verdict();
+        if let Some(v) = verdict.value() {
+            assert!(verdict.valid, "seed {seed}: agreed {v} is nobody's input");
         }
     }
 }

@@ -14,8 +14,8 @@ fn byzantine_zero_forger_violates_validity_only_with_b_positive() {
         .max_rounds(p.agreement_round_budget());
     let mut adv = ZeroForger::new(0);
     let r = run(&cfg, |_| AgreeNode::new(p.clone(), true), &mut adv);
-    let o = AgreeOutcome::evaluate(&r);
-    assert!(o.success && o.agreed_value == Some(true));
+    let v = r.verdict();
+    assert!(v.implicit() && v.valid && v.value() == Some(true));
 
     // b = 1: honest nodes decide a value nobody input.
     let mut violated = 0;
@@ -94,7 +94,8 @@ fn mild_edge_failures_are_absorbed_by_referee_redundancy() {
             |id| AgreeNode::new(p.clone(), id.0 % 8 == 0),
             &mut adv,
         );
-        if AgreeOutcome::evaluate(&r).success {
+        let v = r.verdict();
+        if v.implicit() && v.valid {
             ok += 1;
         }
     }

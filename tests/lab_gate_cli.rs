@@ -455,3 +455,44 @@ fn a_zeros_fraction_outside_the_unit_interval_exits_1_on_every_command() {
         assert!(stderr.contains("must be in [0, 1]"), "{args}: {stderr}");
     }
 }
+
+#[test]
+fn leader_election_on_two_nodes_exits_1_on_every_command() {
+    // On two nodes the candidates share no referee (Lemma 3): `le` used
+    // to report 0/40, and `serve` two leaders every height.
+    for args in [
+        "le --n 2 --adversary none --trials 4",
+        "cluster --n 2 --proto le --substrate channel --trials 1",
+        "serve --n 2 --heights 1",
+        "hunt --n 2 --budget 1",
+    ] {
+        let out = ftc(&args.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains("n >= 3"), "{args}: {stderr}");
+    }
+    let dir = tmp_dir("le-two");
+    let (spec, store) = (dir.join("spec.json"), dir.join("store"));
+    let cell = r#"{"label":"le-two","workload":{"kind":"le","adv":{"kind":"none"}},"n":2,"alpha":1.0,"seed":1,"trials":2}"#;
+    let text = format!(r#"{{"name":"le-two","cells":[{cell}],"checks":[]}}"#);
+    std::fs::write(&spec, text).unwrap();
+    let out = ftc(&[
+        "lab",
+        "run",
+        spec.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cell `le-two`") && stderr.contains("n >= 3"),
+        "{stderr}"
+    );
+    assert!(!store.exists(), "a rejected campaign reached the store");
+    // Agreement on two nodes is fine.
+    let out = ftc(&["agree", "--n", "2", "--adversary", "none", "--trials", "40"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("success: 40/40"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -152,3 +152,32 @@ fn fault_free_leader_is_minimum_surviving_candidate_rank() {
         assert!(beliefs.iter().all(|b| *b == Some(o.agreed_leader.unwrap())));
     }
 }
+
+#[test]
+fn two_nodes_are_refused_not_elected_twice() {
+    // Both nodes are candidates and each one's only referee is the other:
+    // the pair shares no referee (Lemma 3) and every run used to elect
+    // two leaders. Agreement needs no shared referee to stay safe.
+    let p = params(2, 1.0);
+    let run = |proto: ProtoKind| {
+        let cfg = SimConfig::new(2).max_rounds(proto.round_budget(&p));
+        let schedule = Schedule::Named(Adv::None);
+        proto.run(
+            &p,
+            &cfg,
+            0.5,
+            schedule,
+            Substrate::Engine,
+            &RunOpts::default(),
+        )
+    };
+    let err = run(ProtoKind::Le).unwrap_err();
+    assert!(err.contains("n >= 3") && err.contains("Lemma 3"), "{err}");
+    assert!(
+        run(ProtoKind::Agree)
+            .unwrap()
+            .observation
+            .fingerprint
+            .success
+    );
+}

@@ -36,14 +36,14 @@ fn exhaustive_single_crash_agreement_safety() {
                     |id| AgreeNode::new(p.clone(), id.0 % 2 == 0),
                     &mut adv,
                 );
-                let o = AgreeOutcome::evaluate(&r);
+                let v = r.verdict();
                 assert!(
-                    o.consistent,
+                    v.decisions.len() <= 1,
                     "split under crash(node {node}, round {round}): {:?}",
-                    o.decisions
+                    v.decisions
                 );
-                if o.agreed_value.is_some() {
-                    assert!(o.valid, "invalid value under crash({node},{round})");
+                if v.value().is_some() {
+                    assert!(v.valid, "invalid value under crash({node},{round})");
                 }
                 runs += 1;
             }
@@ -93,11 +93,11 @@ fn dense_two_crash_agreement_safety() {
                 |id| AgreeNode::new(p.clone(), id.0 % 4 == 0),
                 &mut adv,
             );
-            let o = AgreeOutcome::evaluate(&r);
+            let v = r.verdict();
             assert!(
-                o.consistent,
+                v.decisions.len() <= 1,
                 "split under crashes({a},{b}): {:?}",
-                o.decisions
+                v.decisions
             );
         }
     }

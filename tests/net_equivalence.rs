@@ -50,10 +50,10 @@ fn le_fingerprint(r: &RunResult<LeNode>) -> Fingerprint {
 }
 
 fn agree_fingerprint(r: &RunResult<AgreeNode>) -> Fingerprint {
-    let out = AgreeOutcome::evaluate(r);
+    let v = r.verdict();
     Fingerprint {
-        success: out.success,
-        outcome: out.agreed_value.map(u64::from),
+        success: v.implicit() && v.valid,
+        outcome: v.value().map(u64::from),
         msgs_sent: r.metrics.msgs_sent,
         msgs_delivered: r.metrics.msgs_delivered,
         bits_sent: r.metrics.bits_sent,
@@ -320,7 +320,8 @@ fn tcp_smoke_agreement_n8_with_crashes() {
     )
     .expect("one socket per edge at n=8");
     assert_eq!(agree_fingerprint(&net.run), agree_fingerprint(&sim));
-    assert!(AgreeOutcome::evaluate(&net.run).success);
+    let v = net.run.verdict();
+    assert!(v.implicit() && v.valid);
 }
 
 // ---------------------------------------------------------------------

@@ -76,7 +76,8 @@ fn par_runner_is_thread_count_invariant_for_agreement() {
     let job = |c: &SimConfig| {
         let mut adv = EagerCrash::new(p.max_faults());
         let r = run(c, |id| AgreeNode::new(p.clone(), id.0 % 3 != 0), &mut adv);
-        (AgreeOutcome::evaluate(&r).success, r.metrics)
+        let v = r.verdict();
+        (v.implicit() && v.valid, r.metrics)
     };
     let seq: Vec<_> = trials_at(&cfg, 10, 1, job)
         .into_iter()
