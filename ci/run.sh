@@ -204,12 +204,16 @@ cluster() {
   done
   diff "$tmp/tp1.txt" "$tmp/tp4.txt"
   # Worker-thread multiplexing must not change a single counter: full JSON
-  # rows across worker counts.
+  # rows across worker counts, on the complete graph and on the random
+  # 8-regular one, where most worker pairs carry few frames a round.
   for workers in 1 4; do
     "$FTC" cluster --n 64 --alpha 0.75 --proto le --adversary random \
       --substrate channel:$workers --trials 3 --format json > "$tmp/w$workers.txt"
+    "$FTC" cluster --n 256 --alpha 0.5 --proto agree --topology rr:8 \
+      --adversary random --substrate channel:$workers --trials 2 --format json > "$tmp/tw$workers.txt"
   done
   diff "$tmp/w1.txt" "$tmp/w4.txt"
+  diff "$tmp/tw1.txt" "$tmp/tw4.txt"
   # Both links through the one round driver, at the CLI: the channel
   # transport on 4 workers and the socket mesh on 4 procs must agree on
   # every column but the transport's name. The engine prints the same rows

@@ -143,6 +143,6 @@ mod tests {
     fn takes_f_plus_one_rounds() {
         let f = 16;
         let r = run_flood(64, f, 4, |_| true, &mut NoFaults);
-        assert!(r.metrics.rounds >= f + 1);
+        assert!(r.metrics.rounds > f);
     }
 }

@@ -238,7 +238,7 @@ mod tests {
         for node in 0..8u32 {
             plan = plan.crash(
                 NodeId(node),
-                u32::from(node % 3),
+                node % 3,
                 if node % 2 == 0 {
                     DeliveryFilter::DropAll
                 } else {

@@ -1,13 +1,17 @@
 //! The socket link: how `ftc-mesh` moves frames for the one round driver
 //! in [`ftc_net::sync`].
 //!
-//! ## One driver, two links
+//! ## One driver, three links
 //!
 //! The round loop — activate, submit, apply, transmit, collect, end-round,
 //! with its wire-fault hooks, accounting, dedup and failure reports — is
 //! [`ftc_net::sync::run_over_links`], shared with the channel runtime.
 //! This module supplies only the mechanism that differs: a [`Link`] over
-//! the proc-pair socket fabric. `procs` workers ("procs") each own the
+//! the proc-pair socket fabric. The channel substrate's
+//! `ftc_net::channel::ChannelLink` has the same shape, with an `mpsc`
+//! queue per worker where this one has sockets; the third link,
+//! `run_over`'s per-node endpoints, exists for callers that wrap
+//! endpoints. `procs` workers ("procs") each own the
 //! nodes `u ≡ proc (mod procs)`; the coordinator's commands reach them
 //! over in-process channels (the control plane never touches the
 //! sockets), and the *data plane* moves over the fabric as
@@ -573,7 +577,7 @@ mod tests {
 
     #[test]
     fn a_starved_node_wedges_the_run_with_the_same_report_on_both_links() {
-        // Neither timeout trips on a healthy run (per-recv on endpoints,
+        // No link's timeout trips on a healthy run (per wait on channels,
         // no-progress on sockets), so starve a node for real: two nodes,
         // one per worker, and node 0's round-0 frame to node 1 is lost.
         // Node 1 was promised one frame and gets none; whichever link
@@ -598,11 +602,10 @@ mod tests {
         }
         let cfg = SimConfig::new(2);
         let timeout = Duration::from_millis(50);
-        let endpoints = ftc_net::channel::mesh_with_timeout(cfg.n, timeout);
         let table = [
             (
-                "endpoint",
-                starve(endpoints.into_iter().map(|e| vec![e]).collect()),
+                "channel",
+                starve(ftc_net::channel::links(cfg.n, 2, timeout)),
             ),
             (
                 "socket",

@@ -7,7 +7,7 @@
 //! so a hook that must see every run threads through one call site.
 
 use ftc_net::channel;
-use ftc_net::sync::{deal, run_over_links, NetMetrics, NetRunResult, RunOpts};
+use ftc_net::sync::{run_over_links, NetMetrics, NetRunResult, RunOpts};
 use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{run_sharded, SimConfig};
 use ftc_sim::ids::NodeId;
@@ -26,7 +26,7 @@ const DEFAULT_WIDTH: usize = 4;
 pub enum Substrate {
     /// The in-process sim engine (`ftc_sim::engine::run`).
     Engine,
-    /// The `ftc-net` in-process channel mesh with this many workers.
+    /// The `ftc-net` in-process channel links with this many workers.
     Channel(usize),
     /// The multiplexed socket runtime with this many procs (clamped to
     /// `min(n, MAX_MESH_PROCS)`): one socket per proc pair, hence one per
@@ -106,8 +106,7 @@ impl Substrate {
             // (`run_over_links`) over their link, one per worker, node `u`
             // on worker `u mod workers`; `recv_timeout` is the link's.
             Substrate::Channel(workers) => {
-                let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
-                let links = deal(endpoints, workers.clamp(1, cfg.n as usize));
+                let links = channel::links(cfg.n, workers, opts.recv_timeout);
                 run_over_links(cfg, links, factory, adversary, opts)
             }
             Substrate::Mesh(procs) => {

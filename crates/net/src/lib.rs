@@ -9,20 +9,24 @@
 //! enacted as partial delivery plus endpoint teardown, and per-run byte
 //! accounting (`wire_bytes`) reported next to the model metrics.
 //!
-//! **One driver, two links.** The [`sync`] module holds the only round
+//! **One driver, three links.** The [`sync`] module holds the only round
 //! driver in the workspace — one coordinator function
 //! ([`sync::run_over_links`]) and one worker loop, generic over a small
 //! [`sync::Link`] trait that hides only how a frame moves. Everything a
 //! round *decides* lives in the sans-I/O [`core`]; everything about
 //! *driving* a round (phase order, wire-fault hooks, byte accounting,
-//! dedup, failure reports) lives in that one loop. Two links exist:
+//! dedup, failure reports) lives in that one loop. Three links exist:
 //!
-//! * the per-node [`transport::Endpoint`]s a worker owns — here the
-//!   [`channel`] transport, an in-process `mpsc` mesh: dependency-free,
-//!   fast, scales to thousands of nodes; the workhorse for equivalence
-//!   tests;
-//! * `ftc-mesh`'s socket link (one socket per *process* pair, so one per
-//!   edge at one node per process).
+//! * [`channel::ChannelLink`], the channel substrate: one in-process
+//!   `mpsc` queue per worker, frames for the worker's own nodes handed
+//!   straight back, the rest crossing in one message per worker pair per
+//!   round — dependency-free, fast, scales to thousands of nodes; the
+//!   workhorse for equivalence tests;
+//! * `ftc-mesh`'s socket link, the same shape over sockets (one socket
+//!   per *process* pair, so one per edge at one node per process);
+//! * the per-node [`transport::Endpoint`]s a caller hands
+//!   [`sync::run_over`], every frame through an endpoint so a wrapper
+//!   sees them all (the [`channel::mesh`] endpoints are what ships).
 //!
 //! `ftc_mesh::Substrate::run` is the single call that runs a
 //! `(SimConfig, seed)` on the engine, the channels or the sockets.

@@ -2,7 +2,7 @@
 //! sans-I/O cores of [`crate::core`] over any [`Link`], reproducing the
 //! in-process engine bit for bit.
 //!
-//! ## One driver, two links
+//! ## One driver, three links
 //!
 //! The model's *data plane* (protocol messages between nodes) moves as
 //! [`Frame`]s. The *control plane* — the adversary, its delivery filters,
@@ -33,21 +33,24 @@
 //! Everything about a round that is not "how a frame moves" is written
 //! here once: the phase order, the [`WireFaultPlan`] hooks, the
 //! [`Frame::encoded_len`] accounting, receive-edge dedup and the failure
-//! reports. How a frame moves is the [`Link`]: the per-node [`Endpoint`]s
-//! a worker owns (in-process channels, or whatever a caller of
-//! [`run_over`] wraps around them), or `ftc-mesh`'s socket link (one
-//! socket per worker pair, readiness loop, no-progress watchdog). Because
-//! every decision is centralized and submissions are keyed by node id,
-//! results are independent of the worker count and of the link
-//! (`tests/net_equivalence.rs`).
+//! reports. How a frame moves is the [`Link`]: the channel substrate's
+//! [`channel::ChannelLink`] (one `mpsc` queue per worker, one message per
+//! worker pair per round), `ftc-mesh`'s socket link (one socket per worker
+//! pair, readiness loop, no-progress watchdog), or the per-node
+//! [`Endpoint`]s a caller of [`run_over`] supplies. The first two hand a
+//! frame for a node on the same worker straight back to the loop; the
+//! endpoint link sends every frame through an endpoint, so wrapped
+//! endpoints see them all. Because every decision is centralized and
+//! submissions are keyed by node id, results are independent of the
+//! worker count and of the link (`tests/net_equivalence.rs`).
 //!
 //! ## Why this cannot deadlock
 //!
 //! Within a round, every worker transmits for *all* its nodes before it
-//! collects for *any* of them, [`Link::send`] never blocks (channel sends
-//! are unbounded; the socket link only stages), and the coordinator's
-//! phase barriers order activation before adjudication before
-//! transmission. Every frame a node waits for has therefore already been
+//! collects for *any* of them, [`Link::send`] never blocks (endpoint
+//! channel sends are unbounded; the other links only stage), and the
+//! coordinator's phase barriers order activation before adjudication
+//! before transmission. Every frame a node waits for has therefore already been
 //! handed to a link, or will be by a worker that is still transmitting and
 //! never blocks first; [`Link::pump`] keeps staged output moving while it
 //! waits.
@@ -136,10 +139,10 @@ impl Default for RunOpts<'_> {
     }
 }
 
-/// How one worker's frames move — the only thing the two runtimes do not
-/// share. A link serves the nodes its worker owns, addressed by *slot*
-/// (position in the worker's pool: node `u` on worker `u mod workers` sits
-/// in slot `u div workers`).
+/// How one worker's frames move — the only thing the network substrates
+/// do not share. A link serves the nodes its worker owns, addressed by
+/// *slot* (position in the worker's pool: node `u` on worker
+/// `u mod workers` sits in slot `u div workers`).
 pub trait Link: Send {
     /// Puts one frame of slot `slot`'s burst on the wire towards `dst`, or
     /// hands it back for direct feed because `dst` is local to this worker
@@ -168,9 +171,10 @@ pub trait Link: Send {
 }
 
 /// The endpoint link: the per-node [`Endpoint`]s a worker owns, in slot
-/// order. Every frame goes through `send`/`recv` on the owning node's
-/// endpoint — local destinations included — so a caller's wrapped
-/// endpoints see every frame; nothing is ever staged.
+/// order, for [`run_over`]'s caller-supplied endpoints. Every frame goes
+/// through `send`/`recv` on the owning node's endpoint — local
+/// destinations included — so a caller's wrapped endpoints see every
+/// frame; nothing is ever staged.
 impl<E: Endpoint> Link for Vec<E> {
     fn send(&mut self, slot: usize, dst: NodeId, frame: Frame) -> io::Result<Option<Frame>> {
         self[slot].send(dst, &frame)?;
@@ -196,13 +200,14 @@ impl<E: Endpoint> Link for Vec<E> {
     }
 }
 
-/// Runs `cfg` over an in-process channel mesh with `workers` worker
+/// Runs `cfg` over the in-process [`channel::links`] with `workers` worker
 /// threads and default [`RunOpts`]. Infallible transport, any `n ≥ 2`,
-/// any topology: the sender registry is O(n) whatever the graph (there is
-/// no per-edge resource to gate), and nodes only ever route frames along
-/// topology edges.
+/// any topology: a worker's frames for its own nodes never leave it, and
+/// the rest cross in one channel message per worker pair per round, so
+/// there is no per-node or per-edge resource to gate.
 ///
-/// See [`run_over`] for semantics and panics.
+/// See [`run_over`] for semantics and panics; `Substrate::Channel` is the
+/// same run under explicit [`RunOpts`] with a wedged run an `Err`.
 pub fn run_over_channel<P, F, A>(
     cfg: &SimConfig,
     workers: usize,
@@ -215,7 +220,9 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    run_over(cfg, workers, factory, adversary, channel::mesh(cfg.n))
+    let links = channel::links(cfg.n, workers, RECV_TIMEOUT);
+    run_over_links(cfg, links, factory, adversary, &RunOpts::default())
+        .unwrap_or_else(|err| panic!("cluster run wedged: {err}"))
 }
 
 /// Runs one execution of `cfg` over `endpoints` (one per node, in id
@@ -258,7 +265,7 @@ where
 /// Deals `items` (one per node, in id order) onto `workers` pools by
 /// residue: node `u` goes to pool `u mod workers`, slot `u div workers` —
 /// the placement [`run_over_links`] expects of its links.
-pub fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
+fn deal<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<Vec<T>> {
     let mut pools: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
     for (u, item) in items.into_iter().enumerate() {
         pools[u % workers].push(item);
@@ -672,8 +679,8 @@ mod tests {
         adversary: &mut dyn Adversary<u64>,
         opts: &RunOpts,
     ) -> Result<NetRunResult<Chatter>, String> {
-        let endpoints = channel::mesh_with_timeout(cfg.n, opts.recv_timeout);
-        run_over_links(cfg, deal(endpoints, workers), chatter, adversary, opts)
+        let links = channel::links(cfg.n, workers, opts.recv_timeout);
+        run_over_links(cfg, links, chatter, adversary, opts)
     }
 
     /// A channel run tagged as election instance `height`.
@@ -707,30 +714,58 @@ mod tests {
 
     #[test]
     fn recv_timeout_aborts_the_run_instead_of_deadlocking() {
-        // A 1 ns recv timeout trips essentially always on a real
+        // A 1 ns receive timeout trips essentially always on a real
         // scheduler, but not deterministically — retry a few runs so the
         // test doesn't hinge on one interleaving. The load-bearing claim:
-        // a node timing out must abort the whole run with the transport
+        // a worker timing out must abort the whole run with the link's
         // error (via the submission channel), never deadlock the
-        // coordinator's lock-step loop. The frozen wrappers panic with it;
-        // the `Err` the driver returns underneath is pinned, on both
-        // links, by `ftc-mesh`'s starved-node test.
-        let tiny = Duration::from_nanos(1);
-        let panic = (0..5).find_map(|attempt| {
-            std::panic::catch_unwind(|| {
-                let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
-                let endpoints = channel::mesh_with_timeout(cfg.n, tiny);
-                run_over(&cfg, 4, chatter, &mut NoFaults, endpoints)
-            })
-            .err()
+        // coordinator's lock-step loop. The same report from a starved
+        // node is pinned on every link by `ftc-mesh`'s starved-node test.
+        let opts = RunOpts {
+            recv_timeout: Duration::from_nanos(1),
+            ..RunOpts::default()
+        };
+        let err = (0..5).find_map(|attempt| {
+            let cfg = SimConfig::new(16).seed(9 + attempt).max_rounds(30);
+            channel_run(&cfg, 4, &mut NoFaults, &opts).err()
         });
-        let payload = panic.expect("a 1ns recv timeout never tripped in 5 runs");
+        let err = err.expect("a 1ns receive timeout never tripped in 5 runs");
+        assert!(
+            err.contains("timed out collecting round") && err.contains("waited 1ns"),
+            "unexpected report: {err}"
+        );
+
+        // The frozen wrappers panic with the same report, here over
+        // endpoints whose every wait times out at once.
+        struct Stalled(channel::ChannelEndpoint);
+        impl Endpoint for Stalled {
+            fn node(&self) -> NodeId {
+                self.0.node()
+            }
+            fn send(&mut self, dst: NodeId, frame: &Frame) -> io::Result<u64> {
+                self.0.send(dst, frame)
+            }
+            fn recv(&mut self) -> io::Result<Frame> {
+                Err(io::Error::new(io::ErrorKind::TimedOut, "stalled"))
+            }
+            fn teardown(&mut self) {
+                self.0.teardown();
+            }
+        }
+        let panic = std::panic::catch_unwind(|| {
+            let cfg = SimConfig::new(16).seed(9).max_rounds(30);
+            let stalled = channel::mesh(cfg.n).into_iter().map(Stalled).collect();
+            run_over(&cfg, 4, chatter, &mut NoFaults, stalled)
+        });
+        let payload = panic.err().expect("a stalled endpoint must wedge the run");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
         assert!(
-            msg.contains("cluster run wedged") && msg.contains("timed out collecting round"),
+            msg.starts_with("cluster run wedged: node ")
+                && msg.contains("timed out collecting round 0")
+                && msg.ends_with("(stalled)"),
             "unexpected panic: {msg}"
         );
     }

@@ -4,13 +4,15 @@
 //! [`Frame`] to any peer, pull the next frame addressed to itself, and tear
 //! itself down (the physical half of a crash). The one round driver
 //! ([`crate::sync::run_over_links`]) never sees an endpoint directly: the
-//! endpoints a worker owns *are* one of its two links
+//! endpoints a worker owns *are* one of its three links
 //! (`impl Link for Vec<E: Endpoint>` — every frame through `send`, a pump
-//! is one `recv`), the other being `ftc-mesh`'s socket link. The trait
-//! stays per node, and frozen, because callers wrap it:
-//! [`crate::sync::run_over`] drives caller-supplied endpoints, and the
-//! benchmark's timing and capture probes are `Endpoint`s around the one
-//! implementation that ships, [`crate::channel`] (in-process `mpsc`).
+//! is one `recv`). That link carries only [`crate::sync::run_over`]'s
+//! caller-supplied endpoints; the substrates run on the per-worker
+//! [`crate::channel::ChannelLink`] and `ftc-mesh`'s socket link. The trait
+//! stays per node, and frozen, because callers wrap it: the benchmark's
+//! timing and capture probes are `Endpoint`s around the one
+//! implementation that ships, [`crate::channel::mesh`] (in-process
+//! `mpsc`).
 //!
 //! Transports deliver frames reliably and FIFO per link but with no
 //! cross-link ordering, and fast nodes may run rounds ahead of slow ones —
@@ -25,13 +27,14 @@ use ftc_sim::ids::NodeId;
 
 use crate::frame::Frame;
 
-/// Default for how long an endpoint waits for a frame before concluding
-/// the cluster is wedged. The driver's accounting guarantees every
-/// awaited frame was (or will be) sent, so in a healthy run this never
-/// fires; it exists to turn bugs and killed peers into loud errors instead
-/// of hangs. [`crate::sync::RunOpts::recv_timeout`] overrides it per run
-/// (the channel mesh takes it through [`crate::channel::mesh_with_timeout`])
-/// and `ftc cluster --recv-timeout` exposes it on the command line.
+/// Default for how long a link waits for a frame before concluding the
+/// cluster is wedged. The driver's accounting guarantees every awaited
+/// frame was (or will be) sent, so in a healthy run this never fires; it
+/// exists to turn bugs and killed peers into loud errors instead of hangs.
+/// [`crate::sync::RunOpts::recv_timeout`] overrides it per run (the
+/// channel substrate takes it through [`crate::channel::links`]) and
+/// `ftc cluster --recv-timeout` exposes it on the command line. The
+/// [`crate::channel::mesh`] endpoints always wait this long.
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One node's attachment to a transport.
@@ -49,8 +52,8 @@ pub trait Endpoint: Send {
     /// Blocks for the next frame addressed to this node, from any peer.
     ///
     /// Fails with [`io::ErrorKind::TimedOut`] after the endpoint's receive
-    /// timeout (default [`RECV_TIMEOUT`]) and with an error when the
-    /// endpoint is torn down or all links are gone.
+    /// timeout ([`RECV_TIMEOUT`] for [`crate::channel::mesh`]) and with an
+    /// error when the endpoint is torn down or all links are gone.
     fn recv(&mut self) -> io::Result<Frame>;
 
     /// Tears the endpoint down — the physical enactment of a crash.

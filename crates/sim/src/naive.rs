@@ -449,7 +449,7 @@ mod tests {
             }
             _ => {
                 let d = 2 * meta.random_range(1..4u32);
-                if d <= n - 1 {
+                if d < n {
                     cfg = cfg.topology(crate::topology::Topology::RandomRegular { d });
                 }
             }

@@ -216,26 +216,29 @@ fn forged_zeros_match_engine_on_channel_and_mesh() {
 #[test]
 fn worker_count_does_not_change_wire_accounting() {
     // Outcomes are covered above; wire bytes must also be schedule-free.
+    // Both in-process adapters run at every width: the channel links
+    // `run_over_channel` drives, and the endpoint link `run_over` drives
+    // over caller-supplied endpoints — the path the benchmark's probes
+    // wrap — so what the probes see is what the substrate runs.
     let params = Params::new(N, ALPHA).unwrap();
     let cfg = SimConfig::new(N)
         .seed(5)
         .max_rounds(params.le_round_budget());
     let f = params.max_faults();
-    let baseline = run_over_channel(
-        &cfg,
-        1,
-        |_| LeNode::new(params.clone()),
-        le_adversary("eager", f).as_mut(),
-    );
-    for workers in [2, 4, 8] {
-        let net = run_over_channel(
-            &cfg,
-            workers,
-            |_| LeNode::new(params.clone()),
-            le_adversary("eager", f).as_mut(),
-        );
-        assert_eq!(net.net.wire_bytes, baseline.net.wire_bytes);
-        assert_eq!(net.net.frames_sent, baseline.net.frames_sent);
+    let node = |_: NodeId| LeNode::new(params.clone());
+    let adversary = || le_adversary("eager", f);
+    let baseline = run_over_channel(&cfg, 1, node, adversary().as_mut());
+    let expected = le_fingerprint(&baseline.run);
+    for workers in [1, 2, 4, 8] {
+        let links = run_over_channel(&cfg, workers, node, adversary().as_mut());
+        let endpoints = ftc::net::channel::mesh(N);
+        let endpoints = run_over(&cfg, workers, node, adversary().as_mut(), endpoints);
+        for (adapter, net) in [("links", links), ("endpoints", endpoints)] {
+            let at = format!("{adapter} at {workers} workers");
+            assert_eq!(le_fingerprint(&net.run), expected, "{at}");
+            assert_eq!(net.net.wire_bytes, baseline.net.wire_bytes, "{at}");
+            assert_eq!(net.net.frames_sent, baseline.net.frames_sent, "{at}");
+        }
     }
 }
 
