@@ -123,6 +123,23 @@ check() {
   # `ControlCore::new`. No second pass over the lab's workloads comes back.
   found="$(grep -rnwE 'check_workload|run_trial|bridged_trial' crates src || true)"
   test -z "$found" || { echo "a lab cell checked apart from its build: $found"; exit 1; }
+
+  # Draw audit. A protocol reads randomness only through the named draws
+  # of `ftc_sim::protocol::Draw` (DESIGN D36): no protocol file names
+  # `rand`, `SmallRng` or `.rng()` before its tests, and `Ctx` hands out no
+  # generator. The adversaries are exempt: the frozen `Adversary` trait
+  # passes them a `&mut SmallRng`.
+  local file
+  for file in $(find crates/core/src crates/baselines/src -name '*.rs' | sort); do
+    case "$file" in */adversaries.rs | */byzantine.rs) continue ;; esac
+    found="$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
+      | grep -E '\brand\b|SmallRng|\.rng\(\)' || true)"
+    test -z "$found" || { echo "randomness outside the named draws: $found"; exit 1; }
+  done
+  if grep -nE 'fn rng\b' crates/sim/src/protocol.rs; then
+    echo "Ctx hands out its generator"
+    exit 1
+  fi
 }
 
 smoke() {

@@ -17,7 +17,6 @@
 
 use ftc_sim::payload::Payload;
 use ftc_sim::prelude::*;
-use rand::prelude::*;
 
 /// Messages of the fault-free implicit agreement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,8 +81,7 @@ impl Protocol for AugustineNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, AugustineMsg>) {
         let n = ctx.n();
         let nf = f64::from(n);
-        let cand_prob = (8.0 * nf.ln() / nf).min(1.0);
-        if !ctx.rng().random_bool(cand_prob) {
+        if !ctx.coin((8.0 * nf.ln() / nf).min(1.0)) {
             return;
         }
         self.candidate = true;

@@ -65,7 +65,7 @@ impl Protocol for BroadcastLeNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
         let n = ctx.n();
-        let rank = Rank::draw(ctx.rng(), n);
+        let rank = Rank::draw(ctx, n);
         self.rank = Some(rank);
         self.min_seen = Some(rank);
         ctx.broadcast(rank.0);

@@ -84,7 +84,7 @@ impl Protocol for DiamTwoLeNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DiamTwoMsg>) {
         let n = ctx.n();
-        self.rank = Rank::draw(ctx.rng(), n).0;
+        self.rank = Rank::draw(ctx, n).0;
         self.max_seen = self.rank;
         ctx.broadcast(DiamTwoMsg::Rank(self.rank));
     }

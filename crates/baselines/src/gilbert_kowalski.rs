@@ -28,7 +28,6 @@
 use ftc_sim::ids::{NodeId, Round};
 use ftc_sim::payload::Payload;
 use ftc_sim::prelude::*;
-use rand::prelude::*;
 
 /// Messages of the GK10-style protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -239,7 +238,7 @@ impl Protocol for GkNode {
         // member each round until someone answers.
         if self.decision.is_none() && round >= geo.repair_round(me) {
             let target = loop {
-                let t = ctx.rng().random_range(0..geo.k);
+                let t = ctx.uniform(0..u64::from(geo.k)) as u32;
                 if t != me {
                     break t;
                 }

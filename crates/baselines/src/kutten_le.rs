@@ -19,7 +19,6 @@ use ftc_core::rank::Rank;
 use ftc_sim::ids::Port;
 use ftc_sim::payload::Payload;
 use ftc_sim::prelude::*;
-use rand::prelude::*;
 
 /// Messages of the Kutten et al. protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,12 +93,11 @@ impl Protocol for KuttenLeNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KuttenMsg>) {
         let n = ctx.n();
         let nf = f64::from(n);
-        let cand_prob = (8.0 * nf.ln() / nf).min(1.0);
-        if !ctx.rng().random_bool(cand_prob) {
+        if !ctx.coin((8.0 * nf.ln() / nf).min(1.0)) {
             self.elected = Some(false);
             return;
         }
-        let rank = Rank::draw(ctx.rng(), n);
+        let rank = Rank::draw(ctx, n);
         self.rank = Some(rank);
         let referees = ((2.0 * (nf * nf.ln()).sqrt()).ceil() as usize).min(n as usize - 1);
         self.referees = ctx.sample_ports(referees);

@@ -21,7 +21,6 @@ use ftc_sim::prelude::*;
 
 use crate::messages::AgreeMsg;
 use crate::params::Params;
-use crate::sampling;
 
 /// A node's final verdict for the implicit agreement problem
 /// (Definition 2).
@@ -151,11 +150,9 @@ impl Protocol for AgreeNode {
     type Msg = AgreeMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, AgreeMsg>) {
-        if !sampling::decide_candidate(ctx.rng(), &self.params) {
+        if !ctx.coin(self.params.candidate_probability()) {
             return;
         }
-        // Via the Ctx: identical RNG draws on the complete graph,
-        // degree-clamped on sparse topologies (see LeNode::on_start).
         let referees = ctx.sample_ports(self.params.referee_count());
         let zero = !self.input;
         // Step 0: register with the referees — a 0-holder registers by

@@ -34,7 +34,6 @@ use ftc_sim::prelude::*;
 use crate::messages::LeMsg;
 use crate::params::Params;
 use crate::rank::Rank;
-use crate::sampling;
 
 /// How many proposer-silent phase-A activations a candidate waits on one
 /// support target before declaring the target dead (the paper's "didn't
@@ -409,14 +408,11 @@ impl Protocol for LeNode {
     type Msg = LeMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, LeMsg>) {
-        if !sampling::decide_candidate(ctx.rng(), &self.params) {
+        if !ctx.coin(self.params.candidate_probability()) {
             return;
         }
         let n = ctx.n();
-        let id = Rank::draw(ctx.rng(), n);
-        // Drawn through the Ctx so the sample ranges over the node's
-        // actual ports: bit-identical to the historical complete-graph
-        // draw (degree = n-1 there), degree-clamped on sparse topologies.
+        let id = Rank::draw(ctx, n);
         let referees = ctx.sample_ports(self.params.referee_count());
         let mut rank_list = BTreeSet::new();
         rank_list.insert(id);

@@ -22,7 +22,6 @@ use ftc_sim::payload::{bits_for, Payload};
 use ftc_sim::prelude::*;
 
 use crate::params::Params;
-use crate::sampling;
 
 /// Messages of the multi-valued agreement protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,11 +146,9 @@ impl Protocol for MultiAgreeNode {
     type Msg = MultiMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, MultiMsg>) {
-        if !sampling::decide_candidate(ctx.rng(), &self.params) {
+        if !ctx.coin(self.params.candidate_probability()) {
             return;
         }
-        // Via the Ctx: identical RNG draws on the complete graph,
-        // degree-clamped on sparse topologies (see LeNode::on_start).
         let referees = ctx.sample_ports(self.params.referee_count());
         // The maximum value plays the role of the binary protocol's "1":
         // holders only register. Everyone else pushes their value.

@@ -5,8 +5,7 @@
 //! range is chosen so that all `n` ranks are distinct with high probability
 //! (a birthday-bound argument: collision probability ≤ `n²/n⁴ = 1/n²`).
 
-use rand::prelude::*;
-use rand::rngs::SmallRng;
+use ftc_sim::protocol::Draw;
 
 /// A node's randomly drawn rank (also its self-assigned ID).
 ///
@@ -21,13 +20,13 @@ impl std::fmt::Display for Rank {
 }
 
 impl Rank {
-    /// Draws a uniform rank from `[1, n⁴]`.
+    /// Draws a uniform rank from `[1, n⁴]` (one [`Draw::uniform`]).
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn draw(rng: &mut SmallRng, n: u32) -> Rank {
-        Rank(rng.random_range(1..=Rank::domain(n)))
+    pub fn draw(d: &mut impl Draw, n: u32) -> Rank {
+        Rank(1 + d.uniform(0..Rank::domain(n)))
     }
 
     /// Upper end of the rank domain: `n⁴`, saturating at `u64::MAX` for
@@ -63,22 +62,22 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use ftc_sim::protocol::Stream;
 
     #[test]
     fn draw_is_in_domain() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut stream = Stream::seeded(1);
         for _ in 0..1000 {
-            let r = Rank::draw(&mut rng, 64);
+            let r = Rank::draw(&mut stream, 64);
             assert!(r.0 >= 1 && r.0 <= 64u64.pow(4));
         }
     }
 
     #[test]
     fn ranks_are_distinct_whp_in_practice() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut stream = Stream::seeded(7);
         let n = 1024u32;
-        let mut ranks: Vec<u64> = (0..n).map(|_| Rank::draw(&mut rng, n).0).collect();
+        let mut ranks: Vec<u64> = (0..n).map(|_| Rank::draw(&mut stream, n).0).collect();
         ranks.sort_unstable();
         ranks.dedup();
         assert_eq!(ranks.len(), n as usize, "collision at n=1024 (prob < 1e-6)");

@@ -12,40 +12,32 @@
 //!    common non-faulty referee whp (Lemma 3) — the channel through which
 //!    anonymous candidates communicate.
 //!
-//! These helpers are deliberately free functions over an RNG so that they
-//! can be Monte-Carlo-tested (experiment E10) without a full simulation.
+//! The protocols make both through their `Ctx`'s named draws (a
+//! [`Draw::coin`], then `Ctx::sample_ports`); [`draw_committee`] makes the
+//! same draws for every node over one stream, for experiment E10.
 
-use rand::prelude::*;
-use rand::rngs::SmallRng;
+use ftc_sim::protocol::Draw;
 
 use crate::params::Params;
-
-/// Flips the candidate coin (Lemma 1: probability `6·ln n/(α·n)`).
-pub fn decide_candidate(rng: &mut SmallRng, params: &Params) -> bool {
-    rng.random_bool(params.candidate_probability())
-}
 
 /// One Monte-Carlo draw of the whole sampling layer, for testing the
 /// concentration lemmas without running a protocol: returns the candidate
 /// node indices and, per candidate, its referee node indices.
 ///
-/// Each candidate's referees are `referee_count()` distinct uniform ports
-/// of the complete graph (Lemma 3), the draw `Ctx::sample_ports` makes.
-pub fn draw_committee(rng: &mut SmallRng, params: &Params) -> (Vec<usize>, Vec<Vec<usize>>) {
+/// Every node's coin is drawn first, in node order, then each candidate's
+/// referees: `referee_count()` distinct uniform ports of the complete
+/// graph (Lemma 3), the draw `Ctx::sample_ports` makes.
+pub fn draw_committee(d: &mut impl Draw, params: &Params) -> (Vec<usize>, Vec<Vec<usize>>) {
     let n = params.n() as usize;
     let ports = n - 1;
     let count = params.referee_count().min(ports);
-    let mut candidates = Vec::new();
-    for node in 0..n {
-        if decide_candidate(rng, params) {
-            candidates.push(node);
-        }
-    }
+    let p = params.candidate_probability();
+    let candidates: Vec<usize> = (0..n).filter(|_| d.coin(p)).collect();
     let referees = candidates
         .iter()
         .map(|&c| {
             // Convert ports to global indices by skipping `c` itself.
-            rand::seq::index::sample(rng, ports, count)
+            d.sample(ports, count)
                 .into_iter()
                 .map(|k| if k < c { k } else { k + 1 })
                 .collect()
@@ -57,11 +49,7 @@ pub fn draw_committee(rng: &mut SmallRng, params: &Params) -> (Vec<usize>, Vec<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> SmallRng {
-        SmallRng::seed_from_u64(seed)
-    }
+    use ftc_sim::protocol::Stream;
 
     #[test]
     fn candidate_count_concentrates_lemma1() {
@@ -72,7 +60,7 @@ mod tests {
         let mut in_range = 0;
         let trials = 200;
         for t in 0..trials {
-            let (c, _) = draw_committee(&mut rng(t), &params);
+            let (c, _) = draw_committee(&mut Stream::seeded(t), &params);
             if (c.len() as f64) >= lo && (c.len() as f64) <= hi {
                 in_range += 1;
             }
@@ -87,11 +75,8 @@ mod tests {
         let n = 1024usize;
         let mut all_faulty = 0;
         for t in 0..200u64 {
-            let mut r = rng(t);
-            let faulty: std::collections::HashSet<usize> =
-                rand::seq::index::sample(&mut r, n, n / 2)
-                    .into_iter()
-                    .collect();
+            let mut r = Stream::seeded(t);
+            let faulty: std::collections::HashSet<usize> = r.sample(n, n / 2).into_iter().collect();
             let (c, _) = draw_committee(&mut r, &params);
             if !c.is_empty() && c.iter().all(|i| faulty.contains(i)) {
                 all_faulty += 1;
@@ -104,7 +89,7 @@ mod tests {
     fn candidate_pairs_share_referee_lemma3() {
         let params = Params::new(1024, 0.5).unwrap();
         for t in 0..20u64 {
-            let (c, refs) = draw_committee(&mut rng(t), &params);
+            let (c, refs) = draw_committee(&mut Stream::seeded(t), &params);
             for i in 0..c.len() {
                 for j in i + 1..c.len() {
                     let a: std::collections::HashSet<_> = refs[i].iter().collect();
@@ -122,7 +107,7 @@ mod tests {
     #[test]
     fn referee_ports_are_distinct() {
         let params = Params::new(256, 1.0).unwrap();
-        let (c, refs) = draw_committee(&mut rng(3), &params);
+        let (c, refs) = draw_committee(&mut Stream::seeded(3), &params);
         assert!(!c.is_empty());
         for rs in &refs {
             assert_eq!(rs.len(), params.referee_count().min(255));
@@ -138,7 +123,7 @@ mod tests {
     fn draw_committee_never_maps_port_to_self() {
         let params = Params::new(128, 1.0).unwrap();
         for t in 0..50 {
-            let (c, refs) = draw_committee(&mut rng(t), &params);
+            let (c, refs) = draw_committee(&mut Stream::seeded(t), &params);
             for (ci, rs) in c.iter().zip(&refs) {
                 assert!(rs.iter().all(|r| r != ci), "candidate refereed itself");
                 assert!(rs.iter().all(|&r| r < 128));

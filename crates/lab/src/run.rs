@@ -27,11 +27,10 @@ use ftc_sim::ids::NodeId;
 use ftc_sim::json::git_rev;
 use ftc_sim::metrics::{LogHistogram, Metrics};
 use ftc_sim::perm::stream_seed;
+use ftc_sim::protocol::{Draw, Stream};
 use ftc_sim::runner::{ParRunner, TrialPlan};
 use ftc_sim::stats::{fit_power_law, Summary};
 use ftc_sim::topology::Topology;
-use rand::prelude::*;
-use rand::rngs::SmallRng;
 
 use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 
@@ -478,12 +477,12 @@ fn bridged(
 fn sampling_lemmas(params: &Params, seed: u64) -> TrialValue {
     let lo = 2.0 * params.ln_n() / params.alpha();
     let hi = 12.0 * params.ln_n() / params.alpha();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let faulty: HashSet<usize> =
-        rand::seq::index::sample(&mut rng, params.n() as usize, params.max_faults())
-            .into_iter()
-            .collect();
-    let (cands, refs) = draw_committee(&mut rng, params);
+    let mut stream = Stream::seeded(seed);
+    let faulty: HashSet<usize> = stream
+        .sample(params.n() as usize, params.max_faults())
+        .into_iter()
+        .collect();
+    let (cands, refs) = draw_committee(&mut stream, params);
     let committee = cands.len() as f64;
     let in_band = committee >= lo && committee <= hi;
     let nonfaulty = cands.iter().any(|c| !faulty.contains(c));
@@ -1179,7 +1178,7 @@ mod tests {
                     .topology(topology),
             );
             let err = run_campaign(&tiny, 1, Substrate::Engine).unwrap_err();
-            let want = format!("cell `tiny`: network size must be at least 2, got {n}");
+            let want = format!("cell `tiny`: network size must be in [2, 16777216], got {n}");
             assert_eq!(err, want);
         }
         // Workloads that never touch the sim engine reject non-complete

@@ -228,7 +228,8 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
             }
         }
         let hseed = height_seed(cfg.seed, h);
-        let hcfg = SimConfig::new(cfg.n)
+        let hcfg = SimConfig::try_new(cfg.n)
+            .map_err(|e| format!("serve: {e}"))?
             .seed(hseed)
             .max_rounds(params.le_round_budget());
         let factory = |_| LeNode::new(params.clone());

@@ -35,11 +35,16 @@ use crate::round::ControlCore;
 use crate::topology::Topology;
 use crate::trace::Trace;
 
+/// The largest network a run accepts (`2²⁴`, over 16× `scale-bench`'s 10⁶
+/// nodes); a larger `n` is refused before any per-node array is allocated.
+pub const MAX_NODES: u32 = 1 << 24;
+
 /// Rejected [`SimConfig`] parameters, reported before anything runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
-    /// `n < 2` — a complete network needs at least two nodes.
-    NetworkTooSmall {
+    /// `n < 2` (a complete network needs at least two nodes) or
+    /// `n >` [`MAX_NODES`].
+    NetworkSizeOutOfRange {
         /// The offending network size.
         n: u32,
     },
@@ -91,8 +96,8 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::NetworkTooSmall { n } => {
-                write!(f, "network size must be at least 2, got {n}")
+            ConfigError::NetworkSizeOutOfRange { n } => {
+                write!(f, "network size must be in [2, {MAX_NODES}], got {n}")
             }
             ConfigError::NoRounds => write!(f, "max_rounds must be at least 1"),
             ConfigError::EdgeFailureOutOfRange { p } => {
@@ -185,25 +190,22 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`. Front ends that want a recoverable error should
-    /// use [`SimConfig::try_new`].
+    /// Panics if `n < 2` or `n >` [`MAX_NODES`]. Front ends that want a
+    /// recoverable error should use [`SimConfig::try_new`].
     pub fn new(n: u32) -> Self {
-        SimConfig::try_new(n).expect("a complete network needs at least two nodes")
+        SimConfig::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`SimConfig::new`] but rejects invalid sizes with an error
     /// instead of panicking — the entry point for CLI / service front ends
     /// that validate user input early.
     pub fn try_new(n: u32) -> Result<Self, ConfigError> {
-        if n < 2 {
-            return Err(ConfigError::NetworkTooSmall { n });
-        }
         // `32 - leading_zeros` is ⌊log₂ n⌋ + 1, so the limit below is
         // 8·(⌊log₂ n⌋ + 3): 32 rounds at n=2, 56 at n=16, 104 at n=1024.
         // Committed lab baselines depend on these exact values — do not
         // change the formula without regenerating them.
         let log2n = 32 - n.leading_zeros();
-        Ok(SimConfig {
+        let cfg = SimConfig {
             n,
             seed: 0,
             max_rounds: 8 * (log2n + 2),
@@ -213,15 +215,16 @@ impl SimConfig {
             send_cap: None,
             edge_failure_prob: 0.0,
             topology: Topology::Complete,
-        })
+        };
+        cfg.validate().map(|()| cfg)
     }
 
     /// Validates the assembled configuration (size, round budget,
     /// probabilities, topology) in one place: every driver's
     /// [`ControlCore`] runs it, and so does the codec.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n < 2 {
-            return Err(ConfigError::NetworkTooSmall { n: self.n });
+        if !(2..=MAX_NODES).contains(&self.n) {
+            return Err(ConfigError::NetworkSizeOutOfRange { n: self.n });
         }
         if self.max_rounds == 0 {
             return Err(ConfigError::NoRounds);
@@ -974,11 +977,11 @@ mod tests {
     fn try_new_rejects_tiny_networks() {
         assert_eq!(
             SimConfig::try_new(1).unwrap_err(),
-            ConfigError::NetworkTooSmall { n: 1 }
+            ConfigError::NetworkSizeOutOfRange { n: 1 }
         );
         assert_eq!(
             SimConfig::try_new(0).unwrap_err(),
-            ConfigError::NetworkTooSmall { n: 0 }
+            ConfigError::NetworkSizeOutOfRange { n: 0 }
         );
         let cfg = SimConfig::try_new(2).unwrap();
         assert_eq!(cfg.n, 2);
@@ -991,6 +994,16 @@ mod tests {
             bad.validate(),
             Err(ConfigError::EdgeFailureOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn try_new_rejects_networks_above_the_cap() {
+        assert_eq!(SimConfig::try_new(MAX_NODES).unwrap().n, MAX_NODES);
+        for n in [MAX_NODES + 1, u32::MAX] {
+            let err = SimConfig::try_new(n).unwrap_err();
+            assert_eq!(err, ConfigError::NetworkSizeOutOfRange { n });
+            assert!(err.to_string().contains("in [2, 16777216]"), "{err}");
+        }
     }
 
     #[test]

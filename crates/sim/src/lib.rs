@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::node::NodeHarness;
     pub use crate::payload::{Payload, Wire};
     pub use crate::ports::PortMap;
-    pub use crate::protocol::{Ctx, Incoming, Protocol};
+    pub use crate::protocol::{Ctx, Draw, Incoming, Protocol};
     pub use crate::round::{ControlCore, EdgeFates, RoundVerdict};
     pub use crate::runner::{AbortHandle, ParRunner, TrialBatch, TrialOutcome, TrialPlan};
     pub use crate::stats::Summary;

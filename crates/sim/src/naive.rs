@@ -367,6 +367,7 @@ mod tests {
     /// ports, duplicate-destination sends (stressing per-edge accounting)
     /// and per-node asymmetry.
     struct Probe {
+        id: u32,
         rounds: u32,
         talk: u32,
         log: Vec<(Round, u32, u64)>,
@@ -375,12 +376,12 @@ mod tests {
     impl Protocol for Probe {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-            let k = ctx.node_id().0 % 3 + 1;
+            let k = self.id % 3 + 1;
             for j in 0..k {
                 let p = ctx.random_port();
-                ctx.send(p, (u64::from(ctx.node_id().0) << 8) | u64::from(j));
+                ctx.send(p, (u64::from(self.id) << 8) | u64::from(j));
             }
-            if ctx.node_id().0.is_multiple_of(2) {
+            if self.id.is_multiple_of(2) {
                 // Two messages down one port: duplicate directed-edge load.
                 ctx.send(Port(0), 7);
                 ctx.send(Port(0), 8);
@@ -478,7 +479,8 @@ mod tests {
             }
         };
 
-        let factory = |_: NodeId| Probe {
+        let factory = |v: NodeId| Probe {
+            id: v.0,
             rounds: 0,
             talk,
             log: Vec::new(),
@@ -531,6 +533,7 @@ mod tests {
     /// a true no-op. The sparse engine drops such nodes from its agenda;
     /// the naive oracle activates every alive node every round regardless.
     struct Bouncer {
+        id: u32,
         fuel: u32,
         started: bool,
         heard: Vec<(Round, u32, u64)>,
@@ -539,7 +542,7 @@ mod tests {
     impl Protocol for Bouncer {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-            for _ in 0..ctx.node_id().0 % 3 {
+            for _ in 0..self.id % 3 {
                 let p = ctx.random_port();
                 ctx.send(p, 5); // 5 hops of life
             }
@@ -606,6 +609,7 @@ mod tests {
     /// every node walks its degree in its first round and routes and
     /// resolves through its table from then on.
     struct Flood {
+        id: u32,
         talk: u32,
         log: Vec<(Round, u32, u64)>,
     }
@@ -613,14 +617,14 @@ mod tests {
     impl Protocol for Flood {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-            ctx.broadcast(u64::from(ctx.node_id().0));
+            ctx.broadcast(u64::from(self.id));
         }
         fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Incoming<u64>]) {
             for m in inbox {
                 self.log.push((ctx.round(), m.port.0, m.msg));
             }
             if ctx.round() < self.talk {
-                ctx.broadcast(u64::from(ctx.round()) << 32 | u64::from(ctx.node_id().0));
+                ctx.broadcast(u64::from(ctx.round()) << 32 | u64::from(self.id));
             }
         }
         fn is_terminated(&self) -> bool {
@@ -691,7 +695,8 @@ mod tests {
                     victim: NodeId(n - 1),
                     forger: NodeId(n / 2),
                 };
-                let factory = |_: NodeId| Flood {
+                let factory = |v: NodeId| Flood {
+                    id: v.0,
                     talk: 4,
                     log: Vec::new(),
                 };
@@ -738,7 +743,8 @@ mod tests {
                     _ => Box::new(Forger(RandomCrash::new(f, 5))),
                 }
             };
-            let factory = |_: NodeId| Bouncer {
+            let factory = |v: NodeId| Bouncer {
+                id: v.0,
                 fuel: 3,
                 started: false,
                 heard: Vec::new(),

@@ -9,15 +9,12 @@
 //! the rest from `(SimConfig, NodeId)`, which is what makes a network run
 //! replay a simulator run exactly.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use crate::adversary::Envelope;
 use crate::engine::SimConfig;
 use crate::ids::{NodeId, Port, Round};
 use crate::perm::stream_seed;
 use crate::ports::PortMap;
-use crate::protocol::{Ctx, Incoming, Protocol};
+use crate::protocol::{Ctx, Incoming, Protocol, Stream};
 use crate::round::SALT_NODES;
 
 /// The bookkeeping of one activation (see [`NodeHarness::activate_into`]).
@@ -40,7 +37,7 @@ pub struct NodeHarness<P: Protocol> {
     n: u32,
     kt1: bool,
     ports: PortMap,
-    rng: SmallRng,
+    stream: Stream,
     state: P,
     send_cap: Option<u32>,
     sends_used: u32,
@@ -61,7 +58,7 @@ impl<P: Protocol> NodeHarness<P> {
             n: cfg.n,
             kt1: cfg.kt1,
             ports,
-            rng: SmallRng::seed_from_u64(stream_seed(node_seed_base, u64::from(node.0))),
+            stream: Stream::seeded(stream_seed(node_seed_base, u64::from(node.0))),
             state,
             send_cap: cfg.send_cap,
             sends_used: 0,
@@ -92,7 +89,7 @@ impl<P: Protocol> NodeHarness<P> {
             round,
             kt1: self.kt1,
             ports: &self.ports,
-            rng: &mut self.rng,
+            stream: &mut self.stream,
             outbox,
         };
         if round == 0 {

@@ -6,6 +6,9 @@
 //! through its ports; those messages are delivered (subject to crashes) at
 //! the start of the next round. This matches the synchronous message-passing
 //! model of Section II of the paper.
+//!
+//! A protocol reads randomness only through the named draws of [`Draw`]
+//! on the node's private [`Stream`].
 
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -29,11 +32,10 @@ pub struct Incoming<M> {
 /// Per-activation view of the world handed to a protocol.
 ///
 /// `Ctx` exposes exactly the knowledge the model grants a node: the network
-/// size `n`, the current round, its private randomness, and its ports. The
-/// node's global [`NodeId`] and the port→peer mapping are additionally
-/// exposed for **KT1** protocols and for debugging/analysis; KT0 protocols
-/// (all protocols of the paper) must not use them for decisions, and the
-/// engine will panic on [`Ctx::peer_of`]/[`Ctx::port_to`] unless the
+/// size `n`, the current round, its ports, and its private randomness as
+/// named draws (`Ctx` implements [`Draw`]). The node's global [`NodeId`]
+/// and the port→peer mapping are exposed only to **KT1** protocols:
+/// [`Ctx::node_id`], [`Ctx::peer_of`] and [`Ctx::port_to`] panic unless the
 /// simulation was configured with `kt1(true)`.
 pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
@@ -41,7 +43,7 @@ pub struct Ctx<'a, M> {
     pub(crate) round: Round,
     pub(crate) kt1: bool,
     pub(crate) ports: &'a PortMap,
-    pub(crate) rng: &'a mut SmallRng,
+    pub(crate) stream: &'a mut Stream,
     pub(crate) outbox: &'a mut Vec<(Port, M)>,
 }
 
@@ -62,11 +64,10 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.round
     }
 
-    /// This node's global simulator identity.
-    ///
-    /// Anonymous-network (KT0) protocols must not use this for protocol
-    /// decisions; it exists for KT1 baselines, logging and tests.
+    /// This node's global simulator identity. Panics unless the simulation
+    /// was configured as KT1: in KT0 a node is anonymous (Section II).
     pub fn node_id(&self) -> NodeId {
+        assert!(self.kt1, "node_id requires the KT1 model");
         self.node
     }
 
@@ -97,11 +98,6 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.ports.port_to(peer)
     }
 
-    /// This node's private random generator (deterministic per seed).
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
     /// Queues `msg` for delivery through `port` at the end of this round.
     ///
     /// # Panics
@@ -124,7 +120,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// the complete graph is a uniformly random other node (how the
     /// paper's protocols sample referees).
     pub fn random_port(&mut self) -> Port {
-        Port(self.rng.random_range(0..self.ports.port_count()))
+        Port(self.uniform(0..u64::from(self.ports.port_count())) as u32)
     }
 
     /// Samples `min(k, port_count)` distinct ports uniformly at random
@@ -135,10 +131,56 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// gracefully on sparse topologies instead of panicking.
     pub fn sample_ports(&mut self, k: usize) -> Vec<Port> {
         let count = self.ports.port_count() as usize;
-        rand::seq::index::sample(self.rng, count, k.min(count))
+        self.sample(count, k.min(count))
             .into_iter()
             .map(|i| Port(i as u32))
             .collect()
+    }
+}
+
+/// The named random draws: the only way protocol code reads randomness.
+/// A [`Ctx`] draws from its node's stream, E10's `draw_committee` from a
+/// bare [`Stream`]; each draw reads it exactly as the `rand` call it names.
+pub trait Draw {
+    /// The stream the draws read.
+    fn stream(&mut self) -> &mut Stream;
+
+    /// `true` with probability `p ∈ [0, 1]` (`random_bool`).
+    fn coin(&mut self, p: f64) -> bool {
+        self.stream().0.random_bool(p)
+    }
+
+    /// A uniform integer in the non-empty `range` (`random_range`).
+    fn uniform(&mut self, range: std::ops::Range<u64>) -> u64 {
+        self.stream().0.random_range(range)
+    }
+
+    /// `amount` distinct uniform indices of `0..length`, in draw order (`seq::index::sample`).
+    fn sample(&mut self, length: usize, amount: usize) -> Vec<usize> {
+        rand::seq::index::sample(&mut self.stream().0, length, amount).into_vec()
+    }
+}
+
+/// A seeded random stream, read only through [`Draw`].
+#[derive(Debug)]
+pub struct Stream(SmallRng);
+
+impl Stream {
+    /// The stream all of whose draws are a function of `seed`.
+    pub fn seeded(seed: u64) -> Self {
+        Stream(SmallRng::seed_from_u64(seed))
+    }
+}
+
+impl Draw for Stream {
+    fn stream(&mut self) -> &mut Stream {
+        self
+    }
+}
+
+impl<M> Draw for Ctx<'_, M> {
+    fn stream(&mut self) -> &mut Stream {
+        self.stream
     }
 }
 
@@ -198,7 +240,7 @@ mod tests {
 
     fn mk_ctx<'a>(
         ports: &'a PortMap,
-        rng: &'a mut SmallRng,
+        stream: &'a mut Stream,
         outbox: &'a mut Vec<(Port, bool)>,
         kt1: bool,
     ) -> Ctx<'a, bool> {
@@ -208,7 +250,7 @@ mod tests {
             round: 0,
             kt1,
             ports,
-            rng,
+            stream,
             outbox,
         }
     }
@@ -216,9 +258,9 @@ mod tests {
     #[test]
     fn send_and_broadcast_fill_outbox() {
         let ports = node_zero();
-        let mut rng = SmallRng::seed_from_u64(stream_seed(0, 0));
+        let mut stream = Stream::seeded(stream_seed(0, 0));
         let mut outbox = Vec::new();
-        let mut ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
+        let mut ctx = mk_ctx(&ports, &mut stream, &mut outbox, false);
         ctx.send(Port(3), true);
         ctx.broadcast(false);
         assert_eq!(outbox.len(), 16);
@@ -228,9 +270,9 @@ mod tests {
     #[test]
     fn sample_ports_is_distinct_and_in_range() {
         let ports = node_zero();
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut stream = Stream::seeded(9);
         let mut outbox = Vec::new();
-        let mut ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
+        let mut ctx = mk_ctx(&ports, &mut stream, &mut outbox, false);
         let s = ctx.sample_ports(15);
         let mut sorted: Vec<u32> = s.iter().map(|p| p.0).collect();
         sorted.sort_unstable();
@@ -241,18 +283,52 @@ mod tests {
     #[should_panic(expected = "KT1")]
     fn kt0_denies_peer_lookup() {
         let ports = node_zero();
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut stream = Stream::seeded(9);
         let mut outbox = Vec::new();
-        let ctx = mk_ctx(&ports, &mut rng, &mut outbox, false);
+        let ctx = mk_ctx(&ports, &mut stream, &mut outbox, false);
         let _ = ctx.peer_of(Port(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "KT1")]
+    fn kt0_denies_node_id() {
+        let ports = node_zero();
+        let mut stream = Stream::seeded(9);
+        let mut outbox = Vec::new();
+        let ctx = mk_ctx(&ports, &mut stream, &mut outbox, false);
+        let _ = ctx.node_id();
+    }
+
+    #[test]
+    fn named_draws_read_the_stream_as_the_rand_calls_they_replaced() {
+        // The call sites each draw replaced, on a twin generator: a record
+        // moves if any of these diverges by one word.
+        let mut stream = Stream::seeded(41);
+        let mut twin = SmallRng::seed_from_u64(41);
+        for round in 0..200u32 {
+            let p = f64::from(round) / 199.0;
+            assert_eq!(stream.coin(p), twin.random_bool(p));
+            let domain = [16u64, 4_294_967_296, u64::MAX][round as usize % 3];
+            // `Rank::draw`'s inclusive range, and a `u32` port range.
+            assert_eq!(1 + stream.uniform(0..domain), twin.random_range(1..=domain));
+            let ports = 1 + round % 40;
+            assert_eq!(
+                stream.uniform(0..u64::from(ports)) as u32,
+                twin.random_range(0..ports)
+            );
+            // Floyd's method when `8·amount < length`, Fisher–Yates otherwise.
+            let (length, amount) = (1 + round as usize, round as usize % 9);
+            let want = rand::seq::index::sample(&mut twin, length, amount).into_vec();
+            assert_eq!(stream.sample(length, amount), want);
+        }
     }
 
     #[test]
     fn kt1_allows_peer_lookup() {
         let ports = node_zero();
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut stream = Stream::seeded(9);
         let mut outbox = Vec::new();
-        let ctx = mk_ctx(&ports, &mut rng, &mut outbox, true);
+        let ctx = mk_ctx(&ports, &mut stream, &mut outbox, true);
         let peer = ctx.peer_of(Port(0));
         assert_eq!(ctx.port_to(peer), Port(0));
     }

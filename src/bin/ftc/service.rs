@@ -28,7 +28,8 @@ pub fn serve_config(o: &Opts) -> Result<ServeConfig, String> {
             ));
         }
         let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
-        let hcfg = SimConfig::new(o.n)
+        let hcfg = SimConfig::try_new(o.n)
+            .map_err(|e| e.to_string())?
             .seed(height_seed(o.seed, h))
             .max_rounds(params.le_round_budget());
         let plan = split_brain_plan(&params, &hcfg)?;

@@ -157,7 +157,8 @@ pub fn cmd_sweep(o: &Opts) -> Result<(), String> {
 
 pub fn cmd_trace(o: &Opts) -> Result<(), String> {
     let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
-    let cfg = SimConfig::new(o.n)
+    let cfg = SimConfig::try_new(o.n)
+        .map_err(|e| e.to_string())?
         .seed(o.seed)
         .max_rounds(params.le_round_budget())
         .record_trace(true);

@@ -496,3 +496,63 @@ fn leader_election_on_two_nodes_exits_1_on_every_command() {
     assert!(stdout.contains("success: 40/40"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_network_above_the_node_cap_exits_1_on_every_command() {
+    // `ftc le --n 4294967295` used to abort (exit 134) allocating its
+    // per-node arrays; `serve` and `trace` panicked (exit 101) on the cap.
+    let huge = "4294967295";
+    for args in [
+        format!("le --n {huge} --trials 1"),
+        format!("agree --n {huge} --trials 1"),
+        format!("trace --n {huge}"),
+        format!("serve --n {huge} --heights 1"),
+        format!("cluster --n {huge} --proto le --substrate channel --trials 1"),
+        format!("hunt --n {huge} --budget 1"),
+    ] {
+        let out = ftc(&args.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains("in [2, 16777216]"), "{args}: {stderr}");
+    }
+    // A lab cell and a doctored artifact go through the same check.
+    let dir = tmp_dir("huge-n");
+    let (spec, store) = (dir.join("spec.json"), dir.join("store"));
+    let cell = format!(
+        r#"{{"label":"le-huge","workload":{{"kind":"le","adv":{{"kind":"none"}}}},"n":{huge},"alpha":1.0,"seed":1,"trials":1}}"#
+    );
+    std::fs::write(
+        &spec,
+        format!(r#"{{"name":"le-huge","cells":[{cell}],"checks":[]}}"#),
+    )
+    .unwrap();
+    let out = ftc(&[
+        "lab",
+        "run",
+        spec.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cell `le-huge`") && stderr.contains("in [2, 16777216]"),
+        "{stderr}"
+    );
+    assert!(!store.exists(), "a rejected campaign reached the store");
+    let artifact = std::fs::read_to_string("results/le-failure.counterexample.json").unwrap();
+    let doctored = dir.join("huge.json");
+    std::fs::write(
+        &doctored,
+        artifact.replace(r#""n":16"#, &format!(r#""n":{huge}"#)),
+    )
+    .unwrap();
+    let out = ftc(&["replay", doctored.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("SimConfig") && stderr.contains("in [2, 16777216]"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

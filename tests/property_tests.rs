@@ -14,6 +14,7 @@ use ftc::prelude::*;
 use ftc::sim::adversary::DeliveryFilter;
 use ftc::sim::perm::{stream_seed, Perm};
 use ftc::sim::ports::PortMap;
+use ftc::sim::protocol::Stream;
 use rand::prelude::*;
 
 /// Base seed for all generated cases; bump to explore a fresh corpus.
@@ -181,8 +182,7 @@ fn engine_conservation_and_determinism() {
 fn rank_domain_property() {
     for_cases(64, |case, rng| {
         let n = rng.random_range(2..=65_535u32);
-        let mut draw_rng = SmallRng::seed_from_u64(rng.random());
-        let r = Rank::draw(&mut draw_rng, n);
+        let r = Rank::draw(&mut Stream::seeded(rng.random()), n);
         assert!(r.0 >= 1, "case {case}: rank {} below domain", r.0);
         assert!(
             r.0 <= u64::from(n).pow(4),
