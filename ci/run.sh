@@ -5,6 +5,7 @@
 #
 #   per push: check smoke cluster hunt lab-gate perf soak scale
 #   nightly:  nightly-gate nightly-campaigns nightly-hunt
+#   by hand:  lines
 #
 # Each suite builds `ftc` once and drives the binary. Hard `timeout`s make
 # a wedged run fail instead of stall. Scratch output goes to a temporary
@@ -393,8 +394,26 @@ nightly-hunt() {
     --min-coverage 0.25 | tee nightly-hunt/portfolio.log
 }
 
+lines() {
+  # ROADMAP's size figures. `tree` is every line of crates/ and src/;
+  # `non-test` drops each `#[cfg(test)]` item: a `{` block up to its
+  # closing brace, otherwise the one attributed line. $files is unquoted:
+  # one word per file.
+  local files
+  files="$(find crates src -name '*.rs' | sort)"
+  echo "non-test $(awk '
+    FNR == 1 { depth = 0; attr = 0 }
+    depth > 0 { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); next }
+    attr { attr = 0; depth = gsub(/\{/, "{") - gsub(/\}/, "}"); next }
+    /^[ \t]*#\[cfg\(test\)\]/ { attr = 1; next }
+    { n++ }
+    END { print n }' $files)"
+  echo "tree $(cat $files | wc -l)"
+}
+
 case "${1-}" in
   check | smoke | cluster | hunt | lab-gate | perf | soak | scale) "$1" ;;
   nightly-gate | nightly-campaigns | nightly-hunt) "$1" ;;
+  lines) "$1" ;;
   *) echo "usage: ci/run.sh <suite>, a suite named at the top of ci/run.sh" >&2 && exit 2 ;;
 esac

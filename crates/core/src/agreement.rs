@@ -1,8 +1,9 @@
-//! Fault-tolerant implicit agreement (Section V-A, Theorem 5.1).
+//! Fault-tolerant implicit agreement (Section V-A, Theorem 5.1), written
+//! once as min-propagation over any ordered value domain.
 //!
-//! The protocol biases the candidate committee towards 0: a candidate
-//! whose input is 0 immediately decides 0 and pushes a `0` to its
-//! referees; a referee holding a `0` forwards it (once) to all its
+//! The paper's protocol biases the candidate committee towards 0: a
+//! candidate whose input is 0 immediately decides 0 and pushes a `0` to
+//! its referees; a referee holding a `0` forwards it (once) to all its
 //! candidates; a candidate receiving a `0` decides 0 and forwards it
 //! (once) to its own referees. Because every pair of candidates shares a
 //! non-faulty referee (Lemma 3) and at least one candidate is non-faulty
@@ -12,38 +13,90 @@
 //! decide 1. If no candidate ever held a 0, the protocol is completely
 //! silent after registration — agreement on 1 for free.
 //!
+//! [`MinAgreeNode`] is that state machine with "0" read as "a value below
+//! the one held": each node forwards each *improvement* of its minimum
+//! (on `{0, 1}`, the one `0`), and top-value holders only register. A
+//! [`Carrier`] hides how the domain travels: [`AgreeMsg`] carries `{0, 1}`
+//! ([`AgreeNode`]), `MultiMsg` carries `{0..k}`
+//! ([`crate::multi_agreement::MultiAgreeNode`]).
+//!
 //! Message complexity: `O(√n·log^{3/2}n/α^{3/2})` bits whp — every message
 //! is a single bit plus a tag, so messages ≈ bits (Theorem 5.1). Rounds:
 //! `O(log n/α)`.
 
+use std::fmt::Debug;
+
 use ftc_sim::ids::Port;
+use ftc_sim::payload::Payload;
 use ftc_sim::prelude::*;
 
 use crate::messages::AgreeMsg;
 use crate::params::Params;
 
-/// A node's final verdict for the implicit agreement problem
-/// (Definition 2).
+/// What a received message says to the min-propagation machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AgreeStatus {
-    /// The node decided the given bit.
-    Decided(bool),
-    /// The node never decided (`⊥`) — the normal state of non-candidates.
-    Undecided,
+pub enum Heard<V> {
+    /// A candidate registers and carries nothing below the top value.
+    Register,
+    /// A value flowing through the committee; from a candidate it also
+    /// registers the sender.
+    Value(V),
+    /// Another layer's message (such as [`AgreeMsg::Announce`]): ignored.
+    Other,
 }
 
-/// State of this node's candidate role.
+/// How a value domain travels: the message format of a min-propagation
+/// agreement, hidden from [`MinAgreeNode`].
+pub trait Carrier: Payload + Copy {
+    /// The value domain, ordered so that the smaller value wins.
+    type Value: Copy + Ord + Debug + Send;
+    /// The registration a candidate holding the domain's top value sends.
+    const REGISTER: Self;
+    /// The message that carries `v`, a value below the top.
+    fn carry(v: Self::Value) -> Self;
+    /// What this message says.
+    fn heard(&self) -> Heard<Self::Value>;
+}
+
+/// `{0, 1}` as the paper sends it: `false` is 0 and wins, and only a `0`
+/// ever travels; a 1-holder registers with [`AgreeMsg::RegisterOne`].
+impl Carrier for AgreeMsg {
+    type Value = bool;
+    const REGISTER: Self = AgreeMsg::RegisterOne;
+
+    fn carry(v: bool) -> Self {
+        // The top value never travels as a value: it is a registration.
+        if v {
+            AgreeMsg::RegisterOne
+        } else {
+            AgreeMsg::Zero
+        }
+    }
+
+    fn heard(&self) -> Heard<bool> {
+        match self {
+            AgreeMsg::RegisterOne => Heard::Register,
+            AgreeMsg::Zero => Heard::Value(false),
+            AgreeMsg::Announce(_) => Heard::Other,
+        }
+    }
+}
+
+/// One node of min-propagation agreement over the domain `C` carries.
 #[derive(Clone, Debug)]
-struct CandidateState {
-    /// Sampled referee ports.
-    referees: Vec<Port>,
-    /// Whether this candidate currently holds (and has decided) 0.
-    has_zero: bool,
-    /// Whether the `0` has already been pushed to the referees.
-    zero_sent: bool,
+pub struct MinAgreeNode<C: Carrier> {
+    params: Params,
+    /// The domain's top value: its holders only register.
+    top: C::Value,
+    input: C::Value,
+    /// Candidate role: sampled referee ports and the current minimum.
+    candidate: Option<(Vec<Port>, C::Value)>,
+    /// Referee role: registered candidate ports and the minimum forwarded.
+    referee_candidates: Vec<Port>,
+    referee_min: Option<C::Value>,
 }
 
-/// One node of the fault-tolerant implicit agreement protocol.
+/// One node of the paper's binary agreement: [`MinAgreeNode`] over `{0, 1}`.
 ///
 /// ```
 /// use ftc_sim::prelude::*;
@@ -55,7 +108,7 @@ struct CandidateState {
 /// // Node 0 starts with input 0, everyone else with 1.
 /// let result = run(
 ///     &cfg,
-///     |id| AgreeNode::new(params.clone(), id.0 == 0),
+///     |id| AgreeNode::new(params.clone(), id.0 != 0),
 ///     &mut NoFaults,
 /// );
 /// // Definition 2: one decision among the survivors, some node's input.
@@ -63,31 +116,18 @@ struct CandidateState {
 /// assert!(verdict.implicit() && verdict.valid);
 /// # Ok::<(), ftc_core::params::ParamsError>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct AgreeNode {
-    params: Params,
-    /// This node's input bit (`false` = 0, `true` = 1).
-    input: bool,
-    candidate: Option<CandidateState>,
-    /// Referee role: candidate ports that registered with us.
-    referee_candidates: Vec<Port>,
-    /// Referee role: whether we hold a 0...
-    referee_has_zero: bool,
-    /// ...and whether we have already forwarded it.
-    referee_zero_sent: bool,
-}
+pub type AgreeNode = MinAgreeNode<AgreeMsg>;
 
-impl AgreeNode {
-    /// Creates the protocol state for one node with the given input bit
-    /// (`false` encodes 0, `true` encodes 1).
-    pub fn new(params: Params, input_one: bool) -> Self {
-        AgreeNode {
+impl<C: Carrier> MinAgreeNode<C> {
+    /// A node holding `input` in a domain whose top value is `top`.
+    pub(crate) fn with_domain(params: Params, top: C::Value, input: C::Value) -> Self {
+        MinAgreeNode {
             params,
-            input: input_one,
+            top,
+            input,
             candidate: None,
             referee_candidates: Vec::new(),
-            referee_has_zero: false,
-            referee_zero_sent: false,
+            referee_min: None,
         }
     }
 
@@ -95,135 +135,96 @@ impl AgreeNode {
     pub fn is_candidate(&self) -> bool {
         self.candidate.is_some()
     }
+}
 
-    /// The node's verdict (Definition 2): candidates decide — 0 as soon as
-    /// they hold one, 1 implicitly at termination; non-candidates stay ⊥.
-    pub fn status(&self) -> AgreeStatus {
-        match &self.candidate {
-            Some(c) if c.has_zero => AgreeStatus::Decided(false),
-            Some(_) => AgreeStatus::Decided(true),
-            None => AgreeStatus::Undecided,
-        }
-    }
-
-    /// Candidate acquires a 0: decide and (lazily) propagate.
-    fn acquire_zero(&mut self, ctx: &mut Ctx<'_, AgreeMsg>) {
-        if let Some(c) = self.candidate.as_mut() {
-            c.has_zero = true;
-            if !c.zero_sent {
-                c.zero_sent = true;
-                for &p in &c.referees.clone() {
-                    ctx.send(p, AgreeMsg::Zero);
-                }
-            }
-        }
-    }
-
-    /// Referee acquires a 0: forward once to all registered candidates.
-    fn referee_acquire_zero(&mut self, ctx: &mut Ctx<'_, AgreeMsg>) {
-        self.referee_has_zero = true;
-        if !self.referee_zero_sent {
-            self.referee_zero_sent = true;
-            for &p in &self.referee_candidates.clone() {
-                ctx.send(p, AgreeMsg::Zero);
-            }
-        }
+impl AgreeNode {
+    /// Creates the protocol state for one node with the given input bit
+    /// (`false` encodes 0, `true` encodes 1).
+    pub fn new(params: Params, input_one: bool) -> Self {
+        Self::with_domain(params, true, input_one)
     }
 }
 
-impl Decides for AgreeNode {
-    type Value = bool;
+/// Candidates decide: a value below the top as soon as they hold it, the
+/// held minimum at termination; non-candidates stay ⊥ (Definition 2).
+impl<C: Carrier> Decides for MinAgreeNode<C> {
+    type Value = C::Value;
 
-    fn decision(&self) -> Option<bool> {
-        match self.status() {
-            AgreeStatus::Decided(v) => Some(v),
-            AgreeStatus::Undecided => None,
-        }
+    fn decision(&self) -> Option<C::Value> {
+        self.candidate.as_ref().map(|(_, v)| *v)
     }
 
-    fn input(&self) -> Option<bool> {
+    fn input(&self) -> Option<C::Value> {
         Some(self.input)
     }
 }
 
-impl Protocol for AgreeNode {
-    type Msg = AgreeMsg;
+impl<C: Carrier> Protocol for MinAgreeNode<C> {
+    type Msg = C;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, AgreeMsg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, C>) {
         if !ctx.coin(self.params.candidate_probability()) {
             return;
         }
         let referees = ctx.sample_ports(self.params.referee_count());
-        let zero = !self.input;
-        // Step 0: register with the referees — a 0-holder registers by
-        // sending the 0 itself, a 1-holder sends a plain registration.
+        // Step 0: register with the referees — a top-holder sends a plain
+        // registration, anyone else registers by sending its value.
+        let msg = if self.input == self.top {
+            C::REGISTER
+        } else {
+            C::carry(self.input)
+        };
         for &p in &referees {
-            ctx.send(
-                p,
-                if zero {
-                    AgreeMsg::Zero
-                } else {
-                    AgreeMsg::RegisterOne
-                },
-            );
+            ctx.send(p, msg);
         }
-        self.candidate = Some(CandidateState {
-            referees,
-            has_zero: zero,
-            zero_sent: zero,
-        });
+        self.candidate = Some((referees, self.input));
     }
 
-    fn on_round(&mut self, ctx: &mut Ctx<'_, AgreeMsg>, inbox: &[Incoming<AgreeMsg>]) {
-        let mut candidate_zero = false;
-        let mut referee_zero = false;
+    fn on_round(&mut self, ctx: &mut Ctx<'_, C>, inbox: &[Incoming<C>]) {
+        let mut best: Option<C::Value> = None;
         for inc in inbox {
-            match inc.msg {
-                AgreeMsg::RegisterOne => {
-                    if !self.referee_candidates.contains(&inc.port) {
-                        self.referee_candidates.push(inc.port);
-                    }
-                }
-                AgreeMsg::Zero => {
-                    // A zero from a *candidate* registers it and infects
-                    // our referee role; a zero from a *referee* infects our
-                    // candidate role. We cannot tell which of our roles was
-                    // addressed, so we conservatively serve both — this at
-                    // most doubles constants and only strengthens
-                    // propagation.
-                    if !self.referee_candidates.contains(&inc.port) {
-                        self.referee_candidates.push(inc.port);
-                    }
-                    referee_zero = true;
-                    candidate_zero = true;
-                }
-                AgreeMsg::Announce(_) => {
-                    // Explicit-extension message; ignored by the implicit
-                    // protocol.
-                }
+            let value = match inc.msg.heard() {
+                Heard::Register => None,
+                Heard::Value(v) => Some(v),
+                Heard::Other => continue,
+            };
+            if !self.referee_candidates.contains(&inc.port) {
+                self.referee_candidates.push(inc.port);
+            }
+            if let Some(v) = value {
+                best = Some(best.map_or(v, |b| b.min(v)));
             }
         }
-        if referee_zero {
-            self.referee_acquire_zero(ctx);
+        // A value from a *candidate* informs our referee role, one from a
+        // *referee* our candidate role. We cannot tell which role was
+        // addressed, so we serve both — this at most doubles constants and
+        // only strengthens propagation.
+        let Some(v) = best else { return };
+        let msg = C::carry(v);
+        if self.referee_min.is_none_or(|m| v < m) {
+            self.referee_min = Some(v);
+            for &p in &self.referee_candidates {
+                ctx.send(p, msg);
+            }
         }
-        if candidate_zero && self.candidate.is_some() {
-            self.acquire_zero(ctx);
+        if let Some((referees, cur)) = self.candidate.as_mut() {
+            if v < *cur {
+                *cur = v;
+                for &p in referees.iter() {
+                    ctx.send(p, msg);
+                }
+            }
         }
     }
 
     fn is_terminated(&self) -> bool {
-        // Purely reactive after round 0: safe to stop whenever the network
-        // is silent.
-        true
+        true // purely reactive after round 0
     }
 
     fn is_inert(&self) -> bool {
-        // An empty inbox leaves both role flags unset, so `on_round`
-        // touches no state and draws no randomness — always skippable.
-        true
+        true // an empty inbox leaves `best` unset: a strict no-op
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +313,7 @@ mod tests {
         let result = run_agree(256, 1.0, 5, |id| id.0 % 2 == 0, &mut NoFaults);
         for (_, s) in result.all_states() {
             if !s.is_candidate() {
-                assert_eq!(s.status(), AgreeStatus::Undecided);
+                assert_eq!(s.decision(), None);
             }
         }
     }

@@ -209,7 +209,7 @@ impl Adversary<LeMsg> for EquivocatingClaimant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agreement::{AgreeNode, AgreeStatus};
+    use crate::agreement::AgreeNode;
     use crate::leader_election::{LeNode, LeOutcome};
     use crate::params::Params;
     use ftc_sim::prelude::*;
@@ -229,7 +229,7 @@ mod tests {
             let honest_decided_zero = r
                 .surviving_states()
                 .filter(|(id, _)| !r.faulty.contains(*id))
-                .any(|(_, s)| s.status() == AgreeStatus::Decided(false));
+                .any(|(_, s)| s.decision() == Some(false));
             if honest_decided_zero {
                 violated += 1;
             }

@@ -16,7 +16,7 @@
 use ftc_sim::ids::Round;
 use ftc_sim::prelude::*;
 
-use crate::agreement::{AgreeNode, AgreeStatus};
+use crate::agreement::AgreeNode;
 use crate::leader_election::LeNode;
 use crate::messages::{AgreeMsg, LeMsg};
 use crate::params::Params;
@@ -205,7 +205,7 @@ impl Protocol for ExplicitAgreeNode {
 
         if ctx.round() == self.announce_round && !self.announced {
             self.announced = true;
-            if let AgreeStatus::Decided(v) = self.inner.status() {
+            if let Some(v) = self.inner.decision() {
                 self.known_value = Some(self.known_value.map_or(v, |k| k && v));
                 ctx.broadcast(AgreeMsg::Announce(v));
             }

@@ -8,9 +8,11 @@
 //! * [`leader_election`] — implicit leader election in `O(log n/α)` rounds
 //!   and `O(√n·log^{5/2}n/α^{5/2})` messages whp (Theorem 4.1);
 //! * [`agreement`] — implicit binary agreement in `O(log n/α)` rounds and
-//!   `O(√n·log^{3/2}n/α^{3/2})` message bits whp (Theorem 5.1);
+//!   `O(√n·log^{3/2}n/α^{3/2})` message bits whp (Theorem 5.1), written
+//!   once as min-propagation over any value domain a `Carrier` sends;
 //! * [`explicit`] — the `O(n·log n/α)`-message explicit extensions;
-//! * [`multi_agreement`] — multi-valued generalisation (extension);
+//! * [`multi_agreement`] — multi-valued generalisation (extension): the
+//!   same state machine over `{0..k}`;
 //! * [`byzantine`] — Byzantine attacks probing open question 3 (extension);
 //! * [`adversaries`] — the paper's worst-case crash schedules;
 //! * [`params`], [`rank`], [`sampling`], [`messages`] — the shared
@@ -70,7 +72,7 @@ pub mod sampling;
 /// Convenient glob import for protocol users.
 pub mod prelude {
     pub use crate::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderCrasher};
-    pub use crate::agreement::{AgreeNode, AgreeStatus};
+    pub use crate::agreement::AgreeNode;
     pub use crate::byzantine::{EquivocatingClaimant, ZeroForger};
     pub use crate::explicit::{AnnouncePolicy, ExplicitAgreeNode, ExplicitLeNode};
     pub use crate::leader_election::{LeNode, LeOutcome, LeStatus};

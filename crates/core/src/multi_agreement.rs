@@ -4,23 +4,23 @@
 //! The binary protocol of Section V-A is "0-propagation": the committee
 //! is biased towards the smaller value, and a single bit per message
 //! suffices. Generalising to inputs from `{0, …, k−1}` is mechanical —
-//! propagate the *minimum* value seen instead of just "a 0" — but the
-//! accounting changes in an instructive way: messages now carry
-//! `⌈log₂ k⌉` bits, and a candidate/referee may forward up to `log₂ k`
-//! *improvements* instead of one, so the message complexity picks up a
-//! `log k` factor: `O(√n·log^{3/2}n·log k/α^{3/2})` messages of
-//! `O(log k)` bits. Validity and consistency carry over verbatim: the
-//! agreed value is the minimum input held by any (surviving chain of)
-//! candidate(s).
+//! propagate the *minimum* value seen instead of just "a 0" — and the
+//! state machine is the one [`MinAgreeNode`] the binary protocol runs;
+//! this module only supplies the carrier, [`MultiMsg`]. The accounting
+//! changes in an instructive way: messages now carry `⌈log₂ k⌉` bits, and
+//! a candidate/referee may forward up to `log₂ k` *improvements* instead
+//! of one, so the message complexity picks up a `log k` factor:
+//! `O(√n·log^{3/2}n·log k/α^{3/2})` messages of `O(log k)` bits. Validity
+//! and consistency carry over verbatim: the agreed value is the minimum
+//! input held by any (surviving chain of) candidate(s).
 //!
-//! The binary protocol is exactly the `k = 2` special case (with the
-//! all-ones silence optimisation, which generalises to "nodes holding the
-//! maximum possible value send only registrations").
+//! At `k = 2` a run sends the binary protocol's messages in the same
+//! rounds; only the bits differ, because a `Value(0)` is charged 3 bits
+//! and the binary `Zero` 2.
 
-use ftc_sim::ids::Port;
 use ftc_sim::payload::{bits_for, Payload};
-use ftc_sim::prelude::*;
 
+use crate::agreement::{Carrier, Heard, MinAgreeNode};
 use crate::params::Params;
 
 /// Messages of the multi-valued agreement protocol.
@@ -45,7 +45,24 @@ impl Payload for MultiMsg {
     }
 }
 
-/// One node of the multi-valued implicit agreement protocol.
+impl Carrier for MultiMsg {
+    type Value = u32;
+    const REGISTER: Self = MultiMsg::Register;
+
+    fn carry(v: u32) -> Self {
+        MultiMsg::Value(v)
+    }
+
+    fn heard(&self) -> Heard<u32> {
+        match *self {
+            MultiMsg::Register => Heard::Register,
+            MultiMsg::Value(v) => Heard::Value(v),
+        }
+    }
+}
+
+/// One node of the multi-valued implicit agreement protocol:
+/// [`MinAgreeNode`] over `{0..k}`.
 ///
 /// ```
 /// use ftc_sim::prelude::*;
@@ -65,18 +82,7 @@ impl Payload for MultiMsg {
 /// assert_eq!(v.value(), Some(3)); // the minimum input wins
 /// # Ok::<(), ftc_core::params::ParamsError>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct MultiAgreeNode {
-    params: Params,
-    /// Domain size `k` (inputs are `0..k`).
-    k: u32,
-    input: u32,
-    /// Candidate role: referees + current minimum, if a candidate.
-    candidate: Option<(Vec<Port>, u32)>,
-    /// Referee role: registered candidate ports and current minimum.
-    referee_candidates: Vec<Port>,
-    referee_min: Option<u32>,
-}
+pub type MultiAgreeNode = MinAgreeNode<MultiMsg>;
 
 impl MultiAgreeNode {
     /// Creates a node with input `input ∈ {0, …, k−1}`.
@@ -87,113 +93,7 @@ impl MultiAgreeNode {
     pub fn new(params: Params, k: u32, input: u32) -> Self {
         assert!(k >= 2, "domain must have at least two values");
         assert!(input < k, "input {input} outside domain 0..{k}");
-        MultiAgreeNode {
-            params,
-            k,
-            input,
-            candidate: None,
-            referee_candidates: Vec::new(),
-            referee_min: None,
-        }
-    }
-
-    /// Whether this node made itself a candidate.
-    pub fn is_candidate(&self) -> bool {
-        self.candidate.is_some()
-    }
-
-    /// Candidate adopts `v` if it improves the current minimum, pushing
-    /// the improvement to its referees.
-    fn candidate_improve(&mut self, ctx: &mut Ctx<'_, MultiMsg>, v: u32) {
-        if let Some((referees, cur)) = self.candidate.as_mut() {
-            if v < *cur {
-                *cur = v;
-                let rs = referees.clone();
-                for p in rs {
-                    ctx.send(p, MultiMsg::Value(v));
-                }
-            }
-        }
-    }
-
-    /// Referee adopts `v` if it improves, forwarding to its candidates.
-    fn referee_improve(&mut self, ctx: &mut Ctx<'_, MultiMsg>, v: u32) {
-        let improves = self.referee_min.is_none_or(|m| v < m);
-        if improves {
-            self.referee_min = Some(v);
-            for p in self.referee_candidates.clone() {
-                ctx.send(p, MultiMsg::Value(v));
-            }
-        }
-    }
-}
-
-impl Decides for MultiAgreeNode {
-    type Value = u32;
-
-    /// The candidate's current (and at termination, decided) value;
-    /// `None` for non-candidates (`⊥`).
-    fn decision(&self) -> Option<u32> {
-        self.candidate.as_ref().map(|(_, v)| *v)
-    }
-
-    fn input(&self) -> Option<u32> {
-        Some(self.input)
-    }
-}
-
-impl Protocol for MultiAgreeNode {
-    type Msg = MultiMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, MultiMsg>) {
-        if !ctx.coin(self.params.candidate_probability()) {
-            return;
-        }
-        let referees = ctx.sample_ports(self.params.referee_count());
-        // The maximum value plays the role of the binary protocol's "1":
-        // holders only register. Everyone else pushes their value.
-        let msg = if self.input == self.k - 1 {
-            MultiMsg::Register
-        } else {
-            MultiMsg::Value(self.input)
-        };
-        for &p in &referees {
-            ctx.send(p, msg);
-        }
-        self.candidate = Some((referees, self.input));
-    }
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, MultiMsg>, inbox: &[Incoming<MultiMsg>]) {
-        let mut best: Option<u32> = None;
-        for inc in inbox {
-            match inc.msg {
-                MultiMsg::Register => {
-                    if !self.referee_candidates.contains(&inc.port) {
-                        self.referee_candidates.push(inc.port);
-                    }
-                }
-                MultiMsg::Value(v) => {
-                    if !self.referee_candidates.contains(&inc.port) {
-                        self.referee_candidates.push(inc.port);
-                    }
-                    best = Some(best.map_or(v, |b| b.min(v)));
-                }
-            }
-        }
-        if let Some(v) = best {
-            self.referee_improve(ctx, v);
-            if self.candidate.is_some() {
-                self.candidate_improve(ctx, v);
-            }
-        }
-    }
-
-    fn is_terminated(&self) -> bool {
-        true // purely reactive after round 0
-    }
-
-    fn is_inert(&self) -> bool {
-        true // empty inbox ⇒ `best` stays `None` ⇒ strict no-op
+        Self::with_domain(params, k - 1, input)
     }
 }
 
@@ -201,6 +101,7 @@ impl Protocol for MultiAgreeNode {
 mod tests {
     use super::*;
     use ftc_sim::ids::NodeId;
+    use ftc_sim::prelude::*;
 
     /// The minimum input among nodes that became candidates — the value
     /// a fault-free run must agree on.

@@ -31,6 +31,7 @@ use ftc_sim::protocol::{Draw, Stream};
 use ftc_sim::runner::{ParRunner, TrialPlan};
 use ftc_sim::stats::{fit_power_law, Summary};
 use ftc_sim::topology::Topology;
+use ftc_sim::verdict::Decides;
 
 use crate::spec::{Adv, CampaignSpec, CellSpec, CheckAxis, CheckMetric, ExponentCheck, Workload};
 
@@ -201,7 +202,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
                 let honest_zero = r
                     .surviving_states()
                     .filter(|(id, _)| !r.faulty.contains(*id))
-                    .any(|(_, s)| s.status() == AgreeStatus::Decided(false));
+                    .any(|(_, s)| s.decision() == Some(false));
                 value_of(&r, !honest_zero, vec![])
             })
         }
@@ -322,7 +323,7 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
             })
         }
         Workload::MultiValue { k } => {
-            in_range("k", k, k >= 1, ">= 1")?;
+            in_range("k", k, k >= 2, ">= 2")?;
             let params = params()?;
             let f = params.max_faults();
             let cfg = cfg.max_rounds(params.agreement_round_budget());

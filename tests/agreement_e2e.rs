@@ -129,3 +129,78 @@ fn agreement_beats_leader_election_on_messages() {
         le.metrics.msgs_sent
     );
 }
+
+/// The crash schedules of `k2_multi_value_agreement_is_the_binary_protocol`,
+/// built afresh for either message type.
+fn k2_adversary<M: Payload>(case: usize, seed: u64, f: usize) -> Box<dyn Adversary<M>> {
+    let node = |i: u64| NodeId(((seed * 7 + i * 13) % 64) as u32);
+    match case {
+        0 => Box::new(NoFaults),
+        1 => Box::new(EagerCrash::new(f)),
+        2 => Box::new(RandomCrash::new(f, 6)),
+        _ => Box::new(ScriptedCrash::new(
+            FaultPlan::new()
+                .crash(node(0), 0, DeliveryFilter::KeepFirst(5))
+                .crash(node(1), 1, DeliveryFilter::DropAll)
+                .crash(node(2), 1, DeliveryFilter::DeliverEachWithProbability(0.5))
+                .crash(node(3), 2, DeliveryFilter::KeepFirst(1))
+                .crash(node(4), 3, DeliveryFilter::DeliverEachWithProbability(0.3)),
+        )),
+    }
+}
+
+/// A run's metrics with every bit count zeroed: what
+/// `k2_multi_value_agreement_is_the_binary_protocol` compares.
+fn without_bits(m: &Metrics) -> Metrics {
+    let mut m = m.clone();
+    (m.bits_sent, m.max_edge_bits_per_round) = (0, 0);
+    m.per_round.iter_mut().for_each(|r| r.bits_sent = 0);
+    m
+}
+
+#[test]
+fn k2_multi_value_agreement_is_the_binary_protocol() {
+    // `MultiAgreeNode` at k = 2 with inputs mapped 0/1 must run exactly
+    // the binary protocol: the same decisions, messages, rounds and
+    // crashes on every seed, per round. Only bits differ: a `Value(0)` is
+    // charged 3 bits and a `Zero` 2.
+    for alpha in [0.5625, 1.0] {
+        let p = params(64, alpha);
+        let f = p.max_faults();
+        let base = SimConfig::new(64).max_rounds(p.agreement_round_budget());
+        let configs = [
+            base.clone(),
+            base.clone().edge_failure_prob(0.2),
+            base.send_cap(45),
+        ];
+        let inputs: [fn(NodeId) -> bool; 3] = [|_| true, |id| id.0 % 2 == 0, |id| id.0 % 9 != 0];
+        for seed in 0..4 {
+            for (c, cfg) in configs.iter().enumerate() {
+                let cfg = cfg.clone().seed(seed);
+                for (i, input) in inputs.iter().enumerate() {
+                    for case in 0..4 {
+                        let at = format!(
+                            "alpha {alpha} seed {seed} config {c} input {i} adversary {case}"
+                        );
+                        let bin_node = |id| AgreeNode::new(p.clone(), input(id));
+                        let bin = run(&cfg, bin_node, &mut *k2_adversary(case, seed, f));
+                        let multi_node =
+                            |id| MultiAgreeNode::new(p.clone(), 2, u32::from(input(id)));
+                        let multi = run(&cfg, multi_node, &mut *k2_adversary(case, seed, f));
+                        let bin_decisions: Vec<_> = bin
+                            .states
+                            .iter()
+                            .map(|s| s.decision().map(u32::from))
+                            .collect();
+                        let multi_decisions: Vec<_> =
+                            multi.states.iter().map(|s| s.decision()).collect();
+                        assert_eq!(bin_decisions, multi_decisions, "{at}");
+                        let (b, m) = (&bin.metrics, &multi.metrics);
+                        assert_eq!(without_bits(b), without_bits(m), "{at}");
+                        assert_eq!(bin.crashed_at, multi.crashed_at, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}

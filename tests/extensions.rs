@@ -28,7 +28,7 @@ fn byzantine_zero_forger_violates_validity_only_with_b_positive() {
         let honest_zero = r
             .surviving_states()
             .filter(|(id, _)| !r.faulty.contains(*id))
-            .any(|(_, s)| s.status() == AgreeStatus::Decided(false));
+            .any(|(_, s)| s.decision() == Some(false));
         if honest_zero {
             violated += 1;
         }

@@ -372,6 +372,8 @@ fn an_out_of_range_fault_budget_exits_1_naming_the_cell() {
             r#"{"kind":"sampling_lemmas","candidate_factor":6.0,"referee_factor":0.0},"alpha":0.75"#,
         ),
         ("k-zero", r#"{"kind":"multi_value","k":0},"alpha":0.75"#),
+        // `MultiAgreeNode` needs two values; k = 1 panicked a worker.
+        ("k-one", r#"{"kind":"multi_value","k":1},"alpha":0.75"#),
         (
             "edge-negative",
             r#"{"kind":"le_edge","p":-0.5},"alpha":0.75"#,
