@@ -396,18 +396,22 @@ nightly-hunt() {
 
 lines() {
   # ROADMAP's size figures. `tree` is every line of crates/ and src/;
-  # `non-test` drops each `#[cfg(test)]` item: a `{` block up to its
-  # closing brace, otherwise the one attributed line. $files is unquoted:
-  # one word per file.
-  local files
+  # `non-test` skips crates/*/tests/ and every file declared `#[cfg(test)]
+  # mod x;` (as x.rs beside its parent), and in the rest drops each
+  # `#[cfg(test)]` item: a `{` block up to its closing brace, otherwise the
+  # one attributed line. $files and $prod are unquoted: one word per file.
+  local files test_mods prod
   files="$(find crates src -name '*.rs' | sort)"
+  test_mods="$(grep -A1 '^[ \t]*#\[cfg(test)\]' $files \
+    | sed -nE 's|^(.*)/[^/]*\.rs-[ \t]*(pub )?mod ([a-z0-9_]+);.*|\1/\3.rs|p')"
+  prod="$(echo "$files" | grep -v '^crates/[^/]*/tests/' | grep -vxF "${test_mods:-/}")"
   echo "non-test $(awk '
     FNR == 1 { depth = 0; attr = 0 }
     depth > 0 { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); next }
     attr { attr = 0; depth = gsub(/\{/, "{") - gsub(/\}/, "}"); next }
     /^[ \t]*#\[cfg\(test\)\]/ { attr = 1; next }
     { n++ }
-    END { print n }' $files)"
+    END { print n }' $prod)"
   echo "tree $(cat $files | wc -l)"
 }
 

@@ -8,7 +8,8 @@
 //! crashes, and after such a clean round all alive nodes hold the same
 //! minimum.
 //!
-//! Success is [`Verdict::explicit`]: every survivor decided the same bit.
+//! Success is [`Verdict::explicit`] and [`Verdict::valid`]: every survivor
+//! decided the same bit, and some node input it.
 //!
 //! Costs: `O(n²)` messages for binary inputs (each node broadcasts at most
 //! twice), `f+1` rounds, works for **any** `f ≤ n−1`, explicit output,
@@ -21,6 +22,8 @@ use ftc_sim::prelude::*;
 pub struct FloodAgreeNode {
     /// Crash budget `f`; the protocol decides after `f+1` rounds.
     f: u32,
+    /// Input bit.
+    input: bool,
     /// Current value (`false` = 0 wins over `true` = 1).
     value: bool,
     /// Decided output, set at round `f+1`.
@@ -32,6 +35,7 @@ impl FloodAgreeNode {
     pub fn new(f: u32, input_one: bool) -> Self {
         FloodAgreeNode {
             f,
+            input: input_one,
             value: input_one,
             decision: None,
         }
@@ -49,6 +53,12 @@ impl Decides for FloodAgreeNode {
     /// The node's decision, once made (`None` before round `f+1`).
     fn decision(&self) -> Option<bool> {
         self.decision
+    }
+
+    /// Validity holds whenever FloodSet agrees: a node decides the
+    /// minimum input it heard.
+    fn input(&self) -> Option<bool> {
+        Some(self.input)
     }
 }
 
@@ -104,7 +114,7 @@ mod tests {
     fn fault_free_agrees_on_minimum() {
         let r = run_flood(64, 0, 1, |id| id.0 != 7, &mut NoFaults);
         let o = r.verdict();
-        assert!(o.explicit());
+        assert!(o.explicit() && o.valid, "{o:?}");
         assert_eq!(o.value(), Some(false));
     }
 
@@ -112,7 +122,7 @@ mod tests {
     fn all_ones_stays_one() {
         let r = run_flood(64, 8, 2, |_| true, &mut NoFaults);
         let o = r.verdict();
-        assert!(o.explicit());
+        assert!(o.explicit() && o.valid, "{o:?}");
         assert_eq!(o.value(), Some(true));
     }
 
@@ -123,7 +133,7 @@ mod tests {
             let mut adv = RandomCrash::new(f as usize, f);
             let r = run_flood(64, f, seed, |id| id.0 != 0, &mut adv);
             let o = r.verdict();
-            assert!(o.explicit(), "seed {seed}: {o:?}");
+            assert!(o.explicit() && o.valid, "seed {seed}: {o:?}");
         }
     }
 

@@ -23,8 +23,7 @@
 //! | Module | Decides | Success |
 //! |--------|---------|---------|
 //! | [`augustine_agreement`] | its bit, input validity | `implicit() && valid` |
-//! | [`chlebus_kowalski`], [`gilbert_kowalski`] | its bit, input validity | `explicit() && valid` |
-//! | [`flood_agreement`] | its bit | `explicit()` |
+//! | [`chlebus_kowalski`], [`gilbert_kowalski`], [`flood_agreement`] | its bit, input validity | `explicit() && valid` |
 //! | [`kutten_le`], [`diam_two_le`] | `()` when elected | `deciders == 1` |
 //! | [`broadcast_le`] | the minimum rank it saw | `implicit()`, and at most one elected survivor |
 

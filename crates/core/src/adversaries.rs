@@ -87,14 +87,12 @@ impl Adversary<LeMsg> for MinRankCrasher {
 pub struct ZeroHolderCrasher {
     /// Size of the (random) faulty set.
     pub f: usize,
-    /// Maximum crashes per round.
-    pub per_round: usize,
 }
 
 impl ZeroHolderCrasher {
     /// `f` random faulty nodes; one crash per round.
     pub fn new(f: usize) -> Self {
-        ZeroHolderCrasher { f, per_round: 1 }
+        ZeroHolderCrasher { f }
     }
 }
 
@@ -108,21 +106,17 @@ impl Adversary<AgreeMsg> for ZeroHolderCrasher {
         view: &AdversaryView<'_, AgreeMsg>,
         _rng: &mut SmallRng,
     ) -> Vec<CrashDirective> {
-        let zero_senders: Vec<NodeId> = view
-            .crashable()
-            .filter(|&node| {
+        view.crashable()
+            .find(|&node| {
                 view.outgoing_of(node)
                     .iter()
                     .any(|e| matches!(e.msg, AgreeMsg::Zero))
             })
-            .collect();
-        zero_senders
-            .into_iter()
-            .take(self.per_round)
             .map(|node| CrashDirective {
                 node,
                 filter: DeliveryFilter::KeepFirst(1),
             })
+            .into_iter()
             .collect()
     }
 }

@@ -50,21 +50,18 @@ pub fn validate_budget(b: usize, n: u32) -> Result<(), ConfigError> {
 pub struct ZeroForger {
     /// Number of corrupted nodes.
     pub b: usize,
-    /// Forged zeros each corrupted node sends per round.
-    pub fanout: usize,
-    /// Rounds during which forging happens.
-    pub rounds: u32,
 }
 
 impl ZeroForger {
+    /// Forged zeros each corrupted node sends per round.
+    const FANOUT: usize = 8;
+    /// Rounds during which forging happens.
+    const ROUNDS: u32 = 4;
+
     /// `b` corrupted nodes, 8 forged zeros per node per round for the
     /// first 4 rounds.
     pub fn new(b: usize) -> Self {
-        ZeroForger {
-            b,
-            fanout: 8,
-            rounds: 4,
-        }
+        ZeroForger { b }
     }
 
     /// Rejects budgets that cannot fit an `n`-node network (`b > n`).
@@ -91,13 +88,13 @@ impl Adversary<AgreeMsg> for ZeroForger {
         view: &AdversaryView<'_, AgreeMsg>,
         rng: &mut SmallRng,
     ) -> Vec<Tamper<AgreeMsg>> {
-        if view.round() >= self.rounds {
+        if view.round() >= Self::ROUNDS {
             return Vec::new();
         }
         let n = view.n();
         view.crashable()
             .map(|node| {
-                let sends = (0..self.fanout)
+                let sends = (0..Self::FANOUT)
                     .map(|_| {
                         let dst = loop {
                             let d = NodeId(rng.random_range(0..n));

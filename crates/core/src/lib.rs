@@ -10,7 +10,8 @@
 //! * [`agreement`] — implicit binary agreement in `O(log n/α)` rounds and
 //!   `O(√n·log^{3/2}n/α^{3/2})` message bits whp (Theorem 5.1), written
 //!   once as min-propagation over any value domain a `Carrier` sends;
-//! * [`explicit`] — the `O(n·log n/α)`-message explicit extensions;
+//! * [`explicit`] — the `O(n·log n/α)`-message explicit extensions, written
+//!   once as one announce round over either implicit protocol;
 //! * [`multi_agreement`] — multi-valued generalisation (extension): the
 //!   same state machine over `{0..k}`;
 //! * [`byzantine`] — Byzantine attacks probing open question 3 (extension);
@@ -74,7 +75,7 @@ pub mod prelude {
     pub use crate::adversaries::{AdaptiveCandidateKiller, MinRankCrasher, ZeroHolderCrasher};
     pub use crate::agreement::AgreeNode;
     pub use crate::byzantine::{EquivocatingClaimant, ZeroForger};
-    pub use crate::explicit::{AnnouncePolicy, ExplicitAgreeNode, ExplicitLeNode};
+    pub use crate::explicit::{ExplicitAgreeNode, ExplicitLeNode};
     pub use crate::leader_election::{LeNode, LeOutcome, LeStatus};
     pub use crate::messages::{AgreeMsg, LeMsg};
     pub use crate::multi_agreement::{MultiAgreeNode, MultiMsg};

@@ -292,7 +292,8 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
                 let mut adv = RandomCrash::new(f, 20);
                 let factory = |id| ExplicitAgreeNode::new(params.clone(), agree_input(zeros, id));
                 let r = run_sharded(cfg, factory, &mut adv, ij);
-                value_of(&r, r.verdict().explicit(), vec![])
+                let v = r.verdict();
+                value_of(&r, v.explicit() && v.valid, vec![])
             })
         }
         Workload::LeKutten => engine(cfg.max_rounds(kutten_round_budget()), |cfg, ij| {
@@ -343,7 +344,8 @@ fn build(cell: &CellSpec, substrate: Substrate) -> Result<Trial, String> {
                 let mut adv = RandomCrash::new(f as usize, f);
                 let factory = |id: NodeId| FloodAgreeNode::new(f, !id.0.is_multiple_of(7));
                 let r = run_sharded(cfg, factory, &mut adv, ij);
-                value_of(&r, r.verdict().explicit(), vec![])
+                let v = r.verdict();
+                value_of(&r, v.explicit() && v.valid, vec![])
             })
         }
         Workload::Gk { faults } => {

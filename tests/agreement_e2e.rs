@@ -97,6 +97,31 @@ fn explicit_agreement_informs_every_survivor() {
 }
 
 #[test]
+fn explicit_agreement_rows_are_judged_with_validity() {
+    // FloodSet and explicit agreement report their inputs, so Table I
+    // judges them as it judges every other agreement row: one value that
+    // every survivor decided, and some node's input.
+    for input in [|_: NodeId| true, |id: NodeId| !id.0.is_multiple_of(4)] {
+        let cfg = SimConfig::new(64).seed(3).max_rounds(flood_round_budget(8));
+        let r = run(&cfg, |id| FloodAgreeNode::new(8, input(id)), &mut NoFaults);
+        let v = r.verdict();
+        assert!(v.explicit() && v.valid, "FloodSet: {v:?}");
+
+        let p = params(128, 0.5);
+        let cfg = SimConfig::new(128)
+            .seed(3)
+            .max_rounds(ExplicitAgreeNode::round_budget(&p));
+        let r = run(
+            &cfg,
+            |id| ExplicitAgreeNode::new(p.clone(), input(id)),
+            &mut NoFaults,
+        );
+        let v = r.verdict();
+        assert!(v.explicit() && v.valid, "explicit agreement: {v:?}");
+    }
+}
+
+#[test]
 fn explicit_leader_election_informs_every_survivor() {
     let p = params(128, 0.5);
     for seed in 0..6 {
