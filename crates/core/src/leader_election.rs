@@ -17,16 +17,19 @@
 //! per iteration, and the committee has `O(log n/α)` members (Lemma 1).
 //!
 //! A referee with `k` registered candidates owes `k(k−1)` forwards and may
-//! send each port one per round (CONGEST). It keeps them in a *send
-//! calendar* — one bucket per future round, filled as ranks are booked —
-//! so a round costs the forwards it sends, not the backlog behind them.
+//! send each port one per round (CONGEST). It stores what it has learned,
+//! not that schedule: one record per candidate (when it registered, how
+//! many forwards it has had) and one per known rank (when it arrived, on
+//! which port). Each candidate's next forward and each round's send order
+//! follow from those, so the referee's memory is `O(k)` and a round costs
+//! the forwards it sends.
 //!
 //! The result: `O(log n/α)` rounds and `O(√n·log^{5/2}n/α^{5/2})` messages
 //! whp, tolerating up to `n − log²n` crash faults, in an anonymous KT0
 //! network. A crashed node is never elected (it may crash *after* the
 //! election; the leader is non-faulty with probability ≥ α).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use ftc_sim::ids::{NodeId, Port, Round};
 use ftc_sim::prelude::*;
@@ -58,9 +61,9 @@ struct CandidateState {
     id: Rank,
     /// Ports of the sampled referees.
     referees: Vec<Port>,
-    /// Ranks of (known) candidates, own rank included; pruned from below
-    /// as higher maxima are echoed.
-    rank_list: BTreeSet<Rank>,
+    /// Ranks of (known) candidates, own rank included, sorted and without
+    /// duplicates; pruned from below as higher maxima are echoed.
+    rank_list: Vec<Rank>,
     /// Ranks this candidate has already proposed at a phase-A activation
     /// ("a node proposes a rank from its rankList only once").
     proposed: BTreeSet<Rank>,
@@ -84,88 +87,121 @@ struct CandidateState {
     settled: bool,
 }
 
+/// A candidate registered with a referee.
+#[derive(Clone, Copy, Debug)]
+struct Registered {
+    port: Port,
+    /// Ranks the referee knew when the candidate registered: its first
+    /// `batch` forwards are those ranks, in rank order.
+    batch: u32,
+    /// Forwards sent to it so far.
+    sent: u32,
+    /// Where its next forward is looked for: an index into `by_rank` while
+    /// `sent < batch`, then into `arrivals`.
+    cursor: u32,
+}
+
 /// State of a node in its referee role (any node may be sampled).
+///
+/// A candidate is owed every rank it did not bring: first the ranks known
+/// when it registered, in rank order, then every later rank of another
+/// port, in arrival order. The referee stores only those facts and derives
+/// each drain's forwards from them, one per candidate in debt.
 #[derive(Clone, Debug, Default)]
 struct RefereeState {
-    /// Ports of the candidates that registered with this referee.
-    candidates: Vec<Port>,
-    /// First-seen arrival port of each known rank (to avoid echoing a
-    /// candidate its own rank during pre-processing). Ordered map: the
-    /// forwards to a newcomer are booked by iterating the keys, so the
-    /// container's iteration order must be deterministic for runs to
-    /// replay exactly.
-    rank_origin: BTreeMap<Rank, Port>,
-    /// The send calendar: bucket `i` holds, in the order they were booked,
-    /// the `(destination port, rank)` forwards to send `i` drains from
-    /// now. A port appears at most once per bucket (CONGEST: one message
-    /// per port per round) and no bucket is empty.
-    calendar: VecDeque<Vec<(Port, Rank)>>,
-    /// Forwards still owed to `candidates[i]`. One leaves per drain, so
-    /// they fill buckets `0..owed[i]` and the next one joins bucket
-    /// `owed[i]`; the longest debt is the calendar's length.
-    owed: Vec<usize>,
+    /// The candidates that registered, in registration order.
+    candidates: Vec<Registered>,
+    /// Every known rank with the port it first arrived on, in arrival
+    /// order. A candidate is never forwarded a rank it brought.
+    arrivals: Vec<(Rank, Port)>,
+    /// Indices into `arrivals`, in rank order.
+    by_rank: Vec<u32>,
+    /// Forwards owed to all candidates together.
+    owed: usize,
 }
 
 impl RefereeState {
-    /// Books `forward` for the first drain that sends its port, whose
-    /// debt is `owed`, nothing yet. A bucket opened for it holds `room`.
-    fn book(
-        calendar: &mut VecDeque<Vec<(Port, Rank)>>,
-        owed: &mut usize,
-        forward: (Port, Rank),
-        room: usize,
-    ) {
-        if *owed == calendar.len() {
-            calendar.push_back(Vec::with_capacity(room));
-        }
-        calendar[*owed].push(forward);
-        *owed += 1;
-    }
-
-    /// Handles `Register { rank }` arriving on port `from`. `room` is how
-    /// many candidates the caller expects in all: a bucket ends up with
-    /// one entry per candidate, and sized once it carries no doubling
-    /// slack into the first-round peak, where the calendars are most of a
-    /// run's heap. Only a hint — a bucket that outgrows it grows.
-    fn register(&mut self, from: Port, rank: Rank, room: usize) {
-        if !self.candidates.contains(&from) {
-            // Forward all previously known ranks to the newcomer (it is
-            // the origin of none of them)...
-            let mut owed = 0;
-            for &known in self.rank_origin.keys() {
-                Self::book(&mut self.calendar, &mut owed, (from, known), room);
-            }
-            self.candidates.push(from);
-            self.owed.push(owed);
+    /// Handles `Register { rank }` arriving on port `from`.
+    fn register(&mut self, from: Port, rank: Rank) {
+        let known = self.arrivals.len() as u32;
+        if !self.candidates.iter().any(|c| c.port == from) {
+            self.candidates.push(Registered {
+                port: from,
+                batch: known,
+                sent: 0,
+                cursor: 0,
+            });
+            self.owed += known as usize;
         }
         // A duplicate rank (collision or rebroadcast) keeps its first
-        // origin and is not forwarded again; a new port still got the
+        // origin and is not forwarded again; a new port is still owed the
         // known ranks above.
-        if !self.rank_origin.contains_key(&rank) {
-            // ...and the new rank to all previously registered candidates.
-            for (&p, owed) in self.candidates.iter().zip(&mut self.owed) {
-                if p != from {
-                    Self::book(&mut self.calendar, owed, (p, rank), room);
-                }
+        let arrivals = &self.arrivals;
+        let Err(at) = self
+            .by_rank
+            .binary_search_by_key(&rank, |&i| arrivals[i as usize].0)
+        else {
+            return;
+        };
+        // The new rank is in no batch: a cursor at or past it steps over it.
+        for c in &mut self.candidates {
+            if c.sent < c.batch && c.cursor as usize >= at {
+                c.cursor += 1;
             }
-            self.rank_origin.insert(rank, from);
         }
+        self.by_rank.insert(at, known);
+        self.arrivals.push((rank, from));
+        // Owed to every candidate but `from`, which is registered by now.
+        self.owed += self.candidates.len() - 1;
     }
 
-    /// Takes this round's forwards, in send order: one per port in debt.
+    /// Takes this round's forwards, in send order: one per candidate in
+    /// debt. The order is the order the forwards fell due in: a batch
+    /// forward at its candidate's registration, a later one at its rank's
+    /// arrival, batch first when both happen in one `register`, and
+    /// registration order within one event.
     fn drain(&mut self) -> Vec<(Port, Rank)> {
-        debug_assert_eq!(
-            self.owed.iter().copied().max().unwrap_or(0),
-            self.calendar.len()
-        );
-        debug_assert!(self.calendar.iter().all(|bucket| !bucket.is_empty()));
-        let Some(due) = self.calendar.pop_front() else {
+        if self.owed == 0 {
             return Vec::new();
-        };
-        for owed in &mut self.owed {
-            *owed = owed.saturating_sub(1);
         }
-        due
+        let mut due = Vec::with_capacity(self.candidates.len());
+        for (i, c) in self.candidates.iter_mut().enumerate() {
+            let in_batch = c.sent < c.batch;
+            let arrival = if in_batch {
+                while self.by_rank[c.cursor as usize] >= c.batch {
+                    c.cursor += 1;
+                }
+                self.by_rank[c.cursor as usize]
+            } else {
+                let rest = &self.arrivals[c.cursor as usize..];
+                c.cursor += rest.iter().take_while(|&&(_, o)| o == c.port).count() as u32;
+                if c.cursor as usize == self.arrivals.len() {
+                    continue;
+                }
+                c.cursor
+            };
+            let key = if in_batch {
+                (c.batch, false, i)
+            } else {
+                (arrival, true, i)
+            };
+            c.cursor += 1;
+            c.sent += 1;
+            if c.sent == c.batch {
+                c.cursor = c.batch;
+            }
+            due.push((key, c.port, self.arrivals[arrival as usize].0));
+        }
+        self.owed -= due.len();
+        due.sort_unstable_by_key(|&(key, ..)| key);
+        due.into_iter()
+            .map(|(_, port, rank)| (port, rank))
+            .collect()
+    }
+
+    /// Whether no forward is owed.
+    fn is_idle(&self) -> bool {
+        self.owed == 0
     }
 }
 
@@ -192,9 +228,13 @@ pub struct LeNode {
     params: Params,
     /// First round of the iteration phase.
     t0: Round,
-    candidate: Option<CandidateState>,
+    /// Boxed: almost every node is not a candidate.
+    candidate: Option<Box<CandidateState>>,
     referee: RefereeState,
 }
+
+// One per node of a run, and almost every node is a referee only.
+const _: () = assert!(std::mem::size_of::<LeNode>() <= 160);
 
 impl LeNode {
     /// Creates the protocol state for one node.
@@ -266,8 +306,8 @@ impl LeNode {
         }
         let value = proposals.iter().map(|&(_, v)| v).max().expect("non-empty");
         let claimed = proposals.iter().any(|&(id, v)| v == value && id == value);
-        for &p in &self.referee.candidates {
-            ctx.send(p, LeMsg::Echo { value, claimed });
+        for c in &self.referee.candidates {
+            ctx.send(c.port, LeMsg::Echo { value, claimed });
         }
     }
 
@@ -292,7 +332,8 @@ impl LeNode {
         }
         cand.floor = cand.floor.max(value);
         // "removes all the ranks smaller than the received rank"
-        cand.rank_list = cand.rank_list.split_off(&value);
+        let below = cand.rank_list.partition_point(|&r| r < value);
+        cand.rank_list.drain(..below);
 
         if value == cand.id {
             // Our own rank is the maximum: claim leadership (once) and
@@ -338,18 +379,13 @@ impl LeNode {
                 // phase-A proposal will out-propose it.
                 return;
             }
-            if !cand.rank_list.contains(&value) {
-                match cand.rank_list.range(value..).next().copied() {
-                    Some(_higher) => {
-                        // Next phase-A proposal (min of pruned list) is
-                        // already ≥ `value`; nothing extra to send now.
-                    }
-                    None => {
-                        cand.rank_list.insert(value);
-                    }
-                }
+            // The list is pruned below `value`, so an absent `value` is
+            // adopted only if the list is empty; otherwise the next phase-A
+            // proposal (min of pruned list) is already ≥ `value`.
+            if cand.rank_list.is_empty() {
+                cand.rank_list.push(value);
             }
-            if cand.rank_list.contains(&value) && cand.support != Some(value) {
+            if cand.rank_list.binary_search(&value).is_ok() && cand.support != Some(value) {
                 cand.support = Some(value);
                 cand.support_age = 0;
                 if cand.relayed.insert(value) {
@@ -374,7 +410,9 @@ impl LeNode {
         if let Some(target) = cand.support {
             cand.support_age += 1;
             if cand.support_age >= SUPPORT_PATIENCE {
-                cand.rank_list.remove(&target);
+                if let Ok(at) = cand.rank_list.binary_search(&target) {
+                    cand.rank_list.remove(at);
+                }
                 cand.dead.insert(target);
                 cand.support = None;
                 cand.support_age = 0;
@@ -392,7 +430,7 @@ impl LeNode {
             .or_else(|| cand.rank_list.first().copied());
         let Some(value) = value else {
             // Rank list empty (everything timed out): fall back to self.
-            cand.rank_list.insert(cand.id);
+            cand.rank_list.push(cand.id);
             return;
         };
         cand.proposed.insert(value);
@@ -414,15 +452,13 @@ impl Protocol for LeNode {
         let n = ctx.n();
         let id = Rank::draw(ctx, n);
         let referees = ctx.sample_ports(self.params.referee_count());
-        let mut rank_list = BTreeSet::new();
-        rank_list.insert(id);
         for &p in &referees {
             ctx.send(p, LeMsg::Register { rank: id });
         }
-        self.candidate = Some(CandidateState {
+        self.candidate = Some(Box::new(CandidateState {
             id,
             referees,
-            rank_list,
+            rank_list: vec![id],
             proposed: BTreeSet::new(),
             dead: BTreeSet::new(),
             floor: Rank(0),
@@ -432,7 +468,7 @@ impl Protocol for LeNode {
             leader: None,
             marked_leader: false,
             settled: false,
-        });
+        }));
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, LeMsg>, inbox: &[Incoming<LeMsg>]) {
@@ -441,13 +477,13 @@ impl Protocol for LeNode {
         let mut echo_max: Option<(Rank, bool)> = None;
         for inc in inbox {
             match &inc.msg {
-                // Candidates register in round 0, so registrations arrive
-                // together and alone: the inbox is the referee's in-degree.
-                LeMsg::Register { rank } => self.referee.register(inc.port, *rank, inbox.len()),
+                LeMsg::Register { rank } => self.referee.register(inc.port, *rank),
                 LeMsg::ForwardRank { rank } => {
                     if let Some(cand) = self.candidate.as_mut() {
                         if *rank >= cand.floor && !cand.dead.contains(rank) {
-                            cand.rank_list.insert(*rank);
+                            if let Err(at) = cand.rank_list.binary_search(rank) {
+                                cand.rank_list.insert(at, *rank);
+                            }
                         }
                     }
                 }
@@ -483,12 +519,12 @@ impl Protocol for LeNode {
 
     fn is_terminated(&self) -> bool {
         let cand_done = self.candidate.as_ref().is_none_or(|c| c.settled);
-        cand_done && self.referee.calendar.is_empty()
+        cand_done && self.referee.is_idle()
     }
 
     fn is_inert(&self) -> bool {
         // With an empty inbox, `on_round` only acts through the referee's
-        // send calendar and the candidate's phase-A timer, and phase A is a
+        // owed forwards and the candidate's phase-A timer, and phase A is a
         // no-op for a settled (or absent) candidate — exactly the
         // `is_terminated` condition. No RNG is drawn on that path, so a
         // skipped activation is indistinguishable from a run one.
@@ -596,6 +632,7 @@ impl LeOutcome {
 mod tests {
     use super::*;
     use ftc_sim::adversary::{DeliveryFilter, FaultPlan, ScriptedCrash};
+    use std::collections::{BTreeMap, VecDeque};
 
     fn run_le(n: u32, alpha: f64, seed: u64, adv: &mut dyn Adversary<LeMsg>) -> RunResult<LeNode> {
         let params = Params::new(n, alpha).unwrap();
@@ -868,7 +905,7 @@ mod tests {
                         busy_ports +=
                             usize::from(!newcomer && !model.rank_origin.contains_key(&rank));
                         model.register(port, rank);
-                        plane.register(port, rank, i % 5);
+                        plane.register(port, rank);
                     }
                     Step::Drain => {
                         empty_drains += usize::from(model.forward_queue.is_empty());
@@ -877,14 +914,21 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    plane.calendar.is_empty(),
+                    plane.is_idle(),
                     model.forward_queue.is_empty(),
                     "seed {seed} step {i}: {step:?}"
                 );
-                assert_eq!(plane.candidates, model.candidates);
-                assert_eq!(plane.rank_origin, model.rank_origin);
+                let ports: Vec<Port> = plane.candidates.iter().map(|c| c.port).collect();
+                assert_eq!(ports, model.candidates);
+                let origins: BTreeMap<Rank, Port> = plane.arrivals.iter().copied().collect();
+                assert_eq!(origins, model.rank_origin);
+                let records = plane.candidates.len() + plane.arrivals.len() + plane.by_rank.len();
+                assert!(
+                    records <= model.candidates.len() + 2 * model.rank_origin.len(),
+                    "seed {seed} step {i}: {records} records"
+                );
             }
-            assert!(plane.calendar.is_empty(), "seed {seed}: script drains out");
+            assert!(plane.is_idle(), "seed {seed}: script drains out");
         }
         for (what, count) in [
             ("newcomer mid-backlog", newcomers_mid_backlog),
@@ -902,7 +946,7 @@ mod tests {
         let k = 30u32;
         let mut plane = RefereeState::default();
         for i in 0..k {
-            plane.register(Port(i), Rank(u64::from(1000 - i)), k as usize);
+            plane.register(Port(i), Rank(u64::from(1000 - i)));
         }
         let mut total = 0;
         for round in 1..k {
@@ -913,9 +957,8 @@ mod tests {
             total += due.len();
         }
         assert_eq!(total, (k * (k - 1)) as usize);
-        // The backlog is gone and so is its storage: no bucket is left.
-        assert!(plane.calendar.is_empty());
-        assert!(plane.owed.iter().all(|&o| o == 0));
+        // The backlog is gone.
+        assert!(plane.is_idle());
         assert!(plane.drain().is_empty());
     }
 }

@@ -250,3 +250,136 @@ fn two_nodes_are_refused_not_elected_twice() {
             .success
     );
 }
+
+/// Makes its two faulty nodes forge `Register` in round 2, while the
+/// referees still owe the round-1 forwards: the first with a rank nobody
+/// holds, the second with a copy of a live candidate's rank, each to that
+/// candidate's referees. A referee then meets a newcomer mid-backlog and
+/// a rank it already knows from another port. No shipped adversary
+/// forges `Register`.
+struct RegisterForger {
+    /// `(sender, referee, rank)` of every honest round-0 registration.
+    registrations: Vec<(NodeId, NodeId, Rank)>,
+}
+
+impl Adversary<LeMsg> for RegisterForger {
+    fn faulty_set(&mut self, n: u32, rng: &mut rand::rngs::SmallRng) -> FaultySet {
+        FaultySet::random(n, 2, rng)
+    }
+
+    fn on_round(
+        &mut self,
+        _view: &AdversaryView<'_, LeMsg>,
+        _rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<CrashDirective> {
+        Vec::new()
+    }
+
+    fn tamper(
+        &mut self,
+        view: &AdversaryView<'_, LeMsg>,
+        _rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<ftc::sim::adversary::Tamper<LeMsg>> {
+        if view.round() == 0 {
+            for e in view.all_outgoing() {
+                if let LeMsg::Register { rank } = e.msg {
+                    if !view.faulty().contains(e.src) {
+                        self.registrations.push((e.src, e.dst, rank));
+                    }
+                }
+            }
+        }
+        let Some(&(victim, _, copied)) = self.registrations.first() else {
+            return Vec::new();
+        };
+        if view.round() != 2 {
+            return Vec::new();
+        }
+        let fresh = Rank(copied.0 ^ 0x5a5a);
+        view.crashable()
+            .zip([fresh, copied])
+            .map(|(node, rank)| ftc::sim::adversary::Tamper {
+                node,
+                sends: self
+                    .registrations
+                    .iter()
+                    .filter(|&&(src, dst, _)| src == victim && dst != node)
+                    .map(|&(_, dst, _)| (dst, LeMsg::Register { rank }))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// The crash and delivery conditions `le_is_pinned_message_for_message`
+/// runs under; `cfg` is the fault-free config of the cell.
+fn pinned_condition(
+    case: usize,
+    p: &Params,
+    seed: u64,
+    cfg: &SimConfig,
+) -> (SimConfig, Box<dyn Adversary<LeMsg>>) {
+    let n = p.n();
+    let f = p.max_faults();
+    let node = |i: u64| NodeId(((seed * 7 + i * 13) % u64::from(n)) as u32);
+    let adv: Box<dyn Adversary<LeMsg>> = match case {
+        0 | 5 | 6 => Box::new(NoFaults),
+        1 => Box::new(EagerCrash::new(f)),
+        2 => Box::new(RandomCrash::new(f, 60)),
+        3 => Box::new(ScriptedCrash::new(
+            FaultPlan::new()
+                .crash(node(0), 1, DeliveryFilter::KeepFirst(3))
+                .crash(node(1), 1, DeliveryFilter::DropAll)
+                .crash(node(2), 2, DeliveryFilter::DeliverEachWithProbability(0.5))
+                .crash(node(3), 2, DeliveryFilter::KeepFirst(1))
+                .crash(node(4), 3, DeliveryFilter::DeliverEachWithProbability(0.3)),
+        )),
+        4 => Box::new(MinRankCrasher::new(f)),
+        _ => Box::new(RegisterForger {
+            registrations: Vec::new(),
+        }),
+    };
+    let cfg = match case {
+        5 => cfg.clone().edge_failure_prob(0.1),
+        6 => cfg.clone().send_cap(24),
+        _ => cfg.clone(),
+    };
+    (cfg, adv)
+}
+
+#[test]
+fn le_is_pinned_message_for_message() {
+    // Every node's public verdict, `crashed_at` and every `Metrics` field
+    // of LE runs over n, alpha, seeds and eight conditions, against a
+    // digest recorded before the referee stopped storing its forward
+    // schedule. The referee's forwards are most of a run's messages; one
+    // sent in another round or another position of the round's outbox
+    // moves a capped, filtered or lossy run, so the digest pins their
+    // order end to end. The scripted crashes and the forged registrations
+    // land while the referees still owe forwards.
+    let mut text = String::new();
+    for (n, alpha) in [(64, 0.75), (64, 1.0), (128, 0.5), (128, 1.0)] {
+        let p = params(n, alpha);
+        for seed in 0..2 {
+            let base = SimConfig::new(n).seed(seed).max_rounds(p.le_round_budget());
+            for case in 0..8 {
+                let (cfg, mut adv) = pinned_condition(case, &p, seed, &base);
+                let r = run(&cfg, |_| LeNode::new(p.clone()), adv.as_mut());
+                let nodes: Vec<_> = r
+                    .states
+                    .iter()
+                    .map(|s| {
+                        let verdict = (s.status(), s.leader_belief(), s.is_settled());
+                        (s.is_candidate(), s.rank(), verdict)
+                    })
+                    .collect();
+                text += &format!("{nodes:?} {:?} {:?}\n", r.crashed_at, r.metrics);
+            }
+        }
+    }
+    let digest = ftc::sim::json::fnv1a64(text.as_bytes());
+    assert_eq!(
+        digest, 0x7976_1f0d_152b_dedc,
+        "LE runs moved: digest {digest:#018x}"
+    );
+}
